@@ -31,27 +31,31 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .colligation import Ball, Colligation, Polydisk
-from .derivative import MultiIndex, Polynomial, partial_at, poly_partial
+from .colligation import Ball, Colligation, PointGeometry, Polydisk
+from .derivative import MultiIndex, PointJet, Polynomial, point_jet, poly_partial
 from .errors import DegenerateGramWarning, DomainViolationError
-from .matrixcore import spectral_norm
 from .reports import BoundReport
-from .transfer import evaluate, resolvent_gram_factors
 
 __all__ = [
     "PointGeometry",
     "BoundReport",
     "bound_general",
+    "general_at",
     "bound_polydisk",
+    "polydisk_at",
     "bound_ball",
+    "ball_at",
     "ball_kernel_subchecks",
+    "ball_subchecks_at",
     "wiener_check",
+    "wiener_at",
     "knese_residual",
+    "knese_report",
+    "knese_at",
     "multiplier_gram_psd",
     "POLYDISK_VARIANTS",
     "BALL_VARIANTS",
@@ -63,45 +67,27 @@ BALL_VARIANTS = ("hat", "factorial")
 Subject = Union[Colligation, Polynomial]
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """Norm data of an evaluation point used on right-hand sides."""
+class _PolynomialPoint:
+    """A polynomial subject at one point, read like a :class:`PointJet`."""
 
-    z: tuple[complex, ...]
-    sup_norm: float
-    eucl_norm: float
-    hat_norms: tuple[float, ...]
+    flags: tuple[str, ...] = ()
 
-    @classmethod
-    def from_point(cls, z: Sequence[complex]) -> "PointGeometry":
-        zt = tuple(complex(v) for v in z)
-        moduli = [abs(v) for v in zt]
-        hats = tuple(
-            math.sqrt(sum(m * m for k, m in enumerate(moduli) if k != j))
-            for j in range(len(zt))
-        )
-        return cls(
-            z=zt,
-            sup_norm=max(moduli) if moduli else 0.0,
-            eucl_norm=math.sqrt(sum(m * m for m in moduli)),
-            hat_norms=hats,
-        )
+    def __init__(self, poly: Polynomial, z: Sequence[complex]):
+        self.poly = poly
+        self.geometry = PointGeometry.from_point(z)
+        self.defect = 1.0 - abs(poly(self.geometry.z)) ** 2
+
+    def norm(self, mi: MultiIndex) -> float:
+        return abs(poly_partial(self.poly, self.geometry.z, mi))
 
 
-def _defect_product(phi: np.ndarray) -> float:
-    """1 - |phi|^2 for scalars; the two-sided defect norm product in general."""
-    left = spectral_norm(np.eye(phi.shape[1]) - phi.conj().T @ phi)
-    right = spectral_norm(np.eye(phi.shape[0]) - phi @ phi.conj().T)
-    return math.sqrt(left) * math.sqrt(right)
-
-
-def _lhs_and_defect(subject: Subject, z, mi: MultiIndex) -> tuple[float, float, tuple[str, ...]]:
-    if isinstance(subject, Colligation):
-        ctx = evaluate(subject, z)
-        return spectral_norm(partial_at(ctx, mi)), _defect_product(ctx.phi), ctx.flags
-    value = poly_partial(subject, z, mi)
-    defect = 1.0 - abs(subject(z)) ** 2
-    return abs(value), defect, ()
+def _subject_point(subject: Subject, z: Sequence[complex], kind: type) -> Union[PointJet, _PolynomialPoint]:
+    if not isinstance(subject, Colligation):
+        return _PolynomialPoint(subject, z)
+    if not isinstance(subject.structure, kind):
+        name = kind.__name__.lower()
+        raise ValueError(f"{name} bounds need a {name} colligation")
+    return point_jet(subject, z)
 
 
 def bound_general(
@@ -132,10 +118,17 @@ def bound_general(
         mi = MultiIndex.from_klist(ks, col.d)
     if mi.order < 1:
         raise ValueError("bound_general needs order >= 1")
-    ctx = evaluate(col, z)
-    defect = _defect_product(ctx.phi)
-    a, b = resolvent_gram_factors(ctx)
-    lhs = spectral_norm(partial_at(ctx, mi))
+    return general_at(point_jet(col, z), mi, ks)
+
+
+def general_at(jet: PointJet, mi: MultiIndex, ks: Sequence[int] | None = None) -> BoundReport:
+    """:func:`bound_general` at a jet; ``ks`` defaults to the canonical index list."""
+    if ks is None:
+        ks = mi.canonical_klist()
+    lhs = jet.norm(mi)
+    ctx = jet.ctx
+    defect = jet.defect
+    a, b = ctx.gram
     znorm = ctx.znorm
     if mi.order == 1:
         j = ks[0]
@@ -203,17 +196,19 @@ def bound_polydisk(
     variant: str,
 ) -> BoundReport:
     """Polydisk derivative bound for a colligation or polynomial subject."""
-    mi = MultiIndex.of(alpha)
-    geom = PointGeometry.from_point(z)
-    if geom.sup_norm >= 1.0:
-        raise DomainViolationError(f"||z||_inf = {geom.sup_norm} is not < 1")
-    if isinstance(subject, Colligation) and not isinstance(subject.structure, Polydisk):
-        raise ValueError("polydisk bounds need a polydisk colligation")
-    lhs, defect, flags = _lhs_and_defect(subject, z, mi)
-    rhs = polydisk_rhs(defect, geom, mi, variant)
+    point = _subject_point(subject, z, Polydisk)
+    if point.geometry.sup_norm >= 1.0:
+        raise DomainViolationError(f"||z||_inf = {point.geometry.sup_norm} is not < 1")
+    return polydisk_at(point, MultiIndex.of(alpha), variant)
+
+
+def polydisk_at(point: PointJet, mi: MultiIndex, variant: str) -> BoundReport:
+    """:func:`bound_polydisk` at a jet (or a polynomial read the same way)."""
+    lhs = point.norm(mi)
+    rhs = polydisk_rhs(point.defect, point.geometry, mi, variant)
     return BoundReport(
-        theorem_tag=f"polydisk.{variant}", z=geom.z, alpha=mi.counts,
-        lhs=lhs, rhs=rhs, flags=flags,
+        theorem_tag=f"polydisk.{variant}", z=point.geometry.z, alpha=mi.counts,
+        lhs=lhs, rhs=rhs, flags=point.flags,
     )
 
 
@@ -242,17 +237,19 @@ def bound_ball(
     variant: str,
 ) -> BoundReport:
     """Ball derivative bound for a colligation or polynomial subject."""
-    mi = MultiIndex.of(alpha)
-    geom = PointGeometry.from_point(z)
-    if geom.eucl_norm >= 1.0:
-        raise DomainViolationError(f"||z||_2 = {geom.eucl_norm} is not < 1")
-    if isinstance(subject, Colligation) and not isinstance(subject.structure, Ball):
-        raise ValueError("ball bounds need a ball colligation")
-    lhs, defect, flags = _lhs_and_defect(subject, z, mi)
-    rhs = ball_rhs(defect, geom, mi, variant, mi.d)
+    point = _subject_point(subject, z, Ball)
+    if point.geometry.eucl_norm >= 1.0:
+        raise DomainViolationError(f"||z||_2 = {point.geometry.eucl_norm} is not < 1")
+    return ball_at(point, MultiIndex.of(alpha), variant)
+
+
+def ball_at(point: PointJet, mi: MultiIndex, variant: str) -> BoundReport:
+    """:func:`bound_ball` at a jet (or a polynomial read the same way)."""
+    lhs = point.norm(mi)
+    rhs = ball_rhs(point.defect, point.geometry, mi, variant, mi.d)
     return BoundReport(
-        theorem_tag=f"ball.{variant}", z=geom.z, alpha=mi.counts,
-        lhs=lhs, rhs=rhs, flags=flags,
+        theorem_tag=f"ball.{variant}", z=point.geometry.z, alpha=mi.counts,
+        lhs=lhs, rhs=rhs, flags=point.flags,
     )
 
 
@@ -266,12 +263,17 @@ def ball_kernel_subchecks(col: Colligation, z: Sequence[complex]) -> list[BoundR
     """
     if not isinstance(col.structure, Ball):
         raise ValueError("kernel subchecks need a ball colligation")
-    ctx = evaluate(col, z)
-    geom = PointGeometry.from_point(z)
-    a, b = resolvent_gram_factors(ctx)
+    return ball_subchecks_at(point_jet(col, z))
+
+
+def ball_subchecks_at(jet: PointJet) -> list[BoundReport]:
+    """:func:`ball_kernel_subchecks` at a jet."""
+    ctx = jet.ctx
+    geom = jet.geometry
+    a, b = ctx.gram
     t2 = geom.eucl_norm**2
     out = []
-    for j in range(col.d):
+    for j in range(ctx.col.d):
         out.append(BoundReport(
             theorem_tag="ball.gram_left",
             z=ctx.z, alpha=(j + 1,),
@@ -297,31 +299,31 @@ def wiener_check(subject: Subject, orders: Sequence[Union[MultiIndex, Sequence[i
     the right-hand side is the classical 1 - |c_0|^2.
     """
     if isinstance(subject, Colligation):
-        ctx0 = evaluate(subject, (0.0,) * subject.d)
-        c0 = ctx0.phi
-        rhs = _defect_product(c0)
+        return wiener_at(point_jet(subject, (0.0,) * subject.d), orders)
+    origin = (0.0 + 0.0j,) * subject.dimension
+    rhs = 1.0 - abs(subject(origin)) ** 2
+    return [
+        BoundReport(
+            theorem_tag="wiener.coefficient", z=origin, alpha=mi.counts,
+            lhs=abs(subject.coeffs.get(mi.counts, 0.0)), rhs=rhs,
+        )
+        for mi in _nonzero(orders)
+    ]
 
-        def coeff_norm(mi: MultiIndex) -> float:
-            return spectral_norm(partial_at(ctx0, mi)) / mi.factorial_product
-    else:
-        c0val = subject((0.0,) * subject.dimension)
-        rhs = 1.0 - abs(c0val) ** 2
 
-        def coeff_norm(mi: MultiIndex) -> float:
-            return abs(subject.coeffs.get(mi.counts, 0.0))
+def wiener_at(jet: PointJet, orders: Sequence[Union[MultiIndex, Sequence[int]]]) -> list[BoundReport]:
+    """:func:`wiener_check` for a colligation, from its jet at the origin."""
+    return [
+        BoundReport(
+            theorem_tag="wiener.coefficient", z=jet.ctx.z, alpha=mi.counts,
+            lhs=jet.norm(mi) / mi.factorial_product, rhs=jet.defect,
+        )
+        for mi in _nonzero(orders)
+    ]
 
-    origin = (0.0 + 0.0j,) * (subject.d if isinstance(subject, Colligation) else subject.dimension)
-    out = []
-    for alpha in orders:
-        mi = MultiIndex.of(alpha)
-        if mi.order == 0:
-            continue
-        out.append(BoundReport(
-            theorem_tag="wiener.coefficient",
-            z=origin, alpha=mi.counts,
-            lhs=coeff_norm(mi), rhs=rhs,
-        ))
-    return out
+
+def _nonzero(orders: Sequence[Union[MultiIndex, Sequence[int]]]) -> list[MultiIndex]:
+    return [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
 
 
 def knese_residual(col: Colligation, z: Sequence[complex]) -> float:
@@ -333,29 +335,43 @@ def knese_residual(col: Colligation, z: Sequence[complex]) -> float:
     function; zero at every point exactly for the symmetric extremal
     realizations with one-dimensional blocks.
     """
+    _check_knese_subject(col)
+    return _knese_residual(point_jet(col, z))
+
+
+def _check_knese_subject(col: Colligation) -> None:
     if not isinstance(col.structure, Polydisk):
         raise ValueError("the sum rule applies to polydisk colligations")
     if col.dim_f != 1 or col.dim_g != 1:
         raise ValueError(
             f"the sum rule needs scalar phi, got dim_g x dim_f = {col.dim_g} x {col.dim_f}"
         )
-    ctx = evaluate(col, z)
+
+
+def _knese_residual(jet: PointJet) -> float:
+    ctx = jet.ctx
+    d = ctx.col.d
     total = 0.0
-    for j in range(col.d):
-        e_j = tuple(int(k == j) for k in range(col.d))
-        total += (1.0 - abs(ctx.z[j]) ** 2) * abs(partial_at(ctx, e_j)[0, 0])
+    for j in range(d):
+        e_j = MultiIndex(tuple(int(k == j) for k in range(d)))
+        total += (1.0 - abs(ctx.z[j]) ** 2) * jet.norm(e_j)
     return total - (1.0 - abs(ctx.phi[0, 0]) ** 2)
 
 
 def knese_report(col: Colligation, z: Sequence[complex]) -> BoundReport:
     """Sum-rule inequality as a report: lhs the weighted derivative sum,
     rhs the defect 1 - |phi|^2."""
-    residual = knese_residual(col, z)
-    ctx = evaluate(col, z)
-    rhs = 1.0 - abs(ctx.phi[0, 0]) ** 2
+    _check_knese_subject(col)
+    return knese_at(point_jet(col, z))
+
+
+def knese_at(jet: PointJet) -> BoundReport:
+    """:func:`knese_report` at a jet of a scalar polydisk colligation."""
+    residual = _knese_residual(jet)
+    rhs = 1.0 - abs(jet.ctx.phi[0, 0]) ** 2
     return BoundReport(
-        theorem_tag="knese.sum_rule", z=ctx.z, alpha=None,
-        lhs=rhs + residual, rhs=rhs, flags=ctx.flags,
+        theorem_tag="knese.sum_rule", z=jet.ctx.z, alpha=None,
+        lhs=rhs + residual, rhs=rhs, flags=jet.flags,
     )
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -51,6 +52,7 @@ __all__ = [
     "projections",
     "zmatrix",
     "structure_norm",
+    "PointGeometry",
     "random_colligation",
     "blaschke",
     "monomial",
@@ -170,6 +172,31 @@ def structure_norm(structure: DomainStructure, z: Sequence[complex]) -> float:
         moduli = [abs(zj) for zj, b in zip(z, structure.block_dims) if b > 0]
         return max(moduli) if moduli else 0.0
     return float(np.sqrt(sum(abs(zj) ** 2 for zj in z)))
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """Norm data of an evaluation point used on right-hand sides."""
+
+    z: tuple[complex, ...]
+    sup_norm: float
+    eucl_norm: float
+    hat_norms: tuple[float, ...]
+
+    @classmethod
+    def from_point(cls, z: Sequence[complex]) -> "PointGeometry":
+        zt = tuple(complex(v) for v in z)
+        moduli = [abs(v) for v in zt]
+        hats = tuple(
+            math.sqrt(sum(m * m for k, m in enumerate(moduli) if k != j))
+            for j in range(len(zt))
+        )
+        return cls(
+            z=zt,
+            sup_norm=max(moduli) if moduli else 0.0,
+            eucl_norm=math.sqrt(sum(m * m for m in moduli)),
+            hat_norms=hats,
+        )
 
 
 class Colligation:

@@ -34,15 +34,19 @@ from .bounds import (
     BALL_VARIANTS,
     POLYDISK_VARIANTS,
     PointGeometry,
-    ball_kernel_subchecks,
+    ball_at,
     ball_rhs,
+    ball_subchecks_at,
     bound_ball,
     bound_general,
     bound_polydisk,
+    general_at,
+    knese_at,
     knese_report,
     multiplier_gram_psd,
+    polydisk_at,
     polydisk_rhs,
-    wiener_check,
+    wiener_at,
 )
 from .colligation import (
     Ball,
@@ -62,15 +66,21 @@ from .derivative import (
     alpay_kaptanoglu,
     cauchy_partial,
     kaijser_varopoulos,
-    koperator,
     partial,
+    point_jet,
     poly_partial,
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import BoundReport
 from .tolerances import BOUNDARY_FLAG_DISTANCE, IDENTITY_TOL, SLACK_TOL
-from .transfer import evaluate, identity_residuals, lnorm_bound_check, resolvent_norm_estimates
+from .transfer import (
+    evaluate,
+    identity_residuals_at,
+    lnorm_bound_check,
+    resolvent_estimates_at,
+    resolvent_norm_estimates,
+)
 
 __all__ = [
     "CampaignConfig",
@@ -123,10 +133,12 @@ def parse_point(text: str) -> tuple[complex, ...]:
 
 
 def parse_alpha(text: str) -> tuple[int, ...]:
+    """Comma-separated nonnegative integers, e.g. ``2,0,1``."""
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        counts = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse multi-index {text!r}") from None
+    return MultiIndex(counts).counts
 
 
 def structure_spec(structure: DomainStructure) -> str:
@@ -250,7 +262,10 @@ def summarize(records: list[dict], slack_tol: float) -> dict:
     """Per-theorem slack and ratio statistics over a record stream.
 
     Flagged records (near-boundary, observational, ill-conditioned) are
-    counted but never contribute violations.
+    counted but contribute no slack violations.  A record whose lhs, rhs
+    or slack is not finite checked nothing, so it counts as a violation
+    whether flagged or not; slack = rhs - lhs is not finite exactly when
+    one of the three is not.
     """
     theorems: dict[str, dict] = {}
     violations = 0
@@ -269,7 +284,9 @@ def summarize(records: list[dict], slack_tol: float) -> dict:
         stats["mean_ratio"] += rec["ratio"]
         if rec["flags"]:
             flagged += 1
-        elif rec["slack"] < -slack_tol:
+        if not math.isfinite(rec["slack"]):
+            violations += 1
+        elif not rec["flags"] and rec["slack"] < -slack_tol:
             violations += 1
     for stats in theorems.values():
         stats["mean_ratio"] /= stats["count"]
@@ -310,49 +327,49 @@ def fuzz_records(config: CampaignConfig):
         "config": config.to_json_dict(),
     }
     yield header
-    alphas = multi_indices(structure.d, config.max_order)
-    wiener_alphas = [a for a in alphas if sum(a) <= min(config.max_order, 4)]
+    alphas = [MultiIndex(a) for a in multi_indices(structure.d, config.max_order)]
+    wiener_alphas = [mi for mi in alphas if mi.order <= min(config.max_order, 4)]
     is_polydisk = isinstance(structure, Polydisk)
     scalar = is_polydisk and config.dim_g == 1
+    origin = (0.0,) * structure.d
     for _ in range(config.n_colligations):
         col_seed = int(rng.integers(0, 2**62))
         col = random_colligation(structure, config.dim_g, col_seed)
         chash = colligation_hash(col)
-        for rep in wiener_check(col, wiener_alphas):
+        for rep in wiener_at(point_jet(col, origin), wiener_alphas):
             yield _record(rep, config.seed, chash)
         for _ in range(config.points_per_colligation):
             z = sample_point(structure, rng, config.sampler)
             w = sample_point(structure, rng, config.sampler)
+            jet = point_jet(col, z)
+            ctx = jet.ctx
             flags = _point_flags(structure, z, config.sampler) + _point_flags(
                 structure, w, config.sampler
             )
-            r1, r2 = identity_residuals(col, w, z)
+            r1, r2 = identity_residuals_at(evaluate(col, w), ctx)
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
                 yield _record(
                     BoundReport(theorem_tag=tag, z=z, alpha=None, lhs=resid, rhs=config.identity_tol),
                     config.seed, chash, flags,
                 )
             flags = _point_flags(structure, z, config.sampler)
-            for rep in resolvent_norm_estimates(col, z):
+            for rep in resolvent_estimates_at(ctx):
                 yield _record(rep, config.seed, chash, flags)
-            ctx = evaluate(col, z)
             yield _record(lnorm_bound_check(ctx), config.seed, chash, flags)
             if scalar:
-                yield _record(knese_report(col, z), config.seed, chash, flags)
+                yield _record(knese_at(jet), config.seed, chash, flags)
             if not is_polydisk:
-                for rep in ball_kernel_subchecks(col, z):
+                for rep in ball_subchecks_at(jet):
                     yield _record(rep, config.seed, chash, flags)
-            lnorm = spectral_norm(ctx.lmat)
-            for alpha in alphas:
-                mi = MultiIndex(alpha)
-                yield _record(bound_general(col, z, alpha=mi), config.seed, chash, flags)
+            for mi in alphas:
+                yield _record(general_at(jet, mi), config.seed, chash, flags)
                 if mi.order >= 2:
-                    kn = spectral_norm(koperator(ctx, structure, mi))
+                    kn = spectral_norm(jet.kop(mi))
                     if is_polydisk:
-                        krhs = lnorm ** (mi.order - 1)
+                        krhs = ctx.lnorm ** (mi.order - 1)
                         ktag = "koperator.polydisk"
                     else:
-                        krhs = structure.d ** ((mi.order - 1) / 2.0) * lnorm ** (mi.order - 1)
+                        krhs = structure.d ** ((mi.order - 1) / 2.0) * ctx.lnorm ** (mi.order - 1)
                         ktag = "koperator.ball"
                     yield _record(
                         BoundReport(theorem_tag=ktag, z=ctx.z, alpha=mi.counts, lhs=kn, rhs=krhs),
@@ -367,10 +384,10 @@ def fuzz_records(config: CampaignConfig):
                         if structure.d == 2:
                             variants.append("two_var")
                     for variant in variants:
-                        yield _record(bound_polydisk(col, z, mi, variant), config.seed, chash, flags)
+                        yield _record(polydisk_at(jet, mi, variant), config.seed, chash, flags)
                 else:
                     for variant in BALL_VARIANTS:
-                        yield _record(bound_ball(col, z, mi, variant), config.seed, chash, flags)
+                        yield _record(ball_at(jet, mi, variant), config.seed, chash, flags)
 
 
 def run_fuzz(config: CampaignConfig) -> tuple[list[dict], dict]:
@@ -476,6 +493,20 @@ def _load_or_fail(path: str):
     return col, None
 
 
+def _arg_or_fail(text: str, parse, d: int, what: str):
+    """Parse a --z or --alpha value for a colligation in d variables; None
+    after printing the error."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if len(value) != d:
+        print(f"error: {what} has {len(value)} entries, the colligation has d={d}", file=sys.stderr)
+        return None
+    return value
+
+
 def cmd_validate(args) -> int:
     col, code = _load_or_fail(args.file)
     if col is None:
@@ -490,7 +521,9 @@ def cmd_eval(args) -> int:
     col, code = _load_or_fail(args.file)
     if col is None:
         return code
-    z = parse_point(args.z)
+    z = _arg_or_fail(args.z, parse_point, col.d, "point")
+    if z is None:
+        return 2
     try:
         ctx = evaluate(col, z)
     except DomainViolationError as exc:
@@ -510,8 +543,10 @@ def cmd_deriv(args) -> int:
     col, code = _load_or_fail(args.file)
     if col is None:
         return code
-    z = parse_point(args.z)
-    alpha = parse_alpha(args.alpha)
+    z = _arg_or_fail(args.z, parse_point, col.d, "point")
+    alpha = _arg_or_fail(args.alpha, parse_alpha, col.d, "multi-index")
+    if z is None or alpha is None:
+        return 2
     try:
         exact = partial(col, z, alpha)
     except DomainViolationError as exc:
@@ -530,13 +565,22 @@ def cmd_bounds(args) -> int:
     col, code = _load_or_fail(args.file)
     if col is None:
         return code
-    z = parse_point(args.z)
+    z = _arg_or_fail(args.z, parse_point, col.d, "point")
+    if z is None:
+        return 2
+    if args.alpha is not None:
+        alpha = _arg_or_fail(args.alpha, parse_alpha, col.d, "multi-index")
+        if alpha is None:
+            return 2
+        alpha = MultiIndex(alpha)
+        if alpha.order == 0:
+            print("error: bounds need a multi-index of order >= 1", file=sys.stderr)
+            return 2
     try:
         reports = list(resolvent_norm_estimates(col, z))
         ctx = evaluate(col, z)
         reports.append(lnorm_bound_check(ctx))
         if args.alpha is not None:
-            alpha = MultiIndex(parse_alpha(args.alpha))
             reports.append(bound_general(col, z, alpha=alpha))
             if isinstance(col.structure, Polydisk):
                 for variant in POLYDISK_VARIANTS:

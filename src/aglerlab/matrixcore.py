@@ -31,11 +31,14 @@ def spectral_norm(m) -> float:
     """Largest singular value of ``m``.
 
     Computed by full SVD; at the dimensions used here (well under 200)
-    exactness wins over speed.
+    exactness wins over speed.  A 1x1 input is its own singular value up
+    to modulus, so the SVD is skipped there.
     """
     a = as_matrix(m)
     if a.size == 0:
         return 0.0
+    if a.shape == (1, 1):
+        return float(abs(a[0, 0]))
     return float(np.linalg.norm(a, 2))
 
 

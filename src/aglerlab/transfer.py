@@ -17,7 +17,9 @@ appear only in tests as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +33,13 @@ from .tolerances import ADMISSIBILITY_MARGIN, CONDITION_LIMIT
 __all__ = [
     "EvalContext",
     "evaluate",
-    "phi_at",
     "phi_grid",
+    "defect_norms",
     "identity_residuals",
+    "identity_residuals_at",
     "resolvent_gram_factors",
     "resolvent_norm_estimates",
+    "resolvent_estimates_at",
     "lnorm_bound_check",
 ]
 
@@ -47,7 +51,9 @@ class EvalContext:
     ``r_ka`` is (I_K - A Z)^{-1}, ``r_ha`` is (I_H - Z A)^{-1}, and
     ``lmat = A r_ha = r_ka A``.  ``cond`` estimates the conditioning of
     I - AZ; contexts past the conditioning limit carry an
-    ``ill-conditioned`` flag rather than raising.
+    ``ill-conditioned`` flag rather than raising.  The norms derived from
+    these operators are computed on first use and kept, so every check at
+    the point shares them.
     """
 
     col: Colligation
@@ -60,9 +66,24 @@ class EvalContext:
     cond: float
     flags: tuple[str, ...]
 
-    @property
+    @cached_property
     def znorm(self) -> float:
         return structure_norm(self.col.structure, self.z)
+
+    @cached_property
+    def lnorm(self) -> float:
+        """||L||."""
+        return spectral_norm(self.lmat)
+
+    @cached_property
+    def defects(self) -> tuple[float, float]:
+        """Input and output defect norms of phi(z); see :func:`defect_norms`."""
+        return defect_norms(self.phi)
+
+    @cached_property
+    def gram(self) -> tuple[list[float], list[float]]:
+        """Projected resolvent Gram factors; see :func:`resolvent_gram_factors`."""
+        return resolvent_gram_factors(self)
 
 
 def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILITY_MARGIN) -> EvalContext:
@@ -90,11 +111,6 @@ def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILI
         col=col, z=zt, zmat=zm, r_ka=r_ka, r_ha=r_ha, lmat=lmat,
         phi=phi, cond=cond, flags=flags,
     )
-
-
-def phi_at(col: Colligation, z: Sequence[complex]) -> np.ndarray:
-    """phi(z) as a (dim_g x dim_f) matrix."""
-    return evaluate(col, z).phi
 
 
 def phi_grid(col: Colligation, points: np.ndarray, margin: float = ADMISSIBILITY_MARGIN) -> np.ndarray:
@@ -128,8 +144,12 @@ def identity_residuals(col: Colligation, w: Sequence[complex], z: Sequence[compl
     mirrored identity for I_G - phi(w) phi(z)*.  Both vanish for exactly
     unitary colligations.
     """
-    cw = evaluate(col, w)
-    cz = evaluate(col, z)
+    return identity_residuals_at(evaluate(col, w), evaluate(col, z))
+
+
+def identity_residuals_at(cw: EvalContext, cz: EvalContext) -> tuple[float, float]:
+    """:func:`identity_residuals` from the contexts at w and z."""
+    col = cz.col
     eye_f = np.eye(col.dim_f)
     eye_g = np.eye(col.dim_g)
     eye_k = np.eye(col.dim_k)
@@ -172,13 +192,17 @@ def resolvent_gram_factors(ctx: EvalContext) -> tuple[list[float], list[float]]:
     return a, b
 
 
-def _defects(phi: np.ndarray) -> tuple[float, float]:
-    """(||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2))."""
+def defect_norms(phi: np.ndarray) -> tuple[float, float]:
+    """(||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2)).
+
+    Their product is the defect D on bound right-hand sides; for scalar phi
+    it equals 1 - |phi|^2.
+    """
     eye_f = np.eye(phi.shape[1])
     eye_g = np.eye(phi.shape[0])
     return (
-        np.sqrt(spectral_norm(eye_f - phi.conj().T @ phi)),
-        np.sqrt(spectral_norm(eye_g - phi @ phi.conj().T)),
+        math.sqrt(spectral_norm(eye_f - phi.conj().T @ phi)),
+        math.sqrt(spectral_norm(eye_g - phi @ phi.conj().T)),
     )
 
 
@@ -190,9 +214,14 @@ def resolvent_norm_estimates(col: Colligation, z: Sequence[complex]) -> list[Bou
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    ctx = evaluate(col, z)
-    d_in, d_out = _defects(ctx.phi)
-    a, b = resolvent_gram_factors(ctx)
+    return resolvent_estimates_at(evaluate(col, z))
+
+
+def resolvent_estimates_at(ctx: EvalContext) -> list[BoundReport]:
+    """:func:`resolvent_norm_estimates` at an evaluated context."""
+    col = ctx.col
+    d_in, d_out = ctx.defects
+    a, b = ctx.gram
     znorm = ctx.znorm
     reports = []
     for j, e in enumerate(projections(col.structure), start=1):
@@ -234,7 +263,7 @@ def lnorm_bound_check(ctx: EvalContext) -> BoundReport:
         theorem_tag="lmatrix.geometric",
         z=ctx.z,
         alpha=None,
-        lhs=spectral_norm(ctx.lmat),
+        lhs=ctx.lnorm,
         rhs=1.0 / (1.0 - ctx.znorm),
         flags=ctx.flags,
     )

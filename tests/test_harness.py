@@ -1,14 +1,32 @@
 """CLI surface, point samplers, campaign records, and exit-code contract."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
-from aglerlab import Ball, Colligation, Polydisk, blaschke, monomial
+from aglerlab import (
+    Ball,
+    BoundReport,
+    Colligation,
+    MultiIndex,
+    Polydisk,
+    blaschke,
+    colligation_hash,
+    koperator,
+    monomial,
+    partial_permsum,
+    projection,
+    random_colligation,
+    spectral_norm,
+)
+from aglerlab import derivative, harness, transfer
 from aglerlab.colligation import save_colligation, structure_norm, to_json_dict
 from aglerlab.harness import (
     CampaignConfig,
+    _record,
     main,
     multi_indices,
     parse_alpha,
@@ -159,6 +177,81 @@ class TestFuzzCampaign:
         assert summary["theorems"]["x"]["min_slack"] == -1.0
 
 
+    def test_summarize_counts_nonfinite_as_violation(self):
+        nan = _record(BoundReport("x", (0j,), None, lhs=math.nan, rhs=1.0), 1, "h")
+        flagged_inf = _record(
+            BoundReport("x", (0j,), None, lhs=0.5, rhs=math.inf), 1, "h", ("near-boundary",)
+        )
+        summary = summarize([nan, flagged_inf], slack_tol=1e-9)
+        assert summary["violations"] == 2
+        assert summary["flagged"] == 1
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` made through any aglerlab module binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "aglerlab" or name.startswith("aglerlab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+CAMPAIGN_STRUCTURES = ["polydisk:2,1", "ball:m=1,d=2"]
+
+
+class TestCampaignWork:
+    @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
+    def test_one_evaluation_per_point(self, monkeypatch, structure):
+        evaluations = count_calls(monkeypatch, transfer.evaluate)
+        enumerations = count_calls(monkeypatch, derivative.arrangements)
+        n, points = 3, 2
+        run_fuzz(CampaignConfig(seed=13, n_colligations=n, structure=structure,
+                                max_order=4, points_per_colligation=points))
+        # z and w at every point, plus the origin once per colligation
+        assert len(evaluations) == n * (2 * points + 1)
+        assert not enumerations
+
+    @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
+    def test_campaign_matches_arrangement_oracles(self, monkeypatch, structure):
+        cols = {}
+
+        def keep(*args, **kwargs):
+            col = random_colligation(*args, **kwargs)
+            cols[colligation_hash(col)] = col
+            return col
+
+        monkeypatch.setattr(harness, "random_colligation", keep)
+        records, _ = run_fuzz(CampaignConfig(seed=14, n_colligations=2, structure=structure,
+                                             max_order=4, points_per_colligation=2))
+        checked = 0
+        for rec in records:
+            family = rec.get("theorem_tag", "").split(".")[0]
+            if family not in ("koperator", "general", "polydisk", "ball") or "gram" in rec["theorem_tag"]:
+                continue
+            col = cols[rec["colligation_hash"]]
+            z = tuple(complex(re, im) for re, im in rec["z"])
+            mi = MultiIndex(rec["alpha"])
+            ctx = transfer.evaluate(col, z)
+            if family == "koperator":
+                oracle = koperator(ctx, col.structure, mi, method="enumerate")
+            elif mi.order == 1:
+                e_j = projection(col.structure, mi.counts.index(1) + 1)
+                oracle = col.C @ ctx.r_ha @ e_j @ ctx.r_ka @ col.B
+            else:
+                oracle = partial_permsum(col, z, mi.canonical_klist())
+            expected = spectral_norm(oracle)
+            assert abs(rec["lhs"] - expected) <= 1e-12 * expected, rec
+            checked += 1
+        assert checked >= 100
+
+
 class TestExploreCampaign:
     def test_kaijser_varopoulos_records(self):
         cfg = CampaignConfig(seed=7, n_colligations=1, max_order=2,
@@ -243,6 +336,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "polydisk.factorial" in out
         assert "min slack" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--z", "0.1,0.2"],
+        ["deriv", "--z", "0.1", "--alpha", "1,1"],
+        ["bounds", "--z", "0.1,0.2", "--alpha", "1"],
+    ], ids=["eval", "deriv", "bounds"])
+    def test_arity_mismatch_exits_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.3), path)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d=1" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_catalog_command(self, tmp_path, capsys):
         out_file = tmp_path / "cat.json"

@@ -45,6 +45,13 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="non-finite"):
             spectral_norm([[np.inf + 0j]])
 
+    def test_one_by_one_is_the_modulus(self):
+        rng = np.random.default_rng(43)
+        for v in rng.standard_normal(50) + 1j * rng.standard_normal(50):
+            assert abs(spectral_norm([[v]]) - np.linalg.norm([[v]], 2)) <= 1e-15 * abs(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm([[complex(np.nan, 1.0)]])
+
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((2, 2, 2)))
