@@ -48,7 +48,6 @@ from .derivative import (
 )
 from .errors import (
     ComplexityError,
-    ConditioningWarning,
     DegenerateGramWarning,
     DomainViolationError,
     StructureError,
@@ -69,7 +68,6 @@ __all__ = [
     "BoundReport",
     "Colligation",
     "ComplexityError",
-    "ConditioningWarning",
     "DegenerateGramWarning",
     "DomainViolationError",
     "EvalContext",

@@ -9,33 +9,38 @@ Writing n = n_1 + ... + n_d and D(z) = 1 - |phi(z)|^2 (for matrix-valued
 phi the product of the two defect norms ||I - phi* phi||^(1/2)
 ||I - phi phi*||^(1/2) takes its place), the checked families are:
 
-polydisk (sup norm s = ||z||_inf):
+polydisk (domain norm s = ||z||_inf):
   first      |d phi/d z_j|  <=  D / (sqrt(1-|z_j|^2) sqrt(1-s^2))
   mixed      (n-2)! D / (1-s)^(n-1) * sum_{p != q} (1-|z_kp|^2)^(-1/2)(1-|z_kq|^2)^(-1/2)
   two_var    d = 2 form of ``mixed`` with similar terms collected
   factorial  n_1! ... n_d! D / ((1-s^2)(1-s)^(n-1))
   weak       n! D / ((1-s^2)(1-s)^(n-1))
 
-ball (Euclidean norm t = ||z||_2, hat norms ||z-hat_j|| with coordinate j
+ball (domain norm t = ||z||_2, hat norms ||z-hat_j|| with coordinate j
 zeroed):
   hat        (n-1)! D / ((1-t^2)(1-t)^(n-1)) * sum_j n_j sqrt(1-||z-hat_j||^2)
   factorial  d^((n-1)/2) n_1! ... n_d! D / ((1-t^2)(1-t)^(n-1))
 
-plus the structure-free resolvent bound (``bound_general``), the weighted
-first-order sum rule on the polydisk (``knese_residual``), the coefficient
-bound |c_alpha| <= 1 - |c_0|^2 (``wiener_check``), and positivity of the
-multiplier kernel Gram matrix on the ball (``multiplier_gram_psd``).
+:data:`VARIANTS` lists these seven, in record order, with the orders and
+dimensions where each applies; campaigns and the CLI check exactly the rows
+that apply.  Also checked: the structure-free resolvent bound
+(``bound_general``), the weighted first-order sum rule on the polydisk
+(``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
+(``wiener_check``; on the ball times a sphere-average factor), and
+positivity of the multiplier kernel Gram matrix on the ball
+(``multiplier_gram_psd``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .colligation import Ball, Colligation, PointGeometry, Polydisk
+from .colligation import Ball, Colligation, PointGeometry, Polydisk, structure_norm
 from .derivative import MultiIndex, PointJet, Polynomial, point_jet, poly_partial
 from .errors import DegenerateGramWarning, DomainViolationError
 from .reports import BoundReport
@@ -43,12 +48,14 @@ from .reports import BoundReport
 __all__ = [
     "PointGeometry",
     "BoundReport",
+    "PolynomialPoint",
+    "Variant",
+    "VARIANTS",
+    "applicable_variants",
     "bound_general",
     "general_at",
     "bound_polydisk",
-    "polydisk_at",
     "bound_ball",
-    "ball_at",
     "ball_kernel_subchecks",
     "ball_subchecks_at",
     "wiener_check",
@@ -57,17 +64,13 @@ __all__ = [
     "knese_report",
     "knese_at",
     "multiplier_gram_psd",
-    "POLYDISK_VARIANTS",
-    "BALL_VARIANTS",
 ]
 
-POLYDISK_VARIANTS = ("first", "mixed", "two_var", "factorial", "weak")
-BALL_VARIANTS = ("hat", "factorial")
-
 Subject = Union[Colligation, Polynomial]
+Orders = Sequence[Union[MultiIndex, Sequence[int]]]
 
 
-class _PolynomialPoint:
+class PolynomialPoint:
     """A polynomial subject at one point, read like a :class:`PointJet`."""
 
     flags: tuple[str, ...] = ()
@@ -76,18 +79,16 @@ class _PolynomialPoint:
         self.poly = poly
         self.geometry = PointGeometry.from_point(z)
         self.defect = 1.0 - abs(poly(self.geometry.z)) ** 2
+        self._norms: dict[tuple[int, ...], float] = {}
 
     def norm(self, mi: MultiIndex) -> float:
-        return abs(poly_partial(self.poly, self.geometry.z, mi))
+        v = self._norms.get(mi.counts)
+        if v is None:
+            v = self._norms[mi.counts] = abs(poly_partial(self.poly, self.geometry.z, mi))
+        return v
 
 
-def _subject_point(subject: Subject, z: Sequence[complex], kind: type) -> Union[PointJet, _PolynomialPoint]:
-    if not isinstance(subject, Colligation):
-        return _PolynomialPoint(subject, z)
-    if not isinstance(subject.structure, kind):
-        name = kind.__name__.lower()
-        raise ValueError(f"{name} bounds need a {name} colligation")
-    return point_jet(subject, z)
+Point = Union[PointJet, PolynomialPoint]
 
 
 def bound_general(
@@ -149,44 +150,133 @@ def general_at(jet: PointJet, mi: MultiIndex, ks: Sequence[int] | None = None) -
     return BoundReport(theorem_tag=tag, z=ctx.z, alpha=mi.counts, lhs=lhs, rhs=rhs, flags=ctx.flags)
 
 
+# --- the derivative-bound variants ---------------------------------------------
+#
+# Right-hand sides as stated in the module docstring: (defect, geometry, mi).
+
+
+def _polydisk_factorial(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    s = geom.sup_norm
+    return mi.factorial_product * defect / ((1.0 - s**2) * (1.0 - s) ** (mi.order - 1))
+
+
+def _polydisk_weak(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    s = geom.sup_norm
+    return math.factorial(mi.order) * defect / ((1.0 - s**2) * (1.0 - s) ** (mi.order - 1))
+
+
+def _polydisk_first(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    j = mi.counts.index(1)
+    return defect / (math.sqrt(1.0 - abs(geom.z[j]) ** 2) * math.sqrt(1.0 - geom.sup_norm**2))
+
+
+def _polydisk_mixed(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    w = [1.0 / math.sqrt(1.0 - abs(geom.z[k - 1]) ** 2) for k in mi.canonical_klist()]
+    pair_sum = sum(w) ** 2 - sum(v * v for v in w)
+    return math.factorial(mi.order - 2) * defect / (1.0 - geom.sup_norm) ** (mi.order - 1) * pair_sum
+
+
+def _polydisk_two_var(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    n1, n2 = mi.counts
+    d1 = 1.0 - abs(geom.z[0]) ** 2
+    d2 = 1.0 - abs(geom.z[1]) ** 2
+    bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / math.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
+    return math.factorial(mi.order - 2) * defect / (1.0 - geom.sup_norm) ** (mi.order - 1) * bracket
+
+
+def _ball_base(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    t = geom.eucl_norm
+    return defect / ((1.0 - t**2) * (1.0 - t) ** (mi.order - 1))
+
+
+def _ball_hat(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    hat_sum = sum(
+        nj * math.sqrt(max(1.0 - geom.hat_norms[j] ** 2, 0.0))
+        for j, nj in enumerate(mi.counts)
+    )
+    return math.factorial(mi.order - 1) * _ball_base(defect, geom, mi) * hat_sum
+
+
+def _ball_factorial(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+    return mi.d ** ((mi.order - 1) / 2.0) * mi.factorial_product * _ball_base(defect, geom, mi)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One derivative bound: tag, domain, right-hand side, and where it
+    applies: order >= ``min_order``, order == ``order`` and d == ``d`` when set."""
+
+    tag: str
+    domain: type
+    rhs: Callable[[float, PointGeometry, MultiIndex], float]
+    min_order: int = 1
+    order: int | None = None
+    d: int | None = None
+
+    def unmet(self, mi: MultiIndex) -> str | None:
+        """Why the bound does not apply at ``mi``; None when it does."""
+        n = mi.order
+        if self.d is not None and mi.d != self.d:
+            return f"needs d = {self.d}, got d = {mi.d}"
+        if self.order is not None and n != self.order:
+            return f"needs order {self.order}, got {n}"
+        if n < self.min_order:
+            return f"needs order >= {self.min_order}, got {n}"
+        return None
+
+    def applies(self, mi: MultiIndex) -> bool:
+        return self.unmet(mi) is None
+
+    def at(self, point: Point, mi: MultiIndex) -> BoundReport:
+        """The bound at a jet, or at a polynomial read the same way."""
+        rhs_of = polydisk_rhs if self.domain is Polydisk else ball_rhs
+        rhs = rhs_of(point.defect, point.geometry, mi, self.tag.partition(".")[2])
+        return BoundReport(
+            theorem_tag=self.tag, z=point.geometry.z, alpha=mi.counts,
+            lhs=point.norm(mi), rhs=rhs, flags=point.flags,
+        )
+
+
+# Record order: campaigns and the CLI report the rows that apply in this order.
+VARIANTS = (
+    Variant("polydisk.factorial", Polydisk, _polydisk_factorial),
+    Variant("polydisk.weak", Polydisk, _polydisk_weak),
+    Variant("polydisk.first", Polydisk, _polydisk_first, order=1),
+    Variant("polydisk.mixed", Polydisk, _polydisk_mixed, min_order=2),
+    Variant("polydisk.two_var", Polydisk, _polydisk_two_var, min_order=2, d=2),
+    Variant("ball.hat", Ball, _ball_hat),
+    Variant("ball.factorial", Ball, _ball_factorial),
+)
+
+
+def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
+    """The rows of :data:`VARIANTS` on ``domain`` that apply at ``mi``, in order."""
+    return [v for v in VARIANTS if v.domain is domain and v.applies(mi)]
+
+
+_BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
+
+
+def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
+    """The named row on ``domain``; ValueError if unknown or inapplicable at ``mi``."""
+    row = _BY_NAME.get((domain, name))
+    if row is None:
+        known = tuple(n for dom, n in _BY_NAME if dom is domain)
+        raise ValueError(f"unknown {domain.__name__.lower()} variant {name!r}; known: {known}")
+    reason = row.unmet(mi)
+    if reason is not None:
+        raise ValueError(f"variant {name!r} {reason}")
+    return row
+
+
 def polydisk_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named polydisk inequality (no evaluation)."""
-    n = mi.order
-    s = geom.sup_norm
-    if variant == "first":
-        if n != 1:
-            raise ValueError(f"variant 'first' needs order 1, got {n}")
-        j = mi.counts.index(1)
-        return defect / (math.sqrt(1.0 - abs(geom.z[j]) ** 2) * math.sqrt(1.0 - s**2))
-    if variant == "mixed":
-        if n < 2:
-            raise ValueError(f"variant 'mixed' needs order >= 2, got {n}")
-        w = [1.0 / math.sqrt(1.0 - abs(geom.z[k - 1]) ** 2) for k in mi.canonical_klist()]
-        pair_sum = sum(w) ** 2 - sum(v * v for v in w)
-        return math.factorial(n - 2) * defect / (1.0 - s) ** (n - 1) * pair_sum
-    if variant == "two_var":
-        if mi.d != 2:
-            raise ValueError(f"variant 'two_var' needs d = 2, got d = {mi.d}")
-        if n < 2:
-            raise ValueError(f"variant 'two_var' needs order >= 2, got {n}")
-        n1, n2 = mi.counts
-        d1 = 1.0 - abs(geom.z[0]) ** 2
-        d2 = 1.0 - abs(geom.z[1]) ** 2
-        bracket = (
-            (n1 * n1 - n1) / d1
-            + 2.0 * n1 * n2 / math.sqrt(d1 * d2)
-            + (n2 * n2 - n2) / d2
-        )
-        return math.factorial(n - 2) * defect / (1.0 - s) ** (n - 1) * bracket
-    if variant == "factorial":
-        if n < 1:
-            raise ValueError("variant 'factorial' needs order >= 1")
-        return mi.factorial_product * defect / ((1.0 - s**2) * (1.0 - s) ** (n - 1))
-    if variant == "weak":
-        if n < 1:
-            raise ValueError("variant 'weak' needs order >= 1")
-        return math.factorial(n) * defect / ((1.0 - s**2) * (1.0 - s) ** (n - 1))
-    raise ValueError(f"unknown polydisk variant {variant!r}; known: {POLYDISK_VARIANTS}")
+    return _variant(Polydisk, variant, mi).rhs(defect, geom, mi)
+
+
+def ball_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
+    """Right-hand side of the named ball inequality (no evaluation)."""
+    return _variant(Ball, variant, mi).rhs(defect, geom, mi)
 
 
 def bound_polydisk(
@@ -196,38 +286,7 @@ def bound_polydisk(
     variant: str,
 ) -> BoundReport:
     """Polydisk derivative bound for a colligation or polynomial subject."""
-    point = _subject_point(subject, z, Polydisk)
-    if point.geometry.sup_norm >= 1.0:
-        raise DomainViolationError(f"||z||_inf = {point.geometry.sup_norm} is not < 1")
-    return polydisk_at(point, MultiIndex.of(alpha), variant)
-
-
-def polydisk_at(point: PointJet, mi: MultiIndex, variant: str) -> BoundReport:
-    """:func:`bound_polydisk` at a jet (or a polynomial read the same way)."""
-    lhs = point.norm(mi)
-    rhs = polydisk_rhs(point.defect, point.geometry, mi, variant)
-    return BoundReport(
-        theorem_tag=f"polydisk.{variant}", z=point.geometry.z, alpha=mi.counts,
-        lhs=lhs, rhs=rhs, flags=point.flags,
-    )
-
-
-def ball_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str, d: int) -> float:
-    """Right-hand side of the named ball inequality (no evaluation)."""
-    n = mi.order
-    if n < 1:
-        raise ValueError("ball bounds need order >= 1")
-    t = geom.eucl_norm
-    base = defect / ((1.0 - t**2) * (1.0 - t) ** (n - 1))
-    if variant == "hat":
-        hat_sum = sum(
-            nj * math.sqrt(max(1.0 - geom.hat_norms[j] ** 2, 0.0))
-            for j, nj in enumerate(mi.counts)
-        )
-        return math.factorial(n - 1) * base * hat_sum
-    if variant == "factorial":
-        return d ** ((n - 1) / 2.0) * mi.factorial_product * base
-    raise ValueError(f"unknown ball variant {variant!r}; known: {BALL_VARIANTS}")
+    return _bound(Polydisk, subject, z, MultiIndex.of(alpha), variant)
 
 
 def bound_ball(
@@ -237,20 +296,20 @@ def bound_ball(
     variant: str,
 ) -> BoundReport:
     """Ball derivative bound for a colligation or polynomial subject."""
-    point = _subject_point(subject, z, Ball)
-    if point.geometry.eucl_norm >= 1.0:
-        raise DomainViolationError(f"||z||_2 = {point.geometry.eucl_norm} is not < 1")
-    return ball_at(point, MultiIndex.of(alpha), variant)
+    return _bound(Ball, subject, z, MultiIndex.of(alpha), variant)
 
 
-def ball_at(point: PointJet, mi: MultiIndex, variant: str) -> BoundReport:
-    """:func:`bound_ball` at a jet (or a polynomial read the same way)."""
-    lhs = point.norm(mi)
-    rhs = ball_rhs(point.defect, point.geometry, mi, variant, mi.d)
-    return BoundReport(
-        theorem_tag=f"ball.{variant}", z=point.geometry.z, alpha=mi.counts,
-        lhs=lhs, rhs=rhs, flags=point.flags,
-    )
+def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex, variant: str) -> BoundReport:
+    row = _variant(domain, variant, mi)
+    name = domain.__name__.lower()
+    if isinstance(subject, Colligation):
+        if not isinstance(subject.structure, domain):
+            raise ValueError(f"{name} bounds need a {name} colligation")
+        return row.at(point_jet(subject, z), mi)  # evaluate rejects points outside the domain
+    norm = structure_norm(domain.scalar(subject.dimension), z)
+    if norm >= 1.0:
+        raise DomainViolationError(f"{name} norm of z = {norm} is not < 1")
+    return row.at(PolynomialPoint(subject, z), mi)
 
 
 def ball_kernel_subchecks(col: Colligation, z: Sequence[complex]) -> list[BoundReport]:
@@ -291,38 +350,47 @@ def ball_subchecks_at(jet: PointJet) -> list[BoundReport]:
     return out
 
 
-def wiener_check(subject: Subject, orders: Sequence[Union[MultiIndex, Sequence[int]]]) -> list[BoundReport]:
+def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
     """Taylor coefficient bound ||c_alpha|| <= defect(c_0) for alpha != 0.
 
-    Coefficients come from the realization (partial at the origin divided
-    by alpha!) or straight from a polynomial's table.  For scalar subjects
-    the right-hand side is the classical 1 - |c_0|^2.
+    Coefficients are the partials at the origin divided by alpha!, from the
+    realization or the polynomial.  For scalar subjects the defect is the
+    classical 1 - |c_0|^2.  For a ball colligation the right-hand side is
+    the defect times a sphere-average factor (see ``_sphere_factor``),
+    which is 1 in one variable.
     """
     if isinstance(subject, Colligation):
         return wiener_at(point_jet(subject, (0.0,) * subject.d), orders)
-    origin = (0.0 + 0.0j,) * subject.dimension
-    rhs = 1.0 - abs(subject(origin)) ** 2
+    return wiener_at(PolynomialPoint(subject, (0.0,) * subject.dimension), orders)
+
+
+def wiener_at(point: Point, orders: Orders) -> list[BoundReport]:
+    """:func:`wiener_check` from the subject's jet (or polynomial point) at the origin."""
+    on_ball = isinstance(point, PointJet) and isinstance(point.ctx.col.structure, Ball)
     return [
         BoundReport(
-            theorem_tag="wiener.coefficient", z=origin, alpha=mi.counts,
-            lhs=abs(subject.coeffs.get(mi.counts, 0.0)), rhs=rhs,
+            theorem_tag="wiener.coefficient", z=point.geometry.z, alpha=mi.counts,
+            lhs=point.norm(mi) / mi.factorial_product,
+            rhs=point.defect * _sphere_factor(mi) if on_ball else point.defect,
         )
         for mi in _nonzero(orders)
     ]
 
 
-def wiener_at(jet: PointJet, orders: Sequence[Union[MultiIndex, Sequence[int]]]) -> list[BoundReport]:
-    """:func:`wiener_check` for a colligation, from its jet at the origin."""
-    return [
-        BoundReport(
-            theorem_tag="wiener.coefficient", z=jet.ctx.z, alpha=mi.counts,
-            lhs=jet.norm(mi) / mi.factorial_product, rhs=jet.defect,
-        )
-        for mi in _nonzero(orders)
-    ]
+def _sphere_factor(mi: MultiIndex) -> float:
+    """prod_j Gamma(n_j/2 + 1) (d - 1 + n)! / (Gamma(n/2 + d) n_1! ... n_d!).
+
+    The one-variable bound on each slice lambda -> phi(lambda zeta), |zeta| = 1,
+    gives ||sum_{|alpha| = n} c_alpha zeta^alpha|| <= defect; pairing with
+    conj(zeta)^alpha over the sphere bounds ||c_alpha|| by the defect times
+    this ratio of the sphere integrals of |zeta^alpha| and |zeta^alpha|^2.
+    """
+    n, d = mi.order, mi.d
+    gammas = math.prod(math.gamma(c / 2.0 + 1.0) for c in mi.counts)
+    return gammas * math.factorial(d - 1 + n) / (math.gamma(n / 2.0 + d) * mi.factorial_product)
 
 
-def _nonzero(orders: Sequence[Union[MultiIndex, Sequence[int]]]) -> list[MultiIndex]:
+def _nonzero(orders: Orders) -> list[MultiIndex]:
     return [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
 
 
@@ -388,7 +456,7 @@ def multiplier_gram_psd(f, points: Sequence[Sequence[complex]], dedup_tol: float
     if not pts:
         raise ValueError("need at least one point")
     for p in pts:
-        if math.sqrt(sum(abs(v) ** 2 for v in p)) >= 1.0:
+        if structure_norm(Ball.scalar(len(p)), p) >= 1.0:
             raise DomainViolationError(f"point {p} is not inside the unit ball")
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -94,6 +93,11 @@ class Polydisk:
     def dim_k(self) -> int:
         return sum(self.block_dims)
 
+    @classmethod
+    def scalar(cls, d: int) -> "Polydisk":
+        """The polydisk in d variables with one-dimensional blocks."""
+        return cls((1,) * d)
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -119,6 +123,11 @@ class Ball:
     @property
     def dim_k(self) -> int:
         return self.fiber_dim * self.copies
+
+    @classmethod
+    def scalar(cls, d: int) -> "Ball":
+        """The ball in d variables with a one-dimensional fiber."""
+        return cls(1, d)
 
 
 DomainStructure = Union[Polydisk, Ball]
@@ -160,23 +169,30 @@ def zmatrix(structure: DomainStructure, z: Sequence[complex]) -> np.ndarray:
     return out
 
 
-def structure_norm(structure: DomainStructure, z: Sequence[complex]) -> float:
-    """``||Z(z)||`` in closed form.
+def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:
+    """Domain norm of ``z``: the point lies in the domain iff it is < 1.
 
-    Polydisk: max |z_j| over blocks of nonzero dimension.  Ball: the
-    Euclidean norm of z (Z(z) Z(z)* = ||z||^2 I on the fiber).
+    Polydisk: max_j |z_j| over every coordinate, those of zero-dimension
+    blocks included.  Ball: the Euclidean norm of z.  ``z`` may be one point
+    or an array of shape (..., d); an array gives one norm per point.
     """
-    if len(z) != structure.d:
-        raise ValueError(f"point has {len(z)} coordinates, structure has d={structure.d}")
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if zs.shape[-1] != structure.d:
+        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
+    # hypot rounds |z_j| exactly as abs() on a Python complex does
+    moduli = np.hypot(zs.real, zs.imag)
     if isinstance(structure, Polydisk):
-        moduli = [abs(zj) for zj, b in zip(z, structure.block_dims) if b > 0]
-        return max(moduli) if moduli else 0.0
-    return float(np.sqrt(sum(abs(zj) ** 2 for zj in z)))
+        norm = moduli.max(axis=-1)
+    else:
+        norm = np.sqrt((moduli * moduli).sum(axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Norm data of an evaluation point used on right-hand sides."""
+    """Norm data of an evaluation point used on right-hand sides: its domain
+    norms on the polydisk and on the ball, and the ball norms of z with
+    coordinate j zeroed."""
 
     z: tuple[complex, ...]
     sup_norm: float
@@ -186,16 +202,13 @@ class PointGeometry:
     @classmethod
     def from_point(cls, z: Sequence[complex]) -> "PointGeometry":
         zt = tuple(complex(v) for v in z)
-        moduli = [abs(v) for v in zt]
-        hats = tuple(
-            math.sqrt(sum(m * m for k, m in enumerate(moduli) if k != j))
-            for j in range(len(zt))
-        )
+        ball = Ball.scalar(len(zt))
+        hats = structure_norm(ball, np.array(zt) * (1.0 - np.eye(len(zt))))  # row j: z_j zeroed
         return cls(
             z=zt,
-            sup_norm=max(moduli) if moduli else 0.0,
-            eucl_norm=math.sqrt(sum(m * m for m in moduli)),
-            hat_norms=hats,
+            sup_norm=structure_norm(Polydisk.scalar(len(zt)), zt),
+            eucl_norm=structure_norm(ball, zt),
+            hat_norms=tuple(map(float, hats)),
         )
 
 

@@ -35,9 +35,10 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .colligation import Colligation, DomainStructure, PointGeometry, Polydisk, projections
-from .errors import ComplexityError
+from .colligation import Colligation, DomainStructure, PointGeometry, Polydisk, projections, structure_norm
+from .errors import ComplexityError, DomainViolationError
 from .matrixcore import spectral_norm
+from .tolerances import ADMISSIBILITY_MARGIN
 from .transfer import EvalContext, evaluate, phi_grid
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "cauchy_partial",
     "cauchy_coefficient_table",
     "default_radii",
+    "check_samples",
     "poly_partial",
     "kaijser_varopoulos",
     "alpay_kaptanoglu",
@@ -409,33 +411,48 @@ def alpay_kaptanoglu(m: int) -> Polynomial:
 
 
 def default_radii(structure: DomainStructure, z: Sequence[complex], cap: float = 0.1) -> tuple[float, ...]:
-    """Per-axis circle radii: min(cap, half the slack to the domain boundary).
+    """Circle radii for the Cauchy oracle at ``z``: per axis, min(cap, half
+    of how far |z_j| may grow before the domain norm reaches one).
 
-    On the polydisk the axis-j slack is 1 - |z_j|; on the ball it is how far
-    |z_j| may grow before the Euclidean norm reaches one.
+    On the ball that torus can still leave the ball for d >= 3; then the
+    radii shrink by one common factor until its outermost point
+    (|z_j| + r_j)_j lies halfway between z and the sphere in norm.
     """
-    zv = [complex(v) for v in z]
+    moduli = np.abs(np.asarray(z, dtype=np.complex128))
+    norm = structure_norm(structure, moduli)
+    if norm >= 1.0:
+        raise DomainViolationError(f"domain norm of z = {norm:.17g} is not < 1")
     if isinstance(structure, Polydisk):
-        slacks = [1.0 - abs(v) for v in zv]
+        slacks = 1.0 - moduli
     else:
-        total = sum(abs(v) ** 2 for v in zv)
-        slacks = [np.sqrt(max(1.0 - (total - abs(v) ** 2), 0.0)) - abs(v) for v in zv]
-    if any(s <= 0 for s in slacks):
-        raise ValueError("point has no positive slack to the boundary")
-    return tuple(min(cap, s / 2.0) for s in slacks)
+        slacks = np.sqrt(1.0 - (norm**2 - moduli**2)) - moduli
+    radii = np.minimum(cap, slacks / 2.0)
+    if structure_norm(structure, moduli + radii) >= 1.0 - ADMISSIBILITY_MARGIN:
+        # solve ||moduli + t radii||_2 = target for the positive root t < 1
+        target = (1.0 + norm) / 2.0
+        a, b, c = radii @ radii, moduli @ radii, norm**2 - target**2
+        radii = radii * (-b + math.sqrt(b * b - a * c)) / a
+    return tuple(float(r) for r in radii)
 
 
-def _normalize_radii(radius, d: int) -> tuple[float, ...]:
-    if np.isscalar(radius):
-        radii = (float(radius),) * d
-    else:
-        radii = tuple(float(r) for r in radius)
-    if len(radii) != d or any(r <= 0 for r in radii):
-        raise ValueError(f"need {d} positive radii, got {radius!r}")
+def _radii(f, z: Sequence[complex], radius) -> tuple[float, ...]:
+    """``radius`` (one for all axes or one per axis) if given, else the
+    default for a colligation and 0.5 for a polynomial."""
+    if radius is None:
+        if isinstance(f, Colligation):
+            return default_radii(f.structure, z)
+        if isinstance(f, Polynomial):
+            return (0.5,) * f.dimension
+        raise ValueError("a bare callable needs an explicit radius")
+    radii = (float(radius),) * len(z) if np.isscalar(radius) else tuple(float(r) for r in radius)
+    if len(radii) != len(z) or any(r <= 0 for r in radii):
+        raise ValueError(f"need {len(z)} positive radii, got {radius!r}")
     return radii
 
 
-def _check_samples(samples: int, max_axis_order: int) -> None:
+def check_samples(samples: int, max_axis_order: int) -> None:
+    """Reject a quadrature sample count that cannot resolve axis orders up to
+    ``max_axis_order``."""
     if samples < 4 * (max_axis_order + 1) or samples & (samples - 1):
         raise ValueError(
             f"samples must be a power of 2 and >= {4 * (max_axis_order + 1)}, got {samples}"
@@ -484,16 +501,8 @@ def cauchy_partial(
     Returns a complex scalar for scalar-valued f, else a complex matrix.
     """
     mi = MultiIndex.of(alpha)
-    if radius is None:
-        if isinstance(f, Colligation):
-            radii = default_radii(f.structure, z)
-        elif isinstance(f, Polynomial):
-            radii = (0.5,) * mi.d
-        else:
-            raise ValueError("a bare callable needs an explicit radius")
-    else:
-        radii = _normalize_radii(radius, mi.d)
-    _check_samples(samples, max(mi.counts))
+    radii = _radii(f, z, radius)
+    check_samples(samples, max(mi.counts))
     grid = _sample_torus(f, z, radii, samples)
     scalar = grid.ndim == mi.d
     theta = 2.0 * np.pi * np.arange(samples) / samples
@@ -525,18 +534,9 @@ def cauchy_coefficient_table(
     Returns {multi-index: derivative}, with values shaped like
     :func:`cauchy_partial` output.
     """
-    if isinstance(f, Colligation):
-        d = f.d
-        radii = default_radii(f.structure, z) if radius is None else _normalize_radii(radius, f.d)
-    elif isinstance(f, Polynomial):
-        d = f.dimension
-        radii = (0.5,) * d if radius is None else _normalize_radii(radius, d)
-    else:
-        if radius is None:
-            raise ValueError("a bare callable needs an explicit radius")
-        radii = _normalize_radii(radius, len(tuple(z)))
-        d = len(radii)
-    _check_samples(samples, max_axis_order)
+    radii = _radii(f, z, radius)
+    d = len(radii)
+    check_samples(samples, max_axis_order)
     grid = _sample_torus(f, z, radii, samples)
     scalar = grid.ndim == d
     coeffs = np.fft.fftn(grid, axes=tuple(range(d))) / samples**d

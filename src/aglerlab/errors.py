@@ -13,9 +13,5 @@ class ComplexityError(ValueError):
     """Requested computation exceeds the combinatorial budget."""
 
 
-class ConditioningWarning(UserWarning):
-    """Resolvent conditioning too poor for reliable residual checks."""
-
-
 class DegenerateGramWarning(UserWarning):
     """Gram matrix built from duplicate or near-duplicate points."""

@@ -19,6 +19,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import hashlib
 import itertools
@@ -31,21 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
-    BALL_VARIANTS,
-    POLYDISK_VARIANTS,
-    PointGeometry,
-    ball_at,
-    ball_rhs,
+    PolynomialPoint,
+    Variant,
+    applicable_variants,
     ball_subchecks_at,
-    bound_ball,
-    bound_general,
-    bound_polydisk,
     general_at,
     knese_at,
-    knese_report,
     multiplier_gram_psd,
-    polydisk_at,
-    polydisk_rhs,
     wiener_at,
 )
 from .colligation import (
@@ -57,6 +50,7 @@ from .colligation import (
     load_colligation,
     random_colligation,
     save_colligation,
+    structure_norm,
     to_json_dict,
     validate,
 )
@@ -65,10 +59,10 @@ from .derivative import (
     Polynomial,
     alpay_kaptanoglu,
     cauchy_partial,
+    check_samples,
     kaijser_varopoulos,
     partial,
     point_jet,
-    poly_partial,
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
@@ -79,7 +73,6 @@ from .transfer import (
     identity_residuals_at,
     lnorm_bound_check,
     resolvent_estimates_at,
-    resolvent_norm_estimates,
 )
 
 __all__ = [
@@ -95,7 +88,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-MAX_CAMPAIGN_ORDER = 8
+# Largest derivative order that campaigns and the CLI check; every right-hand
+# side stays a finite float at every admissible point up to it.
+MAX_ORDER = 8
 EXPLORE_NAMES = ("kaijser-varopoulos", "alpay-kaptanoglu")
 
 
@@ -125,11 +120,14 @@ def parse_structure(spec: str) -> DomainStructure:
 
 
 def parse_point(text: str) -> tuple[complex, ...]:
-    """Comma-separated complex coordinates, e.g. ``0.3,0.4+0.1j``."""
+    """Comma-separated finite complex coordinates, e.g. ``0.3,0.4+0.1j``."""
     try:
-        return tuple(complex(part.strip()) for part in text.split(","))
+        point = tuple(complex(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse point {text!r}") from None
+    if not all(map(cmath.isfinite, point)):
+        raise ValueError(f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def parse_alpha(text: str) -> tuple[int, ...]:
@@ -139,12 +137,6 @@ def parse_alpha(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(f"cannot parse multi-index {text!r}") from None
     return MultiIndex(counts).counts
-
-
-def structure_spec(structure: DomainStructure) -> str:
-    if isinstance(structure, Polydisk):
-        return "polydisk:" + ",".join(str(b) for b in structure.block_dims)
-    return f"ball:m={structure.fiber_dim},d={structure.copies}"
 
 
 # --- campaign configuration ---------------------------------------------------
@@ -168,8 +160,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_colligations < 1 or self.points_per_colligation < 1:
             raise ValueError("counts must be >= 1")
-        if not 1 <= self.max_order <= MAX_CAMPAIGN_ORDER:
-            raise ValueError(f"max_order must be in 1..{MAX_CAMPAIGN_ORDER}")
+        if not 1 <= self.max_order <= MAX_ORDER:
+            raise ValueError(f"max_order must be in 1..{MAX_ORDER}")
         parse_structure(self.structure)
         if self.sampler not in ("uniform", "uniform-polydisk", "uniform-ball", "boundary-biased"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -206,8 +198,7 @@ def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: 
     if sampler == "boundary-biased":
         base = sample_point(structure, rng, "uniform")
         target = 1.0 - 10.0 ** (-rng.uniform(1.0, 6.0))
-        geom = PointGeometry.from_point(base)
-        norm = geom.sup_norm if isinstance(structure, Polydisk) else geom.eucl_norm
+        norm = structure_norm(structure, base)
         scale = target / norm if norm > 0 else 0.0
         return tuple(v * scale for v in base)
     raise ValueError(f"unknown sampler {sampler!r}")
@@ -221,6 +212,15 @@ def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
         if 1 <= sum(alpha) <= max_order
     ]
     return sorted(out, key=lambda a: (sum(a), a))
+
+
+def _variant_checks(structure: DomainStructure, max_order: int) -> list[tuple[MultiIndex, list[Variant]]]:
+    """Each multi-index up to ``max_order`` with the derivative bounds that
+    apply to it on ``structure``'s domain, in record order."""
+    return [
+        (mi, applicable_variants(type(structure), mi))
+        for mi in map(MultiIndex, multi_indices(structure.d, max_order))
+    ]
 
 
 # --- JSONL records ------------------------------------------------------------
@@ -308,9 +308,7 @@ def _point_flags(structure: DomainStructure, z: Sequence[complex], sampler: str 
     # Boundary-biased draws are exploratory by construction; asserting on
     # them would turn resolvent conditioning into false violations.
     flags = ("boundary-biased",) if sampler == "boundary-biased" else ()
-    geom = PointGeometry.from_point(z)
-    norm = geom.sup_norm if isinstance(structure, Polydisk) else geom.eucl_norm
-    if 1.0 - norm < BOUNDARY_FLAG_DISTANCE:
+    if 1.0 - structure_norm(structure, z) < BOUNDARY_FLAG_DISTANCE:
         flags += ("near-boundary",)
     return flags
 
@@ -327,8 +325,8 @@ def fuzz_records(config: CampaignConfig):
         "config": config.to_json_dict(),
     }
     yield header
-    alphas = [MultiIndex(a) for a in multi_indices(structure.d, config.max_order)]
-    wiener_alphas = [mi for mi in alphas if mi.order <= min(config.max_order, 4)]
+    checks = _variant_checks(structure, config.max_order)
+    wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
     is_polydisk = isinstance(structure, Polydisk)
     scalar = is_polydisk and config.dim_g == 1
     origin = (0.0,) * structure.d
@@ -361,7 +359,7 @@ def fuzz_records(config: CampaignConfig):
             if not is_polydisk:
                 for rep in ball_subchecks_at(jet):
                     yield _record(rep, config.seed, chash, flags)
-            for mi in alphas:
+            for mi, variants in checks:
                 yield _record(general_at(jet, mi), config.seed, chash, flags)
                 if mi.order >= 2:
                     kn = spectral_norm(jet.kop(mi))
@@ -375,19 +373,8 @@ def fuzz_records(config: CampaignConfig):
                         BoundReport(theorem_tag=ktag, z=ctx.z, alpha=mi.counts, lhs=kn, rhs=krhs),
                         config.seed, chash, flags,
                     )
-                if is_polydisk:
-                    variants = ["factorial", "weak"]
-                    if mi.order == 1:
-                        variants.append("first")
-                    else:
-                        variants.append("mixed")
-                        if structure.d == 2:
-                            variants.append("two_var")
-                    for variant in variants:
-                        yield _record(polydisk_at(jet, mi, variant), config.seed, chash, flags)
-                else:
-                    for variant in BALL_VARIANTS:
-                        yield _record(ball_at(jet, mi, variant), config.seed, chash, flags)
+                for variant in variants:
+                    yield _record(variant.at(jet, mi), config.seed, chash, flags)
 
 
 def run_fuzz(config: CampaignConfig) -> tuple[list[dict], dict]:
@@ -411,11 +398,9 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> tuple[list[dic
     if name == "kaijser-varopoulos":
         poly = kaijser_varopoulos()
         structure: DomainStructure = Polydisk((1, 1, 1))
-        variants = [("polydisk", v) for v in ("factorial", "weak", "first", "mixed")]
     elif name == "alpay-kaptanoglu":
         poly = alpay_kaptanoglu(m)
         structure = Ball(1, 2)
-        variants = [("ball", v) for v in BALL_VARIANTS]
     else:
         raise ValueError(f"unknown exploration target {name!r}; known: {EXPLORE_NAMES}")
     phash = polynomial_hash(poly)
@@ -428,29 +413,15 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> tuple[list[dic
         "seed": config.seed,
         "config": {**config.to_json_dict(), "m": m},
     }]
-    alphas = multi_indices(structure.d, config.max_order)
+    checks = _variant_checks(structure, config.max_order)
     marks = ("observational",)
     for _ in range(config.points_per_colligation * config.n_colligations):
         z = sample_point(structure, rng, config.sampler)
         flags = marks + _point_flags(structure, z, config.sampler)
-        geom = PointGeometry.from_point(z)
-        defect = 1.0 - abs(poly(z)) ** 2
-        for alpha in alphas:
-            mi = MultiIndex(alpha)
-            lhs = abs(poly_partial(poly, z, mi))
-            for kind, variant in variants:
-                if kind == "polydisk":
-                    if variant == "first" and mi.order != 1:
-                        continue
-                    if variant == "mixed" and mi.order < 2:
-                        continue
-                    rhs = polydisk_rhs(defect, geom, mi, variant)
-                    tag = f"polydisk.{variant}"
-                else:
-                    rhs = ball_rhs(defect, geom, mi, variant, structure.d)
-                    tag = f"ball.{variant}"
-                rep = BoundReport(theorem_tag=tag, z=geom.z, alpha=mi.counts, lhs=lhs, rhs=rhs)
-                records.append(_record(rep, config.seed, phash, flags))
+        point = PolynomialPoint(poly, z)
+        for mi, variants in checks:
+            for variant in variants:
+                records.append(_record(variant.at(point, mi), config.seed, phash, flags))
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]
@@ -470,65 +441,53 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> tuple[list[dic
 # --- CLI ----------------------------------------------------------------------
 
 
-def _print_table(reports: Sequence[BoundReport], stream=None) -> None:
-    stream = stream or sys.stdout
-    for rep in reports:
-        stream.write(str(rep) + "\n")
+class _UsageError(Exception):
+    """An input the command cannot use; ``main`` prints it and exits 2."""
 
 
-def _load_or_fail(path: str):
-    """Load and decode a colligation file; (colligation, None) or (None, exit code)."""
+def _load(path: str):
+    """Load and decode a colligation file."""
     try:
-        col = load_colligation(path)
+        return load_colligation(path)
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None, 2
+        raise _UsageError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return None, 2
+        raise _UsageError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
     except (ValueError, TypeError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, 2
-    return col, None
+        raise _UsageError(f"{path}: {exc}") from None
 
 
-def _arg_or_fail(text: str, parse, d: int, what: str):
-    """Parse a --z or --alpha value for a colligation in d variables; None
-    after printing the error."""
+def _parse_arg(text: str, parse, d: int, what: str):
+    """Parse a --z or --alpha value for a colligation in d variables."""
     try:
         value = parse(text)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise _UsageError(str(exc)) from None
     if len(value) != d:
-        print(f"error: {what} has {len(value)} entries, the colligation has d={d}", file=sys.stderr)
-        return None
+        raise _UsageError(f"{what} has {len(value)} entries, the colligation has d={d}")
     return value
 
 
+def _parse_order(text: str, d: int, min_order: int) -> MultiIndex:
+    """Parse --alpha, of order min_order..MAX_ORDER."""
+    mi = MultiIndex(_parse_arg(text, parse_alpha, d, "multi-index"))
+    if not min_order <= mi.order <= MAX_ORDER:
+        raise _UsageError(f"multi-index order must be in {min_order}..{MAX_ORDER}, got {mi.order}")
+    return mi
+
+
 def cmd_validate(args) -> int:
-    col, code = _load_or_fail(args.file)
-    if col is None:
-        return code
-    report = validate(col, tol=args.tol)
+    report = validate(_load(args.file), tol=args.tol)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
 def cmd_eval(args) -> int:
-    col, code = _load_or_fail(args.file)
-    if col is None:
-        return code
-    z = _arg_or_fail(args.z, parse_point, col.d, "point")
-    if z is None:
-        return 2
-    try:
-        ctx = evaluate(col, z)
-    except DomainViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    col = _load(args.file)
+    ctx = evaluate(col, _parse_arg(args.z, parse_point, col.d, "point"))
     print(f"z         = {list(ctx.z)}")
     print(f"phi(z)    = {np.array2string(ctx.phi, precision=12)}")
     print(f"||phi||   = {spectral_norm(ctx.phi):.12f}")
@@ -540,94 +499,54 @@ def cmd_eval(args) -> int:
 
 
 def cmd_deriv(args) -> int:
-    col, code = _load_or_fail(args.file)
-    if col is None:
-        return code
-    z = _arg_or_fail(args.z, parse_point, col.d, "point")
-    alpha = _arg_or_fail(args.alpha, parse_alpha, col.d, "multi-index")
-    if z is None or alpha is None:
-        return 2
+    col = _load(args.file)
+    z = _parse_arg(args.z, parse_point, col.d, "point")
+    mi = _parse_order(args.alpha, col.d, min_order=0)
     try:
-        exact = partial(col, z, alpha)
-    except DomainViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"partial d^{sum(alpha)} phi / dz^{list(alpha)} at {list(z)}:")
+        check_samples(args.samples, max(mi.counts))
+    except ValueError as exc:
+        raise _UsageError(f"--samples: {exc}") from None
+    exact = partial(col, z, mi)
+    oracle = cauchy_partial(col, z, mi, samples=args.samples) if mi.order else None
+    print(f"partial d^{mi.order} phi / dz^{list(mi.counts)} at {list(z)}:")
     print(np.array2string(exact, precision=12))
-    if sum(alpha) > 0:
-        oracle = cauchy_partial(col, z, alpha, samples=args.samples)
+    if oracle is not None:
         deviation = spectral_norm(exact - np.atleast_2d(oracle))
         print(f"oracle deviation = {deviation:.3e}")
     return 0
 
 
 def cmd_bounds(args) -> int:
-    col, code = _load_or_fail(args.file)
-    if col is None:
-        return code
-    z = _arg_or_fail(args.z, parse_point, col.d, "point")
-    if z is None:
-        return 2
-    if args.alpha is not None:
-        alpha = _arg_or_fail(args.alpha, parse_alpha, col.d, "multi-index")
-        if alpha is None:
-            return 2
-        alpha = MultiIndex(alpha)
-        if alpha.order == 0:
-            print("error: bounds need a multi-index of order >= 1", file=sys.stderr)
-            return 2
-    try:
-        reports = list(resolvent_norm_estimates(col, z))
-        ctx = evaluate(col, z)
-        reports.append(lnorm_bound_check(ctx))
-        if args.alpha is not None:
-            reports.append(bound_general(col, z, alpha=alpha))
-            if isinstance(col.structure, Polydisk):
-                for variant in POLYDISK_VARIANTS:
-                    try:
-                        reports.append(bound_polydisk(col, z, alpha, variant))
-                    except ValueError:
-                        pass  # variant/order mismatch
-            else:
-                for variant in BALL_VARIANTS:
-                    reports.append(bound_ball(col, z, alpha, variant))
-        if isinstance(col.structure, Polydisk) and col.dim_f == col.dim_g == 1:
-            reports.append(knese_report(col, z))
-    except DomainViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _print_table(reports)
+    col = _load(args.file)
+    z = _parse_arg(args.z, parse_point, col.d, "point")
+    mi = None if args.alpha is None else _parse_order(args.alpha, col.d, min_order=1)
+    jet = point_jet(col, z)
+    reports = resolvent_estimates_at(jet.ctx) + [lnorm_bound_check(jet.ctx)]
+    if mi is not None:
+        reports.append(general_at(jet, mi))
+        reports.extend(variant.at(jet, mi) for variant in applicable_variants(type(col.structure), mi))
+    if isinstance(col.structure, Polydisk) and col.dim_f == col.dim_g == 1:
+        reports.append(knese_at(jet))
+    for rep in reports:
+        print(rep)
     worst = min((r.slack for r in reports if not r.flags), default=0.0)
     print(f"min slack = {worst:+.3e}")
     return 0 if worst >= -args.tol else 1
 
 
 def cmd_catalog(args) -> int:
-    params: dict = {}
-    if args.name == "blaschke":
-        if args.a is None:
-            print("error: blaschke needs --a", file=sys.stderr)
-            return 2
-        params["a"] = complex(args.a)
-    elif args.name == "monomial":
-        if args.alpha is None:
-            print("error: monomial needs --alpha", file=sys.stderr)
-            return 2
-        params["alpha"] = parse_alpha(args.alpha)
-    elif args.name == "symmetric-extremal":
-        if args.d is None:
-            print("error: symmetric-extremal needs --d", file=sys.stderr)
-            return 2
-        params["d"] = args.d
-        params["seed"] = args.seed
-    else:
-        print(f"error: unknown catalog entry {args.name!r}", file=sys.stderr)
-        return 2
+    needed = {"blaschke": "a", "monomial": "alpha", "symmetric-extremal": "d"}[args.name]
+    if getattr(args, needed) is None:
+        raise _UsageError(f"{args.name} needs --{needed}")
     try:
-        col = catalog(args.name, **params)
+        if args.name == "blaschke":
+            col = catalog(args.name, a=complex(args.a))
+        elif args.name == "monomial":
+            col = catalog(args.name, alpha=parse_alpha(args.alpha))
+        else:
+            col = catalog(args.name, d=args.d, seed=args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     if args.out:
         save_colligation(col, args.out)
         print(f"wrote {args.out}")
@@ -670,8 +589,7 @@ def cmd_fuzz(args) -> int:
     try:
         config = _config_from_args(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     records, summary = run_fuzz(config)
     _write_stream(records, config.out)
     print(
@@ -683,16 +601,11 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    if args.name not in EXPLORE_NAMES:
-        print(f"error: unknown exploration target {args.name!r}; known: {EXPLORE_NAMES}",
-              file=sys.stderr)
-        return 2
     try:
         config = _config_from_args(args)
         records, summary = run_explore(args.name, config, m=args.m)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     _write_stream(records, config.out)
     print(
         f"explore {args.name}: {summary['reports']} observational reports (seed {config.seed})",
@@ -766,7 +679,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_UsageError, DomainViolationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

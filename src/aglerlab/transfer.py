@@ -68,7 +68,10 @@ class EvalContext:
 
     @cached_property
     def znorm(self) -> float:
-        return structure_norm(self.col.structure, self.z)
+        """||Z(z)||, the largest row norm of Z since Z Z* is diagonal; below
+        the domain norm only where an empty polydisk block drops a coordinate."""
+        moduli = np.hypot(self.zmat.real, self.zmat.imag)
+        return float(np.sqrt((moduli * moduli).sum(axis=1).max()))
 
     @cached_property
     def lnorm(self) -> float:
@@ -89,13 +92,14 @@ class EvalContext:
 def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILITY_MARGIN) -> EvalContext:
     """Evaluate the transfer function and cache the resolvents at ``z``.
 
-    Points with ||Z(z)|| >= 1 - margin are rejected, not extrapolated.
+    Points whose domain norm (see :func:`structure_norm`) is >= 1 - margin
+    are rejected, not extrapolated.
     """
     zt = tuple(complex(v) for v in z)
-    znorm = structure_norm(col.structure, zt)
-    if znorm >= 1.0 - margin:
+    norm = structure_norm(col.structure, zt)
+    if norm >= 1.0 - margin:
         raise DomainViolationError(
-            f"||Z(z)|| = {znorm:.17g} is not < 1 - {margin:g}; point inadmissible"
+            f"domain norm of z = {norm:.17g} is not < 1 - {margin:g}; point inadmissible"
         )
     zm = zmatrix(col.structure, zt)
     eye_k = np.eye(col.dim_k)
@@ -122,8 +126,7 @@ def phi_grid(col: Colligation, points: np.ndarray, margin: float = ADMISSIBILITY
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != col.d:
         raise ValueError(f"points must have shape (m, {col.d}), got {pts.shape}")
-    norms = np.array([structure_norm(col.structure, p) for p in pts])
-    bad = np.nonzero(norms >= 1.0 - margin)[0]
+    bad = np.nonzero(structure_norm(col.structure, pts) >= 1.0 - margin)[0]
     if bad.size:
         raise DomainViolationError(
             f"{bad.size} of {len(pts)} points inadmissible, first at index {bad[0]}"

@@ -30,6 +30,7 @@ from aglerlab import (
     spectral_norm,
     symmetric_extremal,
 )
+from aglerlab.bounds import VARIANTS
 from aglerlab.derivative import cauchy_coefficient_table, partial_at
 from aglerlab.harness import CampaignConfig, main, run_explore, run_fuzz, sample_point
 from aglerlab.transfer import evaluate
@@ -153,6 +154,11 @@ REQUIRED_TAGS = {
     "resolvent.right_full", "resolvent.left_full",
     "lmatrix.geometric", "koperator.polydisk", "koperator.ball",
 }
+
+
+def test_required_tags_cover_variant_table():
+    # a derivative bound added to the table must also be required of the corpus
+    assert {variant.tag for variant in VARIANTS} <= REQUIRED_TAGS
 
 
 @pytest.fixture(scope="module")

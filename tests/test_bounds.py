@@ -29,6 +29,7 @@ from aglerlab import (
 from aglerlab.bounds import PointGeometry, ball_kernel_subchecks, knese_report
 from aglerlab.errors import DegenerateGramWarning
 from aglerlab.reports import BoundReport
+from aglerlab.transfer import defect_norms
 from conftest import admissible_point, interior_point
 
 
@@ -260,6 +261,19 @@ class TestWiener:
             col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=seed)
             for rep in wiener_check(col, [tuple(int(v) for v in a) for a in alphas]):
                 assert rep.slack >= -1e-9, rep
+
+    def test_ball_uses_the_sphere_average_bound(self):
+        col = random_colligation(Ball(1, 3), dim_g=1, seed=53)
+        defect = math.prod(defect_norms(col.D))
+        by_alpha = {rep.alpha: rep for rep in wiener_check(col, [(1, 0, 0), (1, 0, 1), (2, 0, 0)])}
+        assert by_alpha[(1, 0, 1)].rhs == pytest.approx(math.pi * defect, rel=1e-12)
+        # Gamma(n/2 + 1) (d - 1 + n)! / (Gamma(n/2 + d) n!) for a pure power z_1^n
+        assert by_alpha[(1, 0, 0)].rhs == pytest.approx(1.6 * defect, rel=1e-12)
+        assert by_alpha[(2, 0, 0)].rhs == pytest.approx(2.0 * defect, rel=1e-12)
+        # in one variable the ball is the disk: the classical bound
+        one_var = random_colligation(Ball(2, 1), dim_g=1, seed=54)
+        for rep in wiener_check(one_var, [(1,), (2,), (3,)]):
+            assert rep.rhs == pytest.approx(math.prod(defect_norms(one_var.D)), rel=1e-12)
 
 
 class TestKneseSumRule:

@@ -132,6 +132,21 @@ class TestZMatrix:
             z = admissible_point(s, rng)
             assert abs(spectral_norm(zmatrix(s, z)) - structure_norm(s, z)) <= 1e-12
 
+    def test_structure_norm_is_the_domain_norm(self):
+        # an empty block drops z_2 from the pencil but not from the domain
+        assert structure_norm(Polydisk((1, 0)), (0.3, 1.5j)) == 1.5
+        assert spectral_norm(zmatrix(Polydisk((1, 0)), (0.3, 1.5j))) == pytest.approx(0.3)
+        assert structure_norm(Ball(2, 2), (0.3, 0.4j)) == pytest.approx(0.5)
+        rng = np.random.default_rng(4)
+        for s in MIXED_STRUCTURES:
+            pts = rng.standard_normal((2, 5, s.d)) + 1j * rng.standard_normal((2, 5, s.d))
+            norms = structure_norm(s, pts)
+            assert norms.shape == (2, 5)
+            for idx in np.ndindex(2, 5):
+                assert norms[idx] == structure_norm(s, tuple(pts[idx]))
+        with pytest.raises(ValueError):
+            structure_norm(Ball(1, 2), np.zeros((4, 3)))
+
 
 class TestValidate:
     def test_permutation_colligation_passes(self):

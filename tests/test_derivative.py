@@ -32,6 +32,7 @@ from aglerlab.derivative import (
     default_radii,
     partial_at,
 )
+from aglerlab.tolerances import ADMISSIBILITY_MARGIN, ORACLE_TOL
 from aglerlab.transfer import evaluate
 from conftest import interior_point
 
@@ -277,6 +278,17 @@ class TestCauchyOracle:
         assert r[1] == pytest.approx(0.1)
         with pytest.raises(ValueError):
             default_radii(Polydisk((1,)), (1.0,))
+
+    def test_default_radii_keep_the_torus_inside_the_ball(self):
+        col = random_colligation(Ball(1, 3), dim_g=1, seed=1)
+        z = (0.95 / math.sqrt(3),) * 3
+        radii = default_radii(col.structure, z)
+        outer = math.sqrt(sum((abs(v) + r) ** 2 for v, r in zip(z, radii)))
+        assert outer < 1.0 - ADMISSIBILITY_MARGIN
+        for alpha in [(1, 0, 0), (1, 1, 1), (0, 0, 3)]:
+            exact = partial(col, z, alpha)
+            oracle = np.atleast_2d(cauchy_partial(col, z, alpha))
+            assert spectral_norm(exact - oracle) <= ORACLE_TOL * max(1.0, spectral_norm(exact)), alpha
 
     def test_bare_callable_needs_radius(self):
         with pytest.raises(ValueError, match="radius"):

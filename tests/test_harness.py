@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglerlab import (
     Ball,
@@ -350,6 +352,57 @@ class TestCli:
         assert err.startswith("error:") and "d=1" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--z", "0.3,1.5"],
+        ["deriv", "--z", "0.3,1.5", "--alpha", "1,0"],
+        ["bounds", "--z", "0.3,1.5", "--alpha", "1,0"],
+    ], ids=["eval", "deriv", "bounds"])
+    def test_point_outside_domain_behind_empty_block_exits_one(self, tmp_path, capsys, argv):
+        # monomial z_1 has an empty second block; z_2 = 1.5 is still outside D^2
+        path = tmp_path / "m.json"
+        assert main(["catalog", "monomial", "--alpha", "1,0", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+        assert "polydisk." not in captured.out
+
+    @pytest.mark.parametrize("samples", ["10", "0"])
+    def test_deriv_bad_samples_exit_two_before_computing(self, tmp_path, capsys, monkeypatch, samples):
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.3), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking --samples")
+
+        monkeypatch.setattr(harness, "partial", refuse)
+        monkeypatch.setattr(harness, "cauchy_partial", refuse)
+        assert main(["deriv", str(path), "--z", "0.2", "--alpha", "1", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+    def test_deriv_oracle_domain_violation_exits_one(self, tmp_path, capsys):
+        # phi is defined at z, but the Cauchy circle around it crosses |z| = 1 - margin
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.5), path)
+        assert main(["deriv", str(path), "--z", "0.9999999999985", "--alpha", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+    def test_bounds_prints_applicable_variants_in_table_order(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_colligation(random_colligation(Polydisk((1, 1)), dim_g=1, seed=5), path)
+        for alpha, expected in (
+            ("1,0", ["factorial", "weak", "first"]),
+            ("2,1", ["factorial", "weak", "mixed", "two_var"]),
+        ):
+            assert main(["bounds", str(path), "--z", "0.3,0.2j", "--alpha", alpha]) == 0
+            out = capsys.readouterr().out
+            variants = [line.split()[0].split(".")[1] for line in out.splitlines()
+                        if line.startswith("polydisk.")]
+            assert variants == expected
+
     def test_catalog_command(self, tmp_path, capsys):
         out_file = tmp_path / "cat.json"
         assert main(["catalog", "blaschke", "--a", "0.5", "--out", str(out_file)]) == 0
@@ -379,6 +432,13 @@ class TestCli:
         assert tail["kind"] == "summary"
         assert all(json.loads(line) for line in lines)
 
+    def test_fuzz_ball_wiener_bound_holds(self, tmp_path, capsys):
+        # the one-variable coefficient bound fails here at alpha (1, 0, 1)
+        out = tmp_path / "ball.jsonl"
+        assert main(["fuzz", "--structure", "ball:m=2,d=3", "--dim-g", "1", "--max-order", "4",
+                     "--n", "5", "--points", "5", "--seed", "657082194", "--out", str(out)]) == 0
+        capsys.readouterr()
+
     def test_fuzz_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -399,3 +459,61 @@ class TestCli:
         assert out.exists()
         assert main(["explore", "does-not-exist"]) == 2
         capsys.readouterr()
+
+
+CLI_FILES = {
+    "polydisk": lambda: random_colligation(Polydisk((2, 1)), dim_g=1, seed=70),
+    "empty-block": lambda: monomial((1, 0)),
+    "ball": lambda: random_colligation(Ball(1, 2), dim_g=1, seed=71),
+}
+
+# Arbitrary text, plus well-formed values of the files' arity d = 2 and of
+# other arities, so that every stage of each command is reached.
+_coordinate = st.one_of(
+    st.floats(-1.2, 1.2).map(repr),
+    st.complex_numbers(max_magnitude=1.2).map(repr),
+    st.sampled_from(["nan", "inf", "-infj", "1e400", "0", "1", "-1j"]),
+)
+_point_text = st.one_of(
+    st.text(max_size=12),
+    st.lists(_coordinate, min_size=2, max_size=2).map(",".join),
+    st.lists(_coordinate, max_size=3).map(",".join),
+)
+_alpha_text = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.integers(0, 10).map(str), min_size=2, max_size=2).map(",".join),
+    st.lists(st.integers(-2, 12).map(str), max_size=3).map(",".join),
+)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = {}
+    for name, build in CLI_FILES.items():
+        paths[name] = str(root / f"{name}.json")
+        save_colligation(build(), paths[name])
+    return paths
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["eval", "deriv", "bounds"]),
+    subject=st.sampled_from(sorted(CLI_FILES)),
+    z=_point_text,
+    alpha=_alpha_text,
+    samples=st.integers(1, 256),
+)
+def test_cli_exits_with_a_contract_code(cli_files, command, subject, z, alpha, samples):
+    # every subject file has d = 2, so the oracle grid has at most 256^2 points
+    argv = [command, cli_files[subject], f"--z={z}"]
+    if command != "eval":
+        argv.append(f"--alpha={alpha}")
+    if command == "deriv":
+        argv.append(f"--samples={samples}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejecting the argv itself
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)

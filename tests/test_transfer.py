@@ -56,6 +56,19 @@ class TestEvaluate:
         with pytest.raises(DomainViolationError):
             evaluate(col, (1.0 - 1e-14,))
 
+    def test_rejects_point_outside_domain_behind_empty_block(self):
+        with pytest.raises(DomainViolationError, match="inadmissible"):
+            evaluate(monomial((1, 0)), (0.3, 1.5))
+
+    def test_znorm_is_the_pencil_norm(self):
+        rng = np.random.default_rng(6)
+        structures = MIXED_STRUCTURES + [Polydisk((2, 0, 1))]
+        for i, s in enumerate(structures):
+            col = random_colligation(s, dim_g=1, seed=60 + i)
+            z = admissible_point(s, rng)
+            ctx = evaluate(col, z)
+            assert abs(ctx.znorm - spectral_norm(ctx.zmat)) <= 1e-15
+
     def test_alternate_form_agreement(self):
         rng = np.random.default_rng(0)
         for i, s in enumerate(MIXED_STRUCTURES):
