@@ -3,7 +3,10 @@
 Each ``bound_*`` function evaluates the right-hand side of one inequality
 exactly as stated, computes the left-hand side (a derivative norm) from the
 realization or a polynomial, and returns a :class:`BoundReport` carrying
-lhs, rhs, slack, and sharpness ratio.
+lhs, rhs, slack, and sharpness ratio.  Checks on a colligation take the
+point it was evaluated at (an :class:`EvalContext` from ``evaluate``);
+``bound_polydisk``, ``bound_ball`` and ``wiener_check`` take the subject, a
+colligation or a polynomial, and evaluate it themselves.
 
 Writing n = n_1 + ... + n_d and D(z) = 1 - |phi(z)|^2 (for matrix-valued
 phi the product of the two defect norms ||I - phi* phi||^(1/2)
@@ -41,9 +44,10 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .colligation import Ball, Colligation, PointGeometry, Polydisk, structure_norm
-from .derivative import MultiIndex, PointJet, Polynomial, point_jet, poly_partial
+from .derivative import MultiIndex, Polynomial, poly_partial
 from .errors import DegenerateGramWarning, DomainViolationError
 from .reports import BoundReport
+from .transfer import EvalContext, evaluate
 
 __all__ = [
     "PointGeometry",
@@ -53,16 +57,12 @@ __all__ = [
     "VARIANTS",
     "applicable_variants",
     "bound_general",
-    "general_at",
     "bound_polydisk",
     "bound_ball",
     "ball_kernel_subchecks",
-    "ball_subchecks_at",
     "wiener_check",
-    "wiener_at",
     "knese_residual",
     "knese_report",
-    "knese_at",
     "multiplier_gram_psd",
 ]
 
@@ -71,7 +71,7 @@ Orders = Sequence[Union[MultiIndex, Sequence[int]]]
 
 
 class PolynomialPoint:
-    """A polynomial subject at one point, read like a :class:`PointJet`."""
+    """A polynomial subject at one point, read like an :class:`EvalContext`."""
 
     flags: tuple[str, ...] = ()
 
@@ -88,47 +88,28 @@ class PolynomialPoint:
         return v
 
 
-Point = Union[PointJet, PolynomialPoint]
+Point = Union[EvalContext, PolynomialPoint]
 
 
-def bound_general(
-    col: Colligation,
-    z: Sequence[complex],
-    *,
-    alpha: Union[MultiIndex, Sequence[int], None] = None,
-    klist: Sequence[int] | None = None,
-) -> BoundReport:
-    """Structure-free resolvent bound on a mixed partial.
+def bound_general(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> BoundReport:
+    """Structure-free resolvent bound on a mixed partial at an evaluated point.
 
-    Exactly one of ``alpha``/``klist`` must be given.  First order compares
-    against defect / sqrt(1 - ||Z||^2) times the smaller projected Gram
-    factor; order n >= 2 against
+    First order compares against defect / sqrt(1 - ||Z||^2) times the
+    smaller projected Gram factor; order n >= 2 against
 
         (n-2)! defect / (1 - ||Z||)^(n-1)
             * sum_{p != q} a(k_p) b(k_q)
 
-    with a, b the projected resolvent Gram factors per coordinate.
+    with a, b the projected resolvent Gram factors per coordinate and
+    (k_1, ..., k_n) the index list of ``alpha``; the sum does not depend on
+    the order of that list.
     """
-    if (alpha is None) == (klist is None):
-        raise ValueError("give exactly one of alpha or klist")
-    if alpha is not None:
-        mi = MultiIndex.of(alpha)
-        ks = mi.canonical_klist()
-    else:
-        ks = tuple(int(k) for k in klist)
-        mi = MultiIndex.from_klist(ks, col.d)
+    mi = MultiIndex.of(alpha)
     if mi.order < 1:
         raise ValueError("bound_general needs order >= 1")
-    return general_at(point_jet(col, z), mi, ks)
-
-
-def general_at(jet: PointJet, mi: MultiIndex, ks: Sequence[int] | None = None) -> BoundReport:
-    """:func:`bound_general` at a jet; ``ks`` defaults to the canonical index list."""
-    if ks is None:
-        ks = mi.canonical_klist()
-    lhs = jet.norm(mi)
-    ctx = jet.ctx
-    defect = jet.defect
+    ks = mi.canonical_klist()
+    lhs = ctx.norm(mi)
+    defect = ctx.defect
     a, b = ctx.gram
     znorm = ctx.znorm
     if mi.order == 1:
@@ -228,7 +209,7 @@ class Variant:
         return self.unmet(mi) is None
 
     def at(self, point: Point, mi: MultiIndex) -> BoundReport:
-        """The bound at a jet, or at a polynomial read the same way."""
+        """The bound at an evaluated point, or at a polynomial read the same way."""
         rhs_of = polydisk_rhs if self.domain is Polydisk else ball_rhs
         rhs = rhs_of(point.defect, point.geometry, mi, self.tag.partition(".")[2])
         return BoundReport(
@@ -305,14 +286,14 @@ def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex,
     if isinstance(subject, Colligation):
         if not isinstance(subject.structure, domain):
             raise ValueError(f"{name} bounds need a {name} colligation")
-        return row.at(point_jet(subject, z), mi)  # evaluate rejects points outside the domain
+        return row.at(evaluate(subject, z), mi)  # evaluate rejects points outside the domain
     norm = structure_norm(domain.scalar(subject.dimension), z)
     if norm >= 1.0:
         raise DomainViolationError(f"{name} norm of z = {norm} is not < 1")
     return row.at(PolynomialPoint(subject, z), mi)
 
 
-def ball_kernel_subchecks(col: Colligation, z: Sequence[complex]) -> list[BoundReport]:
+def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
     """Closed forms of the projected resolvent Gram norms on the ball.
 
     For the stacked structure, ||E_j* (I - ZZ*)^{-1} E_j|| equals
@@ -320,15 +301,9 @@ def ball_kernel_subchecks(col: Colligation, z: Sequence[complex]) -> list[BoundR
     (1 - ||z-hat_j||^2) / (1 - ||z||^2); both are equalities, so the
     reports should sit at ratio one.
     """
-    if not isinstance(col.structure, Ball):
+    if not isinstance(ctx.col.structure, Ball):
         raise ValueError("kernel subchecks need a ball colligation")
-    return ball_subchecks_at(point_jet(col, z))
-
-
-def ball_subchecks_at(jet: PointJet) -> list[BoundReport]:
-    """:func:`ball_kernel_subchecks` at a jet."""
-    ctx = jet.ctx
-    geom = jet.geometry
+    geom = ctx.geometry
     a, b = ctx.gram
     t2 = geom.eucl_norm**2
     out = []
@@ -360,13 +335,10 @@ def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
     which is 1 in one variable.
     """
     if isinstance(subject, Colligation):
-        return wiener_at(point_jet(subject, (0.0,) * subject.d), orders)
-    return wiener_at(PolynomialPoint(subject, (0.0,) * subject.dimension), orders)
-
-
-def wiener_at(point: Point, orders: Orders) -> list[BoundReport]:
-    """:func:`wiener_check` from the subject's jet (or polynomial point) at the origin."""
-    on_ball = isinstance(point, PointJet) and isinstance(point.ctx.col.structure, Ball)
+        point = evaluate(subject, (0.0,) * subject.d)
+        on_ball = isinstance(subject.structure, Ball)
+    else:
+        point, on_ball = PolynomialPoint(subject, (0.0,) * subject.dimension), False
     return [
         BoundReport(
             theorem_tag="wiener.coefficient", z=point.geometry.z, alpha=mi.counts,
@@ -394,7 +366,7 @@ def _nonzero(orders: Orders) -> list[MultiIndex]:
     return [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
 
 
-def knese_residual(col: Colligation, z: Sequence[complex]) -> float:
+def knese_residual(ctx: EvalContext) -> float:
     """Signed residual of the weighted first-order sum rule on the polydisk:
 
         sum_j (1 - |z_j|^2) |d phi / d z_j|  -  (1 - |phi(z)|^2).
@@ -403,43 +375,28 @@ def knese_residual(col: Colligation, z: Sequence[complex]) -> float:
     function; zero at every point exactly for the symmetric extremal
     realizations with one-dimensional blocks.
     """
-    _check_knese_subject(col)
-    return _knese_residual(point_jet(col, z))
-
-
-def _check_knese_subject(col: Colligation) -> None:
+    col = ctx.col
     if not isinstance(col.structure, Polydisk):
         raise ValueError("the sum rule applies to polydisk colligations")
     if col.dim_f != 1 or col.dim_g != 1:
         raise ValueError(
             f"the sum rule needs scalar phi, got dim_g x dim_f = {col.dim_g} x {col.dim_f}"
         )
-
-
-def _knese_residual(jet: PointJet) -> float:
-    ctx = jet.ctx
-    d = ctx.col.d
     total = 0.0
-    for j in range(d):
-        e_j = MultiIndex(tuple(int(k == j) for k in range(d)))
-        total += (1.0 - abs(ctx.z[j]) ** 2) * jet.norm(e_j)
+    for j in range(col.d):
+        e_j = MultiIndex(tuple(int(k == j) for k in range(col.d)))
+        total += (1.0 - abs(ctx.z[j]) ** 2) * ctx.norm(e_j)
     return total - (1.0 - abs(ctx.phi[0, 0]) ** 2)
 
 
-def knese_report(col: Colligation, z: Sequence[complex]) -> BoundReport:
+def knese_report(ctx: EvalContext) -> BoundReport:
     """Sum-rule inequality as a report: lhs the weighted derivative sum,
     rhs the defect 1 - |phi|^2."""
-    _check_knese_subject(col)
-    return knese_at(point_jet(col, z))
-
-
-def knese_at(jet: PointJet) -> BoundReport:
-    """:func:`knese_report` at a jet of a scalar polydisk colligation."""
-    residual = _knese_residual(jet)
-    rhs = 1.0 - abs(jet.ctx.phi[0, 0]) ** 2
+    residual = knese_residual(ctx)
+    rhs = 1.0 - abs(ctx.phi[0, 0]) ** 2
     return BoundReport(
-        theorem_tag="knese.sum_rule", z=jet.ctx.z, alpha=None,
-        lhs=rhs + residual, rhs=rhs, flags=jet.flags,
+        theorem_tag="knese.sum_rule", z=ctx.z, alpha=None,
+        lhs=rhs + residual, rhs=rhs, flags=ctx.flags,
     )
 
 

@@ -13,11 +13,13 @@ and an order-n mixed partial with per-coordinate multiplicities
 where K sums the alternating products E_{j_1} L E_{j_2} L ... L E_{j_n}
 over all distinct arrangements (j_1, ..., j_n) of the multiset holding
 each coordinate symbol j with multiplicity n_j, and L = A (I - ZA)^{-1}.
-Every K at one point comes from the same L, so :class:`PointJet` builds
-them all in one sweep of the recursion over sub-multisets and reuses the
-resolvents for every partial.  Direct enumeration of the arrangements and
-the raw sum over all n! permutations of an index list are kept as
-cross-checks (both are exponentially more expensive).
+Every K at one point comes from the same L, so the evaluated point
+(:class:`aglerlab.transfer.EvalContext`) builds them all in one sweep of
+the recursion over sub-multisets and reuses its resolvents for every
+partial; :func:`partial` and :func:`partial_at` read from it.  Direct
+enumeration of the arrangements (:func:`koperator`) and the raw sum over
+all n! permutations of an index list (:func:`partial_permsum`) are kept
+only as oracles for that sweep (both are exponentially more expensive).
 
 Two independent differentiation oracles close the loop: iterated Cauchy
 coefficient extraction by trapezoid quadrature on circles (exponentially
@@ -30,12 +32,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .colligation import Colligation, DomainStructure, PointGeometry, Polydisk, projections, structure_norm
+from .colligation import Colligation, DomainStructure, Polydisk, structure_norm
 from .errors import ComplexityError, DomainViolationError
 from .matrixcore import spectral_norm
 from .tolerances import ADMISSIBILITY_MARGIN
@@ -44,8 +45,6 @@ from .transfer import EvalContext, evaluate, phi_grid
 __all__ = [
     "MultiIndex",
     "Polynomial",
-    "PointJet",
-    "point_jet",
     "arrangements",
     "koperator",
     "partial",
@@ -152,143 +151,37 @@ def _chain_product(es: Sequence[np.ndarray], lmat: np.ndarray, arrangement: Sequ
     return prod
 
 
-class PointJet:
-    """The derivative jet of phi at one evaluated point, plus the point data
-    that bound right-hand sides read.
+def koperator(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> np.ndarray:
+    """Arrangement sum K = sum E_{j_1} L E_{j_2} L ... L E_{j_n} at ``ctx``,
+    by direct enumeration of the distinct arrangements.
 
-    ``kop(mi)`` is the arrangement sum K for ``mi``, taken from the
-    recursion over sub-multisets g[c] = sum_j E_j L g[c - e_j] with
-    g[e_j] = E_j.  Each g[c] depends only on c, so K does not depend on
-    which multi-indices were asked for first.  ``partial(mi)`` is
-    mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi itself at order 0) and
-    ``norm(mi)`` its spectral norm.  Every K, partial and norm is computed
-    on first use and kept, so one jet serves all checks at its point.
-    """
-
-    def __init__(self, ctx: EvalContext):
-        self.ctx = ctx
-        self._es = projections(ctx.col.structure)
-        self._kops: dict[tuple[int, ...], np.ndarray] = {}
-        self._partials: dict[tuple[int, ...], np.ndarray] = {}
-        self._norms: dict[tuple[int, ...], float] = {}
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        return self.ctx.flags
-
-    @cached_property
-    def geometry(self) -> PointGeometry:
-        return PointGeometry.from_point(self.ctx.z)
-
-    @cached_property
-    def defect(self) -> float:
-        """Product of the two defect norms of phi(z)."""
-        d_in, d_out = self.ctx.defects
-        return d_in * d_out
-
-    @cached_property
-    def _c_rha(self) -> np.ndarray:
-        return self.ctx.col.C @ self.ctx.r_ha
-
-    def _k(self, counts: tuple[int, ...]) -> np.ndarray:
-        k = self._kops.get(counts)
-        if k is None:
-            if sum(counts) == 1:
-                k = self._es[counts.index(1)]
-            else:
-                col = self.ctx.col
-                k = np.zeros((col.dim_h, col.dim_k), dtype=np.complex128)
-                for j, c in enumerate(counts):
-                    if c:
-                        prev = counts[:j] + (c - 1,) + counts[j + 1:]
-                        k += self._es[j] @ (self.ctx.lmat @ self._k(prev))
-            self._kops[counts] = k
-        return k
-
-    def kop(self, mi: MultiIndex) -> np.ndarray:
-        """Arrangement sum K for ``mi`` (order >= 1)."""
-        return self._k(mi.counts)
-
-    def assemble(self, mi: MultiIndex, k: np.ndarray) -> np.ndarray:
-        """mi! C (I - ZA)^{-1} k (I - AZ)^{-1} B."""
-        return mi.factorial_product * (self._c_rha @ k @ self.ctx.r_ka @ self.ctx.col.B)
-
-    def partial(self, mi: MultiIndex) -> np.ndarray:
-        """Mixed partial d^n phi / dz^mi at the point."""
-        p = self._partials.get(mi.counts)
-        if p is None:
-            if mi.d != self.ctx.col.d:
-                raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.ctx.col.d}")
-            p = self.ctx.phi if mi.order == 0 else self.assemble(mi, self.kop(mi))
-            self._partials[mi.counts] = p
-        return p
-
-    def norm(self, mi: MultiIndex) -> float:
-        """Spectral norm of :meth:`partial`."""
-        v = self._norms.get(mi.counts)
-        if v is None:
-            v = self._norms[mi.counts] = spectral_norm(self.partial(mi))
-        return v
-
-
-def point_jet(col: Colligation, z: Sequence[complex]) -> PointJet:
-    """Evaluate ``col`` once at ``z`` and wrap the context in a jet."""
-    return PointJet(evaluate(col, z))
-
-
-def koperator(
-    ctx: EvalContext,
-    structure: DomainStructure,
-    alpha: Union[MultiIndex, Sequence[int]],
-    method: str = "dp",
-) -> np.ndarray:
-    """Arrangement sum K = sum E_{j_1} L E_{j_2} L ... L E_{j_n} at ``ctx``.
-
-    Needs order n >= 2; the output maps K -> H (shape dim_h x dim_k).
-    ``method="dp"`` is the sub-multiset recursion of :class:`PointJet`,
-    costing O(prod(n_j + 1) * d) matrix products; ``method="enumerate"``
-    sums the distinct arrangements directly and is kept as an oracle.
+    Needs order n >= 2; the output maps K -> H (shape dim_h x dim_k).  This
+    is the oracle for ``ctx.kop``, which gets the same sum from the
+    sub-multiset recursion in O(prod(n_j + 1) * d) matrix products.
     """
     mi = MultiIndex.of(alpha)
     if mi.order < 2:
         raise ValueError(f"koperator needs order >= 2, got {mi.order}")
-    if mi.d != structure.d:
-        raise ValueError(f"multi-index has d={mi.d}, structure has d={structure.d}")
-    if method == "dp":
-        return PointJet(ctx).kop(mi)
-    if method == "enumerate":
-        es = projections(structure)
-        total = np.zeros((structure.dim_h, structure.dim_k), dtype=np.complex128)
-        for arrangement in arrangements(mi):
-            total += _chain_product(es, ctx.lmat, arrangement)
-        return total
-    raise ValueError(f"unknown koperator method {method!r}")
+    if mi.d != ctx.col.d:
+        raise ValueError(f"multi-index has d={mi.d}, colligation has d={ctx.col.d}")
+    total = np.zeros((ctx.col.dim_h, ctx.col.dim_k), dtype=np.complex128)
+    for arrangement in arrangements(mi):
+        total += _chain_product(ctx.projections, ctx.lmat, arrangement)
+    return total
 
 
-def partial_at(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]], method: str = "dp") -> np.ndarray:
-    """Mixed partial of phi at an already evaluated context.
-
-    ``method`` selects how K is summed, as in :func:`koperator`.
-    """
-    mi = MultiIndex.of(alpha)
-    jet = PointJet(ctx)
-    if mi.order >= 2 and method != "dp":
-        return jet.assemble(mi, koperator(ctx, ctx.col.structure, mi, method=method))
-    return jet.partial(mi)
+def partial_at(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> np.ndarray:
+    """Mixed partial of phi at an already evaluated context."""
+    return ctx.partial(MultiIndex.of(alpha))
 
 
-def partial(
-    col: Colligation,
-    z: Sequence[complex],
-    alpha: Union[MultiIndex, Sequence[int]],
-    method: str = "dp",
-) -> np.ndarray:
+def partial(col: Colligation, z: Sequence[complex], alpha: Union[MultiIndex, Sequence[int]]) -> np.ndarray:
     """Exact mixed partial d^n phi / dz^alpha at ``z`` from the realization.
 
     Order 0 returns phi(z) itself; the output always has shape
     (dim_g x dim_f).
     """
-    return partial_at(evaluate(col, z), alpha, method=method)
+    return partial_at(evaluate(col, z), alpha)
 
 
 def partial_permsum(col: Colligation, z: Sequence[complex], klist: Sequence[int]) -> np.ndarray:
@@ -308,10 +201,9 @@ def partial_permsum(col: Colligation, z: Sequence[complex], klist: Sequence[int]
         )
     MultiIndex.from_klist(ks, col.d)  # validates the symbols
     ctx = evaluate(col, z)
-    es = projections(col.structure)
     total = np.zeros((col.dim_h, col.dim_k), dtype=np.complex128)
     for sigma in itertools.permutations(range(n)):
-        total += _chain_product(es, ctx.lmat, [ks[i] for i in sigma])
+        total += _chain_product(ctx.projections, ctx.lmat, [ks[i] for i in sigma])
     return col.C @ ctx.r_ha @ total @ ctx.r_ka @ col.B
 
 

@@ -35,11 +35,11 @@ from .bounds import (
     PolynomialPoint,
     Variant,
     applicable_variants,
-    ball_subchecks_at,
-    general_at,
-    knese_at,
+    ball_kernel_subchecks,
+    bound_general,
+    knese_report,
     multiplier_gram_psd,
-    wiener_at,
+    wiener_check,
 )
 from .colligation import (
     Ball,
@@ -62,7 +62,6 @@ from .derivative import (
     check_samples,
     kaijser_varopoulos,
     partial,
-    point_jet,
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
@@ -70,9 +69,9 @@ from .reports import BoundReport
 from .tolerances import BOUNDARY_FLAG_DISTANCE, IDENTITY_TOL, SLACK_TOL
 from .transfer import (
     evaluate,
-    identity_residuals_at,
+    identity_residuals,
     lnorm_bound_check,
-    resolvent_estimates_at,
+    resolvent_norm_estimates,
 )
 
 __all__ = [
@@ -162,6 +161,11 @@ class CampaignConfig:
             raise ValueError("counts must be >= 1")
         if not 1 <= self.max_order <= MAX_ORDER:
             raise ValueError(f"max_order must be in 1..{MAX_ORDER}")
+        if not (math.isfinite(self.slack_tol) and math.isfinite(self.identity_tol)):
+            raise ValueError(
+                f"tolerances must be finite, got slack_tol={self.slack_tol}, "
+                f"identity_tol={self.identity_tol}"
+            )
         parse_structure(self.structure)
         if self.sampler not in ("uniform", "uniform-polydisk", "uniform-ball", "boundary-biased"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -246,7 +250,7 @@ def _record(report: BoundReport, seed: int, subject_hash: str, extra_flags: Sequ
 
 def _dump_lines(records, stream) -> None:
     for rec in records:
-        stream.write(json.dumps(rec, sort_keys=True))
+        stream.write(json.dumps(rec, sort_keys=True, allow_nan=False))
         stream.write("\n")
 
 
@@ -329,40 +333,38 @@ def fuzz_records(config: CampaignConfig):
     wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
     is_polydisk = isinstance(structure, Polydisk)
     scalar = is_polydisk and config.dim_g == 1
-    origin = (0.0,) * structure.d
     for _ in range(config.n_colligations):
         col_seed = int(rng.integers(0, 2**62))
         col = random_colligation(structure, config.dim_g, col_seed)
         chash = colligation_hash(col)
-        for rep in wiener_at(point_jet(col, origin), wiener_alphas):
+        for rep in wiener_check(col, wiener_alphas):
             yield _record(rep, config.seed, chash)
         for _ in range(config.points_per_colligation):
             z = sample_point(structure, rng, config.sampler)
             w = sample_point(structure, rng, config.sampler)
-            jet = point_jet(col, z)
-            ctx = jet.ctx
+            ctx = evaluate(col, z)
             flags = _point_flags(structure, z, config.sampler) + _point_flags(
                 structure, w, config.sampler
             )
-            r1, r2 = identity_residuals_at(evaluate(col, w), ctx)
+            r1, r2 = identity_residuals(evaluate(col, w), ctx)
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
                 yield _record(
                     BoundReport(theorem_tag=tag, z=z, alpha=None, lhs=resid, rhs=config.identity_tol),
                     config.seed, chash, flags,
                 )
             flags = _point_flags(structure, z, config.sampler)
-            for rep in resolvent_estimates_at(ctx):
+            for rep in resolvent_norm_estimates(ctx):
                 yield _record(rep, config.seed, chash, flags)
             yield _record(lnorm_bound_check(ctx), config.seed, chash, flags)
             if scalar:
-                yield _record(knese_at(jet), config.seed, chash, flags)
+                yield _record(knese_report(ctx), config.seed, chash, flags)
             if not is_polydisk:
-                for rep in ball_subchecks_at(jet):
+                for rep in ball_kernel_subchecks(ctx):
                     yield _record(rep, config.seed, chash, flags)
             for mi, variants in checks:
-                yield _record(general_at(jet, mi), config.seed, chash, flags)
+                yield _record(bound_general(ctx, mi), config.seed, chash, flags)
                 if mi.order >= 2:
-                    kn = spectral_norm(jet.kop(mi))
+                    kn = spectral_norm(ctx.kop(mi))
                     if is_polydisk:
                         krhs = ctx.lnorm ** (mi.order - 1)
                         ktag = "koperator.polydisk"
@@ -374,7 +376,7 @@ def fuzz_records(config: CampaignConfig):
                         config.seed, chash, flags,
                     )
                 for variant in variants:
-                    yield _record(variant.at(jet, mi), config.seed, chash, flags)
+                    yield _record(variant.at(ctx, mi), config.seed, chash, flags)
 
 
 def run_fuzz(config: CampaignConfig) -> tuple[list[dict], dict]:
@@ -520,13 +522,13 @@ def cmd_bounds(args) -> int:
     col = _load(args.file)
     z = _parse_arg(args.z, parse_point, col.d, "point")
     mi = None if args.alpha is None else _parse_order(args.alpha, col.d, min_order=1)
-    jet = point_jet(col, z)
-    reports = resolvent_estimates_at(jet.ctx) + [lnorm_bound_check(jet.ctx)]
+    ctx = evaluate(col, z)
+    reports = resolvent_norm_estimates(ctx) + [lnorm_bound_check(ctx)]
     if mi is not None:
-        reports.append(general_at(jet, mi))
-        reports.extend(variant.at(jet, mi) for variant in applicable_variants(type(col.structure), mi))
+        reports.append(bound_general(ctx, mi))
+        reports.extend(variant.at(ctx, mi) for variant in applicable_variants(type(col.structure), mi))
     if isinstance(col.structure, Polydisk) and col.dim_f == col.dim_g == 1:
-        reports.append(knese_at(jet))
+        reports.append(knese_report(ctx))
     for rep in reports:
         print(rep)
     worst = min((r.slack for r in reports if not r.flags), default=0.0)
@@ -574,7 +576,10 @@ def _config_from_args(args) -> CampaignConfig:
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
-    return CampaignConfig(**base)
+    try:
+        return CampaignConfig(**base)
+    except TypeError as exc:  # an unknown field, or a value of the wrong type
+        raise ValueError(f"bad campaign config: {exc}") from None
 
 
 def _write_stream(records, out: str | None) -> None:

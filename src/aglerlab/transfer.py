@@ -2,9 +2,12 @@
 
 ``evaluate`` produces an immutable :class:`EvalContext` holding Z(z), the
 two resolvents (I - AZ)^{-1} and (I - ZA)^{-1}, the derived operator
-L = A (I - ZA)^{-1}, and phi(z).  The remaining functions check, at a
-point, the operator identities and resolvent norm estimates that every
-unitary realization satisfies:
+L = A (I - ZA)^{-1}, and phi(z).  It is the only per-point object: the
+derivative jet (every K operator, partial and partial norm), the defect and
+the point geometry live on it and are computed on first use, so every check
+at the point reads the same evaluation.  The remaining functions check, at
+an evaluated point, the operator identities and resolvent norm estimates
+that every unitary realization satisfies:
 
 * kernel identities for I - phi(z)* phi(w) and I - phi(w) phi(z)*,
 * norm bounds on (projected) resolvent factors such as
@@ -18,13 +21,13 @@ appear only in tests as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .colligation import Colligation, projections, structure_norm, zmatrix
+from .colligation import Colligation, PointGeometry, projections, structure_norm, zmatrix
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import BoundReport
@@ -36,24 +39,32 @@ __all__ = [
     "phi_grid",
     "defect_norms",
     "identity_residuals",
-    "identity_residuals_at",
     "resolvent_gram_factors",
     "resolvent_norm_estimates",
-    "resolvent_estimates_at",
     "lnorm_bound_check",
 ]
 
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Snapshot of all point-local operators needed by derivative and bound code.
+    """Everything checked at one evaluated point.
 
     ``r_ka`` is (I_K - A Z)^{-1}, ``r_ha`` is (I_H - Z A)^{-1}, and
     ``lmat = A r_ha = r_ka A``.  ``cond`` estimates the conditioning of
     I - AZ; contexts past the conditioning limit carry an
-    ``ill-conditioned`` flag rather than raising.  The norms derived from
-    these operators are computed on first use and kept, so every check at
-    the point shares them.
+    ``ill-conditioned`` flag rather than raising.
+
+    The context also holds the derivative jet of phi at the point.
+    ``kop(mi)`` is the arrangement sum K for ``mi``, taken from the
+    recursion over sub-multisets g[c] = sum_j E_j L g[c - e_j] with
+    g[e_j] = E_j.  Each g[c] depends only on c, so K does not depend on
+    which multi-indices were asked for first.  ``partial(mi)`` is
+    mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi itself at order 0) and
+    ``norm(mi)`` its spectral norm.  ``mi`` is a
+    :class:`aglerlab.derivative.MultiIndex` (only its ``counts``, ``order``,
+    ``d`` and ``factorial_product`` are read).  Each of these, and each
+    norm below, is computed on first use and kept, so every check at the
+    point shares them.
     """
 
     col: Colligation
@@ -65,6 +76,9 @@ class EvalContext:
     phi: np.ndarray
     cond: float
     flags: tuple[str, ...]
+    _kops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def znorm(self) -> float:
@@ -84,16 +98,77 @@ class EvalContext:
         return defect_norms(self.phi)
 
     @cached_property
+    def defect(self) -> float:
+        """Product of the two defect norms of phi(z)."""
+        d_in, d_out = self.defects
+        return d_in * d_out
+
+    @cached_property
+    def geometry(self) -> PointGeometry:
+        """Norm data of z read by bound right-hand sides."""
+        return PointGeometry.from_point(self.z)
+
+    @cached_property
+    def projections(self) -> list[np.ndarray]:
+        """The coefficient maps E_1, ..., E_d of the structure."""
+        return projections(self.col.structure)
+
+    @cached_property
     def gram(self) -> tuple[list[float], list[float]]:
         """Projected resolvent Gram factors; see :func:`resolvent_gram_factors`."""
         return resolvent_gram_factors(self)
+
+    @cached_property
+    def _c_rha(self) -> np.ndarray:
+        return self.col.C @ self.r_ha
+
+    def _k(self, counts: tuple[int, ...]) -> np.ndarray:
+        k = self._kops.get(counts)
+        if k is None:
+            es = self.projections
+            if sum(counts) == 1:
+                k = es[counts.index(1)]
+            else:
+                k = np.zeros((self.col.dim_h, self.col.dim_k), dtype=np.complex128)
+                for j, c in enumerate(counts):
+                    if c:
+                        prev = counts[:j] + (c - 1,) + counts[j + 1:]
+                        k += es[j] @ (self.lmat @ self._k(prev))
+            self._kops[counts] = k
+        return k
+
+    def kop(self, mi) -> np.ndarray:
+        """Arrangement sum K for ``mi`` (order >= 1)."""
+        return self._k(mi.counts)
+
+    def assemble(self, mi, k: np.ndarray) -> np.ndarray:
+        """mi! C (I - ZA)^{-1} k (I - AZ)^{-1} B."""
+        return mi.factorial_product * (self._c_rha @ k @ self.r_ka @ self.col.B)
+
+    def partial(self, mi) -> np.ndarray:
+        """Mixed partial d^n phi / dz^mi at the point."""
+        p = self._partials.get(mi.counts)
+        if p is None:
+            if mi.d != self.col.d:
+                raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
+            p = self.phi if mi.order == 0 else self.assemble(mi, self.kop(mi))
+            self._partials[mi.counts] = p
+        return p
+
+    def norm(self, mi) -> float:
+        """Spectral norm of :meth:`partial`."""
+        v = self._norms.get(mi.counts)
+        if v is None:
+            v = self._norms[mi.counts] = spectral_norm(self.partial(mi))
+        return v
 
 
 def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILITY_MARGIN) -> EvalContext:
     """Evaluate the transfer function and cache the resolvents at ``z``.
 
     Points whose domain norm (see :func:`structure_norm`) is >= 1 - margin
-    are rejected, not extrapolated.
+    are rejected, not extrapolated, and so is a point where I - AZ(z) is
+    singular (possible only for a non-unitary colligation).
     """
     zt = tuple(complex(v) for v in z)
     norm = structure_norm(col.structure, zt)
@@ -105,8 +180,11 @@ def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILI
     eye_k = np.eye(col.dim_k)
     eye_h = np.eye(col.dim_h)
     i_az = eye_k - col.A @ zm
-    r_ka = np.linalg.solve(i_az, eye_k)
-    r_ha = np.linalg.solve(eye_h - zm @ col.A, eye_h)
+    try:
+        r_ka = np.linalg.solve(i_az, eye_k)
+        r_ha = np.linalg.solve(eye_h - zm @ col.A, eye_h)
+    except np.linalg.LinAlgError:
+        raise DomainViolationError(f"I - AZ(z) is singular at z = {list(zt)}") from None
     lmat = col.A @ r_ha
     phi = col.D + col.C @ zm @ r_ka @ col.B
     cond = float(np.linalg.cond(i_az))
@@ -121,7 +199,7 @@ def phi_grid(col: Colligation, points: np.ndarray, margin: float = ADMISSIBILITY
     """Vectorized phi over ``points`` of shape (m, d); returns (m, dim_g, dim_f).
 
     Stacked LU solves keep quadrature oracles at desk speed.  Every point
-    must be admissible.
+    must be admissible, with I - AZ(z) nonsingular.
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != col.d:
@@ -135,23 +213,22 @@ def phi_grid(col: Colligation, points: np.ndarray, margin: float = ADMISSIBILITY
     zs = np.tensordot(pts, estack, axes=(1, 0))  # (m, dim_h, dim_k)
     i_az = np.eye(col.dim_k) - col.A @ zs
     rhs = np.broadcast_to(col.B, (len(pts),) + col.B.shape)
-    x = np.linalg.solve(i_az, rhs)  # (m, dim_k, dim_f)
+    try:
+        x = np.linalg.solve(i_az, rhs)  # (m, dim_k, dim_f)
+    except np.linalg.LinAlgError:
+        raise DomainViolationError(f"I - AZ(z) is singular at one of {len(pts)} points") from None
     return col.D + col.C @ zs @ x
 
 
-def identity_residuals(col: Colligation, w: Sequence[complex], z: Sequence[complex]) -> tuple[float, float]:
-    """Residuals of the two defect kernel identities at the pair (w, z).
+def identity_residuals(cw: EvalContext, cz: EvalContext) -> tuple[float, float]:
+    """Residuals of the two defect kernel identities at the pair (w, z),
+    from the contexts evaluated at w and z.
 
     r1 checks I_F - phi(z)* phi(w) against
     B* (I - Z(z)* A*)^{-1} (I - Z(z)* Z(w)) (I - A Z(w))^{-1} B, and r2 the
     mirrored identity for I_G - phi(w) phi(z)*.  Both vanish for exactly
     unitary colligations.
     """
-    return identity_residuals_at(evaluate(col, w), evaluate(col, z))
-
-
-def identity_residuals_at(cw: EvalContext, cz: EvalContext) -> tuple[float, float]:
-    """:func:`identity_residuals` from the contexts at w and z."""
     col = cz.col
     eye_f = np.eye(col.dim_f)
     eye_g = np.eye(col.dim_g)
@@ -189,7 +266,7 @@ def resolvent_gram_factors(ctx: EvalContext) -> tuple[list[float], list[float]]:
     inv_k = np.linalg.solve(eye_k - z.conj().T @ z, eye_k)
     inv_h = np.linalg.solve(eye_h - z @ z.conj().T, eye_h)
     a, b = [], []
-    for e in projections(ctx.col.structure):
+    for e in ctx.projections:
         a.append(np.sqrt(spectral_norm(e @ inv_k @ e.conj().T)))
         b.append(np.sqrt(spectral_norm(e.conj().T @ inv_h @ e)))
     return a, b
@@ -209,25 +286,20 @@ def defect_norms(phi: np.ndarray) -> tuple[float, float]:
     )
 
 
-def resolvent_norm_estimates(col: Colligation, z: Sequence[complex]) -> list[BoundReport]:
-    """Norm bounds on the four resolvent factors at ``z``.
+def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
+    """Norm bounds on the four resolvent factors at an evaluated point.
 
     Per coordinate j: ||E_j (I - AZ)^{-1} B|| against the input defect times
     the projected Gram factor, and ||C (I - ZA)^{-1} E_j|| against the
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    return resolvent_estimates_at(evaluate(col, z))
-
-
-def resolvent_estimates_at(ctx: EvalContext) -> list[BoundReport]:
-    """:func:`resolvent_norm_estimates` at an evaluated context."""
     col = ctx.col
     d_in, d_out = ctx.defects
     a, b = ctx.gram
     znorm = ctx.znorm
     reports = []
-    for j, e in enumerate(projections(col.structure), start=1):
+    for j, e in enumerate(ctx.projections, start=1):
         reports.append(BoundReport(
             theorem_tag="resolvent.right_block",
             z=ctx.z, alpha=(j,),

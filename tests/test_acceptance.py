@@ -80,7 +80,7 @@ def test_criterion_1_identity_suite():
             for _ in range(20):
                 w = sample_point(s, rng)
                 z = sample_point(s, rng)
-                r1, r2 = identity_residuals(col, w, z)
+                r1, r2 = identity_residuals(evaluate(col, w), evaluate(col, z))
                 worst = max(worst, r1, r2)
         assert worst <= IDENTITY_TOL, worst
         assert time.perf_counter() - started < 30.0
@@ -215,7 +215,7 @@ def test_criterion_4_equality_witnesses():
             col = symmetric_extremal(d, seed)
             for _ in range(50):
                 z = sample_point(col.structure, rng)
-                assert abs(knese_residual(col, z)) <= EQUALITY_TOL, (d, z)
+                assert abs(knese_residual(evaluate(col, z))) <= EQUALITY_TOL, (d, z)
 
 
 def test_criterion_5_wiener_suite(fuzz_corpus_records):

@@ -18,6 +18,7 @@ from aglerlab import (
     bound_ball,
     bound_general,
     bound_polydisk,
+    evaluate,
     kaijser_varopoulos,
     knese_residual,
     monomial,
@@ -62,23 +63,21 @@ class TestBoundReport:
 class TestBoundGeneral:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9j])
     def test_blaschke_origin_is_sharp(self, a):
-        rep = bound_general(blaschke(a), (0.0,), alpha=(1,))
+        rep = bound_general(evaluate(blaschke(a), (0.0,)), alpha=(1,))
         assert rep.lhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.rhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_monomial_pair_ratio_half(self):
-        rep = bound_general(monomial((1, 1)), (0.0, 0.0), klist=(1, 2))
+        rep = bound_general(evaluate(monomial((1, 1)), (0.0, 0.0)), alpha=(1, 1))
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
         assert rep.ratio == pytest.approx(0.5, abs=1e-12)
 
-    def test_requires_exactly_one_index_argument(self):
-        col = blaschke(0.2)
-        with pytest.raises(ValueError):
-            bound_general(col, (0.0,))
-        with pytest.raises(ValueError):
-            bound_general(col, (0.0,), alpha=(1,), klist=(1,))
+    def test_rejects_order_zero(self):
+        ctx = evaluate(blaschke(0.2), (0.0,))
+        with pytest.raises(ValueError, match="order >= 1"):
+            bound_general(ctx, (0,))
 
     def test_fuzz_slack(self):
         rng = np.random.default_rng(15)
@@ -89,7 +88,7 @@ class TestBoundGeneral:
             for _ in range(6):
                 z = admissible_point(s, rng)
                 for alpha in alphas:
-                    rep = bound_general(col, z, alpha=tuple(int(v) for v in alpha))
+                    rep = bound_general(evaluate(col, z), alpha=tuple(int(v) for v in alpha))
                     assert rep.slack >= -1e-9, rep
 
 
@@ -215,7 +214,7 @@ class TestBoundBall:
         col = random_colligation(Ball(2, 3), dim_g=1, seed=41)
         for _ in range(10):
             z = admissible_point(col.structure, rng)
-            for rep in ball_kernel_subchecks(col, z):
+            for rep in ball_kernel_subchecks(evaluate(col, z)):
                 assert abs(rep.slack) <= 1e-9 * max(1.0, rep.rhs), rep
 
     def test_rejects_polydisk_subject(self):
@@ -283,12 +282,12 @@ class TestKneseSumRule:
             col = symmetric_extremal(d, seed)
             for _ in range(50):
                 z = admissible_point(col.structure, rng)
-                assert abs(knese_residual(col, z)) <= 1e-9
+                assert abs(knese_residual(evaluate(col, z))) <= 1e-9
 
     def test_single_coordinate_monomial_is_exact(self):
         col = monomial((1, 0))
         for z in [(0.3, 0.5), (0.2 - 0.4j, -0.6j), (0.0, 0.9)]:
-            assert abs(knese_residual(col, z)) <= 1e-12
+            assert abs(knese_residual(evaluate(col, z))) <= 1e-12
 
     def test_random_colligations_satisfy_inequality(self):
         rng = np.random.default_rng(23)
@@ -296,19 +295,19 @@ class TestKneseSumRule:
             col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=seed)
             for _ in range(20):
                 z = admissible_point(col.structure, rng)
-                assert knese_residual(col, z) <= 1e-12
+                assert knese_residual(evaluate(col, z)) <= 1e-12
 
     def test_report_form(self):
         col = symmetric_extremal(2, 3)
-        rep = knese_report(col, (0.3, 0.1j))
+        rep = knese_report(evaluate(col, (0.3, 0.1j)))
         assert rep.theorem_tag == "knese.sum_rule"
         assert abs(rep.slack) <= 1e-10
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="scalar"):
-            knese_residual(random_colligation(Polydisk((1, 1)), dim_g=2, seed=51), (0.1, 0.1))
+            knese_residual(evaluate(random_colligation(Polydisk((1, 1)), dim_g=2, seed=51), (0.1, 0.1)))
         with pytest.raises(ValueError, match="polydisk"):
-            knese_residual(random_colligation(Ball(1, 2), dim_g=1, seed=52), (0.1, 0.1))
+            knese_residual(evaluate(random_colligation(Ball(1, 2), dim_g=1, seed=52), (0.1, 0.1)))
 
 
 class TestMultiplierGram:

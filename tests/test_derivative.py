@@ -101,21 +101,21 @@ class TestKOperator:
         ctx = evaluate(col, (0.3, -0.4j))
         e1, e2 = projections(col.structure)
         expected = e1 @ ctx.lmat @ e2 + e2 @ ctx.lmat @ e1
-        np.testing.assert_allclose(koperator(ctx, col.structure, (1, 1)), expected, atol=1e-14)
+        np.testing.assert_allclose(ctx.kop(MultiIndex.of((1, 1))), expected, atol=1e-14)
 
     def test_rejects_low_order(self):
         col = blaschke(0.2)
         ctx = evaluate(col, (0.1,))
         with pytest.raises(ValueError, match="order"):
-            koperator(ctx, col.structure, (1,))
+            koperator(ctx, (1,))
 
     def test_dp_matches_enumeration(self):
         rng = np.random.default_rng(9)
         col = random_colligation(Polydisk((2, 1, 2)), dim_g=1, seed=22)
         for alpha in [(2, 0, 0), (1, 1, 1), (2, 2, 1), (3, 0, 2)]:
             ctx = evaluate(col, interior_point(col.structure, rng, scale=0.8))
-            a = koperator(ctx, col.structure, alpha, method="enumerate")
-            b = koperator(ctx, col.structure, alpha, method="dp")
+            a = koperator(ctx, alpha)
+            b = ctx.kop(MultiIndex.of(alpha))
             assert spectral_norm(a - b) <= 1e-12
 
     def test_polydisk_norm_bound(self):
@@ -125,7 +125,7 @@ class TestKOperator:
             ctx = evaluate(col, interior_point(col.structure, rng, scale=0.9))
             lnorm = spectral_norm(ctx.lmat)
             for alpha in [(2, 0), (1, 1), (2, 3), (4, 1)]:
-                k = koperator(ctx, col.structure, alpha)
+                k = ctx.kop(MultiIndex.of(alpha))
                 n = sum(alpha)
                 assert spectral_norm(k) <= lnorm ** (n - 1) + 1e-10
 
@@ -137,7 +137,7 @@ class TestKOperator:
             ctx = evaluate(col, interior_point(col.structure, rng, scale=0.9))
             lnorm = spectral_norm(ctx.lmat)
             for alpha in [(2, 0, 0), (1, 1, 1), (2, 1, 2)]:
-                k = koperator(ctx, col.structure, alpha)
+                k = ctx.kop(MultiIndex.of(alpha))
                 n = sum(alpha)
                 assert spectral_norm(k) <= d ** ((n - 1) / 2) * lnorm ** (n - 1) + 1e-10
 

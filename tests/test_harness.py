@@ -242,7 +242,7 @@ class TestCampaignWork:
             mi = MultiIndex(rec["alpha"])
             ctx = transfer.evaluate(col, z)
             if family == "koperator":
-                oracle = koperator(ctx, col.structure, mi, method="enumerate")
+                oracle = koperator(ctx, mi)
             elif mi.order == 1:
                 e_j = projection(col.structure, mi.counts.index(1) + 1)
                 oracle = col.C @ ctx.r_ha @ e_j @ ctx.r_ka @ col.B
@@ -367,6 +367,20 @@ class TestCli:
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
         assert "polydisk." not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--z", "0.5"],
+        ["deriv", "--z", "0.5", "--alpha", "1"],
+        ["bounds", "--z", "0.5", "--alpha", "1"],
+    ], ids=["eval", "deriv", "bounds"])
+    def test_singular_pencil_exits_one(self, tmp_path, capsys, argv):
+        # non-unitary file: I - AZ(z) is exactly singular at the admissible z = 0.5
+        path = tmp_path / "s.json"
+        save_colligation(Colligation(Polydisk((1,)), A=[[2.0]], B=[[0.0]], C=[[0.0]], D=[[1.0]]), path)
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "singular" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("samples", ["10", "0"])
     def test_deriv_bad_samples_exit_two_before_computing(self, tmp_path, capsys, monkeypatch, samples):
         path = tmp_path / "b.json"
@@ -430,7 +444,7 @@ class TestCli:
         tail = json.loads(lines[-1])
         assert head["kind"] == "header"
         assert tail["kind"] == "summary"
-        assert all(json.loads(line) for line in lines)
+        assert all(json.loads(line, parse_constant=reject_constant) for line in lines)
 
     def test_fuzz_ball_wiener_bound_holds(self, tmp_path, capsys):
         # the one-variable coefficient bound fails here at alpha (1, 0, 1)
@@ -438,6 +452,36 @@ class TestCli:
         assert main(["fuzz", "--structure", "ball:m=2,d=3", "--dim-g", "1", "--max-order", "4",
                      "--n", "5", "--points", "5", "--seed", "657082194", "--out", str(out)]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--tol", "nan"],
+        ["fuzz", "--tol", "inf"],
+        ["explore", "kaijser-varopoulos", "--tol", "nan"],
+    ], ids=["fuzz-nan", "fuzz-inf", "explore-nan"])
+    def test_nonfinite_tolerance_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.jsonl"
+        assert main([*argv, "--n", "1", "--points", "1", "--max-order", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_nonfinite_tolerance_in_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"n_colligations": 1, "identity_tol": NaN}', encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["fuzz", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "identity_tol=nan" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}'], ids=["key", "type"])
+    def test_bad_config_field_exits_two(self, tmp_path, capsys, fields):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(fields, encoding="utf-8")
+        assert main(["fuzz", "--config", str(cfg_path), "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_fuzz_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -459,6 +503,10 @@ class TestCli:
         assert out.exists()
         assert main(["explore", "does-not-exist"]) == 2
         capsys.readouterr()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 CLI_FILES = {

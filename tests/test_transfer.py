@@ -112,6 +112,14 @@ class TestEvaluate:
         assert ctx.cond > 1e14
         assert "ill-conditioned" in ctx.flags
 
+    def test_singular_pencil_is_a_domain_violation(self):
+        # non-unitary colligation with I - AZ(z) exactly singular at z = 0.5
+        col = Colligation(Polydisk((1,)), A=[[2.0]], B=[[0.0]], C=[[0.0]], D=[[1.0]])
+        with pytest.raises(DomainViolationError, match="singular"):
+            evaluate(col, (0.5,))
+        with pytest.raises(DomainViolationError, match="singular"):
+            phi_grid(col, np.array([[0.1], [0.5]]))
+
     def test_phi_grid_matches_pointwise(self):
         rng = np.random.default_rng(3)
         for s in (Polydisk((2, 1)), Ball(2, 2)):
@@ -133,13 +141,13 @@ class TestIdentityResiduals:
         for i, s in enumerate(MIXED_STRUCTURES):
             col = random_colligation(s, dim_g=1, seed=40 + i)
             for _ in range(3):
-                r1, r2 = identity_residuals(col, admissible_point(s, rng), admissible_point(s, rng))
+                r1, r2 = identity_residuals(evaluate(col, admissible_point(s, rng)), evaluate(col, admissible_point(s, rng)))
                 assert r1 <= 1e-10
                 assert r2 <= 1e-10
 
     def test_origin_reduces_to_block_unitarity(self):
         col = random_colligation(Ball(2, 2), dim_g=1, seed=9)
-        r1, r2 = identity_residuals(col, (0.0, 0.0), (0.0, 0.0))
+        r1, r2 = identity_residuals(evaluate(col, (0.0, 0.0)), evaluate(col, (0.0, 0.0)))
         eye_f = np.eye(col.dim_f)
         eye_g = np.eye(col.dim_g)
         assert spectral_norm(eye_f - col.D.conj().T @ col.D - col.B.conj().T @ col.B) <= 1e-12
@@ -149,7 +157,7 @@ class TestIdentityResiduals:
     def test_blaschke_scalar_identity(self):
         a, z = 0.5, 0.2
         col = blaschke(a)
-        r1, r2 = identity_residuals(col, (z,), (z,))
+        r1, r2 = identity_residuals(evaluate(col, (z,)), evaluate(col, (z,)))
         assert max(r1, r2) <= 1e-12
         phi = evaluate(col, (z,)).phi[0, 0]
         expected = (1 - abs(z) ** 2) * (1 - abs(a) ** 2) / abs(1 - np.conj(a) * z) ** 2
@@ -168,7 +176,7 @@ class TestIdentityResiduals:
 class TestResolventEstimates:
     def test_blaschke_full_bound_is_tight_at_origin(self):
         a = 0.5
-        reports = resolvent_norm_estimates(blaschke(a), (0.0,))
+        reports = resolvent_norm_estimates(evaluate(blaschke(a), (0.0,)))
         by_tag = {r.theorem_tag: r for r in reports}
         right = by_tag["resolvent.right_full"]
         assert abs(right.lhs - np.sqrt(1 - a**2)) <= 1e-14
@@ -176,7 +184,7 @@ class TestResolventEstimates:
 
     def test_origin_collapses_projected_bounds(self):
         col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=2)
-        for rep in resolvent_norm_estimates(col, (0.0, 0.0)):
+        for rep in resolvent_norm_estimates(evaluate(col, (0.0, 0.0))):
             assert rep.slack >= -1e-12
 
     def test_fuzz_slack_nonnegative(self):
@@ -184,7 +192,7 @@ class TestResolventEstimates:
         for i, s in enumerate(MIXED_STRUCTURES[:6]):
             col = random_colligation(s, dim_g=1, seed=60 + i)
             for _ in range(15):
-                for rep in resolvent_norm_estimates(col, admissible_point(s, rng)):
+                for rep in resolvent_norm_estimates(evaluate(col, admissible_point(s, rng))):
                     assert rep.slack >= -1e-10, rep
 
 
