@@ -400,14 +400,14 @@ def knese_report(ctx: EvalContext) -> BoundReport:
     )
 
 
-def multiplier_gram_psd(f, points: Sequence[Sequence[complex]], dedup_tol: float = 1e-12) -> float:
+def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:
     """Minimum eigenvalue of the multiplier kernel Gram matrix on the ball.
 
     Entry (k, j) is (1 - f(z_k) conj(f(z_j))) / (1 - <z_k, z_j>) with the
     Euclidean inner product.  Nonnegative spectra characterize contractive
     multipliers of the kernel 1 / (1 - <z, w>); a negative eigenvalue
-    certifies non-membership.  Near-duplicate points trigger a warning
-    since they force the matrix toward degeneracy.
+    certifies non-membership.  Points within 1e-12 of each other trigger a
+    warning since they force the matrix toward degeneracy.
     """
     pts = [tuple(complex(v) for v in p) for p in points]
     if not pts:
@@ -417,9 +417,9 @@ def multiplier_gram_psd(f, points: Sequence[Sequence[complex]], dedup_tol: float
             raise DomainViolationError(f"point {p} is not inside the unit ball")
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
-            if max(abs(a - b) for a, b in zip(pts[i], pts[k])) < dedup_tol:
+            if max(abs(a - b) for a, b in zip(pts[i], pts[k])) < 1e-12:
                 warnings.warn(
-                    f"points {i} and {k} coincide to {dedup_tol:g}; Gram matrix is degenerate",
+                    f"points {i} and {k} coincide to 1e-12; Gram matrix is degenerate",
                     DegenerateGramWarning,
                     stacklevel=2,
                 )

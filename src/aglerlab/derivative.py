@@ -38,7 +38,6 @@ import numpy as np
 
 from .colligation import Colligation, DomainStructure, Polydisk, structure_norm
 from .errors import ComplexityError, DomainViolationError
-from .matrixcore import spectral_norm
 from .tolerances import ADMISSIBILITY_MARGIN
 from .transfer import EvalContext, evaluate, phi_grid
 
@@ -302,8 +301,8 @@ def alpay_kaptanoglu(m: int) -> Polynomial:
 # --- Cauchy quadrature oracle -------------------------------------------------
 
 
-def default_radii(structure: DomainStructure, z: Sequence[complex], cap: float = 0.1) -> tuple[float, ...]:
-    """Circle radii for the Cauchy oracle at ``z``: per axis, min(cap, half
+def default_radii(structure: DomainStructure, z: Sequence[complex]) -> tuple[float, ...]:
+    """Circle radii for the Cauchy oracle at ``z``: per axis, min(0.1, half
     of how far |z_j| may grow before the domain norm reaches one).
 
     On the ball that torus can still leave the ball for d >= 3; then the
@@ -318,7 +317,7 @@ def default_radii(structure: DomainStructure, z: Sequence[complex], cap: float =
         slacks = 1.0 - moduli
     else:
         slacks = np.sqrt(1.0 - (norm**2 - moduli**2)) - moduli
-    radii = np.minimum(cap, slacks / 2.0)
+    radii = np.minimum(0.1, slacks / 2.0)
     if structure_norm(structure, moduli + radii) >= 1.0 - ADMISSIBILITY_MARGIN:
         # solve ||moduli + t radii||_2 = target for the positive root t < 1
         target = (1.0 + norm) / 2.0

@@ -12,14 +12,15 @@ Subcommands:
 
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
-inequality, and a trailing summary record.  Identical configuration and
-seed produce byte-identical output.
+inequality, and a trailing summary record, each written as it is made.
+Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -27,7 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,6 +92,7 @@ SCHEMA_VERSION = 1
 # side stays a finite float at every admissible point up to it.
 MAX_ORDER = 8
 EXPLORE_NAMES = ("kaijser-varopoulos", "alpay-kaptanoglu")
+SAMPLERS = ("uniform", "boundary-biased")
 
 
 # --- parsing helpers ----------------------------------------------------------
@@ -157,6 +159,14 @@ class CampaignConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # checked here, since a campaign streams its header before it draws
+        for name in ("seed", "n_colligations", "dim_g", "max_order", "points_per_colligation"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.dim_g < 1:
+            raise ValueError(f"dim_g must be >= 1, got {self.dim_g}")
         if self.n_colligations < 1 or self.points_per_colligation < 1:
             raise ValueError("counts must be >= 1")
         if not 1 <= self.max_order <= MAX_ORDER:
@@ -167,8 +177,8 @@ class CampaignConfig:
                 f"identity_tol={self.identity_tol}"
             )
         parse_structure(self.structure)
-        if self.sampler not in ("uniform", "uniform-polydisk", "uniform-ball", "boundary-biased"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+        if self.sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {self.sampler!r}; use one of {SAMPLERS}")
 
     def to_json_dict(self) -> dict:
         # the output path is not campaign semantics; leaving it out keeps
@@ -181,31 +191,29 @@ class CampaignConfig:
 def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: str = "uniform") -> tuple[complex, ...]:
     """Draw one admissible point for ``structure``.
 
-    ``uniform-polydisk`` samples each coordinate uniformly in the disk of
-    radius 0.99; ``uniform-ball`` uses a uniform direction with the
-    radius correction u^(1/(2d)), capped at 0.99; ``boundary-biased``
-    rescales a uniform draw to domain norm 1 - 10^(-u), u uniform in
-    [1, 6].
+    ``uniform`` draws from the structure's own domain: on the polydisk each
+    coordinate uniformly in the disk of radius 0.99, on the ball a uniform
+    direction with the radius correction u^(1/(2d)), capped at 0.99.
+    ``boundary-biased`` rescales a uniform draw to domain norm 1 - 10^(-u),
+    u uniform in [1, 6].
     """
-    d = structure.d
-    if sampler == "uniform":
-        sampler = "uniform-polydisk" if isinstance(structure, Polydisk) else "uniform-ball"
-    if sampler == "uniform-polydisk":
-        radii = 0.99 * np.sqrt(rng.random(d))
-        angles = 2.0 * np.pi * rng.random(d)
-        return tuple(radii * np.exp(1j * angles))
-    if sampler == "uniform-ball":
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        radius = 0.99 * rng.random() ** (1.0 / (2 * d))
-        return tuple(radius * v)
     if sampler == "boundary-biased":
-        base = sample_point(structure, rng, "uniform")
+        base = sample_point(structure, rng)
         target = 1.0 - 10.0 ** (-rng.uniform(1.0, 6.0))
         norm = structure_norm(structure, base)
         scale = target / norm if norm > 0 else 0.0
         return tuple(v * scale for v in base)
-    raise ValueError(f"unknown sampler {sampler!r}")
+    if sampler != "uniform":
+        raise ValueError(f"unknown sampler {sampler!r}; use one of {SAMPLERS}")
+    d = structure.d
+    if isinstance(structure, Polydisk):
+        radii = 0.99 * np.sqrt(rng.random(d))
+        angles = 2.0 * np.pi * rng.random(d)
+        return tuple(radii * np.exp(1j * angles))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    radius = 0.99 * rng.random() ** (1.0 / (2 * d))
+    return tuple(radius * v)
 
 
 def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
@@ -248,12 +256,6 @@ def _record(report: BoundReport, seed: int, subject_hash: str, extra_flags: Sequ
     }
 
 
-def _dump_lines(records, stream) -> None:
-    for rec in records:
-        stream.write(json.dumps(rec, sort_keys=True, allow_nan=False))
-        stream.write("\n")
-
-
 def polynomial_hash(p: Polynomial) -> str:
     blob = json.dumps(
         {str(k): [v.real, v.imag] for k, v in sorted(p.coeffs.items())},
@@ -262,8 +264,9 @@ def polynomial_hash(p: Polynomial) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def summarize(records: list[dict], slack_tol: float) -> dict:
-    """Per-theorem slack and ratio statistics over a record stream.
+def summarize(records: Iterable[dict], slack_tol: float, **extra) -> Iterator[dict]:
+    """Yield every record of ``records`` as it passes, then their summary:
+    per-theorem slack and ratio statistics, plus the ``extra`` fields.
 
     Flagged records (near-boundary, observational, ill-conditioned) are
     counted but contribute no slack violations.  A record whose lhs, rhs
@@ -275,6 +278,7 @@ def summarize(records: list[dict], slack_tol: float) -> dict:
     violations = 0
     flagged = 0
     for rec in records:
+        yield rec
         if rec.get("kind") != "report":
             continue
         stats = theorems.setdefault(rec["theorem_tag"], {
@@ -294,7 +298,7 @@ def summarize(records: list[dict], slack_tol: float) -> dict:
             violations += 1
     for stats in theorems.values():
         stats["mean_ratio"] /= stats["count"]
-    return {
+    yield {
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
         "reports": sum(s["count"] for s in theorems.values()),
@@ -302,6 +306,7 @@ def summarize(records: list[dict], slack_tol: float) -> dict:
         "flagged": flagged,
         "slack_tol": slack_tol,
         "theorems": {tag: theorems[tag] for tag in sorted(theorems)},
+        **extra,
     }
 
 
@@ -321,14 +326,13 @@ def fuzz_records(config: CampaignConfig):
     """Yield the header and every report record of a fuzz campaign."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
-    header = {
+    yield {
         "schema_version": SCHEMA_VERSION,
         "kind": "header",
         "campaign": "fuzz",
         "seed": config.seed,
         "config": config.to_json_dict(),
     }
-    yield header
     checks = _variant_checks(structure, config.max_order)
     wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
     is_polydisk = isinstance(structure, Polydisk)
@@ -343,16 +347,14 @@ def fuzz_records(config: CampaignConfig):
             z = sample_point(structure, rng, config.sampler)
             w = sample_point(structure, rng, config.sampler)
             ctx = evaluate(col, z)
-            flags = _point_flags(structure, z, config.sampler) + _point_flags(
-                structure, w, config.sampler
-            )
+            flags = _point_flags(structure, z, config.sampler)
+            pair_flags = flags + _point_flags(structure, w, config.sampler)
             r1, r2 = identity_residuals(evaluate(col, w), ctx)
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
                 yield _record(
                     BoundReport(theorem_tag=tag, z=z, alpha=None, lhs=resid, rhs=config.identity_tol),
-                    config.seed, chash, flags,
+                    config.seed, chash, pair_flags,
                 )
-            flags = _point_flags(structure, z, config.sampler)
             for rep in resolvent_norm_estimates(ctx):
                 yield _record(rep, config.seed, chash, flags)
             yield _record(lnorm_bound_check(ctx), config.seed, chash, flags)
@@ -379,42 +381,47 @@ def fuzz_records(config: CampaignConfig):
                     yield _record(variant.at(ctx, mi), config.seed, chash, flags)
 
 
-def run_fuzz(config: CampaignConfig) -> tuple[list[dict], dict]:
-    """Run a fuzz campaign; returns (records incl. header and summary, summary)."""
-    records = list(fuzz_records(config))
-    summary = summarize(records, config.slack_tol)
-    summary["seed"] = config.seed
-    records.append(summary)
-    return records, summary
+def run_fuzz(config: CampaignConfig) -> Iterator[dict]:
+    """The record stream of a fuzz campaign: header, reports, then summary."""
+    return summarize(fuzz_records(config), config.slack_tol, seed=config.seed)
 
 
 # --- exploration campaigns ----------------------------------------------------
 
 
-def run_explore(name: str, config: CampaignConfig, m: int = 1) -> tuple[list[dict], dict]:
-    """Observational campaign for a named special function; asserts nothing.
+def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[dict]:
+    """The record stream of an observational campaign for a named special
+    function: header, reports, then summary.  It asserts nothing.
 
-    Every record carries the ``observational`` flag, so the summary counts
-    no violations regardless of sign.
+    ``name`` fixes the domain, so ``config.structure`` and ``dim_g`` must
+    keep their defaults; bad arguments raise here, before any record is
+    made.  Every record carries the ``observational`` flag, so the summary
+    counts no violations regardless of sign.
     """
     if name == "kaijser-varopoulos":
-        poly = kaijser_varopoulos()
-        structure: DomainStructure = Polydisk((1, 1, 1))
+        poly, structure = kaijser_varopoulos(), Polydisk((1, 1, 1))
     elif name == "alpay-kaptanoglu":
-        poly = alpay_kaptanoglu(m)
-        structure = Ball(1, 2)
+        poly, structure = alpay_kaptanoglu(m), Ball(1, 2)
     else:
         raise ValueError(f"unknown exploration target {name!r}; known: {EXPLORE_NAMES}")
+    if (config.structure, config.dim_g) != (CampaignConfig.structure, CampaignConfig.dim_g):
+        raise ValueError(f"explore {name} fixes its domain; structure and dim_g must keep their defaults")
+    records = explore_records(name, poly, structure, config, m)
+    return summarize(records, config.slack_tol, seed=config.seed, target=name)
+
+
+def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig, m: int):
+    """Yield the header and every report record of an exploration campaign."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
-    records = [{
+    yield {
         "schema_version": SCHEMA_VERSION,
         "kind": "header",
         "campaign": "explore",
         "target": name,
         "seed": config.seed,
         "config": {**config.to_json_dict(), "m": m},
-    }]
+    }
     checks = _variant_checks(structure, config.max_order)
     marks = ("observational",)
     for _ in range(config.points_per_colligation * config.n_colligations):
@@ -423,7 +430,7 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> tuple[list[dic
         point = PolynomialPoint(poly, z)
         for mi, variants in checks:
             for variant in variants:
-                records.append(_record(variant.at(point, mi), config.seed, phash, flags))
+                yield _record(variant.at(point, mi), config.seed, phash, flags)
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]
@@ -432,12 +439,7 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> tuple[list[dic
                 theorem_tag="gram.arveson_min_eig",
                 z=pts[0], alpha=None, lhs=min_eig, rhs=0.0,
             )
-            records.append(_record(rep, config.seed, phash, marks))
-    summary = summarize(records, config.slack_tol)
-    summary["seed"] = config.seed
-    summary["target"] = name
-    records.append(summary)
-    return records, summary
+            yield _record(rep, config.seed, phash, marks)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -558,10 +560,7 @@ def cmd_catalog(args) -> int:
 
 
 def _config_from_args(args) -> CampaignConfig:
-    base: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+    """The fields of --config, overridden by the flags given."""
     overrides = {
         "seed": args.seed,
         "n_colligations": args.n,
@@ -573,30 +572,29 @@ def _config_from_args(args) -> CampaignConfig:
         "slack_tol": args.tol,
         "out": args.out,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
     try:
-        return CampaignConfig(**base)
+        base = {}
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                base = json.load(fh)
+        return CampaignConfig(**{**base, **{k: v for k, v in overrides.items() if v is not None}})
     except TypeError as exc:  # an unknown field, or a value of the wrong type
-        raise ValueError(f"bad campaign config: {exc}") from None
+        raise _UsageError(f"bad campaign config: {exc}") from None
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _write_stream(records, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            _dump_lines(records, fh)
-    else:
-        _dump_lines(records, sys.stdout)
+def _write(records: Iterable[dict], out: str | None) -> dict:
+    """Write each record to ``out`` (else stdout) as it is made; return the summary."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+    return rec
 
 
 def cmd_fuzz(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        raise _UsageError(str(exc)) from None
-    records, summary = run_fuzz(config)
-    _write_stream(records, config.out)
+    config = _config_from_args(args)
+    summary = _write(run_fuzz(config), config.out)
     print(
         f"fuzz: {summary['reports']} reports, {summary['violations']} violations, "
         f"{summary['flagged']} flagged (seed {config.seed})",
@@ -606,12 +604,12 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    config = _config_from_args(args)
     try:
-        config = _config_from_args(args)
-        records, summary = run_explore(args.name, config, m=args.m)
-    except (ValueError, OSError) as exc:
+        records = run_explore(args.name, config, m=args.m)
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    _write_stream(records, config.out)
+    summary = _write(records, config.out)
     print(
         f"explore {args.name}: {summary['reports']} observational reports (seed {config.seed})",
         file=sys.stderr,
@@ -671,10 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n", type=int, default=None, help="number of colligations")
         p.add_argument("--points", type=int, default=None, help="points per colligation")
-        p.add_argument("--structure", default=None, help='e.g. "polydisk:2,1" or "ball:m=2,d=3"')
+        p.add_argument("--structure", default=None, help='fuzz only; e.g. "polydisk:2,1" or "ball:m=2,d=3"')
         p.add_argument("--dim-g", dest="dim_g", type=int, default=None)
         p.add_argument("--max-order", dest="max_order", type=int, default=None)
-        p.add_argument("--sampler", default=None)
+        p.add_argument("--sampler", default=None, help=f"one of {SAMPLERS}")
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_fuzz if name == "fuzz" else cmd_explore)

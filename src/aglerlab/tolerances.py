@@ -2,7 +2,8 @@
 
 The hierarchy is: construction residuals are tightest, operator identity
 residuals one step looser, comparisons against independent oracles loosest.
-Every function consuming one of these accepts a per-call override.
+Functions consuming ``CONSTRUCTION_TOL``, ``IDENTITY_TOL`` or ``SLACK_TOL``
+accept a per-call override; the others are read directly.
 """
 
 CONSTRUCTION_TOL = 1e-12

@@ -163,18 +163,18 @@ class EvalContext:
         return v
 
 
-def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILITY_MARGIN) -> EvalContext:
+def evaluate(col: Colligation, z: Sequence[complex]) -> EvalContext:
     """Evaluate the transfer function and cache the resolvents at ``z``.
 
-    Points whose domain norm (see :func:`structure_norm`) is >= 1 - margin
-    are rejected, not extrapolated, and so is a point where I - AZ(z) is
-    singular (possible only for a non-unitary colligation).
+    Points whose domain norm (see :func:`structure_norm`) is >= 1 -
+    ADMISSIBILITY_MARGIN are rejected, not extrapolated, and so is a point
+    where I - AZ(z) is singular (possible only for a non-unitary colligation).
     """
     zt = tuple(complex(v) for v in z)
     norm = structure_norm(col.structure, zt)
-    if norm >= 1.0 - margin:
+    if norm >= 1.0 - ADMISSIBILITY_MARGIN:
         raise DomainViolationError(
-            f"domain norm of z = {norm:.17g} is not < 1 - {margin:g}; point inadmissible"
+            f"domain norm of z = {norm:.17g} is not < 1 - {ADMISSIBILITY_MARGIN:g}; point inadmissible"
         )
     zm = zmatrix(col.structure, zt)
     eye_k = np.eye(col.dim_k)
@@ -195,7 +195,7 @@ def evaluate(col: Colligation, z: Sequence[complex], margin: float = ADMISSIBILI
     )
 
 
-def phi_grid(col: Colligation, points: np.ndarray, margin: float = ADMISSIBILITY_MARGIN) -> np.ndarray:
+def phi_grid(col: Colligation, points: np.ndarray) -> np.ndarray:
     """Vectorized phi over ``points`` of shape (m, d); returns (m, dim_g, dim_f).
 
     Stacked LU solves keep quadrature oracles at desk speed.  Every point
@@ -204,7 +204,7 @@ def phi_grid(col: Colligation, points: np.ndarray, margin: float = ADMISSIBILITY
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != col.d:
         raise ValueError(f"points must have shape (m, {col.d}), got {pts.shape}")
-    bad = np.nonzero(structure_norm(col.structure, pts) >= 1.0 - margin)[0]
+    bad = np.nonzero(structure_norm(col.structure, pts) >= 1.0 - ADMISSIBILITY_MARGIN)[0]
     if bad.size:
         raise DomainViolationError(
             f"{bad.size} of {len(pts)} points inadmissible, first at index {bad[0]}"

@@ -167,7 +167,8 @@ def fuzz_corpus_records():
     elapsed = 0.0
     for config in FUZZ_CONFIGS:
         started = time.perf_counter()
-        recs, summary = run_fuzz(config)
+        recs = list(run_fuzz(config))
+        summary = recs[-1]
         elapsed += time.perf_counter() - started
         assert summary["violations"] == 0, summary
         records.extend(recs)
@@ -254,8 +255,9 @@ def test_criterion_7_exploration_outputs():
         cfg = CampaignConfig(seed=105, n_colligations=3, max_order=3,
                              points_per_colligation=5)
         for name, m in (("kaijser-varopoulos", 1), ("alpay-kaptanoglu", 3)):
-            first, summary = run_explore(name, cfg, m=m)
-            second, _ = run_explore(name, cfg, m=m)
+            first = list(run_explore(name, cfg, m=m))
+            summary = first[-1]
+            second = list(run_explore(name, cfg, m=m))
             assert first == second  # deterministic
             body = [r for r in first if r.get("kind") == "report"]
             assert body

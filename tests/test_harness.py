@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,7 +115,8 @@ class TestFuzzCampaign:
     def test_records_schema_and_summary(self):
         cfg = CampaignConfig(seed=3, n_colligations=2, structure="polydisk:1,1",
                              max_order=3, points_per_colligation=2)
-        records, summary = run_fuzz(cfg)
+        records = list(run_fuzz(cfg))
+        summary = records[-1]
         assert records[0]["kind"] == "header"
         assert records[-1]["kind"] == "summary"
         body = [r for r in records if r["kind"] == "report"]
@@ -137,7 +142,8 @@ class TestFuzzCampaign:
     def test_ball_campaign_tags(self):
         cfg = CampaignConfig(seed=4, n_colligations=1, structure="ball:m=1,d=2",
                              max_order=2, points_per_colligation=2)
-        records, summary = run_fuzz(cfg)
+        records = list(run_fuzz(cfg))
+        summary = records[-1]
         tags = {r["theorem_tag"] for r in records if r["kind"] == "report"}
         for expected in ("ball.hat", "ball.factorial", "ball.gram_left",
                          "ball.gram_right", "koperator.ball"):
@@ -147,14 +153,14 @@ class TestFuzzCampaign:
     def test_deterministic_records(self):
         cfg = CampaignConfig(seed=5, n_colligations=2, structure="polydisk:2,1",
                              max_order=2, points_per_colligation=2)
-        a, _ = run_fuzz(cfg)
-        b, _ = run_fuzz(cfg)
+        a = list(run_fuzz(cfg))
+        b = list(run_fuzz(cfg))
         assert a == b
 
     def test_max_ratio_stays_below_one(self):
         cfg = CampaignConfig(seed=10, n_colligations=4, structure="polydisk:2,1",
                              max_order=3, points_per_colligation=4)
-        _, summary = run_fuzz(cfg)
+        summary = list(run_fuzz(cfg))[-1]
         worst = max(stats["max_ratio"] for stats in summary["theorems"].values())
         assert worst <= 1.0 + 1e-9
 
@@ -162,7 +168,7 @@ class TestFuzzCampaign:
         cfg = CampaignConfig(seed=6, n_colligations=2, structure="polydisk:1,1",
                              max_order=1, points_per_colligation=6,
                              sampler="boundary-biased")
-        _, summary = run_fuzz(cfg)
+        summary = list(run_fuzz(cfg))[-1]
         assert summary["flagged"] > 0
         assert summary["violations"] == 0
 
@@ -172,7 +178,7 @@ class TestFuzzCampaign:
             "flags": [],
         }
         flagged = dict(rec, flags=["near-boundary"])
-        summary = summarize([rec, flagged], slack_tol=1e-9)
+        *_, summary = summarize([rec, flagged], slack_tol=1e-9)
         assert summary["violations"] == 1
         assert summary["flagged"] == 1
         assert summary["theorems"]["x"]["count"] == 2
@@ -184,7 +190,7 @@ class TestFuzzCampaign:
         flagged_inf = _record(
             BoundReport("x", (0j,), None, lhs=0.5, rhs=math.inf), 1, "h", ("near-boundary",)
         )
-        summary = summarize([nan, flagged_inf], slack_tol=1e-9)
+        *_, summary = summarize([nan, flagged_inf], slack_tol=1e-9)
         assert summary["violations"] == 2
         assert summary["flagged"] == 1
 
@@ -214,8 +220,8 @@ class TestCampaignWork:
         evaluations = count_calls(monkeypatch, transfer.evaluate)
         enumerations = count_calls(monkeypatch, derivative.arrangements)
         n, points = 3, 2
-        run_fuzz(CampaignConfig(seed=13, n_colligations=n, structure=structure,
-                                max_order=4, points_per_colligation=points))
+        list(run_fuzz(CampaignConfig(seed=13, n_colligations=n, structure=structure,
+                                     max_order=4, points_per_colligation=points)))
         # z and w at every point, plus the origin once per colligation
         assert len(evaluations) == n * (2 * points + 1)
         assert not enumerations
@@ -230,8 +236,8 @@ class TestCampaignWork:
             return col
 
         monkeypatch.setattr(harness, "random_colligation", keep)
-        records, _ = run_fuzz(CampaignConfig(seed=14, n_colligations=2, structure=structure,
-                                             max_order=4, points_per_colligation=2))
+        records = list(run_fuzz(CampaignConfig(seed=14, n_colligations=2, structure=structure,
+                                               max_order=4, points_per_colligation=2)))
         checked = 0
         for rec in records:
             family = rec.get("theorem_tag", "").split(".")[0]
@@ -258,7 +264,8 @@ class TestExploreCampaign:
     def test_kaijser_varopoulos_records(self):
         cfg = CampaignConfig(seed=7, n_colligations=1, max_order=2,
                              points_per_colligation=4)
-        records, summary = run_explore("kaijser-varopoulos", cfg)
+        records = list(run_explore("kaijser-varopoulos", cfg))
+        summary = records[-1]
         assert records[0]["target"] == "kaijser-varopoulos"
         body = [r for r in records if r["kind"] == "report"]
         assert body and all("observational" in r["flags"] for r in body)
@@ -267,7 +274,7 @@ class TestExploreCampaign:
     def test_alpay_kaptanoglu_includes_gram(self):
         cfg = CampaignConfig(seed=8, n_colligations=2, max_order=2,
                              points_per_colligation=2)
-        records, _ = run_explore("alpay-kaptanoglu", cfg, m=2)
+        records = list(run_explore("alpay-kaptanoglu", cfg, m=2))
         tags = {r["theorem_tag"] for r in records if r["kind"] == "report"}
         assert "gram.arveson_min_eig" in tags
         assert "ball.hat" in tags
@@ -475,7 +482,8 @@ class TestCli:
         assert err.startswith("error:") and "identity_tol=nan" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}'], ids=["key", "type"])
+    @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}', '{"seed": 1.5}'],
+                             ids=["key", "type", "float-seed"])
     def test_bad_config_field_exits_two(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(fields, encoding="utf-8")
@@ -504,6 +512,93 @@ class TestCli:
         assert main(["explore", "does-not-exist"]) == 2
         capsys.readouterr()
 
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--dim-g", "0"],
+        ["fuzz", "--seed", "-1"],
+        ["explore", "kaijser-varopoulos", "--seed", "-1"],
+        ["explore", "does-not-exist"],
+        ["explore", "alpay-kaptanoglu", "--m", "0"],
+        ["explore", "kaijser-varopoulos", "--structure", "ball:m=3,d=5"],
+        ["explore", "kaijser-varopoulos", "--dim-g", "4"],
+        ["explore", "alpay-kaptanoglu", "--config", "{cfg}"],
+        ["fuzz", "--structure", "ball:m=1,d=2", "--sampler", "uniform-polydisk"],
+        ["explore", "kaijser-varopoulos", "--sampler", "uniform-ball"],
+    ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m",
+            "explore-structure", "explore-dim-g", "explore-config-dim-g", "fuzz-sampler",
+            "explore-sampler"])
+    def test_campaign_input_error_exits_two_before_writing(self, tmp_path, capsys, argv):
+        # a campaign streams its records, so every input is checked before
+        # the output file is opened
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"dim_g": 2}', encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        argv = [arg.format(cfg=cfg_path) for arg in argv]
+        assert main([*argv, "--n", "1", "--points", "1", "--max-order", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
+FUZZ_SMALL = ["fuzz", "--n", "1", "--points", "1", "--max-order", "2", "--seed", "4"]
+
+
+class TestCampaignStream:
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main([*FUZZ_SMALL, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(FUZZ_SMALL) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_records_reach_the_file_before_the_campaign_ends(self, tmp_path, capsys, monkeypatch):
+        argv = ["fuzz", "--n", "1", "--points", "3", "--max-order", "2", "--seed", "4"]
+        full = tmp_path / "full.jsonl"
+        assert main([*argv, "--out", str(full)]) == 0
+        calls = []
+
+        def fail_on_fourth(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 4:  # z of the second point
+                raise RuntimeError("interrupted")
+            return sample_point(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_point", fail_on_fourth)
+        cut = tmp_path / "cut.jsonl"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main([*argv, "--out", str(cut)])
+        capsys.readouterr()
+        written = cut.read_text(encoding="utf-8").splitlines()
+        kinds = [json.loads(line)["kind"] for line in written]
+        assert kinds[0] == "header" and kinds.count("report") == len(kinds) - 1 > 1
+        assert written == full.read_text(encoding="utf-8").splitlines()[:len(written)]
+
+    def test_campaign_holds_no_record_list(self, tmp_path, capsys):
+        argv = ["explore", "kaijser-varopoulos", "--max-order", "3", "--out"]
+        # a small run first, so that imports made on first use are not counted
+        assert main([*argv, str(tmp_path / "warm.jsonl"), "--n", "1", "--points", "1"]) == 0
+        out = tmp_path / "kv.jsonl"
+        tracemalloc.start()
+        try:
+            assert main([*argv, str(out), "--n", "5", "--points", "10"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert len(out.read_text(encoding="utf-8").splitlines()) > 2000
+        assert peak < 1_000_000, peak
+
+    def test_module_entry_point(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main([*FUZZ_SMALL, "--out", str(out)]) == 0
+        capsys.readouterr()
+        package_root = str(pathlib.Path(harness.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "aglerlab", *FUZZ_SMALL],
+                              capture_output=True, env=env, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == out.read_bytes()
 
 def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
