@@ -43,9 +43,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .colligation import Ball, Colligation, PointGeometry, Polydisk, structure_norm
+from .colligation import Ball, Colligation, DomainStructure, PointGeometry, Polydisk, admit
 from .derivative import MultiIndex, Polynomial, poly_partial
-from .errors import DegenerateGramWarning, DomainViolationError
+from .errors import DegenerateGramWarning
 from .reports import BoundReport
 from .transfer import EvalContext, evaluate
 
@@ -71,11 +71,11 @@ Orders = Sequence[Union[MultiIndex, Sequence[int]]]
 
 
 class PolynomialPoint:
-    """A polynomial subject at one point, read like an :class:`EvalContext`."""
+    """A polynomial subject at one point of ``structure``'s domain, admitted
+    as ``evaluate`` admits one, and read like an :class:`EvalContext`."""
 
-    flags: tuple[str, ...] = ()
-
-    def __init__(self, poly: Polynomial, z: Sequence[complex]):
+    def __init__(self, poly: Polynomial, structure: DomainStructure, z: Sequence[complex]):
+        self.flags = admit(structure, z)
         self.poly = poly
         self.geometry = PointGeometry.from_point(z)
         self.defect = 1.0 - abs(poly(self.geometry.z)) ** 2
@@ -128,7 +128,7 @@ def bound_general(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> 
             * pair_sum
         )
         tag = "general.higher_order"
-    return BoundReport(theorem_tag=tag, z=ctx.z, alpha=mi.counts, lhs=lhs, rhs=rhs, flags=ctx.flags)
+    return BoundReport(theorem_tag=tag, z=ctx.z, alpha=mi.counts, lhs=lhs, rhs=rhs)
 
 
 # --- the derivative-bound variants ---------------------------------------------
@@ -214,7 +214,7 @@ class Variant:
         rhs = rhs_of(point.defect, point.geometry, mi, self.tag.partition(".")[2])
         return BoundReport(
             theorem_tag=self.tag, z=point.geometry.z, alpha=mi.counts,
-            lhs=point.norm(mi), rhs=rhs, flags=point.flags,
+            lhs=point.norm(mi), rhs=rhs,
         )
 
 
@@ -282,15 +282,12 @@ def bound_ball(
 
 def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex, variant: str) -> BoundReport:
     row = _variant(domain, variant, mi)
-    name = domain.__name__.lower()
-    if isinstance(subject, Colligation):
-        if not isinstance(subject.structure, domain):
-            raise ValueError(f"{name} bounds need a {name} colligation")
-        return row.at(evaluate(subject, z), mi)  # evaluate rejects points outside the domain
-    norm = structure_norm(domain.scalar(subject.dimension), z)
-    if norm >= 1.0:
-        raise DomainViolationError(f"{name} norm of z = {norm} is not < 1")
-    return row.at(PolynomialPoint(subject, z), mi)
+    if not isinstance(subject, Colligation):
+        return row.at(PolynomialPoint(subject, domain.scalar(subject.dimension), z), mi)
+    if not isinstance(subject.structure, domain):
+        name = domain.__name__.lower()
+        raise ValueError(f"{name} bounds need a {name} colligation")
+    return row.at(evaluate(subject, z), mi)
 
 
 def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
@@ -313,14 +310,12 @@ def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
             z=ctx.z, alpha=(j + 1,),
             lhs=b[j] ** 2,
             rhs=1.0 / (1.0 - t2),
-            flags=ctx.flags,
         ))
         out.append(BoundReport(
             theorem_tag="ball.gram_right",
             z=ctx.z, alpha=(j + 1,),
             lhs=a[j] ** 2,
             rhs=(1.0 - geom.hat_norms[j] ** 2) / (1.0 - t2),
-            flags=ctx.flags,
         ))
     return out
 
@@ -338,14 +333,15 @@ def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
         point = evaluate(subject, (0.0,) * subject.d)
         on_ball = isinstance(subject.structure, Ball)
     else:
-        point, on_ball = PolynomialPoint(subject, (0.0,) * subject.dimension), False
+        structure = Polydisk.scalar(subject.dimension)
+        point, on_ball = PolynomialPoint(subject, structure, (0.0,) * structure.d), False
     return [
         BoundReport(
             theorem_tag="wiener.coefficient", z=point.geometry.z, alpha=mi.counts,
             lhs=point.norm(mi) / mi.factorial_product,
             rhs=point.defect * _sphere_factor(mi) if on_ball else point.defect,
         )
-        for mi in _nonzero(orders)
+        for mi in map(MultiIndex.of, orders) if mi.order > 0
     ]
 
 
@@ -360,10 +356,6 @@ def _sphere_factor(mi: MultiIndex) -> float:
     n, d = mi.order, mi.d
     gammas = math.prod(math.gamma(c / 2.0 + 1.0) for c in mi.counts)
     return gammas * math.factorial(d - 1 + n) / (math.gamma(n / 2.0 + d) * mi.factorial_product)
-
-
-def _nonzero(orders: Orders) -> list[MultiIndex]:
-    return [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
 
 
 def knese_residual(ctx: EvalContext) -> float:
@@ -396,7 +388,7 @@ def knese_report(ctx: EvalContext) -> BoundReport:
     rhs = 1.0 - abs(ctx.phi[0, 0]) ** 2
     return BoundReport(
         theorem_tag="knese.sum_rule", z=ctx.z, alpha=None,
-        lhs=rhs + residual, rhs=rhs, flags=ctx.flags,
+        lhs=rhs + residual, rhs=rhs,
     )
 
 
@@ -413,8 +405,7 @@ def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:
     if not pts:
         raise ValueError("need at least one point")
     for p in pts:
-        if structure_norm(Ball.scalar(len(p)), p) >= 1.0:
-            raise DomainViolationError(f"point {p} is not inside the unit ball")
+        admit(Ball.scalar(len(p)), p)
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
             if max(abs(a - b) for a, b in zip(pts[i], pts[k])) < 1e-12:

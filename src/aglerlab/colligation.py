@@ -36,9 +36,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DomainViolationError, StructureError
 from .matrixcore import as_matrix, haar_unitary, unitarity_residual
-from .tolerances import CONSTRUCTION_TOL
+from .tolerances import ADMISSIBILITY_MARGIN, BOUNDARY_FLAG_DISTANCE, CONSTRUCTION_TOL
 
 __all__ = [
     "Polydisk",
@@ -51,6 +51,7 @@ __all__ = [
     "projections",
     "zmatrix",
     "structure_norm",
+    "admit",
     "PointGeometry",
     "random_colligation",
     "blaschke",
@@ -186,6 +187,20 @@ def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:
     else:
         norm = np.sqrt((moduli * moduli).sum(axis=-1))
     return float(norm) if norm.ndim == 0 else norm
+
+
+def admit(structure: DomainStructure, z) -> tuple[str, ...]:
+    """The one admission rule, for a point or an array of shape (..., d).
+    Raise DomainViolationError at a domain norm >= 1 - ADMISSIBILITY_MARGIN;
+    return ("near-boundary",) at one within BOUNDARY_FLAG_DISTANCE of 1, else ()."""
+    norms = np.atleast_1d(structure_norm(structure, z)).ravel()
+    bad = np.flatnonzero(norms >= 1.0 - ADMISSIBILITY_MARGIN)
+    if bad.size:
+        at = f" ({bad.size} of {norms.size} points, first at index {bad[0]})" if np.ndim(z) > 1 else ""
+        raise DomainViolationError(
+            f"domain norm of z = {norms[bad[0]]:.17g} is not < 1 - {ADMISSIBILITY_MARGIN:g}; point inadmissible{at}"
+        )
+    return ("near-boundary",) if (1.0 - norms < BOUNDARY_FLAG_DISTANCE).any() else ()
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .colligation import Colligation, DomainStructure, Polydisk, structure_norm
-from .errors import ComplexityError, DomainViolationError
+from .colligation import Colligation, DomainStructure, Polydisk, admit, structure_norm
+from .errors import ComplexityError
 from .tolerances import ADMISSIBILITY_MARGIN
 from .transfer import EvalContext, evaluate, phi_grid
 
@@ -302,17 +302,17 @@ def alpay_kaptanoglu(m: int) -> Polynomial:
 
 
 def default_radii(structure: DomainStructure, z: Sequence[complex]) -> tuple[float, ...]:
-    """Circle radii for the Cauchy oracle at ``z``: per axis, min(0.1, half
-    of how far |z_j| may grow before the domain norm reaches one).
+    """Circle radii for the Cauchy oracle at the admissible point ``z`` (see
+    :func:`aglerlab.colligation.admit`): per axis, min(0.1, half of how far
+    |z_j| may grow before the domain norm reaches one).
 
     On the ball that torus can still leave the ball for d >= 3; then the
     radii shrink by one common factor until its outermost point
     (|z_j| + r_j)_j lies halfway between z and the sphere in norm.
     """
+    admit(structure, z)
     moduli = np.abs(np.asarray(z, dtype=np.complex128))
     norm = structure_norm(structure, moduli)
-    if norm >= 1.0:
-        raise DomainViolationError(f"domain norm of z = {norm:.17g} is not < 1")
     if isinstance(structure, Polydisk):
         slacks = 1.0 - moduli
     else:

@@ -67,7 +67,7 @@ from .derivative import (
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import BoundReport
-from .tolerances import BOUNDARY_FLAG_DISTANCE, IDENTITY_TOL, SLACK_TOL
+from .tolerances import IDENTITY_TOL, SLACK_TOL
 from .transfer import (
     evaluate,
     identity_residuals,
@@ -180,6 +180,12 @@ class CampaignConfig:
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}; use one of {SAMPLERS}")
 
+    @property
+    def sampler_flags(self) -> tuple[str, ...]:
+        # boundary-biased draws are exploratory by construction; asserting on
+        # them would turn resolvent conditioning into false violations
+        return ("boundary-biased",) if self.sampler == "boundary-biased" else ()
+
     def to_json_dict(self) -> dict:
         # the output path is not campaign semantics; leaving it out keeps
         # equal configurations byte-identical on disk
@@ -238,8 +244,7 @@ def _variant_checks(structure: DomainStructure, max_order: int) -> list[tuple[Mu
 # --- JSONL records ------------------------------------------------------------
 
 
-def _record(report: BoundReport, seed: int, subject_hash: str, extra_flags: Sequence[str] = ()) -> dict:
-    flags = sorted(set(report.flags) | set(extra_flags))
+def _record(report: BoundReport, seed: int, subject_hash: str, flags: Sequence[str] = ()) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "report",
@@ -252,7 +257,7 @@ def _record(report: BoundReport, seed: int, subject_hash: str, extra_flags: Sequ
         "rhs": report.rhs,
         "slack": report.slack,
         "ratio": report.ratio,
-        "flags": flags,
+        "flags": sorted(set(flags)),
     }
 
 
@@ -313,15 +318,6 @@ def summarize(records: Iterable[dict], slack_tol: float, **extra) -> Iterator[di
 # --- fuzz campaign ------------------------------------------------------------
 
 
-def _point_flags(structure: DomainStructure, z: Sequence[complex], sampler: str = "uniform") -> tuple[str, ...]:
-    # Boundary-biased draws are exploratory by construction; asserting on
-    # them would turn resolvent conditioning into false violations.
-    flags = ("boundary-biased",) if sampler == "boundary-biased" else ()
-    if 1.0 - structure_norm(structure, z) < BOUNDARY_FLAG_DISTANCE:
-        flags += ("near-boundary",)
-    return flags
-
-
 def fuzz_records(config: CampaignConfig):
     """Yield the header and every report record of a fuzz campaign."""
     structure = parse_structure(config.structure)
@@ -342,18 +338,18 @@ def fuzz_records(config: CampaignConfig):
         col = random_colligation(structure, config.dim_g, col_seed)
         chash = colligation_hash(col)
         for rep in wiener_check(col, wiener_alphas):
-            yield _record(rep, config.seed, chash)
+            yield _record(rep, config.seed, chash)  # at the origin, never flagged
         for _ in range(config.points_per_colligation):
             z = sample_point(structure, rng, config.sampler)
             w = sample_point(structure, rng, config.sampler)
             ctx = evaluate(col, z)
-            flags = _point_flags(structure, z, config.sampler)
-            pair_flags = flags + _point_flags(structure, w, config.sampler)
-            r1, r2 = identity_residuals(evaluate(col, w), ctx)
+            cw = evaluate(col, w)
+            flags = config.sampler_flags + ctx.flags
+            r1, r2 = identity_residuals(cw, ctx)
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
                 yield _record(
                     BoundReport(theorem_tag=tag, z=z, alpha=None, lhs=resid, rhs=config.identity_tol),
-                    config.seed, chash, pair_flags,
+                    config.seed, chash, flags + cw.flags,
                 )
             for rep in resolvent_norm_estimates(ctx):
                 yield _record(rep, config.seed, chash, flags)
@@ -394,11 +390,14 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[dict]
     function: header, reports, then summary.  It asserts nothing.
 
     ``name`` fixes the domain, so ``config.structure`` and ``dim_g`` must
-    keep their defaults; bad arguments raise here, before any record is
-    made.  Every record carries the ``observational`` flag, so the summary
-    counts no violations regardless of sign.
+    keep their defaults, and so must ``m`` for a target without a truncation
+    order; bad arguments raise here, before any record is made.  Every
+    record carries the ``observational`` flag, so the summary counts no
+    violations regardless of sign.
     """
     if name == "kaijser-varopoulos":
+        if m != 1:
+            raise ValueError(f"explore {name} has no truncation order; m must keep its default 1, got {m}")
         poly, structure = kaijser_varopoulos(), Polydisk((1, 1, 1))
     elif name == "alpay-kaptanoglu":
         poly, structure = alpay_kaptanoglu(m), Ball(1, 2)
@@ -425,9 +424,8 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     checks = _variant_checks(structure, config.max_order)
     marks = ("observational",)
     for _ in range(config.points_per_colligation * config.n_colligations):
-        z = sample_point(structure, rng, config.sampler)
-        flags = marks + _point_flags(structure, z, config.sampler)
-        point = PolynomialPoint(poly, z)
+        point = PolynomialPoint(poly, structure, sample_point(structure, rng, config.sampler))
+        flags = marks + config.sampler_flags + point.flags
         for mi, variants in checks:
             for variant in variants:
                 yield _record(variant.at(point, mi), config.seed, phash, flags)
@@ -533,9 +531,11 @@ def cmd_bounds(args) -> int:
         reports.append(knese_report(ctx))
     for rep in reports:
         print(rep)
-    worst = min((r.slack for r in reports if not r.flags), default=0.0)
+    if ctx.flags:
+        print(f"flags     = {list(ctx.flags)}")
+    worst = min(r.slack for r in reports)
     print(f"min slack = {worst:+.3e}")
-    return 0 if worst >= -args.tol else 1
+    return 0 if ctx.flags or worst >= -args.tol else 1
 
 
 def cmd_catalog(args) -> int:
@@ -586,7 +586,11 @@ def _config_from_args(args) -> CampaignConfig:
 
 def _write(records: Iterable[dict], out: str | None) -> dict:
     """Write each record to ``out`` (else stdout) as it is made; return the summary."""
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
+    with sink as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
     return rec

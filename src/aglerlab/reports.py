@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["BoundReport"]
 
@@ -12,9 +12,10 @@ class BoundReport:
     """One verified inequality instance: LHS <= RHS with provenance tag.
 
     ``slack = rhs - lhs`` is the quantity campaigns assert on;
-    ``ratio = lhs / rhs`` (0 when rhs is 0) measures sharpness.  Flags mark
-    records that are reported but not asserted (near-boundary points,
-    ill-conditioned resolvents, observational campaigns).
+    ``ratio = lhs / rhs`` (0 when rhs is 0) measures sharpness.  A report
+    carries no flags: whether it is asserted depends on the point it was
+    made at (``EvalContext.flags``) and on the campaign, and campaign
+    records combine the two.
     """
 
     theorem_tag: str
@@ -22,7 +23,6 @@ class BoundReport:
     alpha: tuple[int, ...] | None
     lhs: float
     rhs: float
-    flags: tuple[str, ...] = field(default=())
 
     @property
     def slack(self) -> float:

@@ -19,10 +19,10 @@ SLACK_TOL = 1e-9
 """Inequality slack below -SLACK_TOL counts as a violation."""
 
 ADMISSIBILITY_MARGIN = 1e-12
-"""Points must satisfy ||Z(z)|| < 1 - ADMISSIBILITY_MARGIN."""
+"""Admissible points have domain norm < 1 - ADMISSIBILITY_MARGIN."""
 
 CONDITION_LIMIT = 1e14
 """Resolvent condition number beyond which a context is flagged."""
 
 BOUNDARY_FLAG_DISTANCE = 1e-6
-"""Reports with 1 - ||z|| below this are flagged, not asserted."""
+"""Points with domain norm within this of 1 are flagged, not asserted."""

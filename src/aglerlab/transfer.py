@@ -27,11 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .colligation import Colligation, PointGeometry, projections, structure_norm, zmatrix
+from .colligation import Colligation, PointGeometry, admit, projections, zmatrix
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import BoundReport
-from .tolerances import ADMISSIBILITY_MARGIN, CONDITION_LIMIT
+from .tolerances import CONDITION_LIMIT
 
 __all__ = [
     "EvalContext",
@@ -51,8 +51,9 @@ class EvalContext:
 
     ``r_ka`` is (I_K - A Z)^{-1}, ``r_ha`` is (I_H - Z A)^{-1}, and
     ``lmat = A r_ha = r_ka A``.  ``cond`` estimates the conditioning of
-    I - AZ; contexts past the conditioning limit carry an
-    ``ill-conditioned`` flag rather than raising.
+    I - AZ.  ``flags`` are the point's: ``near-boundary`` from
+    :func:`aglerlab.colligation.admit`, and ``ill-conditioned`` past the
+    conditioning limit; every record made at the point carries them.
 
     The context also holds the derivative jet of phi at the point.
     ``kop(mi)`` is the arrangement sum K for ``mi``, taken from the
@@ -166,16 +167,12 @@ class EvalContext:
 def evaluate(col: Colligation, z: Sequence[complex]) -> EvalContext:
     """Evaluate the transfer function and cache the resolvents at ``z``.
 
-    Points whose domain norm (see :func:`structure_norm`) is >= 1 -
-    ADMISSIBILITY_MARGIN are rejected, not extrapolated, and so is a point
-    where I - AZ(z) is singular (possible only for a non-unitary colligation).
+    An inadmissible point is rejected (see :func:`aglerlab.colligation.admit`),
+    not extrapolated, and so is a point where I - AZ(z) is singular (possible
+    only for a non-unitary colligation); a point near the boundary is flagged.
     """
     zt = tuple(complex(v) for v in z)
-    norm = structure_norm(col.structure, zt)
-    if norm >= 1.0 - ADMISSIBILITY_MARGIN:
-        raise DomainViolationError(
-            f"domain norm of z = {norm:.17g} is not < 1 - {ADMISSIBILITY_MARGIN:g}; point inadmissible"
-        )
+    flags = admit(col.structure, zt)
     zm = zmatrix(col.structure, zt)
     eye_k = np.eye(col.dim_k)
     eye_h = np.eye(col.dim_h)
@@ -188,10 +185,9 @@ def evaluate(col: Colligation, z: Sequence[complex]) -> EvalContext:
     lmat = col.A @ r_ha
     phi = col.D + col.C @ zm @ r_ka @ col.B
     cond = float(np.linalg.cond(i_az))
-    flags = ("ill-conditioned",) if cond > CONDITION_LIMIT else ()
     return EvalContext(
-        col=col, z=zt, zmat=zm, r_ka=r_ka, r_ha=r_ha, lmat=lmat,
-        phi=phi, cond=cond, flags=flags,
+        col=col, z=zt, zmat=zm, r_ka=r_ka, r_ha=r_ha, lmat=lmat, phi=phi, cond=cond,
+        flags=flags + (("ill-conditioned",) if cond > CONDITION_LIMIT else ()),
     )
 
 
@@ -204,11 +200,7 @@ def phi_grid(col: Colligation, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != col.d:
         raise ValueError(f"points must have shape (m, {col.d}), got {pts.shape}")
-    bad = np.nonzero(structure_norm(col.structure, pts) >= 1.0 - ADMISSIBILITY_MARGIN)[0]
-    if bad.size:
-        raise DomainViolationError(
-            f"{bad.size} of {len(pts)} points inadmissible, first at index {bad[0]}"
-        )
+    admit(col.structure, pts)
     estack = np.stack(projections(col.structure))  # (d, dim_h, dim_k)
     zs = np.tensordot(pts, estack, axes=(1, 0))  # (m, dim_h, dim_k)
     i_az = np.eye(col.dim_k) - col.A @ zs
@@ -305,14 +297,12 @@ def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
             z=ctx.z, alpha=(j,),
             lhs=spectral_norm(e @ ctx.r_ka @ col.B),
             rhs=d_in * a[j - 1],
-            flags=ctx.flags,
         ))
         reports.append(BoundReport(
             theorem_tag="resolvent.left_block",
             z=ctx.z, alpha=(j,),
             lhs=spectral_norm(col.C @ ctx.r_ha @ e),
             rhs=d_out * b[j - 1],
-            flags=ctx.flags,
         ))
     scale = 1.0 / np.sqrt(1.0 - znorm**2)
     reports.append(BoundReport(
@@ -320,14 +310,12 @@ def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
         z=ctx.z, alpha=None,
         lhs=spectral_norm(ctx.r_ka @ col.B),
         rhs=d_in * scale,
-        flags=ctx.flags,
     ))
     reports.append(BoundReport(
         theorem_tag="resolvent.left_full",
         z=ctx.z, alpha=None,
         lhs=spectral_norm(col.C @ ctx.r_ha),
         rhs=d_out * scale,
-        flags=ctx.flags,
     ))
     return reports
 
@@ -340,5 +328,4 @@ def lnorm_bound_check(ctx: EvalContext) -> BoundReport:
         alpha=None,
         lhs=ctx.lnorm,
         rhs=1.0 / (1.0 - ctx.znorm),
-        flags=ctx.flags,
     )

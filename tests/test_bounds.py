@@ -143,6 +143,8 @@ class TestBoundPolydisk:
             bound_polydisk(ball_col, (0.1, 0.1), (1, 0), "factorial")
         with pytest.raises(DomainViolationError):
             bound_polydisk(monomial((1, 1)), (1.0, 0.2), (1, 1), "factorial")
+        with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
+            bound_polydisk(kaijser_varopoulos(), (1.0 - 1e-13, 0.0, 0.0), (1, 0, 0), "factorial")
 
     def test_polynomial_subject(self):
         kv = kaijser_varopoulos()
@@ -330,6 +332,8 @@ class TestMultiplierGram:
     def test_rejects_points_outside_ball(self):
         with pytest.raises(DomainViolationError):
             multiplier_gram_psd(lambda z: z[0], [(0.9, 0.9)])
+        with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
+            multiplier_gram_psd(lambda z: z[0], [(0.1, 0.2), (1.0 - 1e-13, 0.0)])
 
     def test_alpay_kaptanoglu_is_observational(self):
         # sign is reported, not asserted; just exercise the path

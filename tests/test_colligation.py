@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aglerlab import (
     Ball,
     Colligation,
+    DomainViolationError,
     Polydisk,
     StructureError,
     blaschke,
@@ -23,6 +24,7 @@ from aglerlab import (
     zmatrix,
 )
 from aglerlab.colligation import (
+    admit,
     from_json_dict,
     load_colligation,
     projection,
@@ -146,6 +148,26 @@ class TestZMatrix:
                 assert norms[idx] == structure_norm(s, tuple(pts[idx]))
         with pytest.raises(ValueError):
             structure_norm(Ball(1, 2), np.zeros((4, 3)))
+
+
+class TestAdmit:
+    def test_flags_and_rejects_by_domain_norm(self):
+        s = Polydisk((1, 0))
+        assert admit(s, (0.5, 0.0)) == ()
+        assert admit(s, (0.0, 1.0 - 1e-7)) == ("near-boundary",)  # empty block still counts
+        with pytest.raises(DomainViolationError, match="inadmissible"):
+            admit(s, (0.0, 1.0 - 1e-13))
+        assert admit(Ball(1, 2), (0.6, 0.8j - 1e-7j)) == ("near-boundary",)
+
+    def test_stack(self):
+        s = Ball(2, 2)
+        pts = np.array([[0.1, 0.2], [0.0, 0.5j]])
+        assert admit(s, pts) == ()
+        pts[0] = (0.0, 1.0 - 1e-7)
+        assert admit(s, pts) == ("near-boundary",)
+        pts[1, 1] = 2.0
+        with pytest.raises(DomainViolationError, match="1 of 2 points, first at index 1"):
+            admit(s, pts)
 
 
 class TestValidate:

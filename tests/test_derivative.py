@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aglerlab import (
     Ball,
     ComplexityError,
+    DomainViolationError,
     MultiIndex,
     Polydisk,
     Polynomial,
@@ -278,6 +279,9 @@ class TestCauchyOracle:
         assert r[1] == pytest.approx(0.1)
         with pytest.raises(ValueError):
             default_radii(Polydisk((1,)), (1.0,))
+        for structure, z in ((Polydisk((1,)), (1.0 - 1e-13,)), (Ball(1, 2), (0.0, 1.0 - 1e-13))):
+            with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
+                default_radii(structure, z)
 
     def test_default_radii_keep_the_torus_inside_the_ball(self):
         col = random_colligation(Ball(1, 3), dim_g=1, seed=1)

@@ -338,6 +338,19 @@ class TestCli:
         assert main(["deriv", str(path), "--z", "0.3,0.4", "--alpha", "0,0"]) == 0
         capsys.readouterr()
 
+    def test_bounds_flags_near_boundary_point_and_asserts_nothing(self, tmp_path, capsys):
+        # 1 - ||z|| = 1e-7: roundoff leaves the resolvent.left_* equalities
+        # at slack -1.1e-9, past the default tolerance
+        path = tmp_path / "c.json"
+        save_colligation(random_colligation(Ball(1, 2), dim_g=1, seed=4), path)
+        z = "--z=-0.34079858275173874+0.8699025386955168j,-0.09135350390728549+0.34464508771977675j"
+        assert main(["bounds", str(path), z]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "flags     = ['near-boundary']" in out
+        assert float(out[-1].split("=")[1]) < -1e-9  # the true minimum, not one over unflagged reports
+        assert main(["eval", str(path), z]) == 0
+        assert "flags     = ['near-boundary']" in capsys.readouterr().out.splitlines()
+
     def test_bounds_command(self, tmp_path, capsys):
         path = tmp_path / "b.json"
         save_colligation(blaschke(0.3), path)
@@ -524,17 +537,22 @@ class TestCli:
         ["explore", "alpay-kaptanoglu", "--config", "{cfg}"],
         ["fuzz", "--structure", "ball:m=1,d=2", "--sampler", "uniform-polydisk"],
         ["explore", "kaijser-varopoulos", "--sampler", "uniform-ball"],
+        ["explore", "kaijser-varopoulos", "--m", "-3"],
+        ["fuzz", "--out", "{missing}"],
+        ["explore", "alpay-kaptanoglu", "--out", "{missing}"],
     ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m",
             "explore-structure", "explore-dim-g", "explore-config-dim-g", "fuzz-sampler",
-            "explore-sampler"])
+            "explore-sampler", "explore-ignored-m", "fuzz-out-dir", "explore-out-dir"])
     def test_campaign_input_error_exits_two_before_writing(self, tmp_path, capsys, argv):
         # a campaign streams its records, so every input is checked before
         # the output file is opened
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"dim_g": 2}', encoding="utf-8")
         out = tmp_path / "r.jsonl"
-        argv = [arg.format(cfg=cfg_path) for arg in argv]
-        assert main([*argv, "--n", "1", "--points", "1", "--max-order", "1", "--out", str(out)]) == 2
+        argv = [arg.format(cfg=cfg_path, missing=tmp_path / "missing" / "r.jsonl") for arg in argv]
+        # the default --out goes first, so an --out in argv takes precedence
+        head = ["--out", str(out), "--n", "1", "--points", "1", "--max-order", "1"]
+        assert main([argv[0], *head, *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()
