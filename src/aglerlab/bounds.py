@@ -25,13 +25,13 @@ zeroed):
   factorial  d^((n-1)/2) n_1! ... n_d! D / ((1-t^2)(1-t)^(n-1))
 
 :data:`VARIANTS` lists these seven, in record order, with the orders and
-dimensions where each applies; campaigns and the CLI check exactly the rows
-that apply.  Also checked: the structure-free resolvent bound
+dimensions where each applies.  Also checked: the structure-free resolvent bound
 (``bound_general``), the weighted first-order sum rule on the polydisk
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
 (``wiener_check``; on the ball times a sphere-average factor), and
 positivity of the multiplier kernel Gram matrix on the ball
-(``multiplier_gram_psd``).
+(``multiplier_gram_psd``).  :func:`point_reports` lists every report at an
+evaluated point, with the rows that apply, for campaigns and the CLI alike.
 """
 
 from __future__ import annotations
@@ -39,15 +39,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .colligation import Ball, Colligation, DomainStructure, PointGeometry, Polydisk, admit
 from .derivative import MultiIndex, Polynomial, poly_partial
 from .errors import DegenerateGramWarning
+from .matrixcore import spectral_norm
 from .reports import BoundReport
-from .transfer import EvalContext, evaluate
+from .transfer import EvalContext, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
 __all__ = [
     "PointGeometry",
@@ -63,6 +64,7 @@ __all__ = [
     "wiener_check",
     "knese_residual",
     "knese_report",
+    "point_reports",
     "multiplier_gram_psd",
 ]
 
@@ -390,6 +392,34 @@ def knese_report(ctx: EvalContext) -> BoundReport:
         theorem_tag="knese.sum_rule", z=ctx.z, alpha=None,
         lhs=rhs + residual, rhs=rhs,
     )
+
+
+def point_reports(
+    ctx: EvalContext, checks: Sequence[tuple[MultiIndex, Sequence[Variant]]]
+) -> Iterator[BoundReport]:
+    """Every report at an evaluated point, in record order: the resolvent
+    estimates, the L bound, then the sum rule (scalar polydisk) or the ball
+    kernel subchecks, then for each ``(mi, variants)`` of ``checks`` the
+    general bound, at order n >= 2 the K-operator bound ||K|| <= ||L||^(n-1)
+    (times d^((n-1)/2) on the ball), and the ``variants`` at ``mi``."""
+    col = ctx.col
+    on_ball = isinstance(col.structure, Ball)
+    yield from resolvent_norm_estimates(ctx)
+    yield lnorm_bound_check(ctx)
+    if on_ball:
+        yield from ball_kernel_subchecks(ctx)
+    elif col.dim_f == col.dim_g == 1:
+        yield knese_report(ctx)
+    for mi, variants in checks:
+        yield bound_general(ctx, mi)
+        if mi.order >= 2:
+            yield BoundReport(
+                theorem_tag="koperator.ball" if on_ball else "koperator.polydisk",
+                z=ctx.z, alpha=mi.counts, lhs=spectral_norm(ctx.kop(mi)),
+                rhs=(col.d ** ((mi.order - 1) / 2.0) if on_ball else 1) * ctx.lnorm ** (mi.order - 1),
+            )
+        for variant in variants:
+            yield variant.at(ctx, mi)
 
 
 def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:

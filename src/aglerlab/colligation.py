@@ -160,14 +160,13 @@ def projections(structure: DomainStructure) -> list[np.ndarray]:
     return [projection(structure, j) for j in range(1, structure.d + 1)]
 
 
-def zmatrix(structure: DomainStructure, z: Sequence[complex]) -> np.ndarray:
-    """Pencil Z(z) = z_1 E_1 + ... + z_d E_d as a (dim_h x dim_k) matrix."""
-    if len(z) != structure.d:
-        raise ValueError(f"point has {len(z)} coordinates, structure has d={structure.d}")
-    out = np.zeros((structure.dim_h, structure.dim_k), dtype=np.complex128)
-    for j, zj in enumerate(z, start=1):
-        out += complex(zj) * projection(structure, j)
-    return out
+def zmatrix(structure: DomainStructure, z) -> np.ndarray:
+    """Pencil Z(z) = z_1 E_1 + ... + z_d E_d as a (dim_h x dim_k) matrix; ``z``
+    may be one point or an array of shape (..., d), giving (..., dim_h, dim_k)."""
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if zs.shape[-1] != structure.d:
+        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
+    return np.tensordot(zs, np.stack(projections(structure)), axes=(-1, 0))
 
 
 def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:

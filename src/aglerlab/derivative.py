@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 PERMSUM_TERM_LIMIT = 10**7
+# Largest Cauchy-oracle grid, samples**d points (about 300 MB of peak memory).
+CAUCHY_GRID_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -227,16 +229,7 @@ class Polynomial:
         object.__setattr__(self, "coeffs", clean)
 
     def __call__(self, z: Sequence[complex]) -> complex:
-        if len(z) != self.dimension:
-            raise ValueError(f"point has {len(z)} coordinates, polynomial has {self.dimension}")
-        zv = [complex(v) for v in z]
-        total = 0j
-        for exps, coeff in self.coeffs.items():
-            term = coeff
-            for zj, e in zip(zv, exps):
-                term *= zj**e
-            total += term
-        return total
+        return poly_partial(self, z, (0,) * self.dimension)
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over points of shape (m, d)."""
@@ -256,6 +249,8 @@ def poly_partial(p: Polynomial, z: Sequence[complex], alpha: Union[MultiIndex, S
     mi = MultiIndex.of(alpha)
     if mi.d != p.dimension:
         raise ValueError(f"multi-index has d={mi.d}, polynomial has d={p.dimension}")
+    if len(z) != p.dimension:
+        raise ValueError(f"point has {len(z)} coordinates, polynomial has {p.dimension}")
     zv = [complex(v) for v in z]
     total = 0j
     for exps, coeff in p.coeffs.items():
@@ -341,12 +336,16 @@ def _radii(f, z: Sequence[complex], radius) -> tuple[float, ...]:
     return radii
 
 
-def check_samples(samples: int, max_axis_order: int) -> None:
+def check_samples(samples: int, max_axis_order: int, d: int) -> None:
     """Reject a quadrature sample count that cannot resolve axis orders up to
-    ``max_axis_order``."""
+    ``max_axis_order``, or whose grid over d axes exceeds the budget."""
     if samples < 4 * (max_axis_order + 1) or samples & (samples - 1):
         raise ValueError(
             f"samples must be a power of 2 and >= {4 * (max_axis_order + 1)}, got {samples}"
+        )
+    if samples**d > CAUCHY_GRID_LIMIT:
+        raise ComplexityError(
+            f"{samples}**{d} = {samples**d} grid points exceeds the budget of {CAUCHY_GRID_LIMIT}"
         )
 
 
@@ -393,7 +392,7 @@ def cauchy_partial(
     """
     mi = MultiIndex.of(alpha)
     radii = _radii(f, z, radius)
-    check_samples(samples, max(mi.counts))
+    check_samples(samples, max(mi.counts), len(radii))
     grid = _sample_torus(f, z, radii, samples)
     scalar = grid.ndim == mi.d
     theta = 2.0 * np.pi * np.arange(samples) / samples
@@ -427,7 +426,7 @@ def cauchy_coefficient_table(
     """
     radii = _radii(f, z, radius)
     d = len(radii)
-    check_samples(samples, max_axis_order)
+    check_samples(samples, max_axis_order, d)
     grid = _sample_torus(f, z, radii, samples)
     scalar = grid.ndim == d
     coeffs = np.fft.fftn(grid, axes=tuple(range(d))) / samples**d

@@ -201,8 +201,7 @@ def phi_grid(col: Colligation, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != col.d:
         raise ValueError(f"points must have shape (m, {col.d}), got {pts.shape}")
     admit(col.structure, pts)
-    estack = np.stack(projections(col.structure))  # (d, dim_h, dim_k)
-    zs = np.tensordot(pts, estack, axes=(1, 0))  # (m, dim_h, dim_k)
+    zs = zmatrix(col.structure, pts)  # (m, dim_h, dim_k)
     i_az = np.eye(col.dim_k) - col.A @ zs
     rhs = np.broadcast_to(col.B, (len(pts),) + col.B.shape)
     try:

@@ -117,6 +117,17 @@ class TestZMatrix:
         with pytest.raises(ValueError):
             zmatrix(Polydisk((1, 1)), (0.3,))
 
+    def test_stack_matches_point_by_point(self):
+        rng = np.random.default_rng(6)
+        for s in (Polydisk((2, 0, 1)), Ball(2, 3)):
+            pts = rng.standard_normal((2, 4, s.d)) + 1j * rng.standard_normal((2, 4, s.d))
+            stacked = zmatrix(s, pts)
+            assert stacked.shape == (2, 4, s.dim_h, s.dim_k)
+            for idx in np.ndindex(2, 4):
+                np.testing.assert_array_equal(stacked[idx], zmatrix(s, tuple(pts[idx])))
+        with pytest.raises(ValueError, match="point has 3 coordinates, structure has d=2"):
+            zmatrix(Ball(2, 2), np.zeros((4, 3)))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_linearity_is_exact(self, seed):

@@ -26,10 +26,12 @@ from aglerlab import (
     random_colligation,
     spectral_norm,
 )
+from aglerlab import derivative
 from aglerlab.colligation import projections
 from aglerlab.derivative import (
     cauchy_coefficient_table,
     cauchy_partial,
+    check_samples,
     default_radii,
     partial_at,
 )
@@ -233,6 +235,15 @@ class TestPolynomials:
         assert poly_partial(p, (0.3, 0.1, 0.9), (0, 1, 0)) == 0
         assert poly_partial(Polynomial(1, {(0,): 0.7}), (0.2,), (0,)) == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("z", [(0.5,), (0.5, 0.2, 9.0)], ids=["short", "long"])
+    def test_poly_partial_rejects_point_of_wrong_length(self, z):
+        # zip would drop the missing or extra coordinates and return 1 or 0.2
+        p = Polynomial(2, {(1, 1): 1.0, (0, 2): 1.0})
+        with pytest.raises(ValueError, match=f"point has {len(z)} coordinates"):
+            poly_partial(p, z, (1, 0))
+        with pytest.raises(ValueError, match=f"point has {len(z)} coordinates"):
+            p(z)
+
     def test_kaijser_varopoulos_values(self):
         kv = kaijser_varopoulos()
         assert kv((0, 0, 0)) == 0
@@ -308,6 +319,20 @@ class TestCauchyOracle:
             cauchy_partial(p, (0.0,), (1,), radius=0.1, samples=24)  # not a power of 2
         with pytest.raises(ValueError, match="samples"):
             cauchy_partial(p, (0.0,), (3,), radius=0.1, samples=8)  # too few
+
+    def test_grid_budget_refuses_before_sampling(self, monkeypatch):
+        # 64**4 = 2**24 grid points would need about 8 GB
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a grid over the budget")
+
+        monkeypatch.setattr(derivative, "_sample_torus", refuse)
+        col = random_colligation(Polydisk((1, 1, 1, 1)), dim_g=1, seed=3)
+        with pytest.raises(ComplexityError, match="16777216"):
+            cauchy_partial(col, (0.1, 0.0, 0.0, 0.2), (1, 0, 0, 1), samples=64)
+        with pytest.raises(ComplexityError):
+            cauchy_coefficient_table(col, (0.1, 0.0, 0.0, 0.2), 1, samples=64)
+        check_samples(64, 1, 3)  # 2**18 points, the largest existing caller
+        check_samples(1024, 1, 2)  # 2**20 points, the budget itself
 
     def test_table_matches_single_extractions(self):
         col = random_colligation(Polydisk((1, 1)), dim_g=1, seed=28)

@@ -1,5 +1,6 @@
 """CLI surface, point samplers, campaign records, and exit-code contract."""
 
+import itertools
 import json
 import math
 import os
@@ -109,6 +110,14 @@ class TestCampaignConfig:
     def test_multi_indices_count(self):
         assert len(multi_indices(2, 4)) == 14
         assert multi_indices(1, 2) == [(1,), (2,)]
+
+    def test_multi_indices_match_brute_force(self):
+        for d in range(1, 5):
+            for max_order in range(1, 6):
+                brute = [a for a in itertools.product(range(max_order + 1), repeat=d)
+                         if 1 <= sum(a) <= max_order]
+                assert multi_indices(d, max_order) == sorted(brute, key=lambda a: (sum(a), a))
+        assert len(multi_indices(10, 4)) == math.comb(14, 4) - 1
 
 
 class TestFuzzCampaign:
@@ -351,6 +360,32 @@ class TestCli:
         assert main(["eval", str(path), z]) == 0
         assert "flags     = ['near-boundary']" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("structure", ["polydisk:2,1", "ball:m=1,d=2"])
+    def test_bounds_prints_the_campaign_reports_at_its_point(self, tmp_path, capsys, structure):
+        config = CampaignConfig(seed=5, n_colligations=1, structure=structure,
+                                max_order=3, points_per_colligation=1)
+        records = [r for r in run_fuzz(config) if r["kind"] == "report"]
+        col_seed = int(np.random.default_rng(config.seed).integers(0, 2**62))  # as fuzz draws it
+        col = random_colligation(parse_structure(structure), config.dim_g, col_seed)
+        assert colligation_hash(col) == records[0]["colligation_hash"]
+        path = tmp_path / "c.json"
+        save_colligation(col, path)
+        z = records[-1]["z"]
+        alpha = [2, 1]
+        # the point's records after the identity pair: those of every alpha,
+        # then from the first general bound on, those of this alpha
+        at_z = [r for r in records if r["z"] == z and not r["theorem_tag"].startswith("identity.")]
+        first = next(i for i, r in enumerate(at_z) if r["theorem_tag"].startswith("general."))
+        expected = at_z[:first] + [r for r in at_z[first:] if r["alpha"] == alpha]
+        zarg = ",".join(repr(complex(re, im)) for re, im in z)
+        assert main(["bounds", str(path), f"--z={zarg}", "--alpha", "2,1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("min slack")
+        printed = [(line.split()[0], line.split("lhs=")[1].split()[0], line.split("rhs=")[1].split()[0])
+                   for line in lines[:-1]]
+        assert printed == [(r["theorem_tag"], f"{r['lhs']:.6e}", f"{r['rhs']:.6e}") for r in expected]
+        assert {"koperator.polydisk", "koperator.ball"} & {tag for tag, _, _ in printed}
+
     def test_bounds_command(self, tmp_path, capsys):
         path = tmp_path / "b.json"
         save_colligation(blaschke(0.3), path)
@@ -415,6 +450,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+    def test_deriv_grid_over_budget_exits_two_before_computing(self, tmp_path, capsys, monkeypatch):
+        # 64 samples on each of 4 axes is 2**24 grid points, about 8 GB
+        path = tmp_path / "s4.json"
+        assert main(["catalog", "symmetric-extremal", "--d", "4", "--out", str(path)]) == 0
+        assert main(["deriv", str(path), "--z", "0.1,0.2,0.1,0.2", "--alpha", "0,0,0,0"]) == 0  # no oracle
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking --samples")
+
+        monkeypatch.setattr(harness, "partial", refuse)
+        monkeypatch.setattr(harness, "cauchy_partial", refuse)
+        assert main(["deriv", str(path), "--z", "0.1,0.2,0.1,0.2", "--alpha", "1,0,0,1"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and "grid points" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_deriv_oracle_domain_violation_exits_one(self, tmp_path, capsys):
         # phi is defined at z, but the Cauchy circle around it crosses |z| = 1 - margin
@@ -485,6 +538,19 @@ class TestCli:
         assert err.startswith("error:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "bounds"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_point_tolerance_exits_two(self, tmp_path, capsys, command, tol):
+        # a non-unitary file: with --tol inf both commands used to pass it
+        path = tmp_path / "nu.json"
+        save_colligation(Colligation(Polydisk((1,)), A=[[0.9]], B=[[0.9]], C=[[0.9]], D=[[0.9]]), path)
+        extra = ["--z", "0.5", "--alpha", "2"] if command == "bounds" else []
+        assert main([command, str(path), *extra, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_nonfinite_tolerance_in_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
