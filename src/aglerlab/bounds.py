@@ -46,7 +46,6 @@ import numpy as np
 from .colligation import Ball, Colligation, DomainStructure, PointGeometry, Polydisk, admit
 from .derivative import MultiIndex, Polynomial, poly_partial
 from .errors import DegenerateGramWarning
-from .matrixcore import spectral_norm
 from .reports import BoundReport
 from .transfer import EvalContext, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
@@ -80,14 +79,18 @@ class PolynomialPoint:
         self.flags = admit(structure, z)
         self.poly = poly
         self.geometry = PointGeometry.from_point(z)
+        self.z = self.geometry.z
         self.defect = 1.0 - abs(poly(self.geometry.z)) ** 2
         self._norms: dict[tuple[int, ...], float] = {}
 
     def norm(self, mi: MultiIndex) -> float:
         v = self._norms.get(mi.counts)
         if v is None:
-            v = self._norms[mi.counts] = abs(poly_partial(self.poly, self.geometry.z, mi))
+            v = self._norms[mi.counts] = abs(poly_partial(self.poly, self.z, mi))
         return v
+
+    def norms(self, mis: Sequence[MultiIndex]) -> list[float]:
+        return [self.norm(mi) for mi in mis]
 
 
 Point = Union[EvalContext, PolynomialPoint]
@@ -215,7 +218,7 @@ class Variant:
         rhs_of = polydisk_rhs if self.domain is Polydisk else ball_rhs
         rhs = rhs_of(point.defect, point.geometry, mi, self.tag.partition(".")[2])
         return BoundReport(
-            theorem_tag=self.tag, z=point.geometry.z, alpha=mi.counts,
+            theorem_tag=self.tag, z=point.z, alpha=mi.counts,
             lhs=point.norm(mi), rhs=rhs,
         )
 
@@ -337,13 +340,14 @@ def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
     else:
         structure = Polydisk.scalar(subject.dimension)
         point, on_ball = PolynomialPoint(subject, structure, (0.0,) * structure.d), False
+    mis = [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
     return [
         BoundReport(
-            theorem_tag="wiener.coefficient", z=point.geometry.z, alpha=mi.counts,
-            lhs=point.norm(mi) / mi.factorial_product,
+            theorem_tag="wiener.coefficient", z=point.z, alpha=mi.counts,
+            lhs=norm / mi.factorial_product,
             rhs=point.defect * _sphere_factor(mi) if on_ball else point.defect,
         )
-        for mi in map(MultiIndex.of, orders) if mi.order > 0
+        for mi, norm in zip(mis, point.norms(mis))
     ]
 
 
@@ -404,6 +408,9 @@ def point_reports(
     (times d^((n-1)/2) on the ball), and the ``variants`` at ``mi``."""
     col = ctx.col
     on_ball = isinstance(col.structure, Ball)
+    mis = [mi for mi, _ in checks]
+    ctx.norms(mis)  # every norm below is read from these two stacked SVDs
+    ctx.norms([mi for mi in mis if mi.order >= 2], kop=True)
     yield from resolvent_norm_estimates(ctx)
     yield lnorm_bound_check(ctx)
     if on_ball:
@@ -415,7 +422,7 @@ def point_reports(
         if mi.order >= 2:
             yield BoundReport(
                 theorem_tag="koperator.ball" if on_ball else "koperator.polydisk",
-                z=ctx.z, alpha=mi.counts, lhs=spectral_norm(ctx.kop(mi)),
+                z=ctx.z, alpha=mi.counts, lhs=ctx.norm(mi, kop=True),
                 rhs=(col.d ** ((mi.order - 1) / 2.0) if on_ball else 1) * ctx.lnorm ** (mi.order - 1),
             )
         for variant in variants:

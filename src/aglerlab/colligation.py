@@ -29,6 +29,7 @@ monomials in fewer effective variables inside the model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -155,9 +156,13 @@ def projection(structure: DomainStructure, j: int) -> np.ndarray:
     return e
 
 
-def projections(structure: DomainStructure) -> list[np.ndarray]:
-    """All coefficient maps E_1, ..., E_d."""
-    return [projection(structure, j) for j in range(1, structure.d + 1)]
+@functools.cache
+def projections(structure: DomainStructure) -> np.ndarray:
+    """All coefficient maps E_1, ..., E_d as one read-only (d, dim_h, dim_k)
+    stack, built once per structure (structures are frozen and hashable)."""
+    es = np.stack([projection(structure, j) for j in range(1, structure.d + 1)])
+    es.flags.writeable = False
+    return es
 
 
 def zmatrix(structure: DomainStructure, z) -> np.ndarray:
@@ -166,7 +171,7 @@ def zmatrix(structure: DomainStructure, z) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if zs.shape[-1] != structure.d:
         raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
-    return np.tensordot(zs, np.stack(projections(structure)), axes=(-1, 0))
+    return np.tensordot(zs, projections(structure), axes=(-1, 0))
 
 
 def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:

@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _str
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -164,9 +165,9 @@ class CampaignConfig:
             raise ValueError("counts must be >= 1")
         if not 1 <= self.max_order <= MAX_ORDER:
             raise ValueError(f"max_order must be in 1..{MAX_ORDER}")
-        if not (math.isfinite(self.slack_tol) and math.isfinite(self.identity_tol)):
+        if not (0 <= self.slack_tol < math.inf and 0 <= self.identity_tol < math.inf):
             raise ValueError(
-                f"tolerances must be finite, got slack_tol={self.slack_tol}, "
+                f"tolerances must be finite and >= 0, got slack_tol={self.slack_tol}, "
                 f"identity_tol={self.identity_tol}"
             )
         parse_structure(self.structure)
@@ -237,14 +238,19 @@ def _variant_checks(structure: DomainStructure, max_order: int) -> list[tuple[Mu
 # --- JSONL records ------------------------------------------------------------
 
 
-def _record(report: BoundReport, seed: int, subject_hash: str, flags: Sequence[str] = ()) -> dict:
+def _record(report: BoundReport, seed: int, subject_hash: str, flags: Sequence[str] = (), last_z=None) -> dict:
+    # last_z, a campaign's [z, z list] of its last record, lets the records made from one z
+    # object share one list (by identity; the reference kept means a new z is never missed)
+    last_z = [None, None] if last_z is None else last_z
+    if report.z is not last_z[0]:
+        last_z[:] = report.z, [[v.real, v.imag] for v in report.z]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "report",
         "seed": seed,
         "theorem_tag": report.theorem_tag,
         "colligation_hash": subject_hash,
-        "z": [[v.real, v.imag] for v in report.z],
+        "z": last_z[1],
         "alpha": list(report.alpha) if report.alpha is not None else None,
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -324,12 +330,13 @@ def fuzz_records(config: CampaignConfig):
     }
     checks = _variant_checks(structure, config.max_order)
     wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
+    last_z = [None, None]
     for _ in range(config.n_colligations):
         col_seed = int(rng.integers(0, 2**62))
         col = random_colligation(structure, config.dim_g, col_seed)
         chash = colligation_hash(col)
         for rep in wiener_check(col, wiener_alphas):
-            yield _record(rep, config.seed, chash)  # at the origin, never flagged
+            yield _record(rep, config.seed, chash, (), last_z)  # at the origin, never flagged
         for _ in range(config.points_per_colligation):
             z = sample_point(structure, rng, config.sampler)
             w = sample_point(structure, rng, config.sampler)
@@ -339,11 +346,11 @@ def fuzz_records(config: CampaignConfig):
             r1, r2 = identity_residuals(cw, ctx)
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
                 yield _record(
-                    BoundReport(theorem_tag=tag, z=z, alpha=None, lhs=resid, rhs=config.identity_tol),
-                    config.seed, chash, flags + cw.flags,
+                    BoundReport(theorem_tag=tag, z=ctx.z, alpha=None, lhs=resid, rhs=config.identity_tol),
+                    config.seed, chash, flags + cw.flags, last_z,
                 )
             for rep in point_reports(ctx, checks):
-                yield _record(rep, config.seed, chash, flags)
+                yield _record(rep, config.seed, chash, flags, last_z)
 
 
 def run_fuzz(config: CampaignConfig) -> Iterator[dict]:
@@ -392,12 +399,13 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     }
     checks = _variant_checks(structure, config.max_order)
     marks = ("observational",)
+    last_z = [None, None]
     for _ in range(config.points_per_colligation * config.n_colligations):
         point = PolynomialPoint(poly, structure, sample_point(structure, rng, config.sampler))
         flags = marks + config.sampler_flags + point.flags
         for mi, variants in checks:
             for variant in variants:
-                yield _record(variant.at(point, mi), config.seed, phash, flags)
+                yield _record(variant.at(point, mi), config.seed, phash, flags, last_z)
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]
@@ -450,9 +458,9 @@ def _parse_order(text: str, d: int, min_order: int) -> MultiIndex:
 
 
 def _finite_tol(tol: float) -> float:
-    """The --tol of validate and bounds; a non-finite one would decide nothing."""
-    if not math.isfinite(tol):
-        raise _UsageError(f"--tol must be finite, got {tol}")
+    """The --tol of validate and bounds; a non-finite one decides nothing, a negative one fails exact inputs."""
+    if not 0 <= tol < math.inf:
+        raise _UsageError(f"--tol must be finite and >= 0, got {tol}")
     return tol
 
 
@@ -556,15 +564,39 @@ def _config_from_args(args) -> CampaignConfig:
         raise _UsageError(str(exc)) from None
 
 
+def _float(x) -> str:
+    """``x`` as ``json.dumps(x, allow_nan=False)`` writes it."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x, allow_nan=False)
+
+
+def _report_line(rec: dict, last_z: list) -> str:
+    """``json.dumps(rec, sort_keys=True, allow_nan=False)`` for a report record, from one
+    fixed template; ``last_z`` keeps the last z list and its encoding, so a point's records share it."""
+    if rec["z"] is not last_z[0]:
+        last_z[:] = rec["z"], "[" + ", ".join(f"[{_float(re)}, {_float(im)}]" for re, im in rec["z"]) + "]"
+    alpha = "null" if rec["alpha"] is None else f'[{", ".join(map(int.__repr__, rec["alpha"]))}]'
+    return (
+        f'{{"alpha": {alpha}, "colligation_hash": {_str(rec["colligation_hash"])}, '
+        f'"flags": [{", ".join(map(_str, rec["flags"]))}], "kind": "report", '
+        f'"lhs": {_float(rec["lhs"])}, "ratio": {_float(rec["ratio"])}, "rhs": {_float(rec["rhs"])}, '
+        f'"schema_version": {rec["schema_version"]!r}, "seed": {rec["seed"]!r}, '
+        f'"slack": {_float(rec["slack"])}, "theorem_tag": {_str(rec["theorem_tag"])}, "z": {last_z[1]}}}\n'
+    )
+
+
 def _write(records: Iterable[dict], out: str | None) -> dict:
     """Write each record to ``out`` (else stdout) as it is made; return the summary."""
     try:
         sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
+    last_z = [None, ""]
     with sink as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+            fh.write(_report_line(rec, last_z) if rec["kind"] == "report"
+                     else json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
     return rec
 
 

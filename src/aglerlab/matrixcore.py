@@ -27,19 +27,26 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value of ``m``.
+def spectral_norm(m):
+    """Largest singular value of ``m`` (a float), or of each matrix of a
+    (k, m, n) stack (an array of k floats, from one SVD call).
 
     Computed by full SVD; at the dimensions used here (well under 200)
     exactness wins over speed.  A 1x1 input is its own singular value up
     to modulus, so the SVD is skipped there.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"matrix must be 2-dimensional or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     if a.size == 0:
-        return 0.0
-    if a.shape == (1, 1):
-        return float(abs(a[0, 0]))
-    return float(np.linalg.norm(a, 2))
+        norms = np.zeros(a.shape[:-2])
+    elif a.shape[-2:] == (1, 1):
+        norms = np.hypot(a.real, a.imag)[..., 0, 0]  # rounds exactly as abs() of a complex
+    else:
+        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(norms) if a.ndim == 2 else norms
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
@@ -67,7 +74,4 @@ def unitarity_residual(u) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"U must be square, got shape {a.shape}")
     eye = np.eye(a.shape[0])
-    return max(
-        spectral_norm(a.conj().T @ a - eye),
-        spectral_norm(a @ a.conj().T - eye),
-    )
+    return float(spectral_norm(np.stack([a.conj().T @ a - eye, a @ a.conj().T - eye])).max())

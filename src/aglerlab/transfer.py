@@ -61,7 +61,8 @@ class EvalContext:
     g[e_j] = E_j.  Each g[c] depends only on c, so K does not depend on
     which multi-indices were asked for first.  ``partial(mi)`` is
     mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi itself at order 0) and
-    ``norm(mi)`` its spectral norm.  ``mi`` is a
+    ``norm(mi)`` its spectral norm; ``norms(mis)`` takes many from one
+    stacked SVD (``kop=True``: the norms of K).  ``mi`` is a
     :class:`aglerlab.derivative.MultiIndex` (only its ``counts``, ``order``,
     ``d`` and ``factorial_product`` are read).  Each of these, and each
     norm below, is computed on first use and kept, so every check at the
@@ -80,6 +81,7 @@ class EvalContext:
     _kops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _knorms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def znorm(self) -> float:
@@ -110,8 +112,8 @@ class EvalContext:
         return PointGeometry.from_point(self.z)
 
     @cached_property
-    def projections(self) -> list[np.ndarray]:
-        """The coefficient maps E_1, ..., E_d of the structure."""
+    def projections(self) -> np.ndarray:
+        """The read-only (d, dim_h, dim_k) stack of coefficient maps E_1, ..., E_d."""
         return projections(self.col.structure)
 
     @cached_property
@@ -156,12 +158,19 @@ class EvalContext:
             self._partials[mi.counts] = p
         return p
 
-    def norm(self, mi) -> float:
-        """Spectral norm of :meth:`partial`."""
-        v = self._norms.get(mi.counts)
-        if v is None:
-            v = self._norms[mi.counts] = spectral_norm(self.partial(mi))
-        return v
+    def norms(self, mis, kop: bool = False) -> list[float]:
+        """Spectral norms of :meth:`partial` (of :meth:`kop` when ``kop``) at
+        each of ``mis``; those not yet known come from one stacked SVD."""
+        known = self._knorms if kop else self._norms
+        todo = {mi.counts: mi for mi in mis if mi.counts not in known}
+        if todo:
+            mats = [self.kop(mi) if kop else self.partial(mi) for mi in todo.values()]
+            known.update(zip(todo, spectral_norm(np.stack(mats)).tolist()))
+        return [known[mi.counts] for mi in mis]
+
+    def norm(self, mi, kop: bool = False) -> float:
+        """One of :meth:`norms`."""
+        return self.norms([mi], kop)[0]
 
 
 def evaluate(col: Colligation, z: Sequence[complex]) -> EvalContext:
@@ -256,11 +265,10 @@ def resolvent_gram_factors(ctx: EvalContext) -> tuple[list[float], list[float]]:
     eye_h = np.eye(ctx.col.dim_h)
     inv_k = np.linalg.solve(eye_k - z.conj().T @ z, eye_k)
     inv_h = np.linalg.solve(eye_h - z @ z.conj().T, eye_h)
-    a, b = [], []
-    for e in ctx.projections:
-        a.append(np.sqrt(spectral_norm(e @ inv_k @ e.conj().T)))
-        b.append(np.sqrt(spectral_norm(e.conj().T @ inv_h @ e)))
-    return a, b
+    es = ctx.projections
+    a = np.sqrt(spectral_norm(np.stack([e @ inv_k @ e.conj().T for e in es])))
+    b = np.sqrt(spectral_norm(np.stack([e.conj().T @ inv_h @ e for e in es])))
+    return list(a), list(b)
 
 
 def defect_norms(phi: np.ndarray) -> tuple[float, float]:
@@ -285,37 +293,19 @@ def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    col = ctx.col
+    col, z = ctx.col, ctx.z
     d_in, d_out = ctx.defects
     a, b = ctx.gram
-    znorm = ctx.znorm
+    es = ctx.projections
+    right = spectral_norm(np.stack([e @ ctx.r_ka @ col.B for e in es])).tolist()
+    left = spectral_norm(np.stack([col.C @ ctx.r_ha @ e for e in es])).tolist()
     reports = []
-    for j, e in enumerate(ctx.projections, start=1):
-        reports.append(BoundReport(
-            theorem_tag="resolvent.right_block",
-            z=ctx.z, alpha=(j,),
-            lhs=spectral_norm(e @ ctx.r_ka @ col.B),
-            rhs=d_in * a[j - 1],
-        ))
-        reports.append(BoundReport(
-            theorem_tag="resolvent.left_block",
-            z=ctx.z, alpha=(j,),
-            lhs=spectral_norm(col.C @ ctx.r_ha @ e),
-            rhs=d_out * b[j - 1],
-        ))
-    scale = 1.0 / np.sqrt(1.0 - znorm**2)
-    reports.append(BoundReport(
-        theorem_tag="resolvent.right_full",
-        z=ctx.z, alpha=None,
-        lhs=spectral_norm(ctx.r_ka @ col.B),
-        rhs=d_in * scale,
-    ))
-    reports.append(BoundReport(
-        theorem_tag="resolvent.left_full",
-        z=ctx.z, alpha=None,
-        lhs=spectral_norm(col.C @ ctx.r_ha),
-        rhs=d_out * scale,
-    ))
+    for j in range(len(es)):
+        reports.append(BoundReport("resolvent.right_block", z, (j + 1,), lhs=right[j], rhs=d_in * a[j]))
+        reports.append(BoundReport("resolvent.left_block", z, (j + 1,), lhs=left[j], rhs=d_out * b[j]))
+    scale = 1.0 / np.sqrt(1.0 - ctx.znorm**2)
+    reports.append(BoundReport("resolvent.right_full", z, None, lhs=spectral_norm(ctx.r_ka @ col.B), rhs=d_in * scale))
+    reports.append(BoundReport("resolvent.left_full", z, None, lhs=spectral_norm(col.C @ ctx.r_ha), rhs=d_out * scale))
     return reports
 
 

@@ -98,6 +98,20 @@ class TestProjections:
                 expected = np.eye(2) if j == k else np.zeros((2, 2))
                 np.testing.assert_array_equal(ej @ ek.conj().T, expected)
 
+    @pytest.mark.parametrize("s", [Polydisk((2, 0, 1)), Ball(2, 3)])
+    def test_stack_is_built_once_and_read_only(self, s):
+        es = projections(s)
+        assert projections(s) is es
+        assert projections(type(s)(*vars(s).values())) is es  # an equal structure shares it
+        assert es.shape == (s.d, s.dim_h, s.dim_k)
+        for j in range(s.d):
+            np.testing.assert_array_equal(es[j], projection(s, j + 1))
+        with pytest.raises(ValueError, match="read-only"):
+            es[0, 0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            es[-1] += 1.0
+        np.testing.assert_array_equal(projections(s)[0], projection(s, 1))
+
 
 class TestZMatrix:
     def test_polydisk_block_diagonal(self):

@@ -236,6 +236,19 @@ class TestCampaignWork:
         assert not enumerations
 
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
+    def test_norm_calls_do_not_grow_with_the_order(self, monkeypatch, structure):
+        # each point takes the norms of all its multi-indices, and of all their
+        # K, from one stacked SVD each, so more multi-indices add no call
+        calls = count_calls(monkeypatch, spectral_norm)
+        counts = []
+        for max_order in (2, 4):
+            before = len(calls)
+            list(run_fuzz(CampaignConfig(seed=13, n_colligations=2, structure=structure,
+                                         max_order=max_order, points_per_colligation=2)))
+            counts.append(len(calls) - before)
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
     def test_campaign_matches_arrangement_oracles(self, monkeypatch, structure):
         cols = {}
 
@@ -561,6 +574,37 @@ class TestCli:
         assert err.startswith("error:") and "identity_tol=nan" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--n", "1", "--points", "1", "--max-order", "1", "--tol", "-1"],
+        ["fuzz", "--config", "CFG"],
+        ["explore", "kaijser-varopoulos", "--n", "1", "--points", "1", "--tol", "-1"],
+        ["validate", "FILE", "--tol", "-1"],
+        ["bounds", "FILE", "--z", "0.5", "--alpha", "1", "--tol", "-1"],
+    ], ids=["fuzz", "fuzz-config", "explore", "validate", "bounds"])
+    def test_negative_tolerance_exits_two(self, tmp_path, capsys, argv):
+        # each used to fail a clean input: 7 violations on a clean campaign, and
+        # "result fail" for an exact Blaschke factor
+        path, cfg, out = tmp_path / "b.json", tmp_path / "cfg.json", tmp_path / "r.jsonl"
+        save_colligation(blaschke(0.3), path)
+        cfg.write_text('{"n_colligations": 1, "max_order": 1, "identity_tol": -1}', encoding="utf-8")
+        argv = [{"FILE": str(path), "CFG": str(cfg)}.get(a, a) for a in argv]
+        if argv[0] in ("fuzz", "explore"):
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and ">= 0" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_zero_tolerance_is_valid(self, tmp_path, capsys):
+        CampaignConfig(slack_tol=0.0, identity_tol=0.0)
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.3), path)
+        assert main(["validate", str(path), "--tol", "0"]) != 2
+        assert main(["bounds", str(path), "--z", "0.5", "--tol", "0"]) != 2
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}', '{"seed": 1.5}'],
                              ids=["key", "type", "float-seed"])
     def test_bad_config_field_exits_two(self, tmp_path, capsys, fields):
@@ -683,6 +727,63 @@ class TestCampaignStream:
                               capture_output=True, env=env, check=False)
         assert done.returncode == 0, done.stderr
         assert done.stdout == out.read_bytes()
+
+
+def _small(**fields):
+    return CampaignConfig(**{"seed": 3, "n_colligations": 2, "max_order": 3,
+                             "points_per_colligation": 3, **fields})
+
+
+class TestReportEncoding:
+    """Report lines come from one fixed template; they must be the bytes that
+    ``json.dumps(rec, sort_keys=True, allow_nan=False)`` gives."""
+
+    @staticmethod
+    def written(tmp_path, records) -> list[str]:
+        out = tmp_path / "r.jsonl"
+        harness._write(records, str(out))
+        return out.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_fuzz(_small(structure="polydisk:2,1", max_order=4)),
+        lambda: run_fuzz(_small(structure="ball:m=1,d=2", sampler="boundary-biased")),
+        lambda: run_fuzz(_small(structure="polydisk:2,1", dim_g=2)),
+        lambda: run_explore("kaijser-varopoulos", _small()),
+        lambda: run_explore("alpay-kaptanoglu", _small(), m=3),
+    ], ids=["polydisk", "ball-boundary-biased", "dim-g-2", "kaijser-varopoulos", "alpay-kaptanoglu"])
+    def test_campaign_lines_are_json_dumps(self, tmp_path, make):
+        expected = [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in make()]
+        assert sum('"kind": "report"' in line for line in expected) > 50
+        assert self.written(tmp_path, make()) == expected
+
+    def test_handmade_reports(self, tmp_path):
+        z = (complex(-0.0, 5e-324), complex(1e16, -1e-300))
+        same_values = (complex(0.0, 5e-324), complex(1e16, -1e-300))  # == z, but +0.0
+        reports = [
+            BoundReport("x.first", z, None, lhs=-0.0, rhs=5e-324),
+            BoundReport("x.second", z, (0, 3), lhs=1e16, rhs=0.1 + 0.2),
+            BoundReport("x.third", same_values, (1,), lhs=np.float64(2.0) / 3.0, rhs=1),
+            BoundReport("x.fourth", z, None, lhs=0.5, rhs=0.0),
+        ]
+        records = [_record(r, 7, "0123abcd", ("near-boundary", "boundary-biased")) for r in reports]
+        records.append(_record(reports[0], 0, "h"))
+        lines = self.written(tmp_path, iter(records))
+        assert lines == [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in records]
+        assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[0]
+        assert '"z": [[0.0, 5e-324], [1e+16, -1e-300]]' in lines[2]
+        assert '"alpha": null' in lines[0] and '"rhs": 1,' in lines[2]
+        assert '"flags": ["boundary-biased", "near-boundary"]' in lines[0] and '"flags": []' in lines[4]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lhs", "rhs", "z"])
+    def test_nonfinite_value_raises(self, tmp_path, field, bad):
+        values = {"lhs": 0.5, "rhs": 1.0, "z": (0.1j, 0.2 + 0j)}
+        values[field] = (0.1j, complex(0.2, bad)) if field == "z" else bad
+        rec = _record(BoundReport("x", values["z"], None, lhs=values["lhs"], rhs=values["rhs"]), 1, "h")
+        with pytest.raises(ValueError):
+            json.dumps(rec, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            self.written(tmp_path, iter([rec]))
 
 def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")

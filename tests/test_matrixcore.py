@@ -55,6 +55,31 @@ class TestSpectralNorm:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            spectral_norm(np.zeros((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 3), (2, 3), (3, 3)])
+    def test_stack_matches_one_by_one_bit_for_bit(self, shape):
+        rng = np.random.default_rng(44)
+        stack = rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape))
+        stack *= 10.0 ** rng.uniform(-6, 6, (40, 1, 1))
+        norms = spectral_norm(stack)
+        assert norms.shape == (40,)
+        assert norms.tolist() == [spectral_norm(m) for m in stack]
+
+    def test_stack_rejects_a_nonfinite_member(self):
+        stack = np.ones((3, 2, 2), dtype=np.complex128)
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            for k in range(3):
+                members = stack.copy()
+                members[k, 1, 0] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    spectral_norm(members)
+
+    @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (0, 2, 2)])
+    def test_stack_of_empty_members_is_zero(self, shape):
+        norms = spectral_norm(np.zeros(shape))
+        assert norms.shape == (shape[0],) and not norms.any()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
