@@ -13,10 +13,10 @@ and an order-n mixed partial with per-coordinate multiplicities
 where K sums the alternating products E_{j_1} L E_{j_2} L ... L E_{j_n}
 over all distinct arrangements (j_1, ..., j_n) of the multiset holding
 each coordinate symbol j with multiplicity n_j, and L = A (I - ZA)^{-1}.
-Every K at one point comes from the same L, so the evaluated point
-(:class:`aglerlab.transfer.EvalContext`) builds them all in one sweep of
-the recursion over sub-multisets and reuses its resolvents for every
-partial; :func:`partial` and :func:`partial_at` read from it.  Direct
+Every K at a point comes from the same L, so an evaluated stack of points
+(:class:`aglerlab.transfer.EvalStack`) builds them all in one sweep of the
+recursion over sub-multisets and reuses its resolvents for every partial;
+:func:`partial` and :func:`partial_at` read from it.  Direct
 enumeration of the arrangements (:func:`koperator`) and the raw sum over
 all n! permutations of an index list (:func:`partial_permsum`) are kept
 only as oracles for that sweep (both are exponentially more expensive).
@@ -36,10 +36,10 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .colligation import Colligation, DomainStructure, Polydisk, admit, structure_norm
+from .colligation import Colligation, DomainStructure, Polydisk, admit, projections, structure_norm
 from .errors import ComplexityError
 from .tolerances import ADMISSIBILITY_MARGIN
-from .transfer import EvalContext, evaluate, phi_grid
+from .transfer import EvalContext, evaluate
 
 __all__ = [
     "MultiIndex",
@@ -167,7 +167,7 @@ def koperator(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> np.n
         raise ValueError(f"multi-index has d={mi.d}, colligation has d={ctx.col.d}")
     total = np.zeros((ctx.col.dim_h, ctx.col.dim_k), dtype=np.complex128)
     for arrangement in arrangements(mi):
-        total += _chain_product(ctx.projections, ctx.lmat, arrangement)
+        total += _chain_product(projections(ctx.col.structure), ctx.lmat, arrangement)
     return total
 
 
@@ -204,7 +204,7 @@ def partial_permsum(col: Colligation, z: Sequence[complex], klist: Sequence[int]
     ctx = evaluate(col, z)
     total = np.zeros((col.dim_h, col.dim_k), dtype=np.complex128)
     for sigma in itertools.permutations(range(n)):
-        total += _chain_product(ctx.projections, ctx.lmat, [ks[i] for i in sigma])
+        total += _chain_product(projections(ctx.col.structure), ctx.lmat, [ks[i] for i in sigma])
     return col.C @ ctx.r_ha @ total @ ctx.r_ka @ col.B
 
 
@@ -358,7 +358,7 @@ def _sample_torus(f, z: Sequence[complex], radii: tuple[float, ...], samples: in
     grids = np.meshgrid(*rings, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)  # (samples^d, d)
     if isinstance(f, Colligation):
-        vals = phi_grid(f, pts)
+        vals = evaluate(f, pts).phi
     elif isinstance(f, Polynomial):
         vals = f.eval_points(pts)
     else:

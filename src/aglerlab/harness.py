@@ -45,6 +45,7 @@ from .colligation import (
     Ball,
     DomainStructure,
     Polydisk,
+    admit,
     catalog,
     colligation_hash,
     load_colligation,
@@ -157,6 +158,8 @@ class CampaignConfig:
         for name in ("seed", "n_colligations", "dim_g", "max_order", "points_per_colligation"):
             if type(getattr(self, name)) is not int:
                 raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in (self.slack_tol, self.identity_tol)):
+            raise TypeError(f"tolerances must be numbers, got {self.slack_tol!r} and {self.identity_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dim_g < 1:
@@ -337,17 +340,16 @@ def fuzz_records(config: CampaignConfig):
         chash = colligation_hash(col)
         for rep in wiener_check(col, wiener_alphas):
             yield _record(rep, config.seed, chash, (), last_z)  # at the origin, never flagged
-        for _ in range(config.points_per_colligation):
-            z = sample_point(structure, rng, config.sampler)
-            w = sample_point(structure, rng, config.sampler)
-            ctx = evaluate(col, z)
-            cw = evaluate(col, w)
+        ev = evaluate(col, [sample_point(structure, rng, config.sampler)  # one stack: z, w of each pair, as drawn
+                            for _ in range(2 * config.points_per_colligation)])
+        cz, cw = ev[0::2], ev[1::2]
+        for i, (r1, r2) in enumerate(zip(*(r.tolist() for r in identity_residuals(cw, cz)))):
+            ctx = cz[i]
             flags = config.sampler_flags + ctx.flags
-            r1, r2 = identity_residuals(cw, ctx)
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
                 yield _record(
                     BoundReport(theorem_tag=tag, z=ctx.z, alpha=None, lhs=resid, rhs=config.identity_tol),
-                    config.seed, chash, flags + cw.flags, last_z,
+                    config.seed, chash, flags + cw.flags[i], last_z,
                 )
             for rep in point_reports(ctx, checks):
                 yield _record(rep, config.seed, chash, flags, last_z)
@@ -414,7 +416,7 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
                 theorem_tag="gram.arveson_min_eig",
                 z=pts[0], alpha=None, lhs=min_eig, rhs=0.0,
             )
-            yield _record(rep, config.seed, phash, marks)
+            yield _record(rep, config.seed, phash, marks + config.sampler_flags + admit(structure, pts))
 
 
 # --- CLI ----------------------------------------------------------------------

@@ -1,29 +1,21 @@
-"""Transfer-function evaluation with cached resolvents.
+"""Transfer-function evaluation over a stack of points, with cached resolvents.
 
-``evaluate`` produces an immutable :class:`EvalContext` holding Z(z), the
-two resolvents (I - AZ)^{-1} and (I - ZA)^{-1}, the derived operator
-L = A (I - ZA)^{-1}, and phi(z).  It is the only per-point object: the
-derivative jet (every K operator, partial and partial norm), the defect and
-the point geometry live on it and are computed on first use, so every check
-at the point reads the same evaluation.  The remaining functions check, at
-an evaluated point, the operator identities and resolvent norm estimates
-that every unitary realization satisfies:
-
-* kernel identities for I - phi(z)* phi(w) and I - phi(w) phi(z)*,
-* norm bounds on (projected) resolvent factors such as
-  ||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||,
-* the geometric-series bound ||L|| <= 1 / (1 - ||Z||).
-
-Resolvents are computed by LU solves against the identity; Neumann sums
-appear only in tests as an independent oracle.
+``evaluate(col, zs)`` evaluates phi at an (m, d) stack of points as one
+:class:`EvalStack`, whose every quantity (resolvents, the derivative jet,
+norms, defects, flags) comes from one numpy call for all its points.  Each
+point is read through its view, an :class:`EvalContext`; at one point of
+shape (d,), ``evaluate`` returns the view of a stack of one.  The remaining
+functions check, at an evaluated point, the identities and norm estimates
+that every unitary realization satisfies: the kernel identities for
+I - phi(z)* phi(w) and I - phi(w) phi(z)*, norm bounds on (projected)
+resolvent factors such as ||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||,
+and ||L|| <= 1 / (1 - ||Z||).  Resolvents are LU solves against the
+identity; Neumann sums appear only in tests, as an independent oracle.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -34,92 +26,109 @@ from .reports import BoundReport
 from .tolerances import CONDITION_LIMIT
 
 __all__ = [
-    "EvalContext",
-    "evaluate",
-    "phi_grid",
-    "defect_norms",
-    "identity_residuals",
-    "resolvent_gram_factors",
-    "resolvent_norm_estimates",
-    "lnorm_bound_check",
+    "EvalStack", "EvalContext", "evaluate", "defect_norms", "identity_residuals",
+    "resolvent_gram_factors", "resolvent_norm_estimates", "lnorm_bound_check",
 ]
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """Everything checked at one evaluated point.
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
-    ``r_ka`` is (I_K - A Z)^{-1}, ``r_ha`` is (I_H - Z A)^{-1}, and
-    ``lmat = A r_ha = r_ka A``.  ``cond`` estimates the conditioning of
-    I - AZ.  ``flags`` are the point's: ``near-boundary`` from
-    :func:`aglerlab.colligation.admit`, and ``ill-conditioned`` past the
-    conditioning limit; every record made at the point carries them.
 
-    The context also holds the derivative jet of phi at the point.
-    ``kop(mi)`` is the arrangement sum K for ``mi``, taken from the
-    recursion over sub-multisets g[c] = sum_j E_j L g[c - e_j] with
-    g[e_j] = E_j.  Each g[c] depends only on c, so K does not depend on
-    which multi-indices were asked for first.  ``partial(mi)`` is
-    mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi itself at order 0) and
-    ``norm(mi)`` its spectral norm; ``norms(mis)`` takes many from one
-    stacked SVD (``kop=True``: the norms of K).  ``mi`` is a
-    :class:`aglerlab.derivative.MultiIndex` (only its ``counts``, ``order``,
-    ``d`` and ``factorial_product`` are read).  Each of these, and each
-    norm below, is computed on first use and kept, so every check at the
-    point shares them.
-    """
+def _norms(mats: np.ndarray) -> np.ndarray:
+    """Spectral norms of an array of matrices of any leading shape, from one SVD call."""
+    return spectral_norm(mats.reshape((-1,) + mats.shape[-2:])).reshape(mats.shape[:-2])
 
-    col: Colligation
-    z: tuple[complex, ...]
-    zmat: np.ndarray
-    r_ka: np.ndarray
-    r_ha: np.ndarray
-    lmat: np.ndarray
-    phi: np.ndarray
-    cond: float
-    flags: tuple[str, ...]
-    _kops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _knorms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
+    """Inverses of ``name``, one matrix per point of ``zs``; a singular one is a domain violation."""
+    try:
+        return np.linalg.solve(mats, np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        i = int(np.flatnonzero(np.linalg.slogdet(mats)[1] == -np.inf)[0])
+        at = f" (point {i} of {len(zs)})" if len(zs) > 1 else ""
+        raise DomainViolationError(f"{name} is singular at z = {zs[i].tolist()}{at}") from None
+
+
+class EvalStack:
+    """The transfer function of ``col`` evaluated at the (m, d) points ``zs``.
+
+    ``zmat``, ``r_ka`` = (I_K - A Z)^{-1} and ``phi`` hold a row per point.
+    The rest is computed for every point on first use and kept: ``r_ha`` =
+    (I_H - Z A)^{-1}, ``lmat`` = A r_ha, and lists with an entry per point:
+    ``cond`` (of I - AZ), ``flags`` (``near-boundary`` by
+    :func:`aglerlab.colligation.admit`, ``ill-conditioned`` past the
+    conditioning limit), ``znorm``, ``lnorm``, ``defects``, ``gram`` and
+    ``resolvent_norms``.  The jet: ``kop(mi)``, the arrangement sum K, comes
+    from the recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, over
+    sub-multisets, so it does not depend on which multi-indices came first;
+    ``partial(mi)`` is mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0);
+    ``norms(mis)`` gives per multi-index the norms of its partial (of its K
+    with ``kop=True``), those not yet known from one SVD call.  ``stack[i]``
+    is the view of point i, ``stack[a:b]`` a new stack of those points."""
+
+    def __init__(self, col: Colligation, zs, zmat, r_ka, phi, near: tuple[str, ...]):
+        self.col, self.zs, self.zmat, self.r_ka, self.phi = col, zs, zmat, r_ka, phi
+        self.es = projections(col.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
+        self._near = near  # admit's flags for the whole stack: () clears every point
+        self._kops, self._partials, self._norms, self._knorms = {}, {}, {}, {}
+
+    def __len__(self) -> int:
+        return len(self.zs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EvalStack(self.col, self.zs[i], self.zmat[i], self.r_ka[i], self.phi[i], self._near)
+        return EvalContext(self, range(len(self))[i])
 
     @cached_property
-    def znorm(self) -> float:
+    def r_ha(self) -> np.ndarray:
+        return _inverse(np.eye(self.col.dim_h) - self.zmat @ self.col.A, self.zs, "I - ZA(z)")
+
+    @cached_property
+    def lmat(self) -> np.ndarray:
+        return self.col.A @ self.r_ha
+
+    @cached_property
+    def cond(self) -> list[float]:
+        return np.linalg.cond(np.eye(self.col.dim_k) - self.col.A @ self.zmat).tolist()
+
+    @cached_property
+    def flags(self) -> list[tuple[str, ...]]:
+        near = [admit(self.col.structure, z) for z in self.zs] if self._near else [()] * len(self)
+        return [f + (("ill-conditioned",) if c > CONDITION_LIMIT else ()) for f, c in zip(near, self.cond)]
+
+    @cached_property
+    def znorm(self) -> list[float]:
         """||Z(z)||, the largest row norm of Z since Z Z* is diagonal; below
         the domain norm only where an empty polydisk block drops a coordinate."""
         moduli = np.hypot(self.zmat.real, self.zmat.imag)
-        return float(np.sqrt((moduli * moduli).sum(axis=1).max()))
+        return np.sqrt((moduli * moduli).sum(axis=-1).max(axis=-1)).tolist()
 
     @cached_property
-    def lnorm(self) -> float:
-        """||L||."""
-        return spectral_norm(self.lmat)
+    def lnorm(self) -> list[float]:
+        return spectral_norm(self.lmat).tolist()
 
     @cached_property
-    def defects(self) -> tuple[float, float]:
+    def defects(self) -> list[tuple[float, float]]:
         """Input and output defect norms of phi(z); see :func:`defect_norms`."""
-        return defect_norms(self.phi)
+        return list(zip(*(d.tolist() for d in defect_norms(self.phi))))
 
     @cached_property
-    def defect(self) -> float:
-        """Product of the two defect norms of phi(z)."""
-        d_in, d_out = self.defects
-        return d_in * d_out
-
-    @cached_property
-    def geometry(self) -> PointGeometry:
-        """Norm data of z read by bound right-hand sides."""
-        return PointGeometry.from_point(self.z)
-
-    @cached_property
-    def projections(self) -> np.ndarray:
-        """The read-only (d, dim_h, dim_k) stack of coefficient maps E_1, ..., E_d."""
-        return projections(self.col.structure)
-
-    @cached_property
-    def gram(self) -> tuple[list[float], list[float]]:
+    def gram(self) -> list[tuple[list[float], list[float]]]:
         """Projected resolvent Gram factors; see :func:`resolvent_gram_factors`."""
-        return resolvent_gram_factors(self)
+        return list(zip(*(g.tolist() for g in resolvent_gram_factors(self))))
+
+    @cached_property
+    def resolvent_norms(self) -> list[tuple[list[float], list[float], float, float]]:
+        """([||E_j r_ka B||]_j, [||C r_ha E_j||]_j, ||r_ka B||, ||C r_ha||) per point."""
+        return list(zip(
+            _norms(self.es @ self.r_ka[:, None] @ self.col.B).tolist(),
+            _norms(self._c_rha[:, None] @ self.es).tolist(),
+            spectral_norm(self.r_ka @ self.col.B).tolist(),
+            spectral_norm(self._c_rha).tolist(),
+        ))
 
     @cached_property
     def _c_rha(self) -> np.ndarray:
@@ -128,101 +137,121 @@ class EvalContext:
     def _k(self, counts: tuple[int, ...]) -> np.ndarray:
         k = self._kops.get(counts)
         if k is None:
-            es = self.projections
             if sum(counts) == 1:
-                k = es[counts.index(1)]
+                k = np.broadcast_to(self.es[counts.index(1)], self.zmat.shape)
             else:
-                k = np.zeros((self.col.dim_h, self.col.dim_k), dtype=np.complex128)
+                k = np.zeros(self.zmat.shape, dtype=np.complex128)
                 for j, c in enumerate(counts):
                     if c:
                         prev = counts[:j] + (c - 1,) + counts[j + 1:]
-                        k += es[j] @ (self.lmat @ self._k(prev))
+                        k += self.es[j] @ (self.lmat @ self._k(prev))
             self._kops[counts] = k
         return k
 
+    def _check(self, mi) -> None:
+        if mi.d != self.col.d:
+            raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
+
     def kop(self, mi) -> np.ndarray:
-        """Arrangement sum K for ``mi`` (order >= 1)."""
+        """Arrangement sum K for ``mi`` (order >= 1) at every point."""
+        self._check(mi)
         return self._k(mi.counts)
 
-    def assemble(self, mi, k: np.ndarray) -> np.ndarray:
-        """mi! C (I - ZA)^{-1} k (I - AZ)^{-1} B."""
-        return mi.factorial_product * (self._c_rha @ k @ self.r_ka @ self.col.B)
-
     def partial(self, mi) -> np.ndarray:
-        """Mixed partial d^n phi / dz^mi at the point."""
+        """Mixed partial d^n phi / dz^mi at every point."""
         p = self._partials.get(mi.counts)
         if p is None:
-            if mi.d != self.col.d:
-                raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
-            p = self.phi if mi.order == 0 else self.assemble(mi, self.kop(mi))
+            self._check(mi)
+            p = self.phi if mi.order == 0 else mi.factorial_product * (
+                self._c_rha @ self._k(mi.counts) @ self.r_ka @ self.col.B)
             self._partials[mi.counts] = p
         return p
 
-    def norms(self, mis, kop: bool = False) -> list[float]:
-        """Spectral norms of :meth:`partial` (of :meth:`kop` when ``kop``) at
-        each of ``mis``; those not yet known come from one stacked SVD."""
+    def norms(self, mis, kop: bool = False) -> list[list[float]]:
+        """Per multi-index of ``mis``, its partial's norm (its K's if ``kop``) at every point."""
         known = self._knorms if kop else self._norms
         todo = {mi.counts: mi for mi in mis if mi.counts not in known}
         if todo:
-            mats = [self.kop(mi) if kop else self.partial(mi) for mi in todo.values()]
-            known.update(zip(todo, spectral_norm(np.stack(mats)).tolist()))
+            mats = np.stack([self.kop(mi) if kop else self.partial(mi) for mi in todo.values()], axis=1)
+            known.update(zip(todo, _norms(mats).T.tolist()))
         return [known[mi.counts] for mi in mis]
+
+
+class _Row:
+    """The view's row of the stack attribute of the same name, read on first use."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        value = ctx.__dict__[self.name] = getattr(ctx.stack, self.name)[ctx.i]
+        return value
+
+
+class EvalContext:
+    """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``:
+    its rows of the stack's attributes and of its jet (``kop``, ``partial``,
+    ``norms``, ``norm``).  Every record made at the point carries its ``flags``.
+    """
+
+    zmat, r_ka, r_ha, lmat, phi, cond, flags = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
+    znorm, lnorm, defects, gram, resolvent_norms = _Row(), _Row(), _Row(), _Row(), _Row()
+
+    def __init__(self, stack: EvalStack, i: int):
+        self.stack, self.i, self.col = stack, i, stack.col
+        self.z: tuple[complex, ...] = tuple(stack.zs[i].tolist())
+
+    @cached_property
+    def defect(self) -> float:
+        """Product of the two defect norms of phi(z)."""
+        return self.defects[0] * self.defects[1]
+
+    @cached_property
+    def geometry(self) -> PointGeometry:
+        """Norm data of z read by bound right-hand sides."""
+        return PointGeometry.from_point(self.z)
+
+    def kop(self, mi) -> np.ndarray:
+        """Arrangement sum K for ``mi`` (order >= 1)."""
+        return self.stack.kop(mi)[self.i]
+
+    def partial(self, mi) -> np.ndarray:
+        """Mixed partial d^n phi / dz^mi at the point."""
+        return self.stack.partial(mi)[self.i]
+
+    def norms(self, mis, kop: bool = False) -> list[float]:
+        """Spectral norms of :meth:`partial` (of :meth:`kop` when ``kop``) at each of ``mis``."""
+        return [row[self.i] for row in self.stack.norms(mis, kop)]
 
     def norm(self, mi, kop: bool = False) -> float:
         """One of :meth:`norms`."""
-        return self.norms([mi], kop)[0]
+        known = self.stack._knorms if kop else self.stack._norms
+        row = known[mi.counts] if mi.counts in known else self.stack.norms([mi], kop)[0]
+        return row[self.i]
 
 
-def evaluate(col: Colligation, z: Sequence[complex]) -> EvalContext:
-    """Evaluate the transfer function and cache the resolvents at ``z``.
-
-    An inadmissible point is rejected (see :func:`aglerlab.colligation.admit`),
-    not extrapolated, and so is a point where I - AZ(z) is singular (possible
-    only for a non-unitary colligation); a point near the boundary is flagged.
-    """
-    zt = tuple(complex(v) for v in z)
-    flags = admit(col.structure, zt)
-    zm = zmatrix(col.structure, zt)
-    eye_k = np.eye(col.dim_k)
-    eye_h = np.eye(col.dim_h)
-    i_az = eye_k - col.A @ zm
-    try:
-        r_ka = np.linalg.solve(i_az, eye_k)
-        r_ha = np.linalg.solve(eye_h - zm @ col.A, eye_h)
-    except np.linalg.LinAlgError:
-        raise DomainViolationError(f"I - AZ(z) is singular at z = {list(zt)}") from None
-    lmat = col.A @ r_ha
-    phi = col.D + col.C @ zm @ r_ka @ col.B
-    cond = float(np.linalg.cond(i_az))
-    return EvalContext(
-        col=col, z=zt, zmat=zm, r_ka=r_ka, r_ha=r_ha, lmat=lmat, phi=phi, cond=cond,
-        flags=flags + (("ill-conditioned",) if cond > CONDITION_LIMIT else ()),
-    )
+def evaluate(col: Colligation, zs) -> EvalStack | EvalContext:
+    """Evaluate the transfer function at the points of an (m, d) stack ``zs``,
+    or at one point of shape (d,).  An inadmissible point is rejected (see
+    :func:`aglerlab.colligation.admit`), not extrapolated, and so is a point
+    where I - AZ(z) is singular (possible only for a non-unitary colligation);
+    a point near the boundary is flagged."""
+    pts = np.asarray(zs, dtype=np.complex128)
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"points must have shape (d,) or (m, d), got {pts.shape}")
+    near = admit(col.structure, pts)
+    stack = pts.reshape(-1, col.d)
+    zm = zmatrix(col.structure, stack)
+    r_ka = _inverse(np.eye(col.dim_k) - col.A @ zm, stack, "I - AZ(z)")
+    ev = EvalStack(col, stack, zm, r_ka, col.D + col.C @ zm @ r_ka @ col.B, near)
+    return ev if pts.ndim == 2 else ev[0]
 
 
-def phi_grid(col: Colligation, points: np.ndarray) -> np.ndarray:
-    """Vectorized phi over ``points`` of shape (m, d); returns (m, dim_g, dim_f).
-
-    Stacked LU solves keep quadrature oracles at desk speed.  Every point
-    must be admissible, with I - AZ(z) nonsingular.
-    """
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim != 2 or pts.shape[1] != col.d:
-        raise ValueError(f"points must have shape (m, {col.d}), got {pts.shape}")
-    admit(col.structure, pts)
-    zs = zmatrix(col.structure, pts)  # (m, dim_h, dim_k)
-    i_az = np.eye(col.dim_k) - col.A @ zs
-    rhs = np.broadcast_to(col.B, (len(pts),) + col.B.shape)
-    try:
-        x = np.linalg.solve(i_az, rhs)  # (m, dim_k, dim_f)
-    except np.linalg.LinAlgError:
-        raise DomainViolationError(f"I - AZ(z) is singular at one of {len(pts)} points") from None
-    return col.D + col.C @ zs @ x
-
-
-def identity_residuals(cw: EvalContext, cz: EvalContext) -> tuple[float, float]:
-    """Residuals of the two defect kernel identities at the pair (w, z),
-    from the contexts evaluated at w and z.
+def identity_residuals(cw, cz):
+    """Residuals of the two defect kernel identities at the pair (w, z), from
+    the views at w and z, or as two arrays from two stacks of equal length.
 
     r1 checks I_F - phi(z)* phi(w) against
     B* (I - Z(z)* A*)^{-1} (I - Z(z)* Z(w)) (I - A Z(w))^{-1} B, and r2 the
@@ -230,58 +259,34 @@ def identity_residuals(cw: EvalContext, cz: EvalContext) -> tuple[float, float]:
     unitary colligations.
     """
     col = cz.col
-    eye_f = np.eye(col.dim_f)
-    eye_g = np.eye(col.dim_g)
-    eye_k = np.eye(col.dim_k)
-    eye_h = np.eye(col.dim_h)
     # (I - Z(z)* A*)^{-1} is the adjoint of r_ka at z; same for the H side.
-    lhs1 = eye_f - cz.phi.conj().T @ cw.phi
-    rhs1 = (
-        col.B.conj().T
-        @ cz.r_ka.conj().T
-        @ (eye_k - cz.zmat.conj().T @ cw.zmat)
-        @ cw.r_ka
-        @ col.B
-    )
-    lhs2 = eye_g - cw.phi @ cz.phi.conj().T
-    rhs2 = (
-        col.C
-        @ cw.r_ha
-        @ (eye_h - cw.zmat @ cz.zmat.conj().T)
-        @ cz.r_ha.conj().T
-        @ col.C.conj().T
-    )
+    lhs1 = np.eye(col.dim_f) - _adjoint(cz.phi) @ cw.phi
+    rhs1 = _adjoint(col.B) @ _adjoint(cz.r_ka) @ (np.eye(col.dim_k) - _adjoint(cz.zmat) @ cw.zmat) @ cw.r_ka @ col.B
+    lhs2 = np.eye(col.dim_g) - cw.phi @ _adjoint(cz.phi)
+    rhs2 = col.C @ cw.r_ha @ (np.eye(col.dim_h) - cw.zmat @ _adjoint(cz.zmat)) @ _adjoint(cz.r_ha) @ _adjoint(col.C)
     return spectral_norm(lhs1 - rhs1), spectral_norm(lhs2 - rhs2)
 
 
-def resolvent_gram_factors(ctx: EvalContext) -> tuple[list[float], list[float]]:
+def resolvent_gram_factors(ev: EvalStack) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate factors entering the projected resolvent estimates.
 
-    Returns (a, b) with a[j-1] = ||E_j (I - Z*Z)^{-1} E_j*||^(1/2) on the
-    K side and b[j-1] = ||E_j* (I - ZZ*)^{-1} E_j||^(1/2) on the H side.
+    Returns (a, b) of shape (m, d) with a[i, j-1] =
+    ||E_j (I - Z*Z)^{-1} E_j*||^(1/2) on the K side and b[i, j-1] =
+    ||E_j* (I - ZZ*)^{-1} E_j||^(1/2) on the H side, at point i.
     """
-    z = ctx.zmat
-    eye_k = np.eye(ctx.col.dim_k)
-    eye_h = np.eye(ctx.col.dim_h)
-    inv_k = np.linalg.solve(eye_k - z.conj().T @ z, eye_k)
-    inv_h = np.linalg.solve(eye_h - z @ z.conj().T, eye_h)
-    es = ctx.projections
-    a = np.sqrt(spectral_norm(np.stack([e @ inv_k @ e.conj().T for e in es])))
-    b = np.sqrt(spectral_norm(np.stack([e.conj().T @ inv_h @ e for e in es])))
-    return list(a), list(b)
+    z, es = ev.zmat, ev.es
+    inv_k = _inverse(np.eye(ev.col.dim_k) - _adjoint(z) @ z, ev.zs, "I - Z*Z")[:, None]
+    inv_h = _inverse(np.eye(ev.col.dim_h) - z @ _adjoint(z), ev.zs, "I - ZZ*")[:, None]
+    return np.sqrt(_norms(es @ inv_k @ _adjoint(es))), np.sqrt(_norms(_adjoint(es) @ inv_h @ es))
 
 
-def defect_norms(phi: np.ndarray) -> tuple[float, float]:
-    """(||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2)).
-
-    Their product is the defect D on bound right-hand sides; for scalar phi
-    it equals 1 - |phi|^2.
-    """
-    eye_f = np.eye(phi.shape[1])
-    eye_g = np.eye(phi.shape[0])
+def defect_norms(phi: np.ndarray):
+    """(||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2)), as two arrays for a
+    stack of phi.  Their product is the defect D on bound right-hand sides;
+    for scalar phi it equals 1 - |phi|^2."""
     return (
-        math.sqrt(spectral_norm(eye_f - phi.conj().T @ phi)),
-        math.sqrt(spectral_norm(eye_g - phi @ phi.conj().T)),
+        np.sqrt(spectral_norm(np.eye(phi.shape[-1]) - _adjoint(phi) @ phi)),
+        np.sqrt(spectral_norm(np.eye(phi.shape[-2]) - phi @ _adjoint(phi))),
     )
 
 
@@ -293,28 +298,20 @@ def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    col, z = ctx.col, ctx.z
+    z = ctx.z
     d_in, d_out = ctx.defects
     a, b = ctx.gram
-    es = ctx.projections
-    right = spectral_norm(np.stack([e @ ctx.r_ka @ col.B for e in es])).tolist()
-    left = spectral_norm(np.stack([col.C @ ctx.r_ha @ e for e in es])).tolist()
+    right, left, right_full, left_full = ctx.resolvent_norms
     reports = []
-    for j in range(len(es)):
+    for j in range(len(right)):
         reports.append(BoundReport("resolvent.right_block", z, (j + 1,), lhs=right[j], rhs=d_in * a[j]))
         reports.append(BoundReport("resolvent.left_block", z, (j + 1,), lhs=left[j], rhs=d_out * b[j]))
     scale = 1.0 / np.sqrt(1.0 - ctx.znorm**2)
-    reports.append(BoundReport("resolvent.right_full", z, None, lhs=spectral_norm(ctx.r_ka @ col.B), rhs=d_in * scale))
-    reports.append(BoundReport("resolvent.left_full", z, None, lhs=spectral_norm(col.C @ ctx.r_ha), rhs=d_out * scale))
+    reports.append(BoundReport("resolvent.right_full", z, None, lhs=right_full, rhs=d_in * scale))
+    reports.append(BoundReport("resolvent.left_full", z, None, lhs=left_full, rhs=d_out * scale))
     return reports
 
 
 def lnorm_bound_check(ctx: EvalContext) -> BoundReport:
     """Geometric-series bound ||L|| <= 1 / (1 - ||Z||)."""
-    return BoundReport(
-        theorem_tag="lmatrix.geometric",
-        z=ctx.z,
-        alpha=None,
-        lhs=ctx.lnorm,
-        rhs=1.0 / (1.0 - ctx.znorm),
-    )
+    return BoundReport("lmatrix.geometric", ctx.z, None, lhs=ctx.lnorm, rhs=1.0 / (1.0 - ctx.znorm))

@@ -112,6 +112,16 @@ class TestKOperator:
         with pytest.raises(ValueError, match="order"):
             koperator(ctx, (1,))
 
+    @pytest.mark.parametrize("counts", [(2,), (1, 1, 0)])
+    def test_rejects_a_multi_index_of_the_wrong_length(self, counts):
+        ctx = evaluate(random_colligation(Polydisk((2, 1)), 1, 3), (0.3, 0.2j))
+        mi = MultiIndex(counts)
+        message = f"multi-index has d={len(counts)}, colligation has d=2"
+        for read in (ctx.kop, lambda mi: ctx.norm(mi, kop=True), lambda mi: ctx.norms([mi], kop=True),
+                     ctx.partial, ctx.norm, lambda mi: koperator(ctx, mi)):
+            with pytest.raises(ValueError, match=message):
+                read(mi)
+
     def test_dp_matches_enumeration(self):
         rng = np.random.default_rng(9)
         col = random_colligation(Polydisk((2, 1, 2)), dim_g=1, seed=22)

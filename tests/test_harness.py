@@ -231,8 +231,9 @@ class TestCampaignWork:
         n, points = 3, 2
         list(run_fuzz(CampaignConfig(seed=13, n_colligations=n, structure=structure,
                                      max_order=4, points_per_colligation=points)))
-        # z and w at every point, plus the origin once per colligation
-        assert len(evaluations) == n * (2 * points + 1)
+        # per colligation: the origin, then one stack of the z and w of every pair
+        assert len(evaluations) == 2 * n
+        assert [np.shape(zs) for _, zs in evaluations] == [(2,), (2 * points, 2)] * n
         assert not enumerations
 
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
@@ -304,6 +305,23 @@ class TestExploreCampaign:
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             run_explore("lemniscate", CampaignConfig())
+
+    def test_gram_records_carry_the_campaign_and_point_flags(self, monkeypatch):
+        def gram_flags(sampler):
+            cfg = CampaignConfig(seed=8, n_colligations=2, max_order=1, points_per_colligation=1, sampler=sampler)
+            records = run_explore("alpay-kaptanoglu", cfg)
+            return [r["flags"] for r in records if r.get("theorem_tag") == "gram.arveson_min_eig"]
+
+        assert gram_flags("boundary-biased") == [["boundary-biased", "observational"]] * 2
+        calls = []
+
+        def near_sphere_on_call_14(structure, rng, sampler="uniform"):
+            # calls 1-2 draw the variant points, 3-10 and 11-18 the two Gram matrices
+            calls.append(sample_point(structure, rng, sampler))
+            return (0.0, 1.0 - 1e-7) if len(calls) == 14 else calls[-1]
+
+        monkeypatch.setattr(harness, "sample_point", near_sphere_on_call_14)
+        assert gram_flags("uniform") == [["observational"], ["near-boundary", "observational"]]
 
 
 class TestCli:
@@ -605,8 +623,9 @@ class TestCli:
         assert main(["bounds", str(path), "--z", "0.5", "--tol", "0"]) != 2
         assert "error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}', '{"seed": 1.5}'],
-                             ids=["key", "type", "float-seed"])
+    @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}', '{"seed": 1.5}',
+                                        '{"slack_tol": true}', '{"identity_tol": false}'],
+                             ids=["key", "type", "float-seed", "bool-slack-tol", "bool-identity-tol"])
     def test_bad_config_field_exits_two(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(fields, encoding="utf-8")

@@ -17,10 +17,11 @@ from aglerlab.transfer import (
     evaluate,
     identity_residuals,
     lnorm_bound_check,
-    phi_grid,
     resolvent_norm_estimates,
 )
-from aglerlab.colligation import zmatrix
+from aglerlab.bounds import applicable_variants, point_reports
+from aglerlab.colligation import admit, zmatrix
+from aglerlab.derivative import MultiIndex
 from conftest import MIXED_STRUCTURES, admissible_point
 
 
@@ -117,22 +118,65 @@ class TestEvaluate:
         col = Colligation(Polydisk((1,)), A=[[2.0]], B=[[0.0]], C=[[0.0]], D=[[1.0]])
         with pytest.raises(DomainViolationError, match="singular"):
             evaluate(col, (0.5,))
-        with pytest.raises(DomainViolationError, match="singular"):
-            phi_grid(col, np.array([[0.1], [0.5]]))
+        with pytest.raises(DomainViolationError, match=r"singular at z = \[\(0.5\+0j\)\] \(point 2 of 3\)"):
+            evaluate(col, np.array([[0.1], [-0.2], [0.5]]))
 
-    def test_phi_grid_matches_pointwise(self):
+    def test_stack_phi_matches_pointwise(self):
         rng = np.random.default_rng(3)
         for s in (Polydisk((2, 1)), Ball(2, 2)):
             col = random_colligation(s, dim_g=1, seed=31)
             pts = np.array([admissible_point(s, rng) for _ in range(12)])
-            batch = phi_grid(col, pts)
+            batch = evaluate(col, pts).phi
             for k, z in enumerate(pts):
                 np.testing.assert_allclose(batch[k], evaluate(col, z).phi, atol=1e-13)
 
-    def test_phi_grid_rejects_bad_points(self):
+    def test_stack_rejects_bad_points(self):
         col = blaschke(0.1)
-        with pytest.raises(DomainViolationError):
-            phi_grid(col, np.array([[0.2], [1.0]]))
+        with pytest.raises(DomainViolationError, match="1 of 2 points, first at index 1"):
+            evaluate(col, np.array([[0.2], [1.0]]))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(col, np.zeros((2, 1, 1)))
+
+
+class TestStack:
+    def test_flags_are_set_per_point(self):
+        col = random_colligation(Ball(1, 2), dim_g=1, seed=4)
+        pts = np.array([[0.1, 0.2j], [0.0, 1.0 - 1e-7], [0.3, 0.0]])
+        assert admit(col.structure, pts) == ("near-boundary",)  # one tuple for the whole stack
+        ev = evaluate(col, pts)
+        assert [ev[i].flags for i in range(3)] == [(), ("near-boundary",), ()]
+        assert [ev[i].flags for i in range(3)] == [evaluate(col, z).flags for z in pts]
+        # non-unitary colligation whose pencil nearly hits a unit eigenvalue at the first point
+        a = np.diag([2.0, 0.1]).astype(complex)
+        col = Colligation(Polydisk((1, 1)), A=a, B=np.zeros((2, 1)), C=np.zeros((1, 2)), D=[[1.0]])
+        ev = evaluate(col, [(0.5 - 1e-16, 0.0), (0.1, 0.1)])
+        assert [ev[i].flags for i in range(2)] == [("ill-conditioned",), ()]
+
+    @pytest.mark.parametrize("structure, dim_g", [(Polydisk((2, 1)), 1), (Ball(2, 2), 1), (Polydisk((2, 1)), 2)])
+    def test_stack_agrees_with_one_point_evaluations(self, structure, dim_g):
+        rng = np.random.default_rng(15)
+        col = random_colligation(structure, dim_g=dim_g, seed=16)
+        checks = [(mi, applicable_variants(type(structure), mi))
+                  for mi in map(MultiIndex, [(1, 0), (0, 1), (2, 1), (1, 3)])]
+        mis = [mi for mi, _ in checks]
+        ev = evaluate(col, [admissible_point(structure, rng) for _ in range(5)])
+        assert len(ev) == 5
+        for i in range(5):
+            ctx, one = ev[i], evaluate(col, ev.zs[i])
+            assert ctx.z == one.z
+            np.testing.assert_allclose(ctx.phi, one.phi, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ctx.norms(mis), one.norms(mis), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ctx.norms(mis[2:], kop=True), one.norms(mis[2:], kop=True),
+                                       rtol=1e-12, atol=0)
+            stacked, single = list(point_reports(ctx, checks)), list(point_reports(one, checks))
+            assert [r.theorem_tag for r in stacked] == [r.theorem_tag for r in single]
+            for a, b in zip(stacked, single):
+                assert a.lhs == pytest.approx(b.lhs, rel=1e-12, abs=0), a
+                assert a.rhs == pytest.approx(b.rhs, rel=1e-12, abs=0), a
+        r1, r2 = identity_residuals(ev[:2], ev[3:])
+        assert r1.shape == r2.shape == (2,)
+        for i in range(2):
+            assert (r1[i], r2[i]) == pytest.approx(identity_residuals(ev[i], ev[3 + i]), abs=1e-15)
 
 
 class TestIdentityResiduals:
