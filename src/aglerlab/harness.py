@@ -13,7 +13,10 @@ Subcommands:
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, each written as it is made.
-Identical configuration and seed produce byte-identical output.
+A campaign yields (report, subject hash, flags) rows, and ``summarize``
+turns each row into its line from one fixed template, the one statement of
+the record format, while it folds the summary.  Identical configuration and
+seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from .derivative import (
     alpay_kaptanoglu,
     cauchy_partial,
     check_samples,
+    default_radii,
     kaijser_varopoulos,
-    partial,
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
@@ -104,14 +107,14 @@ def parse_structure(spec: str) -> DomainStructure:
             raise ValueError(f"bad polydisk block dims in {spec!r}") from None
         return Polydisk(dims)
     if kind == "ball":
-        fields = {}
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            fields[key.strip()] = val.strip()
+        pairs = [part.partition("=")[::2] for part in rest.split(",")]
         try:
-            return Ball(fiber_dim=int(fields["m"]), copies=int(fields["d"]))
-        except (KeyError, ValueError):
-            raise ValueError(f"ball spec needs m=<int>,d=<int>, got {spec!r}") from None
+            fields = {key.strip(): int(val) for key, val in pairs}
+        except ValueError:
+            fields = {}
+        if len(pairs) != 2 or set(fields) != {"m", "d"}:  # each key exactly once
+            raise ValueError(f"ball spec needs m=<int>,d=<int>, got {spec!r}")
+        return Ball(fiber_dim=fields["m"], copies=fields["d"])
     raise ValueError(f"unknown structure kind in {spec!r}; use polydisk:... or ball:...")
 
 
@@ -160,6 +163,10 @@ class CampaignConfig:
                 raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
         if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in (self.slack_tol, self.identity_tol)):
             raise TypeError(f"tolerances must be numbers, got {self.slack_tol!r} and {self.identity_tol!r}")
+        if not (isinstance(self.structure, str) and isinstance(self.sampler, str)
+                and isinstance(self.out, (str, type(None)))):
+            raise TypeError(f"structure and sampler must be strings and out a string or null, got "
+                            f"{self.structure!r}, {self.sampler!r} and {self.out!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dim_g < 1:
@@ -241,28 +248,6 @@ def _variant_checks(structure: DomainStructure, max_order: int) -> list[tuple[Mu
 # --- JSONL records ------------------------------------------------------------
 
 
-def _record(report: BoundReport, seed: int, subject_hash: str, flags: Sequence[str] = (), last_z=None) -> dict:
-    # last_z, a campaign's [z, z list] of its last record, lets the records made from one z
-    # object share one list (by identity; the reference kept means a new z is never missed)
-    last_z = [None, None] if last_z is None else last_z
-    if report.z is not last_z[0]:
-        last_z[:] = report.z, [[v.real, v.imag] for v in report.z]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "report",
-        "seed": seed,
-        "theorem_tag": report.theorem_tag,
-        "colligation_hash": subject_hash,
-        "z": last_z[1],
-        "alpha": list(report.alpha) if report.alpha is not None else None,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "ratio": report.ratio,
-        "flags": sorted(set(flags)),
-    }
-
-
 def polynomial_hash(p: Polynomial) -> str:
     blob = json.dumps(
         {str(k): [v.real, v.imag] for k, v in sorted(p.coeffs.items())},
@@ -271,41 +256,65 @@ def polynomial_hash(p: Polynomial) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def summarize(records: Iterable[dict], slack_tol: float, **extra) -> Iterator[dict]:
-    """Yield every record of ``records`` as it passes, then their summary:
-    per-theorem slack and ratio statistics, plus the ``extra`` fields.
+def _float(x) -> str:
+    """``x`` as ``json.dumps(x, allow_nan=False)`` writes it."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x, allow_nan=False)
 
-    Flagged records (near-boundary, observational, ill-conditioned) are
-    counted but contribute no slack violations.  A record whose lhs, rhs
-    or slack is not finite checked nothing, so it counts as a violation
-    whether flagged or not; slack = rhs - lhs is not finite exactly when
-    one of the three is not.
+
+Row = tuple[BoundReport, str, tuple[str, ...]]  # a report, its subject's hash, the flags of its record
+
+
+def summarize(header: dict, rows: Iterable[Row], slack_tol: float, **extra) -> Iterator[str]:
+    """Yield a campaign's JSONL lines: ``header``, one report line per row of
+    ``rows`` as it passes, then the summary: per-theorem slack and ratio
+    statistics, plus the ``extra`` fields.
+
+    The report template below is the one statement of the record format.  It
+    writes the bytes of ``json.dumps(record, sort_keys=True, allow_nan=False)``,
+    so a non-finite lhs, rhs, slack, ratio or z coordinate raises that
+    ``ValueError`` before any summary is made.  Rows with flags
+    (near-boundary, observational, boundary-biased, ill-conditioned) are
+    counted but contribute no slack violations.
     """
+    yield json.dumps(header, sort_keys=True, allow_nan=False) + "\n"
+    version_seed = f'"schema_version": {SCHEMA_VERSION!r}, "seed": {header["seed"]!r}'
     theorems: dict[str, dict] = {}
-    violations = 0
-    flagged = 0
-    for rec in records:
-        yield rec
-        if rec.get("kind") != "report":
-            continue
-        stats = theorems.setdefault(rec["theorem_tag"], {
-            "count": 0, "min_slack": math.inf,
-            "min_ratio": math.inf, "max_ratio": -math.inf, "mean_ratio": 0.0,
-        })
+    violations = flagged = 0
+    z = flags = None  # the last row's, so that the rows of one point encode its z and flags once
+    for rep, subject_hash, row_flags in rows:
+        if rep.z is not z:
+            z = rep.z
+            z_text = "[" + ", ".join(f"[{_float(v.real)}, {_float(v.imag)}]" for v in z) + "]"
+        if row_flags is not flags:
+            flags = row_flags
+            flags_text = "[" + ", ".join(map(_str, sorted(set(flags)))) + "]"
+        slack, ratio = rep.slack, rep.ratio
+        alpha = "null" if rep.alpha is None else f'[{", ".join(map(int.__repr__, rep.alpha))}]'
+        yield (
+            f'{{"alpha": {alpha}, "colligation_hash": {_str(subject_hash)}, "flags": {flags_text}, '
+            f'"kind": "report", "lhs": {_float(rep.lhs)}, "ratio": {_float(ratio)}, "rhs": {_float(rep.rhs)}, '
+            f'{version_seed}, "slack": {_float(slack)}, "theorem_tag": {_str(rep.theorem_tag)}, "z": {z_text}}}\n'
+        )
+        stats = theorems.get(rep.theorem_tag)
+        if stats is None:
+            stats = theorems[rep.theorem_tag] = {
+                "count": 0, "min_slack": math.inf,
+                "min_ratio": math.inf, "max_ratio": -math.inf, "mean_ratio": 0.0,
+            }
         stats["count"] += 1
-        stats["min_slack"] = min(stats["min_slack"], rec["slack"])
-        stats["min_ratio"] = min(stats["min_ratio"], rec["ratio"])
-        stats["max_ratio"] = max(stats["max_ratio"], rec["ratio"])
-        stats["mean_ratio"] += rec["ratio"]
-        if rec["flags"]:
+        stats["min_slack"] = min(stats["min_slack"], slack)
+        stats["min_ratio"] = min(stats["min_ratio"], ratio)
+        stats["max_ratio"] = max(stats["max_ratio"], ratio)
+        stats["mean_ratio"] += ratio
+        if flags:
             flagged += 1
-        if not math.isfinite(rec["slack"]):
-            violations += 1
-        elif not rec["flags"] and rec["slack"] < -slack_tol:
+        elif slack < -slack_tol:
             violations += 1
     for stats in theorems.values():
         stats["mean_ratio"] /= stats["count"]
-    yield {
+    yield json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
         "reports": sum(s["count"] for s in theorems.values()),
@@ -314,62 +323,58 @@ def summarize(records: Iterable[dict], slack_tol: float, **extra) -> Iterator[di
         "slack_tol": slack_tol,
         "theorems": {tag: theorems[tag] for tag in sorted(theorems)},
         **extra,
-    }
+    }, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _header(campaign: str, config: CampaignConfig, **fields) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": "header", "campaign": campaign,
+            "seed": config.seed, "config": config.to_json_dict(), **fields}
 
 
 # --- fuzz campaign ------------------------------------------------------------
 
 
-def fuzz_records(config: CampaignConfig):
-    """Yield the header and every report record of a fuzz campaign."""
+def fuzz_records(config: CampaignConfig) -> Iterator[Row]:
+    """Yield the row of every report of a fuzz campaign, in record order."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
-    yield {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "header",
-        "campaign": "fuzz",
-        "seed": config.seed,
-        "config": config.to_json_dict(),
-    }
     checks = _variant_checks(structure, config.max_order)
     wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
-    last_z = [None, None]
     for _ in range(config.n_colligations):
         col_seed = int(rng.integers(0, 2**62))
         col = random_colligation(structure, config.dim_g, col_seed)
         chash = colligation_hash(col)
         for rep in wiener_check(col, wiener_alphas):
-            yield _record(rep, config.seed, chash, (), last_z)  # at the origin, never flagged
+            yield rep, chash, ()  # at the origin, never flagged
         ev = evaluate(col, [sample_point(structure, rng, config.sampler)  # one stack: z, w of each pair, as drawn
                             for _ in range(2 * config.points_per_colligation)])
         cz, cw = ev[0::2], ev[1::2]
         for i, (r1, r2) in enumerate(zip(*(r.tolist() for r in identity_residuals(cw, cz)))):
             ctx = cz[i]
             flags = config.sampler_flags + ctx.flags
+            pair_flags = flags + cw.flags[i]
             for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
-                yield _record(
-                    BoundReport(theorem_tag=tag, z=ctx.z, alpha=None, lhs=resid, rhs=config.identity_tol),
-                    config.seed, chash, flags + cw.flags[i], last_z,
-                )
+                rep = BoundReport(theorem_tag=tag, z=ctx.z, alpha=None, lhs=resid, rhs=config.identity_tol)
+                yield rep, chash, pair_flags
             for rep in point_reports(ctx, checks):
-                yield _record(rep, config.seed, chash, flags, last_z)
+                yield rep, chash, flags
 
 
-def run_fuzz(config: CampaignConfig) -> Iterator[dict]:
-    """The record stream of a fuzz campaign: header, reports, then summary."""
-    return summarize(fuzz_records(config), config.slack_tol, seed=config.seed)
+def run_fuzz(config: CampaignConfig) -> Iterator[str]:
+    """The JSONL lines of a fuzz campaign: header, reports, then summary."""
+    return summarize(_header("fuzz", config), fuzz_records(config), config.slack_tol, seed=config.seed)
 
 
 # --- exploration campaigns ----------------------------------------------------
 
 
-def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[dict]:
-    """The record stream of an observational campaign for a named special
+def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[str]:
+    """The JSONL lines of an observational campaign for a named special
     function: header, reports, then summary.  It asserts nothing.
 
     ``name`` fixes the domain, so ``config.structure`` and ``dim_g`` must
     keep their defaults, and so must ``m`` for a target without a truncation
-    order; bad arguments raise here, before any record is made.  Every
+    order; bad arguments raise here, before any line is made.  Every
     record carries the ``observational`` flag, so the summary counts no
     violations regardless of sign.
     """
@@ -383,31 +388,24 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[dict]
         raise ValueError(f"unknown exploration target {name!r}; known: {EXPLORE_NAMES}")
     if (config.structure, config.dim_g) != (CampaignConfig.structure, CampaignConfig.dim_g):
         raise ValueError(f"explore {name} fixes its domain; structure and dim_g must keep their defaults")
-    records = explore_records(name, poly, structure, config, m)
-    return summarize(records, config.slack_tol, seed=config.seed, target=name)
+    header = _header("explore", config, target=name)
+    header["config"]["m"] = m
+    rows = explore_records(name, poly, structure, config)
+    return summarize(header, rows, config.slack_tol, seed=config.seed, target=name)
 
 
-def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig, m: int):
-    """Yield the header and every report record of an exploration campaign."""
+def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Row]:
+    """Yield the row of every report of an exploration campaign, in record order."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
-    yield {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "header",
-        "campaign": "explore",
-        "target": name,
-        "seed": config.seed,
-        "config": {**config.to_json_dict(), "m": m},
-    }
     checks = _variant_checks(structure, config.max_order)
     marks = ("observational",)
-    last_z = [None, None]
     for _ in range(config.points_per_colligation * config.n_colligations):
         point = PolynomialPoint(poly, structure, sample_point(structure, rng, config.sampler))
         flags = marks + config.sampler_flags + point.flags
         for mi, variants in checks:
             for variant in variants:
-                yield _record(variant.at(point, mi), config.seed, phash, flags, last_z)
+                yield variant.at(point, mi), phash, flags
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]
@@ -416,7 +414,7 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
                 theorem_tag="gram.arveson_min_eig",
                 z=pts[0], alpha=None, lhs=min_eig, rhs=0.0,
             )
-            yield _record(rep, config.seed, phash, marks + config.sampler_flags + admit(structure, pts))
+            yield rep, phash, marks + config.sampler_flags + admit(structure, pts)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -494,13 +492,18 @@ def cmd_deriv(args) -> int:
         check_samples(args.samples, max(mi.counts), col.d if mi.order else 0)  # order 0 samples no grid
     except ValueError as exc:
         raise _UsageError(f"--samples: {exc}") from None
-    exact = partial(col, z, mi)
-    oracle = cauchy_partial(col, z, mi, samples=args.samples) if mi.order else None
+    ctx = evaluate(col, z)
+    exact = ctx.partial(mi)
+    radii = default_radii(col.structure, z) if mi.order else None
+    oracle = cauchy_partial(col, z, mi, radius=radii, samples=args.samples) if mi.order else None
     print(f"partial d^{mi.order} phi / dz^{list(mi.counts)} at {list(z)}:")
     print(np.array2string(exact, precision=12))
+    if ctx.flags:
+        print(f"flags     = {list(ctx.flags)}")
     if oracle is not None:
-        deviation = spectral_norm(exact - np.atleast_2d(oracle))
-        print(f"oracle deviation = {deviation:.3e}")
+        # the oracle's error grows like roundoff / r^order as its radii shrink near the boundary
+        print(f"oracle radii = [{', '.join(f'{r:.3e}' for r in radii)}]")
+        print(f"oracle deviation = {spectral_norm(exact - np.atleast_2d(oracle)):.3e}")
     return 0
 
 
@@ -566,40 +569,17 @@ def _config_from_args(args) -> CampaignConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _float(x) -> str:
-    """``x`` as ``json.dumps(x, allow_nan=False)`` writes it."""
-    if isinstance(x, float) and math.isfinite(x):
-        return float.__repr__(x)
-    return json.dumps(x, allow_nan=False)
-
-
-def _report_line(rec: dict, last_z: list) -> str:
-    """``json.dumps(rec, sort_keys=True, allow_nan=False)`` for a report record, from one
-    fixed template; ``last_z`` keeps the last z list and its encoding, so a point's records share it."""
-    if rec["z"] is not last_z[0]:
-        last_z[:] = rec["z"], "[" + ", ".join(f"[{_float(re)}, {_float(im)}]" for re, im in rec["z"]) + "]"
-    alpha = "null" if rec["alpha"] is None else f'[{", ".join(map(int.__repr__, rec["alpha"]))}]'
-    return (
-        f'{{"alpha": {alpha}, "colligation_hash": {_str(rec["colligation_hash"])}, '
-        f'"flags": [{", ".join(map(_str, rec["flags"]))}], "kind": "report", '
-        f'"lhs": {_float(rec["lhs"])}, "ratio": {_float(rec["ratio"])}, "rhs": {_float(rec["rhs"])}, '
-        f'"schema_version": {rec["schema_version"]!r}, "seed": {rec["seed"]!r}, '
-        f'"slack": {_float(rec["slack"])}, "theorem_tag": {_str(rec["theorem_tag"])}, "z": {last_z[1]}}}\n'
-    )
-
-
-def _write(records: Iterable[dict], out: str | None) -> dict:
-    """Write each record to ``out`` (else stdout) as it is made; return the summary."""
+def _write(lines: Iterable[str], out: str | None) -> dict:
+    """Write each line to ``out`` (else stdout) as it is made; return the
+    last line, the summary, parsed."""
     try:
         sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
-    last_z = [None, ""]
     with sink as fh:
-        for rec in records:
-            fh.write(_report_line(rec, last_z) if rec["kind"] == "report"
-                     else json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
-    return rec
+        for line in lines:
+            fh.write(line)
+    return json.loads(line)
 
 
 def cmd_fuzz(args) -> int:

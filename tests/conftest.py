@@ -4,6 +4,8 @@ Everything here is deterministic: colligations come from fixed seeds and
 points from seeded generators, so failures reproduce exactly.
 """
 
+import json
+
 import numpy as np
 
 from aglerlab import Ball, Polydisk, random_colligation
@@ -51,3 +53,8 @@ def mixed_corpus(n_per_structure=2, seed=2024):
         for k in range(n_per_structure):
             out.append(random_colligation(structure, dim_g=1, seed=seed + 37 * i + k))
     return out
+
+
+def records(lines):
+    """The records of a campaign's JSONL lines, parsed one line at a time."""
+    return [json.loads(line) for line in lines]

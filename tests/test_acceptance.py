@@ -34,6 +34,7 @@ from aglerlab.bounds import VARIANTS
 from aglerlab.derivative import cauchy_coefficient_table, partial_at
 from aglerlab.harness import CampaignConfig, main, run_explore, run_fuzz, sample_point
 from aglerlab.transfer import evaluate
+from conftest import records
 
 IDENTITY_TOL = 1e-10
 PERMSUM_TOL = 1e-12
@@ -163,16 +164,16 @@ def test_required_tags_cover_variant_table():
 
 @pytest.fixture(scope="module")
 def fuzz_corpus_records():
-    records = []
+    corpus = []
     elapsed = 0.0
     for config in FUZZ_CONFIGS:
         started = time.perf_counter()
-        recs = list(run_fuzz(config))
+        recs = records(run_fuzz(config))
         summary = recs[-1]
         elapsed += time.perf_counter() - started
         assert summary["violations"] == 0, summary
-        records.extend(recs)
-    return records, elapsed
+        corpus.extend(recs)
+    return corpus, elapsed
 
 
 def test_criterion_3_bound_suite(fuzz_corpus_records):
@@ -255,9 +256,9 @@ def test_criterion_7_exploration_outputs():
         cfg = CampaignConfig(seed=105, n_colligations=3, max_order=3,
                              points_per_colligation=5)
         for name, m in (("kaijser-varopoulos", 1), ("alpay-kaptanoglu", 3)):
-            first = list(run_explore(name, cfg, m=m))
+            first = records(run_explore(name, cfg, m=m))
             summary = first[-1]
-            second = list(run_explore(name, cfg, m=m))
+            second = records(run_explore(name, cfg, m=m))
             assert first == second  # deterministic
             body = [r for r in first if r.get("kind") == "report"]
             assert body

@@ -33,7 +33,6 @@ from aglerlab import derivative, harness, transfer
 from aglerlab.colligation import save_colligation, structure_norm, to_json_dict
 from aglerlab.harness import (
     CampaignConfig,
-    _record,
     main,
     multi_indices,
     parse_alpha,
@@ -44,11 +43,23 @@ from aglerlab.harness import (
     sample_point,
     summarize,
 )
+from conftest import records
 
 REPORT_KEYS = {
     "schema_version", "kind", "seed", "theorem_tag", "colligation_hash",
     "z", "alpha", "lhs", "rhs", "slack", "ratio", "flags",
 }
+HEADER = {"schema_version": 1, "kind": "header", "seed": 7}
+
+
+def report_record(rep, subject_hash, flags, seed):
+    """The record a report line must encode, built independently of the line template."""
+    return {
+        "schema_version": 1, "kind": "report", "seed": seed, "theorem_tag": rep.theorem_tag,
+        "colligation_hash": subject_hash, "z": [[v.real, v.imag] for v in rep.z],
+        "alpha": None if rep.alpha is None else list(rep.alpha),
+        "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack, "ratio": rep.ratio, "flags": sorted(set(flags)),
+    }
 
 
 class TestParsers:
@@ -58,6 +69,17 @@ class TestParsers:
         for bad in ("disk:1", "polydisk:a,b", "ball:m=2", "ball:2,3"):
             with pytest.raises(ValueError):
                 parse_structure(bad)
+
+    def test_ball_spec_takes_m_and_d_once_each(self):
+        assert parse_structure("ball: d = 3 , m=2") == Ball(2, 3)
+        for bad in ("ball:m=2,d=3,q=9", "ball:m=2,d=3,m=4", "ball:m=2,m=3", "ball:m=2,d=3,", "ball:m=2,d=3=4"):
+            with pytest.raises(ValueError, match="ball spec needs m=<int>,d=<int>"):
+                parse_structure(bad)
+        # the domain's own range checks come through unchanged
+        with pytest.raises(ValueError, match="^number of copies must be >= 1, got 0$"):
+            parse_structure("ball:m=2,d=0")
+        with pytest.raises(ValueError, match="^fiber dimension must be >= 1, got 0$"):
+            parse_structure("ball:m=0,d=2")
 
     def test_point_and_alpha(self):
         assert parse_point("0.3,0.4+0.1j") == (0.3 + 0j, 0.4 + 0.1j)
@@ -124,11 +146,11 @@ class TestFuzzCampaign:
     def test_records_schema_and_summary(self):
         cfg = CampaignConfig(seed=3, n_colligations=2, structure="polydisk:1,1",
                              max_order=3, points_per_colligation=2)
-        records = list(run_fuzz(cfg))
-        summary = records[-1]
-        assert records[0]["kind"] == "header"
-        assert records[-1]["kind"] == "summary"
-        body = [r for r in records if r["kind"] == "report"]
+        recs = records(run_fuzz(cfg))
+        summary = recs[-1]
+        assert recs[0]["kind"] == "header"
+        assert recs[-1]["kind"] == "summary"
+        body = [r for r in recs if r["kind"] == "report"]
         assert len(body) == summary["reports"]
         for rec in body:
             assert set(rec) == REPORT_KEYS
@@ -151,9 +173,9 @@ class TestFuzzCampaign:
     def test_ball_campaign_tags(self):
         cfg = CampaignConfig(seed=4, n_colligations=1, structure="ball:m=1,d=2",
                              max_order=2, points_per_colligation=2)
-        records = list(run_fuzz(cfg))
-        summary = records[-1]
-        tags = {r["theorem_tag"] for r in records if r["kind"] == "report"}
+        recs = records(run_fuzz(cfg))
+        summary = recs[-1]
+        tags = {r["theorem_tag"] for r in recs if r["kind"] == "report"}
         for expected in ("ball.hat", "ball.factorial", "ball.gram_left",
                          "ball.gram_right", "koperator.ball"):
             assert expected in tags, expected
@@ -169,7 +191,7 @@ class TestFuzzCampaign:
     def test_max_ratio_stays_below_one(self):
         cfg = CampaignConfig(seed=10, n_colligations=4, structure="polydisk:2,1",
                              max_order=3, points_per_colligation=4)
-        summary = list(run_fuzz(cfg))[-1]
+        summary = records(run_fuzz(cfg))[-1]
         worst = max(stats["max_ratio"] for stats in summary["theorems"].values())
         assert worst <= 1.0 + 1e-9
 
@@ -177,31 +199,18 @@ class TestFuzzCampaign:
         cfg = CampaignConfig(seed=6, n_colligations=2, structure="polydisk:1,1",
                              max_order=1, points_per_colligation=6,
                              sampler="boundary-biased")
-        summary = list(run_fuzz(cfg))[-1]
+        summary = records(run_fuzz(cfg))[-1]
         assert summary["flagged"] > 0
         assert summary["violations"] == 0
 
     def test_summarize_counts_violations(self):
-        rec = {
-            "kind": "report", "theorem_tag": "x", "slack": -1.0, "ratio": 2.0,
-            "flags": [],
-        }
-        flagged = dict(rec, flags=["near-boundary"])
-        *_, summary = summarize([rec, flagged], slack_tol=1e-9)
+        rep = BoundReport("x", (0j,), None, lhs=2.0, rhs=1.0)  # slack -1.0, ratio 2.0
+        rows = [(rep, "h", ()), (rep, "h", ("near-boundary",))]
+        *_, summary = records(summarize(HEADER, rows, slack_tol=1e-9))
         assert summary["violations"] == 1
         assert summary["flagged"] == 1
         assert summary["theorems"]["x"]["count"] == 2
         assert summary["theorems"]["x"]["min_slack"] == -1.0
-
-
-    def test_summarize_counts_nonfinite_as_violation(self):
-        nan = _record(BoundReport("x", (0j,), None, lhs=math.nan, rhs=1.0), 1, "h")
-        flagged_inf = _record(
-            BoundReport("x", (0j,), None, lhs=0.5, rhs=math.inf), 1, "h", ("near-boundary",)
-        )
-        *_, summary = summarize([nan, flagged_inf], slack_tol=1e-9)
-        assert summary["violations"] == 2
-        assert summary["flagged"] == 1
 
 
 def count_calls(monkeypatch, fn):
@@ -259,10 +268,10 @@ class TestCampaignWork:
             return col
 
         monkeypatch.setattr(harness, "random_colligation", keep)
-        records = list(run_fuzz(CampaignConfig(seed=14, n_colligations=2, structure=structure,
+        recs = records(run_fuzz(CampaignConfig(seed=14, n_colligations=2, structure=structure,
                                                max_order=4, points_per_colligation=2)))
         checked = 0
-        for rec in records:
+        for rec in recs:
             family = rec.get("theorem_tag", "").split(".")[0]
             if family not in ("koperator", "general", "polydisk", "ball") or "gram" in rec["theorem_tag"]:
                 continue
@@ -287,18 +296,18 @@ class TestExploreCampaign:
     def test_kaijser_varopoulos_records(self):
         cfg = CampaignConfig(seed=7, n_colligations=1, max_order=2,
                              points_per_colligation=4)
-        records = list(run_explore("kaijser-varopoulos", cfg))
-        summary = records[-1]
-        assert records[0]["target"] == "kaijser-varopoulos"
-        body = [r for r in records if r["kind"] == "report"]
+        recs = records(run_explore("kaijser-varopoulos", cfg))
+        summary = recs[-1]
+        assert recs[0]["target"] == "kaijser-varopoulos"
+        body = [r for r in recs if r["kind"] == "report"]
         assert body and all("observational" in r["flags"] for r in body)
         assert summary["violations"] == 0  # observational records are never asserted
 
     def test_alpay_kaptanoglu_includes_gram(self):
         cfg = CampaignConfig(seed=8, n_colligations=2, max_order=2,
                              points_per_colligation=2)
-        records = list(run_explore("alpay-kaptanoglu", cfg, m=2))
-        tags = {r["theorem_tag"] for r in records if r["kind"] == "report"}
+        recs = records(run_explore("alpay-kaptanoglu", cfg, m=2))
+        tags = {r["theorem_tag"] for r in recs if r["kind"] == "report"}
         assert "gram.arveson_min_eig" in tags
         assert "ball.hat" in tags
 
@@ -309,8 +318,8 @@ class TestExploreCampaign:
     def test_gram_records_carry_the_campaign_and_point_flags(self, monkeypatch):
         def gram_flags(sampler):
             cfg = CampaignConfig(seed=8, n_colligations=2, max_order=1, points_per_colligation=1, sampler=sampler)
-            records = run_explore("alpay-kaptanoglu", cfg)
-            return [r["flags"] for r in records if r.get("theorem_tag") == "gram.arveson_min_eig"]
+            recs = records(run_explore("alpay-kaptanoglu", cfg))
+            return [r["flags"] for r in recs if r.get("theorem_tag") == "gram.arveson_min_eig"]
 
         assert gram_flags("boundary-biased") == [["boundary-biased", "observational"]] * 2
         calls = []
@@ -378,6 +387,26 @@ class TestCli:
         assert main(["deriv", str(path), "--z", "0.3,0.4", "--alpha", "0,0"]) == 0
         capsys.readouterr()
 
+    def test_deriv_prints_the_point_flags(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.5), path)
+        for command in (["eval"], ["deriv", "--alpha", "1"]):
+            assert main([command[0], str(path), "--z", "0.9999995", *command[1:]]) == 0
+            assert "flags     = ['near-boundary']" in capsys.readouterr().out.splitlines()
+        assert main(["deriv", str(path), "--z", "0.5", "--alpha", "1"]) == 0
+        assert "flags" not in capsys.readouterr().out
+
+    def test_deriv_prints_the_oracle_radii(self, tmp_path, capsys):
+        # radii of a few 1e-6 near the sphere: the deviation is roundoff / r^3, and the radii say so
+        path = tmp_path / "c.json"
+        save_colligation(random_colligation(Ball(2, 2), 1, 5), path)
+        assert main(["deriv", str(path), "--z", "0.6,0.79999", "--alpha", "1,2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == "oracle radii = [6.667e-06, 5.000e-06]"
+        assert lines[-1].startswith("oracle deviation = ")
+        assert main(["deriv", str(path), "--z", "0.1,0.2", "--alpha", "0,0"]) == 0
+        assert "oracle" not in capsys.readouterr().out  # order 0 has no oracle
+
     def test_bounds_flags_near_boundary_point_and_asserts_nothing(self, tmp_path, capsys):
         # 1 - ||z|| = 1e-7: roundoff leaves the resolvent.left_* equalities
         # at slack -1.1e-9, past the default tolerance
@@ -395,17 +424,17 @@ class TestCli:
     def test_bounds_prints_the_campaign_reports_at_its_point(self, tmp_path, capsys, structure):
         config = CampaignConfig(seed=5, n_colligations=1, structure=structure,
                                 max_order=3, points_per_colligation=1)
-        records = [r for r in run_fuzz(config) if r["kind"] == "report"]
+        recs = [r for r in records(run_fuzz(config)) if r["kind"] == "report"]
         col_seed = int(np.random.default_rng(config.seed).integers(0, 2**62))  # as fuzz draws it
         col = random_colligation(parse_structure(structure), config.dim_g, col_seed)
-        assert colligation_hash(col) == records[0]["colligation_hash"]
+        assert colligation_hash(col) == recs[0]["colligation_hash"]
         path = tmp_path / "c.json"
         save_colligation(col, path)
-        z = records[-1]["z"]
+        z = recs[-1]["z"]
         alpha = [2, 1]
         # the point's records after the identity pair: those of every alpha,
         # then from the first general bound on, those of this alpha
-        at_z = [r for r in records if r["z"] == z and not r["theorem_tag"].startswith("identity.")]
+        at_z = [r for r in recs if r["z"] == z and not r["theorem_tag"].startswith("identity.")]
         first = next(i for i, r in enumerate(at_z) if r["theorem_tag"].startswith("general."))
         expected = at_z[:first] + [r for r in at_z[first:] if r["alpha"] == alpha]
         zarg = ",".join(repr(complex(re, im)) for re, im in z)
@@ -475,7 +504,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("computed before checking --samples")
 
-        monkeypatch.setattr(harness, "partial", refuse)
+        monkeypatch.setattr(harness, "evaluate", refuse)
         monkeypatch.setattr(harness, "cauchy_partial", refuse)
         assert main(["deriv", str(path), "--z", "0.2", "--alpha", "1", "--samples", samples]) == 2
         captured = capsys.readouterr()
@@ -492,7 +521,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("computed before checking --samples")
 
-        monkeypatch.setattr(harness, "partial", refuse)
+        monkeypatch.setattr(harness, "evaluate", refuse)
         monkeypatch.setattr(harness, "cauchy_partial", refuse)
         assert main(["deriv", str(path), "--z", "0.1,0.2,0.1,0.2", "--alpha", "1,0,0,1"]) == 2
         captured = capsys.readouterr()
@@ -624,14 +653,19 @@ class TestCli:
         assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}', '{"seed": 1.5}',
-                                        '{"slack_tol": true}', '{"identity_tol": false}'],
-                             ids=["key", "type", "float-seed", "bool-slack-tol", "bool-identity-tol"])
+                                        '{"slack_tol": true}', '{"identity_tol": false}',
+                                        '{"structure": 5}', '{"structure": null}', '{"sampler": 3}',
+                                        '{"out": 1}'],
+                             ids=["key", "type", "float-seed", "bool-slack-tol", "bool-identity-tol",
+                                  "int-structure", "null-structure", "int-sampler", "int-out"])
     def test_bad_config_field_exits_two(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(fields, encoding="utf-8")
-        assert main(["fuzz", "--config", str(cfg_path), "--n", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        for command in (["fuzz"], ["explore", "kaijser-varopoulos"]):
+            assert main([*command, "--config", str(cfg_path), "--n", "1"]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out  # an int out once opened, wrote to and closed that descriptor
+            assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
 
     def test_fuzz_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -669,9 +703,13 @@ class TestCli:
         ["explore", "kaijser-varopoulos", "--m", "-3"],
         ["fuzz", "--out", "{missing}"],
         ["explore", "alpay-kaptanoglu", "--out", "{missing}"],
+        ["fuzz", "--structure", "ball:m=2,d=3,q=9"],
+        ["fuzz", "--structure", "ball:m=2,d=3,m=4"],
+        ["fuzz", "--structure", "ball:m=2,d=0"],
     ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m",
             "explore-structure", "explore-dim-g", "explore-config-dim-g", "fuzz-sampler",
-            "explore-sampler", "explore-ignored-m", "fuzz-out-dir", "explore-out-dir"])
+            "explore-sampler", "explore-ignored-m", "fuzz-out-dir", "explore-out-dir",
+            "ball-extra-key", "ball-repeated-key", "ball-no-copies"])
     def test_campaign_input_error_exits_two_before_writing(self, tmp_path, capsys, argv):
         # a campaign streams its records, so every input is checked before
         # the output file is opened
@@ -754,13 +792,13 @@ def _small(**fields):
 
 
 class TestReportEncoding:
-    """Report lines come from one fixed template; they must be the bytes that
-    ``json.dumps(rec, sort_keys=True, allow_nan=False)`` gives."""
+    """Report lines come from one fixed template; each must be the bytes that
+    ``json.dumps(record, sort_keys=True, allow_nan=False)`` gives of its record."""
 
     @staticmethod
-    def written(tmp_path, records) -> list[str]:
+    def written(tmp_path, lines) -> list[str]:
         out = tmp_path / "r.jsonl"
-        harness._write(records, str(out))
+        harness._write(lines, str(out))
         return out.read_text(encoding="utf-8").splitlines()
 
     @pytest.mark.parametrize("make", [
@@ -771,7 +809,9 @@ class TestReportEncoding:
         lambda: run_explore("alpay-kaptanoglu", _small(), m=3),
     ], ids=["polydisk", "ball-boundary-biased", "dim-g-2", "kaijser-varopoulos", "alpay-kaptanoglu"])
     def test_campaign_lines_are_json_dumps(self, tmp_path, make):
-        expected = [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in make()]
+        lines = list(make())
+        assert all(line.endswith("\n") and "\n" not in line[:-1] for line in lines)
+        expected = [json.dumps(json.loads(line), sort_keys=True, allow_nan=False) for line in lines]
         assert sum('"kind": "report"' in line for line in expected) > 50
         assert self.written(tmp_path, make()) == expected
 
@@ -784,25 +824,37 @@ class TestReportEncoding:
             BoundReport("x.third", same_values, (1,), lhs=np.float64(2.0) / 3.0, rhs=1),
             BoundReport("x.fourth", z, None, lhs=0.5, rhs=0.0),
         ]
-        records = [_record(r, 7, "0123abcd", ("near-boundary", "boundary-biased")) for r in reports]
-        records.append(_record(reports[0], 0, "h"))
-        lines = self.written(tmp_path, iter(records))
-        assert lines == [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in records]
+        flags = ("near-boundary", "boundary-biased", "near-boundary")
+        rows = [(r, "0123abcd", flags) for r in reports] + [(reports[0], "h", ())]
+        lines = self.written(tmp_path, summarize(HEADER, rows, slack_tol=1e-9))[1:-1]
+        assert lines == [json.dumps(report_record(*row, seed=7), sort_keys=True, allow_nan=False)
+                         for row in rows]
+        assert lines == [json.dumps(json.loads(line), sort_keys=True, allow_nan=False) for line in lines]
         assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[0]
         assert '"z": [[0.0, 5e-324], [1e+16, -1e-300]]' in lines[2]
+        assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[4]
         assert '"alpha": null' in lines[0] and '"rhs": 1,' in lines[2]
         assert '"flags": ["boundary-biased", "near-boundary"]' in lines[0] and '"flags": []' in lines[4]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "z"])
     def test_nonfinite_value_raises(self, tmp_path, field, bad):
+        # a row with a non-finite value checked nothing, flagged or not: the
+        # stream stops at it, so no summary can count it
         values = {"lhs": 0.5, "rhs": 1.0, "z": (0.1j, 0.2 + 0j)}
         values[field] = (0.1j, complex(0.2, bad)) if field == "z" else bad
-        rec = _record(BoundReport("x", values["z"], None, lhs=values["lhs"], rhs=values["rhs"]), 1, "h")
-        with pytest.raises(ValueError):
-            json.dumps(rec, sort_keys=True, allow_nan=False)
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            self.written(tmp_path, iter([rec]))
+        rep = BoundReport("x", values["z"], None, lhs=values["lhs"], rhs=values["rhs"])
+        fine = BoundReport("x", (0.1j, 0.2 + 0j), None, lhs=0.5, rhs=1.0)
+        for flags in ((), ("near-boundary",)):
+            with pytest.raises(ValueError):
+                json.dumps(report_record(rep, "h", flags, seed=7), sort_keys=True, allow_nan=False)
+            lines = []
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                lines.extend(summarize(HEADER, [(fine, "h", flags), (rep, "h", flags)], slack_tol=1e-9))
+            assert [rec["kind"] for rec in records(lines)] == ["header", "report"]
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                self.written(tmp_path, summarize(HEADER, [(rep, "h", flags)], slack_tol=1e-9))
+
 
 def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
