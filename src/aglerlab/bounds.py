@@ -1,12 +1,13 @@
 """Schwarz-Pick-type derivative bounds and kernel positivity checks.
 
-Each ``bound_*`` function evaluates the right-hand side of one inequality
-exactly as stated, computes the left-hand side (a derivative norm) from the
-realization or a polynomial, and returns a :class:`BoundReport` carrying
-lhs, rhs, slack, and sharpness ratio.  Checks on a colligation take the
-point it was evaluated at (an :class:`EvalContext` from ``evaluate``);
-``bound_polydisk``, ``bound_ball`` and ``wiener_check`` take the subject, a
-colligation or a polynomial, and evaluate it themselves.
+Each bound is a :class:`Column` of a stack of points: the left-hand sides
+(derivative norms, from the realization or a polynomial) and the
+right-hand sides of one inequality, exactly as stated, one per point.
+Checks on a colligation read an :class:`aglerlab.transfer.EvalStack`; the
+``bound_*`` functions, ``ball_kernel_subchecks`` and ``knese_report`` read
+the :class:`BoundReport` of one point from those columns, and
+``bound_polydisk``, ``bound_ball`` and ``wiener_check`` take a colligation
+or a polynomial subject and evaluate it themselves.
 
 Writing n = n_1 + ... + n_d and D(z) = 1 - |phi(z)|^2 (for matrix-valued
 phi the product of the two defect norms ||I - phi* phi||^(1/2)
@@ -30,8 +31,9 @@ dimensions where each applies.  Also checked: the structure-free resolvent bound
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
 (``wiener_check``; on the ball times a sphere-average factor), and
 positivity of the multiplier kernel Gram matrix on the ball
-(``multiplier_gram_psd``).  :func:`point_reports` lists every report at an
-evaluated point, with the rows that apply, for campaigns and the CLI alike.
+(``multiplier_gram_psd``).  :func:`report_columns` lists every report at
+an evaluated stack in record order, and :func:`point_reports` at one point.
+Every power x^k is Python's ``x ** k`` (see ``float_power``).
 """
 
 from __future__ import annotations
@@ -43,26 +45,33 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .colligation import Ball, Colligation, DomainStructure, PointGeometry, Polydisk, admit
+from .colligation import Ball, Colligation, DomainStructure, PointGeometry, Polydisk, StackGeometry, admit
 from .derivative import MultiIndex, Polynomial, poly_partial
 from .errors import DegenerateGramWarning
-from .reports import BoundReport
-from .transfer import EvalContext, evaluate, lnorm_bound_check, resolvent_norm_estimates
+from .matrixcore import float_power
+from .reports import BoundReport, Column
+from .transfer import EvalContext, EvalStack, evaluate, lnorm_column, resolvent_columns
 
 __all__ = [
     "PointGeometry",
     "BoundReport",
-    "PolynomialPoint",
+    "Column",
+    "PolynomialStack",
     "Variant",
     "VARIANTS",
     "applicable_variants",
+    "general_column",
     "bound_general",
     "bound_polydisk",
     "bound_ball",
+    "ball_kernel_columns",
     "ball_kernel_subchecks",
+    "wiener_columns",
     "wiener_check",
+    "knese_column",
     "knese_residual",
     "knese_report",
+    "report_columns",
     "point_reports",
     "multiplier_gram_psd",
 ]
@@ -71,33 +80,32 @@ Subject = Union[Colligation, Polynomial]
 Orders = Sequence[Union[MultiIndex, Sequence[int]]]
 
 
-class PolynomialPoint:
-    """A polynomial subject at one point of ``structure``'s domain, admitted
-    as ``evaluate`` admits one, and read like an :class:`EvalContext`."""
+class PolynomialStack:
+    """A polynomial subject at the points of an (m, d) stack (or at one point
+    of shape (d,)) of ``structure``'s domain, admitted as ``evaluate`` admits
+    them, and read like an :class:`EvalStack`: ``zs``, per-point ``flags``,
+    the ``defect`` and ``geometry`` columns, and ``norms``."""
 
-    def __init__(self, poly: Polynomial, structure: DomainStructure, z: Sequence[complex]):
-        self.flags = admit(structure, z)
-        self.poly = poly
-        self.geometry = PointGeometry.from_point(z)
-        self.z = self.geometry.z
-        self.defect = 1.0 - abs(poly(self.geometry.z)) ** 2
-        self._norms: dict[tuple[int, ...], float] = {}
+    def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
+        pts = np.asarray(zs, dtype=np.complex128)
+        near = admit(structure, pts)
+        self.zs = pts.reshape(-1, structure.d)
+        self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
+        self.poly, self.points = poly, self.zs.tolist()
+        self.geometry = StackGeometry(self.zs)
+        self.defect = np.array([1.0 - abs(poly(z)) ** 2 for z in self.points])
+        self._norms: dict[tuple[int, ...], np.ndarray] = {}
 
-    def norm(self, mi: MultiIndex) -> float:
-        v = self._norms.get(mi.counts)
-        if v is None:
-            v = self._norms[mi.counts] = abs(poly_partial(self.poly, self.z, mi))
-        return v
-
-    def norms(self, mis: Sequence[MultiIndex]) -> list[float]:
-        return [self.norm(mi) for mi in mis]
-
-
-Point = Union[EvalContext, PolynomialPoint]
+    def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
+        """Per multi-index of ``mis``, |d^n p / dz^mi| at every point."""
+        for mi in mis:
+            if mi.counts not in self._norms:
+                self._norms[mi.counts] = np.array([abs(poly_partial(self.poly, z, mi)) for z in self.points])
+        return [self._norms[mi.counts] for mi in mis]
 
 
-def bound_general(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> BoundReport:
-    """Structure-free resolvent bound on a mixed partial at an evaluated point.
+def general_column(ev: EvalStack, alpha: Union[MultiIndex, Sequence[int]]) -> Column:
+    """Structure-free resolvent bound on a mixed partial at every point of a stack.
 
     First order compares against defect / sqrt(1 - ||Z||^2) times the
     smaller projected Gram factor; order n >= 2 against
@@ -113,78 +121,69 @@ def bound_general(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> 
     if mi.order < 1:
         raise ValueError("bound_general needs order >= 1")
     ks = mi.canonical_klist()
-    lhs = ctx.norm(mi)
-    defect = ctx.defect
-    a, b = ctx.gram
-    znorm = ctx.znorm
+    a, b = ev.gram[:, 0], ev.gram[:, 1]
     if mi.order == 1:
-        j = ks[0]
-        rhs = defect / math.sqrt(1.0 - znorm**2) * min(a[j - 1], b[j - 1])
+        j = ks[0] - 1
+        rhs = ev.defect / np.sqrt(1.0 - float_power(ev.znorm, 2)) * np.minimum(a[:, j], b[:, j])
         tag = "general.first_order"
     else:
-        sum_a = sum(a[k - 1] for k in ks)
-        sum_b = sum(b[k - 1] for k in ks)
-        diag = sum(a[k - 1] * b[k - 1] for k in ks)
-        pair_sum = sum_a * sum_b - diag
-        rhs = (
-            math.factorial(mi.order - 2)
-            * defect
-            / (1.0 - znorm) ** (mi.order - 1)
-            * pair_sum
-        )
+        sum_a = sum(a[:, k - 1] for k in ks)
+        sum_b = sum(b[:, k - 1] for k in ks)
+        diag = sum(a[:, k - 1] * b[:, k - 1] for k in ks)
+        rhs = (math.factorial(mi.order - 2) * ev.defect / float_power(1.0 - ev.znorm, mi.order - 1)
+               * (sum_a * sum_b - diag))
         tag = "general.higher_order"
-    return BoundReport(theorem_tag=tag, z=ctx.z, alpha=mi.counts, lhs=lhs, rhs=rhs)
+    return Column(tag, mi.counts, ev.norms([mi])[0], rhs)
+
+
+def bound_general(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> BoundReport:
+    """The :func:`general_column` report at an evaluated point."""
+    return general_column(ctx.stack, alpha).report(ctx.i, ctx.z)
 
 
 # --- the derivative-bound variants ---------------------------------------------
 #
-# Right-hand sides as stated in the module docstring: (defect, geometry, mi).
+# Right-hand sides as stated in the module docstring, one per point of a
+# stack: (defect column, StackGeometry, mi) -> (m,) values.
 
 
-def _polydisk_factorial(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
-    s = geom.sup_norm
-    return mi.factorial_product * defect / ((1.0 - s**2) * (1.0 - s) ** (mi.order - 1))
+def _polydisk_factorial(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
+    return mi.factorial_product * defect / ((1.0 - g.sup2) * float_power(1.0 - g.sup, mi.order - 1))
 
 
-def _polydisk_weak(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
-    s = geom.sup_norm
-    return math.factorial(mi.order) * defect / ((1.0 - s**2) * (1.0 - s) ** (mi.order - 1))
+def _polydisk_weak(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
+    return math.factorial(mi.order) * defect / ((1.0 - g.sup2) * float_power(1.0 - g.sup, mi.order - 1))
 
 
-def _polydisk_first(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+def _polydisk_first(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
     j = mi.counts.index(1)
-    return defect / (math.sqrt(1.0 - abs(geom.z[j]) ** 2) * math.sqrt(1.0 - geom.sup_norm**2))
+    return defect / (np.sqrt(1.0 - g.zabs2[:, j]) * np.sqrt(1.0 - g.sup2))
 
 
-def _polydisk_mixed(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
-    w = [1.0 / math.sqrt(1.0 - abs(geom.z[k - 1]) ** 2) for k in mi.canonical_klist()]
-    pair_sum = sum(w) ** 2 - sum(v * v for v in w)
-    return math.factorial(mi.order - 2) * defect / (1.0 - geom.sup_norm) ** (mi.order - 1) * pair_sum
+def _polydisk_mixed(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
+    w = [1.0 / np.sqrt(1.0 - g.zabs2[:, k - 1]) for k in mi.canonical_klist()]
+    pair_sum = float_power(sum(w), 2) - sum(v * v for v in w)
+    return math.factorial(mi.order - 2) * defect / float_power(1.0 - g.sup, mi.order - 1) * pair_sum
 
 
-def _polydisk_two_var(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
+def _polydisk_two_var(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
     n1, n2 = mi.counts
-    d1 = 1.0 - abs(geom.z[0]) ** 2
-    d2 = 1.0 - abs(geom.z[1]) ** 2
-    bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / math.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
-    return math.factorial(mi.order - 2) * defect / (1.0 - geom.sup_norm) ** (mi.order - 1) * bracket
+    d1, d2 = 1.0 - g.zabs2[:, 0], 1.0 - g.zabs2[:, 1]
+    bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / np.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
+    return math.factorial(mi.order - 2) * defect / float_power(1.0 - g.sup, mi.order - 1) * bracket
 
 
-def _ball_base(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
-    t = geom.eucl_norm
-    return defect / ((1.0 - t**2) * (1.0 - t) ** (mi.order - 1))
+def _ball_base(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
+    return defect / ((1.0 - g.eucl2) * float_power(1.0 - g.eucl, mi.order - 1))
 
 
-def _ball_hat(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
-    hat_sum = sum(
-        nj * math.sqrt(max(1.0 - geom.hat_norms[j] ** 2, 0.0))
-        for j, nj in enumerate(mi.counts)
-    )
-    return math.factorial(mi.order - 1) * _ball_base(defect, geom, mi) * hat_sum
+def _ball_hat(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
+    hat_sum = sum(nj * np.sqrt(np.maximum(1.0 - g.hat2[:, j], 0.0)) for j, nj in enumerate(mi.counts))
+    return math.factorial(mi.order - 1) * _ball_base(defect, g, mi) * hat_sum
 
 
-def _ball_factorial(defect: float, geom: PointGeometry, mi: MultiIndex) -> float:
-    return mi.d ** ((mi.order - 1) / 2.0) * mi.factorial_product * _ball_base(defect, geom, mi)
+def _ball_factorial(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
+    return mi.d ** ((mi.order - 1) / 2.0) * mi.factorial_product * _ball_base(defect, g, mi)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ class Variant:
 
     tag: str
     domain: type
-    rhs: Callable[[float, PointGeometry, MultiIndex], float]
+    rhs: Callable[[np.ndarray, StackGeometry, MultiIndex], np.ndarray]
     min_order: int = 1
     order: int | None = None
     d: int | None = None
@@ -210,17 +209,13 @@ class Variant:
             return f"needs order >= {self.min_order}, got {n}"
         return None
 
-    def applies(self, mi: MultiIndex) -> bool:
-        return self.unmet(mi) is None
+    def column(self, points: EvalStack | PolynomialStack, mi: MultiIndex) -> Column:
+        """The bound at every point of an evaluated or polynomial stack."""
+        return Column(self.tag, mi.counts, points.norms([mi])[0], self.rhs(points.defect, points.geometry, mi))
 
-    def at(self, point: Point, mi: MultiIndex) -> BoundReport:
-        """The bound at an evaluated point, or at a polynomial read the same way."""
-        rhs_of = polydisk_rhs if self.domain is Polydisk else ball_rhs
-        rhs = rhs_of(point.defect, point.geometry, mi, self.tag.partition(".")[2])
-        return BoundReport(
-            theorem_tag=self.tag, z=point.z, alpha=mi.counts,
-            lhs=point.norm(mi), rhs=rhs,
-        )
+    def at(self, points: EvalStack | PolynomialStack, mi: MultiIndex) -> BoundReport:
+        """The bound at the first point of an evaluated or polynomial stack."""
+        return self.column(points, mi).report(0, tuple(points.zs[0].tolist()))
 
 
 # Record order: campaigns and the CLI report the rows that apply in this order.
@@ -237,7 +232,7 @@ VARIANTS = (
 
 def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
     """The rows of :data:`VARIANTS` on ``domain`` that apply at ``mi``, in order."""
-    return [v for v in VARIANTS if v.domain is domain and v.applies(mi)]
+    return [v for v in VARIANTS if v.domain is domain and v.unmet(mi) is None]
 
 
 _BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
@@ -256,13 +251,13 @@ def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
 
 
 def polydisk_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
-    """Right-hand side of the named polydisk inequality (no evaluation)."""
-    return _variant(Polydisk, variant, mi).rhs(defect, geom, mi)
+    """Right-hand side of the named polydisk inequality at one point (no evaluation)."""
+    return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), mi)[0])
 
 
 def ball_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
-    """Right-hand side of the named ball inequality (no evaluation)."""
-    return _variant(Ball, variant, mi).rhs(defect, geom, mi)
+    """Right-hand side of the named ball inequality at one point (no evaluation)."""
+    return float(_variant(Ball, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), mi)[0])
 
 
 def bound_polydisk(
@@ -288,45 +283,41 @@ def bound_ball(
 def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex, variant: str) -> BoundReport:
     row = _variant(domain, variant, mi)
     if not isinstance(subject, Colligation):
-        return row.at(PolynomialPoint(subject, domain.scalar(subject.dimension), z), mi)
+        return row.at(PolynomialStack(subject, domain.scalar(subject.dimension), z), mi)
     if not isinstance(subject.structure, domain):
         name = domain.__name__.lower()
         raise ValueError(f"{name} bounds need a {name} colligation")
-    return row.at(evaluate(subject, z), mi)
+    return row.at(evaluate(subject, z).stack, mi)
 
 
-def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
-    """Closed forms of the projected resolvent Gram norms on the ball.
+def ball_kernel_columns(ev: EvalStack) -> list[Column]:
+    """Closed forms of the projected resolvent Gram norms on the ball, at
+    every point of a stack.
 
     For the stacked structure, ||E_j* (I - ZZ*)^{-1} E_j|| equals
     1 / (1 - ||z||^2) and ||E_j (I - Z*Z)^{-1} E_j*|| equals
     (1 - ||z-hat_j||^2) / (1 - ||z||^2); both are equalities, so the
     reports should sit at ratio one.
     """
-    if not isinstance(ctx.col.structure, Ball):
+    if not isinstance(ev.col.structure, Ball):
         raise ValueError("kernel subchecks need a ball colligation")
-    geom = ctx.geometry
-    a, b = ctx.gram
-    t2 = geom.eucl_norm**2
+    g = ev.geometry
+    a2, b2 = float_power(ev.gram[:, 0], 2), float_power(ev.gram[:, 1], 2)
     out = []
-    for j in range(ctx.col.d):
-        out.append(BoundReport(
-            theorem_tag="ball.gram_left",
-            z=ctx.z, alpha=(j + 1,),
-            lhs=b[j] ** 2,
-            rhs=1.0 / (1.0 - t2),
-        ))
-        out.append(BoundReport(
-            theorem_tag="ball.gram_right",
-            z=ctx.z, alpha=(j + 1,),
-            lhs=a[j] ** 2,
-            rhs=(1.0 - geom.hat_norms[j] ** 2) / (1.0 - t2),
-        ))
+    for j in range(ev.col.d):
+        out.append(Column("ball.gram_left", (j + 1,), b2[:, j], 1.0 / (1.0 - g.eucl2)))
+        out.append(Column("ball.gram_right", (j + 1,), a2[:, j], (1.0 - g.hat2[:, j]) / (1.0 - g.eucl2)))
     return out
 
 
-def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
-    """Taylor coefficient bound ||c_alpha|| <= defect(c_0) for alpha != 0.
+def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
+    """The :func:`ball_kernel_columns` reports at an evaluated point."""
+    return [column.report(ctx.i, ctx.z) for column in ball_kernel_columns(ctx.stack)]
+
+
+def wiener_columns(subject: Subject, orders: Orders) -> list[Column]:
+    """Taylor coefficient bound ||c_alpha|| <= defect(c_0) for alpha != 0,
+    as columns of one point, the origin.
 
     Coefficients are the partials at the origin divided by alpha!, from the
     realization or the polynomial.  For scalar subjects the defect is the
@@ -335,20 +326,23 @@ def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
     which is 1 in one variable.
     """
     if isinstance(subject, Colligation):
-        point = evaluate(subject, (0.0,) * subject.d)
+        origin = evaluate(subject, np.zeros(subject.d)).stack
         on_ball = isinstance(subject.structure, Ball)
     else:
         structure = Polydisk.scalar(subject.dimension)
-        point, on_ball = PolynomialPoint(subject, structure, (0.0,) * structure.d), False
+        origin, on_ball = PolynomialStack(subject, structure, np.zeros(structure.d)), False
     mis = [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
     return [
-        BoundReport(
-            theorem_tag="wiener.coefficient", z=point.z, alpha=mi.counts,
-            lhs=norm / mi.factorial_product,
-            rhs=point.defect * _sphere_factor(mi) if on_ball else point.defect,
-        )
-        for mi, norm in zip(mis, point.norms(mis))
+        Column("wiener.coefficient", mi.counts, norm / mi.factorial_product,
+               origin.defect * _sphere_factor(mi) if on_ball else origin.defect)
+        for mi, norm in zip(mis, origin.norms(mis))
     ]
+
+
+def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
+    """The :func:`wiener_columns` reports."""
+    d = subject.d if isinstance(subject, Colligation) else subject.dimension
+    return [column.report(0, (0j,) * d) for column in wiener_columns(subject, orders)]
 
 
 def _sphere_factor(mi: MultiIndex) -> float:
@@ -364,69 +358,79 @@ def _sphere_factor(mi: MultiIndex) -> float:
     return gammas * math.factorial(d - 1 + n) / (math.gamma(n / 2.0 + d) * mi.factorial_product)
 
 
-def knese_residual(ctx: EvalContext) -> float:
-    """Signed residual of the weighted first-order sum rule on the polydisk:
+def knese_column(ev: EvalStack) -> Column:
+    """Weighted first-order sum rule on the polydisk at every point of a
+    stack: lhs sum_j (1 - |z_j|^2) |d phi / d z_j|, rhs the defect
+    1 - |phi(z)|^2.
 
-        sum_j (1 - |z_j|^2) |d phi / d z_j|  -  (1 - |phi(z)|^2).
-
-    Nonpositive (up to rounding) for every scalar polydisk transfer
-    function; zero at every point exactly for the symmetric extremal
-    realizations with one-dimensional blocks.
+    It holds (up to rounding) for every scalar polydisk transfer function,
+    with equality at every point for the symmetric extremal realizations
+    with one-dimensional blocks.
     """
-    col = ctx.col
+    col = ev.col
     if not isinstance(col.structure, Polydisk):
         raise ValueError("the sum rule applies to polydisk colligations")
     if col.dim_f != 1 or col.dim_g != 1:
         raise ValueError(
             f"the sum rule needs scalar phi, got dim_g x dim_f = {col.dim_g} x {col.dim_f}"
         )
-    total = 0.0
+    total = np.zeros(len(ev))
     for j in range(col.d):
         e_j = MultiIndex(tuple(int(k == j) for k in range(col.d)))
-        total += (1.0 - abs(ctx.z[j]) ** 2) * ctx.norm(e_j)
-    return total - (1.0 - abs(ctx.phi[0, 0]) ** 2)
+        total = total + (1.0 - ev.geometry.zabs2[:, j]) * ev.norms([e_j])[0]
+    phi = ev.phi[:, 0, 0]
+    rhs = 1.0 - float_power(np.hypot(phi.real, phi.imag), 2)
+    return Column("knese.sum_rule", None, rhs + (total - rhs), rhs)
+
+
+def knese_residual(ctx: EvalContext) -> float:
+    """Signed residual lhs - rhs of the sum rule at an evaluated point;
+    nonpositive up to rounding, zero at the extremal realizations."""
+    rep = knese_report(ctx)
+    return rep.lhs - rep.rhs
 
 
 def knese_report(ctx: EvalContext) -> BoundReport:
-    """Sum-rule inequality as a report: lhs the weighted derivative sum,
-    rhs the defect 1 - |phi|^2."""
-    residual = knese_residual(ctx)
-    rhs = 1.0 - abs(ctx.phi[0, 0]) ** 2
-    return BoundReport(
-        theorem_tag="knese.sum_rule", z=ctx.z, alpha=None,
-        lhs=rhs + residual, rhs=rhs,
-    )
+    """The :func:`knese_column` report at an evaluated point."""
+    return knese_column(ctx.stack).report(ctx.i, ctx.z)
+
+
+def report_columns(
+    ev: EvalStack, checks: Sequence[tuple[MultiIndex, Sequence[Variant]]]
+) -> list[Column]:
+    """Every report at each point of an evaluated stack, in record order: the
+    resolvent estimates, the L bound, then the sum rule (scalar polydisk) or
+    the ball kernel subchecks, then for each ``(mi, variants)`` of ``checks``
+    the general bound, at order n >= 2 the K-operator bound
+    ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and the
+    ``variants`` at ``mi``."""
+    col = ev.col
+    on_ball = isinstance(col.structure, Ball)
+    mis = [mi for mi, _ in checks]
+    ev.norms(mis)  # every norm below is read from these two stacked SVDs
+    ev.norms([mi for mi in mis if mi.order >= 2], kop=True)
+    columns = resolvent_columns(ev) + [lnorm_column(ev)]
+    if on_ball:
+        columns += ball_kernel_columns(ev)
+    elif col.dim_f == col.dim_g == 1:
+        columns.append(knese_column(ev))
+    for mi, variants in checks:
+        columns.append(general_column(ev, mi))
+        if mi.order >= 2:
+            columns.append(Column(
+                "koperator.ball" if on_ball else "koperator.polydisk", mi.counts, ev.norms([mi], kop=True)[0],
+                (col.d ** ((mi.order - 1) / 2.0) if on_ball else 1) * float_power(ev.lnorm, mi.order - 1),
+            ))
+        columns.extend(variant.column(ev, mi) for variant in variants)
+    return columns
 
 
 def point_reports(
     ctx: EvalContext, checks: Sequence[tuple[MultiIndex, Sequence[Variant]]]
 ) -> Iterator[BoundReport]:
-    """Every report at an evaluated point, in record order: the resolvent
-    estimates, the L bound, then the sum rule (scalar polydisk) or the ball
-    kernel subchecks, then for each ``(mi, variants)`` of ``checks`` the
-    general bound, at order n >= 2 the K-operator bound ||K|| <= ||L||^(n-1)
-    (times d^((n-1)/2) on the ball), and the ``variants`` at ``mi``."""
-    col = ctx.col
-    on_ball = isinstance(col.structure, Ball)
-    mis = [mi for mi, _ in checks]
-    ctx.norms(mis)  # every norm below is read from these two stacked SVDs
-    ctx.norms([mi for mi in mis if mi.order >= 2], kop=True)
-    yield from resolvent_norm_estimates(ctx)
-    yield lnorm_bound_check(ctx)
-    if on_ball:
-        yield from ball_kernel_subchecks(ctx)
-    elif col.dim_f == col.dim_g == 1:
-        yield knese_report(ctx)
-    for mi, variants in checks:
-        yield bound_general(ctx, mi)
-        if mi.order >= 2:
-            yield BoundReport(
-                theorem_tag="koperator.ball" if on_ball else "koperator.polydisk",
-                z=ctx.z, alpha=mi.counts, lhs=ctx.norm(mi, kop=True),
-                rhs=(col.d ** ((mi.order - 1) / 2.0) if on_ball else 1) * ctx.lnorm ** (mi.order - 1),
-            )
-        for variant in variants:
-            yield variant.at(ctx, mi)
+    """The :func:`report_columns` reports at an evaluated point, in record order."""
+    for column in report_columns(ctx.stack, checks):
+        yield column.report(ctx.i, ctx.z)
 
 
 def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:

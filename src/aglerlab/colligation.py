@@ -38,7 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainViolationError, StructureError
-from .matrixcore import as_matrix, haar_unitary, unitarity_residual
+from .matrixcore import as_matrix, float_power, haar_unitary, unitarity_residual
 from .tolerances import ADMISSIBILITY_MARGIN, BOUNDARY_FLAG_DISTANCE, CONSTRUCTION_TOL
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "structure_norm",
     "admit",
     "PointGeometry",
+    "StackGeometry",
     "random_colligation",
     "blaschke",
     "monomial",
@@ -207,11 +208,26 @@ def admit(structure: DomainStructure, z) -> tuple[str, ...]:
     return ("near-boundary",) if (1.0 - norms < BOUNDARY_FLAG_DISTANCE).any() else ()
 
 
+class StackGeometry:
+    """Norm data of an (m, d) stack of points, a row per point, as bound
+    right-hand sides read it: the domain norms ``sup`` (polydisk) and ``eucl``
+    (ball), ``hat`` (m, d) the ball norms with coordinate j zeroed, and by
+    Python's ``**`` the squares ``sup2``, ``eucl2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
+
+    def __init__(self, zs: np.ndarray):
+        d = zs.shape[-1]
+        ball = Ball.scalar(d)
+        self.sup = structure_norm(Polydisk.scalar(d), zs)
+        self.eucl = structure_norm(ball, zs)
+        self.hat = structure_norm(ball, zs[:, None, :] * (1.0 - np.eye(d)))  # [i, j]: z_i with z_ij zeroed
+        self.sup2, self.eucl2, self.hat2 = (float_power(v, 2) for v in (self.sup, self.eucl, self.hat))
+        self.zabs2 = float_power(np.hypot(zs.real, zs.imag), 2)
+
+
 @dataclass(frozen=True)
 class PointGeometry:
-    """Norm data of an evaluation point used on right-hand sides: its domain
-    norms on the polydisk and on the ball, and the ball norms of z with
-    coordinate j zeroed."""
+    """Norm data of one evaluation point: its domain norms on the polydisk
+    and on the ball, and the ball norms of z with coordinate j zeroed."""
 
     z: tuple[complex, ...]
     sup_norm: float
@@ -221,14 +237,8 @@ class PointGeometry:
     @classmethod
     def from_point(cls, z: Sequence[complex]) -> "PointGeometry":
         zt = tuple(complex(v) for v in z)
-        ball = Ball.scalar(len(zt))
-        hats = structure_norm(ball, np.array(zt) * (1.0 - np.eye(len(zt))))  # row j: z_j zeroed
-        return cls(
-            z=zt,
-            sup_norm=structure_norm(Polydisk.scalar(len(zt)), zt),
-            eucl_norm=structure_norm(ball, zt),
-            hat_norms=tuple(map(float, hats)),
-        )
+        g = StackGeometry(np.array([zt]))
+        return cls(z=zt, sup_norm=float(g.sup[0]), eucl_norm=float(g.eucl[0]), hat_norms=tuple(g.hat[0].tolist()))
 
 
 class Colligation:

@@ -65,7 +65,9 @@ CAUCHY_GRID_LIMIT = 2**20
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Per-coordinate derivative multiplicities (n_1, ..., n_d)."""
+    """Per-coordinate derivative multiplicities (n_1, ..., n_d).  Its
+    ``order`` n_1 + ... + n_d and ``factorial_product`` n_1! ... n_d! are
+    fixed when it is made; ``counts`` is its one field."""
 
     counts: tuple[int, ...]
 
@@ -74,6 +76,8 @@ class MultiIndex:
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"multi-index entries must be >= 0, got {counts}")
+        object.__setattr__(self, "order", sum(counts))
+        object.__setattr__(self, "factorial_product", math.prod(map(math.factorial, counts)))
 
     @classmethod
     def of(cls, alpha: Union["MultiIndex", Sequence[int]]) -> "MultiIndex":
@@ -90,17 +94,6 @@ class MultiIndex:
     @property
     def d(self) -> int:
         return len(self.counts)
-
-    @property
-    def order(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def factorial_product(self) -> int:
-        out = 1
-        for c in self.counts:
-            out *= math.factorial(c)
-        return out
 
     @property
     def multinomial(self) -> int:

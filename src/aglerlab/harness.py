@@ -13,10 +13,12 @@ Subcommands:
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, each written as it is made.
-A campaign yields (report, subject hash, flags) rows, and ``summarize``
-turns each row into its line from one fixed template, the one statement of
-the record format, while it folds the summary.  Identical configuration and
-seed produce byte-identical output.
+A campaign yields one :class:`Block` per stack of points (a colligation's
+points, or a chunk of an exploration's): the subject hash, the points,
+their flags and the report columns.  ``summarize`` checks, encodes and
+folds each block as arrays and turns each of its reports into its line,
+point by point, from one fixed template, the one statement of the record
+format.  Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -32,17 +34,18 @@ import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import (
-    PolynomialPoint,
+    PolynomialStack,
     Variant,
     applicable_variants,
     multiplier_gram_psd,
     point_reports,
-    wiener_check,
+    report_columns,
+    wiener_columns,
 )
 from .colligation import (
     Ball,
@@ -69,7 +72,7 @@ from .derivative import (
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
-from .reports import BoundReport
+from .reports import Column
 from .tolerances import IDENTITY_TOL, SLACK_TOL
 from .transfer import evaluate, identity_residuals
 
@@ -102,7 +105,7 @@ def parse_structure(spec: str) -> DomainStructure:
     kind = kind.strip().lower()
     if kind == "polydisk":
         try:
-            dims = tuple(int(p) for p in rest.split(",") if p.strip() != "")
+            dims = tuple(int(p) for p in rest.split(","))  # int("") rejects an empty entry
         except ValueError:
             raise ValueError(f"bad polydisk block dims in {spec!r}") from None
         return Polydisk(dims)
@@ -180,6 +183,8 @@ class CampaignConfig:
                 f"tolerances must be finite and >= 0, got slack_tol={self.slack_tol}, "
                 f"identity_tol={self.identity_tol}"
             )
+        # records write every value as a float, an integer tolerance included
+        self.slack_tol, self.identity_tol = float(self.slack_tol), float(self.identity_tol)
         parse_structure(self.structure)
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}; use one of {SAMPLERS}")
@@ -256,72 +261,102 @@ def polynomial_hash(p: Polynomial) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _float(x) -> str:
-    """``x`` as ``json.dumps(x, allow_nan=False)`` writes it."""
-    if isinstance(x, float) and math.isfinite(x):
-        return float.__repr__(x)
-    return json.dumps(x, allow_nan=False)
+class Block(NamedTuple):
+    """A subject's reports at m points: per point a row of ``zs`` and its flags, per report a column."""
+
+    subject: str
+    zs: np.ndarray
+    flags: Sequence[tuple[str, ...]]
+    columns: Sequence[Column]
 
 
-Row = tuple[BoundReport, str, tuple[str, ...]]  # a report, its subject's hash, the flags of its record
-
-
-def summarize(header: dict, rows: Iterable[Row], slack_tol: float, **extra) -> Iterator[str]:
-    """Yield a campaign's JSONL lines: ``header``, one report line per row of
-    ``rows`` as it passes, then the summary: per-theorem slack and ratio
-    statistics, plus the ``extra`` fields.
+def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) -> Iterator[str]:
+    """Yield a campaign's JSONL lines: ``header``, then for each block of
+    ``blocks`` the line of each of its reports, point by point, and last the
+    summary: per-theorem slack and ratio statistics, plus the ``extra`` fields.
 
     The report template below is the one statement of the record format.  It
     writes the bytes of ``json.dumps(record, sort_keys=True, allow_nan=False)``,
-    so a non-finite lhs, rhs, slack, ratio or z coordinate raises that
-    ``ValueError`` before any summary is made.  Rows with flags
-    (near-boundary, observational, boundary-biased, ill-conditioned) are
-    counted but contribute no slack violations.
+    so a block with a non-finite lhs, rhs, slack, ratio or z coordinate raises
+    that ``ValueError`` before any of its lines or the summary is made.  Rows
+    with flags (near-boundary, observational, boundary-biased,
+    ill-conditioned) are counted but contribute no slack violations.
     """
     yield json.dumps(header, sort_keys=True, allow_nan=False) + "\n"
     version_seed = f'"schema_version": {SCHEMA_VERSION!r}, "seed": {header["seed"]!r}'
-    theorems: dict[str, dict] = {}
+    column_texts: dict[tuple, tuple[str, str]] = {}  # (tag, alpha) -> its texts before the hash and before z
+    flag_texts: dict[tuple[str, ...], str] = {}
+
+    def encode_flags(f: tuple[str, ...]) -> str:
+        if f not in flag_texts:
+            flag_texts[f] = f'[{", ".join(map(_str, sorted(set(f))))}]'
+        return flag_texts[f]
+
+    theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios)
     violations = flagged = 0
-    z = flags = None  # the last row's, so that the rows of one point encode its z and flags once
-    for rep, subject_hash, row_flags in rows:
-        if rep.z is not z:
-            z = rep.z
-            z_text = "[" + ", ".join(f"[{_float(v.real)}, {_float(v.imag)}]" for v in z) + "]"
-        if row_flags is not flags:
-            flags = row_flags
-            flags_text = "[" + ", ".join(map(_str, sorted(set(flags)))) + "]"
-        slack, ratio = rep.slack, rep.ratio
-        alpha = "null" if rep.alpha is None else f'[{", ".join(map(int.__repr__, rep.alpha))}]'
-        yield (
-            f'{{"alpha": {alpha}, "colligation_hash": {_str(subject_hash)}, "flags": {flags_text}, '
-            f'"kind": "report", "lhs": {_float(rep.lhs)}, "ratio": {_float(ratio)}, "rhs": {_float(rep.rhs)}, '
-            f'{version_seed}, "slack": {_float(slack)}, "theorem_tag": {_str(rep.theorem_tag)}, "z": {z_text}}}\n'
-        )
-        stats = theorems.get(rep.theorem_tag)
-        if stats is None:
-            stats = theorems[rep.theorem_tag] = {
-                "count": 0, "min_slack": math.inf,
-                "min_ratio": math.inf, "max_ratio": -math.inf, "mean_ratio": 0.0,
-            }
-        stats["count"] += 1
-        stats["min_slack"] = min(stats["min_slack"], slack)
-        stats["min_ratio"] = min(stats["min_ratio"], ratio)
-        stats["max_ratio"] = max(stats["max_ratio"], ratio)
-        stats["mean_ratio"] += ratio
-        if flags:
-            flagged += 1
-        elif slack < -slack_tol:
-            violations += 1
-    for stats in theorems.values():
-        stats["mean_ratio"] /= stats["count"]
+    for subject, zs, flags, columns in blocks:
+        shared = {id(c.lhs): c.lhs for c in columns}  # a multi-index's columns share its lhs
+        position = {key: k for k, key in enumerate(shared)}
+        lhs_at = [position[id(c.lhs)] for c in columns]
+        shared_lhs = np.array(list(shared.values()), dtype=float).T
+        lhs, rhs = shared_lhs[:, lhs_at], np.array([c.rhs for c in columns], dtype=float).T
+        slack = rhs - lhs
+        ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
+        if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        own = [(p, c.flags) for p, c in enumerate(columns) if c.flags is not None]
+        marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(columns), axis=1)
+        for p, col_flags in own:  # a record carries its point's flags and its column's own
+            marked[:, p] |= [bool(f) for f in col_flags]
+        flagged += int(marked.sum())
+        violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
+        tags: dict[str, list[int]] = {}
+        for p, c in enumerate(columns):
+            tags.setdefault(c.tag, []).append(p)
+            if (c.tag, c.alpha) not in column_texts:
+                alpha = "null" if c.alpha is None else f'[{", ".join(map(int.__repr__, c.alpha))}]'
+                column_texts[c.tag, c.alpha] = (f'{{"alpha": {alpha}, "colligation_hash": ',
+                                                f'"theorem_tag": {_str(c.tag)}, "z": ')
+        ratio_rows = ratio.tolist()
+        low_slack, low_ratio = slack.min(axis=0).tolist(), ratio.min(axis=0).tolist()
+        high_ratio = ratio.max(axis=0).tolist()
+        for tag, ps in tags.items():
+            count, min_slack, min_ratio, max_ratio, total = theorems.get(tag, (0, math.inf, math.inf, -math.inf, 0.0))
+            for row in ratio_rows:  # one += per record in record order, as a fold over lines adds
+                for p in ps:
+                    total += row[p]
+            theorems[tag] = (count + len(ps) * len(ratio_rows), min(min_slack, *(low_slack[p] for p in ps)),
+                             min(min_ratio, *(low_ratio[p] for p in ps)), max(max_ratio, *(high_ratio[p] for p in ps)),
+                             total)
+        subject_text = _str(subject)
+        heads = [f'{column_texts[c.tag, c.alpha][0]}{subject_text}, "flags": ' for c in columns]
+        tails = [column_texts[c.tag, c.alpha][1] for c in columns]
+        lhs_texts = [list(map(float.__repr__, row)) for row in shared_lhs.tolist()]  # each shared lhs once
+        cells = [map(float.__repr__, a.ravel().tolist()) for a in (ratio, rhs, slack)]  # in record order
+        for i, z in enumerate(zs.tolist()):
+            z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
+            row_flags = [encode_flags(flags[i])] * len(columns)
+            for p, col_flags in own:
+                row_flags[p] = encode_flags(flags[i] + col_flags[i])
+            for head, flags_text, lhs_text, ratio_text, rhs_text, slack_text, tail in zip(
+                heads, row_flags, map(lhs_texts[i].__getitem__, lhs_at), *cells, tails
+            ):
+                yield (
+                    f'{head}{flags_text}, "kind": "report", "lhs": {lhs_text}, "ratio": {ratio_text}, '
+                    f'"rhs": {rhs_text}, {version_seed}, "slack": {slack_text}, {tail}{z_text}'
+                )
     yield json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
-        "reports": sum(s["count"] for s in theorems.values()),
+        "reports": sum(stats[0] for stats in theorems.values()),
         "violations": violations,
         "flagged": flagged,
         "slack_tol": slack_tol,
-        "theorems": {tag: theorems[tag] for tag in sorted(theorems)},
+        "theorems": {
+            tag: {"count": count, "min_slack": min_slack, "min_ratio": min_ratio,
+                  "max_ratio": max_ratio, "mean_ratio": total / count}
+            for tag, (count, min_slack, min_ratio, max_ratio, total) in sorted(theorems.items())
+        },
         **extra,
     }, sort_keys=True, allow_nan=False) + "\n"
 
@@ -334,8 +369,9 @@ def _header(campaign: str, config: CampaignConfig, **fields) -> dict:
 # --- fuzz campaign ------------------------------------------------------------
 
 
-def fuzz_records(config: CampaignConfig) -> Iterator[Row]:
-    """Yield the row of every report of a fuzz campaign, in record order."""
+def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
+    """Yield the blocks of a fuzz campaign, in record order: per colligation
+    the Wiener bounds at the origin, then the reports of its points."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
@@ -344,20 +380,17 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Row]:
         col_seed = int(rng.integers(0, 2**62))
         col = random_colligation(structure, config.dim_g, col_seed)
         chash = colligation_hash(col)
-        for rep in wiener_check(col, wiener_alphas):
-            yield rep, chash, ()  # at the origin, never flagged
+        yield Block(chash, np.zeros((1, structure.d), dtype=np.complex128), [()],  # never flagged
+                    wiener_columns(col, wiener_alphas))
         ev = evaluate(col, [sample_point(structure, rng, config.sampler)  # one stack: z, w of each pair, as drawn
                             for _ in range(2 * config.points_per_colligation)])
         cz, cw = ev[0::2], ev[1::2]
-        for i, (r1, r2) in enumerate(zip(*(r.tolist() for r in identity_residuals(cw, cz)))):
-            ctx = cz[i]
-            flags = config.sampler_flags + ctx.flags
-            pair_flags = flags + cw.flags[i]
-            for tag, resid in (("identity.kernel_input", r1), ("identity.kernel_output", r2)):
-                rep = BoundReport(theorem_tag=tag, z=ctx.z, alpha=None, lhs=resid, rhs=config.identity_tol)
-                yield rep, chash, pair_flags
-            for rep in point_reports(ctx, checks):
-                yield rep, chash, flags
+        tol = np.full(len(cz), config.identity_tol)
+        identity = [Column(tag, None, resid, tol, cw.flags)  # a pair's records carry the flags at w too
+                    for tag, resid in zip(("identity.kernel_input", "identity.kernel_output"),
+                                          identity_residuals(cw, cz))]
+        yield Block(chash, cz.zs, [config.sampler_flags + f for f in cz.flags],
+                    identity + report_columns(cz, checks))
 
 
 def run_fuzz(config: CampaignConfig) -> Iterator[str]:
@@ -394,27 +427,24 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[str]:
     return summarize(header, rows, config.slack_tol, seed=config.seed, target=name)
 
 
-def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Row]:
-    """Yield the row of every report of an exploration campaign, in record order."""
+def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Block]:
+    """Yield the blocks of an exploration campaign, in record order: the
+    points in chunks of ``points_per_colligation``, then any Gram records."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
-    marks = ("observational",)
-    for _ in range(config.points_per_colligation * config.n_colligations):
-        point = PolynomialPoint(poly, structure, sample_point(structure, rng, config.sampler))
-        flags = marks + config.sampler_flags + point.flags
-        for mi, variants in checks:
-            for variant in variants:
-                yield variant.at(point, mi), phash, flags
+    marks = ("observational",) + config.sampler_flags
+    for _ in range(config.n_colligations):
+        points = PolynomialStack(poly, structure, [sample_point(structure, rng, config.sampler)
+                                                   for _ in range(config.points_per_colligation)])
+        yield Block(phash, points.zs, [marks + f for f in points.flags],
+                    [variant.column(points, mi) for mi, variants in checks for variant in variants])
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]
             min_eig = multiplier_gram_psd(poly, pts)
-            rep = BoundReport(
-                theorem_tag="gram.arveson_min_eig",
-                z=pts[0], alpha=None, lhs=min_eig, rhs=0.0,
-            )
-            yield rep, phash, marks + config.sampler_flags + admit(structure, pts)
+            yield Block(phash, np.array(pts[:1], dtype=np.complex128), [marks + admit(structure, pts)],
+                        [Column("gram.arveson_min_eig", None, np.array([min_eig]), np.zeros(1))])
 
 
 # --- CLI ----------------------------------------------------------------------

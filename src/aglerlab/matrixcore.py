@@ -2,15 +2,15 @@
 
 Matrices are plain numpy arrays of dtype complex128.  This module supplies
 the spectral norm, unitarity diagnostics, and Haar-distributed unitary
-sampling that the realization layers build on.  Everything is pure;
-randomness enters only through explicit integer seeds.
+sampling that the realization layers build on, and Python's ``**`` on
+arrays.  Everything is pure; randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_matrix", "spectral_norm", "haar_unitary", "unitarity_residual"]
+__all__ = ["as_matrix", "spectral_norm", "haar_unitary", "unitarity_residual", "float_power"]
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -75,3 +75,10 @@ def unitarity_residual(u) -> float:
         raise ValueError(f"U must be square, got shape {a.shape}")
     eye = np.eye(a.shape[0])
     return float(spectral_norm(np.stack([a.conj().T @ a - eye, a @ a.conj().T - eye])).max())
+
+
+def float_power(x, k) -> np.ndarray:
+    """``x ** k`` for each entry of the array ``x``, by Python's float power
+    (libm ``pow``); numpy's vectorized power can differ from it in the last bit."""
+    x = np.asarray(x)
+    return np.array([v ** k for v in x.ravel().tolist()]).reshape(x.shape)

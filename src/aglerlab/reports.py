@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-__all__ = ["BoundReport"]
+import numpy as np
+
+__all__ = ["BoundReport", "Column"]
 
 
 @dataclass(frozen=True)
@@ -38,3 +41,19 @@ class BoundReport:
             f"{self.theorem_tag:<24}{a} lhs={self.lhs:.6e} rhs={self.rhs:.6e} "
             f"slack={self.slack:+.3e} ratio={self.ratio:.4f}"
         )
+
+
+class Column(NamedTuple):
+    """One inequality at every point of a stack: ``lhs[i] <= rhs[i]`` at
+    point i, two (m,) arrays.  ``flags``, when set, holds per point the
+    flags that the column's records carry besides those of their point."""
+
+    tag: str
+    alpha: tuple[int, ...] | None
+    lhs: np.ndarray
+    rhs: np.ndarray
+    flags: Sequence[tuple[str, ...]] | None = None
+
+    def report(self, i: int, z: tuple[complex, ...]) -> BoundReport:
+        """The column's report at point i, which is ``z``."""
+        return BoundReport(self.tag, z, self.alpha, float(self.lhs[i]), float(self.rhs[i]))

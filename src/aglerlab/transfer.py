@@ -5,12 +5,13 @@
 norms, defects, flags) comes from one numpy call for all its points.  Each
 point is read through its view, an :class:`EvalContext`; at one point of
 shape (d,), ``evaluate`` returns the view of a stack of one.  The remaining
-functions check, at an evaluated point, the identities and norm estimates
-that every unitary realization satisfies: the kernel identities for
-I - phi(z)* phi(w) and I - phi(w) phi(z)*, norm bounds on (projected)
-resolvent factors such as ||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||,
-and ||L|| <= 1 / (1 - ||Z||).  Resolvents are LU solves against the
-identity; Neumann sums appear only in tests, as an independent oracle.
+functions check the identities and norm estimates that every unitary
+realization satisfies: the kernel identities for I - phi(z)* phi(w) and
+I - phi(w) phi(z)*, and as columns of a stack (read at one point as
+reports), norm bounds on (projected) resolvent factors such as
+||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||, and ||L|| <= 1 / (1 - ||Z||).
+Resolvents are LU solves against the identity; Neumann sums appear only in
+tests, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .colligation import Colligation, PointGeometry, admit, projections, zmatrix
+from .colligation import Colligation, StackGeometry, admit, projections, zmatrix
 from .errors import DomainViolationError
-from .matrixcore import spectral_norm
-from .reports import BoundReport
+from .matrixcore import float_power, spectral_norm
+from .reports import BoundReport, Column
 from .tolerances import CONDITION_LIMIT
 
 __all__ = [
     "EvalStack", "EvalContext", "evaluate", "defect_norms", "identity_residuals",
-    "resolvent_gram_factors", "resolvent_norm_estimates", "lnorm_bound_check",
+    "resolvent_gram_factors", "resolvent_columns", "resolvent_norm_estimates",
+    "lnorm_column", "lnorm_bound_check",
 ]
 
 
@@ -56,17 +58,19 @@ class EvalStack:
 
     ``zmat``, ``r_ka`` = (I_K - A Z)^{-1} and ``phi`` hold a row per point.
     The rest is computed for every point on first use and kept: ``r_ha`` =
-    (I_H - Z A)^{-1}, ``lmat`` = A r_ha, and lists with an entry per point:
-    ``cond`` (of I - AZ), ``flags`` (``near-boundary`` by
-    :func:`aglerlab.colligation.admit`, ``ill-conditioned`` past the
-    conditioning limit), ``znorm``, ``lnorm``, ``defects``, ``gram`` and
-    ``resolvent_norms``.  The jet: ``kop(mi)``, the arrangement sum K, comes
-    from the recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, over
-    sub-multisets, so it does not depend on which multi-indices came first;
-    ``partial(mi)`` is mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0);
-    ``norms(mis)`` gives per multi-index the norms of its partial (of its K
-    with ``kop=True``), those not yet known from one SVD call.  ``stack[i]``
-    is the view of point i, ``stack[a:b]`` a new stack of those points."""
+    (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
+    ``flags`` (``near-boundary`` by :func:`aglerlab.colligation.admit`,
+    ``ill-conditioned`` past the conditioning limit), and the columns
+    ``znorm``, ``lnorm``, ``defects`` (m, 2), ``defect`` (their product),
+    ``gram`` (m, 2, d) and ``geometry`` (a
+    :class:`aglerlab.colligation.StackGeometry`).  The jet: ``kop(mi)``, the
+    arrangement sum K, comes from the recursion g[c] = sum_j E_j L g[c - e_j],
+    g[e_j] = E_j, over sub-multisets, so it does not depend on which
+    multi-indices came first; ``partial(mi)`` is mi! C (I - ZA)^{-1} K
+    (I - AZ)^{-1} B (phi at order 0); ``norms(mis)`` gives per multi-index the
+    (m,) norms of its partial (of its K with ``kop=True``), those not yet
+    known from one SVD call.  ``stack[i]`` is the view of point i,
+    ``stack[a:b]`` a new stack of those points."""
 
     def __init__(self, col: Colligation, zs, zmat, r_ka, phi, near: tuple[str, ...]):
         self.col, self.zs, self.zmat, self.r_ka, self.phi = col, zs, zmat, r_ka, phi
@@ -100,35 +104,33 @@ class EvalStack:
         return [f + (("ill-conditioned",) if c > CONDITION_LIMIT else ()) for f, c in zip(near, self.cond)]
 
     @cached_property
-    def znorm(self) -> list[float]:
+    def znorm(self) -> np.ndarray:
         """||Z(z)||, the largest row norm of Z since Z Z* is diagonal; below
         the domain norm only where an empty polydisk block drops a coordinate."""
         moduli = np.hypot(self.zmat.real, self.zmat.imag)
-        return np.sqrt((moduli * moduli).sum(axis=-1).max(axis=-1)).tolist()
+        return np.sqrt((moduli * moduli).sum(axis=-1).max(axis=-1))
 
     @cached_property
-    def lnorm(self) -> list[float]:
-        return spectral_norm(self.lmat).tolist()
+    def lnorm(self) -> np.ndarray:
+        return spectral_norm(self.lmat)
 
     @cached_property
-    def defects(self) -> list[tuple[float, float]]:
+    def defects(self) -> np.ndarray:
         """Input and output defect norms of phi(z); see :func:`defect_norms`."""
-        return list(zip(*(d.tolist() for d in defect_norms(self.phi))))
+        return np.stack(defect_norms(self.phi), axis=1)
 
     @cached_property
-    def gram(self) -> list[tuple[list[float], list[float]]]:
-        """Projected resolvent Gram factors; see :func:`resolvent_gram_factors`."""
-        return list(zip(*(g.tolist() for g in resolvent_gram_factors(self))))
+    def defect(self) -> np.ndarray:
+        return self.defects[:, 0] * self.defects[:, 1]
 
     @cached_property
-    def resolvent_norms(self) -> list[tuple[list[float], list[float], float, float]]:
-        """([||E_j r_ka B||]_j, [||C r_ha E_j||]_j, ||r_ka B||, ||C r_ha||) per point."""
-        return list(zip(
-            _norms(self.es @ self.r_ka[:, None] @ self.col.B).tolist(),
-            _norms(self._c_rha[:, None] @ self.es).tolist(),
-            spectral_norm(self.r_ka @ self.col.B).tolist(),
-            spectral_norm(self._c_rha).tolist(),
-        ))
+    def gram(self) -> np.ndarray:
+        """Projected resolvent Gram factors a, b; see :func:`resolvent_gram_factors`."""
+        return np.stack(resolvent_gram_factors(self), axis=1)
+
+    @cached_property
+    def geometry(self) -> StackGeometry:
+        return StackGeometry(self.zs)
 
     @cached_property
     def _c_rha(self) -> np.ndarray:
@@ -167,13 +169,13 @@ class EvalStack:
             self._partials[mi.counts] = p
         return p
 
-    def norms(self, mis, kop: bool = False) -> list[list[float]]:
+    def norms(self, mis, kop: bool = False) -> list[np.ndarray]:
         """Per multi-index of ``mis``, its partial's norm (its K's if ``kop``) at every point."""
         known = self._knorms if kop else self._norms
         todo = {mi.counts: mi for mi in mis if mi.counts not in known}
         if todo:
             mats = np.stack([self.kop(mi) if kop else self.partial(mi) for mi in todo.values()], axis=1)
-            known.update(zip(todo, _norms(mats).T.tolist()))
+            known.update(zip(todo, _norms(mats).T))
         return [known[mi.counts] for mi in mis]
 
 
@@ -193,25 +195,15 @@ class _Row:
 class EvalContext:
     """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``:
     its rows of the stack's attributes and of its jet (``kop``, ``partial``,
-    ``norms``, ``norm``).  Every record made at the point carries its ``flags``.
+    ``norms``).  Every record made at the point carries its ``flags``.
     """
 
     zmat, r_ka, r_ha, lmat, phi, cond, flags = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
-    znorm, lnorm, defects, gram, resolvent_norms = _Row(), _Row(), _Row(), _Row(), _Row()
+    znorm, lnorm, defects, defect, gram = _Row(), _Row(), _Row(), _Row(), _Row()
 
     def __init__(self, stack: EvalStack, i: int):
         self.stack, self.i, self.col = stack, i, stack.col
         self.z: tuple[complex, ...] = tuple(stack.zs[i].tolist())
-
-    @cached_property
-    def defect(self) -> float:
-        """Product of the two defect norms of phi(z)."""
-        return self.defects[0] * self.defects[1]
-
-    @cached_property
-    def geometry(self) -> PointGeometry:
-        """Norm data of z read by bound right-hand sides."""
-        return PointGeometry.from_point(self.z)
 
     def kop(self, mi) -> np.ndarray:
         """Arrangement sum K for ``mi`` (order >= 1)."""
@@ -223,13 +215,7 @@ class EvalContext:
 
     def norms(self, mis, kop: bool = False) -> list[float]:
         """Spectral norms of :meth:`partial` (of :meth:`kop` when ``kop``) at each of ``mis``."""
-        return [row[self.i] for row in self.stack.norms(mis, kop)]
-
-    def norm(self, mi, kop: bool = False) -> float:
-        """One of :meth:`norms`."""
-        known = self.stack._knorms if kop else self.stack._norms
-        row = known[mi.counts] if mi.counts in known else self.stack.norms([mi], kop)[0]
-        return row[self.i]
+        return [float(row[self.i]) for row in self.stack.norms(mis, kop)]
 
 
 def evaluate(col: Colligation, zs) -> EvalStack | EvalContext:
@@ -290,28 +276,38 @@ def defect_norms(phi: np.ndarray):
     )
 
 
-def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
-    """Norm bounds on the four resolvent factors at an evaluated point.
+def resolvent_columns(ev: EvalStack) -> list[Column]:
+    """Norm bounds on the four resolvent factors at every point of a stack.
 
     Per coordinate j: ||E_j (I - AZ)^{-1} B|| against the input defect times
     the projected Gram factor, and ||C (I - ZA)^{-1} E_j|| against the
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    z = ctx.z
-    d_in, d_out = ctx.defects
-    a, b = ctx.gram
-    right, left, right_full, left_full = ctx.resolvent_norms
-    reports = []
-    for j in range(len(right)):
-        reports.append(BoundReport("resolvent.right_block", z, (j + 1,), lhs=right[j], rhs=d_in * a[j]))
-        reports.append(BoundReport("resolvent.left_block", z, (j + 1,), lhs=left[j], rhs=d_out * b[j]))
-    scale = 1.0 / np.sqrt(1.0 - ctx.znorm**2)
-    reports.append(BoundReport("resolvent.right_full", z, None, lhs=right_full, rhs=d_in * scale))
-    reports.append(BoundReport("resolvent.left_full", z, None, lhs=left_full, rhs=d_out * scale))
-    return reports
+    right = _norms(ev.es @ ev.r_ka[:, None] @ ev.col.B)
+    left = _norms(ev._c_rha[:, None] @ ev.es)
+    d_in, d_out = ev.defects.T
+    a, b = ev.gram[:, 0], ev.gram[:, 1]
+    columns = []
+    for j in range(ev.col.d):
+        columns.append(Column("resolvent.right_block", (j + 1,), right[:, j], d_in * a[:, j]))
+        columns.append(Column("resolvent.left_block", (j + 1,), left[:, j], d_out * b[:, j]))
+    scale = 1.0 / np.sqrt(1.0 - float_power(ev.znorm, 2))
+    columns.append(Column("resolvent.right_full", None, spectral_norm(ev.r_ka @ ev.col.B), d_in * scale))
+    columns.append(Column("resolvent.left_full", None, spectral_norm(ev._c_rha), d_out * scale))
+    return columns
+
+
+def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
+    """The :func:`resolvent_columns` reports at an evaluated point."""
+    return [column.report(ctx.i, ctx.z) for column in resolvent_columns(ctx.stack)]
+
+
+def lnorm_column(ev: EvalStack) -> Column:
+    """Geometric-series bound ||L|| <= 1 / (1 - ||Z||) at every point of a stack."""
+    return Column("lmatrix.geometric", None, ev.lnorm, 1.0 / (1.0 - ev.znorm))
 
 
 def lnorm_bound_check(ctx: EvalContext) -> BoundReport:
-    """Geometric-series bound ||L|| <= 1 / (1 - ||Z||)."""
-    return BoundReport("lmatrix.geometric", ctx.z, None, lhs=ctx.lnorm, rhs=1.0 / (1.0 - ctx.znorm))
+    """The :func:`lnorm_column` report at an evaluated point."""
+    return lnorm_column(ctx.stack).report(ctx.i, ctx.z)

@@ -117,8 +117,8 @@ class TestKOperator:
         ctx = evaluate(random_colligation(Polydisk((2, 1)), 1, 3), (0.3, 0.2j))
         mi = MultiIndex(counts)
         message = f"multi-index has d={len(counts)}, colligation has d=2"
-        for read in (ctx.kop, lambda mi: ctx.norm(mi, kop=True), lambda mi: ctx.norms([mi], kop=True),
-                     ctx.partial, ctx.norm, lambda mi: koperator(ctx, mi)):
+        for read in (ctx.kop, lambda mi: ctx.norms([mi], kop=True), ctx.partial, lambda mi: ctx.norms([mi]),
+                     lambda mi: koperator(ctx, mi)):
             with pytest.raises(ValueError, match=message):
                 read(mi)
 

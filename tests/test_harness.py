@@ -29,8 +29,9 @@ from aglerlab import (
     random_colligation,
     spectral_norm,
 )
-from aglerlab import derivative, harness, transfer
+from aglerlab import bounds, derivative, harness, transfer
 from aglerlab.colligation import save_colligation, structure_norm, to_json_dict
+from aglerlab.reports import Column
 from aglerlab.harness import (
     CampaignConfig,
     main,
@@ -52,6 +53,20 @@ REPORT_KEYS = {
 HEADER = {"schema_version": 1, "kind": "header", "seed": 7}
 
 
+def block(subject, zs, flags, *columns):
+    """A campaign block of handmade columns (tag, alpha, lhs, rhs[, flags])."""
+    return harness.Block(subject, np.array(zs, dtype=np.complex128), list(flags),
+                         [Column(tag, alpha, np.array(lhs, dtype=float), np.array(rhs, dtype=float), *rest)
+                          for tag, alpha, lhs, rhs, *rest in columns])
+
+
+def block_rows(blk):
+    """The (report, subject hash, flags) of each record of a block, in record order."""
+    return [(BoundReport(c.tag, tuple(complex(v) for v in z), c.alpha, c.lhs[i], c.rhs[i]), blk.subject,
+             blk.flags[i] + (c.flags[i] if c.flags is not None else ()))
+            for i, z in enumerate(blk.zs) for c in blk.columns]
+
+
 def report_record(rep, subject_hash, flags, seed):
     """The record a report line must encode, built independently of the line template."""
     return {
@@ -68,6 +83,12 @@ class TestParsers:
         assert parse_structure("ball:m=2,d=3") == Ball(2, 3)
         for bad in ("disk:1", "polydisk:a,b", "ball:m=2", "ball:2,3"):
             with pytest.raises(ValueError):
+                parse_structure(bad)
+
+    def test_polydisk_spec_has_no_empty_entry(self):
+        assert parse_structure("polydisk: 2 , 0,1") == Polydisk((2, 0, 1))
+        for bad in ("polydisk:2,,1", "polydisk:,2", "polydisk:2,1,", "polydisk:"):
+            with pytest.raises(ValueError, match="bad polydisk block dims"):
                 parse_structure(bad)
 
     def test_ball_spec_takes_m_and_d_once_each(self):
@@ -204,9 +225,9 @@ class TestFuzzCampaign:
         assert summary["violations"] == 0
 
     def test_summarize_counts_violations(self):
-        rep = BoundReport("x", (0j,), None, lhs=2.0, rhs=1.0)  # slack -1.0, ratio 2.0
-        rows = [(rep, "h", ()), (rep, "h", ("near-boundary",))]
-        *_, summary = records(summarize(HEADER, rows, slack_tol=1e-9))
+        # slack -1.0, ratio 2.0 at both points; the second point is flagged
+        blk = block("h", [[0j], [0j]], [(), ("near-boundary",)], ("x", None, [2.0, 2.0], [1.0, 1.0]))
+        *_, summary = records(summarize(HEADER, [blk], slack_tol=1e-9))
         assert summary["violations"] == 1
         assert summary["flagged"] == 1
         assert summary["theorems"]["x"]["count"] == 2
@@ -214,7 +235,8 @@ class TestFuzzCampaign:
 
 
 def count_calls(monkeypatch, fn):
-    """Count the calls of ``fn`` made through any aglerlab module binding."""
+    """Count the calls of ``fn`` made through any aglerlab module binding or
+    class attribute (a method's calls count with ``self`` as first argument)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -223,9 +245,12 @@ def count_calls(monkeypatch, fn):
 
     for name, module in list(sys.modules.items()):
         if name == "aglerlab" or name.startswith("aglerlab."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+            owners = [module] + [v for v in vars(module).values()
+                                 if isinstance(v, type) and v.__module__.startswith("aglerlab")]
+            for owner in owners:
+                for attr, value in list(vars(owner).items()):
+                    if value is fn:
+                        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
@@ -244,6 +269,19 @@ class TestCampaignWork:
         assert len(evaluations) == 2 * n
         assert [np.shape(zs) for _, zs in evaluations] == [(2,), (2 * points, 2)] * n
         assert not enumerations
+
+    @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
+    def test_no_call_per_report(self, monkeypatch, structure):
+        # a campaign computes each bound as a column of all its points, not report by report
+        per_report = [count_calls(monkeypatch, fn) for fn in (bounds.Variant.at, bounds.polydisk_rhs, bounds.ball_rhs)]
+        *_, summary = records(run_fuzz(CampaignConfig(seed=13, n_colligations=2, structure=structure,
+                                                      max_order=4, points_per_colligation=3)))
+        assert summary["reports"] > 300
+        assert per_report == [[], [], []]
+        # while a call through the library is counted
+        bounds.bound_polydisk(bounds.Polynomial(2, {(2, 1): 1.0}), (0.1, 0.2), (2, 1), "factorial")
+        bounds.polydisk_rhs(0.5, bounds.PointGeometry.from_point((0.1, 0.2)), MultiIndex((2, 1)), "weak")
+        assert [len(calls) for calls in per_report] == [1, 1, 0]
 
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
     def test_norm_calls_do_not_grow_with_the_order(self, monkeypatch, structure):
@@ -652,6 +690,22 @@ class TestCli:
         assert main(["bounds", str(path), "--z", "0.5", "--tol", "0"]) != 2
         assert "error" not in capsys.readouterr().err
 
+    def test_integer_tolerances_are_written_as_floats(self, tmp_path, capsys):
+        # every record value is a float, so CampaignConfig makes an integer tolerance one
+        config = CampaignConfig(slack_tol=1, identity_tol=0)
+        assert (config.slack_tol, config.identity_tol) == (1.0, 0.0)
+        assert type(config.slack_tol) is type(config.identity_tol) is float
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"identity_tol": 0, "slack_tol": 1}', encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["fuzz", "--config", str(cfg_path), "--n", "1", "--points", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert '"identity_tol": 0.0,' in lines[0] and '"slack_tol": 1.0,' in lines[0]
+        identity = [line for line in lines if '"theorem_tag": "identity.' in line]
+        assert len(identity) == 4 and all('"rhs": 0.0,' in line for line in identity)
+        assert '"slack_tol": 1.0,' in lines[-1]
+
     @pytest.mark.parametrize("fields", ['{"bogus": 1}', '{"slack_tol": "x"}', '{"seed": 1.5}',
                                         '{"slack_tol": true}', '{"identity_tol": false}',
                                         '{"structure": 5}', '{"structure": null}', '{"sampler": 3}',
@@ -706,10 +760,13 @@ class TestCli:
         ["fuzz", "--structure", "ball:m=2,d=3,q=9"],
         ["fuzz", "--structure", "ball:m=2,d=3,m=4"],
         ["fuzz", "--structure", "ball:m=2,d=0"],
+        ["fuzz", "--structure", "polydisk:2,,1"],
+        ["fuzz", "--structure", "polydisk:,2"],
     ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m",
             "explore-structure", "explore-dim-g", "explore-config-dim-g", "fuzz-sampler",
             "explore-sampler", "explore-ignored-m", "fuzz-out-dir", "explore-out-dir",
-            "ball-extra-key", "ball-repeated-key", "ball-no-copies"])
+            "ball-extra-key", "ball-repeated-key", "ball-no-copies",
+            "polydisk-empty-entry", "polydisk-empty-first-entry"])
     def test_campaign_input_error_exits_two_before_writing(self, tmp_path, capsys, argv):
         # a campaign streams its records, so every input is checked before
         # the output file is opened
@@ -818,42 +875,57 @@ class TestReportEncoding:
     def test_handmade_reports(self, tmp_path):
         z = (complex(-0.0, 5e-324), complex(1e16, -1e-300))
         same_values = (complex(0.0, 5e-324), complex(1e16, -1e-300))  # == z, but +0.0
-        reports = [
-            BoundReport("x.first", z, None, lhs=-0.0, rhs=5e-324),
-            BoundReport("x.second", z, (0, 3), lhs=1e16, rhs=0.1 + 0.2),
-            BoundReport("x.third", same_values, (1,), lhs=np.float64(2.0) / 3.0, rhs=1),
-            BoundReport("x.fourth", z, None, lhs=0.5, rhs=0.0),
-        ]
         flags = ("near-boundary", "boundary-biased", "near-boundary")
-        rows = [(r, "0123abcd", flags) for r in reports] + [(reports[0], "h", ())]
-        lines = self.written(tmp_path, summarize(HEADER, rows, slack_tol=1e-9))[1:-1]
+        blocks = [
+            block("0123abcd", [z, same_values], [flags, ()],
+                  ("x.first", None, [-0.0, 0.25], [5e-324, 1.0]),
+                  ("x.second", (0, 3), [1e16, 3.0], [0.1 + 0.2, 3.0]),
+                  ("x.third", (1,), [np.float64(2.0) / 3.0, 0.5], [1, 0.0], [("ill-conditioned",)] * 2),
+                  ("x.fourth", None, [0.5, 1e-300], [0.0, 1e300])),
+            block("h", [z], [()], ("x.first", None, [-0.0], [5e-324])),
+        ]
+        lines = self.written(tmp_path, summarize(HEADER, blocks, slack_tol=1e-9))[1:-1]
         assert lines == [json.dumps(report_record(*row, seed=7), sort_keys=True, allow_nan=False)
-                         for row in rows]
+                         for blk in blocks for row in block_rows(blk)]
         assert lines == [json.dumps(json.loads(line), sort_keys=True, allow_nan=False) for line in lines]
         assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[0]
-        assert '"z": [[0.0, 5e-324], [1e+16, -1e-300]]' in lines[2]
-        assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[4]
-        assert '"alpha": null' in lines[0] and '"rhs": 1,' in lines[2]
-        assert '"flags": ["boundary-biased", "near-boundary"]' in lines[0] and '"flags": []' in lines[4]
+        assert '"z": [[0.0, 5e-324], [1e+16, -1e-300]]' in lines[4]
+        assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[8]
+        # every column is a float array: an int rhs is written as a float
+        assert '"alpha": null' in lines[0] and '"rhs": 1.0,' in lines[2]
+        assert '"flags": ["boundary-biased", "near-boundary"]' in lines[0] and '"flags": []' in lines[8]
+        assert '"flags": ["boundary-biased", "ill-conditioned", "near-boundary"]' in lines[2]
+        assert '"flags": ["ill-conditioned"]' in lines[6] and '"flags": []' in lines[4]
+
+    def test_summary_folds_blocks_in_record_order(self):
+        # ratios 1.0 and then twenty times 1e-16 sum to 1.0 one record at a time, as a
+        # line-by-line fold adds them, but not pairwise (np.sum) or compensated (fsum)
+        blocks = [block("h", [[0j]] * 20, [()] * 20, ("x", None, [1.0] + [1e-16] * 19, [1.0] * 20)),
+                  block("h", [[0j]], [("near-boundary",)], ("x", None, [1e-16], [1.0]), ("y", None, [0.0], [0.0]))]
+        *_, summary = records(summarize(HEADER, blocks, slack_tol=1e-9))
+        assert summary["theorems"]["x"] == {"count": 21, "min_slack": 0.0, "min_ratio": 1e-16, "max_ratio": 1.0,
+                                            "mean_ratio": 1.0 / 21}
+        assert summary["theorems"]["y"]["count"] == 1 and summary["flagged"] == 2 and summary["reports"] == 22
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "z"])
     def test_nonfinite_value_raises(self, tmp_path, field, bad):
-        # a row with a non-finite value checked nothing, flagged or not: the
-        # stream stops at it, so no summary can count it
+        # a record with a non-finite value checked nothing, flagged or not: the
+        # stream stops at its block, so no summary can count it
         values = {"lhs": 0.5, "rhs": 1.0, "z": (0.1j, 0.2 + 0j)}
         values[field] = (0.1j, complex(0.2, bad)) if field == "z" else bad
-        rep = BoundReport("x", values["z"], None, lhs=values["lhs"], rhs=values["rhs"])
-        fine = BoundReport("x", (0.1j, 0.2 + 0j), None, lhs=0.5, rhs=1.0)
         for flags in ((), ("near-boundary",)):
+            bad_block = block("h", [values["z"]], [flags], ("x", None, [values["lhs"]], [values["rhs"]]))
+            fine = block("h", [(0.1j, 0.2 + 0j)], [flags], ("x", None, [0.5], [1.0]))
+            (rep, *_), = block_rows(bad_block)
             with pytest.raises(ValueError):
                 json.dumps(report_record(rep, "h", flags, seed=7), sort_keys=True, allow_nan=False)
             lines = []
             with pytest.raises(ValueError, match="not JSON compliant"):
-                lines.extend(summarize(HEADER, [(fine, "h", flags), (rep, "h", flags)], slack_tol=1e-9))
+                lines.extend(summarize(HEADER, [fine, bad_block], slack_tol=1e-9))
             assert [rec["kind"] for rec in records(lines)] == ["header", "report"]
             with pytest.raises(ValueError, match="not JSON compliant"):
-                self.written(tmp_path, summarize(HEADER, [(rep, "h", flags)], slack_tol=1e-9))
+                self.written(tmp_path, summarize(HEADER, [bad_block], slack_tol=1e-9))
 
 
 def reject_constant(name):
