@@ -2,7 +2,9 @@
 
 Each bound is a :class:`Column` of a stack of points: the left-hand sides
 (derivative norms, from the realization or a polynomial) and the
-right-hand sides of one inequality, exactly as stated, one per point.
+right-hand sides of one inequality, exactly as stated, one per point.  A
+polynomial's norms come from one stacked :func:`poly_partial` call per
+multi-index (:class:`PolynomialStack`).
 Checks on a colligation read an :class:`aglerlab.transfer.EvalStack`; the
 ``bound_*`` functions, ``ball_kernel_subchecks`` and ``knese_report`` read
 the :class:`BoundReport` of one point from those columns, and
@@ -84,23 +86,26 @@ class PolynomialStack:
     """A polynomial subject at the points of an (m, d) stack (or at one point
     of shape (d,)) of ``structure``'s domain, admitted as ``evaluate`` admits
     them, and read like an :class:`EvalStack`: ``zs``, per-point ``flags``,
-    the ``defect`` and ``geometry`` columns, and ``norms``."""
+    the ``defect`` and ``geometry`` columns, and ``norms``.  The defect takes
+    one stacked :func:`poly_partial` call, and so does each multi-index."""
 
     def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
         pts = np.asarray(zs, dtype=np.complex128)
         near = admit(structure, pts)
         self.zs = pts.reshape(-1, structure.d)
         self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
-        self.poly, self.points = poly, self.zs.tolist()
+        self.poly = poly
         self.geometry = StackGeometry(self.zs)
-        self.defect = np.array([1.0 - abs(poly(z)) ** 2 for z in self.points])
         self._norms: dict[tuple[int, ...], np.ndarray] = {}
+        self.defect = 1.0 - float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
 
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
-        """Per multi-index of ``mis``, |d^n p / dz^mi| at every point."""
+        """Per multi-index of ``mis``, |d^n p / dz^mi| at every point (rounded
+        as ``abs()`` of a Python complex)."""
         for mi in mis:
             if mi.counts not in self._norms:
-                self._norms[mi.counts] = np.array([abs(poly_partial(self.poly, z, mi)) for z in self.points])
+                values = poly_partial(self.poly, self.zs, mi)
+                self._norms[mi.counts] = np.hypot(values.real, values.imag)
         return [self._norms[mi.counts] for mi in mis]
 
 
@@ -440,13 +445,18 @@ def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:
     Euclidean inner product.  Nonnegative spectra characterize contractive
     multipliers of the kernel 1 / (1 - <z, w>); a negative eigenvalue
     certifies non-membership.  Points within 1e-12 of each other trigger a
-    warning since they force the matrix toward degeneracy.
+    warning since they force the matrix toward degeneracy.  The points must
+    have equal length; a :class:`Polynomial` ``f`` is evaluated at all of
+    them in one stacked call, any other callable point by point.
     """
     pts = [tuple(complex(v) for v in p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
-    for p in pts:
-        admit(Ball.scalar(len(p)), p)
+    for k, p in enumerate(pts):
+        if len(p) != len(pts[0]):
+            raise ValueError(f"points 0 and {k} have {len(pts[0])} and {len(p)} coordinates")
+    zs = np.array(pts, dtype=np.complex128)
+    admit(Ball.scalar(zs.shape[1]), zs)
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
             if max(abs(a - b) for a, b in zip(pts[i], pts[k])) < 1e-12:
@@ -455,7 +465,10 @@ def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:
                     DegenerateGramWarning,
                     stacklevel=2,
                 )
-    values = [complex(f(p)) for p in pts]
+    if isinstance(f, Polynomial):
+        values = poly_partial(f, zs, (0,) * f.dimension).tolist()
+    else:
+        values = [complex(f(p)) for p in pts]
     n = len(pts)
     gram = np.empty((n, n), dtype=np.complex128)
     for k in range(n):

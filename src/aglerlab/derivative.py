@@ -24,11 +24,14 @@ only as oracles for that sweep (both are exponentially more expensive).
 Two independent differentiation oracles close the loop: iterated Cauchy
 coefficient extraction by trapezoid quadrature on circles (exponentially
 accurate for analytic functions), and exact symbolic differentiation of
-polynomials.
+polynomials.  The symbolic partial :func:`poly_partial` is also how the
+bounds differentiate a polynomial subject: it takes one point or an (m, d)
+stack, and on a stack gives every point the bits of the scalar loop.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,7 +209,9 @@ def partial_permsum(col: Colligation, z: Sequence[complex], klist: Sequence[int]
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial in d complex variables, stored as multi-index -> coefficient."""
+    """Polynomial in d complex variables, stored as multi-index -> coefficient.
+    Every coefficient must be finite; a call evaluates it at a point or at
+    each point of an (m, d) stack (see :func:`poly_partial`)."""
 
     dimension: int
     coeffs: Mapping[tuple[int, ...], complex]
@@ -217,11 +222,14 @@ class Polynomial:
             k = tuple(int(e) for e in key)
             if len(k) != self.dimension or any(e < 0 for e in k):
                 raise ValueError(f"bad exponent tuple {key} for dimension {self.dimension}")
+            val = complex(val)
+            if not cmath.isfinite(val):
+                raise ValueError(f"coefficient of {k} is not finite: {val!r}")
             if val != 0:
-                clean[k] = complex(val)
+                clean[k] = val
         object.__setattr__(self, "coeffs", clean)
 
-    def __call__(self, z: Sequence[complex]) -> complex:
+    def __call__(self, z):
         return poly_partial(self, z, (0,) * self.dimension)
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
@@ -237,24 +245,66 @@ class Polynomial:
         return out
 
 
-def poly_partial(p: Polynomial, z: Sequence[complex], alpha: Union[MultiIndex, Sequence[int]]) -> complex:
-    """Exact symbolic mixed partial of a polynomial, evaluated at ``z``."""
+def _times(a: tuple, b: tuple) -> tuple:
+    """(a_re + i a_im)(b_re + i b_im) from float64 parts (arrays or floats),
+    as CPython forms a complex product; numpy's complex ``*`` may round
+    differently (vectorized loops)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def poly_partial(p: Polynomial, z, alpha: Union[MultiIndex, Sequence[int]]):
+    """Exact symbolic mixed partial of a polynomial at the point ``z`` (a
+    complex), or at each point of an (m, d) stack ``z`` (an (m,) complex array).
+
+    One loop over the coefficients serves the whole stack.  Each value is
+    formed from float64 real and imaginary parts in the order of the scalar
+    loop over Python complexes, so it has the same bits: per coefficient c
+    with exponents e, ``term = c``, then per coordinate ``term *=
+    e_j!/(e_j - a_j)!`` and ``term *= z_j ** (e_j - a_j)``, where Python's
+    ``**`` is binary powering from 1 (``x**3 = (1 x) (x x)``); then ``total +=
+    term``.
+    """
     mi = MultiIndex.of(alpha)
     if mi.d != p.dimension:
         raise ValueError(f"multi-index has d={mi.d}, polynomial has d={p.dimension}")
-    if len(z) != p.dimension:
-        raise ValueError(f"point has {len(z)} coordinates, polynomial has {p.dimension}")
-    zv = [complex(v) for v in z]
-    total = 0j
+    zs = np.asarray(z, dtype=np.complex128)
+    if zs.ndim not in (1, 2):
+        raise ValueError(f"need a point or an (m, d) stack of points, got shape {zs.shape}")
+    if zs.shape[-1] != p.dimension:
+        raise ValueError(f"point has {zs.shape[-1]} coordinates, polynomial has {p.dimension}")
+    stack = zs.reshape(-1, p.dimension)
+    squares = [[(stack[:, j].real, stack[:, j].imag)] for j in range(p.dimension)]
+    powers: dict[tuple[int, int], tuple] = {}
+
+    def power(j: int, k: int) -> tuple:
+        """z_j ** k as CPython's complex power: the product, from 1, of the
+        squarings z_j^(2^b) at the set bits b of k, low bit first (for k up to
+        100; above that CPython takes the polar form, so Python's ``**`` is used)."""
+        if (j, k) not in powers and k > 100:
+            v = np.array([x ** k for x in stack[:, j].tolist()], dtype=np.complex128)
+            powers[j, k] = (v.real, v.imag)
+        if (j, k) not in powers:
+            sq, acc = squares[j], (1.0, 0.0)
+            while len(sq) < k.bit_length():
+                sq.append(_times(sq[-1], sq[-1]))
+            for b in range(k.bit_length()):
+                if k >> b & 1:
+                    acc = _times(acc, sq[b])
+            powers[j, k] = acc
+        return powers[j, k]
+
+    total = (np.zeros(len(stack)), np.zeros(len(stack)))
     for exps, coeff in p.coeffs.items():
         if any(e < a for e, a in zip(exps, mi.counts)):
             continue
-        term = coeff
-        for zj, e, a in zip(zv, exps, mi.counts):
-            term *= math.factorial(e) // math.factorial(e - a)
-            term *= zj ** (e - a)
-        total += term
-    return total
+        term = (coeff.real, coeff.imag)
+        for j, (e, a) in enumerate(zip(exps, mi.counts)):
+            term = _times(term, (float(math.factorial(e) // math.factorial(e - a)), 0.0))
+            term = _times(term, power(j, e - a))
+        total = (total[0] + term[0], total[1] + term[1])
+    out = np.empty(len(stack), dtype=np.complex128)
+    out.real, out.imag = total
+    return complex(out[0]) if zs.ndim == 1 else out
 
 
 def kaijser_varopoulos() -> Polynomial:

@@ -429,16 +429,23 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[str]:
 
 def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Block]:
     """Yield the blocks of an exploration campaign, in record order: the
-    points in chunks of ``points_per_colligation``, then any Gram records."""
+    points in chunks of ``points_per_colligation``, then any Gram records.
+
+    All ``n_colligations * points_per_colligation`` points form one stack, so
+    each column is computed once; the chunks are row slices of it."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
     marks = ("observational",) + config.sampler_flags
-    for _ in range(config.n_colligations):
-        points = PolynomialStack(poly, structure, [sample_point(structure, rng, config.sampler)
-                                                   for _ in range(config.points_per_colligation)])
-        yield Block(phash, points.zs, [marks + f for f in points.flags],
-                    [variant.column(points, mi) for mi, variants in checks for variant in variants])
+    size = config.points_per_colligation
+    points = PolynomialStack(poly, structure, [sample_point(structure, rng, config.sampler)
+                                               for _ in range(config.n_colligations * size)])
+    columns = [variant.column(points, mi) for mi, variants in checks for variant in variants]
+    for start in range(0, len(points.zs), size):
+        rows = slice(start, start + size)
+        lhs = {id(c.lhs): c.lhs[rows] for c in columns}  # one slice per shared lhs, which summarize encodes once
+        yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]],
+                    [c._replace(lhs=lhs[id(c.lhs)], rhs=c.rhs[rows]) for c in columns])
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]

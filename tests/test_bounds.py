@@ -23,10 +23,12 @@ from aglerlab import (
     knese_residual,
     monomial,
     multiplier_gram_psd,
+    poly_partial,
     random_colligation,
     symmetric_extremal,
     wiener_check,
 )
+from aglerlab import bounds
 from aglerlab.bounds import PointGeometry, ball_kernel_subchecks, knese_report
 from aglerlab.errors import DegenerateGramWarning
 from aglerlab.reports import BoundReport
@@ -334,6 +336,28 @@ class TestMultiplierGram:
             multiplier_gram_psd(lambda z: z[0], [(0.9, 0.9)])
         with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
             multiplier_gram_psd(lambda z: z[0], [(0.1, 0.2), (1.0 - 1e-13, 0.0)])
+
+    @pytest.mark.parametrize("points", [[(0.1, 0.2), (0.3,)], [(0.1, 0.2), (0.2, 0.1), (0.3, 0.0, 0.1)]],
+                             ids=["short", "long"])
+    def test_rejects_points_of_unequal_length(self, points):
+        # zip truncated the inner product <z_k, z_j> to the shorter point
+        k = len(points) - 1
+        with pytest.raises(ValueError, match=f"points 0 and {k} have 2 and {len(points[k])} coordinates"):
+            multiplier_gram_psd(lambda z: 0.5 * z[0], points)
+
+    def test_polynomial_values_come_from_one_stacked_call(self, monkeypatch):
+        p, rng = alpay_kaptanoglu(2), np.random.default_rng(27)
+        pts = [interior_point(Ball(1, 2), rng, scale=0.9) for _ in range(8)]
+        calls = []
+
+        def counted(f, z, alpha):
+            calls.append(np.shape(z))
+            return poly_partial(f, z, alpha)
+
+        monkeypatch.setattr(bounds, "poly_partial", counted)
+        got = multiplier_gram_psd(p, pts)
+        assert calls == [(8, 2)]
+        assert got == multiplier_gram_psd(lambda z: p(z), pts)
 
     def test_alpay_kaptanoglu_is_observational(self):
         # sign is reported, not asserted; just exercise the path

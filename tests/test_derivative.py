@@ -1,5 +1,6 @@
 """Derivative machinery: arrangements, the K operator, and both oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -245,14 +246,26 @@ class TestPolynomials:
         assert poly_partial(p, (0.3, 0.1, 0.9), (0, 1, 0)) == 0
         assert poly_partial(Polynomial(1, {(0,): 0.7}), (0.2,), (0,)) == pytest.approx(0.7)
 
-    @pytest.mark.parametrize("z", [(0.5,), (0.5, 0.2, 9.0)], ids=["short", "long"])
-    def test_poly_partial_rejects_point_of_wrong_length(self, z):
+    @pytest.mark.parametrize("z, message", [
+        pytest.param((0.5,), "point has 1 coordinates", id="short"),
+        pytest.param((0.5, 0.2, 9.0), "point has 3 coordinates", id="long"),
+        pytest.param([(0.5, 0.2, 9.0)] * 4, "point has 3 coordinates", id="stack-long"),
+        pytest.param(np.zeros((2, 3, 2)), "point or an \\(m, d\\) stack", id="3-d"),
+        pytest.param(0.5, "point or an \\(m, d\\) stack", id="0-d"),
+    ])
+    def test_poly_partial_rejects_point_of_wrong_length(self, z, message):
         # zip would drop the missing or extra coordinates and return 1 or 0.2
         p = Polynomial(2, {(1, 1): 1.0, (0, 2): 1.0})
-        with pytest.raises(ValueError, match=f"point has {len(z)} coordinates"):
+        with pytest.raises(ValueError, match=message):
             poly_partial(p, z, (1, 0))
-        with pytest.raises(ValueError, match=f"point has {len(z)} coordinates"):
+        with pytest.raises(ValueError, match=message):
             p(z)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.3, -math.inf), complex(math.nan, 0.0)])
+    def test_polynomial_rejects_non_finite_coefficients(self, value):
+        # a NaN coefficient made every report at every point NaN, lhs, rhs and slack alike
+        with pytest.raises(ValueError, match="coefficient of \\(1, 0\\) is not finite"):
+            Polynomial(2, {(1, 0): value, (0, 1): 0.3})
 
     def test_kaijser_varopoulos_values(self):
         kv = kaijser_varopoulos()
@@ -274,6 +287,79 @@ class TestPolynomials:
     def test_alpay_kaptanoglu_rejects_zero(self):
         with pytest.raises(ValueError):
             alpay_kaptanoglu(0)
+
+
+def scalar_poly_partial(p, z, alpha):
+    """The scalar reference: one point, one Python complex per term, in the
+    order ``poly_partial`` keeps for every point of a stack."""
+    mi = MultiIndex.of(alpha)
+    total = 0j
+    for exps, coeff in p.coeffs.items():
+        if any(e < a for e, a in zip(exps, mi.counts)):
+            continue
+        term = coeff
+        for zj, e, a in zip((complex(v) for v in z), exps, mi.counts):
+            term *= math.factorial(e) // math.factorial(e - a)
+            term *= zj ** (e - a)
+        total += term
+    return total
+
+
+def _bits(values):
+    return [(float.__repr__(v.real), float.__repr__(v.imag)) for v in values]
+
+
+def _test_stack(rng, m, d):
+    """m points of the polydisk of radius 0.97 in d variables, some near its
+    boundary, with zero coordinates of both signs and zero real or imaginary parts."""
+    zs = rng.uniform(-0.7, 0.7, (m, d)) + 1j * rng.uniform(-0.7, 0.7, (m, d))
+    near = rng.random((m, d)) < 0.2
+    zs[near] = 0.97 * np.exp(1j * rng.uniform(0, 2 * np.pi, near.sum()))
+    specials = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.4), complex(0.3, -0.0)]
+    pick = rng.random((m, d)) < 0.3
+    zs[pick] = rng.choice(specials, pick.sum())
+    return zs
+
+
+class TestStackedPolyPartial:
+    """``poly_partial`` on a stack has, at every point, the bits of the scalar loop."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_polynomials_match_the_scalar_loop(self, d):
+        rng = np.random.default_rng(400 + d)
+        for _ in range(12):
+            coeffs = {tuple(rng.integers(0, 9, d).tolist()): complex(*rng.standard_normal(2))
+                      for _ in range(int(rng.integers(1, 9)))}
+            p = Polynomial(d, coeffs)
+            for m in (1, 7):
+                zs = _test_stack(rng, m, d)
+                for alpha in itertools.product(range(4), repeat=d):
+                    expected = _bits(scalar_poly_partial(p, z, alpha) for z in zs.tolist())
+                    assert _bits(poly_partial(p, zs, alpha)) == expected, (coeffs, alpha)
+                    assert _bits(poly_partial(p, z, alpha) for z in zs) == expected
+
+    @pytest.mark.parametrize("p", [kaijser_varopoulos(), alpay_kaptanoglu(3)], ids=["kv", "ak"])
+    def test_explore_targets_match_at_every_multi_index_to_order_four(self, p):
+        zs = _test_stack(np.random.default_rng(410 + p.dimension), 40, p.dimension)
+        for alpha in itertools.product(range(5), repeat=p.dimension):
+            if sum(alpha) <= 4:
+                expected = _bits(scalar_poly_partial(p, z, alpha) for z in zs.tolist())
+                assert _bits(poly_partial(p, zs, alpha)) == expected, alpha
+
+    def test_exponents_above_one_hundred_match_the_scalar_loop(self):
+        # CPython powers a complex by repeated squaring only up to exponent 100
+        p = Polynomial(2, {(120, 3): 0.3 + 0.2j, (101, 0): -1.1j, (100, 7): 0.5, (5, 150): 1.0})
+        zs = _test_stack(np.random.default_rng(420), 9, 2)
+        for alpha in [(0, 0), (1, 0), (19, 2), (0, 49), (20, 1)]:
+            expected = _bits(scalar_poly_partial(p, z, alpha) for z in zs.tolist())
+            assert _bits(poly_partial(p, zs, alpha)) == expected, alpha
+
+    def test_a_point_gives_a_complex_and_a_stack_an_array(self):
+        p = Polynomial(2, {(1, 2): 0.5 - 1j, (0, 0): 0.25})
+        assert type(poly_partial(p, (0.3, 0.1j), (1, 0))) is complex
+        got = poly_partial(p, np.zeros((3, 2)), (0, 0))
+        assert got.shape == (3,) and got.dtype == np.complex128
+        assert poly_partial(p, np.zeros((0, 2)), (1, 0)).shape == (0,)
 
 
 class TestCauchyOracle:

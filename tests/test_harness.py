@@ -353,6 +353,33 @@ class TestExploreCampaign:
         with pytest.raises(ValueError):
             run_explore("lemniscate", CampaignConfig())
 
+    def test_records_do_not_depend_on_the_chunk_size(self, tmp_path, capsys):
+        # the same 20 points, drawn in the same order, as 2 chunks of 10 or 4 of 5;
+        # alpay-kaptanoglu is left out, as it writes one Gram record per chunk
+        def lines(n, points):
+            out = tmp_path / f"kv-{n}.jsonl"
+            assert main(["explore", "kaijser-varopoulos", "--seed", "21", "--n", n, "--points", points,
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            return out.read_text(encoding="utf-8").splitlines()
+
+        two, four = lines("2", "10"), lines("4", "5")
+        assert len(two) > 1000 and two[1:] == four[1:]
+        header_two, header_four = json.loads(two[0]), json.loads(four[0])
+        assert header_two.pop("config") != header_four.pop("config")
+        assert header_two == header_four
+
+    @pytest.mark.parametrize("name, m, grams", [("kaijser-varopoulos", 1, 0), ("alpay-kaptanoglu", 3, 3)])
+    def test_one_poly_partial_call_per_multi_index(self, monkeypatch, name, m, grams):
+        # one stacked call for the defect, one per multi-index, one per Gram matrix
+        calls = count_calls(monkeypatch, derivative.poly_partial)
+        cfg = CampaignConfig(seed=22, n_colligations=3, max_order=4, points_per_colligation=4)
+        list(run_explore(name, cfg, m=m))
+        d = 3 if name == "kaijser-varopoulos" else 2
+        orders = [mi for mi in itertools.product(range(5), repeat=d) if 1 <= sum(mi) <= 4]
+        assert len(calls) == 1 + len(orders) + grams
+        assert [np.shape(z) for _, z, _ in calls] == [(12, d)] * (1 + len(orders)) + [(8, d)] * grams
+
     def test_gram_records_carry_the_campaign_and_point_flags(self, monkeypatch):
         def gram_flags(sampler):
             cfg = CampaignConfig(seed=8, n_colligations=2, max_order=1, points_per_colligation=1, sampler=sampler)
