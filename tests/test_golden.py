@@ -37,6 +37,11 @@ CAMPAIGNS = {
                                    "--n", "2", "--points", "5", "--seed", "16"],
     "explore-alpay-kaptanoglu": ["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4",
                                 "--n", "2", "--points", "5", "--seed", "17"],
+    # MAX_ORDER = 8: pins the klists of length 7 and 8
+    "fuzz-ball-1-3-order-8": ["fuzz", "--structure", "ball:m=1,d=3", "--max-order", "8",
+                              "--n", "1", "--points", "1", "--seed", "18"],
+    "fuzz-polydisk-1-1-order-8": ["fuzz", "--structure", "polydisk:1,1", "--max-order", "8",
+                                  "--n", "1", "--points", "2", "--seed", "19"],
 }
 
 # (colligation, --z, --alpha) for the ``bounds`` command
