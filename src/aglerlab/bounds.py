@@ -1,10 +1,10 @@
 """Schwarz-Pick-type derivative bounds and kernel positivity checks.
 
 Each bound is a :class:`Column` of a stack of points: the left-hand sides
-(derivative norms, from the realization or a polynomial) and the
-right-hand sides of one inequality, exactly as stated, one per point.  A
-polynomial's norms come from one stacked :func:`poly_partial` call per
-multi-index (:class:`PolynomialStack`).
+(derivative norms, from the realization or a polynomial) and the right-hand
+sides of one inequality, exactly as stated, one per point; at k multi-indices
+its right-hand sides are one (m, k) array from one call, sliced into columns.
+A polynomial's norms take one stacked :func:`poly_partial` call per multi-index (:class:`PolynomialStack`).
 Checks on a colligation read an :class:`aglerlab.transfer.EvalStack`; the
 ``bound_*`` functions, ``ball_kernel_subchecks`` and ``knese_report`` read
 the :class:`BoundReport` of one point from those columns, and
@@ -63,6 +63,7 @@ __all__ = [
     "VARIANTS",
     "applicable_variants",
     "general_column",
+    "variant_columns",
     "bound_general",
     "bound_polydisk",
     "bound_ball",
@@ -79,7 +80,8 @@ __all__ = [
 ]
 
 Subject = Union[Colligation, Polynomial]
-Orders = Sequence[Union[MultiIndex, Sequence[int]]]
+Alpha = Union[MultiIndex, Sequence[int]]
+Checks = Sequence[tuple[MultiIndex, Sequence["Variant"]]]
 
 
 class PolynomialStack:
@@ -102,15 +104,14 @@ class PolynomialStack:
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
         """Per multi-index of ``mis``, |d^n p / dz^mi| at every point (rounded
         as ``abs()`` of a Python complex)."""
-        for mi in mis:
-            if mi.counts not in self._norms:
-                values = poly_partial(self.poly, self.zs, mi)
-                self._norms[mi.counts] = np.hypot(values.real, values.imag)
+        new = {mi.counts: poly_partial(self.poly, self.zs, mi) for mi in mis if mi.counts not in self._norms}
+        self._norms.update((counts, np.hypot(v.real, v.imag)) for counts, v in new.items())
         return [self._norms[mi.counts] for mi in mis]
 
 
-def general_column(ev: EvalStack, alpha: Union[MultiIndex, Sequence[int]]) -> Column:
-    """Structure-free resolvent bound on a mixed partial at every point of a stack.
+def general_column(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
+    """Right-hand sides of the structure-free resolvent bound on the mixed
+    partials of ``mis``, at every point of a stack: an (m, k) array.
 
     First order compares against defect / sqrt(1 - ||Z||^2) times the
     smaller projected Gram factor; order n >= 2 against
@@ -119,86 +120,110 @@ def general_column(ev: EvalStack, alpha: Union[MultiIndex, Sequence[int]]) -> Co
             * sum_{p != q} a(k_p) b(k_q)
 
     with a, b the projected resolvent Gram factors per coordinate and
-    (k_1, ..., k_n) the index list of ``alpha``; the sum does not depend on
-    the order of that list.
+    (k_1, ..., k_n) the index list of the multi-index; the sum does not
+    depend on the order of that list.
     """
-    mi = MultiIndex.of(alpha)
-    if mi.order < 1:
+    if any(mi.order < 1 for mi in mis):
         raise ValueError("bound_general needs order >= 1")
-    ks = mi.canonical_klist()
     a, b = ev.gram[:, 0], ev.gram[:, 1]
-    if mi.order == 1:
-        j = ks[0] - 1
-        rhs = ev.defect / np.sqrt(1.0 - float_power(ev.znorm, 2)) * np.minimum(a[:, j], b[:, j])
-        tag = "general.first_order"
-    else:
-        sum_a = sum(a[:, k - 1] for k in ks)
-        sum_b = sum(b[:, k - 1] for k in ks)
-        diag = sum(a[:, k - 1] * b[:, k - 1] for k in ks)
-        rhs = (math.factorial(mi.order - 2) * ev.defect / float_power(1.0 - ev.znorm, mi.order - 1)
-               * (sum_a * sum_b - diag))
-        tag = "general.higher_order"
-    return Column(tag, mi.counts, ev.norms([mi])[0], rhs)
+    first = [c for c, mi in enumerate(mis) if mi.order == 1]
+    high = [c for c, mi in enumerate(mis) if mi.order > 1]
+    js, his = [mis[c].counts.index(1) for c in first], [mis[c] for c in high]
+    rhs = np.empty((len(ev), len(mis)))
+    rhs[:, first] = (ev.defect / np.sqrt(1.0 - float_power(ev.znorm, 2)))[:, None] * np.minimum(a[:, js], b[:, js])
+    sum_a, sum_b, diag = _klist_sums(his, a, b, a * b)
+    rhs[:, high] = _pair_scale(ev.defect, ev.znorm, his) * (sum_a * sum_b - diag)
+    return rhs
 
 
-def bound_general(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> BoundReport:
+def bound_general(ctx: EvalContext, alpha: Alpha) -> BoundReport:
     """The :func:`general_column` report at an evaluated point."""
-    return general_column(ctx.stack, alpha).report(ctx.i, ctx.z)
+    mi = MultiIndex.of(alpha)
+    tag = "general.first_order" if mi.order == 1 else "general.higher_order"
+    return BoundReport(tag, ctx.z, mi.counts, ctx.norms([mi])[0], float(general_column(ctx.stack, [mi])[ctx.i, 0]))
+
+
+def _koperator_rhs(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
+    """(m, k) right-hand sides of ||K|| <= ||L||^(n-1), times d^((n-1)/2) on the ball."""
+    d = ev.col.d if isinstance(ev.col.structure, Ball) else 1
+    return np.array([d ** ((mi.order - 1) / 2.0) for mi in mis]) * float_power(ev.lnorm, [mi.order - 1 for mi in mis])
 
 
 # --- the derivative-bound variants ---------------------------------------------
 #
-# Right-hand sides as stated in the module docstring, one per point of a
-# stack: (defect column, StackGeometry, mi) -> (m,) values.
+# Right-hand sides as stated in the module docstring: (defect column, StackGeometry,
+# k multi-indices) -> (m, k) values, each by the float operations of one point and one mi.
 
 
-def _polydisk_factorial(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    return mi.factorial_product * defect / ((1.0 - g.sup2) * float_power(1.0 - g.sup, mi.order - 1))
+def _klist_sums(mis: Sequence[MultiIndex], *values: np.ndarray) -> list[np.ndarray]:
+    """Per (m, d) array v of ``values``, the (m, k) sums of v[:, k - 1] over each klist of ``mis``, added
+    from the left as Python's ``sum`` adds; + 0.0 pads a shorter klist, exact as every term is >= 0.
+    ``index[p, c]`` is entry p of the klist of mis[c], minus 1, or d (a zero column) past its end."""
+    m, d = values[0].shape
+    ends = np.cumsum(np.array([mi.counts for mi in mis], dtype=int).reshape(len(mis), d), axis=1)
+    index = (ends <= np.arange(max((mi.order for mi in mis), default=0))[:, None, None]).sum(axis=2)
+    return [sum(np.concatenate([v, np.zeros((m, 1))], axis=1)[:, index].transpose(1, 0, 2), np.zeros((m, len(mis))))
+            for v in values]
 
 
-def _polydisk_weak(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    return math.factorial(mi.order) * defect / ((1.0 - g.sup2) * float_power(1.0 - g.sup, mi.order - 1))
+def _power_base(s: np.ndarray, s2: np.ndarray, mis: Sequence[MultiIndex]) -> np.ndarray:  # (1 - s^2)(1 - s)^(n-1)
+    return (1.0 - s2)[:, None] * float_power(1.0 - s, [mi.order - 1 for mi in mis])
 
 
-def _polydisk_first(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    j = mi.counts.index(1)
-    return defect / (np.sqrt(1.0 - g.zabs2[:, j]) * np.sqrt(1.0 - g.sup2))
+def _pair_scale(defect: np.ndarray, s: np.ndarray, mis: Sequence[MultiIndex]) -> np.ndarray:
+    """(n-2)! D / (1 - s)^(n-1) per point and multi-index, for a norm column s."""
+    scale = np.array([math.factorial(mi.order - 2) for mi in mis], float) * defect[:, None]
+    return scale / float_power(1.0 - s, [mi.order - 1 for mi in mis])
 
 
-def _polydisk_mixed(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    w = [1.0 / np.sqrt(1.0 - g.zabs2[:, k - 1]) for k in mi.canonical_klist()]
-    pair_sum = float_power(sum(w), 2) - sum(v * v for v in w)
-    return math.factorial(mi.order - 2) * defect / float_power(1.0 - g.sup, mi.order - 1) * pair_sum
+def _polydisk_factorial(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    return np.array([mi.factorial_product for mi in mis], float) * defect[:, None] / _power_base(g.sup, g.sup2, mis)
 
 
-def _polydisk_two_var(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    n1, n2 = mi.counts
-    d1, d2 = 1.0 - g.zabs2[:, 0], 1.0 - g.zabs2[:, 1]
+def _polydisk_weak(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    return np.array([math.factorial(mi.order) for mi in mis], float) * defect[:, None] / _power_base(g.sup, g.sup2, mis)
+
+
+def _polydisk_first(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    js = [mi.counts.index(1) for mi in mis]
+    return defect[:, None] / (np.sqrt(1.0 - g.zabs2[:, js]) * np.sqrt(1.0 - g.sup2)[:, None])
+
+
+def _polydisk_mixed(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    w = 1.0 / np.sqrt(1.0 - g.zabs2)
+    w_sum, w2_sum = _klist_sums(mis, w, w * w)
+    return _pair_scale(defect, g.sup, mis) * (float_power(w_sum, 2) - w2_sum)
+
+
+def _polydisk_two_var(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    n1, n2 = np.array([mi.counts for mi in mis], float).reshape(len(mis), 2).T
+    d1, d2 = 1.0 - g.zabs2[:, :1], 1.0 - g.zabs2[:, 1:]
     bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / np.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
-    return math.factorial(mi.order - 2) * defect / float_power(1.0 - g.sup, mi.order - 1) * bracket
+    return _pair_scale(defect, g.sup, mis) * bracket
 
 
-def _ball_base(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    return defect / ((1.0 - g.eucl2) * float_power(1.0 - g.eucl, mi.order - 1))
+def _ball_hat(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    roots = np.sqrt(np.maximum(1.0 - g.hat2, 0.0))
+    counts = np.array([mi.counts for mi in mis], float).reshape(len(mis), roots.shape[1])
+    hat_sum = sum((counts[:, j] * roots[:, j:j + 1] for j in range(roots.shape[1])), np.zeros((len(defect), len(mis))))
+    base = defect[:, None] / _power_base(g.eucl, g.eucl2, mis)
+    return np.array([math.factorial(mi.order - 1) for mi in mis], float) * base * hat_sum
 
 
-def _ball_hat(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    hat_sum = sum(nj * np.sqrt(np.maximum(1.0 - g.hat2[:, j], 0.0)) for j, nj in enumerate(mi.counts))
-    return math.factorial(mi.order - 1) * _ball_base(defect, g, mi) * hat_sum
+def _ball_factorial(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
+    scale = np.array([mi.d ** ((mi.order - 1) / 2.0) * mi.factorial_product for mi in mis])
+    return scale * (defect[:, None] / _power_base(g.eucl, g.eucl2, mis))
 
 
-def _ball_factorial(defect: np.ndarray, g: StackGeometry, mi: MultiIndex) -> np.ndarray:
-    return mi.d ** ((mi.order - 1) / 2.0) * mi.factorial_product * _ball_base(defect, g, mi)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Variant:
     """One derivative bound: tag, domain, right-hand side, and where it
-    applies: order >= ``min_order``, order == ``order`` and d == ``d`` when set."""
+    applies: order >= ``min_order``, order == ``order`` and d == ``d`` when set.
+    Rows compare and hash by identity."""
 
     tag: str
     domain: type
-    rhs: Callable[[np.ndarray, StackGeometry, MultiIndex], np.ndarray]
+    rhs: Callable[[np.ndarray, StackGeometry, Sequence[MultiIndex]], np.ndarray]
     min_order: int = 1
     order: int | None = None
     d: int | None = None
@@ -214,13 +239,10 @@ class Variant:
             return f"needs order >= {self.min_order}, got {n}"
         return None
 
-    def column(self, points: EvalStack | PolynomialStack, mi: MultiIndex) -> Column:
-        """The bound at every point of an evaluated or polynomial stack."""
-        return Column(self.tag, mi.counts, points.norms([mi])[0], self.rhs(points.defect, points.geometry, mi))
-
     def at(self, points: EvalStack | PolynomialStack, mi: MultiIndex) -> BoundReport:
         """The bound at the first point of an evaluated or polynomial stack."""
-        return self.column(points, mi).report(0, tuple(points.zs[0].tolist()))
+        (column,), = variant_columns(points, [(mi, [self])])
+        return column.report(0, tuple(points.zs[0].tolist()))
 
 
 # Record order: campaigns and the CLI report the rows that apply in this order.
@@ -240,6 +262,16 @@ def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
     return [v for v in VARIANTS if v.domain is domain and v.unmet(mi) is None]
 
 
+def variant_columns(points: EvalStack | PolynomialStack, checks: Checks) -> list[list[Column]]:
+    """Per ``(mi, variants)`` of ``checks``, the columns of ``variants`` at ``mi`` on an evaluated or
+    polynomial stack, from one call of each variant's rhs; a multi-index's columns share its lhs."""
+    rows = dict.fromkeys(v for _, variants in checks for v in variants)
+    rhs = {v: iter(v.rhs(points.defect, points.geometry, [mi for mi, vs in checks if v in vs]).T) for v in rows}
+    lhs = points.norms([mi for mi, _ in checks])
+    return [[Column(v.tag, mi.counts, norm, next(rhs[v])) for v in variants]
+            for (mi, variants), norm in zip(checks, lhs)]
+
+
 _BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
 
 
@@ -257,30 +289,20 @@ def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
 
 def polydisk_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named polydisk inequality at one point (no evaluation)."""
-    return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), mi)[0])
+    return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), [mi])[0, 0])
 
 
 def ball_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named ball inequality at one point (no evaluation)."""
-    return float(_variant(Ball, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), mi)[0])
+    return float(_variant(Ball, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), [mi])[0, 0])
 
 
-def bound_polydisk(
-    subject: Subject,
-    z: Sequence[complex],
-    alpha: Union[MultiIndex, Sequence[int]],
-    variant: str,
-) -> BoundReport:
+def bound_polydisk(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:
     """Polydisk derivative bound for a colligation or polynomial subject."""
     return _bound(Polydisk, subject, z, MultiIndex.of(alpha), variant)
 
 
-def bound_ball(
-    subject: Subject,
-    z: Sequence[complex],
-    alpha: Union[MultiIndex, Sequence[int]],
-    variant: str,
-) -> BoundReport:
+def bound_ball(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:
     """Ball derivative bound for a colligation or polynomial subject."""
     return _bound(Ball, subject, z, MultiIndex.of(alpha), variant)
 
@@ -320,7 +342,7 @@ def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
     return [column.report(ctx.i, ctx.z) for column in ball_kernel_columns(ctx.stack)]
 
 
-def wiener_columns(subject: Subject, orders: Orders) -> list[Column]:
+def wiener_columns(subject: Subject, orders: Sequence[Alpha]) -> list[Column]:
     """Taylor coefficient bound ||c_alpha|| <= defect(c_0) for alpha != 0,
     as columns of one point, the origin.
 
@@ -337,14 +359,12 @@ def wiener_columns(subject: Subject, orders: Orders) -> list[Column]:
         structure = Polydisk.scalar(subject.dimension)
         origin, on_ball = PolynomialStack(subject, structure, np.zeros(structure.d)), False
     mis = [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
-    return [
-        Column("wiener.coefficient", mi.counts, norm / mi.factorial_product,
-               origin.defect * _sphere_factor(mi) if on_ball else origin.defect)
-        for mi, norm in zip(mis, origin.norms(mis))
-    ]
+    lhs = np.stack(origin.norms(mis), axis=1) / np.array([mi.factorial_product for mi in mis], float)
+    rhs = origin.defect[:, None] * np.array([_sphere_factor(mi) if on_ball else 1 for mi in mis], float)
+    return [Column("wiener.coefficient", mi.counts, lhs[:, c], rhs[:, c]) for c, mi in enumerate(mis)]
 
 
-def wiener_check(subject: Subject, orders: Orders) -> list[BoundReport]:
+def wiener_check(subject: Subject, orders: Sequence[Alpha]) -> list[BoundReport]:
     """The :func:`wiener_columns` reports."""
     d = subject.d if isinstance(subject, Colligation) else subject.dimension
     return [column.report(0, (0j,) * d) for column in wiener_columns(subject, orders)]
@@ -379,10 +399,8 @@ def knese_column(ev: EvalStack) -> Column:
         raise ValueError(
             f"the sum rule needs scalar phi, got dim_g x dim_f = {col.dim_g} x {col.dim_f}"
         )
-    total = np.zeros(len(ev))
-    for j in range(col.d):
-        e_j = MultiIndex(tuple(int(k == j) for k in range(col.d)))
-        total = total + (1.0 - ev.geometry.zabs2[:, j]) * ev.norms([e_j])[0]
+    units = [MultiIndex(tuple(int(k == j) for k in range(col.d))) for j in range(col.d)]
+    total = sum(((1.0 - ev.geometry.zabs2[:, j]) * norm for j, norm in enumerate(ev.norms(units))), np.zeros(len(ev)))
     phi = ev.phi[:, 0, 0]
     rhs = 1.0 - float_power(np.hypot(phi.real, phi.imag), 2)
     return Column("knese.sum_rule", None, rhs + (total - rhs), rhs)
@@ -400,39 +418,34 @@ def knese_report(ctx: EvalContext) -> BoundReport:
     return knese_column(ctx.stack).report(ctx.i, ctx.z)
 
 
-def report_columns(
-    ev: EvalStack, checks: Sequence[tuple[MultiIndex, Sequence[Variant]]]
-) -> list[Column]:
+def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
     """Every report at each point of an evaluated stack, in record order: the
     resolvent estimates, the L bound, then the sum rule (scalar polydisk) or
     the ball kernel subchecks, then for each ``(mi, variants)`` of ``checks``
     the general bound, at order n >= 2 the K-operator bound
     ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and the
-    ``variants`` at ``mi``."""
+    ``variants`` at ``mi``, each bound from one call for all of ``checks``."""
     col = ev.col
     on_ball = isinstance(col.structure, Ball)
     mis = [mi for mi, _ in checks]
-    ev.norms(mis)  # every norm below is read from these two stacked SVDs
-    ev.norms([mi for mi in mis if mi.order >= 2], kop=True)
+    high = [mi for mi in mis if mi.order >= 2]
+    general = iter(general_column(ev, mis).T)
+    kop = iter(zip(ev.norms(high, kop=True), _koperator_rhs(ev, high).T))
     columns = resolvent_columns(ev) + [lnorm_column(ev)]
     if on_ball:
         columns += ball_kernel_columns(ev)
     elif col.dim_f == col.dim_g == 1:
         columns.append(knese_column(ev))
-    for mi, variants in checks:
-        columns.append(general_column(ev, mi))
+    for mi, norm, variants in zip(mis, ev.norms(mis), variant_columns(ev, checks)):
+        columns.append(Column("general.first_order" if mi.order == 1 else "general.higher_order", mi.counts, norm,
+                              next(general)))
         if mi.order >= 2:
-            columns.append(Column(
-                "koperator.ball" if on_ball else "koperator.polydisk", mi.counts, ev.norms([mi], kop=True)[0],
-                (col.d ** ((mi.order - 1) / 2.0) if on_ball else 1) * float_power(ev.lnorm, mi.order - 1),
-            ))
-        columns.extend(variant.column(ev, mi) for variant in variants)
+            columns.append(Column("koperator.ball" if on_ball else "koperator.polydisk", mi.counts, *next(kop)))
+        columns.extend(variants)
     return columns
 
 
-def point_reports(
-    ctx: EvalContext, checks: Sequence[tuple[MultiIndex, Sequence[Variant]]]
-) -> Iterator[BoundReport]:
+def point_reports(ctx: EvalContext, checks: Checks) -> Iterator[BoundReport]:
     """The :func:`report_columns` reports at an evaluated point, in record order."""
     for column in report_columns(ctx.stack, checks):
         yield column.report(ctx.i, ctx.z)

@@ -154,7 +154,7 @@ def koperator(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> np.n
 
     Needs order n >= 2; the output maps K -> H (shape dim_h x dim_k).  This
     is the oracle for ``ctx.kop``, which gets the same sum from the
-    sub-multiset recursion in O(prod(n_j + 1) * d) matrix products.
+    sub-multiset recursion, one stacked product per order and coordinate.
     """
     mi = MultiIndex.of(alpha)
     if mi.order < 2:

@@ -28,7 +28,6 @@ import cmath
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -45,6 +44,7 @@ from .bounds import (
     multiplier_gram_psd,
     point_reports,
     report_columns,
+    variant_columns,
     wiener_columns,
 )
 from .colligation import (
@@ -74,7 +74,7 @@ from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import Column
 from .tolerances import IDENTITY_TOL, SLACK_TOL
-from .transfer import evaluate, identity_residuals
+from .transfer import _jet_order, evaluate, identity_residuals
 
 __all__ = [
     "CampaignConfig",
@@ -233,12 +233,7 @@ def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: 
 
 def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
     """All multi-indices over d axes with 1 <= order <= max_order, sorted."""
-    out = [
-        tuple(axes.count(j) for j in range(d))
-        for n in range(1, max_order + 1)
-        for axes in itertools.combinations_with_replacement(range(d), n)
-    ]
-    return sorted(out, key=lambda a: (sum(a), a))
+    return sorted((c for n in range(1, max_order + 1) for c in _jet_order(d, n)[0]), key=lambda a: (sum(a), a))
 
 
 def _variant_checks(structure: DomainStructure, max_order: int) -> list[tuple[MultiIndex, list[Variant]]]:
@@ -440,7 +435,7 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     size = config.points_per_colligation
     points = PolynomialStack(poly, structure, [sample_point(structure, rng, config.sampler)
                                                for _ in range(config.n_colligations * size)])
-    columns = [variant.column(points, mi) for mi, variants in checks for variant in variants]
+    columns = [column for per_mi in variant_columns(points, checks) for column in per_mi]
     for start in range(0, len(points.zs), size):
         rows = slice(start, start + size)
         lhs = {id(c.lhs): c.lhs[rows] for c in columns}  # one slice per shared lhs, which summarize encodes once

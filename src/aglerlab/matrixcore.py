@@ -8,6 +8,8 @@ arrays.  Everything is pure; randomness enters only through explicit seeds.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["as_matrix", "spectral_norm", "haar_unitary", "unitarity_residual", "float_power"]
@@ -78,7 +80,9 @@ def unitarity_residual(u) -> float:
 
 
 def float_power(x, k) -> np.ndarray:
-    """``x ** k`` for each entry of the array ``x``, by Python's float power
-    (libm ``pow``); numpy's vectorized power can differ from it in the last bit."""
-    x = np.asarray(x)
-    return np.array([v ** k for v in x.ravel().tolist()]).reshape(x.shape)
+    """``x ** k`` for each entry of the array ``x``, by Python's float power (libm ``pow``); numpy's
+    vectorized power can differ from it in the last bit.  ``k`` is an int, or one per column of the
+    (m, k) result for an (m,) ``x``, each taken as a Python int by ``operator.index``."""
+    x, ks = np.asarray(x), [operator.index(e) for e in np.atleast_1d(k)]
+    powers = {e: [v ** e for v in x.ravel().tolist()] for e in set(ks)}
+    return np.array([powers[e] for e in ks]).T.reshape(x.shape + (() if np.ndim(k) == 0 else (len(ks),)))

@@ -16,7 +16,8 @@ tests, as an independent oracle.
 
 from __future__ import annotations
 
-from functools import cached_property
+import itertools
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,6 +44,17 @@ def _norms(mats: np.ndarray) -> np.ndarray:
     return spectral_norm(mats.reshape((-1,) + mats.shape[-2:])).reshape(mats.shape[:-2])
 
 
+@cache
+def _jet_order(d: int, n: int) -> tuple[dict[tuple[int, ...], int], list[tuple[list[int], list[int]]]]:
+    """Positions of the order-n multi-indices c over d axes in their K stack, and per axis j those
+    of the c with c_j > 0 and of their c - e_j in the stack one order below."""
+    counts = [tuple(axes.count(j) for j in range(d)) for axes in itertools.combinations_with_replacement(range(d), n)]
+    below = _jet_order(d, n - 1)[0] if n else {}
+    return {c: i for i, c in enumerate(counts)}, [
+        ([i for i, c in enumerate(counts) if c[j]], [below[c[:j] + (c[j] - 1,) + c[j + 1:]] for c in counts if c[j]])
+        for j in range(d)]
+
+
 def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
     """Inverses of ``name``, one matrix per point of ``zs``; a singular one is a domain violation."""
     try:
@@ -65,18 +77,18 @@ class EvalStack:
     ``gram`` (m, 2, d) and ``geometry`` (a
     :class:`aglerlab.colligation.StackGeometry`).  The jet: ``kop(mi)``, the
     arrangement sum K, comes from the recursion g[c] = sum_j E_j L g[c - e_j],
-    g[e_j] = E_j, over sub-multisets, so it does not depend on which
-    multi-indices came first; ``partial(mi)`` is mi! C (I - ZA)^{-1} K
-    (I - AZ)^{-1} B (phi at order 0); ``norms(mis)`` gives per multi-index the
-    (m,) norms of its partial (of its K with ``kop=True``), those not yet
-    known from one SVD call.  ``stack[i]`` is the view of point i,
-    ``stack[a:b]`` a new stack of those points."""
+    g[e_j] = E_j, one order at a time for every multi-index of that order, so
+    it does not depend on which multi-indices came first; ``partial(mi)`` is
+    mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call;
+    ``norms(mis)`` gives per multi-index the (m,) norms of its partial (of its
+    K with ``kop=True``), those not yet known from one stacked chain and one
+    SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
     def __init__(self, col: Colligation, zs, zmat, r_ka, phi, near: tuple[str, ...]):
         self.col, self.zs, self.zmat, self.r_ka, self.phi = col, zs, zmat, r_ka, phi
         self.es = projections(col.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
         self._near = near  # admit's flags for the whole stack: () clears every point
-        self._kops, self._partials, self._norms, self._knorms = {}, {}, {}, {}
+        self._jet, self._norms, self._knorms = [], {}, {}
 
     def __len__(self) -> int:
         return len(self.zs)
@@ -136,46 +148,42 @@ class EvalStack:
     def _c_rha(self) -> np.ndarray:
         return self.col.C @ self.r_ha
 
-    def _k(self, counts: tuple[int, ...]) -> np.ndarray:
-        k = self._kops.get(counts)
-        if k is None:
-            if sum(counts) == 1:
-                k = np.broadcast_to(self.es[counts.index(1)], self.zmat.shape)
-            else:
-                k = np.zeros(self.zmat.shape, dtype=np.complex128)
-                for j, c in enumerate(counts):
-                    if c:
-                        prev = counts[:j] + (c - 1,) + counts[j + 1:]
-                        k += self.es[j] @ (self.lmat @ self._k(prev))
-            self._kops[counts] = k
-        return k
-
-    def _check(self, mi) -> None:
-        if mi.d != self.col.d:
-            raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
+    def _kstack(self, mis) -> np.ndarray:
+        """The K of ``mis`` (zero at order 0) stacked on axis 1, from the jet kept one stack per order."""
+        for mi in mis:
+            if mi.d != self.col.d:
+                raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
+        for n in range(len(self._jet), max((mi.order for mi in mis), default=0) + 1):
+            ks = np.zeros((len(self), len(_jet_order(self.col.d, n)[0])) + self.zmat.shape[1:], dtype=np.complex128)
+            if n == 1:
+                ks[:] = self.es
+            elif n > 1:  # g[c] = sum_j E_j L g[c - e_j], over the j with c_j > 0 in turn
+                below = self.lmat[:, None] @ self._jet[-1]
+                for e_j, (rows, prev) in zip(self.es, _jet_order(self.col.d, n)[1]):
+                    ks[:, rows] += e_j @ below[:, prev]
+            self._jet.append(ks)
+        return np.stack([self._jet[mi.order][:, _jet_order(mi.d, mi.order)[0][mi.counts]] for mi in mis], axis=1)
 
     def kop(self, mi) -> np.ndarray:
         """Arrangement sum K for ``mi`` (order >= 1) at every point."""
-        self._check(mi)
-        return self._k(mi.counts)
+        return self._kstack([mi])[:, 0]
+
+    def _chain(self, mis) -> np.ndarray:
+        """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0)."""
+        fp = np.array([mi.factorial_product for mi in mis], dtype=float)[:, None, None]
+        chain = fp * (self._c_rha[:, None] @ self._kstack(mis) @ self.r_ka[:, None] @ self.col.B)
+        return np.where(np.array([mi.order == 0 for mi in mis])[:, None, None], self.phi[:, None], chain)
 
     def partial(self, mi) -> np.ndarray:
         """Mixed partial d^n phi / dz^mi at every point."""
-        p = self._partials.get(mi.counts)
-        if p is None:
-            self._check(mi)
-            p = self.phi if mi.order == 0 else mi.factorial_product * (
-                self._c_rha @ self._k(mi.counts) @ self.r_ka @ self.col.B)
-            self._partials[mi.counts] = p
-        return p
+        return self._chain([mi])[:, 0]
 
     def norms(self, mis, kop: bool = False) -> list[np.ndarray]:
         """Per multi-index of ``mis``, its partial's norm (its K's if ``kop``) at every point."""
         known = self._knorms if kop else self._norms
         todo = {mi.counts: mi for mi in mis if mi.counts not in known}
         if todo:
-            mats = np.stack([self.kop(mi) if kop else self.partial(mi) for mi in todo.values()], axis=1)
-            known.update(zip(todo, _norms(mats).T))
+            known.update(zip(todo, _norms((self._kstack if kop else self._chain)([*todo.values()])).T))
         return [known[mi.counts] for mi in mis]
 
 

@@ -30,6 +30,9 @@ from aglerlab import (
 )
 from aglerlab import bounds
 from aglerlab.bounds import PointGeometry, ball_kernel_subchecks, knese_report
+from aglerlab.colligation import structure_norm
+from aglerlab.harness import MAX_ORDER, multi_indices
+from aglerlab.matrixcore import spectral_norm
 from aglerlab.errors import DegenerateGramWarning
 from aglerlab.reports import BoundReport
 from aglerlab.transfer import defect_norms
@@ -365,3 +368,142 @@ class TestMultiplierGram:
         rng = np.random.default_rng(26)
         pts = [interior_point(Ball(1, 2), rng, scale=0.95) for _ in range(10)]
         assert isinstance(multiplier_gram_psd(p, pts), float)
+
+
+# --- the multi-index axis: one call per bound, every value with the bits of one multi-index ---
+
+
+def _scalar_rhs(tag, defect, g, i, mi):
+    """A VARIANTS right-hand side at point i, as stated, in Python floats."""
+    n, fp, zabs2 = mi.order, mi.factorial_product, g.zabs2[i].tolist()
+    sup, sup2, eucl, eucl2 = (float(v[i]) for v in (g.sup, g.sup2, g.eucl, g.eucl2))
+    if tag == "polydisk.factorial":
+        return fp * defect / ((1.0 - sup2) * (1.0 - sup) ** (n - 1))
+    if tag == "polydisk.weak":
+        return math.factorial(n) * defect / ((1.0 - sup2) * (1.0 - sup) ** (n - 1))
+    if tag == "polydisk.first":
+        return defect / (math.sqrt(1.0 - zabs2[mi.counts.index(1)]) * math.sqrt(1.0 - sup2))
+    if tag == "polydisk.mixed":
+        w = [1.0 / math.sqrt(1.0 - zabs2[k - 1]) for k in mi.canonical_klist()]
+        return math.factorial(n - 2) * defect / (1.0 - sup) ** (n - 1) * (sum(w) ** 2 - sum(v * v for v in w))
+    if tag == "polydisk.two_var":
+        (n1, n2), (d1, d2) = mi.counts, (1.0 - zabs2[0], 1.0 - zabs2[1])
+        bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / math.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
+        return math.factorial(n - 2) * defect / (1.0 - sup) ** (n - 1) * bracket
+    base = defect / ((1.0 - eucl2) * (1.0 - eucl) ** (n - 1))
+    if tag == "ball.hat":
+        hat_sum = sum(nj * math.sqrt(max(1.0 - float(g.hat2[i, j]), 0.0)) for j, nj in enumerate(mi.counts))
+        return math.factorial(n - 1) * base * hat_sum
+    assert tag == "ball.factorial"
+    return mi.d ** ((n - 1) / 2.0) * fp * base
+
+
+def _scalar_general(ctx, mi):
+    """The structure-free resolvent bound at one point, as stated, in Python floats."""
+    a, b, ks = ctx.gram[0].tolist(), ctx.gram[1].tolist(), mi.canonical_klist()
+    defect, znorm = float(ctx.defect), float(ctx.znorm)
+    if mi.order == 1:
+        return defect / math.sqrt(1.0 - znorm ** 2) * min(a[ks[0] - 1], b[ks[0] - 1])
+    sum_a, sum_b = sum(a[k - 1] for k in ks), sum(b[k - 1] for k in ks)
+    diag = sum(a[k - 1] * b[k - 1] for k in ks)
+    return math.factorial(mi.order - 2) * defect / (1.0 - znorm) ** (mi.order - 1) * (sum_a * sum_b - diag)
+
+
+def _bits(values):
+    return [float.__repr__(float(v)) for v in values]
+
+
+BATCH_STRUCTURES = [Polydisk((1,)), Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(2, 1), Ball(1, 2), Ball(2, 3)]
+
+
+class TestMultiIndexAxis:
+    @pytest.fixture(params=BATCH_STRUCTURES, ids=str)
+    def structure(self, request):
+        return request.param
+
+    @staticmethod
+    def stack(structure, m, seed):
+        """A seeded stack of m points of ``structure``'s domain; the last one
+        sits 1e-7 inside the boundary, where the bounds are flagged."""
+        rng = np.random.default_rng(seed)
+        col = random_colligation(structure, dim_g=1 + seed % 2, seed=seed)
+        zs = [admissible_point(structure, rng) for _ in range(m - 1)]
+        edge = np.array(admissible_point(structure, rng))
+        zs.append(tuple(edge * (1.0 - 1e-7) / structure_norm(structure, edge)))
+        return evaluate(col, zs)
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_every_rhs_has_the_bits_of_one_multi_index(self, structure, m):
+        ev = self.stack(structure, m, seed=60 + m + structure.d)
+        assert "near-boundary" in ev[m - 1].flags
+        mis = [MultiIndex(a) for a in multi_indices(structure.d, MAX_ORDER)]
+        defect, g = ev.defect, ev.geometry
+        for row in (v for v in bounds.VARIANTS if v.domain is type(structure)):
+            at = [mi for mi in mis if row.unmet(mi) is None]
+            if not at:
+                continue
+            batched = row.rhs(defect, g, at)
+            assert batched.shape == (m, len(at))
+            for c, mi in enumerate(at):
+                one = row.rhs(defect, g, [mi])[:, 0]
+                stated = [_scalar_rhs(row.tag, float(defect[i]), g, i, mi) for i in range(m)]
+                assert _bits(batched[:, c]) == _bits(one) == _bits(stated), (row.tag, mi)
+        general = bounds.general_column(ev, mis)
+        high = [mi for mi in mis if mi.order >= 2]
+        kbound = bounds._koperator_rhs(ev, high)
+        scale = structure.d if isinstance(structure, Ball) else 1
+        for c, mi in enumerate(mis):
+            stated = [_scalar_general(ev[i], mi) for i in range(m)]
+            assert _bits(general[:, c]) == _bits(bounds.general_column(ev, [mi])[:, 0]) == _bits(stated), mi
+        for c, mi in enumerate(high):
+            stated = [scale ** ((mi.order - 1) / 2.0) * float(ev.lnorm[i]) ** (mi.order - 1) for i in range(m)]
+            assert _bits(kbound[:, c]) == _bits(bounds._koperator_rhs(ev, [mi])[:, 0]) == _bits(stated), mi
+
+    def test_norms_have_the_bits_of_one_multi_index(self, structure):
+        ev = self.stack(structure, 7, seed=70 + structure.d)
+        mis = [MultiIndex(a) for a in multi_indices(structure.d, MAX_ORDER)]
+        partials, kops = ev.norms(mis), ev.norms(mis, kop=True)
+        for mi, norm, knorm in zip(mis, partials, kops):
+            one = evaluate(ev.col, ev.zs)
+            assert _bits(norm) == _bits(one.norms([mi])[0]), mi
+            assert _bits(knorm) == _bits(one.norms([mi], kop=True)[0]), mi
+            assert _bits(norm) == _bits(spectral_norm(ev.partial(mi)[i]) for i in range(7)), mi
+
+    def test_wiener_has_the_bits_of_one_multi_index(self, structure):
+        col = random_colligation(structure, dim_g=2, seed=80 + structure.d)
+        orders = multi_indices(structure.d, MAX_ORDER)
+        batched = bounds.wiener_columns(col, orders)
+        assert [c.alpha for c in batched] == orders
+        origin = evaluate(col, np.zeros(structure.d))
+        for column in batched:
+            (one,) = bounds.wiener_columns(col, [column.alpha])
+            mi = MultiIndex(column.alpha)
+            assert _bits(column.lhs) == _bits(one.lhs) == _bits([origin.norms([mi])[0] / mi.factorial_product])
+            assert _bits(column.rhs) == _bits(one.rhs)
+
+
+class TestRuscheweyhReduction:
+    """In one variable the factorial, weak and mixed polydisk bounds are all
+    St. Ruscheweyh's n! (1 + |z|)^(n-1) D / (1 - |z|^2)^n ("Two remarks on
+    bounded analytic functions", 1985), a closed form independent of how the
+    right-hand sides are computed."""
+
+    @staticmethod
+    def closed_form(n, r, defect):
+        return math.factorial(n) * (1.0 + r) ** (n - 1) * defect / (1.0 - r * r) ** n
+
+    @pytest.mark.parametrize("tag, lowest", [("polydisk.factorial", 1), ("polydisk.weak", 1), ("polydisk.mixed", 2)])
+    def test_one_variable_bounds_are_ruscheweyhs(self, tag, lowest):
+        rng = np.random.default_rng(91)
+        r = 0.99 * rng.random(50)
+        zs = r * np.exp(2j * np.pi * rng.random(50))
+        defect = rng.random(50)
+        row = next(v for v in bounds.VARIANTS if v.tag == tag)
+        mis = [MultiIndex((n,)) for n in range(lowest, MAX_ORDER + 1)]
+        got = row.rhs(defect, bounds.StackGeometry(zs[:, None]), mis)
+        for c, mi in enumerate(mis):
+            closed = [self.closed_form(mi.order, abs(z), d) for z, d in zip(zs.tolist(), defect.tolist())]
+            np.testing.assert_allclose(got[:, c], closed, rtol=1e-13, atol=0)
+            z, d = complex(zs[c]), float(defect[c])
+            one = bounds.polydisk_rhs(d, PointGeometry.from_point((z,)), mi, tag.partition(".")[2])
+            assert one == pytest.approx(self.closed_form(mi.order, abs(z), d), rel=1e-13, abs=0)

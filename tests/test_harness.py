@@ -1,5 +1,6 @@
 """CLI surface, point samplers, campaign records, and exit-code contract."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -282,6 +283,27 @@ class TestCampaignWork:
         bounds.bound_polydisk(bounds.Polynomial(2, {(2, 1): 1.0}), (0.1, 0.2), (2, 1), "factorial")
         bounds.polydisk_rhs(0.5, bounds.PointGeometry.from_point((0.1, 0.2)), MultiIndex((2, 1)), "weak")
         assert [len(calls) for calls in per_report] == [1, 1, 0]
+
+    def test_each_bound_takes_one_call_per_stack(self, monkeypatch):
+        # polydisk:1,1,1 at order 6 checks 83 multi-indices at each colligation's
+        # stack; each right-hand side takes them all in one call
+        calls = {}
+
+        def counted(row):
+            def rhs(*args):
+                calls[row.tag] = calls.get(row.tag, 0) + 1
+                return row.rhs(*args)
+            return dataclasses.replace(row, rhs=rhs)
+
+        monkeypatch.setattr(bounds, "VARIANTS", tuple(map(counted, bounds.VARIANTS)))
+        general = count_calls(monkeypatch, bounds.general_column)
+        kbound = count_calls(monkeypatch, bounds._koperator_rhs)
+        n = 2
+        *_, summary = records(run_fuzz(CampaignConfig(seed=18, n_colligations=n, structure="polydisk:1,1,1",
+                                                      max_order=6, points_per_colligation=3)))
+        assert summary["reports"] == n * 1306
+        assert calls == {"polydisk.factorial": n, "polydisk.weak": n, "polydisk.first": n, "polydisk.mixed": n}
+        assert len(general) == len(kbound) == n
 
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
     def test_norm_calls_do_not_grow_with_the_order(self, monkeypatch, structure):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglerlab.matrixcore import as_matrix, haar_unitary, spectral_norm, unitarity_residual
+from aglerlab.matrixcore import as_matrix, float_power, haar_unitary, spectral_norm, unitarity_residual
 
 
 def power_iteration_norm(m, iters=2000, seed=0):
@@ -137,3 +137,35 @@ class TestUnitarityResidual:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             unitarity_residual(np.zeros((2, 3)))
+
+
+class TestFloatPower:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_numpy_integer_exponent_is_pythons_power(self, k):
+        # a numpy integer must not hand the power to numpy, which differs from
+        # Python's ``**`` in the last bit on some of these inputs
+        x = np.random.default_rng(31).random(200_000)
+        expected = np.array([v ** k for v in x.tolist()])
+        assert not np.array_equal(np.power(x, k), expected)
+        for exponent in (k, np.int64(k), np.int32(k)):
+            assert np.array_equal(float_power(x, exponent), expected)
+
+    def test_one_exponent_per_column(self):
+        x = np.random.default_rng(32).random(50)
+        exponents = np.array([0, 1, 2, 3, 7, 3], dtype=np.int64)
+        got = float_power(x, exponents)
+        assert got.shape == (50, 6)
+        for c, k in enumerate(exponents.tolist()):
+            assert list(map(float.__repr__, got[:, c].tolist())) == [repr(v ** k) for v in x.tolist()]
+        assert float_power(x, []).shape == (50, 0)
+        assert float_power(np.zeros(0), [1, 2]).shape == (0, 2)
+
+    def test_keeps_the_shape_of_a_scalar_exponent(self):
+        x = np.full((2, 3), 0.5)
+        assert float_power(x, 2).shape == (2, 3)
+        assert float_power(0.5, 3) == 0.125
+
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), [1, 2.5]])
+    def test_rejects_a_non_integer_exponent(self, k):
+        with pytest.raises(TypeError):
+            float_power(np.ones(3), k)
