@@ -425,18 +425,18 @@ def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
     the general bound, at order n >= 2 the K-operator bound
     ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and the
     ``variants`` at ``mi``, each bound from one call for all of ``checks``."""
-    col = ev.col
-    on_ball = isinstance(col.structure, Ball)
+    on_ball = isinstance(ev.col.structure, Ball)
     mis = [mi for mi, _ in checks]
     high = [mi for mi in mis if mi.order >= 2]
+    norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call
     general = iter(general_column(ev, mis).T)
     kop = iter(zip(ev.norms(high, kop=True), _koperator_rhs(ev, high).T))
     columns = resolvent_columns(ev) + [lnorm_column(ev)]
     if on_ball:
         columns += ball_kernel_columns(ev)
-    elif col.dim_f == col.dim_g == 1:
+    elif ev.col.dim_f == ev.col.dim_g == 1:
         columns.append(knese_column(ev))
-    for mi, norm, variants in zip(mis, ev.norms(mis), variant_columns(ev, checks)):
+    for mi, norm, variants in zip(mis, norms, variant_columns(ev, checks)):
         columns.append(Column("general.first_order" if mi.order == 1 else "general.higher_order", mi.counts, norm,
                               next(general)))
         if mi.order >= 2:
