@@ -1,16 +1,20 @@
 """Campaign and ``bounds`` output stays byte-identical to committed golden files.
 
 Each case runs the CLI entry point and compares its output, byte for byte,
-with ``tests/data/golden-<name>.*.gz``.  The golden files were written by an
+with ``tests/data/golden-<name>.*.gz``, or, for the full-size campaigns of the
+benchmark workloads, with the SHA-256 digest of that output in ``DIGESTS``.  The golden files were written by an
 earlier implementation of the record path, so a change to how reports are
 computed or encoded must reproduce every bit of every line.  To rewrite them
 (only when the records are meant to change), run
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also prints the digests to paste into ``DIGESTS``.
 """
 
 import contextlib
 import gzip
+import hashlib
 import io
 from pathlib import Path
 
@@ -44,6 +48,22 @@ CAMPAIGNS = {
                                   "--n", "1", "--points", "2", "--seed", "19"],
 }
 
+# each benchmark workload's campaign shape at full size, by the SHA-256 of its output
+DIGESTS = {
+    "fuzz-polydisk-scalar": (["fuzz", "--structure", "polydisk:2,1", "--max-order", "4",
+                              "--n", "5", "--points", "6", "--seed", "31"],
+                             "1095945bc2ab85f65b21919eabdf67512a015b6b3bf3511a5dc0c483101c61ca"),
+    "fuzz-polydisk-highorder": (["fuzz", "--structure", "polydisk:1,1,1", "--max-order", "6",
+                                 "--n", "1", "--points", "3", "--seed", "32"],
+                                "9c9c4a5758cb4b68430dfc5ebebf24e4e23456dfc15e8e156f20bf24c6a991bc"),
+    "explore-kaijser-varopoulos-full": (["explore", "kaijser-varopoulos", "--max-order", "4",
+                                         "--n", "10", "--points", "20", "--seed", "33"],
+                                        "8595c5f8524cac19ba4f5418543ade082484b68d6f5ac3f0d73a558454dbc0ab"),
+    "explore-alpay-kaptanoglu-full": (["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4",
+                                       "--n", "10", "--points", "20", "--seed", "34"],
+                                      "26420418f4bebda9989e7666944d9fef20ca97c5c299731893eece36c1436006"),
+}
+
 # (colligation, --z, --alpha) for the ``bounds`` command
 BOUNDS = {
     "bounds-polydisk": (lambda: random_colligation(Polydisk((2, 1)), dim_g=1, seed=21),
@@ -53,10 +73,14 @@ BOUNDS = {
 }
 
 
-def campaign_output(name: str, tmp_path: Path) -> bytes:
+def campaign_output(name: str, tmp_path: Path, args: list[str] | None = None) -> bytes:
     out = tmp_path / f"{name}.jsonl"
-    assert main([*CAMPAIGNS[name], "--out", str(out)]) == 0
+    assert main([*(args or CAMPAIGNS[name]), "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def digest(name: str, tmp_path: Path) -> str:
+    return hashlib.sha256(campaign_output(name, tmp_path, DIGESTS[name][0])).hexdigest()
 
 
 def bounds_output(name: str, tmp_path: Path) -> bytes:
@@ -78,6 +102,12 @@ def test_campaign_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_full_size_campaign_matches_digest(name, tmp_path, capsys):
+    assert digest(name, tmp_path) == DIGESTS[name][1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_bounds_matches_golden(name, tmp_path):
     assert bounds_output(name, tmp_path) == golden(name, "txt")
@@ -89,7 +119,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         blobs = {f"{name}.jsonl": campaign_output(name, Path(tmp)) for name in CAMPAIGNS}
         blobs.update({f"{name}.txt": bounds_output(name, Path(tmp)) for name in BOUNDS})
+        digests = {name: digest(name, Path(tmp)) for name in DIGESTS}
     DATA.mkdir(exist_ok=True)
     for name, blob in blobs.items():
         (DATA / f"golden-{name}.gz").write_bytes(gzip.compress(blob, mtime=0))
         print(f"wrote golden-{name}.gz ({len(blob)} bytes)")
+    for name, value in digests.items():
+        print(f"digest {name}: {value}")
