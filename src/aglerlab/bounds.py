@@ -264,7 +264,7 @@ def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
 
 def variant_columns(points: EvalStack | PolynomialStack, checks: Checks) -> list[list[Column]]:
     """Per ``(mi, variants)`` of ``checks``, the columns of ``variants`` at ``mi`` on an evaluated or
-    polynomial stack, from one call of each variant's rhs; a multi-index's columns share its lhs."""
+    polynomial stack, from one call of each variant's rhs; a multi-index's columns share one lhs view."""
     rows = dict.fromkeys(v for _, variants in checks for v in variants)
     rhs = {v: iter(v.rhs(points.defect, points.geometry, [mi for mi, vs in checks if v in vs]).T) for v in rows}
     lhs = points.norms([mi for mi, _ in checks])

@@ -382,7 +382,7 @@ def blaschke(a: complex) -> Colligation:
     with equality at every point of the disk.
     """
     a = complex(a)
-    if abs(a) >= 1:
+    if not abs(a) < 1:  # NaN fails this too
         raise ValueError(f"Blaschke parameter must satisfy |a| < 1, got |a| = {abs(a)}")
     s = np.sqrt(1.0 - abs(a) ** 2)
     return Colligation(

@@ -16,9 +16,9 @@ inequality, and a trailing summary record, each written as it is made.
 A campaign yields one :class:`Block` per stack of points (a colligation's
 points, or a chunk of an exploration's): the subject hash, the points,
 their flags and the report columns.  ``summarize`` checks, encodes and
-folds each block as arrays and turns each of its reports into its line,
-point by point, from one fixed template, the one statement of the record
-format.  Identical configuration and seed produce byte-identical output.
+folds each block as arrays, encoding each distinct float value of a block
+once, and turns each of its reports into its line, point by point, from one
+fixed template, the one statement of the record format.  Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -290,11 +290,8 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
     theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios)
     violations = flagged = 0
     for subject, zs, flags, columns in blocks:
-        shared = {id(c.lhs): c.lhs for c in columns}  # a multi-index's columns share its lhs
-        position = {key: k for k, key in enumerate(shared)}
-        lhs_at = [position[id(c.lhs)] for c in columns]
-        shared_lhs = np.array(list(shared.values()), dtype=float).T
-        lhs, rhs = shared_lhs[:, lhs_at], np.array([c.rhs for c in columns], dtype=float).T
+        lhs = np.array([c.lhs for c in columns], dtype=float).T
+        rhs = np.array([c.rhs for c in columns], dtype=float).T
         slack = rhs - lhs
         ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
         if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
@@ -326,15 +323,18 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
         subject_text = _str(subject)
         heads = [f'{column_texts[c.tag, c.alpha][0]}{subject_text}, "flags": ' for c in columns]
         tails = [column_texts[c.tag, c.alpha][1] for c in columns]
-        lhs_texts = [list(map(float.__repr__, row)) for row in shared_lhs.tolist()]  # each shared lhs once
-        cells = [map(float.__repr__, a.ravel().tolist()) for a in (ratio, rhs, slack)]  # in record order
+        # each distinct bit pattern of the block (so -0.0 apart from 0.0) is encoded once; the inverse,
+        # whose shape differs between numpy 1.x and 2.x, gives each record's lhs, ratio, rhs and slack
+        distinct, inverse = np.unique(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), return_inverse=True)
+        texts = list(map(float.__repr__, distinct.view(float).tolist()))
+        cell = map(texts.__getitem__, inverse.ravel().tolist())  # four cells per record, in record order
         for i, z in enumerate(zs.tolist()):
             z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
             row_flags = [encode_flags(flags[i])] * len(columns)
             for p, col_flags in own:
                 row_flags[p] = encode_flags(flags[i] + col_flags[i])
             for head, flags_text, lhs_text, ratio_text, rhs_text, slack_text, tail in zip(
-                heads, row_flags, map(lhs_texts[i].__getitem__, lhs_at), *cells, tails
+                heads, row_flags, cell, cell, cell, cell, tails
             ):
                 yield (
                     f'{head}{flags_text}, "kind": "report", "lhs": {lhs_text}, "ratio": {ratio_text}, '
@@ -438,9 +438,8 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     columns = [column for per_mi in variant_columns(points, checks) for column in per_mi]
     for start in range(0, len(points.zs), size):
         rows = slice(start, start + size)
-        lhs = {id(c.lhs): c.lhs[rows] for c in columns}  # one slice per shared lhs, which summarize encodes once
         yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]],
-                    [c._replace(lhs=lhs[id(c.lhs)], rhs=c.rhs[rows]) for c in columns])
+                    [c._replace(lhs=c.lhs[rows], rhs=c.rhs[rows]) for c in columns])
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]

@@ -1,6 +1,7 @@
 """Realization data model: structures, validation, catalog, JSON round trip."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -276,6 +277,9 @@ class TestCatalog:
             blaschke(1.0)
         with pytest.raises(ValueError):
             blaschke(1.2j)
+        for a in (math.nan, complex(math.nan, 0.3)):
+            with pytest.raises(ValueError, match=r"\|a\| < 1"):
+                blaschke(a)
 
     def test_monomial_example_blocks(self):
         col = monomial((1, 1))

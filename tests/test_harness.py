@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aglerlab import (
@@ -652,6 +652,15 @@ class TestCli:
         assert main(["catalog", "blaschke"]) == 2  # missing --a
         capsys.readouterr()
 
+    @pytest.mark.parametrize("a", ["nan", "nan+0.3j", "0.3-nanj", "1", "inf"])
+    def test_catalog_blaschke_rejects_parameter_outside_the_disk(self, capsys, a):
+        # a NaN parameter used to fail later, as "A has non-finite entries"
+        assert main(["catalog", "blaschke", f"--a={a}"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: Blaschke parameter must satisfy |a| < 1")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_fuzz_cli_writes_stream_and_summary(self, tmp_path, capsys):
         out = tmp_path / "reports.jsonl"
         code = main(["fuzz", "--seed", "9", "--n", "2", "--points", "2",
@@ -897,6 +906,25 @@ def _small(**fields):
                              "points_per_colligation": 3, **fields})
 
 
+# a small pool, so that values repeat within and across a block's lhs, rhs, slack and ratio
+_POOL = [-0.0, 0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1e16, 1.0, 0.5, -2.5,
+         0.30000000000000004, 1.0000000000000002, 0.6666666666666666]
+
+
+@st.composite
+def _handmade_block(draw):
+    """(zs, flags, lhs arrays, columns): columns are (tag, alpha, index of their lhs, rhs)."""
+    m = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(_POOL), min_size=m, max_size=m)
+    zs = draw(st.lists(st.lists(st.builds(complex, st.sampled_from(_POOL), st.sampled_from(_POOL)),
+                                min_size=2, max_size=2), min_size=m, max_size=m))
+    flags = draw(st.lists(st.sampled_from([(), ("near-boundary",)]), min_size=m, max_size=m))
+    lhs = draw(st.lists(row, min_size=1, max_size=3))
+    columns = draw(st.lists(st.tuples(st.sampled_from(["x.a", "x.b"]), st.sampled_from([None, (1,), (0, 2)]),
+                                      st.integers(0, len(lhs) - 1), row), min_size=1, max_size=5))
+    return zs, flags, lhs, columns
+
+
 class TestReportEncoding:
     """Report lines come from one fixed template; each must be the bytes that
     ``json.dumps(record, sort_keys=True, allow_nan=False)`` gives of its record."""
@@ -945,6 +973,28 @@ class TestReportEncoding:
         assert '"flags": ["boundary-biased", "near-boundary"]' in lines[0] and '"flags": []' in lines[8]
         assert '"flags": ["boundary-biased", "ill-conditioned", "near-boundary"]' in lines[2]
         assert '"flags": ["ill-conditioned"]' in lines[6] and '"flags": []' in lines[4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=st.lists(_handmade_block(), min_size=1, max_size=2))
+    def test_lines_of_random_blocks_are_json_dumps(self, drawn):
+        assume(all(r == 0.0 or math.isfinite(lhs[k][i] / r)
+                   for _, _, lhs, columns in drawn for _, _, k, rhs in columns for i, r in enumerate(rhs)))
+
+        def blocks(share: bool):
+            # a column holds its lhs array itself, as producers share one per multi-index, or an equal copy
+            out = []
+            for zs, flags, lhs, columns in drawn:
+                arrays = [np.array(values) for values in lhs]
+                out.append(harness.Block("h", np.array(zs, dtype=np.complex128), flags, [
+                    Column(tag, alpha, arrays[k] if share else arrays[k].copy(), np.array(rhs))
+                    for tag, alpha, k, rhs in columns]))
+            return out
+
+        lines = list(summarize(HEADER, blocks(share=True), slack_tol=1e-9))
+        assert [line[:-1] for line in lines[1:-1]] == [
+            json.dumps(report_record(*row, seed=7), sort_keys=True, allow_nan=False)
+            for blk in blocks(share=True) for row in block_rows(blk)]
+        assert list(summarize(HEADER, blocks(share=False), slack_tol=1e-9)) == lines
 
     def test_summary_folds_blocks_in_record_order(self):
         # ratios 1.0 and then twenty times 1e-16 sum to 1.0 one record at a time, as a
