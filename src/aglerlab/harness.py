@@ -16,9 +16,10 @@ inequality, and a trailing summary record, each written as it is made.
 A campaign yields one :class:`Block` per stack of points (a colligation's
 points, or a chunk of an exploration's): the subject hash, the points,
 their flags and the report columns.  ``summarize`` checks, encodes and
-folds each block as arrays, encoding each distinct float value of a block
-once, and turns each of its reports into its line, point by point, from one
-fixed template, the one statement of the record format.  Identical configuration and seed produce byte-identical output.
+folds each block as arrays (each distinct float of a block encoded once)
+and turns each of its reports into its line, point by point, from one fixed
+template, the one statement of the record format.  Identical configuration
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -323,11 +324,10 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
         subject_text = _str(subject)
         heads = [f'{column_texts[c.tag, c.alpha][0]}{subject_text}, "flags": ' for c in columns]
         tails = [column_texts[c.tag, c.alpha][1] for c in columns]
-        # each distinct bit pattern of the block (so -0.0 apart from 0.0) is encoded once; the inverse,
-        # whose shape differs between numpy 1.x and 2.x, gives each record's lhs, ratio, rhs and slack
+        # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
         distinct, inverse = np.unique(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), return_inverse=True)
-        texts = list(map(float.__repr__, distinct.view(float).tolist()))
-        cell = map(texts.__getitem__, inverse.ravel().tolist())  # four cells per record, in record order
+        texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+        cell = iter(texts[inverse.ravel()].tolist())  # ravel: numpy 1.x and 2.x shape the inverse differently
         for i, z in enumerate(zs.tolist()):
             z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
             row_flags = [encode_flags(flags[i])] * len(columns)
