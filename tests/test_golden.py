@@ -62,6 +62,18 @@ DIGESTS = {
     "explore-alpay-kaptanoglu-full": (["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4",
                                        "--n", "10", "--points", "20", "--seed", "34"],
                                       "26420418f4bebda9989e7666944d9fef20ca97c5c299731893eece36c1436006"),
+    # campaigns of more than 16 colligations: the README example, a ragged last
+    # chunk with matrix phi, and per-row flags
+    "fuzz-readme-example": (["fuzz", "--seed", "1", "--n", "100", "--structure", "polydisk:2,1",
+                             "--max-order", "4", "--points", "6"],
+                            "746e2d549f2ed28305f63fe1110df8c679762e8a8cbf34b754e5f9b7fa590c6b"),
+    "fuzz-ball-2-3-ragged-chunk": (["fuzz", "--structure", "ball:m=2,d=3", "--dim-g", "1", "--max-order", "4",
+                                    "--n", "17", "--points", "3", "--seed", "35"],
+                                   "d4db5e41c7477e17a8122e02f42243ba7d41f1b62704e2e1eed2d16cc5061f3b"),
+    "fuzz-polydisk-2-1-dim-g-2-boundary": (["fuzz", "--structure", "polydisk:2,1", "--dim-g", "2",
+                                            "--sampler", "boundary-biased", "--max-order", "3",
+                                            "--n", "17", "--points", "2", "--seed", "36"],
+                                           "6962a7a8a5728af3bc407ecf302ce1b17a32eb902223dff354d279359253963f"),
 }
 
 # (colligation, --z, --alpha) for the ``bounds`` command
