@@ -70,6 +70,7 @@ __all__ = [
     "ball_kernel_columns",
     "ball_kernel_subchecks",
     "wiener_columns",
+    "origin_columns",
     "wiener_check",
     "knese_column",
     "knese_residual",
@@ -88,7 +89,7 @@ class PolynomialStack:
     """A polynomial subject at the points of an (m, d) stack (or at one point
     of shape (d,)) of ``structure``'s domain, admitted as ``evaluate`` admits
     them, and read like an :class:`EvalStack`: ``zs``, per-point ``flags``,
-    the ``defect`` and ``geometry`` columns, and ``norms``.  The defect takes
+    the ``structure``, the ``defect`` and ``geometry`` columns, and ``norms``.  The defect takes
     one stacked :func:`poly_partial` call, and so does each multi-index."""
 
     def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
@@ -96,7 +97,7 @@ class PolynomialStack:
         near = admit(structure, pts)
         self.zs = pts.reshape(-1, structure.d)
         self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
-        self.poly = poly
+        self.poly, self.structure = poly, structure
         self.geometry = StackGeometry(self.zs)
         self._norms: dict[tuple[int, ...], np.ndarray] = {}
         self.defect = 1.0 - float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
@@ -145,7 +146,7 @@ def bound_general(ctx: EvalContext, alpha: Alpha) -> BoundReport:
 
 def _koperator_rhs(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
     """(m, k) right-hand sides of ||K|| <= ||L||^(n-1), times d^((n-1)/2) on the ball."""
-    d = ev.col.d if isinstance(ev.col.structure, Ball) else 1
+    d = ev.structure.d if isinstance(ev.structure, Ball) else 1
     return np.array([d ** ((mi.order - 1) / 2.0) for mi in mis]) * float_power(ev.lnorm, [mi.order - 1 for mi in mis])
 
 
@@ -326,12 +327,12 @@ def ball_kernel_columns(ev: EvalStack) -> list[Column]:
     (1 - ||z-hat_j||^2) / (1 - ||z||^2); both are equalities, so the
     reports should sit at ratio one.
     """
-    if not isinstance(ev.col.structure, Ball):
+    if not isinstance(ev.structure, Ball):
         raise ValueError("kernel subchecks need a ball colligation")
     g = ev.geometry
     a2, b2 = float_power(ev.gram[:, 0], 2), float_power(ev.gram[:, 1], 2)
     out = []
-    for j in range(ev.col.d):
+    for j in range(ev.structure.d):
         out.append(Column("ball.gram_left", (j + 1,), b2[:, j], 1.0 / (1.0 - g.eucl2)))
         out.append(Column("ball.gram_right", (j + 1,), a2[:, j], (1.0 - g.hat2[:, j]) / (1.0 - g.eucl2)))
     return out
@@ -343,8 +344,17 @@ def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
 
 
 def wiener_columns(subject: Subject, orders: Sequence[Alpha]) -> list[Column]:
+    """The :func:`origin_columns` of a colligation or polynomial subject, at
+    one point, the origin."""
+    if isinstance(subject, Colligation):
+        return origin_columns(evaluate(subject, np.zeros((1, subject.d))), orders)
+    return origin_columns(PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension)),
+                          orders)
+
+
+def origin_columns(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha]) -> list[Column]:
     """Taylor coefficient bound ||c_alpha|| <= defect(c_0) for alpha != 0,
-    as columns of one point, the origin.
+    at each row of a stack evaluated at the origin, one row per subject.
 
     Coefficients are the partials at the origin divided by alpha!, from the
     realization or the polynomial.  For scalar subjects the defect is the
@@ -352,12 +362,7 @@ def wiener_columns(subject: Subject, orders: Sequence[Alpha]) -> list[Column]:
     the defect times a sphere-average factor (see ``_sphere_factor``),
     which is 1 in one variable.
     """
-    if isinstance(subject, Colligation):
-        origin = evaluate(subject, np.zeros(subject.d)).stack
-        on_ball = isinstance(subject.structure, Ball)
-    else:
-        structure = Polydisk.scalar(subject.dimension)
-        origin, on_ball = PolynomialStack(subject, structure, np.zeros(structure.d)), False
+    on_ball = isinstance(origin.structure, Ball)
     mis = [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
     lhs = np.stack(origin.norms(mis), axis=1) / np.array([mi.factorial_product for mi in mis], float)
     rhs = origin.defect[:, None] * np.array([_sphere_factor(mi) if on_ball else 1 for mi in mis], float)
@@ -425,7 +430,7 @@ def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
     the general bound, at order n >= 2 the K-operator bound
     ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and the
     ``variants`` at ``mi``, each bound from one call for all of ``checks``."""
-    on_ball = isinstance(ev.col.structure, Ball)
+    on_ball = isinstance(ev.structure, Ball)
     mis = [mi for mi, _ in checks]
     high = [mi for mi in mis if mi.order >= 2]
     norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call

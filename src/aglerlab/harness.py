@@ -13,9 +13,13 @@ Subcommands:
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, each written as it is made.
-A campaign yields one :class:`Block` per stack of points (a colligation's
-points, or a chunk of an exploration's): the subject hash, the points,
-their flags and the report columns.  ``summarize`` checks, encodes and
+A campaign yields one :class:`Block` per subject's stack of points (a
+colligation's origin or points, or a chunk of an exploration's): the
+subject hash, the points, their flags and the report columns.  A fuzz
+campaign evaluates up to ``COLLIGATIONS_PER_STACK`` colligations together,
+one stack at their origins and one at their points, and an exploration all
+its points; each computes every report column once for its stack, as one
+:class:`ReportTable`, and its blocks are row slices of it.  ``summarize`` checks, encodes and
 folds each block as arrays (each distinct float of a block encoded once)
 and turns each of its reports into its line, point by point, from one fixed
 template, the one statement of the record format.  Identical configuration
@@ -43,10 +47,10 @@ from .bounds import (
     Variant,
     applicable_variants,
     multiplier_gram_psd,
+    origin_columns,
     point_reports,
     report_columns,
     variant_columns,
-    wiener_columns,
 )
 from .colligation import (
     Ball,
@@ -94,6 +98,9 @@ SCHEMA_VERSION = 1
 # side stays a finite float at every admissible point up to it.
 MAX_ORDER = 8
 EXPLORE_NAMES = ("kaijser-varopoulos", "alpay-kaptanoglu")
+# Colligations that a fuzz campaign evaluates and checks as one stack; it
+# bounds the stack's arrays and how far the stream runs ahead of its records.
+COLLIGATIONS_PER_STACK = 16
 SAMPLERS = ("uniform", "boundary-biased")
 
 
@@ -257,13 +264,38 @@ def polynomial_hash(p: Polynomial) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+class ReportTable(NamedTuple):
+    """Report columns at m points: per column its ``tag`` and ``alpha``, per point and
+    column an entry of ``lhs`` and ``rhs``, two (m, c) arrays, and in ``own``, by column
+    position, the per-point flags of each column that has its own (see :class:`Column`)."""
+
+    tags: Sequence[str]
+    alphas: Sequence[tuple[int, ...] | None]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    own: dict[int, Sequence[tuple[str, ...]]]
+
+    @classmethod
+    def of(cls, columns: Sequence[Column] | ReportTable) -> ReportTable:
+        if isinstance(columns, ReportTable):
+            return columns
+        return cls([c.tag for c in columns], [c.alpha for c in columns], np.array([c.lhs for c in columns], float).T,
+                   np.array([c.rhs for c in columns], float).T,
+                   {p: c.flags for p, c in enumerate(columns) if c.flags is not None})
+
+    def rows(self, rows: slice) -> ReportTable:
+        """The table at the points of ``rows``."""
+        return self._replace(lhs=self.lhs[rows], rhs=self.rhs[rows], own={p: f[rows] for p, f in self.own.items()})
+
+
 class Block(NamedTuple):
-    """A subject's reports at m points: per point a row of ``zs`` and its flags, per report a column."""
+    """A subject's reports at m points: per point a row of ``zs`` and its flags,
+    per report a column of ``columns``, a :class:`ReportTable` or a list of :class:`Column`."""
 
     subject: str
     zs: np.ndarray
     flags: Sequence[tuple[str, ...]]
-    columns: Sequence[Column]
+    columns: Sequence[Column] | ReportTable
 
 
 def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) -> Iterator[str]:
@@ -291,25 +323,22 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
     theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios)
     violations = flagged = 0
     for subject, zs, flags, columns in blocks:
-        lhs = np.array([c.lhs for c in columns], dtype=float).T
-        rhs = np.array([c.rhs for c in columns], dtype=float).T
+        keys, alphas, lhs, rhs, own = ReportTable.of(columns)
         slack = rhs - lhs
         ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
         if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
             raise ValueError("Out of range float values are not JSON compliant")
-        own = [(p, c.flags) for p, c in enumerate(columns) if c.flags is not None]
-        marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(columns), axis=1)
-        for p, col_flags in own:  # a record carries its point's flags and its column's own
+        marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(keys), axis=1)
+        for p, col_flags in own.items():  # a record carries its point's flags and its column's own
             marked[:, p] |= [bool(f) for f in col_flags]
         flagged += int(marked.sum())
         violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
         tags: dict[str, list[int]] = {}
-        for p, c in enumerate(columns):
-            tags.setdefault(c.tag, []).append(p)
-            if (c.tag, c.alpha) not in column_texts:
-                alpha = "null" if c.alpha is None else f'[{", ".join(map(int.__repr__, c.alpha))}]'
-                column_texts[c.tag, c.alpha] = (f'{{"alpha": {alpha}, "colligation_hash": ',
-                                                f'"theorem_tag": {_str(c.tag)}, "z": ')
+        for p, key in enumerate(zip(keys, alphas)):
+            tags.setdefault(key[0], []).append(p)
+            if key not in column_texts:
+                alpha = "null" if key[1] is None else f'[{", ".join(map(int.__repr__, key[1]))}]'
+                column_texts[key] = (f'{{"alpha": {alpha}, "colligation_hash": ', f'"theorem_tag": {_str(key[0])}, "z": ')
         ratio_rows = ratio.tolist()
         low_slack, low_ratio = slack.min(axis=0).tolist(), ratio.min(axis=0).tolist()
         high_ratio = ratio.max(axis=0).tolist()
@@ -322,16 +351,16 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
                              min(min_ratio, *(low_ratio[p] for p in ps)), max(max_ratio, *(high_ratio[p] for p in ps)),
                              total)
         subject_text = _str(subject)
-        heads = [f'{column_texts[c.tag, c.alpha][0]}{subject_text}, "flags": ' for c in columns]
-        tails = [column_texts[c.tag, c.alpha][1] for c in columns]
+        heads = [f'{column_texts[key][0]}{subject_text}, "flags": ' for key in zip(keys, alphas)]
+        tails = [column_texts[key][1] for key in zip(keys, alphas)]
         # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
         distinct, inverse = np.unique(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), return_inverse=True)
         texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
         cell = iter(texts[inverse.ravel()].tolist())  # ravel: numpy 1.x and 2.x shape the inverse differently
         for i, z in enumerate(zs.tolist()):
             z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
-            row_flags = [encode_flags(flags[i])] * len(columns)
-            for p, col_flags in own:
+            row_flags = [encode_flags(flags[i])] * len(keys)
+            for p, col_flags in own.items():
                 row_flags[p] = encode_flags(flags[i] + col_flags[i])
             for head, flags_text, lhs_text, ratio_text, rhs_text, slack_text, tail in zip(
                 heads, row_flags, cell, cell, cell, cell, tails
@@ -366,26 +395,36 @@ def _header(campaign: str, config: CampaignConfig, **fields) -> dict:
 
 def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
     """Yield the blocks of a fuzz campaign, in record order: per colligation
-    the Wiener bounds at the origin, then the reports of its points."""
+    the Wiener bounds at the origin, then the reports of its points.
+
+    The colligations come in chunks of up to ``COLLIGATIONS_PER_STACK``, each
+    colligation drawn with its points in turn; a chunk is evaluated as one
+    stack at its origins and one at its (z, w) pairs, and its blocks are row
+    slices of the two tables computed on them."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
     wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
-    for _ in range(config.n_colligations):
-        col_seed = int(rng.integers(0, 2**62))
-        col = random_colligation(structure, config.dim_g, col_seed)
-        chash = colligation_hash(col)
-        yield Block(chash, np.zeros((1, structure.d), dtype=np.complex128), [()],  # never flagged
-                    wiener_columns(col, wiener_alphas))
-        ev = evaluate(col, [sample_point(structure, rng, config.sampler)  # one stack: z, w of each pair, as drawn
-                            for _ in range(2 * config.points_per_colligation)])
+    size = config.points_per_colligation
+    for start in range(0, config.n_colligations, COLLIGATIONS_PER_STACK):
+        cols, points = [], []
+        for _ in range(min(COLLIGATIONS_PER_STACK, config.n_colligations - start)):
+            cols.append(random_colligation(structure, config.dim_g, int(rng.integers(0, 2**62))))
+            points.append([sample_point(structure, rng, config.sampler) for _ in range(2 * size)])  # z, w of each pair
+        origin = evaluate(cols, np.zeros((len(cols), 1, structure.d)))
+        ev = evaluate(cols, points)
         cz, cw = ev[0::2], ev[1::2]
         tol = np.full(len(cz), config.identity_tol)
         identity = [Column(tag, None, resid, tol, cw.flags)  # a pair's records carry the flags at w too
                     for tag, resid in zip(("identity.kernel_input", "identity.kernel_output"),
                                           identity_residuals(cw, cz))]
-        yield Block(chash, cz.zs, [config.sampler_flags + f for f in cz.flags],
-                    identity + report_columns(cz, checks))
+        wiener = ReportTable.of(origin_columns(origin, wiener_alphas))
+        table = ReportTable.of(identity + report_columns(cz, checks))
+        flags = [config.sampler_flags + f for f in cz.flags]
+        for k, col in enumerate(cols):
+            chash, rows = colligation_hash(col), slice(k * size, (k + 1) * size)
+            yield Block(chash, origin.zs[k:k + 1], [()], wiener.rows(slice(k, k + 1)))  # never flagged
+            yield Block(chash, cz.zs[rows], flags[rows], table.rows(rows))
 
 
 def run_fuzz(config: CampaignConfig) -> Iterator[str]:
@@ -427,7 +466,7 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     points in chunks of ``points_per_colligation``, then any Gram records.
 
     All ``n_colligations * points_per_colligation`` points form one stack, so
-    each column is computed once; the chunks are row slices of it."""
+    each column is computed once; the chunks are row slices of its table."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
@@ -435,11 +474,10 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     size = config.points_per_colligation
     points = PolynomialStack(poly, structure, [sample_point(structure, rng, config.sampler)
                                                for _ in range(config.n_colligations * size)])
-    columns = [column for per_mi in variant_columns(points, checks) for column in per_mi]
+    table = ReportTable.of([column for per_mi in variant_columns(points, checks) for column in per_mi])
     for start in range(0, len(points.zs), size):
         rows = slice(start, start + size)
-        yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]],
-                    [c._replace(lhs=c.lhs[rows], rhs=c.rhs[rows]) for c in columns])
+        yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]], table.rows(rows))
     if name == "alpay-kaptanoglu":
         for _ in range(config.n_colligations):
             pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]

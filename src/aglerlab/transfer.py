@@ -2,11 +2,15 @@
 
 ``evaluate(col, zs)`` evaluates phi at an (m, d) stack of points as one
 :class:`EvalStack`, whose every quantity (resolvents, the derivative jet,
-norms, defects, flags) comes from one numpy call for all its points.  Each
-point is read through its view, an :class:`EvalContext`; at one point of
-shape (d,), ``evaluate`` returns the view of a stack of one.  The remaining
-functions check the identities and norm estimates that every unitary
-realization satisfies: the kernel identities for I - phi(z)* phi(w) and
+norms, defects, flags) comes from one numpy call for all its points.
+``evaluate(cols, zs)`` does the same for n colligations of one structure at
+an (n, m, d) array, row by row as each colligation's own stack would; a
+stack keeps the blocks A, B, C of each row's colligation, stride-0 views of
+one colligation's blocks for ``evaluate(col, zs)``.  Each point is read
+through its view, an :class:`EvalContext`; at one point of shape (d,),
+``evaluate`` returns the view of a stack of one.  The remaining functions
+check the identities and norm estimates that every unitary realization
+satisfies: the kernel identities for I - phi(z)* phi(w) and
 I - phi(w) phi(z)*, and as columns of a stack (read at one point as
 reports), norm bounds on (projected) resolvent factors such as
 ||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||, and ||L|| <= 1 / (1 - ||Z||).
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -66,9 +71,12 @@ def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
 
 
 class EvalStack:
-    """The transfer function of ``col`` evaluated at the (m, d) points ``zs``.
+    """Transfer functions evaluated at the (m, d) points ``zs``, row i that of
+    ``cols[i]``; the colligations share one structure and block shapes, so
+    ``structure`` and the shapes of ``col``, row 0's colligation, hold for all.
 
-    ``zmat``, ``r_ka`` = (I_K - A Z)^{-1} and ``phi`` hold a row per point.
+    ``A``, ``B``, ``C`` (each row's blocks), ``zmat``, ``r_ka`` =
+    (I_K - A Z)^{-1} and ``phi`` hold a row per point.
     The rest is computed for every point on first use and kept: ``r_ha`` =
     (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
     ``flags`` (``near-boundary`` by :func:`aglerlab.colligation.admit`,
@@ -84,9 +92,10 @@ class EvalStack:
     K with ``kop=True``), those not yet known from one stacked chain and one
     SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
-    def __init__(self, col: Colligation, zs, zmat, r_ka, phi, near: tuple[str, ...]):
-        self.col, self.zs, self.zmat, self.r_ka, self.phi = col, zs, zmat, r_ka, phi
-        self.es = projections(col.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
+    def __init__(self, cols: Sequence[Colligation], blocks, zs, zmat, r_ka, phi, near: tuple[str, ...]):
+        self.cols, self.col, self.structure = cols, cols[0], cols[0].structure
+        (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
+        self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
         self._near = near  # admit's flags for the whole stack: () clears every point
         self._jet, self._norms, self._knorms = [], {}, {}
 
@@ -95,24 +104,25 @@ class EvalStack:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return EvalStack(self.col, self.zs[i], self.zmat[i], self.r_ka[i], self.phi[i], self._near)
+            return EvalStack(self.cols[i], (self.A[i], self.B[i], self.C[i]), self.zs[i], self.zmat[i], self.r_ka[i],
+                             self.phi[i], self._near)
         return EvalContext(self, range(len(self))[i])
 
     @cached_property
     def r_ha(self) -> np.ndarray:
-        return _inverse(np.eye(self.col.dim_h) - self.zmat @ self.col.A, self.zs, "I - ZA(z)")
+        return _inverse(np.eye(self.col.dim_h) - self.zmat @ self.A, self.zs, "I - ZA(z)")
 
     @cached_property
     def lmat(self) -> np.ndarray:
-        return self.col.A @ self.r_ha
+        return self.A @ self.r_ha
 
     @cached_property
     def cond(self) -> list[float]:
-        return np.linalg.cond(np.eye(self.col.dim_k) - self.col.A @ self.zmat).tolist()
+        return np.linalg.cond(np.eye(self.col.dim_k) - self.A @ self.zmat).tolist()
 
     @cached_property
     def flags(self) -> list[tuple[str, ...]]:
-        near = [admit(self.col.structure, z) for z in self.zs] if self._near else [()] * len(self)
+        near = [admit(self.structure, z) for z in self.zs] if self._near else [()] * len(self)
         return [f + (("ill-conditioned",) if c > CONDITION_LIMIT else ()) for f, c in zip(near, self.cond)]
 
     @cached_property
@@ -146,7 +156,7 @@ class EvalStack:
 
     @cached_property
     def _c_rha(self) -> np.ndarray:
-        return self.col.C @ self.r_ha
+        return self.C @ self.r_ha
 
     def _kstack(self, mis) -> np.ndarray:
         """The K of ``mis`` (zero at order 0) stacked on axis 1, from the jet kept one stack per order."""
@@ -171,7 +181,7 @@ class EvalStack:
     def _chain(self, mis) -> np.ndarray:
         """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0)."""
         fp = np.array([mi.factorial_product for mi in mis], dtype=float)[:, None, None]
-        chain = fp * (self._c_rha[:, None] @ self._kstack(mis) @ self.r_ka[:, None] @ self.col.B)
+        chain = fp * (self._c_rha[:, None] @ self._kstack(mis) @ self.r_ka[:, None] @ self.B[:, None])
         return np.where(np.array([mi.order == 0 for mi in mis])[:, None, None], self.phi[:, None], chain)
 
     def partial(self, mi) -> np.ndarray:
@@ -201,16 +211,18 @@ class _Row:
 
 
 class EvalContext:
-    """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``:
-    its rows of the stack's attributes and of its jet (``kop``, ``partial``,
-    ``norms``).  Every record made at the point carries its ``flags``.
+    """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``
+    and of its colligation ``col``: its rows of the stack's attributes and of
+    its jet (``kop``, ``partial``, ``norms``).  Every record made at the point
+    carries its ``flags``.
     """
 
-    zmat, r_ka, r_ha, lmat, phi, cond, flags = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
+    A, B, C, zmat, r_ka, r_ha, lmat, phi = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
+    cond, flags = _Row(), _Row()
     znorm, lnorm, defects, defect, gram = _Row(), _Row(), _Row(), _Row(), _Row()
 
     def __init__(self, stack: EvalStack, i: int):
-        self.stack, self.i, self.col = stack, i, stack.col
+        self.stack, self.i, self.col = stack, i, stack.cols[i]
         self.z: tuple[complex, ...] = tuple(stack.zs[i].tolist())
 
     def kop(self, mi) -> np.ndarray:
@@ -226,38 +238,48 @@ class EvalContext:
         return [float(row[self.i]) for row in self.stack.norms(mis, kop)]
 
 
-def evaluate(col: Colligation, zs) -> EvalStack | EvalContext:
+def evaluate(col: Colligation | Sequence[Colligation], zs) -> EvalStack | EvalContext:
     """Evaluate the transfer function at the points of an (m, d) stack ``zs``,
-    or at one point of shape (d,).  An inadmissible point is rejected (see
+    or at one point of shape (d,); or, for a sequence of n colligations of
+    one structure and block shapes, each at its row of an (n, m, d) array, as
+    one stack of n * m rows.  An inadmissible point is rejected (see
     :func:`aglerlab.colligation.admit`), not extrapolated, and so is a point
     where I - AZ(z) is singular (possible only for a non-unitary colligation);
     a point near the boundary is flagged."""
+    cols = [col] if isinstance(col, Colligation) else list(col)
     pts = np.asarray(zs, dtype=np.complex128)
-    if pts.ndim not in (1, 2):
-        raise ValueError(f"points must have shape (d,) or (m, d), got {pts.shape}")
-    near = admit(col.structure, pts)
-    stack = pts.reshape(-1, col.d)
-    zm = zmatrix(col.structure, stack)
-    r_ka = _inverse(np.eye(col.dim_k) - col.A @ zm, stack, "I - AZ(z)")
-    ev = EvalStack(col, stack, zm, r_ka, col.D + col.C @ zm @ r_ka @ col.B, near)
-    return ev if pts.ndim == 2 else ev[0]
+    if pts.ndim not in ((1, 2) if isinstance(col, Colligation) else (3,)) or pts.ndim == 3 and len(pts) != len(cols):
+        raise ValueError(f"points must have shape (d,) or (m, d) for a colligation, (n, m, d) for n, got {pts.shape}")
+    structure = cols[0].structure
+    if any(c.structure != structure for c in cols):
+        raise ValueError("colligations evaluated together must share their structure")
+    near = admit(structure, pts)
+    stack = pts.reshape(-1, structure.d)
+    rows = (len(cols), len(stack) // len(cols))  # stride-0 row blocks for one colligation, copies for more
+    A, B, C, D = (np.broadcast_to(np.stack(bs)[:, None], rows + bs[0].shape).reshape((-1,) + bs[0].shape)
+                  for bs in zip(*((c.A, c.B, c.C, c.D) for c in cols)))
+    zm = zmatrix(structure, stack)
+    r_ka = _inverse(np.eye(structure.dim_k) - A @ zm, stack, "I - AZ(z)")
+    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), stack, zm, r_ka, D + C @ zm @ r_ka @ B, near)
+    return ev[0] if pts.ndim == 1 else ev
 
 
 def identity_residuals(cw, cz):
     """Residuals of the two defect kernel identities at the pair (w, z), from
-    the views at w and z, or as two arrays from two stacks of equal length.
+    the views at w and z, or as two arrays from two stacks of equal length,
+    row i of both evaluated for the same colligation.
 
     r1 checks I_F - phi(z)* phi(w) against
     B* (I - Z(z)* A*)^{-1} (I - Z(z)* Z(w)) (I - A Z(w))^{-1} B, and r2 the
     mirrored identity for I_G - phi(w) phi(z)*.  Both vanish for exactly
     unitary colligations.
     """
-    col = cz.col
+    col, b, c = cz.col, cz.B, cz.C
     # (I - Z(z)* A*)^{-1} is the adjoint of r_ka at z; same for the H side.
     lhs1 = np.eye(col.dim_f) - _adjoint(cz.phi) @ cw.phi
-    rhs1 = _adjoint(col.B) @ _adjoint(cz.r_ka) @ (np.eye(col.dim_k) - _adjoint(cz.zmat) @ cw.zmat) @ cw.r_ka @ col.B
+    rhs1 = _adjoint(b) @ _adjoint(cz.r_ka) @ (np.eye(col.dim_k) - _adjoint(cz.zmat) @ cw.zmat) @ cw.r_ka @ b
     lhs2 = np.eye(col.dim_g) - cw.phi @ _adjoint(cz.phi)
-    rhs2 = col.C @ cw.r_ha @ (np.eye(col.dim_h) - cw.zmat @ _adjoint(cz.zmat)) @ _adjoint(cz.r_ha) @ _adjoint(col.C)
+    rhs2 = c @ cw.r_ha @ (np.eye(col.dim_h) - cw.zmat @ _adjoint(cz.zmat)) @ _adjoint(cz.r_ha) @ _adjoint(c)
     return spectral_norm(lhs1 - rhs1), spectral_norm(lhs2 - rhs2)
 
 
@@ -292,7 +314,7 @@ def resolvent_columns(ev: EvalStack) -> list[Column]:
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    right = _norms(ev.es @ ev.r_ka[:, None] @ ev.col.B)
+    right = _norms(ev.es @ ev.r_ka[:, None] @ ev.B[:, None])
     left = _norms(ev._c_rha[:, None] @ ev.es)
     d_in, d_out = ev.defects.T
     a, b = ev.gram[:, 0], ev.gram[:, 1]
@@ -301,7 +323,7 @@ def resolvent_columns(ev: EvalStack) -> list[Column]:
         columns.append(Column("resolvent.right_block", (j + 1,), right[:, j], d_in * a[:, j]))
         columns.append(Column("resolvent.left_block", (j + 1,), left[:, j], d_out * b[:, j]))
     scale = 1.0 / np.sqrt(1.0 - float_power(ev.znorm, 2))
-    columns.append(Column("resolvent.right_full", None, spectral_norm(ev.r_ka @ ev.col.B), d_in * scale))
+    columns.append(Column("resolvent.right_full", None, spectral_norm(ev.r_ka @ ev.B), d_in * scale))
     columns.append(Column("resolvent.left_full", None, spectral_norm(ev._c_rha), d_out * scale))
     return columns
 

@@ -263,12 +263,13 @@ class TestCampaignWork:
     def test_one_evaluation_per_point(self, monkeypatch, structure):
         evaluations = count_calls(monkeypatch, transfer.evaluate)
         enumerations = count_calls(monkeypatch, derivative.arrangements)
-        n, points = 3, 2
-        list(run_fuzz(CampaignConfig(seed=13, n_colligations=n, structure=structure,
+        size, points = harness.COLLIGATIONS_PER_STACK, 2
+        list(run_fuzz(CampaignConfig(seed=13, n_colligations=size + 1, structure=structure,
                                      max_order=4, points_per_colligation=points)))
-        # per colligation: the origin, then one stack of the z and w of every pair
-        assert len(evaluations) == 2 * n
-        assert [np.shape(zs) for _, zs in evaluations] == [(2,), (2 * points, 2)] * n
+        # per chunk of colligations: one stack of their origins, then one of the z and w of every pair
+        assert [len(cols) for cols, _ in evaluations] == [size, size, 1, 1]
+        assert [np.shape(zs) for _, zs in evaluations] == [(size, 1, 2), (size, 2 * points, 2),
+                                                           (1, 1, 2), (1, 2 * points, 2)]
         assert not enumerations
 
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
@@ -285,8 +286,8 @@ class TestCampaignWork:
         assert [len(calls) for calls in per_report] == [1, 1, 0]
 
     def test_each_bound_takes_one_call_per_stack(self, monkeypatch):
-        # polydisk:1,1,1 at order 6 checks 83 multi-indices at each colligation's
-        # stack; each right-hand side takes them all in one call
+        # polydisk:1,1,1 at order 6 checks 83 multi-indices at each point; each
+        # right-hand side takes them all, at every point of the campaign's one stack, in one call
         calls = {}
 
         def counted(row):
@@ -302,8 +303,8 @@ class TestCampaignWork:
         *_, summary = records(run_fuzz(CampaignConfig(seed=18, n_colligations=n, structure="polydisk:1,1,1",
                                                       max_order=6, points_per_colligation=3)))
         assert summary["reports"] == n * 1306
-        assert calls == {"polydisk.factorial": n, "polydisk.weak": n, "polydisk.first": n, "polydisk.mixed": n}
-        assert len(general) == len(kbound) == n
+        assert calls == {"polydisk.factorial": 1, "polydisk.weak": 1, "polydisk.first": 1, "polydisk.mixed": 1}
+        assert len(general) == len(kbound) == 1
 
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
     def test_norm_calls_do_not_grow_with_the_order(self, monkeypatch, structure):
@@ -852,26 +853,33 @@ class TestCampaignStream:
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_records_reach_the_file_before_the_campaign_ends(self, tmp_path, capsys, monkeypatch):
-        argv = ["fuzz", "--n", "1", "--points", "3", "--max-order", "2", "--seed", "4"]
+        size = harness.COLLIGATIONS_PER_STACK
+        argv = ["fuzz", "--n", str(size + 1), "--points", "1", "--max-order", "2", "--seed", "4"]
         full = tmp_path / "full.jsonl"
         assert main([*argv, "--out", str(full)]) == 0
         calls = []
 
-        def fail_on_fourth(*args, **kwargs):
+        def fail_in_second_chunk(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 4:  # z of the second point
+            if len(calls) == 2 * size + 2:  # w of the first point of the second chunk
                 raise RuntimeError("interrupted")
             return sample_point(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "sample_point", fail_on_fourth)
+        monkeypatch.setattr(harness, "sample_point", fail_in_second_chunk)
         cut = tmp_path / "cut.jsonl"
         with pytest.raises(RuntimeError, match="interrupted"):
             main([*argv, "--out", str(cut)])
         capsys.readouterr()
         written = cut.read_text(encoding="utf-8").splitlines()
         kinds = [json.loads(line)["kind"] for line in written]
-        assert kinds[0] == "header" and kinds.count("report") == len(kinds) - 1 > 1
-        assert written == full.read_text(encoding="utf-8").splitlines()[:len(written)]
+        assert kinds[0] == "header" and kinds.count("report") == len(kinds) - 1
+        # every record of the first chunk's colligations is on disk, and none of the second's
+        hashes = list(dict.fromkeys(json.loads(line)["colligation_hash"] for line in written[1:]))
+        assert len(hashes) == size
+        expected = full.read_text(encoding="utf-8").splitlines()
+        assert written == [line for line in expected[:-1] if '"kind": "report"' not in line
+                           or json.loads(line)["colligation_hash"] in hashes]
+        assert written == expected[:len(written)]
 
     def test_campaign_holds_no_record_list(self, tmp_path, capsys):
         argv = ["explore", "kaijser-varopoulos", "--max-order", "3", "--out"]

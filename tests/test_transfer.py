@@ -21,7 +21,8 @@ from aglerlab.transfer import (
 )
 from aglerlab.bounds import applicable_variants, point_reports
 from aglerlab.colligation import admit, zmatrix
-from aglerlab.derivative import MultiIndex
+from aglerlab.derivative import MultiIndex, partial_at
+from aglerlab.harness import multi_indices
 from conftest import MIXED_STRUCTURES, admissible_point
 
 
@@ -177,6 +178,54 @@ class TestStack:
         assert r1.shape == r2.shape == (2,)
         for i in range(2):
             assert (r1[i], r2[i]) == pytest.approx(identity_residuals(ev[i], ev[3 + i]), abs=1e-15)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+class TestColligationStack:
+    """n colligations evaluated together: each row has the bits of its colligation's own stack."""
+
+    @pytest.mark.parametrize("structure, dim_g", [(Polydisk((2, 1)), 1), (Polydisk((1, 1, 1)), 1), (Ball(2, 3), 1),
+                                                  (Polydisk((2, 1)), 2)])
+    def test_rows_have_the_bits_of_each_colligation(self, structure, dim_g):
+        rng = np.random.default_rng(40)
+        cols = [random_colligation(structure, dim_g=dim_g, seed=41 + k) for k in range(4)]
+        zs = np.array([[admissible_point(structure, rng) for _ in range(3)] for _ in cols])
+        mis = [MultiIndex(counts) for counts in multi_indices(structure.d, 6)]
+        ev = evaluate(cols, zs)
+        assert len(ev) == 12 and ev.A.shape[0] == 12
+        norms, knorms = ev.norms(mis), ev.norms(mis, kop=True)
+        for k, col in enumerate(cols):
+            one, rows = evaluate(col, zs[k]), slice(3 * k, 3 * k + 3)
+            for name in ("phi", "r_ka", "r_ha", "lmat", "defects", "gram"):
+                assert _bits(getattr(ev, name)[rows]) == _bits(getattr(one, name)), name
+            assert ev.cond[rows] == one.cond and ev.flags[rows] == one.flags
+            assert [_bits(n[rows]) for n in norms] == [_bits(n) for n in one.norms(mis)]
+            assert [_bits(n[rows]) for n in knorms] == [_bits(n) for n in one.norms(mis, kop=True)]
+            pairs = ev[3 * k:3 * k + 2], ev[3 * k + 1:3 * k + 3]
+            assert _bits(identity_residuals(*pairs)) == _bits(identity_residuals(one[:2], one[1:]))
+        # a view reads its own row's colligation
+        view, mi = ev[4], MultiIndex((2,) + (1,) * (structure.d - 1))
+        assert view.col is cols[1] and view.stack.col is cols[0]
+        assert _bits(partial_at(view, mi)) == _bits(partial_at(evaluate(cols[1], zs[1, 1]), mi))
+
+    def test_one_colligation_keeps_one_copy_of_its_blocks(self):
+        col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=5)
+        ev = evaluate(col, np.zeros((4, 2)))
+        assert all(block.strides[0] == 0 and np.shares_memory(block[0], block[3]) for block in (ev.A, ev.B, ev.C))
+
+    def test_shapes_and_structures_are_checked(self):
+        cols = [random_colligation(Polydisk((2, 1)), dim_g=1, seed=k) for k in range(2)]
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(cols, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(cols, np.zeros((3, 1, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(cols[0], np.zeros((2, 1, 2)))
+        with pytest.raises(ValueError, match="share their structure"):
+            evaluate([cols[0], random_colligation(Polydisk((1, 2)), dim_g=1, seed=3)], np.zeros((2, 1, 2)))
 
 
 class TestIdentityResiduals:
