@@ -35,6 +35,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
@@ -606,7 +607,10 @@ def cmd_catalog(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.out:
-        save_colligation(col, args.out)
+        try:
+            save_colligation(col, args.out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}")
     else:
         print(json.dumps(to_json_dict(col), indent=2, sort_keys=True))
@@ -640,14 +644,19 @@ def _config_from_args(args) -> CampaignConfig:
 
 def _write(lines: Iterable[str], out: str | None) -> dict:
     """Write each line to ``out`` (else stdout) as it is made; return the
-    last line, the summary, parsed."""
+    last line, the summary, parsed.  A sink that fails (a full disk, a
+    closed pipe) is a usage error."""
     try:
         sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+        with sink as fh:
+            for line in lines:
+                fh.write(line)
+            fh.flush()
     except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
-    with sink as fh:
-        for line in lines:
-            fh.write(line)
+        if not out:  # stdout's reader is gone: what it still buffers goes nowhere at exit
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _UsageError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
     return json.loads(line)
 
 

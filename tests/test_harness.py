@@ -1,6 +1,7 @@
 """CLI surface, point samplers, campaign records, and exit-code contract."""
 
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -653,6 +654,13 @@ class TestCli:
         assert main(["catalog", "blaschke"]) == 2  # missing --a
         capsys.readouterr()
 
+    def test_catalog_out_into_a_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cat.json"
+        assert main(["catalog", "blaschke", "--a", "0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.parent.exists()
+        assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+
     @pytest.mark.parametrize("a", ["nan", "nan+0.3j", "0.3-nanj", "1", "inf"])
     def test_catalog_blaschke_rejects_parameter_outside_the_disk(self, capsys, a):
         # a NaN parameter used to fail later, as "A has non-finite entries"
@@ -844,6 +852,27 @@ class TestCli:
 FUZZ_SMALL = ["fuzz", "--n", "1", "--points", "1", "--max-order", "2", "--seed", "4"]
 
 
+class FailingSink:
+    """A text sink whose third write raises ``error``, as a full disk or a closed pipe does."""
+
+    def __init__(self, error: OSError):
+        self.error, self.lines = error, []
+
+    def write(self, text):
+        if len(self.lines) == 2:
+            raise self.error
+        self.lines.append(text)
+
+    def flush(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
 class TestCampaignStream:
     def test_stdout_matches_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
@@ -880,6 +909,36 @@ class TestCampaignStream:
         assert written == [line for line in expected[:-1] if '"kind": "report"' not in line
                            or json.loads(line)["colligation_hash"] in hashes]
         assert written == expected[:len(written)]
+
+    def test_a_full_out_file_exits_two(self, capsys, monkeypatch):
+        sink = FailingSink(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        monkeypatch.setattr(harness, "open", lambda *args, **kwargs: sink, raising=False)
+        assert main([*FUZZ_SMALL, "--out", "r.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write r.jsonl: {os.strerror(errno.ENOSPC)}\n"
+        assert len(sink.lines) == 2 and not captured.out
+
+    def test_a_closed_stdout_exits_nonzero_without_a_traceback(self, capsys, monkeypatch):
+        sink = FailingSink(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(FUZZ_SMALL) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        assert len(sink.lines) == 2
+
+    def test_a_reader_that_leaves_early_gets_no_traceback(self):
+        # a real pipe, read for 300 bytes of a stream far longer than the pipe's buffer
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(pathlib.Path(harness.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        argv = ["fuzz", "--n", "3", "--points", "6", "--max-order", "4", "--structure", "polydisk:2,1"]
+        child = subprocess.Popen([sys.executable, "-m", "aglerlab", *argv], stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, env=env)
+        assert len(child.stdout.read(300)) == 300
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait() != 0
+        assert err.startswith("error: cannot write stdout:") and len(err.strip().splitlines()) == 1, err
 
     def test_campaign_holds_no_record_list(self, tmp_path, capsys):
         argv = ["explore", "kaijser-varopoulos", "--max-order", "3", "--out"]
