@@ -31,7 +31,8 @@ zeroed):
 dimensions where each applies.  Also checked: the structure-free resolvent bound
 (``bound_general``), the weighted first-order sum rule on the polydisk
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
-(``wiener_check``; on the ball times a sphere-average factor), and
+(``wiener_check``, and ``origin_columns`` for a stack of subjects at the
+origin; on the ball times a sphere-average factor), and
 positivity of the multiplier kernel Gram matrix on the ball
 (``multiplier_gram_psd``).  :func:`report_columns` lists every report at
 an evaluated stack in record order, and :func:`point_reports` at one point.
@@ -88,9 +89,9 @@ Checks = Sequence[tuple[MultiIndex, Sequence["Variant"]]]
 class PolynomialStack:
     """A polynomial subject at the points of an (m, d) stack (or at one point
     of shape (d,)) of ``structure``'s domain, admitted as ``evaluate`` admits
-    them, and read like an :class:`EvalStack`: ``zs``, per-point ``flags``,
-    the ``structure``, the ``defect`` and ``geometry`` columns, and ``norms``.  The defect takes
-    one stacked :func:`poly_partial` call, and so does each multi-index."""
+    them, and read like an :class:`EvalStack`: ``structure``, ``zs``, per-point
+    ``flags``, the ``defect`` and ``geometry`` columns, and ``norms``.  The defect
+    takes one stacked :func:`poly_partial` call, and so does each multi-index."""
 
     def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
         pts = np.asarray(zs, dtype=np.complex128)
@@ -344,12 +345,9 @@ def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
 
 
 def wiener_columns(subject: Subject, orders: Sequence[Alpha]) -> list[Column]:
-    """The :func:`origin_columns` of a colligation or polynomial subject, at
-    one point, the origin."""
-    if isinstance(subject, Colligation):
-        return origin_columns(evaluate(subject, np.zeros((1, subject.d))), orders)
-    return origin_columns(PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension)),
-                          orders)
+    """The :func:`origin_columns` of a colligation or polynomial subject, at one point."""
+    return origin_columns(evaluate(subject, np.zeros((1, subject.d))) if isinstance(subject, Colligation) else
+                          PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension)), orders)
 
 
 def origin_columns(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha]) -> list[Column]:

@@ -12,18 +12,14 @@ Subcommands:
 
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
-inequality, and a trailing summary record, each written as it is made.
-A campaign yields one :class:`Block` per subject's stack of points (a
-colligation's origin or points, or a chunk of an exploration's): the
-subject hash, the points, their flags and the report columns.  A fuzz
-campaign evaluates up to ``COLLIGATIONS_PER_STACK`` colligations together,
-one stack at their origins and one at their points, and an exploration all
-its points; each computes every report column once for its stack, as one
-:class:`ReportTable`, and its blocks are row slices of it.  ``summarize`` checks, encodes and
-folds each block as arrays (each distinct float of a block encoded once)
-and turns each of its reports into its line, point by point, from one fixed
-template, the one statement of the record format.  Identical configuration
-and seed produce byte-identical output.
+inequality, and a trailing summary record, each written as it is made.  A
+campaign yields one :class:`Block` per subject's rows of a stack of points (a
+fuzz chunk's origins or points, or an exploration's): the subject hash, the
+points, their flags and those rows of the stack's :class:`ReportTable`.
+``summarize`` checks, encodes and folds each block as arrays (each distinct
+float of a block encoded once) and turns each of its reports into its line,
+point by point, from one fixed template, the one statement of the record
+format.  Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
@@ -99,9 +94,7 @@ SCHEMA_VERSION = 1
 # side stays a finite float at every admissible point up to it.
 MAX_ORDER = 8
 EXPLORE_NAMES = ("kaijser-varopoulos", "alpay-kaptanoglu")
-# Colligations that a fuzz campaign evaluates and checks as one stack; it
-# bounds the stack's arrays and how far the stream runs ahead of its records.
-COLLIGATIONS_PER_STACK = 16
+COLLIGATIONS_PER_STACK = 16  # a fuzz campaign's stacks: bounds their arrays and the stream's lag
 SAMPLERS = ("uniform", "boundary-biased")
 
 
@@ -266,32 +259,26 @@ def polynomial_hash(p: Polynomial) -> str:
 
 
 class ReportTable(NamedTuple):
-    """Report columns at m points: per column its ``tag`` and ``alpha``, per point and
-    column an entry of ``lhs`` and ``rhs``, two (m, c) arrays, and in ``own``, by column
-    position, the per-point flags of each column that has its own (see :class:`Column`)."""
+    """:class:`Column` s at m points as arrays: per column its (tag, alpha) key and, by position, any
+    own flags; per point and column an entry of (m, c) ``lhs`` and ``rhs``."""
 
-    tags: Sequence[str]
-    alphas: Sequence[tuple[int, ...] | None]
+    keys: list[tuple[str, tuple[int, ...] | None]]
+    own: dict[int, Sequence[tuple[str, ...]]]
     lhs: np.ndarray
     rhs: np.ndarray
-    own: dict[int, Sequence[tuple[str, ...]]]
 
     @classmethod
     def of(cls, columns: Sequence[Column] | ReportTable) -> ReportTable:
-        if isinstance(columns, ReportTable):
-            return columns
-        return cls([c.tag for c in columns], [c.alpha for c in columns], np.array([c.lhs for c in columns], float).T,
-                   np.array([c.rhs for c in columns], float).T,
-                   {p: c.flags for p, c in enumerate(columns) if c.flags is not None})
+        return columns if isinstance(columns, cls) else cls(
+            [(c.tag, c.alpha) for c in columns], {p: c.flags for p, c in enumerate(columns) if c.flags is not None},
+            np.array([c.lhs for c in columns], float).T, np.array([c.rhs for c in columns], float).T)
 
     def rows(self, rows: slice) -> ReportTable:
-        """The table at the points of ``rows``."""
-        return self._replace(lhs=self.lhs[rows], rhs=self.rhs[rows], own={p: f[rows] for p, f in self.own.items()})
+        return ReportTable(self.keys, {p: f[rows] for p, f in self.own.items()}, self.lhs[rows], self.rhs[rows])
 
 
 class Block(NamedTuple):
-    """A subject's reports at m points: per point a row of ``zs`` and its flags,
-    per report a column of ``columns``, a :class:`ReportTable` or a list of :class:`Column`."""
+    """A subject's reports at m points: per point a row of ``zs`` and its flags, per report a column."""
 
     subject: str
     zs: np.ndarray
@@ -324,7 +311,7 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
     theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios)
     violations = flagged = 0
     for subject, zs, flags, columns in blocks:
-        keys, alphas, lhs, rhs, own = ReportTable.of(columns)
+        keys, own, lhs, rhs = ReportTable.of(columns)
         slack = rhs - lhs
         ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
         if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
@@ -335,11 +322,11 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
         flagged += int(marked.sum())
         violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
         tags: dict[str, list[int]] = {}
-        for p, key in enumerate(zip(keys, alphas)):
-            tags.setdefault(key[0], []).append(p)
-            if key not in column_texts:
-                alpha = "null" if key[1] is None else f'[{", ".join(map(int.__repr__, key[1]))}]'
-                column_texts[key] = (f'{{"alpha": {alpha}, "colligation_hash": ', f'"theorem_tag": {_str(key[0])}, "z": ')
+        for p, (tag, alpha) in enumerate(keys):
+            tags.setdefault(tag, []).append(p)
+            if (tag, alpha) not in column_texts:
+                text = "null" if alpha is None else f'[{", ".join(map(int.__repr__, alpha))}]'
+                column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ', f'"theorem_tag": {_str(tag)}, "z": ')
         ratio_rows = ratio.tolist()
         low_slack, low_ratio = slack.min(axis=0).tolist(), ratio.min(axis=0).tolist()
         high_ratio = ratio.max(axis=0).tolist()
@@ -352,8 +339,8 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
                              min(min_ratio, *(low_ratio[p] for p in ps)), max(max_ratio, *(high_ratio[p] for p in ps)),
                              total)
         subject_text = _str(subject)
-        heads = [f'{column_texts[key][0]}{subject_text}, "flags": ' for key in zip(keys, alphas)]
-        tails = [column_texts[key][1] for key in zip(keys, alphas)]
+        heads = [f'{column_texts[key][0]}{subject_text}, "flags": ' for key in keys]
+        tails = [column_texts[key][1] for key in keys]
         # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
         distinct, inverse = np.unique(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), return_inverse=True)
         texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
@@ -395,13 +382,9 @@ def _header(campaign: str, config: CampaignConfig, **fields) -> dict:
 
 
 def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
-    """Yield the blocks of a fuzz campaign, in record order: per colligation
-    the Wiener bounds at the origin, then the reports of its points.
-
-    The colligations come in chunks of up to ``COLLIGATIONS_PER_STACK``, each
-    colligation drawn with its points in turn; a chunk is evaluated as one
-    stack at its origins and one at its (z, w) pairs, and its blocks are row
-    slices of the two tables computed on them."""
+    """Yield the blocks of a fuzz campaign, in record order: per colligation the Wiener bounds
+    at the origin, then the reports of its points.  Each chunk of up to ``COLLIGATIONS_PER_STACK``
+    colligations, drawn with their points one by one, is one stack at their origins and one at their pairs."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
@@ -421,11 +404,10 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
                                           identity_residuals(cw, cz))]
         wiener = ReportTable.of(origin_columns(origin, wiener_alphas))
         table = ReportTable.of(identity + report_columns(cz, checks))
-        flags = [config.sampler_flags + f for f in cz.flags]
         for k, col in enumerate(cols):
             chash, rows = colligation_hash(col), slice(k * size, (k + 1) * size)
             yield Block(chash, origin.zs[k:k + 1], [()], wiener.rows(slice(k, k + 1)))  # never flagged
-            yield Block(chash, cz.zs[rows], flags[rows], table.rows(rows))
+            yield Block(chash, cz.zs[rows], [config.sampler_flags + f for f in cz.flags[rows]], table.rows(rows))
 
 
 def run_fuzz(config: CampaignConfig) -> Iterator[str]:
@@ -643,19 +625,14 @@ def _config_from_args(args) -> CampaignConfig:
 
 
 def _write(lines: Iterable[str], out: str | None) -> dict:
-    """Write each line to ``out`` (else stdout) as it is made; return the
-    last line, the summary, parsed.  A sink that fails (a full disk, a
-    closed pipe) is a usage error."""
+    """Write each line to ``out`` (else stdout) as it is made; return the last
+    line, the summary, parsed.  A failing sink (disk full, pipe closed) is a usage error."""
     try:
-        sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
-        with sink as fh:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
             for line in lines:
                 fh.write(line)
             fh.flush()
     except OSError as exc:
-        if not out:  # stdout's reader is gone: what it still buffers goes nowhere at exit
-            with contextlib.suppress(AttributeError, OSError, ValueError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _UsageError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
     return json.loads(line)
 

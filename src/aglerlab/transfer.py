@@ -2,17 +2,14 @@
 
 ``evaluate(col, zs)`` evaluates phi at an (m, d) stack of points as one
 :class:`EvalStack`, whose every quantity (resolvents, the derivative jet,
-norms, defects, flags) comes from one numpy call for all its points.
-``evaluate(cols, zs)`` does the same for n colligations of one structure at
-an (n, m, d) array, row by row as each colligation's own stack would; a
-stack keeps the blocks A, B, C of each row's colligation, stride-0 views of
-one colligation's blocks for ``evaluate(col, zs)``.  Each point is read
-through its view, an :class:`EvalContext`; at one point of shape (d,),
-``evaluate`` returns the view of a stack of one.  The remaining functions
-check the identities and norm estimates that every unitary realization
-satisfies: the kernel identities for I - phi(z)* phi(w) and
-I - phi(w) phi(z)*, and as columns of a stack (read at one point as
-reports), norm bounds on (projected) resolvent factors such as
+norms, defects, flags) comes from one numpy call for all its points, and so
+does ``evaluate(cols, zs)`` for n colligations of one structure at (n, m, d)
+points, each row with its colligation's blocks.  Each point is read through its
+view, an :class:`EvalContext`; at one point of shape (d,), ``evaluate`` returns
+the view of a stack of one.  The remaining functions check the identities and
+norm estimates that every unitary realization satisfies: the kernel identities
+for I - phi(z)* phi(w) and I - phi(w) phi(z)*, and as columns of a stack (read
+at one point as reports), norm bounds on (projected) resolvent factors such as
 ||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||, and ||L|| <= 1 / (1 - ||Z||).
 Resolvents are LU solves against the identity; Neumann sums appear only in
 tests, as an independent oracle.
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -72,11 +68,10 @@ def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
 
 class EvalStack:
     """Transfer functions evaluated at the (m, d) points ``zs``, row i that of
-    ``cols[i]``; the colligations share one structure and block shapes, so
-    ``structure`` and the shapes of ``col``, row 0's colligation, hold for all.
+    ``cols[i]``; all share ``structure`` and the block shapes of ``col`` = cols[0].
 
-    ``A``, ``B``, ``C`` (each row's blocks), ``zmat``, ``r_ka`` =
-    (I_K - A Z)^{-1} and ``phi`` hold a row per point.
+    ``A``, ``B``, ``C`` (stride-0 views for one colligation), ``zmat``,
+    ``r_ka`` = (I_K - A Z)^{-1} and ``phi`` hold a row per point.
     The rest is computed for every point on first use and kept: ``r_ha`` =
     (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
     ``flags`` (``near-boundary`` by :func:`aglerlab.colligation.admit`,
@@ -92,7 +87,7 @@ class EvalStack:
     K with ``kop=True``), those not yet known from one stacked chain and one
     SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
-    def __init__(self, cols: Sequence[Colligation], blocks, zs, zmat, r_ka, phi, near: tuple[str, ...]):
+    def __init__(self, cols: list[Colligation], blocks, zs, zmat, r_ka, phi, near: tuple[str, ...]):
         self.cols, self.col, self.structure = cols, cols[0], cols[0].structure
         (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
         self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
@@ -211,15 +206,13 @@ class _Row:
 
 
 class EvalContext:
-    """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``
-    and of its colligation ``col``: its rows of the stack's attributes and of
-    its jet (``kop``, ``partial``, ``norms``).  Every record made at the point
-    carries its ``flags``.
+    """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``, of
+    colligation ``col``: its rows of the stack's attributes and of its jet (``kop``,
+    ``partial``, ``norms``).  Every record made at the point carries its ``flags``.
     """
 
-    A, B, C, zmat, r_ka, r_ha, lmat, phi = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
-    cond, flags = _Row(), _Row()
-    znorm, lnorm, defects, defect, gram = _Row(), _Row(), _Row(), _Row(), _Row()
+    zmat, r_ka, r_ha, lmat, phi, cond, flags = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
+    A, B, C, znorm, lnorm, defects, defect, gram = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
 
     def __init__(self, stack: EvalStack, i: int):
         self.stack, self.i, self.col = stack, i, stack.cols[i]
@@ -238,11 +231,10 @@ class EvalContext:
         return [float(row[self.i]) for row in self.stack.norms(mis, kop)]
 
 
-def evaluate(col: Colligation | Sequence[Colligation], zs) -> EvalStack | EvalContext:
+def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContext:
     """Evaluate the transfer function at the points of an (m, d) stack ``zs``,
-    or at one point of shape (d,); or, for a sequence of n colligations of
-    one structure and block shapes, each at its row of an (n, m, d) array, as
-    one stack of n * m rows.  An inadmissible point is rejected (see
+    or at one point of shape (d,); or n colligations of one structure, each at
+    its row of an (n, m, d) array, as one stack.  An inadmissible point is rejected (see
     :func:`aglerlab.colligation.admit`), not extrapolated, and so is a point
     where I - AZ(z) is singular (possible only for a non-unitary colligation);
     a point near the boundary is flagged."""
@@ -255,7 +247,7 @@ def evaluate(col: Colligation | Sequence[Colligation], zs) -> EvalStack | EvalCo
         raise ValueError("colligations evaluated together must share their structure")
     near = admit(structure, pts)
     stack = pts.reshape(-1, structure.d)
-    rows = (len(cols), len(stack) // len(cols))  # stride-0 row blocks for one colligation, copies for more
+    rows = (len(cols), len(stack) // len(cols))  # the reshape copies only for n > 1
     A, B, C, D = (np.broadcast_to(np.stack(bs)[:, None], rows + bs[0].shape).reshape((-1,) + bs[0].shape)
                   for bs in zip(*((c.A, c.B, c.C, c.D) for c in cols)))
     zm = zmatrix(structure, stack)
@@ -266,8 +258,7 @@ def evaluate(col: Colligation | Sequence[Colligation], zs) -> EvalStack | EvalCo
 
 def identity_residuals(cw, cz):
     """Residuals of the two defect kernel identities at the pair (w, z), from
-    the views at w and z, or as two arrays from two stacks of equal length,
-    row i of both evaluated for the same colligation.
+    the views at w and z, or as two arrays from two stacks whose rows pair up.
 
     r1 checks I_F - phi(z)* phi(w) against
     B* (I - Z(z)* A*)^{-1} (I - Z(z)* Z(w)) (I - A Z(w))^{-1} B, and r2 the
