@@ -31,12 +31,11 @@ zeroed):
 dimensions where each applies.  Also checked: the structure-free resolvent bound
 (``bound_general``), the weighted first-order sum rule on the polydisk
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
-(``wiener_check``, and ``origin_columns`` for a stack of subjects at the
-origin; on the ball times a sphere-average factor), and
-positivity of the multiplier kernel Gram matrix on the ball
-(``multiplier_gram_psd``).  :func:`report_columns` lists every report at
-an evaluated stack in record order, and :func:`point_reports` at one point.
-Every power x^k is Python's ``x ** k`` (see ``float_power``).
+(``wiener_check``, ``origin_columns`` at a stack of subjects' origins; on the
+ball times a sphere-average factor), and positivity of the multiplier kernel
+Gram matrix on the ball (``multiplier_gram_psd``).  :func:`report_columns`
+lists every report at an evaluated stack in record order, :func:`point_reports`
+at one point.  Every power x^k is Python's ``x ** k`` (see ``float_power``).
 """
 
 from __future__ import annotations
@@ -346,8 +345,9 @@ def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
 
 def wiener_columns(subject: Subject, orders: Sequence[Alpha]) -> list[Column]:
     """The :func:`origin_columns` of a colligation or polynomial subject, at one point."""
-    return origin_columns(evaluate(subject, np.zeros((1, subject.d))) if isinstance(subject, Colligation) else
-                          PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension)), orders)
+    origin = (evaluate(subject, np.zeros((1, subject.d))) if isinstance(subject, Colligation)
+              else PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension)))
+    return origin_columns(origin, orders)
 
 
 def origin_columns(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha]) -> list[Column]:

@@ -67,11 +67,10 @@ def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
 
 
 class EvalStack:
-    """Transfer functions evaluated at the (m, d) points ``zs``, row i that of
-    ``cols[i]``; all share ``structure`` and the block shapes of ``col`` = cols[0].
+    """The transfer function of ``cols[i]`` evaluated at row i of the (m, d) points ``zs``.
 
-    ``A``, ``B``, ``C`` (stride-0 views for one colligation), ``zmat``,
-    ``r_ka`` = (I_K - A Z)^{-1} and ``phi`` hold a row per point.
+    All share ``structure`` and the block shapes of ``col`` = cols[0].  ``A``, ``B``, ``C``
+    (stride-0 views for one colligation), ``zmat``, ``r_ka`` = (I_K - A Z)^{-1}, ``phi``: a row per point.
     The rest is computed for every point on first use and kept: ``r_ha`` =
     (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
     ``flags`` (``near-boundary`` by :func:`aglerlab.colligation.admit`,
@@ -232,12 +231,11 @@ class EvalContext:
 
 
 def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContext:
-    """Evaluate the transfer function at the points of an (m, d) stack ``zs``,
-    or at one point of shape (d,); or n colligations of one structure, each at
-    its row of an (n, m, d) array, as one stack.  An inadmissible point is rejected (see
-    :func:`aglerlab.colligation.admit`), not extrapolated, and so is a point
-    where I - AZ(z) is singular (possible only for a non-unitary colligation);
-    a point near the boundary is flagged."""
+    """Evaluate the transfer function at the points of an (m, d) stack ``zs``, or at one
+    point of shape (d,); or n colligations of one structure, each at its row of (n, m, d)
+    ``zs``, as one stack.  An inadmissible point is rejected (see :func:`aglerlab.colligation.admit`),
+    not extrapolated, and so is a point where I - AZ(z) is singular (possible only for a
+    non-unitary colligation); a point near the boundary is flagged."""
     cols = [col] if isinstance(col, Colligation) else list(col)
     pts = np.asarray(zs, dtype=np.complex128)
     if pts.ndim not in ((1, 2) if isinstance(col, Colligation) else (3,)) or pts.ndim == 3 and len(pts) != len(cols):
