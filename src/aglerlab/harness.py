@@ -259,8 +259,7 @@ def polynomial_hash(p: Polynomial) -> str:
 
 
 class ReportTable(NamedTuple):
-    """:class:`Column` s at m points as arrays: per column its (tag, alpha) key and, by position, any
-    own flags; per point and column an entry of (m, c) ``lhs`` and ``rhs``."""
+    """:class:`Column` s at m points: per column a (tag, alpha) key and any own flags, and (m, c) ``lhs``, ``rhs``."""
 
     keys: list[tuple[str, tuple[int, ...] | None]]
     own: dict[int, Sequence[tuple[str, ...]]]
@@ -308,7 +307,7 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
             flag_texts[f] = f'[{", ".join(map(_str, sorted(set(f))))}]'
         return flag_texts[f]
 
-    theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios)
+    theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios, that / 2^64)
     violations = flagged = 0
     for subject, zs, flags, columns in blocks:
         keys, own, lhs, rhs = ReportTable.of(columns)
@@ -326,18 +325,21 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
             tags.setdefault(tag, []).append(p)
             if (tag, alpha) not in column_texts:
                 text = "null" if alpha is None else f'[{", ".join(map(int.__repr__, alpha))}]'
-                column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ', f'"theorem_tag": {_str(tag)}, "z": ')
+                column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ',
+                                            f'"theorem_tag": {_str(tag)}, "z": ')
         ratio_rows = ratio.tolist()
         low_slack, low_ratio = slack.min(axis=0).tolist(), ratio.min(axis=0).tolist()
         high_ratio = ratio.max(axis=0).tolist()
+        scaled = (ratio * 2.0 ** -64).sum(axis=0).tolist()  # for a sum of finite ratios past the float range
         for tag, ps in tags.items():
-            count, min_slack, min_ratio, max_ratio, total = theorems.get(tag, (0, math.inf, math.inf, -math.inf, 0.0))
+            count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
+                tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
             for row in ratio_rows:  # one += per record in record order, as a fold over lines adds
                 for p in ps:
                     total += row[p]
             theorems[tag] = (count + len(ps) * len(ratio_rows), min(min_slack, *(low_slack[p] for p in ps)),
                              min(min_ratio, *(low_ratio[p] for p in ps)), max(max_ratio, *(high_ratio[p] for p in ps)),
-                             total)
+                             total, small + sum(scaled[p] for p in ps))
         subject_text = _str(subject)
         heads = [f'{column_texts[key][0]}{subject_text}, "flags": ' for key in keys]
         tails = [column_texts[key][1] for key in keys]
@@ -365,9 +367,9 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
         "flagged": flagged,
         "slack_tol": slack_tol,
         "theorems": {
-            tag: {"count": count, "min_slack": min_slack, "min_ratio": min_ratio,
-                  "max_ratio": max_ratio, "mean_ratio": total / count}
-            for tag, (count, min_slack, min_ratio, max_ratio, total) in sorted(theorems.items())
+            tag: {"count": count, "min_slack": min_slack, "min_ratio": min_ratio, "max_ratio": max_ratio,
+                  "mean_ratio": total / count if math.isfinite(total) else small / count * 2.0 ** 64}
+            for tag, (count, min_slack, min_ratio, max_ratio, total, small) in sorted(theorems.items())
         },
         **extra,
     }, sort_keys=True, allow_nan=False) + "\n"

@@ -1073,6 +1073,12 @@ class TestReportEncoding:
                                             "mean_ratio": 1.0 / 21}
         assert summary["theorems"]["y"]["count"] == 1 and summary["flagged"] == 2 and summary["reports"] == 22
 
+    def test_summary_mean_of_ratios_whose_sum_overflows(self):
+        # two finite ratios of 2^1023 add up past the float range; their mean is 2^1023
+        blocks = [block("h", [[0j]] * 2, [()] * 2, ("x", None, [2.0 ** 1023] * 2, [1.0] * 2))]
+        *_, summary = records(summarize(HEADER, blocks, slack_tol=1e-9))
+        assert summary["theorems"]["x"]["mean_ratio"] == 2.0 ** 1023
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "z"])
     def test_nonfinite_value_raises(self, tmp_path, field, bad):
