@@ -94,7 +94,7 @@ SCHEMA_VERSION = 1
 # side stays a finite float at every admissible point up to it.
 MAX_ORDER = 8
 EXPLORE_NAMES = ("kaijser-varopoulos", "alpay-kaptanoglu")
-COLLIGATIONS_PER_STACK = 16  # a fuzz campaign's stacks: bounds their arrays and the stream's lag
+COLLIGATIONS_PER_STACK = 16  # per fuzz stack; bounds its arrays and how far the records lag behind the draws
 SAMPLERS = ("uniform", "boundary-biased")
 
 
@@ -259,7 +259,7 @@ def polynomial_hash(p: Polynomial) -> str:
 
 
 class ReportTable(NamedTuple):
-    """:class:`Column` s at m points: per column a (tag, alpha) key and any own flags, and (m, c) ``lhs``, ``rhs``."""
+    """Report columns at m points: per column its (tag, alpha) key and any own flags, and (m, c) ``lhs``, ``rhs``."""
 
     keys: list[tuple[str, tuple[int, ...] | None]]
     own: dict[int, Sequence[tuple[str, ...]]]
