@@ -8,7 +8,6 @@ and operator identities against independent oracles.
 
 from .bounds import (
     BoundReport,
-    PointGeometry,
     ball_kernel_subchecks,
     bound_ball,
     bound_general,
@@ -72,7 +71,6 @@ __all__ = [
     "DomainViolationError",
     "EvalContext",
     "MultiIndex",
-    "PointGeometry",
     "Polydisk",
     "Polynomial",
     "StructureError",

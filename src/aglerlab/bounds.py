@@ -5,11 +5,11 @@ Each bound is a :class:`Column` of a stack of points: the left-hand sides
 sides of one inequality, exactly as stated, one per point; at k multi-indices
 its right-hand sides are one (m, k) array from one call, sliced into columns.
 A polynomial's norms take one stacked :func:`poly_partial` call per multi-index (:class:`PolynomialStack`).
-Checks on a colligation read an :class:`aglerlab.transfer.EvalStack`; the
-``bound_*`` functions, ``ball_kernel_subchecks`` and ``knese_report`` read
-the :class:`BoundReport` of one point from those columns, and
-``bound_polydisk``, ``bound_ball`` and ``wiener_check`` take a colligation
-or a polynomial subject and evaluate it themselves.
+Each check is one function of a stack: an :class:`aglerlab.transfer.EvalStack`
+(``bound_general``, ``ball_kernel_subchecks``, ``knese_report``) or a stack
+at the origin (``wiener_check``); at one point, pass ``ctx.stack`` and read
+row ``ctx.i``.  ``bound_polydisk`` and ``bound_ball`` take a colligation or a
+polynomial subject and one point, and return its :class:`BoundReport`.
 
 Writing n = n_1 + ... + n_d and D(z) = 1 - |phi(z)|^2 (for matrix-valued
 phi the product of the two defect norms ||I - phi* phi||^(1/2)
@@ -31,8 +31,8 @@ zeroed):
 dimensions where each applies.  Also checked: the structure-free resolvent bound
 (``bound_general``), the weighted first-order sum rule on the polydisk
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
-(``wiener_check``, ``origin_columns`` at a stack of subjects' origins; on the
-ball times a sphere-average factor), and positivity of the multiplier kernel
+(``wiener_check``, at a stack of subjects' origins; on the ball times a
+sphere-average factor), and positivity of the multiplier kernel
 Gram matrix on the ball (``multiplier_gram_psd``).  :func:`report_columns`
 lists every report at an evaluated stack in record order, :func:`point_reports`
 at one point.  Every power x^k is Python's ``x ** k`` (see ``float_power``).
@@ -47,32 +47,26 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .colligation import Ball, Colligation, DomainStructure, PointGeometry, Polydisk, StackGeometry, admit
+from .colligation import Ball, Colligation, DomainStructure, Polydisk, StackGeometry, admit
 from .derivative import MultiIndex, Polynomial, poly_partial
 from .errors import DegenerateGramWarning
 from .matrixcore import float_power
 from .reports import BoundReport, Column
-from .transfer import EvalContext, EvalStack, evaluate, lnorm_column, resolvent_columns
+from .transfer import EvalContext, EvalStack, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
 __all__ = [
-    "PointGeometry",
     "BoundReport",
     "Column",
     "PolynomialStack",
     "Variant",
     "VARIANTS",
     "applicable_variants",
-    "general_column",
     "variant_columns",
     "bound_general",
     "bound_polydisk",
     "bound_ball",
-    "ball_kernel_columns",
     "ball_kernel_subchecks",
-    "wiener_columns",
-    "origin_columns",
     "wiener_check",
-    "knese_column",
     "knese_residual",
     "knese_report",
     "report_columns",
@@ -110,7 +104,7 @@ class PolynomialStack:
         return [self._norms[mi.counts] for mi in mis]
 
 
-def general_column(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
+def bound_general(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
     """Right-hand sides of the structure-free resolvent bound on the mixed
     partials of ``mis``, at every point of a stack: an (m, k) array.
 
@@ -135,13 +129,6 @@ def general_column(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
     sum_a, sum_b, diag = _klist_sums(his, a, b, a * b)
     rhs[:, high] = _pair_scale(ev.defect, ev.znorm, his) * (sum_a * sum_b - diag)
     return rhs
-
-
-def bound_general(ctx: EvalContext, alpha: Alpha) -> BoundReport:
-    """The :func:`general_column` report at an evaluated point."""
-    mi = MultiIndex.of(alpha)
-    tag = "general.first_order" if mi.order == 1 else "general.higher_order"
-    return BoundReport(tag, ctx.z, mi.counts, ctx.norms([mi])[0], float(general_column(ctx.stack, [mi])[ctx.i, 0]))
 
 
 def _koperator_rhs(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
@@ -240,11 +227,6 @@ class Variant:
             return f"needs order >= {self.min_order}, got {n}"
         return None
 
-    def at(self, points: EvalStack | PolynomialStack, mi: MultiIndex) -> BoundReport:
-        """The bound at the first point of an evaluated or polynomial stack."""
-        (column,), = variant_columns(points, [(mi, [self])])
-        return column.report(0, tuple(points.zs[0].tolist()))
-
 
 # Record order: campaigns and the CLI report the rows that apply in this order.
 VARIANTS = (
@@ -288,14 +270,19 @@ def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
     return row
 
 
-def polydisk_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
-    """Right-hand side of the named polydisk inequality at one point (no evaluation)."""
-    return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), [mi])[0, 0])
+def polydisk_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
+    """Right-hand side of the named polydisk inequality at the point ``z`` (no evaluation)."""
+    return _rhs(Polydisk, defect, z, mi, variant)
 
 
-def ball_rhs(defect: float, geom: PointGeometry, mi: MultiIndex, variant: str) -> float:
-    """Right-hand side of the named ball inequality at one point (no evaluation)."""
-    return float(_variant(Ball, variant, mi).rhs(np.array([defect]), StackGeometry(np.array([geom.z])), [mi])[0, 0])
+def ball_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
+    """Right-hand side of the named ball inequality at the point ``z`` (no evaluation)."""
+    return _rhs(Ball, defect, z, mi, variant)
+
+
+def _rhs(domain: type, defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
+    geometry = StackGeometry(np.array([z], dtype=np.complex128))
+    return float(_variant(domain, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
 
 
 def bound_polydisk(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:
@@ -311,14 +298,17 @@ def bound_ball(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: st
 def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex, variant: str) -> BoundReport:
     row = _variant(domain, variant, mi)
     if not isinstance(subject, Colligation):
-        return row.at(PolynomialStack(subject, domain.scalar(subject.dimension), z), mi)
-    if not isinstance(subject.structure, domain):
+        points = PolynomialStack(subject, domain.scalar(subject.dimension), z)
+    elif isinstance(subject.structure, domain):
+        points = evaluate(subject, z).stack
+    else:
         name = domain.__name__.lower()
         raise ValueError(f"{name} bounds need a {name} colligation")
-    return row.at(evaluate(subject, z).stack, mi)
+    (column,), = variant_columns(points, [(mi, [row])])
+    return column.report(0, tuple(points.zs[0].tolist()))
 
 
-def ball_kernel_columns(ev: EvalStack) -> list[Column]:
+def ball_kernel_subchecks(ev: EvalStack) -> list[Column]:
     """Closed forms of the projected resolvent Gram norms on the ball, at
     every point of a stack.
 
@@ -338,19 +328,7 @@ def ball_kernel_columns(ev: EvalStack) -> list[Column]:
     return out
 
 
-def ball_kernel_subchecks(ctx: EvalContext) -> list[BoundReport]:
-    """The :func:`ball_kernel_columns` reports at an evaluated point."""
-    return [column.report(ctx.i, ctx.z) for column in ball_kernel_columns(ctx.stack)]
-
-
-def wiener_columns(subject: Subject, orders: Sequence[Alpha]) -> list[Column]:
-    """The :func:`origin_columns` of a colligation or polynomial subject, at one point."""
-    origin = (evaluate(subject, np.zeros((1, subject.d))) if isinstance(subject, Colligation)
-              else PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension)))
-    return origin_columns(origin, orders)
-
-
-def origin_columns(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha]) -> list[Column]:
+def wiener_check(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha]) -> list[Column]:
     """Taylor coefficient bound ||c_alpha|| <= defect(c_0) for alpha != 0,
     at each row of a stack evaluated at the origin, one row per subject.
 
@@ -367,12 +345,6 @@ def origin_columns(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha])
     return [Column("wiener.coefficient", mi.counts, lhs[:, c], rhs[:, c]) for c, mi in enumerate(mis)]
 
 
-def wiener_check(subject: Subject, orders: Sequence[Alpha]) -> list[BoundReport]:
-    """The :func:`wiener_columns` reports."""
-    d = subject.d if isinstance(subject, Colligation) else subject.dimension
-    return [column.report(0, (0j,) * d) for column in wiener_columns(subject, orders)]
-
-
 def _sphere_factor(mi: MultiIndex) -> float:
     """prod_j Gamma(n_j/2 + 1) (d - 1 + n)! / (Gamma(n/2 + d) n_1! ... n_d!).
 
@@ -386,7 +358,7 @@ def _sphere_factor(mi: MultiIndex) -> float:
     return gammas * math.factorial(d - 1 + n) / (math.gamma(n / 2.0 + d) * mi.factorial_product)
 
 
-def knese_column(ev: EvalStack) -> Column:
+def knese_report(ev: EvalStack) -> Column:
     """Weighted first-order sum rule on the polydisk at every point of a
     stack: lhs sum_j (1 - |z_j|^2) |d phi / d z_j|, rhs the defect
     1 - |phi(z)|^2.
@@ -412,13 +384,8 @@ def knese_column(ev: EvalStack) -> Column:
 def knese_residual(ctx: EvalContext) -> float:
     """Signed residual lhs - rhs of the sum rule at an evaluated point;
     nonpositive up to rounding, zero at the extremal realizations."""
-    rep = knese_report(ctx)
-    return rep.lhs - rep.rhs
-
-
-def knese_report(ctx: EvalContext) -> BoundReport:
-    """The :func:`knese_column` report at an evaluated point."""
-    return knese_column(ctx.stack).report(ctx.i, ctx.z)
+    column = knese_report(ctx.stack)
+    return float(column.lhs[ctx.i]) - float(column.rhs[ctx.i])
 
 
 def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
@@ -432,13 +399,13 @@ def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
     mis = [mi for mi, _ in checks]
     high = [mi for mi in mis if mi.order >= 2]
     norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call
-    general = iter(general_column(ev, mis).T)
+    general = iter(bound_general(ev, mis).T)
     kop = iter(zip(ev.norms(high, kop=True), _koperator_rhs(ev, high).T))
-    columns = resolvent_columns(ev) + [lnorm_column(ev)]
+    columns = resolvent_norm_estimates(ev) + [lnorm_bound_check(ev)]
     if on_ball:
-        columns += ball_kernel_columns(ev)
+        columns += ball_kernel_subchecks(ev)
     elif ev.col.dim_f == ev.col.dim_g == 1:
-        columns.append(knese_column(ev))
+        columns.append(knese_report(ev))
     for mi, norm, variants in zip(mis, norms, variant_columns(ev, checks)):
         columns.append(Column("general.first_order" if mi.order == 1 else "general.higher_order", mi.counts, norm,
                               next(general)))

@@ -53,7 +53,6 @@ __all__ = [
     "zmatrix",
     "structure_norm",
     "admit",
-    "PointGeometry",
     "StackGeometry",
     "random_colligation",
     "blaschke",
@@ -222,23 +221,6 @@ class StackGeometry:
         self.hat = structure_norm(ball, zs[:, None, :] * (1.0 - np.eye(d)))  # [i, j]: z_i with z_ij zeroed
         self.sup2, self.eucl2, self.hat2 = (float_power(v, 2) for v in (self.sup, self.eucl, self.hat))
         self.zabs2 = float_power(np.hypot(zs.real, zs.imag), 2)
-
-
-@dataclass(frozen=True)
-class PointGeometry:
-    """Norm data of one evaluation point: its domain norms on the polydisk
-    and on the ball, and the ball norms of z with coordinate j zeroed."""
-
-    z: tuple[complex, ...]
-    sup_norm: float
-    eucl_norm: float
-    hat_norms: tuple[float, ...]
-
-    @classmethod
-    def from_point(cls, z: Sequence[complex]) -> "PointGeometry":
-        zt = tuple(complex(v) for v in z)
-        g = StackGeometry(np.array([zt]))
-        return cls(z=zt, sup_norm=float(g.sup[0]), eucl_norm=float(g.eucl[0]), hat_norms=tuple(g.hat[0].tolist()))
 
 
 class Colligation:

@@ -43,10 +43,10 @@ from .bounds import (
     Variant,
     applicable_variants,
     multiplier_gram_psd,
-    origin_columns,
     point_reports,
     report_columns,
     variant_columns,
+    wiener_check,
 )
 from .colligation import (
     Ball,
@@ -404,7 +404,7 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
         identity = [Column(tag, None, resid, tol, cw.flags)  # a pair's records carry the flags at w too
                     for tag, resid in zip(("identity.kernel_input", "identity.kernel_output"),
                                           identity_residuals(cw, cz))]
-        wiener = ReportTable.of(origin_columns(origin, wiener_alphas))
+        wiener = ReportTable.of(wiener_check(origin, wiener_alphas))
         table = ReportTable.of(identity + report_columns(cz, checks))
         for k, col in enumerate(cols):
             chash, rows = colligation_hash(col), slice(k * size, (k + 1) * size)
@@ -482,8 +482,8 @@ def _load(path: str):
     """Load and decode a colligation file."""
     try:
         return load_colligation(path)
-    except FileNotFoundError:
-        raise _UsageError(f"no such file: {path}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise _UsageError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -8,11 +8,12 @@ points, each row with its colligation's blocks.  Each point is read through its
 view, an :class:`EvalContext`; at one point of shape (d,), ``evaluate`` returns
 the view of a stack of one.  The remaining functions check the identities and
 norm estimates that every unitary realization satisfies: the kernel identities
-for I - phi(z)* phi(w) and I - phi(w) phi(z)*, and as columns of a stack (read
-at one point as reports), norm bounds on (projected) resolvent factors such as
-||E_j (I - AZ)^{-1} B|| and ||C (I - ZA)^{-1}||, and ||L|| <= 1 / (1 - ||Z||).
-Resolvents are LU solves against the identity; Neumann sums appear only in
-tests, as an independent oracle.
+for I - phi(z)* phi(w) and I - phi(w) phi(z)*, and, as the columns of a whole
+stack (``resolvent_norm_estimates``, ``lnorm_bound_check``), norm bounds on
+(projected) resolvent factors such as ||E_j (I - AZ)^{-1} B|| and
+||C (I - ZA)^{-1}||, and ||L|| <= 1 / (1 - ||Z||); at one point, pass
+``ctx.stack`` and read row ``ctx.i``.  Resolvents are LU solves against the
+identity; Neumann sums appear only in tests, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import numpy as np
 from .colligation import Colligation, StackGeometry, admit, projections, zmatrix
 from .errors import DomainViolationError
 from .matrixcore import float_power, spectral_norm
-from .reports import BoundReport, Column
+from .reports import Column
 from .tolerances import CONDITION_LIMIT
 
 __all__ = [
     "EvalStack", "EvalContext", "evaluate", "defect_norms", "identity_residuals",
-    "resolvent_gram_factors", "resolvent_columns", "resolvent_norm_estimates",
-    "lnorm_column", "lnorm_bound_check",
+    "resolvent_gram_factors", "resolvent_norm_estimates", "lnorm_bound_check",
 ]
 
 
@@ -295,7 +295,7 @@ def defect_norms(phi: np.ndarray):
     )
 
 
-def resolvent_columns(ev: EvalStack) -> list[Column]:
+def resolvent_norm_estimates(ev: EvalStack) -> list[Column]:
     """Norm bounds on the four resolvent factors at every point of a stack.
 
     Per coordinate j: ||E_j (I - AZ)^{-1} B|| against the input defect times
@@ -317,16 +317,6 @@ def resolvent_columns(ev: EvalStack) -> list[Column]:
     return columns
 
 
-def resolvent_norm_estimates(ctx: EvalContext) -> list[BoundReport]:
-    """The :func:`resolvent_columns` reports at an evaluated point."""
-    return [column.report(ctx.i, ctx.z) for column in resolvent_columns(ctx.stack)]
-
-
-def lnorm_column(ev: EvalStack) -> Column:
+def lnorm_bound_check(ev: EvalStack) -> Column:
     """Geometric-series bound ||L|| <= 1 / (1 - ||Z||) at every point of a stack."""
     return Column("lmatrix.geometric", None, ev.lnorm, 1.0 / (1.0 - ev.znorm))
-
-
-def lnorm_bound_check(ctx: EvalContext) -> BoundReport:
-    """The :func:`lnorm_column` report at an evaluated point."""
-    return lnorm_column(ctx.stack).report(ctx.i, ctx.z)

@@ -58,3 +58,8 @@ def mixed_corpus(n_per_structure=2, seed=2024):
 def records(lines):
     """The records of a campaign's JSONL lines, parsed one line at a time."""
     return [json.loads(line) for line in lines]
+
+
+def reports_at(ctx, columns):
+    """The reports at the evaluated point ``ctx`` of ``columns`` of its stack."""
+    return [column.report(ctx.i, ctx.z) for column in columns]

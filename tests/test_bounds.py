@@ -29,33 +29,34 @@ from aglerlab import (
     wiener_check,
 )
 from aglerlab import bounds
-from aglerlab.bounds import PointGeometry, ball_kernel_subchecks, knese_report
-from aglerlab.colligation import structure_norm
+from aglerlab.bounds import ball_kernel_subchecks, knese_report, point_reports
+from aglerlab.colligation import StackGeometry, structure_norm
 from aglerlab.harness import MAX_ORDER, multi_indices
 from aglerlab.matrixcore import spectral_norm
 from aglerlab.errors import DegenerateGramWarning
 from aglerlab.reports import BoundReport
 from aglerlab.transfer import defect_norms
-from conftest import admissible_point, interior_point
+from conftest import admissible_point, interior_point, reports_at
 
 
-class TestPointGeometry:
+class TestStackGeometry:
     def test_example(self):
-        g = PointGeometry.from_point((0.3, 0.4j))
-        assert g.sup_norm == pytest.approx(0.4)
-        assert g.eucl_norm == pytest.approx(0.5)
-        assert g.hat_norms == pytest.approx((0.4, 0.3))
+        g = StackGeometry(np.array([(0.3, 0.4j)]))
+        assert g.sup[0] == pytest.approx(0.4)
+        assert g.eucl[0] == pytest.approx(0.5)
+        assert g.hat[0] == pytest.approx((0.4, 0.3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 5))
     def test_invariants(self, seed, d):
         rng = np.random.default_rng(seed)
         z = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        g = PointGeometry.from_point(z)
+        g = StackGeometry(np.array([z]))
+        sup, eucl, hat = float(g.sup[0]), float(g.eucl[0]), g.hat[0].tolist()
         for j in range(d):
-            assert abs(g.hat_norms[j] ** 2 - (g.eucl_norm**2 - abs(z[j]) ** 2)) <= 1e-12
-        assert g.sup_norm <= g.eucl_norm + 1e-14
-        assert g.eucl_norm <= math.sqrt(d) * g.sup_norm + 1e-14
+            assert abs(hat[j] ** 2 - (eucl**2 - abs(z[j]) ** 2)) <= 1e-12
+        assert sup <= eucl + 1e-14
+        assert eucl <= math.sqrt(d) * sup + 1e-14
 
 
 class TestBoundReport:
@@ -65,16 +66,22 @@ class TestBoundReport:
         assert rep.slack == 0.0
 
 
+def general_report(ctx, alpha):
+    """The structure-free bound's report among the point's :func:`point_reports`."""
+    (rep,) = [r for r in point_reports(ctx, [(MultiIndex.of(alpha), [])]) if r.theorem_tag.startswith("general.")]
+    return rep
+
+
 class TestBoundGeneral:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9j])
     def test_blaschke_origin_is_sharp(self, a):
-        rep = bound_general(evaluate(blaschke(a), (0.0,)), alpha=(1,))
+        rep = general_report(evaluate(blaschke(a), (0.0,)), alpha=(1,))
         assert rep.lhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.rhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_monomial_pair_ratio_half(self):
-        rep = bound_general(evaluate(monomial((1, 1)), (0.0, 0.0)), alpha=(1, 1))
+        rep = general_report(evaluate(monomial((1, 1)), (0.0, 0.0)), alpha=(1, 1))
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
         assert rep.ratio == pytest.approx(0.5, abs=1e-12)
@@ -82,7 +89,7 @@ class TestBoundGeneral:
     def test_rejects_order_zero(self):
         ctx = evaluate(blaschke(0.2), (0.0,))
         with pytest.raises(ValueError, match="order >= 1"):
-            bound_general(ctx, (0,))
+            bound_general(ctx.stack, [MultiIndex((0,))])
 
     def test_fuzz_slack(self):
         rng = np.random.default_rng(15)
@@ -93,7 +100,7 @@ class TestBoundGeneral:
             for _ in range(6):
                 z = admissible_point(s, rng)
                 for alpha in alphas:
-                    rep = bound_general(evaluate(col, z), alpha=tuple(int(v) for v in alpha))
+                    rep = general_report(evaluate(col, z), alpha=tuple(int(v) for v in alpha))
                     assert rep.slack >= -1e-9, rep
 
 
@@ -221,7 +228,8 @@ class TestBoundBall:
         col = random_colligation(Ball(2, 3), dim_g=1, seed=41)
         for _ in range(10):
             z = admissible_point(col.structure, rng)
-            for rep in ball_kernel_subchecks(evaluate(col, z)):
+            ctx = evaluate(col, z)
+            for rep in reports_at(ctx, ball_kernel_subchecks(ctx.stack)):
                 assert abs(rep.slack) <= 1e-9 * max(1.0, rep.rhs), rep
 
     def test_rejects_polydisk_subject(self):
@@ -233,10 +241,19 @@ class TestBoundBall:
             bound_ball(alpay_kaptanoglu(1), (0.8, 0.7), (1, 0), "hat")
 
 
+def wiener_reports(subject, orders):
+    """The :func:`wiener_check` reports of a colligation or polynomial subject, at its origin."""
+    if isinstance(subject, Polynomial):
+        origin = bounds.PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension))
+    else:
+        origin = evaluate(subject, np.zeros((1, subject.d)))
+    return [column.report(0, tuple(origin.zs[0].tolist())) for column in wiener_check(origin, orders)]
+
+
 class TestWiener:
     def test_blaschke_is_sharp_at_first_coefficient(self):
         a = 0.5
-        reports = wiener_check(blaschke(a), [(1,), (2,), (3,)])
+        reports = wiener_reports(blaschke(a), [(1,), (2,), (3,)])
         by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(1,)].lhs == pytest.approx(1 - a**2, abs=1e-12)
         assert by_alpha[(1,)].rhs == pytest.approx(1 - a**2, abs=1e-12)
@@ -245,7 +262,7 @@ class TestWiener:
             assert rep.slack >= -1e-12
 
     def test_pure_square_monomial(self):
-        reports = wiener_check(monomial((2,)), [(1,), (2,), (3,), (4,)])
+        reports = wiener_reports(monomial((2,)), [(1,), (2,), (3,), (4,)])
         by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(2,)].lhs == pytest.approx(1.0, abs=1e-12)
         assert by_alpha[(2,)].rhs == pytest.approx(1.0, abs=1e-12)
@@ -254,7 +271,7 @@ class TestWiener:
 
     def test_polynomial_subject_reads_coefficients(self):
         kv = kaijser_varopoulos()
-        reports = wiener_check(kv, [(2, 0, 0), (1, 1, 0), (0, 0, 0)])
+        reports = wiener_reports(kv, [(2, 0, 0), (1, 1, 0), (0, 0, 0)])
         assert len(reports) == 2  # order zero skipped
         by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(2, 0, 0)].lhs == pytest.approx(1 / 5)
@@ -265,20 +282,20 @@ class TestWiener:
         alphas = [a for a in np.ndindex(5, 5) if 1 <= sum(a) <= 4]
         for seed in range(42, 47):
             col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=seed)
-            for rep in wiener_check(col, [tuple(int(v) for v in a) for a in alphas]):
+            for rep in wiener_reports(col, [tuple(int(v) for v in a) for a in alphas]):
                 assert rep.slack >= -1e-9, rep
 
     def test_ball_uses_the_sphere_average_bound(self):
         col = random_colligation(Ball(1, 3), dim_g=1, seed=53)
         defect = math.prod(defect_norms(col.D))
-        by_alpha = {rep.alpha: rep for rep in wiener_check(col, [(1, 0, 0), (1, 0, 1), (2, 0, 0)])}
+        by_alpha = {rep.alpha: rep for rep in wiener_reports(col, [(1, 0, 0), (1, 0, 1), (2, 0, 0)])}
         assert by_alpha[(1, 0, 1)].rhs == pytest.approx(math.pi * defect, rel=1e-12)
         # Gamma(n/2 + 1) (d - 1 + n)! / (Gamma(n/2 + d) n!) for a pure power z_1^n
         assert by_alpha[(1, 0, 0)].rhs == pytest.approx(1.6 * defect, rel=1e-12)
         assert by_alpha[(2, 0, 0)].rhs == pytest.approx(2.0 * defect, rel=1e-12)
         # in one variable the ball is the disk: the classical bound
         one_var = random_colligation(Ball(2, 1), dim_g=1, seed=54)
-        for rep in wiener_check(one_var, [(1,), (2,), (3,)]):
+        for rep in wiener_reports(one_var, [(1,), (2,), (3,)]):
             assert rep.rhs == pytest.approx(math.prod(defect_norms(one_var.D)), rel=1e-12)
 
 
@@ -306,7 +323,8 @@ class TestKneseSumRule:
 
     def test_report_form(self):
         col = symmetric_extremal(2, 3)
-        rep = knese_report(evaluate(col, (0.3, 0.1j)))
+        ctx = evaluate(col, (0.3, 0.1j))
+        (rep,) = reports_at(ctx, [knese_report(ctx.stack)])
         assert rep.theorem_tag == "knese.sum_rule"
         assert abs(rep.slack) <= 1e-10
 
@@ -448,13 +466,13 @@ class TestMultiIndexAxis:
                 one = row.rhs(defect, g, [mi])[:, 0]
                 stated = [_scalar_rhs(row.tag, float(defect[i]), g, i, mi) for i in range(m)]
                 assert _bits(batched[:, c]) == _bits(one) == _bits(stated), (row.tag, mi)
-        general = bounds.general_column(ev, mis)
+        general = bounds.bound_general(ev, mis)
         high = [mi for mi in mis if mi.order >= 2]
         kbound = bounds._koperator_rhs(ev, high)
         scale = structure.d if isinstance(structure, Ball) else 1
         for c, mi in enumerate(mis):
             stated = [_scalar_general(ev[i], mi) for i in range(m)]
-            assert _bits(general[:, c]) == _bits(bounds.general_column(ev, [mi])[:, 0]) == _bits(stated), mi
+            assert _bits(general[:, c]) == _bits(bounds.bound_general(ev, [mi])[:, 0]) == _bits(stated), mi
         for c, mi in enumerate(high):
             stated = [scale ** ((mi.order - 1) / 2.0) * float(ev.lnorm[i]) ** (mi.order - 1) for i in range(m)]
             assert _bits(kbound[:, c]) == _bits(bounds._koperator_rhs(ev, [mi])[:, 0]) == _bits(stated), mi
@@ -472,11 +490,15 @@ class TestMultiIndexAxis:
     def test_wiener_has_the_bits_of_one_multi_index(self, structure):
         col = random_colligation(structure, dim_g=2, seed=80 + structure.d)
         orders = multi_indices(structure.d, MAX_ORDER)
-        batched = bounds.wiener_columns(col, orders)
+
+        def origins():  # a fresh stack at the origin, none of its norms known yet
+            return evaluate(col, np.zeros((1, structure.d)))
+
+        batched = bounds.wiener_check(origins(), orders)
         assert [c.alpha for c in batched] == orders
         origin = evaluate(col, np.zeros(structure.d))
         for column in batched:
-            (one,) = bounds.wiener_columns(col, [column.alpha])
+            (one,) = bounds.wiener_check(origins(), [column.alpha])
             mi = MultiIndex(column.alpha)
             assert _bits(column.lhs) == _bits(one.lhs) == _bits([origin.norms([mi])[0] / mi.factorial_product])
             assert _bits(column.rhs) == _bits(one.rhs)
@@ -505,5 +527,5 @@ class TestRuscheweyhReduction:
             closed = [self.closed_form(mi.order, abs(z), d) for z, d in zip(zs.tolist(), defect.tolist())]
             np.testing.assert_allclose(got[:, c], closed, rtol=1e-13, atol=0)
             z, d = complex(zs[c]), float(defect[c])
-            one = bounds.polydisk_rhs(d, PointGeometry.from_point((z,)), mi, tag.partition(".")[2])
+            one = bounds.polydisk_rhs(d, (z,), mi, tag.partition(".")[2])
             assert one == pytest.approx(self.closed_form(mi.order, abs(z), d), rel=1e-13, abs=0)

@@ -273,18 +273,20 @@ class TestCampaignWork:
                                                            (1, 1, 2), (1, 2 * points, 2)]
         assert not enumerations
 
-    @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
-    def test_no_call_per_report(self, monkeypatch, structure):
-        # a campaign computes each bound as a column of all its points, not report by report
-        per_report = [count_calls(monkeypatch, fn) for fn in (bounds.Variant.at, bounds.polydisk_rhs, bounds.ball_rhs)]
-        *_, summary = records(run_fuzz(CampaignConfig(seed=13, n_colligations=2, structure=structure,
-                                                      max_order=4, points_per_colligation=3)))
+    @pytest.mark.parametrize("campaign", CAMPAIGN_STRUCTURES + list(harness.EXPLORE_NAMES))
+    def test_no_call_per_report(self, monkeypatch, campaign):
+        # a campaign computes each bound as a column of all its points: it makes no view of one point and no report
+        made = [count_calls(monkeypatch, fn) for fn in (transfer.EvalContext.__init__, BoundReport.__init__,
+                                                         bounds.polydisk_rhs, bounds.ball_rhs)]
+        size = dict(n_colligations=2, max_order=4, points_per_colligation=6)
+        lines = (run_explore(campaign, CampaignConfig(seed=13, **size)) if campaign in harness.EXPLORE_NAMES
+                 else run_fuzz(CampaignConfig(seed=13, structure=campaign, **size)))
+        *_, summary = records(lines)
         assert summary["reports"] > 300
-        assert per_report == [[], [], []]
+        assert made == [[], [], [], []]
         # while a call through the library is counted
-        bounds.bound_polydisk(bounds.Polynomial(2, {(2, 1): 1.0}), (0.1, 0.2), (2, 1), "factorial")
-        bounds.polydisk_rhs(0.5, bounds.PointGeometry.from_point((0.1, 0.2)), MultiIndex((2, 1)), "weak")
-        assert [len(calls) for calls in per_report] == [1, 1, 0]
+        bounds.bound_polydisk(monomial((2, 1)), (0.1, 0.2), (2, 1), "factorial")
+        assert [len(calls) for calls in made] == [1, 1, 0, 0]
 
     def test_each_bound_takes_one_call_per_stack(self, monkeypatch):
         # polydisk:1,1,1 at order 6 checks 83 multi-indices at each point; each
@@ -298,7 +300,7 @@ class TestCampaignWork:
             return dataclasses.replace(row, rhs=rhs)
 
         monkeypatch.setattr(bounds, "VARIANTS", tuple(map(counted, bounds.VARIANTS)))
-        general = count_calls(monkeypatch, bounds.general_column)
+        general = count_calls(monkeypatch, bounds.bound_general)
         kbound = count_calls(monkeypatch, bounds._koperator_rhs)
         n = 2
         *_, summary = records(run_fuzz(CampaignConfig(seed=18, n_colligations=n, structure="polydisk:1,1,1",
@@ -455,6 +457,16 @@ class TestCli:
     def test_missing_file_exit_two(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["validate"], ["eval", "--z", "0.1"], ["deriv", "--z", "0.1", "--alpha", "1"],
+                                      ["bounds", "--z", "0.1"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target, code", [("", errno.EISDIR), ("missing.json", errno.ENOENT)],
+                             ids=["directory", "missing"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, argv, target, code):
+        # a directory raised IsADirectoryError, with a traceback and exit 1
+        path = tmp_path / target
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: {os.strerror(code)}\n"
 
     def test_eval_and_boundary(self, tmp_path, capsys):
         path = tmp_path / "b.json"
