@@ -272,17 +272,14 @@ def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
 
 def polydisk_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named polydisk inequality at the point ``z`` (no evaluation)."""
-    return _rhs(Polydisk, defect, z, mi, variant)
+    geometry = StackGeometry(np.array([z], complex))
+    return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
 
 
 def ball_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named ball inequality at the point ``z`` (no evaluation)."""
-    return _rhs(Ball, defect, z, mi, variant)
-
-
-def _rhs(domain: type, defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
-    geometry = StackGeometry(np.array([z], dtype=np.complex128))
-    return float(_variant(domain, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
+    geometry = StackGeometry(np.array([z], complex))
+    return float(_variant(Ball, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
 
 
 def bound_polydisk(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:

@@ -60,6 +60,7 @@ def records(lines):
     return [json.loads(line) for line in lines]
 
 
-def reports_at(ctx, columns):
-    """The reports at the evaluated point ``ctx`` of ``columns`` of its stack."""
-    return [column.report(ctx.i, ctx.z) for column in columns]
+def reports_at(points, columns, i=0):
+    """The reports at row ``i`` of a stack of ``points`` of ``columns`` computed on it."""
+    z = tuple(points.zs[i].tolist())
+    return [column.report(i, z) for column in columns]

@@ -66,22 +66,18 @@ class TestBoundReport:
         assert rep.slack == 0.0
 
 
-def general_report(ctx, alpha):
-    """The structure-free bound's report among the point's :func:`point_reports`."""
-    (rep,) = [r for r in point_reports(ctx, [(MultiIndex.of(alpha), [])]) if r.theorem_tag.startswith("general.")]
-    return rep
-
-
 class TestBoundGeneral:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9j])
     def test_blaschke_origin_is_sharp(self, a):
-        rep = general_report(evaluate(blaschke(a), (0.0,)), alpha=(1,))
+        ctx = evaluate(blaschke(a), (0.0,))
+        (rep,) = [r for r in point_reports(ctx, [(MultiIndex((1,)), [])]) if r.theorem_tag.startswith("general.")]
         assert rep.lhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.rhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_monomial_pair_ratio_half(self):
-        rep = general_report(evaluate(monomial((1, 1)), (0.0, 0.0)), alpha=(1, 1))
+        ctx = evaluate(monomial((1, 1)), (0.0, 0.0))
+        (rep,) = [r for r in point_reports(ctx, [(MultiIndex((1, 1)), [])]) if r.theorem_tag.startswith("general.")]
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
         assert rep.ratio == pytest.approx(0.5, abs=1e-12)
@@ -96,11 +92,12 @@ class TestBoundGeneral:
         structures = [Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(1, 2), Ball(2, 2)]
         for i, s in enumerate(structures):
             col = random_colligation(s, dim_g=1, seed=90 + i)
-            alphas = [a for a in np.ndindex(*(4,) * s.d) if 1 <= sum(a) <= 4]
+            checks = [(MultiIndex(a), []) for a in np.ndindex(*(4,) * s.d) if 1 <= sum(a) <= 4]
             for _ in range(6):
-                z = admissible_point(s, rng)
-                for alpha in alphas:
-                    rep = general_report(evaluate(col, z), alpha=tuple(int(v) for v in alpha))
+                reports = point_reports(evaluate(col, admissible_point(s, rng)), checks)
+                general = [rep for rep in reports if rep.theorem_tag.startswith("general.")]
+                assert len(general) == len(checks)
+                for rep in general:
                     assert rep.slack >= -1e-9, rep
 
 
@@ -228,8 +225,8 @@ class TestBoundBall:
         col = random_colligation(Ball(2, 3), dim_g=1, seed=41)
         for _ in range(10):
             z = admissible_point(col.structure, rng)
-            ctx = evaluate(col, z)
-            for rep in reports_at(ctx, ball_kernel_subchecks(ctx.stack)):
+            ev = evaluate(col, [z])
+            for rep in reports_at(ev, ball_kernel_subchecks(ev)):
                 assert abs(rep.slack) <= 1e-9 * max(1.0, rep.rhs), rep
 
     def test_rejects_polydisk_subject(self):
@@ -241,19 +238,11 @@ class TestBoundBall:
             bound_ball(alpay_kaptanoglu(1), (0.8, 0.7), (1, 0), "hat")
 
 
-def wiener_reports(subject, orders):
-    """The :func:`wiener_check` reports of a colligation or polynomial subject, at its origin."""
-    if isinstance(subject, Polynomial):
-        origin = bounds.PolynomialStack(subject, Polydisk.scalar(subject.dimension), np.zeros(subject.dimension))
-    else:
-        origin = evaluate(subject, np.zeros((1, subject.d)))
-    return [column.report(0, tuple(origin.zs[0].tolist())) for column in wiener_check(origin, orders)]
-
-
 class TestWiener:
     def test_blaschke_is_sharp_at_first_coefficient(self):
         a = 0.5
-        reports = wiener_reports(blaschke(a), [(1,), (2,), (3,)])
+        origin = evaluate(blaschke(a), [(0.0,)])
+        reports = reports_at(origin, wiener_check(origin, [(1,), (2,), (3,)]))
         by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(1,)].lhs == pytest.approx(1 - a**2, abs=1e-12)
         assert by_alpha[(1,)].rhs == pytest.approx(1 - a**2, abs=1e-12)
@@ -262,7 +251,8 @@ class TestWiener:
             assert rep.slack >= -1e-12
 
     def test_pure_square_monomial(self):
-        reports = wiener_reports(monomial((2,)), [(1,), (2,), (3,), (4,)])
+        origin = evaluate(monomial((2,)), [(0.0,)])
+        reports = reports_at(origin, wiener_check(origin, [(1,), (2,), (3,), (4,)]))
         by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(2,)].lhs == pytest.approx(1.0, abs=1e-12)
         assert by_alpha[(2,)].rhs == pytest.approx(1.0, abs=1e-12)
@@ -271,7 +261,8 @@ class TestWiener:
 
     def test_polynomial_subject_reads_coefficients(self):
         kv = kaijser_varopoulos()
-        reports = wiener_reports(kv, [(2, 0, 0), (1, 1, 0), (0, 0, 0)])
+        origin = bounds.PolynomialStack(kv, Polydisk.scalar(3), np.zeros(3))
+        reports = reports_at(origin, wiener_check(origin, [(2, 0, 0), (1, 1, 0), (0, 0, 0)]))
         assert len(reports) == 2  # order zero skipped
         by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(2, 0, 0)].lhs == pytest.approx(1 / 5)
@@ -282,20 +273,24 @@ class TestWiener:
         alphas = [a for a in np.ndindex(5, 5) if 1 <= sum(a) <= 4]
         for seed in range(42, 47):
             col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=seed)
-            for rep in wiener_reports(col, [tuple(int(v) for v in a) for a in alphas]):
+            origin = evaluate(col, np.zeros((1, 2)))
+            for rep in reports_at(origin, wiener_check(origin, [tuple(int(v) for v in a) for a in alphas])):
                 assert rep.slack >= -1e-9, rep
 
     def test_ball_uses_the_sphere_average_bound(self):
         col = random_colligation(Ball(1, 3), dim_g=1, seed=53)
         defect = math.prod(defect_norms(col.D))
-        by_alpha = {rep.alpha: rep for rep in wiener_reports(col, [(1, 0, 0), (1, 0, 1), (2, 0, 0)])}
+        origin = evaluate(col, np.zeros((1, 3)))
+        reports = reports_at(origin, wiener_check(origin, [(1, 0, 0), (1, 0, 1), (2, 0, 0)]))
+        by_alpha = {rep.alpha: rep for rep in reports}
         assert by_alpha[(1, 0, 1)].rhs == pytest.approx(math.pi * defect, rel=1e-12)
         # Gamma(n/2 + 1) (d - 1 + n)! / (Gamma(n/2 + d) n!) for a pure power z_1^n
         assert by_alpha[(1, 0, 0)].rhs == pytest.approx(1.6 * defect, rel=1e-12)
         assert by_alpha[(2, 0, 0)].rhs == pytest.approx(2.0 * defect, rel=1e-12)
         # in one variable the ball is the disk: the classical bound
         one_var = random_colligation(Ball(2, 1), dim_g=1, seed=54)
-        for rep in wiener_reports(one_var, [(1,), (2,), (3,)]):
+        origin = evaluate(one_var, [(0.0,)])
+        for rep in reports_at(origin, wiener_check(origin, [(1,), (2,), (3,)])):
             assert rep.rhs == pytest.approx(math.prod(defect_norms(one_var.D)), rel=1e-12)
 
 
@@ -323,8 +318,8 @@ class TestKneseSumRule:
 
     def test_report_form(self):
         col = symmetric_extremal(2, 3)
-        ctx = evaluate(col, (0.3, 0.1j))
-        (rep,) = reports_at(ctx, [knese_report(ctx.stack)])
+        ev = evaluate(col, [(0.3, 0.1j)])
+        (rep,) = reports_at(ev, [knese_report(ev)])
         assert rep.theorem_tag == "knese.sum_rule"
         assert abs(rep.slack) <= 1e-10
 

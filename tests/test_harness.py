@@ -286,7 +286,9 @@ class TestCampaignWork:
         assert made == [[], [], [], []]
         # while a call through the library is counted
         bounds.bound_polydisk(monomial((2, 1)), (0.1, 0.2), (2, 1), "factorial")
-        assert [len(calls) for calls in made] == [1, 1, 0, 0]
+        bounds.polydisk_rhs(0.5, (0.1, 0.2), MultiIndex((2, 1)), "weak")
+        bounds.ball_rhs(0.5, (0.1, 0.2), MultiIndex((2, 1)), "factorial")
+        assert [len(calls) for calls in made] == [1, 1, 1, 1]
 
     def test_each_bound_takes_one_call_per_stack(self, monkeypatch):
         # polydisk:1,1,1 at order 6 checks 83 multi-indices at each point; each

@@ -269,8 +269,8 @@ class TestIdentityResiduals:
 class TestResolventEstimates:
     def test_blaschke_full_bound_is_tight_at_origin(self):
         a = 0.5
-        ctx = evaluate(blaschke(a), (0.0,))
-        reports = reports_at(ctx, resolvent_norm_estimates(ctx.stack))
+        ev = evaluate(blaschke(a), [(0.0,)])
+        reports = reports_at(ev, resolvent_norm_estimates(ev))
         by_tag = {r.theorem_tag: r for r in reports}
         right = by_tag["resolvent.right_full"]
         assert abs(right.lhs - np.sqrt(1 - a**2)) <= 1e-14
@@ -278,8 +278,8 @@ class TestResolventEstimates:
 
     def test_origin_collapses_projected_bounds(self):
         col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=2)
-        ctx = evaluate(col, (0.0, 0.0))
-        for rep in reports_at(ctx, resolvent_norm_estimates(ctx.stack)):
+        ev = evaluate(col, [(0.0, 0.0)])
+        for rep in reports_at(ev, resolvent_norm_estimates(ev)):
             assert rep.slack >= -1e-12
 
     def test_fuzz_slack_nonnegative(self):
@@ -287,23 +287,23 @@ class TestResolventEstimates:
         for i, s in enumerate(MIXED_STRUCTURES[:6]):
             col = random_colligation(s, dim_g=1, seed=60 + i)
             for _ in range(15):
-                ctx = evaluate(col, admissible_point(s, rng))
-                for rep in reports_at(ctx, resolvent_norm_estimates(ctx.stack)):
+                ev = evaluate(col, [admissible_point(s, rng)])
+                for rep in reports_at(ev, resolvent_norm_estimates(ev)):
                     assert rep.slack >= -1e-10, rep
 
 
 class TestLNormBound:
     def test_origin_reduces_to_contraction(self):
         col = random_colligation(Polydisk((1, 1, 1)), dim_g=1, seed=13)
-        ctx = evaluate(col, (0.0, 0.0, 0.0))
-        (rep,) = reports_at(ctx, [lnorm_bound_check(ctx.stack)])
+        ev = evaluate(col, [(0.0, 0.0, 0.0)])
+        (rep,) = reports_at(ev, [lnorm_bound_check(ev)])
         assert abs(rep.lhs - spectral_norm(col.A)) <= 1e-14
         assert rep.lhs <= 1.0 + 1e-12
         assert rep.rhs == 1.0
 
     def test_blaschke_scalar_value(self):
-        ctx = evaluate(blaschke(0.5), (0.9,))
-        (rep,) = reports_at(ctx, [lnorm_bound_check(ctx.stack)])
+        ev = evaluate(blaschke(0.5), [(0.9,)])
+        (rep,) = reports_at(ev, [lnorm_bound_check(ev)])
         assert abs(rep.lhs - 0.5 / 0.55) <= 1e-12
         assert abs(rep.rhs - 10.0) <= 1e-12
         assert rep.slack >= 0
@@ -313,6 +313,6 @@ class TestLNormBound:
         for i, s in enumerate(MIXED_STRUCTURES):
             col = random_colligation(s, dim_g=1, seed=80 + i)
             for _ in range(10):
-                ctx = evaluate(col, admissible_point(s, rng))
-                (rep,) = reports_at(ctx, [lnorm_bound_check(ctx.stack)])
+                ev = evaluate(col, [admissible_point(s, rng)])
+                (rep,) = reports_at(ev, [lnorm_bound_check(ev)])
                 assert rep.slack >= -1e-12
