@@ -62,6 +62,13 @@ DIGESTS = {
     "explore-alpay-kaptanoglu-full": (["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4",
                                        "--n", "10", "--points", "20", "--seed", "34"],
                                       "26420418f4bebda9989e7666944d9fef20ca97c5c299731893eece36c1436006"),
+    # the boundary-biased sampler on both explore targets: its extra draw per point and the Gram point sets
+    "explore-kaijser-varopoulos-boundary": (["explore", "kaijser-varopoulos", "--sampler", "boundary-biased",
+                                             "--max-order", "4", "--n", "10", "--points", "20", "--seed", "37"],
+                                            "2bd8d9f6651228f6812607f8f71be9c885265aaf77e883c7600fc45a1b19b7f5"),
+    "explore-alpay-kaptanoglu-boundary": (["explore", "alpay-kaptanoglu", "--m", "3", "--sampler", "boundary-biased",
+                                           "--max-order", "4", "--n", "10", "--points", "20", "--seed", "38"],
+                                          "b04a35137d3c32122f2544eac8b5f5d5c8bb231f5058b6e9f379280aae20b1ff"),
     # campaigns of more than 16 colligations: the README example, a ragged last
     # chunk with matrix phi, and per-row flags
     "fuzz-readme-example": (["fuzz", "--seed", "1", "--n", "100", "--structure", "polydisk:2,1",
