@@ -32,8 +32,9 @@ dimensions where each applies.  Also checked: the structure-free resolvent bound
 (``bound_general``), the weighted first-order sum rule on the polydisk
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
 (``wiener_check``, at a stack of subjects' origins; on the ball times a
-sphere-average factor), and positivity of the multiplier kernel
-Gram matrix on the ball (``multiplier_gram_psd``).  :func:`report_columns`
+sphere-average factor), and positivity of the multiplier kernel Gram
+matrix on the ball (``multiplier_gram_psd``, of one set of points or of a
+stack of sets).  :func:`report_columns`
 lists every report at an evaluated stack in record order, :func:`point_reports`
 at one point.  Every power x^k is Python's ``x ** k`` (see ``float_power``).
 """
@@ -48,7 +49,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .colligation import Ball, Colligation, DomainStructure, Polydisk, StackGeometry, admit
-from .derivative import MultiIndex, Polynomial, poly_partial
+from .derivative import MultiIndex, Polynomial, _times, poly_partial
 from .errors import DegenerateGramWarning
 from .matrixcore import float_power
 from .reports import BoundReport, Column
@@ -418,42 +419,47 @@ def point_reports(ctx: EvalContext, checks: Checks) -> Iterator[BoundReport]:
         yield column.report(ctx.i, ctx.z)
 
 
-def multiplier_gram_psd(f, points: Sequence[Sequence[complex]]) -> float:
-    """Minimum eigenvalue of the multiplier kernel Gram matrix on the ball.
+def multiplier_gram_psd(f, points) -> float | np.ndarray:
+    """Minimum eigenvalue of the multiplier kernel Gram matrix on the ball, of
+    an (m, d) set of points, or per set of an (n, m, d) stack of n sets.
 
     Entry (k, j) is (1 - f(z_k) conj(f(z_j))) / (1 - <z_k, z_j>) with the
     Euclidean inner product.  Nonnegative spectra characterize contractive
     multipliers of the kernel 1 / (1 - <z, w>); a negative eigenvalue
-    certifies non-membership.  Points within 1e-12 of each other trigger a
-    warning since they force the matrix toward degeneracy.  The points must
-    have equal length; a :class:`Polynomial` ``f`` is evaluated at all of
-    them in one stacked call, any other callable point by point.
+    certifies non-membership.  Points of a set within 1e-12 of each other
+    trigger a warning since they force the matrix toward degeneracy.  The
+    points must have equal length.  A :class:`Polynomial` ``f`` takes one
+    :func:`poly_partial` call for the whole stack, any other callable one call
+    per point, and the n matrices one ``eigvalsh`` call; a set's value has the
+    bits of its own call (products from real and imaginary parts, as ``_times``).
     """
-    pts = [tuple(complex(v) for v in p) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    for k, p in enumerate(pts):
-        if len(p) != len(pts[0]):
-            raise ValueError(f"points 0 and {k} have {len(pts[0])} and {len(p)} coordinates")
-    zs = np.array(pts, dtype=np.complex128)
-    admit(Ball.scalar(zs.shape[1]), zs)
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            if max(abs(a - b) for a, b in zip(pts[i], pts[k])) < 1e-12:
-                warnings.warn(
-                    f"points {i} and {k} coincide to 1e-12; Gram matrix is degenerate",
-                    DegenerateGramWarning,
-                    stacklevel=2,
-                )
-    if isinstance(f, Polynomial):
-        values = poly_partial(f, zs, (0,) * f.dimension).tolist()
-    else:
-        values = [complex(f(p)) for p in pts]
-    n = len(pts)
-    gram = np.empty((n, n), dtype=np.complex128)
-    for k in range(n):
-        for j in range(n):
-            inner = sum(zk * np.conj(zj) for zk, zj in zip(pts[k], pts[j]))
-            gram[k, j] = (1.0 - values[k] * np.conj(values[j])) / (1.0 - inner)
-    gram = (gram + gram.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(gram)[0])
+    if not isinstance(points, np.ndarray):
+        points = [tuple(complex(v) for v in p) for p in points]
+        for k, p in enumerate(points):
+            if len(p) != len(points[0]):
+                raise ValueError(f"points 0 and {k} have {len(points[0])} and {len(p)} coordinates")
+    sets = np.array(points, dtype=np.complex128)
+    single = sets.ndim == 2
+    sets = sets[None] if single else sets
+    if sets.ndim != 3 or not sets.size:
+        raise ValueError(f"need an (m, d) set or an (n, m, d) stack of points, m >= 1; got shape {sets.shape}")
+    admit(Ball.scalar(sets.shape[-1]), sets)
+    diff = sets[:, :, None] - sets[:, None]
+    for s, i, k in zip(*np.nonzero(np.triu(np.hypot(diff.real, diff.imag).max(axis=-1) < 1e-12, 1))):
+        where = "" if single else f"point set {s}: "
+        warnings.warn(f"{where}points {i} and {k} coincide to 1e-12; Gram matrix is degenerate",
+                      DegenerateGramWarning, stacklevel=2)
+    flat = sets.reshape(-1, sets.shape[-1])
+    values = (poly_partial(f, flat, (0,) * f.dimension) if isinstance(f, Polynomial)
+              else np.array([complex(f(tuple(p))) for p in flat.tolist()])).reshape(sets.shape[:2])
+    re, im = sets.real, sets.imag
+    inner = (0.0, 0.0)
+    for c in range(sets.shape[-1]):
+        term = _times((re[:, :, None, c], im[:, :, None, c]), (re[:, None, :, c], -im[:, None, :, c]))
+        inner = (inner[0] + term[0], inner[1] + term[1])
+    ff = _times((values.real[:, :, None], values.imag[:, :, None]), (values.real[:, None], -values.imag[:, None]))
+    gram, den = np.empty((2,) + ff[0].shape, dtype=np.complex128)
+    gram.real, gram.imag, den.real, den.imag = 1.0 - ff[0], 0.0 - ff[1], 1.0 - inner[0], 0.0 - inner[1]
+    gram /= den
+    low = np.linalg.eigvalsh((gram + gram.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
+    return float(low[0]) if single else low

@@ -14,7 +14,8 @@ Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, each written as it is made.  A
 campaign yields one :class:`Block` per subject's rows of a stack of points (a
-fuzz chunk's origins or points, or an exploration's): the subject hash, the
+fuzz chunk's origins or points, an exploration's points or Gram point sets,
+each set of points from one ``sample_point`` call): the subject hash, the
 points, their flags and those rows of the stack's :class:`ReportTable`.
 ``summarize`` checks, encodes and folds each block as arrays (each distinct
 float of a block encoded once) and turns each of its reports into its line,
@@ -28,6 +29,7 @@ import argparse
 import cmath
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -205,8 +207,11 @@ class CampaignConfig:
         return out
 
 
-def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: str = "uniform") -> tuple[complex, ...]:
-    """Draw one admissible point for ``structure``.
+def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: str = "uniform",
+                 m: int | None = None) -> tuple[complex, ...] | np.ndarray:
+    """Draw one admissible point for ``structure``, or with ``m`` an (m, d)
+    array of m points: the bits, and the end state of ``rng``, of m one-point
+    draws in turn.
 
     ``uniform`` draws from the structure's own domain: on the polydisk each
     coordinate uniformly in the disk of radius 0.99, on the ball a uniform
@@ -214,23 +219,23 @@ def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: 
     ``boundary-biased`` rescales a uniform draw to domain norm 1 - 10^(-u),
     u uniform in [1, 6].
     """
-    if sampler == "boundary-biased":
-        base = sample_point(structure, rng)
-        target = 1.0 - 10.0 ** (-rng.uniform(1.0, 6.0))
-        norm = structure_norm(structure, base)
-        scale = target / norm if norm > 0 else 0.0
-        return tuple(v * scale for v in base)
-    if sampler != "uniform":
+    if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; use one of {SAMPLERS}")
-    d = structure.d
-    if isinstance(structure, Polydisk):
-        radii = 0.99 * np.sqrt(rng.random(d))
-        angles = 2.0 * np.pi * rng.random(d)
-        return tuple(radii * np.exp(1j * angles))
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    radius = 0.99 * rng.random() ** (1.0 / (2 * d))
-    return tuple(radius * v)
+    biased, d, count = sampler == "boundary-biased", structure.d, 1 if m is None else m
+    if isinstance(structure, Polydisk):  # per point: d radii, d angles, then the bias u
+        u = rng.random((count, 2 * d + biased))
+        zs = 0.99 * np.sqrt(u[:, :d]) * np.exp(1j * (2.0 * np.pi * u[:, d:2 * d]))
+    else:  # per point: 2d normals (real parts, then imaginary), the radius u, then the bias u
+        draws = [(rng.standard_normal(2 * d), rng.random(1 + biased)) for _ in range(count)]
+        g, u = (np.array([draw[i] for draw in draws]).reshape(count, -1) for i in (0, 1))
+        v = g[:, :d] + 1j * g[:, d:]
+        v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm sums
+        zs = 0.99 * np.array([x ** (1.0 / (2 * d)) for x in u[:, 0].tolist()])[:, None] * v
+    if biased:
+        norm = structure_norm(structure, zs)
+        target = np.array([1.0 - 10.0 ** -(1.0 + 5.0 * x) for x in u[:, -1].tolist()])  # rng.uniform(1.0, 6.0)
+        zs = zs * np.divide(target, norm, out=np.zeros_like(norm), where=norm > 0)[:, None]
+    return tuple(zs[0]) if m is None else zs
 
 
 def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
@@ -327,17 +332,15 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
                 text = "null" if alpha is None else f'[{", ".join(map(int.__repr__, alpha))}]'
                 column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ',
                                             f'"theorem_tag": {_str(tag)}, "z": ')
-        ratio_rows = ratio.tolist()
         low_slack, low_ratio = slack.min(axis=0).tolist(), ratio.min(axis=0).tolist()
         high_ratio = ratio.max(axis=0).tolist()
         scaled = (ratio * 2.0 ** -64).sum(axis=0).tolist()  # for a sum of finite ratios past the float range
         for tag, ps in tags.items():
             count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
                 tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
-            for row in ratio_rows:  # one += per record in record order, as a fold over lines adds
-                for p in ps:
-                    total += row[p]
-            theorems[tag] = (count + len(ps) * len(ratio_rows), min(min_slack, *(low_slack[p] for p in ps)),
+            with np.errstate(over="ignore"):  # one + per record in record order, as a fold over lines adds
+                total = float(np.add.accumulate(np.concatenate(([total], ratio[:, ps].ravel())))[-1])
+            theorems[tag] = (count + len(ps) * len(ratio), min(min_slack, *(low_slack[p] for p in ps)),
                              min(min_ratio, *(low_ratio[p] for p in ps)), max(max_ratio, *(high_ratio[p] for p in ps)),
                              total, small + sum(scaled[p] for p in ps))
         subject_text = _str(subject)
@@ -396,7 +399,7 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
         cols, points = [], []
         for _ in range(min(COLLIGATIONS_PER_STACK, config.n_colligations - start)):
             cols.append(random_colligation(structure, config.dim_g, int(rng.integers(0, 2**62))))
-            points.append([sample_point(structure, rng, config.sampler) for _ in range(2 * size)])  # z, w of each pair
+            points.append(sample_point(structure, rng, config.sampler, m=2 * size))  # z, w of each pair
         origin = evaluate(cols, np.zeros((len(cols), 1, structure.d)))
         ev = evaluate(cols, points)
         cz, cw = ev[0::2], ev[1::2]
@@ -450,25 +453,23 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     """Yield the blocks of an exploration campaign, in record order: the
     points in chunks of ``points_per_colligation``, then any Gram records.
 
-    All ``n_colligations * points_per_colligation`` points form one stack, so
-    each column is computed once; the chunks are row slices of its table."""
+    All its points are one draw and one stack, so each column is computed once; the chunks are
+    row slices of its table.  The Gram point sets are one more draw and stack, and one block."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
     checks = _variant_checks(structure, config.max_order)
     marks = ("observational",) + config.sampler_flags
     size = config.points_per_colligation
-    points = PolynomialStack(poly, structure, [sample_point(structure, rng, config.sampler)
-                                               for _ in range(config.n_colligations * size)])
+    points = PolynomialStack(poly, structure,
+                             sample_point(structure, rng, config.sampler, m=config.n_colligations * size))
     table = ReportTable.of([column for per_mi in variant_columns(points, checks) for column in per_mi])
     for start in range(0, len(points.zs), size):
         rows = slice(start, start + size)
         yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]], table.rows(rows))
-    if name == "alpay-kaptanoglu":
-        for _ in range(config.n_colligations):
-            pts = [sample_point(structure, rng, config.sampler) for _ in range(8)]
-            min_eig = multiplier_gram_psd(poly, pts)
-            yield Block(phash, np.array(pts[:1], dtype=np.complex128), [marks + admit(structure, pts)],
-                        [Column("gram.arveson_min_eig", None, np.array([min_eig]), np.zeros(1))])
+    if name == "alpay-kaptanoglu":  # one Gram matrix of 8 points per chunk
+        sets = sample_point(structure, rng, config.sampler, m=8 * config.n_colligations).reshape(-1, 8, structure.d)
+        yield Block(phash, sets[:, 0], [marks + admit(structure, pts) for pts in sets],
+                    [Column("gram.arveson_min_eig", None, multiplier_gram_psd(poly, sets), np.zeros(len(sets)))])
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -627,8 +628,8 @@ def _config_from_args(args) -> CampaignConfig:
 
 
 def _write(lines: Iterable[str], out: str | None) -> dict:
-    """Write each line to ``out`` (else stdout) as it is made; return the last
-    line, the summary, parsed.  A failing sink (disk full, pipe closed) is a usage error."""
+    """Write each line to ``out`` (else stdout) as it is made; return the last line, the summary,
+    parsed.  A failing sink (disk full, pipe closed) or a campaign too large for memory is a usage error."""
     try:
         with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
             for line in lines:
@@ -636,6 +637,8 @@ def _write(lines: Iterable[str], out: str | None) -> dict:
             fh.flush()
     except OSError as exc:
         raise _UsageError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
+    except MemoryError as exc:  # a campaign too large to draw, such as fuzz --dim-g 100000000
+        raise _UsageError(f"campaign does not fit in memory: {exc}") from None
     return json.loads(line)
 
 
@@ -664,6 +667,7 @@ def cmd_explore(args) -> int:
     return 0
 
 
+@functools.cache  # once per process: argparse does not change a parser as it parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aglerlab",

@@ -1,6 +1,7 @@
 """Derivative bounds, equality witnesses, sum rule, and kernel positivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from aglerlab import (
 from aglerlab import bounds
 from aglerlab.bounds import ball_kernel_subchecks, knese_report, point_reports
 from aglerlab.colligation import StackGeometry, structure_norm
-from aglerlab.harness import MAX_ORDER, multi_indices
+from aglerlab.harness import MAX_ORDER, multi_indices, sample_point
 from aglerlab.matrixcore import spectral_norm
 from aglerlab.errors import DegenerateGramWarning
 from aglerlab.reports import BoundReport
@@ -375,12 +376,72 @@ class TestMultiplierGram:
         assert calls == [(8, 2)]
         assert got == multiplier_gram_psd(lambda z: p(z), pts)
 
+    def test_stack_of_sets_takes_one_stacked_call(self, monkeypatch):
+        p, sets = alpay_kaptanoglu(2), sample_point(Ball(1, 2), np.random.default_rng(28), m=24).reshape(3, 8, 2)
+        calls = []
+
+        def counted(f, z, alpha):
+            calls.append(np.shape(z))
+            return poly_partial(f, z, alpha)
+
+        monkeypatch.setattr(bounds, "poly_partial", counted)
+        got = multiplier_gram_psd(p, sets)
+        assert calls == [(24, 2)] and got.shape == (3,)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("sampler", ["uniform", "boundary-biased"])
+    def test_stacks_keep_the_bits_of_the_double_loop(self, d, sampler):
+        polys = {2: alpay_kaptanoglu(3), 3: Polynomial(3, {(0, 0, 0): 0.1 + 0.2j, (1, 1, 0): 0.4, (0, 2, 1): -0.3j})}
+        subjects = [polys[d], lambda z: 0.6 * z[0] - 0.3j * z[-1] * z[-1]]
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            for m in (1, 2, 5, 8):
+                sets = sample_point(Ball(1, d), rng, sampler, m=4 * m).reshape(4, m, d)
+                for f in subjects:
+                    want = [double_loop_gram(f, pts) for pts in sets]
+                    assert [multiplier_gram_psd(f, pts) for pts in sets] == want
+                    assert np.array_equal(multiplier_gram_psd(f, sets).view(np.int64), np.array(want).view(np.int64))
+
+    def test_stack_warns_at_the_coinciding_points_of_each_set(self):
+        sets = sample_point(Ball(1, 2), np.random.default_rng(29), m=12).reshape(3, 4, 2)
+        sets[1, 2], sets[2, 3] = sets[1, 0], sets[2, 1] + 1e-13
+        with warnings.catch_warnings(record=True) as stacked:
+            warnings.simplefilter("always")
+            multiplier_gram_psd(lambda z: z[0], sets)
+        expected = []
+        for s, pts in enumerate(sets):
+            with warnings.catch_warnings(record=True) as own:
+                warnings.simplefilter("always")
+                multiplier_gram_psd(lambda z: z[0], pts)
+            expected += [f"point set {s}: {w.message}" for w in own]
+        assert expected == ["point set 1: points 0 and 2 coincide to 1e-12; Gram matrix is degenerate",
+                            "point set 2: points 1 and 3 coincide to 1e-12; Gram matrix is degenerate"]
+        assert [str(w.message) for w in stacked] == expected
+        assert all(w.category is DegenerateGramWarning for w in stacked)
+
     def test_alpay_kaptanoglu_is_observational(self):
         # sign is reported, not asserted; just exercise the path
         p = alpay_kaptanoglu(2)
         rng = np.random.default_rng(26)
         pts = [interior_point(Ball(1, 2), rng, scale=0.95) for _ in range(10)]
         assert isinstance(multiplier_gram_psd(p, pts), float)
+
+
+def double_loop_gram(f, points):
+    """The Gram check as it was before it took stacks, entry by entry: the bit-identity reference."""
+    pts = [tuple(complex(v) for v in p) for p in points]
+    if isinstance(f, Polynomial):
+        values = poly_partial(f, np.array(pts, dtype=np.complex128), (0,) * f.dimension).tolist()
+    else:
+        values = [complex(f(p)) for p in pts]
+    n = len(pts)
+    gram = np.empty((n, n), dtype=np.complex128)
+    for k in range(n):
+        for j in range(n):
+            inner = sum(zk * np.conj(zj) for zk, zj in zip(pts[k], pts[j]))
+            gram[k, j] = (1.0 - values[k] * np.conj(values[j])) / (1.0 - inner)
+    gram = (gram + gram.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(gram)[0])
 
 
 # --- the multi-index axis: one call per bound, every value with the bits of one multi-index ---

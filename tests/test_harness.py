@@ -139,6 +139,45 @@ class TestSamplers:
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
             sample_point(Polydisk((1,)), np.random.default_rng(0), "sobol")
+        with pytest.raises(ValueError):
+            sample_point(Polydisk((1,)), np.random.default_rng(0), "sobol", m=3)
+
+    @pytest.mark.parametrize("sampler", harness.SAMPLERS)
+    @pytest.mark.parametrize("spec", ["polydisk:1", "polydisk:2,1", "polydisk:0,1", "polydisk:1,1,1",
+                                      "polydisk:1,1,1,1,1", "ball:m=1,d=1", "ball:m=1,d=2", "ball:m=2,d=3",
+                                      "ball:m=1,d=5"])
+    def test_stacked_draws_keep_the_bits_and_stream_of_one_point_draws(self, spec, sampler):
+        structure = parse_structure(spec)
+        for seed in range(12):
+            ms = [1, 2, 7, 1, 33, 3][seed % 3:]  # ragged, and at a different phase of the stream per seed
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = np.concatenate([sample_point(structure, rng, sampler, m=m) for m in ms])
+            ref = np.array([one_point_draw(structure, ref_rng, sampler) for _ in range(sum(ms))])
+            assert got.shape == (sum(ms), structure.d)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            one = sample_point(structure, rng, sampler)  # and the one-point form continues the same stream
+            want = np.array(one_point_draw(structure, ref_rng, sampler))
+            assert type(one) is tuple and np.array_equal(np.array(one).view(np.int64), want.view(np.int64))
+
+
+def one_point_draw(structure, rng, sampler="uniform"):
+    """The one-point sampler as it was before draws were stacked: the bit-identity reference."""
+    if sampler == "boundary-biased":
+        base = one_point_draw(structure, rng)
+        target = 1.0 - 10.0 ** (-rng.uniform(1.0, 6.0))
+        norm = structure_norm(structure, base)
+        scale = target / norm if norm > 0 else 0.0
+        return tuple(v * scale for v in base)
+    d = structure.d
+    if isinstance(structure, Polydisk):
+        radii = 0.99 * np.sqrt(rng.random(d))
+        angles = 2.0 * np.pi * rng.random(d)
+        return tuple(radii * np.exp(1j * angles))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    radius = 0.99 * rng.random() ** (1.0 / (2 * d))
+    return tuple(radius * v)
 
 
 class TestCampaignConfig:
@@ -399,14 +438,14 @@ class TestExploreCampaign:
 
     @pytest.mark.parametrize("name, m, grams", [("kaijser-varopoulos", 1, 0), ("alpay-kaptanoglu", 3, 3)])
     def test_one_poly_partial_call_per_multi_index(self, monkeypatch, name, m, grams):
-        # one stacked call for the defect, one per multi-index, one per Gram matrix
+        # one stacked call for the defect, one per multi-index, one for all the Gram matrices
         calls = count_calls(monkeypatch, derivative.poly_partial)
         cfg = CampaignConfig(seed=22, n_colligations=3, max_order=4, points_per_colligation=4)
         list(run_explore(name, cfg, m=m))
         d = 3 if name == "kaijser-varopoulos" else 2
         orders = [mi for mi in itertools.product(range(5), repeat=d) if 1 <= sum(mi) <= 4]
-        assert len(calls) == 1 + len(orders) + grams
-        assert [np.shape(z) for _, z, _ in calls] == [(12, d)] * (1 + len(orders)) + [(8, d)] * grams
+        assert len(calls) == 1 + len(orders) + (grams > 0)
+        assert [np.shape(z) for _, z, _ in calls] == [(12, d)] * (1 + len(orders)) + [(8 * grams, d)] * (grams > 0)
 
     def test_gram_records_carry_the_campaign_and_point_flags(self, monkeypatch):
         def gram_flags(sampler):
@@ -417,13 +456,16 @@ class TestExploreCampaign:
         assert gram_flags("boundary-biased") == [["boundary-biased", "observational"]] * 2
         calls = []
 
-        def near_sphere_on_call_14(structure, rng, sampler="uniform"):
-            # calls 1-2 draw the variant points, 3-10 and 11-18 the two Gram matrices
-            calls.append(sample_point(structure, rng, sampler))
-            return (0.0, 1.0 - 1e-7) if len(calls) == 14 else calls[-1]
+        def near_sphere_at_point_4_of_gram_2(structure, rng, sampler="uniform", m=None):
+            # call 1 draws the 2 variant points, call 2 the 2 x 8 points of the two Gram matrices
+            calls.append(sample_point(structure, rng, sampler, m))
+            if len(calls) == 2:
+                calls[-1][8 + 3] = (0.0, 1.0 - 1e-7)
+            return calls[-1]
 
-        monkeypatch.setattr(harness, "sample_point", near_sphere_on_call_14)
+        monkeypatch.setattr(harness, "sample_point", near_sphere_at_point_4_of_gram_2)
         assert gram_flags("uniform") == [["observational"], ["near-boundary", "observational"]]
+        assert [np.shape(zs) for zs in calls] == [(2, 2), (16, 2)]
 
 
 class TestCli:
@@ -904,7 +946,7 @@ class TestCampaignStream:
 
         def fail_in_second_chunk(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 2 * size + 2:  # w of the first point of the second chunk
+            if len(calls) == size + 1:  # the points of the second chunk's first colligation
                 raise RuntimeError("interrupted")
             return sample_point(*args, **kwargs)
 
@@ -939,6 +981,26 @@ class TestCampaignStream:
         err = capsys.readouterr().err
         assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
         assert len(sink.lines) == 2
+
+    @pytest.mark.parametrize("argv, draw", [
+        (["fuzz", "--dim-g", "100000000"], "random_colligation"),  # a Haar unitary of about 1.6e17 bytes
+        (["explore", "kaijser-varopoulos", "--n", "100000000", "--points", "1000"], "sample_point"),
+    ], ids=["fuzz-dim-g", "explore-n"])
+    def test_a_campaign_too_large_for_memory_exits_two(self, tmp_path, capsys, monkeypatch, argv, draw):
+        def too_large(*args, **kwargs):  # what numpy raises, without the allocation
+            raise MemoryError("Unable to allocate 149. PiB for an array with shape (100000001, 100000001)")
+
+        monkeypatch.setattr(harness, draw, too_large)
+        assert main([*argv, "--max-order", "2", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert capsys.readouterr().err == ("error: campaign does not fit in memory: Unable to allocate 149. PiB "
+                                           "for an array with shape (100000001, 100000001)\n")
+
+    def test_main_builds_the_parser_once_per_process(self, capsys):
+        parser = harness.build_parser()
+        misses = harness.build_parser.cache_info().misses
+        assert main(FUZZ_SMALL) == 0 and main(["catalog", "blaschke", "--a", "0.5"]) == 0
+        assert harness.build_parser.cache_info().misses == misses and harness.build_parser() is parser
+        capsys.readouterr()
 
     def test_a_reader_that_leaves_early_gets_no_traceback(self):
         # a real pipe, read for 300 bytes of a stream far longer than the pipe's buffer
