@@ -427,20 +427,19 @@ def multiplier_gram_psd(f, points) -> float | np.ndarray:
     Euclidean inner product.  Nonnegative spectra characterize contractive
     multipliers of the kernel 1 / (1 - <z, w>); a negative eigenvalue
     certifies non-membership.  Points of a set within 1e-12 of each other
-    trigger a warning since they force the matrix toward degeneracy.  The
-    points must have equal length.  A :class:`Polynomial` ``f`` takes one
-    :func:`poly_partial` call for the whole stack, any other callable one call
-    per point, and the n matrices one ``eigvalsh`` call; a set's value has the
-    bits of its own call (products from real and imaginary parts, as ``_times``).
+    trigger a warning since they force the matrix toward degeneracy.  A set
+    is an array or list of points of equal length, a stack one of sets.  A
+    :class:`Polynomial` ``f`` takes one :func:`poly_partial` call for the
+    stack, any other callable one call per point, and the n matrices one
+    ``eigvalsh`` call; each set's value has the bits of its own call.
     """
-    if not isinstance(points, np.ndarray):
+    if not isinstance(points, np.ndarray) and all(np.ndim(p) == 1 for p in points):  # a list of points: one set
         points = [tuple(complex(v) for v in p) for p in points]
         for k, p in enumerate(points):
             if len(p) != len(points[0]):
                 raise ValueError(f"points 0 and {k} have {len(points[0])} and {len(p)} coordinates")
     sets = np.array(points, dtype=np.complex128)
-    single = sets.ndim == 2
-    sets = sets[None] if single else sets
+    sets = sets[None] if (single := sets.ndim == 2) else sets
     if sets.ndim != 3 or not sets.size:
         raise ValueError(f"need an (m, d) set or an (n, m, d) stack of points, m >= 1; got shape {sets.shape}")
     admit(Ball.scalar(sets.shape[-1]), sets)
@@ -452,7 +451,7 @@ def multiplier_gram_psd(f, points) -> float | np.ndarray:
     flat = sets.reshape(-1, sets.shape[-1])
     values = (poly_partial(f, flat, (0,) * f.dimension) if isinstance(f, Polynomial)
               else np.array([complex(f(tuple(p))) for p in flat.tolist()])).reshape(sets.shape[:2])
-    re, im = sets.real, sets.imag
+    re, im = sets.real, sets.imag  # products by parts, as Python's complex *; numpy's array * can round apart
     inner = (0.0, 0.0)
     for c in range(sets.shape[-1]):
         term = _times((re[:, :, None, c], im[:, :, None, c]), (re[:, None, :, c], -im[:, None, :, c]))

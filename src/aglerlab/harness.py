@@ -226,10 +226,11 @@ def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: 
         u = rng.random((count, 2 * d + biased))
         zs = 0.99 * np.sqrt(u[:, :d]) * np.exp(1j * (2.0 * np.pi * u[:, d:2 * d]))
     else:  # per point: 2d normals (real parts, then imaginary), the radius u, then the bias u
-        draws = [(rng.standard_normal(2 * d), rng.random(1 + biased)) for _ in range(count)]
-        g, u = (np.array([draw[i] for draw in draws]).reshape(count, -1) for i in (0, 1))
-        v = g[:, :d] + 1j * g[:, d:]
-        v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm sums
+        g, u = np.empty((count, 2 * d)), np.empty((count, 1 + biased))  # too many points fail here, undrawn
+        for k in range(count):
+            g[k], u[k] = rng.standard_normal(2 * d), rng.random(1 + biased)
+        v = g[:, :d] + 1j * g[:, d:]  # normed by row @ column: the BLAS dot of np.linalg.norm, in numpy 1.x too
+        v /= np.sqrt(v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None])[:, 0]
         zs = 0.99 * np.array([x ** (1.0 / (2 * d)) for x in u[:, 0].tolist()])[:, None] * v
     if biased:
         norm = structure_norm(structure, zs)

@@ -362,6 +362,23 @@ class TestMultiplierGram:
         with pytest.raises(ValueError, match=f"points 0 and {k} have 2 and {len(points[k])} coordinates"):
             multiplier_gram_psd(lambda z: 0.5 * z[0], points)
 
+    def test_a_stack_of_lists_is_the_stack_of_arrays(self):
+        sets = sample_point(Ball(1, 2), np.random.default_rng(30), m=12).reshape(3, 4, 2)
+        nested = [[tuple(p) for p in pts] for pts in sets.tolist()]
+        want = multiplier_gram_psd(lambda z: z[0], sets)
+        assert np.array_equal(multiplier_gram_psd(lambda z: z[0], nested).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("points", [
+        [0.1, 0.2],  # one point without its set
+        [[(0.1, 0.2), (0.2, 0.1)], [(0.1, 0.2)]],  # sets of unequal size
+        [[(0.1, 0.2)], [(0.1, 0.2, 0.3)]],  # sets of unequal dimension
+        [(0.1, [0.2])],  # a coordinate that is a list
+        [[[(0.1, 0.2)]]],  # a stack of stacks
+    ], ids=["flat", "ragged-sets", "ragged-points", "nested-coordinate", "four-axes"])
+    def test_other_shapes_raise_value_error(self, points):
+        with pytest.raises(ValueError):
+            multiplier_gram_psd(lambda z: z[0], points)
+
     def test_polynomial_values_come_from_one_stacked_call(self, monkeypatch):
         p, rng = alpay_kaptanoglu(2), np.random.default_rng(27)
         pts = [interior_point(Ball(1, 2), rng, scale=0.9) for _ in range(8)]

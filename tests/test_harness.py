@@ -995,6 +995,25 @@ class TestCampaignStream:
         assert capsys.readouterr().err == ("error: campaign does not fit in memory: Unable to allocate 149. PiB "
                                            "for an array with shape (100000001, 100000001)\n")
 
+    def test_a_ball_campaign_too_large_for_memory_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 2.91 TiB for an array with shape (100000000000, 4) and data type float64"
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):  # what numpy raises past this size, without the allocation
+            if np.prod(shape, dtype=float) > 1e9:
+                raise MemoryError(message)
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(MemoryError):
+            sample_point(Ball(1, 2), rng, "boundary-biased", m=10**11)
+        assert rng.bit_generator.state == state
+        argv = ["explore", "alpay-kaptanoglu", "--n", "100000000", "--points", "1000", "--max-order", "2"]
+        assert main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: campaign does not fit in memory: {message}\n"
+
     def test_main_builds_the_parser_once_per_process(self, capsys):
         parser = harness.build_parser()
         misses = harness.build_parser.cache_info().misses
