@@ -51,7 +51,7 @@ import numpy as np
 from .colligation import Ball, Colligation, DomainStructure, Polydisk, StackGeometry, admit
 from .derivative import MultiIndex, Polynomial, _times, poly_partial
 from .errors import DegenerateGramWarning
-from .matrixcore import float_power
+from .matrixcore import float_power, spectral_norm
 from .reports import BoundReport, Column
 from .transfer import EvalContext, EvalStack, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
@@ -94,15 +94,12 @@ class PolynomialStack:
         self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
         self.poly, self.structure = poly, structure
         self.geometry = StackGeometry(self.zs)
-        self._norms: dict[tuple[int, ...], np.ndarray] = {}
         self.defect = 1.0 - float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
 
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
         """Per multi-index of ``mis``, |d^n p / dz^mi| at every point (rounded
         as ``abs()`` of a Python complex)."""
-        new = {mi.counts: poly_partial(self.poly, self.zs, mi) for mi in mis if mi.counts not in self._norms}
-        self._norms.update((counts, np.hypot(v.real, v.imag)) for counts, v in new.items())
-        return [self._norms[mi.counts] for mi in mis]
+        return [np.hypot(v.real, v.imag) for v in (poly_partial(self.poly, self.zs, mi) for mi in mis)]
 
 
 def bound_general(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
@@ -398,7 +395,7 @@ def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
     high = [mi for mi in mis if mi.order >= 2]
     norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call
     general = iter(bound_general(ev, mis).T)
-    kop = iter(zip(ev.norms(high, kop=True), _koperator_rhs(ev, high).T))
+    kop = iter(zip(spectral_norm(ev.kops(high)).T, _koperator_rhs(ev, high).T))
     columns = resolvent_norm_estimates(ev) + [lnorm_bound_check(ev)]
     if on_ball:
         columns += ball_kernel_subchecks(ev)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -67,6 +68,19 @@ __all__ = [
 ]
 
 
+def _dimensions(values, what: str) -> tuple[int, ...]:
+    """``values`` as dimensions, each an integer by ``operator.index``: a string, a float or a bool is
+    refused, not read as another dimension."""
+    if not isinstance(values, str):
+        try:
+            dims = tuple(values)
+            if not any(isinstance(v, bool) for v in dims):
+                return tuple(map(operator.index, dims))
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be integers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class Polydisk:
     """H = K = block_dims[0] (+) ... (+) block_dims[d-1]."""
@@ -74,7 +88,7 @@ class Polydisk:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(b) for b in self.block_dims)
+        dims = _dimensions(self.block_dims, "block dimensions")
         object.__setattr__(self, "block_dims", dims)
         if len(dims) < 1:
             raise ValueError("polydisk structure needs at least one block")
@@ -109,6 +123,9 @@ class Ball:
     copies: int
 
     def __post_init__(self):
+        fiber_dim, copies = _dimensions((self.fiber_dim, self.copies), "fiber_dim and copies")
+        object.__setattr__(self, "fiber_dim", fiber_dim)
+        object.__setattr__(self, "copies", copies)
         if self.fiber_dim < 1:
             raise ValueError(f"fiber dimension must be >= 1, got {self.fiber_dim}")
         if self.copies < 1:
@@ -474,32 +491,25 @@ def to_json_dict(col: Colligation) -> dict:
 
 
 def from_json_dict(data: dict) -> Colligation:
+    if not isinstance(data, dict):
+        raise ValueError(f"a colligation is a JSON object, got {type(data).__name__}")
     try:
-        kind = data["kind"]
-    except KeyError:
-        raise ValueError("missing field 'kind'") from None
-    if kind == "polydisk":
-        structure: DomainStructure = Polydisk(tuple(data["block_dims"]))
-    elif kind == "ball":
-        structure = Ball(int(data["fiber_dim"]), int(data["copies"]))
-    else:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    try:
-        dim_f = int(data["dimF"])
-        dim_g = int(data["dimG"])
+        if data["kind"] == "polydisk":
+            structure: DomainStructure = Polydisk(data["block_dims"])
+        elif data["kind"] == "ball":
+            structure = Ball(data["fiber_dim"], data["copies"])
+        else:
+            raise ValueError(f"unknown structure kind {data['kind']!r}")
+        dim_f, dim_g = _dimensions((data["dimF"], data["dimG"]), "dimF and dimG")
+        shapes = {
+            "A": (structure.dim_k, structure.dim_h),
+            "B": (structure.dim_k, dim_f),
+            "C": (dim_g, structure.dim_h),
+            "D": (dim_g, dim_f),
+        }
+        blocks = {name: _decode_matrix(data[name], name, shape) for name, shape in shapes.items()}
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
-    shapes = {
-        "A": (structure.dim_k, structure.dim_h),
-        "B": (structure.dim_k, dim_f),
-        "C": (dim_g, structure.dim_h),
-        "D": (dim_g, dim_f),
-    }
-    blocks = {}
-    for name, shape in shapes.items():
-        if name not in data:
-            raise ValueError(f"missing field {name!r}")
-        blocks[name] = _decode_matrix(data[name], name, shape)
     return Colligation(structure, **blocks)
 
 

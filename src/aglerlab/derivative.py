@@ -153,7 +153,7 @@ def koperator(ctx: EvalContext, alpha: Union[MultiIndex, Sequence[int]]) -> np.n
     by direct enumeration of the distinct arrangements.
 
     Needs order n >= 2; the output maps K -> H (shape dim_h x dim_k).  This
-    is the oracle for ``ctx.kop``, which gets the same sum from the
+    is the oracle for ``EvalStack.kops``, which gets the same sum from the
     sub-multiset recursion, one stacked product per order and coordinate.
     """
     mi = MultiIndex.of(alpha)

@@ -31,6 +31,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -76,7 +77,7 @@ from .derivative import (
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import Column
-from .tolerances import IDENTITY_TOL, SLACK_TOL
+from .tolerances import CONSTRUCTION_TOL, IDENTITY_TOL, SLACK_TOL
 from .transfer import _jet_order, evaluate, identity_residuals
 
 __all__ = [
@@ -446,13 +447,13 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[str]:
         raise ValueError(f"explore {name} fixes its domain; structure and dim_g must keep their defaults")
     header = _header("explore", config, target=name)
     header["config"]["m"] = m
-    rows = explore_records(name, poly, structure, config)
+    rows = explore_records(poly, structure, config)
     return summarize(header, rows, config.slack_tol, seed=config.seed, target=name)
 
 
-def explore_records(name: str, poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Block]:
+def explore_records(poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Block]:
     """Yield the blocks of an exploration campaign, in record order: the
-    points in chunks of ``points_per_colligation``, then any Gram records.
+    points in chunks of ``points_per_colligation``, then on the ball the Gram records.
 
     All its points are one draw and one stack, so each column is computed once; the chunks are
     row slices of its table.  The Gram point sets are one more draw and stack, and one block."""
@@ -467,7 +468,7 @@ def explore_records(name: str, poly: Polynomial, structure: DomainStructure, con
     for start in range(0, len(points.zs), size):
         rows = slice(start, start + size)
         yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]], table.rows(rows))
-    if name == "alpay-kaptanoglu":  # one Gram matrix of 8 points per chunk
+    if isinstance(structure, Ball):  # the Drury-Arveson kernel's Gram check: 8 points per chunk
         sets = sample_point(structure, rng, config.sampler, m=8 * config.n_colligations).reshape(-1, 8, structure.d)
         yield Block(phash, sets[:, 0], [marks + admit(structure, pts) for pts in sets],
                     [Column("gram.arveson_min_eig", None, multiplier_gram_psd(poly, sets), np.zeros(len(sets)))])
@@ -604,36 +605,32 @@ def cmd_catalog(args) -> int:
 
 
 def _config_from_args(args) -> CampaignConfig:
-    """The fields of --config, overridden by the flags given."""
-    overrides = {
-        "seed": args.seed,
-        "n_colligations": args.n,
-        "structure": args.structure,
-        "dim_g": args.dim_g,
-        "max_order": args.max_order,
-        "points_per_colligation": args.points,
-        "sampler": args.sampler,
-        "slack_tol": args.tol,
-        "out": args.out,
-    }
+    """The fields of --config, overridden by the flags given, each flag's ``dest`` its field's name."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(CampaignConfig)}
     try:
         base = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
-        return CampaignConfig(**{**base, **{k: v for k, v in overrides.items() if v is not None}})
+        return CampaignConfig(**{**base, **{k: v for k, v in given.items() if v is not None}})
+    except OSError as exc:  # missing, a directory, unreadable
+        raise _UsageError(f"cannot read {args.config}: {exc.strerror}") from None
     except TypeError as exc:  # an unknown field, or a value of the wrong type
         raise _UsageError(f"bad campaign config: {exc}") from None
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _write(lines: Iterable[str], out: str | None) -> dict:
     """Write each line to ``out`` (else stdout) as it is made; return the last line, the summary,
-    parsed.  A failing sink (disk full, pipe closed) or a campaign too large for memory is a usage error."""
+    parsed.  ``out`` is opened once the first record is made, so a campaign that fails on its first
+    draw leaves it as it was.  A failing sink (disk full, pipe closed) or a campaign too large for
+    memory is a usage error."""
+    lines = iter(lines)
     try:
+        first = list(itertools.islice(lines, 2))  # the header and the first record
         with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-            for line in lines:
+            for line in itertools.chain(first, lines):
                 fh.write(line)
             fh.flush()
     except OSError as exc:
@@ -678,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a colligation JSON file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=CONSTRUCTION_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("eval", help="evaluate the transfer function at a point")
@@ -719,13 +716,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, default=1, help="series truncation order")
         p.add_argument("--config", default=None, help="JSON file with campaign fields")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None, help="number of colligations")
-        p.add_argument("--points", type=int, default=None, help="points per colligation")
+        p.add_argument("--n", dest="n_colligations", metavar="N", type=int, default=None, help="number of colligations")
+        p.add_argument("--points", dest="points_per_colligation", metavar="POINTS", type=int, default=None,
+                       help="points per colligation")
         p.add_argument("--structure", default=None, help='fuzz only; e.g. "polydisk:2,1" or "ball:m=2,d=3"')
         p.add_argument("--dim-g", dest="dim_g", type=int, default=None)
         p.add_argument("--max-order", dest="max_order", type=int, default=None)
         p.add_argument("--sampler", default=None, help=f"one of {SAMPLERS}")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", dest="slack_tol", metavar="TOL", type=float, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_fuzz if name == "fuzz" else cmd_explore)
 

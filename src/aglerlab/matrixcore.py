@@ -30,16 +30,17 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(m):
-    """Largest singular value of ``m`` (a float), or of each matrix of a
-    (k, m, n) stack (an array of k floats, from one SVD call).
+    """Largest singular value of ``m`` (a float), or of each matrix of an
+    array of matrices of any leading shape (an array of that shape, from one
+    SVD call).
 
     Computed by full SVD; at the dimensions used here (well under 200)
     exactness wins over speed.  A 1x1 input is its own singular value up
     to modulus, so the SVD is skipped there.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim not in (2, 3):
-        raise ValueError(f"matrix must be 2-dimensional or a stack of them, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"matrix must be 2-dimensional or an array of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     if a.size == 0:

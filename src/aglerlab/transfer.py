@@ -1,12 +1,13 @@
 """Transfer-function evaluation over a stack of points, with cached resolvents.
 
 ``evaluate(col, zs)`` evaluates phi at an (m, d) stack of points as one
-:class:`EvalStack`, whose every quantity (resolvents, the derivative jet,
-norms, defects, flags) comes from one numpy call for all its points, and so
-does ``evaluate(cols, zs)`` for n colligations of one structure at (n, m, d)
-points, each row with its colligation's blocks.  Each point is read through its
-view, an :class:`EvalContext`; at one point of shape (d,), ``evaluate`` returns
-the view of a stack of one.  The remaining functions check the identities and
+:class:`EvalStack`, whose every quantity (resolvents, the derivative jet read
+through ``kops``, ``partials`` and ``norms``, defects, flags) comes from one
+numpy call for all its points, every array of norms from one ``spectral_norm``
+call; so does ``evaluate(cols, zs)`` for n colligations of one structure at
+(n, m, d) points, each row with its colligation's blocks.  Each point is read
+through its view, an :class:`EvalContext`; at one point of shape (d,),
+``evaluate`` returns the view of a stack of one.  The remaining functions check the identities and
 norm estimates that every unitary realization satisfies: the kernel identities
 for I - phi(z)* phi(w) and I - phi(w) phi(z)*, and, as the columns of a whole
 stack (``resolvent_norm_estimates``, ``lnorm_bound_check``), norm bounds on
@@ -38,11 +39,6 @@ __all__ = [
 def _adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)
-
-
-def _norms(mats: np.ndarray) -> np.ndarray:
-    """Spectral norms of an array of matrices of any leading shape, from one SVD call."""
-    return spectral_norm(mats.reshape((-1,) + mats.shape[-2:])).reshape(mats.shape[:-2])
 
 
 @cache
@@ -77,21 +73,20 @@ class EvalStack:
     ``ill-conditioned`` past the conditioning limit), and the columns
     ``znorm``, ``lnorm``, ``defects`` (m, 2), ``defect`` (their product),
     ``gram`` (m, 2, d) and ``geometry`` (a
-    :class:`aglerlab.colligation.StackGeometry`).  The jet: ``kop(mi)``, the
-    arrangement sum K, comes from the recursion g[c] = sum_j E_j L g[c - e_j],
-    g[e_j] = E_j, one order at a time for every multi-index of that order, so
-    it does not depend on which multi-indices came first; ``partial(mi)`` is
-    mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call;
-    ``norms(mis)`` gives per multi-index the (m,) norms of its partial (of its
-    K with ``kop=True``), those not yet known from one stacked chain and one
-    SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
+    :class:`aglerlab.colligation.StackGeometry`).  The jet, one reader per quantity, each
+    stacking a list of multi-indices on axis 1: ``kops(mis)``, the arrangement sums K, from the
+    recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, one order at a time for every
+    multi-index of that order, so they do not depend on which came first; ``partials(mis)``,
+    mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call; ``norms(mis)``,
+    per multi-index the (m,) norms of its partial, those not yet known from one stacked chain
+    and one SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
     def __init__(self, cols: list[Colligation], blocks, zs, zmat, r_ka, phi, near: tuple[str, ...]):
         self.cols, self.col, self.structure = cols, cols[0], cols[0].structure
         (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
         self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
         self._near = near  # admit's flags for the whole stack: () clears every point
-        self._jet, self._norms, self._knorms = [], {}, {}
+        self._jet, self._norms = [], {}
 
     def __len__(self) -> int:
         return len(self.zs)
@@ -152,8 +147,8 @@ class EvalStack:
     def _c_rha(self) -> np.ndarray:
         return self.C @ self.r_ha
 
-    def _kstack(self, mis) -> np.ndarray:
-        """The K of ``mis`` (zero at order 0) stacked on axis 1, from the jet kept one stack per order."""
+    def kops(self, mis) -> np.ndarray:
+        """The (m, k, dim_h, dim_k) arrangement sums K of ``mis`` (zero at order 0), from the jet kept per order."""
         for mi in mis:
             if mi.d != self.col.d:
                 raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
@@ -166,29 +161,21 @@ class EvalStack:
                 for e_j, (rows, prev) in zip(self.es, _jet_order(self.col.d, n)[1]):
                     ks[:, rows] += e_j @ below[:, prev]
             self._jet.append(ks)
-        return np.stack([self._jet[mi.order][:, _jet_order(mi.d, mi.order)[0][mi.counts]] for mi in mis], axis=1)
+        picked = [self._jet[mi.order][:, _jet_order(mi.d, mi.order)[0][mi.counts]] for mi in mis]
+        return np.stack(picked, axis=1) if picked else np.zeros((len(self), 0) + self.zmat.shape[1:], complex)
 
-    def kop(self, mi) -> np.ndarray:
-        """Arrangement sum K for ``mi`` (order >= 1) at every point."""
-        return self._kstack([mi])[:, 0]
-
-    def _chain(self, mis) -> np.ndarray:
+    def partials(self, mis) -> np.ndarray:
         """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0)."""
         fp = np.array([mi.factorial_product for mi in mis], dtype=float)[:, None, None]
-        chain = fp * (self._c_rha[:, None] @ self._kstack(mis) @ self.r_ka[:, None] @ self.B[:, None])
+        chain = fp * (self._c_rha[:, None] @ self.kops(mis) @ self.r_ka[:, None] @ self.B[:, None])
         return np.where(np.array([mi.order == 0 for mi in mis])[:, None, None], self.phi[:, None], chain)
 
-    def partial(self, mi) -> np.ndarray:
-        """Mixed partial d^n phi / dz^mi at every point."""
-        return self._chain([mi])[:, 0]
-
-    def norms(self, mis, kop: bool = False) -> list[np.ndarray]:
-        """Per multi-index of ``mis``, its partial's norm (its K's if ``kop``) at every point."""
-        known = self._knorms if kop else self._norms
-        todo = {mi.counts: mi for mi in mis if mi.counts not in known}
+    def norms(self, mis) -> list[np.ndarray]:
+        """Per multi-index of ``mis``, its partial's norm at every point."""
+        todo = {mi.counts: mi for mi in mis if mi.counts not in self._norms}
         if todo:
-            known.update(zip(todo, _norms((self._kstack if kop else self._chain)([*todo.values()])).T))
-        return [known[mi.counts] for mi in mis]
+            self._norms.update(zip(todo, spectral_norm(self.partials([*todo.values()])).T))
+        return [self._norms[mi.counts] for mi in mis]
 
 
 class _Row:
@@ -206,8 +193,8 @@ class _Row:
 
 class EvalContext:
     """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``, of
-    colligation ``col``: its rows of the stack's attributes and of its jet (``kop``,
-    ``partial``, ``norms``).  Every record made at the point carries its ``flags``.
+    colligation ``col``: its rows of the stack's attributes and of its jet (``partial(mi)``,
+    ``norms(mis)``).  Every record made at the point carries its ``flags``.
     """
 
     zmat, r_ka, r_ha, lmat, phi, cond, flags = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
@@ -217,17 +204,13 @@ class EvalContext:
         self.stack, self.i, self.col = stack, i, stack.cols[i]
         self.z: tuple[complex, ...] = tuple(stack.zs[i].tolist())
 
-    def kop(self, mi) -> np.ndarray:
-        """Arrangement sum K for ``mi`` (order >= 1)."""
-        return self.stack.kop(mi)[self.i]
-
     def partial(self, mi) -> np.ndarray:
         """Mixed partial d^n phi / dz^mi at the point."""
-        return self.stack.partial(mi)[self.i]
+        return self.stack.partials([mi])[self.i, 0]
 
-    def norms(self, mis, kop: bool = False) -> list[float]:
-        """Spectral norms of :meth:`partial` (of :meth:`kop` when ``kop``) at each of ``mis``."""
-        return [float(row[self.i]) for row in self.stack.norms(mis, kop)]
+    def norms(self, mis) -> list[float]:
+        """Spectral norms of :meth:`partial` at each of ``mis``."""
+        return [float(row[self.i]) for row in self.stack.norms(mis)]
 
 
 def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContext:
@@ -282,7 +265,7 @@ def resolvent_gram_factors(ev: EvalStack) -> tuple[np.ndarray, np.ndarray]:
     z, es = ev.zmat, ev.es
     inv_k = _inverse(np.eye(ev.col.dim_k) - _adjoint(z) @ z, ev.zs, "I - Z*Z")[:, None]
     inv_h = _inverse(np.eye(ev.col.dim_h) - z @ _adjoint(z), ev.zs, "I - ZZ*")[:, None]
-    return np.sqrt(_norms(es @ inv_k @ _adjoint(es))), np.sqrt(_norms(_adjoint(es) @ inv_h @ es))
+    return np.sqrt(spectral_norm(es @ inv_k @ _adjoint(es))), np.sqrt(spectral_norm(_adjoint(es) @ inv_h @ es))
 
 
 def defect_norms(phi: np.ndarray):
@@ -303,8 +286,8 @@ def resolvent_norm_estimates(ev: EvalStack) -> list[Column]:
     output defect times its Gram factor.  Unprojected: ||(I - AZ)^{-1} B||
     and ||C (I - ZA)^{-1}|| against defect / sqrt(1 - ||Z||^2).
     """
-    right = _norms(ev.es @ ev.r_ka[:, None] @ ev.B[:, None])
-    left = _norms(ev._c_rha[:, None] @ ev.es)
+    right = spectral_norm(ev.es @ ev.r_ka[:, None] @ ev.B[:, None])
+    left = spectral_norm(ev._c_rha[:, None] @ ev.es)
     d_in, d_out = ev.defects.T
     a, b = ev.gram[:, 0], ev.gram[:, 1]
     columns = []

@@ -1,13 +1,16 @@
-"""The public surface: every exported name resolves, once, and the README's Python runs."""
+"""The public surface: every exported name resolves, once, the README's Python runs and its commands parse."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import aglerlab
+from aglerlab.harness import CampaignConfig, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["aglerlab"] + [f"aglerlab.{m.name}" for m in pkgutil.iter_modules(aglerlab.__path__)]
@@ -27,3 +30,22 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_commands_parse():
+    """Every ``aglerlab`` line of the README's shell blocks parses, and each campaign flag it gives
+    sets a ``CampaignConfig`` field of the flag's ``dest``; no campaign runs."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("aglerlab ")]
+    assert commands
+    fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+    for command in commands:
+        try:
+            args = build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+        if args.command in ("fuzz", "explore"):
+            given = {dest for dest, value in vars(args).items() if value is not None}
+            assert given - {"command", "func", "config", "name", "m"} <= fields, command

@@ -553,12 +553,12 @@ class TestMultiIndexAxis:
     def test_norms_have_the_bits_of_one_multi_index(self, structure):
         ev = self.stack(structure, 7, seed=70 + structure.d)
         mis = [MultiIndex(a) for a in multi_indices(structure.d, MAX_ORDER)]
-        partials, kops = ev.norms(mis), ev.norms(mis, kop=True)
+        partials, kops = ev.norms(mis), spectral_norm(ev.kops(mis)).T
         for mi, norm, knorm in zip(mis, partials, kops):
             one = evaluate(ev.col, ev.zs)
             assert _bits(norm) == _bits(one.norms([mi])[0]), mi
-            assert _bits(knorm) == _bits(one.norms([mi], kop=True)[0]), mi
-            assert _bits(norm) == _bits(spectral_norm(ev.partial(mi)[i]) for i in range(7)), mi
+            assert _bits(knorm) == _bits(spectral_norm(one.kops([mi]))[:, 0]), mi
+            assert _bits(norm) == _bits(spectral_norm(ev.partials([mi])[i, 0]) for i in range(7)), mi
 
     def test_wiener_has_the_bits_of_one_multi_index(self, structure):
         col = random_colligation(structure, dim_g=2, seed=80 + structure.d)

@@ -59,6 +59,19 @@ class TestStructures:
         with pytest.raises(ValueError):
             Ball(1, 0)
 
+    @pytest.mark.parametrize("make", [lambda: Polydisk("11"), lambda: Polydisk((1.9, True)), lambda: Polydisk(2),
+                                      lambda: Polydisk((1.0, 1)), lambda: Ball(1.5, 2), lambda: Ball(True, 2),
+                                      lambda: Ball(1, "2")], ids=["string", "float-and-bool", "int", "whole-float",
+                                                                 "ball-float", "ball-bool", "ball-string"])
+    def test_a_dimension_is_an_integer(self, make):
+        # Polydisk((1.9, True)) was (1, 1), and Ball(1.5, 2) had dim_k = 3.0
+        with pytest.raises(TypeError, match="must be integers"):
+            make()
+
+    def test_numpy_integer_dimensions_become_ints(self):
+        assert Polydisk((np.int64(2), 1)) == Polydisk((2, 1)) and type(Polydisk((np.int64(2),)).block_dims[0]) is int
+        assert Ball(np.int64(1), np.int32(2)) == Ball(1, 2) and type(Ball(np.int64(1), 2).fiber_dim) is int
+
     def test_zero_block_is_allowed(self):
         # needed so monomials in fewer effective variables keep their arity
         s = Polydisk((1, 0))

@@ -502,15 +502,40 @@ class TestCli:
         assert main(["validate", "/nonexistent/x.json"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [["validate"], ["eval", "--z", "0.1"], ["deriv", "--z", "0.1", "--alpha", "1"],
-                                      ["bounds", "--z", "0.1"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [["validate", "{}"], ["eval", "{}", "--z", "0.1"],
+                                      ["deriv", "{}", "--z", "0.1", "--alpha", "1"], ["bounds", "{}", "--z", "0.1"],
+                                      ["fuzz", "--config", "{}"], ["explore", "kaijser-varopoulos", "--config", "{}"]],
+                             ids=lambda argv: argv[0])
     @pytest.mark.parametrize("target, code", [("", errno.EISDIR), ("missing.json", errno.ENOENT)],
                              ids=["directory", "missing"])
     def test_unreadable_file_exits_two(self, tmp_path, capsys, argv, target, code):
         # a directory raised IsADirectoryError, with a traceback and exit 1
         path = tmp_path / target
-        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert main([arg.format(path) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: cannot read {path}: {os.strerror(code)}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("block_dims", "11", "block dimensions must be integers, got '11'"),
+        ("block_dims", [1.9, 1.2], "block dimensions must be integers, got [1.9, 1.2]"),
+        ("block_dims", [True, 1], "block dimensions must be integers, got [True, 1]"),
+        ("dimF", 1.9, "dimF and dimG must be integers, got (1.9, 1)"),
+        ("dimG", True, "dimF and dimG must be integers, got (1, True)"),
+        ("block_dims", None, "missing field 'block_dims'"),
+        (None, [], "a colligation is a JSON object, got list"),
+    ], ids=["string-dims", "float-dims", "bool-dim", "float-dim-f", "bool-dim-g", "no-dims", "top-level-list"])
+    def test_a_malformed_colligation_file_exits_two(self, tmp_path, capsys, field, value, message):
+        # each but the last two was read as another colligation, and validated as "pass"
+        data = to_json_dict(random_colligation(Polydisk((1, 1)), dim_g=1, seed=3))
+        if field is None:
+            data = value
+        elif value is None:
+            del data[field]
+        else:
+            data[field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_eval_and_boundary(self, tmp_path, capsys):
         path = tmp_path / "b.json"
@@ -994,6 +1019,24 @@ class TestCampaignStream:
         assert main([*argv, "--max-order", "2", "--out", str(tmp_path / "r.jsonl")]) == 2
         assert capsys.readouterr().err == ("error: campaign does not fit in memory: Unable to allocate 149. PiB "
                                            "for an array with shape (100000001, 100000001)\n")
+
+    @pytest.mark.parametrize("argv, draw", [
+        (["fuzz"], "random_colligation"),
+        (["explore", "kaijser-varopoulos"], "sample_point"),
+    ], ids=["fuzz", "explore"])
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
+    def test_a_campaign_that_fails_on_its_first_draw_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                                          argv, draw, existing):
+        def too_large(*args, **kwargs):  # what numpy raises, without the allocation
+            raise MemoryError("Unable to allocate 149. PiB for an array with shape (100000001, 100000001)")
+
+        monkeypatch.setattr(harness, draw, too_large)
+        out = tmp_path / "keep.jsonl"
+        if existing:
+            out.write_text("kept\n", encoding="utf-8")
+        assert main([*argv, "--n", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: campaign does not fit in memory: ")
+        assert out.read_text(encoding="utf-8") == "kept\n" if existing else not out.exists()
 
     def test_a_ball_campaign_too_large_for_memory_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
         message = "Unable to allocate 2.91 TiB for an array with shape (100000000000, 4) and data type float64"

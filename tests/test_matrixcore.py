@@ -55,8 +55,18 @@ class TestSpectralNorm:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            spectral_norm(np.zeros((2, 2, 2, 2)))
+        for below_a_matrix in (np.float64(1.0), np.zeros(3)):
+            with pytest.raises(ValueError, match="2-dimensional"):
+                spectral_norm(below_a_matrix)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 3), (3, 3)])
+    def test_any_leading_shape_matches_one_by_one_bit_for_bit(self, shape):
+        rng = np.random.default_rng(45)
+        mats = rng.standard_normal((4, 5, *shape)) + 1j * rng.standard_normal((4, 5, *shape))
+        mats *= 10.0 ** rng.uniform(-6, 6, (4, 5, 1, 1))
+        norms = spectral_norm(mats)
+        assert norms.shape == (4, 5)
+        assert norms.tolist() == [[spectral_norm(m) for m in row] for row in mats]
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 3), (2, 3), (3, 3)])
     def test_stack_matches_one_by_one_bit_for_bit(self, shape):
