@@ -21,7 +21,6 @@ from .colligation import (
     Colligation,
     Polydisk,
     blaschke,
-    catalog,
     colligation_hash,
     load_colligation,
     monomial,
@@ -81,7 +80,6 @@ __all__ = [
     "bound_ball",
     "bound_general",
     "bound_polydisk",
-    "catalog",
     "cauchy_partial",
     "colligation_hash",
     "evaluate",

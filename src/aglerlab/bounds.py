@@ -28,7 +28,9 @@ zeroed):
   factorial  d^((n-1)/2) n_1! ... n_d! D / ((1-t^2)(1-t)^(n-1))
 
 :data:`VARIANTS` lists these seven, in record order, with the orders and
-dimensions where each applies.  Also checked: the structure-free resolvent bound
+dimensions where each applies; :func:`variant_columns` picks the rows that
+apply at each multi-index on a stack's domain, and no other module reads the
+table.  Also checked: the structure-free resolvent bound
 (``bound_general``), the weighted first-order sum rule on the polydisk
 (``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
 (``wiener_check``, at a stack of subjects' origins; on the ball times a
@@ -77,7 +79,6 @@ __all__ = [
 
 Subject = Union[Colligation, Polynomial]
 Alpha = Union[MultiIndex, Sequence[int]]
-Checks = Sequence[tuple[MultiIndex, Sequence["Variant"]]]
 
 
 class PolynomialStack:
@@ -243,14 +244,15 @@ def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
     return [v for v in VARIANTS if v.domain is domain and v.unmet(mi) is None]
 
 
-def variant_columns(points: EvalStack | PolynomialStack, checks: Checks) -> list[list[Column]]:
-    """Per ``(mi, variants)`` of ``checks``, the columns of ``variants`` at ``mi`` on an evaluated or
-    polynomial stack, from one call of each variant's rhs; a multi-index's columns share one lhs view."""
-    rows = dict.fromkeys(v for _, variants in checks for v in variants)
-    rhs = {v: iter(v.rhs(points.defect, points.geometry, [mi for mi, vs in checks if v in vs]).T) for v in rows}
-    lhs = points.norms([mi for mi, _ in checks])
-    return [[Column(v.tag, mi.counts, norm, next(rhs[v])) for v in variants]
-            for (mi, variants), norm in zip(checks, lhs)]
+def variant_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex]) -> list[list[Column]]:
+    """Per multi-index of ``mis``, the columns of the rows that apply to it on the stack's domain, in
+    :data:`VARIANTS` order, on an evaluated or polynomial stack; each row's rhs is one call for all the
+    multi-indices it applies at, and a multi-index's columns share one lhs view."""
+    rows = [applicable_variants(type(points.structure), mi) for mi in mis]
+    rhs = {v: iter(v.rhs(points.defect, points.geometry, [mi for mi, vs in zip(mis, rows) if v in vs]).T)
+           for v in dict.fromkeys(v for vs in rows for v in vs)}
+    return [[Column(v.tag, mi.counts, norm, next(rhs[v])) for v in vs]
+            for mi, vs, norm in zip(mis, rows, points.norms(mis))]
 
 
 _BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
@@ -299,7 +301,8 @@ def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex,
     else:
         name = domain.__name__.lower()
         raise ValueError(f"{name} bounds need a {name} colligation")
-    (column,), = variant_columns(points, [(mi, [row])])
+    (norm,) = points.norms([mi])
+    column = Column(row.tag, mi.counts, norm, row.rhs(points.defect, points.geometry, [mi])[:, 0])
     return column.report(0, tuple(points.zs[0].tolist()))
 
 
@@ -383,15 +386,14 @@ def knese_residual(ctx: EvalContext) -> float:
     return float(column.lhs[ctx.i]) - float(column.rhs[ctx.i])
 
 
-def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
+def report_columns(ev: EvalStack, mis: Sequence[MultiIndex]) -> list[Column]:
     """Every report at each point of an evaluated stack, in record order: the
     resolvent estimates, the L bound, then the sum rule (scalar polydisk) or
-    the ball kernel subchecks, then for each ``(mi, variants)`` of ``checks``
-    the general bound, at order n >= 2 the K-operator bound
+    the ball kernel subchecks, then for each multi-index of ``mis`` the
+    general bound, at order n >= 2 the K-operator bound
     ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and the
-    ``variants`` at ``mi``, each bound from one call for all of ``checks``."""
+    :func:`variant_columns` at it, each bound from one call for all of ``mis``."""
     on_ball = isinstance(ev.structure, Ball)
-    mis = [mi for mi, _ in checks]
     high = [mi for mi in mis if mi.order >= 2]
     norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call
     general = iter(bound_general(ev, mis).T)
@@ -401,7 +403,7 @@ def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
         columns += ball_kernel_subchecks(ev)
     elif ev.col.dim_f == ev.col.dim_g == 1:
         columns.append(knese_report(ev))
-    for mi, norm, variants in zip(mis, norms, variant_columns(ev, checks)):
+    for mi, norm, variants in zip(mis, norms, variant_columns(ev, mis)):
         columns.append(Column("general.first_order" if mi.order == 1 else "general.higher_order", mi.counts, norm,
                               next(general)))
         if mi.order >= 2:
@@ -410,9 +412,9 @@ def report_columns(ev: EvalStack, checks: Checks) -> list[Column]:
     return columns
 
 
-def point_reports(ctx: EvalContext, checks: Checks) -> Iterator[BoundReport]:
+def point_reports(ctx: EvalContext, mis: Sequence[MultiIndex]) -> Iterator[BoundReport]:
     """The :func:`report_columns` reports at an evaluated point, in record order."""
-    for column in report_columns(ctx.stack, checks):
+    for column in report_columns(ctx.stack, mis):
         yield column.report(ctx.i, ctx.z)
 
 

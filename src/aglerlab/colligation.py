@@ -59,7 +59,6 @@ __all__ = [
     "blaschke",
     "monomial",
     "symmetric_extremal",
-    "catalog",
     "to_json_dict",
     "from_json_dict",
     "save_colligation",
@@ -402,7 +401,7 @@ def monomial(alpha: Sequence[int]) -> Colligation:
     permutation of size (sum alpha) + 1, hence exactly unitary, and the
     transfer function is exactly the monomial.
     """
-    counts = tuple(int(a) for a in alpha)
+    counts = _dimensions(alpha, "multi-index entries")
     if any(a < 0 for a in counts):
         raise ValueError(f"multi-index entries must be >= 0, got {counts}")
     n = sum(counts)
@@ -435,25 +434,6 @@ def symmetric_extremal(d: int, seed: int) -> Colligation:
     return _split(Polydisk((1,) * d), u, d, d)
 
 
-_CATALOG = {
-    "blaschke": blaschke,
-    "monomial": monomial,
-    "symmetric_extremal": symmetric_extremal,
-}
-
-
-def catalog(name: str, **params) -> Colligation:
-    """Dispatch to a named exact catalog entry.
-
-    Known names: ``blaschke(a)``, ``monomial(alpha)``,
-    ``symmetric_extremal(d, seed)``.
-    """
-    key = name.replace("-", "_")
-    if key not in _CATALOG:
-        raise ValueError(f"unknown catalog entry {name!r}; known: {sorted(_CATALOG)}")
-    return _CATALOG[key](**params)
-
-
 # --- JSON serialization -----------------------------------------------------
 #
 # Schema: {"kind": "polydisk"|"ball", "block_dims": [...] | "fiber_dim": m,
@@ -467,6 +447,9 @@ def _encode_matrix(m: np.ndarray) -> list:
 
 def _decode_matrix(data, name: str, shape: tuple[int, int]) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
+    bad = [v for v in np.asarray(data, dtype=object).flat if isinstance(v, (str, bool))]  # float64 reads "0.5", true
+    if bad:
+        raise ValueError(f"field {name!r} entries must be numbers, got {bad[0]!r}")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"field {name!r} must be a nested array of [re, im] pairs")
     if arr.shape[:2] != shape:

@@ -32,6 +32,7 @@ stack, and on a stack gives every point the bits of the scalar loop.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .colligation import Colligation, DomainStructure, Polydisk, admit, projections, structure_norm
+from .colligation import Colligation, DomainStructure, Polydisk, _dimensions, admit, projections, structure_norm
 from .errors import ComplexityError
 from .tolerances import ADMISSIBILITY_MARGIN
 from .transfer import EvalContext, evaluate
@@ -68,19 +69,23 @@ CAUCHY_GRID_LIMIT = 2**20
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Per-coordinate derivative multiplicities (n_1, ..., n_d).  Its
-    ``order`` n_1 + ... + n_d and ``factorial_product`` n_1! ... n_d! are
-    fixed when it is made; ``counts`` is its one field."""
+    """Per-coordinate derivative multiplicities (n_1, ..., n_d), each an
+    integer (a float or a bool is refused).  Its ``order`` n_1 + ... + n_d is
+    fixed when it is made, and ``factorial_product`` n_1! ... n_d! on first
+    use; ``counts`` is its one field."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = _dimensions(self.counts, "multi-index entries")
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"multi-index entries must be >= 0, got {counts}")
         object.__setattr__(self, "order", sum(counts))
-        object.__setattr__(self, "factorial_product", math.prod(map(math.factorial, counts)))
+
+    @functools.cached_property
+    def factorial_product(self) -> int:
+        return math.prod(map(math.factorial, self.counts))
 
     @classmethod
     def of(cls, alpha: Union["MultiIndex", Sequence[int]]) -> "MultiIndex":
@@ -89,7 +94,7 @@ class MultiIndex:
     @classmethod
     def from_klist(cls, klist: Sequence[int], d: int) -> "MultiIndex":
         """Multiplicities of the 1-based coordinate symbols in ``klist``."""
-        ks = tuple(int(k) for k in klist)
+        ks = _dimensions(klist, "index list symbols")
         if any(not 1 <= k <= d for k in ks):
             raise ValueError(f"index list {ks} has symbols outside 1..{d}")
         return cls(tuple(ks.count(j) for j in range(1, d + 1)))
@@ -188,7 +193,7 @@ def partial_permsum(col: Colligation, z: Sequence[complex], klist: Sequence[int]
     sorted order first (the sum is order-invariant).  Index lists whose
     factorial exceeds the term budget are refused.
     """
-    ks = tuple(sorted(int(k) for k in klist))
+    ks = tuple(sorted(_dimensions(klist, "index list symbols")))
     n = len(ks)
     if n < 2:
         raise ValueError(f"permutation sum needs order >= 2, got {n}")
@@ -219,7 +224,7 @@ class Polynomial:
     def __post_init__(self):
         clean = {}
         for key, val in self.coeffs.items():
-            k = tuple(int(e) for e in key)
+            k = _dimensions(key, "exponents")
             if len(k) != self.dimension or any(e < 0 for e in k):
                 raise ValueError(f"bad exponent tuple {key} for dimension {self.dimension}")
             val = complex(val)

@@ -43,8 +43,6 @@ import numpy as np
 
 from .bounds import (
     PolynomialStack,
-    Variant,
-    applicable_variants,
     multiplier_gram_psd,
     point_reports,
     report_columns,
@@ -56,12 +54,14 @@ from .colligation import (
     DomainStructure,
     Polydisk,
     admit,
-    catalog,
+    blaschke,
     colligation_hash,
     load_colligation,
+    monomial,
     random_colligation,
     save_colligation,
     structure_norm,
+    symmetric_extremal,
     to_json_dict,
     validate,
 )
@@ -245,15 +245,6 @@ def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
     return sorted((c for n in range(1, max_order + 1) for c in _jet_order(d, n)[0]), key=lambda a: (sum(a), a))
 
 
-def _variant_checks(structure: DomainStructure, max_order: int) -> list[tuple[MultiIndex, list[Variant]]]:
-    """Each multi-index up to ``max_order`` with the derivative bounds that
-    apply to it on ``structure``'s domain, in record order."""
-    return [
-        (mi, applicable_variants(type(structure), mi))
-        for mi in map(MultiIndex, multi_indices(structure.d, max_order))
-    ]
-
-
 # --- JSONL records ------------------------------------------------------------
 
 
@@ -394,8 +385,8 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
     colligations, drawn with their points one by one, is one stack at their origins and one at their pairs."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
-    checks = _variant_checks(structure, config.max_order)
-    wiener_alphas = [mi for mi, _ in checks if mi.order <= 4]
+    mis = list(map(MultiIndex, multi_indices(structure.d, config.max_order)))
+    wiener_alphas = [mi for mi in mis if mi.order <= 4]
     size = config.points_per_colligation
     for start in range(0, config.n_colligations, COLLIGATIONS_PER_STACK):
         cols, points = [], []
@@ -410,7 +401,7 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
                     for tag, resid in zip(("identity.kernel_input", "identity.kernel_output"),
                                           identity_residuals(cw, cz))]
         wiener = ReportTable.of(wiener_check(origin, wiener_alphas))
-        table = ReportTable.of(identity + report_columns(cz, checks))
+        table = ReportTable.of(identity + report_columns(cz, mis))
         for k, col in enumerate(cols):
             chash, rows = colligation_hash(col), slice(k * size, (k + 1) * size)
             yield Block(chash, origin.zs[k:k + 1], [()], wiener.rows(slice(k, k + 1)))  # never flagged
@@ -459,12 +450,12 @@ def explore_records(poly: Polynomial, structure: DomainStructure, config: Campai
     row slices of its table.  The Gram point sets are one more draw and stack, and one block."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
-    checks = _variant_checks(structure, config.max_order)
+    mis = list(map(MultiIndex, multi_indices(structure.d, config.max_order)))
     marks = ("observational",) + config.sampler_flags
     size = config.points_per_colligation
     points = PolynomialStack(poly, structure,
                              sample_point(structure, rng, config.sampler, m=config.n_colligations * size))
-    table = ReportTable.of([column for per_mi in variant_columns(points, checks) for column in per_mi])
+    table = ReportTable.of([column for per_mi in variant_columns(points, mis) for column in per_mi])
     for start in range(0, len(points.zs), size):
         rows = slice(start, start + size)
         yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]], table.rows(rows))
@@ -570,7 +561,7 @@ def cmd_bounds(args) -> int:
     z = _parse_arg(args.z, parse_point, col.d, "point")
     mis = [] if args.alpha is None else [_parse_order(args.alpha, col.d, min_order=1)]
     ctx = evaluate(col, z)
-    reports = list(point_reports(ctx, [(mi, applicable_variants(type(col.structure), mi)) for mi in mis]))
+    reports = list(point_reports(ctx, mis))
     for rep in reports:
         print(rep)
     if ctx.flags:
@@ -586,13 +577,15 @@ def cmd_catalog(args) -> int:
         raise _UsageError(f"{args.name} needs --{needed}")
     try:
         if args.name == "blaschke":
-            col = catalog(args.name, a=complex(args.a))
+            col = blaschke(complex(args.a))
         elif args.name == "monomial":
-            col = catalog(args.name, alpha=parse_alpha(args.alpha))
+            col = monomial(parse_alpha(args.alpha))
         else:
-            col = catalog(args.name, d=args.d, seed=args.seed)
+            col = symmetric_extremal(args.d, args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    except MemoryError as exc:  # a monomial of huge order, such as --alpha 3000000
+        raise _UsageError(f"{args.name} does not fit in memory: {exc}") from None
     if args.out:
         try:
             save_colligation(col, args.out)

@@ -1,5 +1,7 @@
-"""The public surface: every exported name resolves, once, the README's Python runs and its commands parse."""
+"""The public surface: every exported name resolves, once, the README's Python runs and its commands parse;
+only ``bounds`` reads its table of variants."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -13,6 +15,7 @@ import aglerlab
 from aglerlab.harness import CampaignConfig, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+VARIANT_TABLE = {"VARIANTS", "Variant", "applicable_variants"}
 MODULES = ["aglerlab"] + [f"aglerlab.{m.name}" for m in pkgutil.iter_modules(aglerlab.__path__)]
 
 
@@ -49,3 +52,18 @@ def test_readme_commands_parse():
         if args.command in ("fuzz", "explore"):
             given = {dest for dest, value in vars(args).items() if value is not None}
             assert given - {"command", "func", "config", "name", "m"} <= fields, command
+
+
+def test_only_bounds_reads_the_variant_table():
+    """Which variants apply is decided in ``bounds``; no other module imports or names its table."""
+    found = []
+    for path in sorted(Path(aglerlab.__file__).parent.glob("*.py")):
+        if path.name == "bounds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]  # a Name or an Attribute
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in VARIANT_TABLE]
+    assert found == []

@@ -1,5 +1,6 @@
 """Derivative bounds, equality witnesses, sum rule, and kernel positivity."""
 
+import dataclasses
 import math
 import warnings
 
@@ -71,14 +72,14 @@ class TestBoundGeneral:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9j])
     def test_blaschke_origin_is_sharp(self, a):
         ctx = evaluate(blaschke(a), (0.0,))
-        (rep,) = [r for r in point_reports(ctx, [(MultiIndex((1,)), [])]) if r.theorem_tag.startswith("general.")]
+        (rep,) = [r for r in point_reports(ctx, [MultiIndex((1,))]) if r.theorem_tag.startswith("general.")]
         assert rep.lhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.rhs == pytest.approx(1 - abs(a) ** 2, abs=1e-12)
         assert rep.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_monomial_pair_ratio_half(self):
         ctx = evaluate(monomial((1, 1)), (0.0, 0.0))
-        (rep,) = [r for r in point_reports(ctx, [(MultiIndex((1, 1)), [])]) if r.theorem_tag.startswith("general.")]
+        (rep,) = [r for r in point_reports(ctx, [MultiIndex((1, 1))]) if r.theorem_tag.startswith("general.")]
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
         assert rep.ratio == pytest.approx(0.5, abs=1e-12)
@@ -93,11 +94,11 @@ class TestBoundGeneral:
         structures = [Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(1, 2), Ball(2, 2)]
         for i, s in enumerate(structures):
             col = random_colligation(s, dim_g=1, seed=90 + i)
-            checks = [(MultiIndex(a), []) for a in np.ndindex(*(4,) * s.d) if 1 <= sum(a) <= 4]
+            mis = [MultiIndex(a) for a in np.ndindex(*(4,) * s.d) if 1 <= sum(a) <= 4]
             for _ in range(6):
-                reports = point_reports(evaluate(col, admissible_point(s, rng)), checks)
+                reports = point_reports(evaluate(col, admissible_point(s, rng)), mis)
                 general = [rep for rep in reports if rep.theorem_tag.startswith("general.")]
-                assert len(general) == len(checks)
+                assert len(general) == len(mis)
                 for rep in general:
                     assert rep.slack >= -1e-9, rep
 
@@ -559,6 +560,36 @@ class TestMultiIndexAxis:
             assert _bits(norm) == _bits(one.norms([mi])[0]), mi
             assert _bits(knorm) == _bits(spectral_norm(one.kops([mi]))[:, 0]), mi
             assert _bits(norm) == _bits(spectral_norm(ev.partials([mi])[i, 0]) for i in range(7)), mi
+
+    @pytest.mark.parametrize("structure", [Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(1, 2)], ids=str)
+    def test_variant_columns_pick_the_rows_that_apply(self, structure, monkeypatch):
+        calls = []
+
+        def counted(row):
+            def rhs(defect, g, mis):
+                calls.append(row.tag)
+                return row.rhs(defect, g, mis)
+            return dataclasses.replace(row, rhs=rhs)
+
+        ev = self.stack(structure, 3, seed=90 + structure.d)
+        poly = Polynomial(structure.d, {(1,) * structure.d: 0.5, (2,) + (0,) * (structure.d - 1): 0.25})
+        mis = [MultiIndex(a) for a in multi_indices(structure.d, 3)]
+        table = bounds.VARIANTS
+        for points in (ev, bounds.PolynomialStack(poly, structure, ev.zs)):
+            monkeypatch.setattr(bounds, "VARIANTS", tuple(map(counted, table)))
+            per_mi = bounds.variant_columns(points, mis)
+            monkeypatch.setattr(bounds, "VARIANTS", table)
+            assert len(per_mi) == len(mis)
+            for mi, columns, norm in zip(mis, per_mi, points.norms(mis)):
+                tags = [c.tag for c in columns]
+                assert tags == [v.tag for v in bounds.applicable_variants(type(structure), mi)], mi
+                assert tags == sorted(tags, key=[v.tag for v in table].index) and tags, mi
+                for column in columns:
+                    row = next(v for v in table if v.tag == column.tag)
+                    assert column.alpha == mi.counts and _bits(column.lhs) == _bits(norm)
+                    assert _bits(column.rhs) == _bits(row.rhs(points.defect, points.geometry, [mi])[:, 0])
+            assert sorted(calls) == sorted({c.tag for columns in per_mi for c in columns})  # one call per row
+            calls.clear()
 
     def test_wiener_has_the_bits_of_one_multi_index(self, structure):
         col = random_colligation(structure, dim_g=2, seed=80 + structure.d)

@@ -15,7 +15,6 @@ from aglerlab import (
     Polydisk,
     StructureError,
     blaschke,
-    catalog,
     colligation_hash,
     monomial,
     random_colligation,
@@ -323,12 +322,6 @@ class TestCatalog:
             assert spectral_norm(u - u.T) <= 1e-12
             assert validate(col).passed
             assert col.structure == Polydisk((1,) * d)
-
-    def test_catalog_dispatch(self):
-        assert catalog("blaschke", a=0.5).dim_f == 1
-        assert catalog("symmetric-extremal", d=2, seed=1).d == 2
-        with pytest.raises(ValueError, match="unknown catalog entry"):
-            catalog("nonsense")
 
 
 class TestJsonRoundTrip:

@@ -68,6 +68,43 @@ class TestMultiIndex:
             MultiIndex((1, -1))
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: MultiIndex((1.5,)),
+        lambda: MultiIndex((True, 1)),
+        lambda: MultiIndex.from_klist((1.0, 2), 2),
+        lambda: Polynomial(1, {(1.7,): 1.0}),
+        lambda: Polynomial(2, {(1, False): 1.0}),
+        lambda: monomial((1.5, 1)),
+        lambda: partial_permsum(monomial((1, 1)), (0.2, 0.5), [1.9, 2]),
+    ], ids=["multi-index", "bool-entry", "klist", "exponent", "bool-exponent", "monomial", "permsum"])
+    def test_a_float_or_bool_index_is_refused(self, make):
+        # each was truncated by int() into another index: (1.5,) read as (1,)
+        with pytest.raises(TypeError, match="must be integers"):
+            make()
+
+    def test_numpy_integers_are_indices(self):
+        mi = MultiIndex(np.array([2, 1]))
+        assert mi.counts == (2, 1) and all(type(c) is int for c in mi.counts)
+        assert MultiIndex.from_klist(np.array([2, 1, 2]), 3).counts == (1, 2, 0)
+        assert Polynomial(2, {(np.int64(1), np.int32(0)): 2.0}).coeffs == {(1, 0): 2.0}
+        assert monomial(np.array([1, 1])).structure == Polydisk((1, 1))
+
+    def test_factorial_product_is_computed_on_first_use(self, monkeypatch):
+        calls = []
+
+        def factorial(n):
+            assert n < 100, "a huge factorial"
+            calls.append(n)
+            return math.prod(range(1, n + 1))
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        huge = MultiIndex((3_000_000,))
+        assert huge.order == 3_000_000 and huge == MultiIndex((3_000_000,)) and calls == []
+        mi = MultiIndex((3, 2))
+        assert calls == [] and mi.factorial_product == mi.factorial_product == 12
+        assert calls == [3, 2]
+
+
 class TestArrangements:
     def test_single_symbol(self):
         assert arrangements((2, 0)) == ((1, 1),)

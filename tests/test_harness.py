@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -522,7 +523,11 @@ class TestCli:
         ("dimG", True, "dimF and dimG must be integers, got (1, True)"),
         ("block_dims", None, "missing field 'block_dims'"),
         (None, [], "a colligation is a JSON object, got list"),
-    ], ids=["string-dims", "float-dims", "bool-dim", "float-dim-f", "bool-dim-g", "no-dims", "top-level-list"])
+        ("D", [[["0.5", True]]], "field 'D' entries must be numbers, got '0.5'"),
+        ("D", [[[0.5, True]]], "field 'D' entries must be numbers, got True"),
+        ("D", [[[0.5, "0"]]], "field 'D' entries must be numbers, got '0'"),
+    ], ids=["string-dims", "float-dims", "bool-dim", "float-dim-f", "bool-dim-g", "no-dims", "top-level-list",
+            "string-entry", "bool-entry", "string-imaginary-part"])
     def test_a_malformed_colligation_file_exits_two(self, tmp_path, capsys, field, value, message):
         # each but the last two was read as another colligation, and validated as "pass"
         data = to_json_dict(random_colligation(Polydisk((1, 1)), dim_g=1, seed=3))
@@ -536,6 +541,15 @@ class TestCli:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_integer_matrix_entries_are_valid(self, tmp_path, capsys):
+        data = to_json_dict(monomial((1, 1)))  # a permutation matrix: every entry 0 or 1
+        for name in "ABCD":
+            data[name] = [[[int(part) for part in pair] for pair in row] for row in data[name]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
 
     def test_eval_and_boundary(self, tmp_path, capsys):
         path = tmp_path / "b.json"
@@ -734,6 +748,46 @@ class TestCli:
         capsys.readouterr()
         assert main(["catalog", "blaschke"]) == 2  # missing --a
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:  # argparse's choices reject an unknown entry
+            main(["catalog", "nonsense"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_huge_factorial(self, monkeypatch):
+        """Fail, rather than run for minutes, where a command would compute a huge factorial."""
+        real_factorial = math.factorial
+
+        def factorial(n):
+            assert n <= 100, "a huge factorial"
+            return real_factorial(n)
+
+        monkeypatch.setattr(math, "factorial", factorial)
+
+    @pytest.mark.usefixtures("no_huge_factorial")
+    def test_catalog_monomial_too_large_for_memory_exits_two(self, capsys, monkeypatch):
+        message = "Unable to allocate 131. TiB for an array with shape (3000000, 3000000) and data type complex128"
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):  # what numpy raises past this size, without the allocation
+            if np.prod(shape, dtype=float) > 1e9:
+                raise MemoryError(message)
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        assert main(["catalog", "monomial", "--alpha", "3000000"]) == 2
+        assert capsys.readouterr() == ("", f"error: monomial does not fit in memory: {message}\n")
+
+    @pytest.mark.usefixtures("no_huge_factorial")
+    @pytest.mark.parametrize("command, low", [("deriv", 0), ("bounds", 1)])
+    def test_a_huge_alpha_exits_two_at_once(self, tmp_path, capsys, command, low):
+        # n_1! ... n_d! was computed before the order check: --alpha 3000000 ran for minutes
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.5), path)
+        start = time.perf_counter()
+        assert main([command, str(path), "--z", "0.1", "--alpha", "3000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: multi-index order must be in {low}..8, got 3000000\n")
 
     def test_catalog_out_into_a_missing_directory_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "cat.json"
