@@ -222,6 +222,7 @@ class Polynomial:
     coeffs: Mapping[tuple[int, ...], complex]
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _dimensions((self.dimension,), "dimension")[0])
         clean = {}
         for key, val in self.coeffs.items():
             k = _dimensions(key, "exponents")

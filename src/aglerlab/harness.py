@@ -13,14 +13,14 @@ Subcommands:
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, each written as it is made.  A
-campaign yields one :class:`Block` per subject's rows of a stack of points (a
-fuzz chunk's origins or points, an exploration's points or Gram point sets,
-each set of points from one ``sample_point`` call): the subject hash, the
-points, their flags and those rows of the stack's :class:`ReportTable`.
-``summarize`` checks, encodes and folds each block as arrays (each distinct
-float of a block encoded once) and turns each of its reports into its line,
-point by point, from one fixed template, the one statement of the record
-format.  Identical configuration and seed produce byte-identical output.
+campaign yields chunks: its :class:`Stack` of points per kind (a fuzz chunk's
+origins and points, an exploration's points or Gram point sets), each row with
+its subject hash, z and flags, and its record order as row segments of those
+(one per colligation's origin or points, or per ``--points`` explored points).
+``summarize`` checks and folds each stack as arrays, then per segment encodes
+each distinct float once and writes each report's line from one fixed template,
+the one statement of the record format.  Identical configuration and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -265,32 +265,34 @@ class ReportTable(NamedTuple):
     rhs: np.ndarray
 
     @classmethod
-    def of(cls, columns: Sequence[Column] | ReportTable) -> ReportTable:
-        return columns if isinstance(columns, cls) else cls(
-            [(c.tag, c.alpha) for c in columns], {p: c.flags for p, c in enumerate(columns) if c.flags is not None},
-            np.array([c.lhs for c in columns], float).T, np.array([c.rhs for c in columns], float).T)
-
-    def rows(self, rows: slice) -> ReportTable:
-        return ReportTable(self.keys, {p: f[rows] for p, f in self.own.items()}, self.lhs[rows], self.rhs[rows])
+    def of(cls, columns: Sequence[Column]) -> ReportTable:
+        return cls([(c.tag, c.alpha) for c in columns], {p: c.flags for p, c in enumerate(columns) if c.flags is not None},
+                   np.array([c.lhs for c in columns], float).T, np.array([c.rhs for c in columns], float).T)
 
 
-class Block(NamedTuple):
-    """A subject's reports at m points: per point a row of ``zs`` and its flags, per report a column."""
+class Stack(NamedTuple):
+    """Reports at m points: per row its subject hash, z and flags, and the points' :class:`ReportTable`."""
 
-    subject: str
+    subjects: Sequence[str]
     zs: np.ndarray
     flags: Sequence[tuple[str, ...]]
-    columns: Sequence[Column] | ReportTable
+    table: ReportTable
 
 
-def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) -> Iterator[str]:
-    """Yield a campaign's JSONL lines: ``header``, then for each block of
-    ``blocks`` the line of each of its reports, point by point, and last the
-    summary: per-theorem slack and ratio statistics, plus the ``extra`` fields.
+# A chunk of records: its stacks, which share no theorem tag, and its record order as
+# (stack index, start, stop) row segments, which cover each stack's rows once, in row order.
+Chunk = tuple[Sequence[Stack], Sequence[tuple[int, int, int]]]
+
+
+def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) -> Iterator[str]:
+    """Yield a campaign's JSONL lines: ``header``, then for each chunk of
+    ``chunks`` the line of each of its reports, segment by segment and point by
+    point, and last the summary: per-theorem slack and ratio statistics, plus
+    the ``extra`` fields.
 
     The report template below is the one statement of the record format.  It
     writes the bytes of ``json.dumps(record, sort_keys=True, allow_nan=False)``,
-    so a block with a non-finite lhs, rhs, slack, ratio or z coordinate raises
+    so a chunk with a non-finite lhs, rhs, slack, ratio or z coordinate raises
     that ``ValueError`` before any of its lines or the summary is made.  Rows
     with flags (near-boundary, observational, boundary-biased,
     ill-conditioned) are counted but contribute no slack violations.
@@ -307,54 +309,61 @@ def summarize(header: dict, blocks: Iterable[Block], slack_tol: float, **extra) 
 
     theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios, that / 2^64)
     violations = flagged = 0
-    for subject, zs, flags, columns in blocks:
-        keys, own, lhs, rhs = ReportTable.of(columns)
-        slack = rhs - lhs
-        ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
-        if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(keys), axis=1)
-        for p, col_flags in own.items():  # a record carries its point's flags and its column's own
-            marked[:, p] |= [bool(f) for f in col_flags]
-        flagged += int(marked.sum())
-        violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
-        tags: dict[str, list[int]] = {}
-        for p, (tag, alpha) in enumerate(keys):
-            tags.setdefault(tag, []).append(p)
-            if (tag, alpha) not in column_texts:
-                text = "null" if alpha is None else f'[{", ".join(map(int.__repr__, alpha))}]'
-                column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ',
-                                            f'"theorem_tag": {_str(tag)}, "z": ')
-        low_slack, low_ratio = slack.min(axis=0).tolist(), ratio.min(axis=0).tolist()
-        high_ratio = ratio.max(axis=0).tolist()
-        scaled = (ratio * 2.0 ** -64).sum(axis=0).tolist()  # for a sum of finite ratios past the float range
-        for tag, ps in tags.items():
-            count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
-                tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
-            with np.errstate(over="ignore"):  # one + per record in record order, as a fold over lines adds
-                total = float(np.add.accumulate(np.concatenate(([total], ratio[:, ps].ravel())))[-1])
-            theorems[tag] = (count + len(ps) * len(ratio), min(min_slack, *(low_slack[p] for p in ps)),
-                             min(min_ratio, *(low_ratio[p] for p in ps)), max(max_ratio, *(high_ratio[p] for p in ps)),
-                             total, small + sum(scaled[p] for p in ps))
-        subject_text = _str(subject)
-        heads = [f'{column_texts[key][0]}{subject_text}, "flags": ' for key in keys]
-        tails = [column_texts[key][1] for key in keys]
-        # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
-        distinct, inverse = np.unique(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), return_inverse=True)
-        texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
-        cell = iter(texts[inverse.ravel()].tolist())  # ravel: numpy 1.x and 2.x shape the inverse differently
-        for i, z in enumerate(zs.tolist()):
-            z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
-            row_flags = [encode_flags(flags[i])] * len(keys)
-            for p, col_flags in own.items():
-                row_flags[p] = encode_flags(flags[i] + col_flags[i])
-            for head, flags_text, lhs_text, ratio_text, rhs_text, slack_text, tail in zip(
-                heads, row_flags, cell, cell, cell, cell, tails
-            ):
-                yield (
-                    f'{head}{flags_text}, "kind": "report", "lhs": {lhs_text}, "ratio": {ratio_text}, '
-                    f'"rhs": {rhs_text}, {version_seed}, "slack": {slack_text}, {tail}{z_text}'
-                )
+    for stacks, segments in chunks:
+        prepared = []  # per stack: its lhs, ratio, rhs and slack bits, per subject its heads, and its tails
+        for s, (subjects, zs, flags, (keys, own, lhs, rhs)) in enumerate(stacks):
+            slack = rhs - lhs
+            ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
+            if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(keys), axis=1)
+            for p, col_flags in own.items():  # a record carries its point's flags and its column's own
+                marked[:, p] |= [bool(f) for f in col_flags]
+            flagged += int(marked.sum())
+            violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
+            tags: dict[str, list[int]] = {}
+            for p, (tag, alpha) in enumerate(keys):
+                tags.setdefault(tag, []).append(p)
+                if (tag, alpha) not in column_texts:
+                    text = "null" if alpha is None else f'[{", ".join(map(int.__repr__, alpha))}]'
+                    column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ',
+                                                f'"theorem_tag": {_str(tag)}, "z": ')
+            # per tag, its columns' extremes as one grouped reduction over the columns in tag order
+            order, starts = sum(tags.values(), []), [0, *itertools.accumulate(map(len, tags.values()))][:-1]
+            lows = np.minimum.reduceat(np.stack((slack.min(axis=0), ratio.min(axis=0)))[:, order], starts, axis=1)
+            highs = np.maximum.reduceat(ratio.max(axis=0)[order], starts)
+            # the ratio sums' 2^-64 twin adds each segment's column sums, segment by segment
+            scaled = np.array([(ratio[a:b] * 2.0 ** -64).sum(axis=0) for t, a, b in segments if t == s])
+            with np.errstate(over="ignore"):  # a tag's ratio sum: one + per record in record order, as lines come
+                for (tag, ps), low_slack, low_ratio, high_ratio in zip(tags.items(), *lows.tolist(), highs.tolist()):
+                    count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
+                        tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
+                    theorems[tag] = (count + len(ps) * len(ratio), min(min_slack, low_slack), min(min_ratio, low_ratio),
+                                     max(max_ratio, high_ratio),
+                                     float(np.add.accumulate(np.concatenate(([total], ratio[:, ps].ravel())))[-1]),
+                                     functools.reduce(float.__add__, map(sum, scaled[:, ps].tolist()), small))
+            heads = {subject: [f'{column_texts[key][0]}{_str(subject)}, "flags": ' for key in keys]
+                     for subject in dict.fromkeys(subjects)}
+            prepared.append((np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), heads,
+                             [column_texts[key][1] for key in keys]))
+        for s, start, stop in segments:
+            (subjects, zs, flags, (keys, own, _, _)), (bits, heads, tails) = stacks[s], prepared[s]
+            # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
+            distinct, inverse = np.unique(bits[start:stop], return_inverse=True)
+            cell = iter(np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)[
+                inverse.ravel()].tolist())  # ravel: numpy 1.x and 2.x shape the inverse differently
+            for i, z in enumerate(zs[start:stop].tolist(), start):
+                z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
+                row_flags = [encode_flags(flags[i])] * len(keys)
+                for p, col_flags in own.items():
+                    row_flags[p] = encode_flags(flags[i] + col_flags[i])
+                for head, flags_text, lhs_text, ratio_text, rhs_text, slack_text, tail in zip(
+                    heads[subjects[i]], row_flags, cell, cell, cell, cell, tails
+                ):
+                    yield (
+                        f'{head}{flags_text}, "kind": "report", "lhs": {lhs_text}, "ratio": {ratio_text}, '
+                        f'"rhs": {rhs_text}, {version_seed}, "slack": {slack_text}, {tail}{z_text}'
+                    )
     yield json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
@@ -379,10 +388,10 @@ def _header(campaign: str, config: CampaignConfig, **fields) -> dict:
 # --- fuzz campaign ------------------------------------------------------------
 
 
-def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
-    """Yield the blocks of a fuzz campaign, in record order: per colligation the Wiener bounds
-    at the origin, then the reports of its points.  Each chunk of up to ``COLLIGATIONS_PER_STACK``
-    colligations, drawn with their points one by one, is one stack at their origins and one at their pairs."""
+def fuzz_records(config: CampaignConfig) -> Iterator[Chunk]:
+    """Yield the chunks of a fuzz campaign.  Each chunk of up to ``COLLIGATIONS_PER_STACK`` colligations,
+    drawn with their points one by one, is one stack at their origins and one at their pairs; its record
+    order is per colligation the Wiener bounds at the origin, then the reports of its points."""
     structure = parse_structure(config.structure)
     rng = np.random.default_rng(config.seed)
     mis = list(map(MultiIndex, multi_indices(structure.d, config.max_order)))
@@ -400,12 +409,11 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Block]:
         identity = [Column(tag, None, resid, tol, cw.flags)  # a pair's records carry the flags at w too
                     for tag, resid in zip(("identity.kernel_input", "identity.kernel_output"),
                                           identity_residuals(cw, cz))]
-        wiener = ReportTable.of(wiener_check(origin, wiener_alphas))
-        table = ReportTable.of(identity + report_columns(cz, mis))
-        for k, col in enumerate(cols):
-            chash, rows = colligation_hash(col), slice(k * size, (k + 1) * size)
-            yield Block(chash, origin.zs[k:k + 1], [()], wiener.rows(slice(k, k + 1)))  # never flagged
-            yield Block(chash, cz.zs[rows], [config.sampler_flags + f for f in cz.flags[rows]], table.rows(rows))
+        hashes = list(map(colligation_hash, cols))
+        yield ([Stack(hashes, origin.zs, [()] * len(cols), ReportTable.of(wiener_check(origin, wiener_alphas))),
+                Stack([h for h in hashes for _ in range(size)], cz.zs, [config.sampler_flags + f for f in cz.flags],
+                      ReportTable.of(identity + report_columns(cz, mis)))],
+               [seg for k in range(len(cols)) for seg in ((0, k, k + 1), (1, k * size, (k + 1) * size))])
 
 
 def run_fuzz(config: CampaignConfig) -> Iterator[str]:
@@ -442,27 +450,26 @@ def run_explore(name: str, config: CampaignConfig, m: int = 1) -> Iterator[str]:
     return summarize(header, rows, config.slack_tol, seed=config.seed, target=name)
 
 
-def explore_records(poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Block]:
-    """Yield the blocks of an exploration campaign, in record order: the
-    points in chunks of ``points_per_colligation``, then on the ball the Gram records.
+def explore_records(poly: Polynomial, structure: DomainStructure, config: CampaignConfig) -> Iterator[Chunk]:
+    """Yield the chunks of an exploration campaign: its points, in segments of ``points_per_colligation``
+    rows, then on the ball its Gram point sets.
 
-    All its points are one draw and one stack, so each column is computed once; the chunks are
-    row slices of its table.  The Gram point sets are one more draw and stack, and one block."""
+    All its points are one draw and one stack, so each column is computed once.  The Gram point sets
+    are one more draw and stack, and one segment."""
     phash = polynomial_hash(poly)
     rng = np.random.default_rng(config.seed)
     mis = list(map(MultiIndex, multi_indices(structure.d, config.max_order)))
     marks = ("observational",) + config.sampler_flags
-    size = config.points_per_colligation
-    points = PolynomialStack(poly, structure,
-                             sample_point(structure, rng, config.sampler, m=config.n_colligations * size))
-    table = ReportTable.of([column for per_mi in variant_columns(points, mis) for column in per_mi])
-    for start in range(0, len(points.zs), size):
-        rows = slice(start, start + size)
-        yield Block(phash, points.zs[rows], [marks + f for f in points.flags[rows]], table.rows(rows))
-    if isinstance(structure, Ball):  # the Drury-Arveson kernel's Gram check: 8 points per chunk
+    size, m = config.points_per_colligation, config.n_colligations * config.points_per_colligation
+    points = PolynomialStack(poly, structure, sample_point(structure, rng, config.sampler, m=m))
+    yield ([Stack([phash] * m, points.zs, [marks + f for f in points.flags],
+                  ReportTable.of([column for per_mi in variant_columns(points, mis) for column in per_mi]))],
+           [(0, start, start + size) for start in range(0, m, size)])
+    if isinstance(structure, Ball):  # the Drury-Arveson kernel's Gram check: a set of 8 points per segment
         sets = sample_point(structure, rng, config.sampler, m=8 * config.n_colligations).reshape(-1, 8, structure.d)
-        yield Block(phash, sets[:, 0], [marks + admit(structure, pts) for pts in sets],
-                    [Column("gram.arveson_min_eig", None, multiplier_gram_psd(poly, sets), np.zeros(len(sets)))])
+        gram = Column("gram.arveson_min_eig", None, multiplier_gram_psd(poly, sets), np.zeros(len(sets)))
+        yield ([Stack([phash] * len(sets), sets[:, 0], [marks + admit(structure, pts) for pts in sets],
+                      ReportTable.of([gram]))], [(0, 0, len(sets))])
 
 
 # --- CLI ----------------------------------------------------------------------

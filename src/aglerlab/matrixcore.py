@@ -85,5 +85,6 @@ def float_power(x, k) -> np.ndarray:
     vectorized power can differ from it in the last bit.  ``k`` is an int, or one per column of the
     (m, k) result for an (m,) ``x``, each taken as a Python int by ``operator.index``."""
     x, ks = np.asarray(x), [operator.index(e) for e in np.atleast_1d(k)]
-    powers = {e: [v ** e for v in x.ravel().tolist()] for e in set(ks)}
-    return np.array([powers[e] for e in ks]).T.reshape(x.shape + (() if np.ndim(k) == 0 else (len(ks),)))
+    exponents = {e: i for i, e in enumerate(dict.fromkeys(ks))}  # one list of powers per distinct exponent
+    powers = np.array([[v ** e for v in x.ravel().tolist()] for e in exponents]).reshape(len(exponents), x.size)
+    return powers[[exponents[e] for e in ks]].T.reshape(x.shape + (() if np.ndim(k) == 0 else (len(ks),)))

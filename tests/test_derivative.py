@@ -82,6 +82,14 @@ class TestMultiIndex:
         with pytest.raises(TypeError, match="must be integers"):
             make()
 
+    @pytest.mark.parametrize("dimension", [1.0, True, "1"])
+    def test_a_polynomial_dimension_is_an_integer(self, dimension):
+        # a float or a bool constructed, then failed when called: (0,) * 1.0 is a TypeError
+        with pytest.raises(TypeError, match="^dimension must be integers"):
+            Polynomial(dimension, {(1,): 1})
+        poly = Polynomial(np.int64(1), {(1,): 1})
+        assert type(poly.dimension) is int and poly((0.5,)) == 0.5
+
     def test_numpy_integers_are_indices(self):
         mi = MultiIndex(np.array([2, 1]))
         assert mi.counts == (2, 1) and all(type(c) is int for c in mi.counts)

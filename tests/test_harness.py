@@ -47,7 +47,7 @@ from aglerlab.harness import (
     sample_point,
     summarize,
 )
-from conftest import records
+from conftest import MIXED_STRUCTURES, records
 
 REPORT_KEYS = {
     "schema_version", "kind", "seed", "theorem_tag", "colligation_hash",
@@ -56,18 +56,25 @@ REPORT_KEYS = {
 HEADER = {"schema_version": 1, "kind": "header", "seed": 7}
 
 
-def block(subject, zs, flags, *columns):
-    """A campaign block of handmade columns (tag, alpha, lhs, rhs[, flags])."""
-    return harness.Block(subject, np.array(zs, dtype=np.complex128), list(flags),
-                         [Column(tag, alpha, np.array(lhs, dtype=float), np.array(rhs, dtype=float), *rest)
-                          for tag, alpha, lhs, rhs, *rest in columns])
+def chunk(subject, zs, flags, *columns, cuts=()):
+    """A campaign chunk of one stack of handmade columns (tag, alpha, lhs, rhs[, flags]), its rows
+    in one segment, or in segments split at the rows ``cuts``."""
+    table = harness.ReportTable.of([Column(tag, alpha, np.array(lhs, dtype=float), np.array(rhs, dtype=float), *rest)
+                                    for tag, alpha, lhs, rhs, *rest in columns])
+    bounds = [0, *cuts, len(zs)]
+    return ([harness.Stack([subject] * len(zs), np.array(zs, dtype=np.complex128), list(flags), table)],
+            [(0, a, b) for a, b in zip(bounds, bounds[1:])])
 
 
-def block_rows(blk):
-    """The (report, subject hash, flags) of each record of a block, in record order."""
-    return [(BoundReport(c.tag, tuple(complex(v) for v in z), c.alpha, c.lhs[i], c.rhs[i]), blk.subject,
-             blk.flags[i] + (c.flags[i] if c.flags is not None else ()))
-            for i, z in enumerate(blk.zs) for c in blk.columns]
+def chunk_rows(chk):
+    """The (report, subject hash, flags) of each record of a chunk, in record order."""
+    stacks, segments = chk
+    rows = []
+    for s, a, b in segments:
+        subjects, zs, flags, (keys, own, lhs, rhs) = stacks[s]
+        rows += [(BoundReport(tag, tuple(complex(v) for v in zs[i]), alpha, lhs[i, p], rhs[i, p]), subjects[i],
+                  flags[i] + (own[p][i] if p in own else ())) for i in range(a, b) for p, (tag, alpha) in enumerate(keys)]
+    return rows
 
 
 def report_record(rep, subject_hash, flags, seed):
@@ -268,8 +275,8 @@ class TestFuzzCampaign:
 
     def test_summarize_counts_violations(self):
         # slack -1.0, ratio 2.0 at both points; the second point is flagged
-        blk = block("h", [[0j], [0j]], [(), ("near-boundary",)], ("x", None, [2.0, 2.0], [1.0, 1.0]))
-        *_, summary = records(summarize(HEADER, [blk], slack_tol=1e-9))
+        chk = chunk("h", [[0j], [0j]], [(), ("near-boundary",)], ("x", None, [2.0, 2.0], [1.0, 1.0]))
+        *_, summary = records(summarize(HEADER, [chk], slack_tol=1e-9))
         assert summary["violations"] == 1
         assert summary["flagged"] == 1
         assert summary["theorems"]["x"]["count"] == 2
@@ -396,6 +403,45 @@ class TestCampaignWork:
             assert abs(rec["lhs"] - expected) <= 1e-12 * expected, rec
             checked += 1
         assert checked >= 100
+
+
+def structure_spec(structure):
+    """The ``--structure`` text of a domain structure."""
+    if isinstance(structure, Polydisk):
+        return "polydisk:" + ",".join(map(str, structure.block_dims))
+    return f"ball:m={structure.fiber_dim},d={structure.copies}"
+
+
+def assert_chunk_layout(chunks):
+    """What ``summarize`` folds by stack relies on: a chunk's stacks share no theorem tag, and each
+    stack's segments are nonempty and cover its rows once, in row order."""
+    chunks = list(chunks)
+    assert chunks
+    for stacks, segments in chunks:
+        tags = [{tag for tag, _ in stack.table.keys} for stack in stacks]
+        assert sum(map(len, tags)) == len(set().union(*tags))
+        assert all(a < b for _, a, b in segments)
+        for s, (subjects, zs, flags, table) in enumerate(stacks):
+            assert len(subjects) == len(zs) == len(flags) == len(table.lhs) == len(table.rhs)
+            assert [i for t, a, b in segments if t == s for i in range(a, b)] == list(range(len(zs)))
+
+
+class TestChunkLayout:
+    @pytest.mark.parametrize("sampler", harness.SAMPLERS)
+    @pytest.mark.parametrize("spec, dim_g", [(structure_spec(s), 1) for s in MIXED_STRUCTURES] + [("ball:m=2,d=3", 2)])
+    def test_fuzz_chunks(self, monkeypatch, spec, dim_g, sampler):
+        monkeypatch.setattr(harness, "COLLIGATIONS_PER_STACK", 2)  # two chunks, the second of one colligation
+        config = CampaignConfig(seed=8, n_colligations=3, structure=spec, dim_g=dim_g, max_order=2,
+                                points_per_colligation=2, sampler=sampler)
+        assert_chunk_layout(harness.fuzz_records(config))
+
+    @pytest.mark.parametrize("sampler", harness.SAMPLERS)
+    @pytest.mark.parametrize("poly, structure", [(derivative.kaijser_varopoulos(), Polydisk((1, 1, 1))),
+                                                 (derivative.alpay_kaptanoglu(3), Ball(1, 2))],
+                             ids=harness.EXPLORE_NAMES)
+    def test_explore_chunks(self, poly, structure, sampler):
+        config = CampaignConfig(seed=8, n_colligations=3, max_order=2, points_per_colligation=4, sampler=sampler)
+        assert_chunk_layout(harness.explore_records(poly, structure, config))
 
 
 class TestExploreCampaign:
@@ -1165,14 +1211,15 @@ def _small(**fields):
                              "points_per_colligation": 3, **fields})
 
 
-# a small pool, so that values repeat within and across a block's lhs, rhs, slack and ratio
+# a small pool, so that values repeat within and across a chunk's lhs, rhs, slack and ratio
 _POOL = [-0.0, 0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1e16, 1.0, 0.5, -2.5,
          0.30000000000000004, 1.0000000000000002, 0.6666666666666666]
 
 
 @st.composite
-def _handmade_block(draw):
-    """(zs, flags, lhs arrays, columns): columns are (tag, alpha, index of their lhs, rhs)."""
+def _handmade_chunk(draw):
+    """(zs, flags, lhs arrays, columns, cuts): columns are (tag, alpha, index of their lhs, rhs); the
+    rows split into segments at ``cuts``."""
     m = draw(st.integers(1, 3))
     row = st.lists(st.sampled_from(_POOL), min_size=m, max_size=m)
     zs = draw(st.lists(st.lists(st.builds(complex, st.sampled_from(_POOL), st.sampled_from(_POOL)),
@@ -1181,7 +1228,8 @@ def _handmade_block(draw):
     lhs = draw(st.lists(row, min_size=1, max_size=3))
     columns = draw(st.lists(st.tuples(st.sampled_from(["x.a", "x.b"]), st.sampled_from([None, (1,), (0, 2)]),
                                       st.integers(0, len(lhs) - 1), row), min_size=1, max_size=5))
-    return zs, flags, lhs, columns
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1)))) if m > 1 else []
+    return zs, flags, lhs, columns, cuts
 
 
 class TestReportEncoding:
@@ -1212,17 +1260,17 @@ class TestReportEncoding:
         z = (complex(-0.0, 5e-324), complex(1e16, -1e-300))
         same_values = (complex(0.0, 5e-324), complex(1e16, -1e-300))  # == z, but +0.0
         flags = ("near-boundary", "boundary-biased", "near-boundary")
-        blocks = [
-            block("0123abcd", [z, same_values], [flags, ()],
+        chunks = [
+            chunk("0123abcd", [z, same_values], [flags, ()],
                   ("x.first", None, [-0.0, 0.25], [5e-324, 1.0]),
                   ("x.second", (0, 3), [1e16, 3.0], [0.1 + 0.2, 3.0]),
                   ("x.third", (1,), [np.float64(2.0) / 3.0, 0.5], [1, 0.0], [("ill-conditioned",)] * 2),
                   ("x.fourth", None, [0.5, 1e-300], [0.0, 1e300])),
-            block("h", [z], [()], ("x.first", None, [-0.0], [5e-324])),
+            chunk("h", [z], [()], ("x.first", None, [-0.0], [5e-324])),
         ]
-        lines = self.written(tmp_path, summarize(HEADER, blocks, slack_tol=1e-9))[1:-1]
+        lines = self.written(tmp_path, summarize(HEADER, chunks, slack_tol=1e-9))[1:-1]
         assert lines == [json.dumps(report_record(*row, seed=7), sort_keys=True, allow_nan=False)
-                         for blk in blocks for row in block_rows(blk)]
+                         for chk in chunks for row in chunk_rows(chk)]
         assert lines == [json.dumps(json.loads(line), sort_keys=True, allow_nan=False) for line in lines]
         assert '"z": [[-0.0, 5e-324], [1e+16, -1e-300]]' in lines[0]
         assert '"z": [[0.0, 5e-324], [1e+16, -1e-300]]' in lines[4]
@@ -1234,62 +1282,74 @@ class TestReportEncoding:
         assert '"flags": ["ill-conditioned"]' in lines[6] and '"flags": []' in lines[4]
 
     @settings(max_examples=60, deadline=None)
-    @given(drawn=st.lists(_handmade_block(), min_size=1, max_size=2))
-    def test_lines_of_random_blocks_are_json_dumps(self, drawn):
+    @given(drawn=st.lists(_handmade_chunk(), min_size=1, max_size=2))
+    def test_lines_of_random_chunks_are_json_dumps(self, drawn):
         assume(all(r == 0.0 or math.isfinite(lhs[k][i] / r)
-                   for _, _, lhs, columns in drawn for _, _, k, rhs in columns for i, r in enumerate(rhs)))
+                   for _, _, lhs, columns, _ in drawn for _, _, k, rhs in columns for i, r in enumerate(rhs)))
 
-        def blocks(share: bool):
+        def chunks(share: bool):
             # a column holds its lhs array itself, as producers share one per multi-index, or an equal copy
             out = []
-            for zs, flags, lhs, columns in drawn:
+            for zs, flags, lhs, columns, cuts in drawn:
                 arrays = [np.array(values) for values in lhs]
-                out.append(harness.Block("h", np.array(zs, dtype=np.complex128), flags, [
-                    Column(tag, alpha, arrays[k] if share else arrays[k].copy(), np.array(rhs))
-                    for tag, alpha, k, rhs in columns]))
+                out.append(chunk("h", zs, flags, *[(tag, alpha, arrays[k] if share else arrays[k].copy(), rhs)
+                                                   for tag, alpha, k, rhs in columns], cuts=cuts))
             return out
 
-        lines = list(summarize(HEADER, blocks(share=True), slack_tol=1e-9))
+        lines = list(summarize(HEADER, chunks(share=True), slack_tol=1e-9))
         assert [line[:-1] for line in lines[1:-1]] == [
             json.dumps(report_record(*row, seed=7), sort_keys=True, allow_nan=False)
-            for blk in blocks(share=True) for row in block_rows(blk)]
-        assert list(summarize(HEADER, blocks(share=False), slack_tol=1e-9)) == lines
+            for chk in chunks(share=True) for row in chunk_rows(chk)]
+        assert list(summarize(HEADER, chunks(share=False), slack_tol=1e-9)) == lines
 
-    def test_summary_folds_blocks_in_record_order(self):
+    def test_summary_folds_chunks_in_record_order(self):
         # ratios 1.0 and then twenty times 1e-16 sum to 1.0 one record at a time, as a
         # line-by-line fold adds them, but not pairwise (np.sum) or compensated (fsum)
-        blocks = [block("h", [[0j]] * 20, [()] * 20, ("x", None, [1.0] + [1e-16] * 19, [1.0] * 20)),
-                  block("h", [[0j]], [("near-boundary",)], ("x", None, [1e-16], [1.0]), ("y", None, [0.0], [0.0]))]
-        *_, summary = records(summarize(HEADER, blocks, slack_tol=1e-9))
+        chunks = [chunk("h", [[0j]] * 20, [()] * 20, ("x", None, [1.0] + [1e-16] * 19, [1.0] * 20), cuts=(1, 7)),
+                  chunk("h", [[0j]], [("near-boundary",)], ("x", None, [1e-16], [1.0]), ("y", None, [0.0], [0.0]))]
+        *_, summary = records(summarize(HEADER, chunks, slack_tol=1e-9))
         assert summary["theorems"]["x"] == {"count": 21, "min_slack": 0.0, "min_ratio": 1e-16, "max_ratio": 1.0,
                                             "mean_ratio": 1.0 / 21}
         assert summary["theorems"]["y"]["count"] == 1 and summary["flagged"] == 2 and summary["reports"] == 22
 
     def test_summary_mean_of_ratios_whose_sum_overflows(self):
         # two finite ratios of 2^1023 add up past the float range; their mean is 2^1023
-        blocks = [block("h", [[0j]] * 2, [()] * 2, ("x", None, [2.0 ** 1023] * 2, [1.0] * 2))]
-        *_, summary = records(summarize(HEADER, blocks, slack_tol=1e-9))
+        chunks = [chunk("h", [[0j]] * 2, [()] * 2, ("x", None, [2.0 ** 1023] * 2, [1.0] * 2))]
+        *_, summary = records(summarize(HEADER, chunks, slack_tol=1e-9))
         assert summary["theorems"]["x"]["mean_ratio"] == 2.0 ** 1023
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "z"])
     def test_nonfinite_value_raises(self, tmp_path, field, bad):
         # a record with a non-finite value checked nothing, flagged or not: the
-        # stream stops at its block, so no summary can count it
+        # stream stops at its chunk, so no summary can count it
         values = {"lhs": 0.5, "rhs": 1.0, "z": (0.1j, 0.2 + 0j)}
         values[field] = (0.1j, complex(0.2, bad)) if field == "z" else bad
         for flags in ((), ("near-boundary",)):
-            bad_block = block("h", [values["z"]], [flags], ("x", None, [values["lhs"]], [values["rhs"]]))
-            fine = block("h", [(0.1j, 0.2 + 0j)], [flags], ("x", None, [0.5], [1.0]))
-            (rep, *_), = block_rows(bad_block)
+            bad_chunk = chunk("h", [values["z"]], [flags], ("x", None, [values["lhs"]], [values["rhs"]]))
+            fine = chunk("h", [(0.1j, 0.2 + 0j)], [flags], ("x", None, [0.5], [1.0]))
+            (rep, *_), = chunk_rows(bad_chunk)
             with pytest.raises(ValueError):
                 json.dumps(report_record(rep, "h", flags, seed=7), sort_keys=True, allow_nan=False)
             lines = []
             with pytest.raises(ValueError, match="not JSON compliant"):
-                lines.extend(summarize(HEADER, [fine, bad_block], slack_tol=1e-9))
+                lines.extend(summarize(HEADER, [fine, bad_chunk], slack_tol=1e-9))
             assert [rec["kind"] for rec in records(lines)] == ["header", "report"]
             with pytest.raises(ValueError, match="not JSON compliant"):
-                self.written(tmp_path, summarize(HEADER, [bad_block], slack_tol=1e-9))
+                self.written(tmp_path, summarize(HEADER, [bad_chunk], slack_tol=1e-9))
+
+    def test_a_nonfinite_value_in_the_last_colligation_stops_its_chunk_before_any_line(self, monkeypatch):
+        # the chunk's stacks are checked whole, before the first colligation's records are written
+        def last_point_nonfinite(ev, mis):
+            first, *rest = report_columns(ev, mis)
+            return [first._replace(lhs=np.where(np.arange(len(ev)) == len(ev) - 1, math.nan, first.lhs)), *rest]
+
+        report_columns = harness.report_columns
+        monkeypatch.setattr(harness, "report_columns", last_point_nonfinite)
+        lines = []
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            lines.extend(run_fuzz(_small(n_colligations=3)))
+        assert [rec["kind"] for rec in records(lines)] == ["header"]
 
 
 def reject_constant(name):

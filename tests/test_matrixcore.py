@@ -170,6 +170,20 @@ class TestFloatPower:
         assert float_power(x, []).shape == (50, 0)
         assert float_power(np.zeros(0), [1, 2]).shape == (0, 2)
 
+    def test_repeated_exponents_take_each_value_through_pythons_power(self):
+        # one list of powers per distinct exponent, picked per column: the bits of ``v ** k`` per value
+        x = np.random.default_rng(33).random(40) * 1.9
+        exponents = [2, 5, 2, 0, 5, 5, 2, -1, 2]
+        got = float_power(x, exponents)
+        assert got.shape == (40, 9)
+        assert [[repr(v) for v in row] for row in got.tolist()] == [[repr(v ** k) for k in exponents] for v in x.tolist()]
+        assert list(map(float.__repr__, float_power(x, 5).tolist())) == [repr(v ** 5) for v in x.tolist()]
+        grid = x.reshape(5, 8)
+        assert [repr(v) for v in float_power(grid, 3).ravel().tolist()] == [repr(v ** 3) for v in x.tolist()]
+        for k in (2, [2, 2, 3]):
+            empty = float_power(np.zeros(0), k)
+            assert empty.shape == (0,) + np.shape(k) and empty.dtype == np.float64
+
     def test_keeps_the_shape_of_a_scalar_exponent(self):
         x = np.full((2, 3), 0.5)
         assert float_power(x, 2).shape == (2, 3)
