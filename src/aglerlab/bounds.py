@@ -1,9 +1,12 @@
 """Schwarz-Pick-type derivative bounds and kernel positivity checks.
 
-Each bound is a :class:`Column` of a stack of points: the left-hand sides
-(derivative norms, from the realization or a polynomial) and the right-hand
-sides of one inequality, exactly as stated, one per point; at k multi-indices
-its right-hand sides are one (m, k) array from one call, sliced into columns.
+A check at a stack of points has the left-hand sides (derivative norms, from
+the realization or a polynomial) and the right-hand sides of one inequality,
+exactly as stated, one per point.  A derivative bound at k multi-indices is
+one (m, k) block of each from one call, written into a :class:`ReportTable`
+at the columns its :class:`Layout` gives them; the other checks are a
+:class:`Column` each.  A table's layout, which (tag, alpha) columns it has
+in which order, is built once per shape and domain and kept.
 A polynomial's norms take one stacked :func:`poly_partial` call per multi-index (:class:`PolynomialStack`).
 Each check is one function of a stack: an :class:`aglerlab.transfer.EvalStack`
 (``bound_general``, ``ball_kernel_subchecks``, ``knese_report``) or a stack
@@ -37,12 +40,14 @@ table.  Also checked: the structure-free resolvent bound
 sphere-average factor), and positivity of the multiplier kernel Gram
 matrix on the ball (``multiplier_gram_psd``, of one set of points or of a
 stack of sets).  :func:`report_columns`
-lists every report at an evaluated stack in record order, :func:`point_reports`
-at one point.  Every power x^k is Python's ``x ** k`` (see ``float_power``).
+is the table of every report at an evaluated stack in record order,
+:func:`point_reports` its row at one point.  Every power x^k is Python's
+``x ** k`` (see ``float_power``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,7 +59,7 @@ from .colligation import Ball, Colligation, DomainStructure, Polydisk, StackGeom
 from .derivative import MultiIndex, Polynomial, _times, poly_partial
 from .errors import DegenerateGramWarning
 from .matrixcore import float_power, spectral_norm
-from .reports import BoundReport, Column
+from .reports import BoundReport, Column, Key, Layout, ReportTable, layout
 from .transfer import EvalContext, EvalStack, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
 __all__ = [
@@ -79,6 +84,7 @@ __all__ = [
 
 Subject = Union[Colligation, Polynomial]
 Alpha = Union[MultiIndex, Sequence[int]]
+_GENERAL, _KOPERATOR = "general", "koperator"  # the report families besides the VARIANTS rows
 
 
 class PolynomialStack:
@@ -244,15 +250,56 @@ def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
     return [v for v in VARIANTS if v.domain is domain and v.unmet(mi) is None]
 
 
-def variant_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex]) -> list[list[Column]]:
-    """Per multi-index of ``mis``, the columns of the rows that apply to it on the stack's domain, in
-    :data:`VARIANTS` order, on an evaluated or polynomial stack; each row's rhs is one call for all the
-    multi-indices it applies at, and a multi-index's columns share one lhs view."""
-    rows = [applicable_variants(type(points.structure), mi) for mi in mis]
-    rhs = {v: iter(v.rhs(points.defect, points.geometry, [mi for mi, vs in zip(mis, rows) if v in vs]).T)
-           for v in dict.fromkeys(v for vs in rows for v in vs)}
-    return [[Column(v.tag, mi.counts, norm, next(rhs[v])) for v in vs]
-            for mi, vs, norm in zip(mis, rows, points.norms(mis))]
+def variant_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex]) -> ReportTable:
+    """The table of the rows that apply at each multi-index of ``mis`` on the stack's domain, per multi-index
+    in :data:`VARIANTS` order, on an evaluated or polynomial stack; each row's rhs is one call for all the
+    multi-indices it applies at, written with their norms as one block."""
+    return _fill(points, mis, points.norms(mis), [], bounds=False)
+
+
+@functools.lru_cache(maxsize=256)  # a campaign reads one; bounded for callers that ask for many
+def _report_layout(lead: tuple[Key, ...], domain: type, mis: tuple[MultiIndex, ...], variants: tuple[Variant, ...],
+                   bounds: bool) -> tuple[Layout, tuple]:
+    """The layout of a report table on ``domain``: the ``lead`` keys, then per multi-index of ``mis`` (with
+    ``bounds``) the general bound and at order n >= 2 the K-operator bound, then the rows of ``variants`` that
+    apply at it; and per family (either bound, each row) its multi-indices, their places in ``mis`` and its
+    columns.  ``variants`` is :data:`VARIANTS` at the call, so a replaced table gets a layout of its own."""
+    keys, families, at = list(lead), {}, {}  # at: per (order, d), the families at a multi-index and their tags
+    for c, mi in enumerate(mis):
+        if (members := at.get((mi.order, mi.d))) is None:  # what applies depends on the order and d alone
+            members = at[mi.order, mi.d] = []
+            if bounds:
+                members.append((_GENERAL, "general.first_order" if mi.order == 1 else "general.higher_order"))
+                if mi.order >= 2:
+                    members.append((_KOPERATOR, "koperator.ball" if domain is Ball else "koperator.polydisk"))
+            members += [(v, v.tag) for v in variants if v.domain is domain and v.unmet(mi) is None]
+        for family, tag in members:
+            sub, take, put = families.setdefault(family, ([], [], []))
+            sub.append(mi)
+            take.append(c)
+            put.append(len(keys))
+            keys.append((tag, mi.counts))
+    return layout(tuple(keys)), tuple((family, *map(tuple, lists)) for family, lists in families.items())
+
+
+def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], norms: Sequence[np.ndarray],
+          small: Sequence[Column], bounds: bool) -> ReportTable:
+    """The table of :func:`_report_layout`: the columns ``small``, then each family's (m, k) lhs and rhs
+    block, from one call, written at its columns; ``norms`` are the partial norms of ``mis``."""
+    lay, families = _report_layout(tuple((c.tag, c.alpha) for c in small), type(points.structure), tuple(mis),
+                                   VARIANTS, bounds)
+    lhs, rhs = np.empty((len(points.zs), len(lay))), np.empty((len(points.zs), len(lay)))
+    for p, column in enumerate(small):
+        lhs[:, p], rhs[:, p] = column.lhs, column.rhs
+    norms = np.array(norms, dtype=float).reshape(len(mis), len(points.zs)).T
+    for family, sub, take, put in families:
+        if family is _KOPERATOR:  # ||K|| <= ||L||^(n-1)
+            lhs[:, put], rhs[:, put] = spectral_norm(points.kops(sub)), _koperator_rhs(points, sub)
+        else:
+            lhs[:, put] = norms[:, take]
+            rhs[:, put] = (bound_general(points, sub) if family is _GENERAL
+                           else family.rhs(points.defect, points.geometry, sub))
+    return ReportTable(lay, {p: c.flags for p, c in enumerate(small) if c.flags is not None}, lhs, rhs)
 
 
 _BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
@@ -386,36 +433,26 @@ def knese_residual(ctx: EvalContext) -> float:
     return float(column.lhs[ctx.i]) - float(column.rhs[ctx.i])
 
 
-def report_columns(ev: EvalStack, mis: Sequence[MultiIndex]) -> list[Column]:
-    """Every report at each point of an evaluated stack, in record order: the
-    resolvent estimates, the L bound, then the sum rule (scalar polydisk) or
-    the ball kernel subchecks, then for each multi-index of ``mis`` the
-    general bound, at order n >= 2 the K-operator bound
-    ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and the
-    :func:`variant_columns` at it, each bound from one call for all of ``mis``."""
-    on_ball = isinstance(ev.structure, Ball)
-    high = [mi for mi in mis if mi.order >= 2]
+def report_columns(ev: EvalStack, mis: Sequence[MultiIndex], lead: Sequence[Column] = ()) -> ReportTable:
+    """The table of every report at each point of an evaluated stack, in record order: the ``lead``
+    columns (a fuzz campaign's identity pair), the resolvent estimates, the L bound, then the sum rule
+    (scalar polydisk) or the ball kernel subchecks, then for each multi-index of ``mis`` the general
+    bound, at order n >= 2 the K-operator bound ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball),
+    and the :func:`variant_columns` rows at it, each bound from one call for all of ``mis``."""
     norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call
-    general = iter(bound_general(ev, mis).T)
-    kop = iter(zip(spectral_norm(ev.kops(high)).T, _koperator_rhs(ev, high).T))
-    columns = resolvent_norm_estimates(ev) + [lnorm_bound_check(ev)]
-    if on_ball:
-        columns += ball_kernel_subchecks(ev)
+    small = [*lead, *resolvent_norm_estimates(ev), lnorm_bound_check(ev)]
+    if isinstance(ev.structure, Ball):
+        small += ball_kernel_subchecks(ev)
     elif ev.col.dim_f == ev.col.dim_g == 1:
-        columns.append(knese_report(ev))
-    for mi, norm, variants in zip(mis, norms, variant_columns(ev, mis)):
-        columns.append(Column("general.first_order" if mi.order == 1 else "general.higher_order", mi.counts, norm,
-                              next(general)))
-        if mi.order >= 2:
-            columns.append(Column("koperator.ball" if on_ball else "koperator.polydisk", mi.counts, *next(kop)))
-        columns.extend(variants)
-    return columns
+        small.append(knese_report(ev))
+    return _fill(ev, mis, norms, small, bounds=True)
 
 
 def point_reports(ctx: EvalContext, mis: Sequence[MultiIndex]) -> Iterator[BoundReport]:
-    """The :func:`report_columns` reports at an evaluated point, in record order."""
-    for column in report_columns(ctx.stack, mis):
-        yield column.report(ctx.i, ctx.z)
+    """The :func:`report_columns` reports at an evaluated point, in record order: its row of the table."""
+    table = report_columns(ctx.stack, mis)
+    for (tag, alpha), lhs, rhs in zip(table.layout.keys, table.lhs[ctx.i].tolist(), table.rhs[ctx.i].tolist()):
+        yield BoundReport(tag, ctx.z, alpha, lhs, rhs)
 
 
 def multiplier_gram_psd(f, points) -> float | np.ndarray:

@@ -17,10 +17,13 @@ campaign yields chunks: its :class:`Stack` of points per kind (a fuzz chunk's
 origins and points, an exploration's points or Gram point sets), each row with
 its subject hash, z and flags, and its record order as row segments of those
 (one per colligation's origin or points, or per ``--points`` explored points).
-``summarize`` checks and folds each stack as arrays, then per segment encodes
-each distinct float once and writes each report's line from one fixed template,
-the one statement of the record format.  Identical configuration and seed
-produce byte-identical output.
+A stack's reports are one table whose layout (its (tag, alpha) columns, in
+order and by tag) is built once per campaign.  ``summarize`` checks and folds
+each stack as arrays, per tag as its layout groups them, makes each layout's
+texts once per alpha and per tag, then per segment encodes each distinct
+float once and writes each report's line from one fixed template, the one
+statement of the record format.  Identical configuration and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from .derivative import (
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
-from .reports import Column
+from .reports import Column, Layout, ReportTable
 from .tolerances import CONSTRUCTION_TOL, IDENTITY_TOL, SLACK_TOL
 from .transfer import _jet_order, evaluate, identity_residuals
 
@@ -256,20 +259,6 @@ def polynomial_hash(p: Polynomial) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-class ReportTable(NamedTuple):
-    """Report columns at m points: per column its (tag, alpha) key and any own flags, and (m, c) ``lhs``, ``rhs``."""
-
-    keys: list[tuple[str, tuple[int, ...] | None]]
-    own: dict[int, Sequence[tuple[str, ...]]]
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @classmethod
-    def of(cls, columns: Sequence[Column]) -> ReportTable:
-        return cls([(c.tag, c.alpha) for c in columns], {p: c.flags for p, c in enumerate(columns) if c.flags is not None},
-                   np.array([c.lhs for c in columns], float).T, np.array([c.rhs for c in columns], float).T)
-
-
 class Stack(NamedTuple):
     """Reports at m points: per row its subject hash, z and flags, and the points' :class:`ReportTable`."""
 
@@ -299,7 +288,7 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
     """
     yield json.dumps(header, sort_keys=True, allow_nan=False) + "\n"
     version_seed = f'"schema_version": {SCHEMA_VERSION!r}, "seed": {header["seed"]!r}'
-    column_texts: dict[tuple, tuple[str, str]] = {}  # (tag, alpha) -> its texts before the hash and before z
+    texts: dict[Layout, tuple[list[str], list[str]]] = {}  # per layout: its columns' text up to the hash, from the tag
     flag_texts: dict[tuple[str, ...], str] = {}
 
     def encode_flags(f: tuple[str, ...]) -> str:
@@ -310,59 +299,61 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
     theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios, that / 2^64)
     violations = flagged = 0
     for stacks, segments in chunks:
-        prepared = []  # per stack: its lhs, ratio, rhs and slack bits, per subject its heads, and its tails
-        for s, (subjects, zs, flags, (keys, own, lhs, rhs)) in enumerate(stacks):
+        prepared = []  # per stack: its lhs, ratio, rhs and slack bits
+        for s, (subjects, zs, flags, (layout, own, lhs, rhs)) in enumerate(stacks):
             slack = rhs - lhs
             ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
             if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(keys), axis=1)
+            marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(layout), axis=1)
             for p, col_flags in own.items():  # a record carries its point's flags and its column's own
                 marked[:, p] |= [bool(f) for f in col_flags]
             flagged += int(marked.sum())
             violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
-            tags: dict[str, list[int]] = {}
-            for p, (tag, alpha) in enumerate(keys):
-                tags.setdefault(tag, []).append(p)
-                if (tag, alpha) not in column_texts:
-                    text = "null" if alpha is None else f'[{", ".join(map(int.__repr__, alpha))}]'
-                    column_texts[tag, alpha] = (f'{{"alpha": {text}, "colligation_hash": ',
-                                                f'"theorem_tag": {_str(tag)}, "z": ')
+            if layout not in texts:  # a record's text up to its hash once per alpha, from its tag once per tag
+                alphas = ["null" if a is None else f'[{", ".join(map(int.__repr__, a))}]' for a in layout.alphas]
+                opens = [f'{{"alpha": {alpha}, "colligation_hash": ' for alpha in alphas]
+                closes = [f'"theorem_tag": {_str(tag)}, "z": ' for tag in layout.tags]
+                texts[layout] = (np.array(opens, dtype=object)[layout.alpha_of].tolist(),
+                                 np.array(closes, dtype=object)[layout.tag_of].tolist())
             # per tag, its columns' extremes as one grouped reduction over the columns in tag order
-            order, starts = sum(tags.values(), []), [0, *itertools.accumulate(map(len, tags.values()))][:-1]
-            lows = np.minimum.reduceat(np.stack((slack.min(axis=0), ratio.min(axis=0)))[:, order], starts, axis=1)
-            highs = np.maximum.reduceat(ratio.max(axis=0)[order], starts)
+            lows = np.minimum.reduceat(np.stack((slack.min(axis=0), ratio.min(axis=0)))[:, layout.order],
+                                       layout.starts, axis=1)
+            highs = np.maximum.reduceat(ratio.max(axis=0)[layout.order], layout.starts)
             # the ratio sums' 2^-64 twin adds each segment's column sums, segment by segment
             scaled = np.array([(ratio[a:b] * 2.0 ** -64).sum(axis=0) for t, a, b in segments if t == s])
             with np.errstate(over="ignore"):  # a tag's ratio sum: one + per record in record order, as lines come
-                for (tag, ps), low_slack, low_ratio, high_ratio in zip(tags.items(), *lows.tolist(), highs.tolist()):
+                for tag, ps, low_slack, low_ratio, high_ratio in zip(layout.tags, layout.groups, *lows.tolist(),
+                                                                     highs.tolist()):
                     count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
                         tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
                     theorems[tag] = (count + len(ps) * len(ratio), min(min_slack, low_slack), min(min_ratio, low_ratio),
                                      max(max_ratio, high_ratio),
                                      float(np.add.accumulate(np.concatenate(([total], ratio[:, ps].ravel())))[-1]),
                                      functools.reduce(float.__add__, map(sum, scaled[:, ps].tolist()), small))
-            heads = {subject: [f'{column_texts[key][0]}{_str(subject)}, "flags": ' for key in keys]
-                     for subject in dict.fromkeys(subjects)}
-            prepared.append((np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64), heads,
-                             [column_texts[key][1] for key in keys]))
+            prepared.append(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64))
         for s, start, stop in segments:
-            (subjects, zs, flags, (keys, own, _, _)), (bits, heads, tails) = stacks[s], prepared[s]
+            (subjects, zs, flags, (layout, own, _, _)), bits = stacks[s], prepared[s]
+            opens, closes = texts[layout]
             # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
             distinct, inverse = np.unique(bits[start:stop], return_inverse=True)
             cell = iter(np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)[
                 inverse.ravel()].tolist())  # ravel: numpy 1.x and 2.x shape the inverse differently
             for i, z in enumerate(zs[start:stop].tolist(), start):
+                subject = f'{_str(subjects[i])}, "flags": '
                 z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
-                row_flags = [encode_flags(flags[i])] * len(keys)
+                points = [subject + encode_flags(flags[i])] * len(layout)  # the point's hash and flags
                 for p, col_flags in own.items():
-                    row_flags[p] = encode_flags(flags[i] + col_flags[i])
-                for head, flags_text, lhs_text, ratio_text, rhs_text, slack_text, tail in zip(
-                    heads[subjects[i]], row_flags, cell, cell, cell, cell, tails
+                    points[p] = subject + encode_flags(flags[i] + col_flags[i])
+                # {"alpha": A, "colligation_hash": H, "flags": F, "kind": "report", "lhs": L, "ratio": Q, "rhs": R,
+                #  "schema_version": 1, "seed": S, "slack": D, "theorem_tag": T, "z": Z}, A from opens, H and F
+                # from points, T from closes
+                for open_, point, lhs_text, ratio_text, rhs_text, slack_text, close in zip(
+                    opens, points, cell, cell, cell, cell, closes
                 ):
                     yield (
-                        f'{head}{flags_text}, "kind": "report", "lhs": {lhs_text}, "ratio": {ratio_text}, '
-                        f'"rhs": {rhs_text}, {version_seed}, "slack": {slack_text}, {tail}{z_text}'
+                        f'{open_}{point}, "kind": "report", "lhs": {lhs_text}, "ratio": {ratio_text}, '
+                        f'"rhs": {rhs_text}, {version_seed}, "slack": {slack_text}, {close}{z_text}'
                     )
     yield json.dumps({
         "schema_version": SCHEMA_VERSION,
@@ -372,7 +363,9 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
         "flagged": flagged,
         "slack_tol": slack_tol,
         "theorems": {
-            tag: {"count": count, "min_slack": min_slack, "min_ratio": min_ratio, "max_ratio": max_ratio,
+            # + 0.0 makes a zero extreme 0.0 whichever sign its records and the reductions' order gave it
+            tag: {"count": count, "min_slack": min_slack + 0.0, "min_ratio": min_ratio + 0.0,
+                  "max_ratio": max_ratio + 0.0,
                   "mean_ratio": total / count if math.isfinite(total) else small / count * 2.0 ** 64}
             for tag, (count, min_slack, min_ratio, max_ratio, total, small) in sorted(theorems.items())
         },
@@ -412,7 +405,7 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Chunk]:
         hashes = list(map(colligation_hash, cols))
         yield ([Stack(hashes, origin.zs, [()] * len(cols), ReportTable.of(wiener_check(origin, wiener_alphas))),
                 Stack([h for h in hashes for _ in range(size)], cz.zs, [config.sampler_flags + f for f in cz.flags],
-                      ReportTable.of(identity + report_columns(cz, mis)))],
+                      report_columns(cz, mis, identity))],
                [seg for k in range(len(cols)) for seg in ((0, k, k + 1), (1, k * size, (k + 1) * size))])
 
 
@@ -463,7 +456,7 @@ def explore_records(poly: Polynomial, structure: DomainStructure, config: Campai
     size, m = config.points_per_colligation, config.n_colligations * config.points_per_colligation
     points = PolynomialStack(poly, structure, sample_point(structure, rng, config.sampler, m=m))
     yield ([Stack([phash] * m, points.zs, [marks + f for f in points.flags],
-                  ReportTable.of([column for per_mi in variant_columns(points, mis) for column in per_mi]))],
+                  variant_columns(points, mis))],
            [(0, start, start + size) for start in range(0, m, size)])
     if isinstance(structure, Ball):  # the Drury-Arveson kernel's Gram check: a set of 8 points per segment
         sets = sample_point(structure, rng, config.sampler, m=8 * config.n_colligations).reshape(-1, 8, structure.d)

@@ -20,6 +20,7 @@ identity; Neumann sums appear only in tests, as an independent oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -52,6 +53,11 @@ def _jet_order(d: int, n: int) -> tuple[dict[tuple[int, ...], int], list[tuple[l
         for j in range(d)]
 
 
+def _jet_start(d: int, n: int) -> int:
+    """Where order n starts in the jet: after the comb(n - 1 + d, d) multi-indices over d axes of the orders below."""
+    return math.comb(n - 1 + d, d)
+
+
 def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
     """Inverses of ``name``, one matrix per point of ``zs``; a singular one is a domain violation."""
     try:
@@ -76,7 +82,8 @@ class EvalStack:
     :class:`aglerlab.colligation.StackGeometry`).  The jet, one reader per quantity, each
     stacking a list of multi-indices on axis 1: ``kops(mis)``, the arrangement sums K, from the
     recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, one order at a time for every
-    multi-index of that order, so they do not depend on which came first; ``partials(mis)``,
+    multi-index of that order, so they do not depend on which came first, kept as one array of
+    all orders made so far and read with one take; ``partials(mis)``,
     mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call; ``norms(mis)``,
     per multi-index the (m,) norms of its partial, those not yet known from one stacked chain
     and one SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
@@ -148,21 +155,25 @@ class EvalStack:
         return self.C @ self.r_ha
 
     def kops(self, mis) -> np.ndarray:
-        """The (m, k, dim_h, dim_k) arrangement sums K of ``mis`` (zero at order 0), from the jet kept per order."""
+        """The (m, k, dim_h, dim_k) arrangement sums K of ``mis`` (zero at order 0), in one take from the jet."""
+        d = self.col.d
         for mi in mis:
-            if mi.d != self.col.d:
-                raise ValueError(f"multi-index has d={mi.d}, colligation has d={self.col.d}")
-        for n in range(len(self._jet), max((mi.order for mi in mis), default=0) + 1):
-            ks = np.zeros((len(self), len(_jet_order(self.col.d, n)[0])) + self.zmat.shape[1:], dtype=np.complex128)
-            if n == 1:
-                ks[:] = self.es
-            elif n > 1:  # g[c] = sum_j E_j L g[c - e_j], over the j with c_j > 0 in turn
-                below = self.lmat[:, None] @ self._jet[-1]
-                for e_j, (rows, prev) in zip(self.es, _jet_order(self.col.d, n)[1]):
-                    ks[:, rows] += e_j @ below[:, prev]
-            self._jet.append(ks)
-        picked = [self._jet[mi.order][:, _jet_order(mi.d, mi.order)[0][mi.counts]] for mi in mis]
-        return np.stack(picked, axis=1) if picked else np.zeros((len(self), 0) + self.zmat.shape[1:], complex)
+            if mi.d != d:
+                raise ValueError(f"multi-index has d={mi.d}, colligation has d={d}")
+        top = max((mi.order for mi in mis), default=0)
+        if top >= len(self._jet):
+            for n in range(len(self._jet), top + 1):
+                ks = np.zeros((len(self), len(_jet_order(d, n)[0])) + self.zmat.shape[1:], dtype=np.complex128)
+                if n == 1:
+                    ks[:] = self.es
+                elif n > 1:  # g[c] = sum_j E_j L g[c - e_j], over the j with c_j > 0 in turn
+                    below = self.lmat[:, None] @ self._jet[-1]
+                    for e_j, (rows, prev) in zip(self.es, _jet_order(d, n)[1]):
+                        ks[:, rows] += e_j @ below[:, prev]
+                self._jet.append(ks)
+            self._flat = np.concatenate(self._jet, axis=1)  # every order, each a view of it from here on
+            self._jet = [self._flat[:, _jet_start(d, n):_jet_start(d, n + 1)] for n in range(top + 1)]
+        return self._flat[:, [_jet_start(d, mi.order) + _jet_order(d, mi.order)[0][mi.counts] for mi in mis]]
 
     def partials(self, mis) -> np.ndarray:
         """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0)."""

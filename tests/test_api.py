@@ -1,12 +1,15 @@
 """The public surface: every exported name resolves, once, the README's Python runs and its commands parse;
-only ``bounds`` reads its table of variants."""
+only ``bounds`` reads its table of variants; importing the CLI draws in no random generator."""
 
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,14 @@ def test_only_bounds_reads_the_variant_table():
                 names = [getattr(node, "id", None), getattr(node, "attr", None)]  # a Name or an Attribute
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in VARIANT_TABLE]
     assert found == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """``numpy.random`` (several ms to import) is loaded by the first campaign that draws, not by
+    ``import aglerlab.harness``: ``validate``, ``eval`` and ``deriv`` draw nothing."""
+    src = str(Path(aglerlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, aglerlab.harness; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -36,9 +36,9 @@ from aglerlab.colligation import StackGeometry, structure_norm
 from aglerlab.harness import MAX_ORDER, multi_indices, sample_point
 from aglerlab.matrixcore import spectral_norm
 from aglerlab.errors import DegenerateGramWarning
-from aglerlab.reports import BoundReport
-from aglerlab.transfer import defect_norms
-from conftest import admissible_point, interior_point, reports_at
+from aglerlab.reports import BoundReport, Column
+from aglerlab.transfer import defect_norms, resolvent_norm_estimates
+from conftest import MIXED_STRUCTURES, admissible_point, interior_point, reports_at
 
 
 class TestStackGeometry:
@@ -505,6 +505,42 @@ def _bits(values):
     return [float.__repr__(float(v)) for v in values]
 
 
+class TestReportLayout:
+    @pytest.mark.parametrize("dim_g", [1, 2])
+    @pytest.mark.parametrize("structure", MIXED_STRUCTURES, ids=str)
+    def test_the_table_is_the_plain_loop_over_the_checks(self, structure, dim_g):
+        rng = np.random.default_rng(40 + 3 * structure.d + dim_g)
+        col = random_colligation(structure, dim_g=dim_g, seed=50 + structure.d + dim_g)
+        ev = evaluate(col, [admissible_point(structure, rng) for _ in range(3)])
+        mis = [MultiIndex(a) for a in multi_indices(structure.d, MAX_ORDER)]
+        lead = [Column("identity.kernel_input", None, np.arange(3.0), np.ones(3), [("near-boundary",), (), ()])]
+        table = bounds.report_columns(ev, mis, lead)
+        on_ball = isinstance(structure, Ball)
+        expected = [("identity.kernel_input", None)] + [(c.tag, c.alpha) for c in resolvent_norm_estimates(ev)]
+        expected.append(("lmatrix.geometric", None))
+        if on_ball:
+            expected += [(c.tag, c.alpha) for c in ball_kernel_subchecks(ev)]
+        elif col.dim_f == col.dim_g == 1:
+            expected.append(("knese.sum_rule", None))
+        for mi in mis:
+            expected.append(("general.first_order" if mi.order == 1 else "general.higher_order", mi.counts))
+            if mi.order >= 2:
+                expected.append(("koperator.ball" if on_ball else "koperator.polydisk", mi.counts))
+            expected += [(v.tag, mi.counts) for v in bounds.applicable_variants(type(structure), mi)]
+        assert list(table.layout.keys) == expected
+        assert table.own == {0: lead[0].flags} and table.lhs.shape == table.rhs.shape == (3, len(expected))
+        # each column has the bits of the table of its multi-index alone
+        checked = set()
+        for mi in mis:
+            one = bounds.report_columns(ev, [mi], lead)
+            for q, key in enumerate(one.layout.keys):
+                p = expected.index(key)
+                for got, alone in ((table.lhs[:, p], one.lhs[:, q]), (table.rhs[:, p], one.rhs[:, q])):
+                    assert np.array_equal(got.view(np.int64), alone.view(np.int64)), key
+                checked.add(p)
+        assert checked == set(range(len(expected)))
+
+
 BATCH_STRUCTURES = [Polydisk((1,)), Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(2, 1), Ball(1, 2), Ball(2, 3)]
 
 
@@ -577,18 +613,20 @@ class TestMultiIndexAxis:
         table = bounds.VARIANTS
         for points in (ev, bounds.PolynomialStack(poly, structure, ev.zs)):
             monkeypatch.setattr(bounds, "VARIANTS", tuple(map(counted, table)))
-            per_mi = bounds.variant_columns(points, mis)
+            got = bounds.variant_columns(points, mis)
             monkeypatch.setattr(bounds, "VARIANTS", table)
-            assert len(per_mi) == len(mis)
+            keys = got.layout.keys
+            per_mi = [[p for p, (_, alpha) in enumerate(keys) if alpha == mi.counts] for mi in mis]
+            assert sum(per_mi, []) == list(range(len(keys)))  # the columns of each mi in turn
             for mi, columns, norm in zip(mis, per_mi, points.norms(mis)):
-                tags = [c.tag for c in columns]
+                tags = [keys[p][0] for p in columns]
                 assert tags == [v.tag for v in bounds.applicable_variants(type(structure), mi)], mi
                 assert tags == sorted(tags, key=[v.tag for v in table].index) and tags, mi
-                for column in columns:
-                    row = next(v for v in table if v.tag == column.tag)
-                    assert column.alpha == mi.counts and _bits(column.lhs) == _bits(norm)
-                    assert _bits(column.rhs) == _bits(row.rhs(points.defect, points.geometry, [mi])[:, 0])
-            assert sorted(calls) == sorted({c.tag for columns in per_mi for c in columns})  # one call per row
+                for p, tag in zip(columns, tags):
+                    row = next(v for v in table if v.tag == tag)
+                    assert _bits(got.lhs[:, p]) == _bits(norm)
+                    assert _bits(got.rhs[:, p]) == _bits(row.rhs(points.defect, points.geometry, [mi])[:, 0])
+            assert sorted(calls) == sorted(set(got.layout.tags))  # one call per row
             calls.clear()
 
     def test_wiener_has_the_bits_of_one_multi_index(self, structure):

@@ -32,9 +32,9 @@ from aglerlab import (
     random_colligation,
     spectral_norm,
 )
-from aglerlab import bounds, derivative, harness, transfer
+from aglerlab import bounds, derivative, harness, reports, transfer
 from aglerlab.colligation import save_colligation, structure_norm, to_json_dict
-from aglerlab.reports import Column
+from aglerlab.reports import Column, ReportTable
 from aglerlab.harness import (
     CampaignConfig,
     main,
@@ -59,8 +59,8 @@ HEADER = {"schema_version": 1, "kind": "header", "seed": 7}
 def chunk(subject, zs, flags, *columns, cuts=()):
     """A campaign chunk of one stack of handmade columns (tag, alpha, lhs, rhs[, flags]), its rows
     in one segment, or in segments split at the rows ``cuts``."""
-    table = harness.ReportTable.of([Column(tag, alpha, np.array(lhs, dtype=float), np.array(rhs, dtype=float), *rest)
-                                    for tag, alpha, lhs, rhs, *rest in columns])
+    table = ReportTable.of([Column(tag, alpha, np.array(lhs, dtype=float), np.array(rhs, dtype=float), *rest)
+                            for tag, alpha, lhs, rhs, *rest in columns])
     bounds = [0, *cuts, len(zs)]
     return ([harness.Stack([subject] * len(zs), np.array(zs, dtype=np.complex128), list(flags), table)],
             [(0, a, b) for a, b in zip(bounds, bounds[1:])])
@@ -71,9 +71,10 @@ def chunk_rows(chk):
     stacks, segments = chk
     rows = []
     for s, a, b in segments:
-        subjects, zs, flags, (keys, own, lhs, rhs) = stacks[s]
+        subjects, zs, flags, (layout, own, lhs, rhs) = stacks[s]
         rows += [(BoundReport(tag, tuple(complex(v) for v in zs[i]), alpha, lhs[i, p], rhs[i, p]), subjects[i],
-                  flags[i] + (own[p][i] if p in own else ())) for i in range(a, b) for p, (tag, alpha) in enumerate(keys)]
+                  flags[i] + (own[p][i] if p in own else ()))
+                 for i in range(a, b) for p, (tag, alpha) in enumerate(layout.keys)]
     return rows
 
 
@@ -358,6 +359,17 @@ class TestCampaignWork:
         assert calls == {"polydisk.factorial": 1, "polydisk.weak": 1, "polydisk.first": 1, "polydisk.mixed": 1}
         assert len(general) == len(kbound) == 1
 
+    def test_a_campaign_builds_each_layout_once(self, monkeypatch):
+        # 40 colligations are three chunks: each stack's layout is built for the first and read by the others
+        reports.layout.cache_clear()
+        bounds._report_layout.cache_clear()
+        built = count_calls(monkeypatch, reports.Layout.__init__)
+        chunks = list(harness.fuzz_records(CampaignConfig(seed=21, n_colligations=40, structure="polydisk:2,1",
+                                                          max_order=4, points_per_colligation=2)))
+        assert len(chunks) == 3
+        assert len(built) == 2  # the Wiener stack's and the report stack's
+        assert all(len({id(stacks[k].table.layout) for stacks, _ in chunks}) == 1 for k in range(2))
+
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
     def test_norm_calls_do_not_grow_with_the_order(self, monkeypatch, structure):
         # each point takes the norms of all its multi-indices, and of all their
@@ -418,7 +430,7 @@ def assert_chunk_layout(chunks):
     chunks = list(chunks)
     assert chunks
     for stacks, segments in chunks:
-        tags = [{tag for tag, _ in stack.table.keys} for stack in stacks]
+        tags = [set(stack.table.layout.tags) for stack in stacks]
         assert sum(map(len, tags)) == len(set().union(*tags))
         assert all(a < b for _, a, b in segments)
         for s, (subjects, zs, flags, table) in enumerate(stacks):
@@ -675,6 +687,10 @@ class TestCli:
                    for line in lines[:-1]]
         assert printed == [(r["theorem_tag"], f"{r['lhs']:.6e}", f"{r['rhs']:.6e}") for r in expected]
         assert {"koperator.polydisk", "koperator.ball"} & {tag for tag, _, _ in printed}
+        # and the library's reports at the point are the campaign's, bit for bit
+        ctx = transfer.evaluate(col, tuple(complex(re, im) for re, im in z))
+        assert [(r.theorem_tag, repr(r.lhs), repr(r.rhs)) for r in bounds.point_reports(ctx, [MultiIndex(alpha)])] == [
+            (r["theorem_tag"], repr(r["lhs"]), repr(r["rhs"])) for r in expected]
 
     def test_bounds_command(self, tmp_path, capsys):
         path = tmp_path / "b.json"
@@ -1312,6 +1328,30 @@ class TestReportEncoding:
                                             "mean_ratio": 1.0 / 21}
         assert summary["theorems"]["y"]["count"] == 1 and summary["flagged"] == 2 and summary["reports"] == 22
 
+    def test_zero_extremes_do_not_depend_on_how_records_split(self):
+        # tag x's least slack and its every ratio are zeros of both signs: -0.0 - 0.0 is a slack of -0.0,
+        # -0.0 / 1.0 a ratio of -0.0, and a zero rhs gives the ratio 0.0; numpy's reductions and a
+        # first-wins fold pick a zero's sign by where the records fall, so the summary writes 0.0
+        lhs = [0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+        rhs = [0.0, -0.0, 1.0, 2.0, 3.0, -0.0]
+        columns = [("x", (1,), lhs, rhs), ("x", (2,), lhs[1:] + lhs[:1], rhs[1:] + rhs[:1]),
+                   ("y", None, [0.5] * 6, [1.0] * 6)]
+        zs, flags = [[0.1j * k] for k in range(6)], [()] * 6
+
+        def split(*rows_and_cuts):
+            """Chunks of the rows [a, b), each cut into segments at the rows listed with it."""
+            return [chunk("h", zs[a:b], flags[a:b], *[(t, al, l[a:b], r[a:b]) for t, al, l, r in columns],
+                          cuts=[c - a for c in cuts]) for a, b, cuts in rows_and_cuts]
+
+        splits = [split((0, 6, ())), split((0, 6, (1, 2, 3, 4, 5))), split((0, 3, (1,)), (3, 6, (5,))),
+                  split(*[(k, k + 1, ()) for k in range(6)]), split((0, 1, ()), (1, 6, (2, 4))),
+                  split((0, 2, ()), (2, 6, ()))]
+        outputs = [list(summarize(HEADER, chunks, slack_tol=1e-9)) for chunks in splits]
+        assert all(out == outputs[0] for out in outputs[1:])
+        x = json.loads(outputs[0][-1])["theorems"]["x"]
+        assert x == {"count": 12, "min_slack": 0.0, "min_ratio": 0.0, "max_ratio": 0.0, "mean_ratio": 0.0}
+        assert all(math.copysign(1.0, x[k]) == 1.0 for k in ("min_slack", "min_ratio", "max_ratio"))
+
     def test_summary_mean_of_ratios_whose_sum_overflows(self):
         # two finite ratios of 2^1023 add up past the float range; their mean is 2^1023
         chunks = [chunk("h", [[0j]] * 2, [()] * 2, ("x", None, [2.0 ** 1023] * 2, [1.0] * 2))]
@@ -1340,9 +1380,10 @@ class TestReportEncoding:
 
     def test_a_nonfinite_value_in_the_last_colligation_stops_its_chunk_before_any_line(self, monkeypatch):
         # the chunk's stacks are checked whole, before the first colligation's records are written
-        def last_point_nonfinite(ev, mis):
-            first, *rest = report_columns(ev, mis)
-            return [first._replace(lhs=np.where(np.arange(len(ev)) == len(ev) - 1, math.nan, first.lhs)), *rest]
+        def last_point_nonfinite(ev, mis, lead):
+            table = report_columns(ev, mis, lead)
+            table.lhs[-1, 0] = math.nan
+            return table
 
         report_columns = harness.report_columns
         monkeypatch.setattr(harness, "report_columns", last_point_nonfinite)
