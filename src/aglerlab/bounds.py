@@ -4,9 +4,8 @@ A check at a stack of points has the left-hand sides (derivative norms, from
 the realization or a polynomial) and the right-hand sides of one inequality,
 exactly as stated, one per point.  A derivative bound at k multi-indices is
 one (m, k) block of each from one call, written into a :class:`ReportTable`
-at the columns its :class:`Layout` gives them; the other checks are a
-:class:`Column` each.  A table's layout, which (tag, alpha) columns it has
-in which order, is built once per shape and domain and kept.
+at its columns; the other checks are a :class:`Column` each.  A table's
+columns are its ``keys``, the (tag, alpha) of each in record order.
 A polynomial's norms take one stacked :func:`poly_partial` call per multi-index (:class:`PolynomialStack`).
 Each check is one function of a stack: an :class:`aglerlab.transfer.EvalStack`
 (``bound_general``, ``ball_kernel_subchecks``, ``knese_report``) or a stack
@@ -47,7 +46,6 @@ is the table of every report at an evaluated stack in record order,
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,7 +57,7 @@ from .colligation import Ball, Colligation, DomainStructure, Polydisk, StackGeom
 from .derivative import MultiIndex, Polynomial, _times, poly_partial
 from .errors import DegenerateGramWarning
 from .matrixcore import float_power, spectral_norm
-from .reports import BoundReport, Column, Key, Layout, ReportTable, layout
+from .reports import BoundReport, Column, ReportTable
 from .transfer import EvalContext, EvalStack, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
 __all__ = [
@@ -257,14 +255,14 @@ def variant_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiInde
     return _fill(points, mis, points.norms(mis), [], bounds=False)
 
 
-@functools.lru_cache(maxsize=256)  # a campaign reads one; bounded for callers that ask for many
-def _report_layout(lead: tuple[Key, ...], domain: type, mis: tuple[MultiIndex, ...], variants: tuple[Variant, ...],
-                   bounds: bool) -> tuple[Layout, tuple]:
-    """The layout of a report table on ``domain``: the ``lead`` keys, then per multi-index of ``mis`` (with
-    ``bounds``) the general bound and at order n >= 2 the K-operator bound, then the rows of ``variants`` that
-    apply at it; and per family (either bound, each row) its multi-indices, their places in ``mis`` and its
-    columns.  ``variants`` is :data:`VARIANTS` at the call, so a replaced table gets a layout of its own."""
-    keys, families, at = list(lead), {}, {}  # at: per (order, d), the families at a multi-index and their tags
+def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], norms: Sequence[np.ndarray],
+          small: Sequence[Column], bounds: bool) -> ReportTable:
+    """The table of the columns ``small``, then per multi-index of ``mis`` (with ``bounds``) the general bound
+    and at order n >= 2 the K-operator bound, then the rows of :data:`VARIANTS` that apply at it.  Each family
+    (either bound, each row) is one (m, k) lhs and rhs block from one call, written at its columns; ``norms``
+    are the partial norms of ``mis``."""
+    domain = type(points.structure)
+    keys, families, at = [(c.tag, c.alpha) for c in small], {}, {}  # at: per (order, d), its families and tags
     for c, mi in enumerate(mis):
         if (members := at.get((mi.order, mi.d))) is None:  # what applies depends on the order and d alone
             members = at[mi.order, mi.d] = []
@@ -272,34 +270,25 @@ def _report_layout(lead: tuple[Key, ...], domain: type, mis: tuple[MultiIndex, .
                 members.append((_GENERAL, "general.first_order" if mi.order == 1 else "general.higher_order"))
                 if mi.order >= 2:
                     members.append((_KOPERATOR, "koperator.ball" if domain is Ball else "koperator.polydisk"))
-            members += [(v, v.tag) for v in variants if v.domain is domain and v.unmet(mi) is None]
-        for family, tag in members:
+            members += [(v, v.tag) for v in applicable_variants(domain, mi)]
+        for family, tag in members:  # per family: its multi-indices, their places in mis, and its columns
             sub, take, put = families.setdefault(family, ([], [], []))
             sub.append(mi)
             take.append(c)
             put.append(len(keys))
             keys.append((tag, mi.counts))
-    return layout(tuple(keys)), tuple((family, *map(tuple, lists)) for family, lists in families.items())
-
-
-def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], norms: Sequence[np.ndarray],
-          small: Sequence[Column], bounds: bool) -> ReportTable:
-    """The table of :func:`_report_layout`: the columns ``small``, then each family's (m, k) lhs and rhs
-    block, from one call, written at its columns; ``norms`` are the partial norms of ``mis``."""
-    lay, families = _report_layout(tuple((c.tag, c.alpha) for c in small), type(points.structure), tuple(mis),
-                                   VARIANTS, bounds)
-    lhs, rhs = np.empty((len(points.zs), len(lay))), np.empty((len(points.zs), len(lay)))
+    lhs, rhs = np.empty((len(points.zs), len(keys))), np.empty((len(points.zs), len(keys)))
     for p, column in enumerate(small):
         lhs[:, p], rhs[:, p] = column.lhs, column.rhs
     norms = np.array(norms, dtype=float).reshape(len(mis), len(points.zs)).T
-    for family, sub, take, put in families:
+    for family, (sub, take, put) in families.items():
         if family is _KOPERATOR:  # ||K|| <= ||L||^(n-1)
             lhs[:, put], rhs[:, put] = spectral_norm(points.kops(sub)), _koperator_rhs(points, sub)
         else:
             lhs[:, put] = norms[:, take]
             rhs[:, put] = (bound_general(points, sub) if family is _GENERAL
                            else family.rhs(points.defect, points.geometry, sub))
-    return ReportTable(lay, {p: c.flags for p, c in enumerate(small) if c.flags is not None}, lhs, rhs)
+    return ReportTable(tuple(keys), {p: c.flags for p, c in enumerate(small) if c.flags is not None}, lhs, rhs)
 
 
 _BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
@@ -385,6 +374,8 @@ def wiener_check(origin: EvalStack | PolynomialStack, orders: Sequence[Alpha]) -
     """
     on_ball = isinstance(origin.structure, Ball)
     mis = [mi for mi in map(MultiIndex.of, orders) if mi.order > 0]
+    if not mis:
+        return []
     lhs = np.stack(origin.norms(mis), axis=1) / np.array([mi.factorial_product for mi in mis], float)
     rhs = origin.defect[:, None] * np.array([_sphere_factor(mi) if on_ball else 1 for mi in mis], float)
     return [Column("wiener.coefficient", mi.counts, lhs[:, c], rhs[:, c]) for c, mi in enumerate(mis)]
@@ -451,7 +442,7 @@ def report_columns(ev: EvalStack, mis: Sequence[MultiIndex], lead: Sequence[Colu
 def point_reports(ctx: EvalContext, mis: Sequence[MultiIndex]) -> Iterator[BoundReport]:
     """The :func:`report_columns` reports at an evaluated point, in record order: its row of the table."""
     table = report_columns(ctx.stack, mis)
-    for (tag, alpha), lhs, rhs in zip(table.layout.keys, table.lhs[ctx.i].tolist(), table.rhs[ctx.i].tolist()):
+    for (tag, alpha), lhs, rhs in zip(table.keys, table.lhs[ctx.i].tolist(), table.rhs[ctx.i].tolist()):
         yield BoundReport(tag, ctx.z, alpha, lhs, rhs)
 
 

@@ -17,13 +17,13 @@ campaign yields chunks: its :class:`Stack` of points per kind (a fuzz chunk's
 origins and points, an exploration's points or Gram point sets), each row with
 its subject hash, z and flags, and its record order as row segments of those
 (one per colligation's origin or points, or per ``--points`` explored points).
-A stack's reports are one table whose layout (its (tag, alpha) columns, in
-order and by tag) is built once per campaign.  ``summarize`` checks and folds
-each stack as arrays, per tag as its layout groups them, makes each layout's
-texts once per alpha and per tag, then per segment encodes each distinct
-float once and writes each report's line from one fixed template, the one
-statement of the record format.  Identical configuration and seed produce
-byte-identical output.
+A stack's reports are one table whose columns are its ``keys``, the (tag,
+alpha) of each in record order.  ``summarize`` checks and folds each stack as
+arrays, per tag as it groups the stack's keys, makes the stack's texts once
+per alpha and per tag, then per segment encodes each distinct float once and
+writes each report's line from one fixed template, the one statement of the
+record format.  Identical configuration and seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .derivative import (
 )
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
-from .reports import Column, Layout, ReportTable
+from .reports import Column, ReportTable
 from .tolerances import CONSTRUCTION_TOL, IDENTITY_TOL, SLACK_TOL
 from .transfer import _jet_order, evaluate, identity_residuals
 
@@ -191,8 +191,8 @@ class CampaignConfig:
                 f"tolerances must be finite and >= 0, got slack_tol={self.slack_tol}, "
                 f"identity_tol={self.identity_tol}"
             )
-        # records write every value as a float, an integer tolerance included
-        self.slack_tol, self.identity_tol = float(self.slack_tol), float(self.identity_tol)
+        # records write every value as a float, an integer tolerance included, and -0.0 as 0.0
+        self.slack_tol, self.identity_tol = float(self.slack_tol) + 0.0, float(self.identity_tol) + 0.0
         parse_structure(self.structure)
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}; use one of {SAMPLERS}")
@@ -288,7 +288,6 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
     """
     yield json.dumps(header, sort_keys=True, allow_nan=False) + "\n"
     version_seed = f'"schema_version": {SCHEMA_VERSION!r}, "seed": {header["seed"]!r}'
-    texts: dict[Layout, tuple[list[str], list[str]]] = {}  # per layout: its columns' text up to the hash, from the tag
     flag_texts: dict[tuple[str, ...], str] = {}
 
     def encode_flags(f: tuple[str, ...]) -> str:
@@ -299,42 +298,42 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
     theorems: dict[str, tuple] = {}  # tag -> (count, min slack, min ratio, max ratio, sum of ratios, that / 2^64)
     violations = flagged = 0
     for stacks, segments in chunks:
-        prepared = []  # per stack: its lhs, ratio, rhs and slack bits
-        for s, (subjects, zs, flags, (layout, own, lhs, rhs)) in enumerate(stacks):
+        prepared = []  # per stack: its lhs, ratio, rhs and slack bits, and its columns' texts
+        for s, (subjects, zs, flags, (keys, own, lhs, rhs)) in enumerate(stacks):
             slack = rhs - lhs
             ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
             if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(layout), axis=1)
+            marked = np.repeat(np.array([bool(f) for f in flags])[:, None], len(keys), axis=1)
             for p, col_flags in own.items():  # a record carries its point's flags and its column's own
                 marked[:, p] |= [bool(f) for f in col_flags]
             flagged += int(marked.sum())
             violations += int(np.count_nonzero((slack < -slack_tol) & ~marked))
-            if layout not in texts:  # a record's text up to its hash once per alpha, from its tag once per tag
-                alphas = ["null" if a is None else f'[{", ".join(map(int.__repr__, a))}]' for a in layout.alphas]
-                opens = [f'{{"alpha": {alpha}, "colligation_hash": ' for alpha in alphas]
-                closes = [f'"theorem_tag": {_str(tag)}, "z": ' for tag in layout.tags]
-                texts[layout] = (np.array(opens, dtype=object)[layout.alpha_of].tolist(),
-                                 np.array(closes, dtype=object)[layout.tag_of].tolist())
+            groups: dict[str, list[int]] = {}  # per tag, its columns
+            for p, (tag, _) in enumerate(keys):
+                groups.setdefault(tag, []).append(p)
             # per tag, its columns' extremes as one grouped reduction over the columns in tag order
-            lows = np.minimum.reduceat(np.stack((slack.min(axis=0), ratio.min(axis=0)))[:, layout.order],
-                                       layout.starts, axis=1)
-            highs = np.maximum.reduceat(ratio.max(axis=0)[layout.order], layout.starts)
+            order, starts = sum(groups.values(), []), [0, *itertools.accumulate(map(len, groups.values()))][:-1]
+            lows = np.minimum.reduceat(np.stack((slack.min(axis=0), ratio.min(axis=0)))[:, order], starts, axis=1)
+            highs = np.maximum.reduceat(ratio.max(axis=0)[order], starts)
             # the ratio sums' 2^-64 twin adds each segment's column sums, segment by segment
             scaled = np.array([(ratio[a:b] * 2.0 ** -64).sum(axis=0) for t, a, b in segments if t == s])
             with np.errstate(over="ignore"):  # a tag's ratio sum: one + per record in record order, as lines come
-                for tag, ps, low_slack, low_ratio, high_ratio in zip(layout.tags, layout.groups, *lows.tolist(),
-                                                                     highs.tolist()):
+                for (tag, ps), low_slack, low_ratio, high_ratio in zip(groups.items(), *lows.tolist(), highs.tolist()):
                     count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
                         tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
                     theorems[tag] = (count + len(ps) * len(ratio), min(min_slack, low_slack), min(min_ratio, low_ratio),
                                      max(max_ratio, high_ratio),
                                      float(np.add.accumulate(np.concatenate(([total], ratio[:, ps].ravel())))[-1]),
                                      functools.reduce(float.__add__, map(sum, scaled[:, ps].tolist()), small))
-            prepared.append(np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64))
+            # a record's text up to its hash once per alpha, from its tag once per tag
+            opens = {a: '{"alpha": ' + ("null" if a is None else f'[{", ".join(map(int.__repr__, a))}]')
+                     + ', "colligation_hash": ' for a in {a for _, a in keys}}
+            closes = {tag: f'"theorem_tag": {_str(tag)}, "z": ' for tag in groups}
+            prepared.append((np.stack((lhs, ratio, rhs, slack), axis=-1).view(np.int64),
+                             [opens[a] for _, a in keys], [closes[tag] for tag, _ in keys]))
         for s, start, stop in segments:
-            (subjects, zs, flags, (layout, own, _, _)), bits = stacks[s], prepared[s]
-            opens, closes = texts[layout]
+            (subjects, zs, flags, (keys, own, _, _)), (bits, opens, closes) = stacks[s], prepared[s]
             # one text per distinct bit pattern (-0.0 apart from 0.0); per record, its lhs, ratio, rhs and slack
             distinct, inverse = np.unique(bits[start:stop], return_inverse=True)
             cell = iter(np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)[
@@ -342,7 +341,7 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
             for i, z in enumerate(zs[start:stop].tolist(), start):
                 subject = f'{_str(subjects[i])}, "flags": '
                 z_text = "[" + ", ".join(f"[{v.real!r}, {v.imag!r}]" for v in z) + "]}\n"
-                points = [subject + encode_flags(flags[i])] * len(layout)  # the point's hash and flags
+                points = [subject + encode_flags(flags[i])] * len(keys)  # the point's hash and flags
                 for p, col_flags in own.items():
                     points[p] = subject + encode_flags(flags[i] + col_flags[i])
                 # {"alpha": A, "colligation_hash": H, "flags": F, "kind": "report", "lhs": L, "ratio": Q, "rhs": R,

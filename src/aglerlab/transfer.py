@@ -232,8 +232,10 @@ def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContex
     non-unitary colligation); a point near the boundary is flagged."""
     cols = [col] if isinstance(col, Colligation) else list(col)
     pts = np.asarray(zs, dtype=np.complex128)
-    if pts.ndim not in ((1, 2) if isinstance(col, Colligation) else (3,)) or pts.ndim == 3 and len(pts) != len(cols):
-        raise ValueError(f"points must have shape (d,) or (m, d) for a colligation, (n, m, d) for n, got {pts.shape}")
+    if (pts.ndim not in ((1, 2) if isinstance(col, Colligation) else (3,)) or pts.ndim == 3 and len(pts) != len(cols)
+            or not pts.size):
+        raise ValueError(f"points must have shape (d,) or (m, d) for a colligation, (n, m, d) for n, "
+                         f"with m, n >= 1; got {pts.shape}")
     structure = cols[0].structure
     if any(c.structure != structure for c in cols):
         raise ValueError("colligations evaluated together must share their structure")

@@ -71,10 +71,10 @@ def chunk_rows(chk):
     stacks, segments = chk
     rows = []
     for s, a, b in segments:
-        subjects, zs, flags, (layout, own, lhs, rhs) = stacks[s]
+        subjects, zs, flags, (keys, own, lhs, rhs) = stacks[s]
         rows += [(BoundReport(tag, tuple(complex(v) for v in zs[i]), alpha, lhs[i, p], rhs[i, p]), subjects[i],
                   flags[i] + (own[p][i] if p in own else ()))
-                 for i in range(a, b) for p, (tag, alpha) in enumerate(layout.keys)]
+                 for i in range(a, b) for p, (tag, alpha) in enumerate(keys)]
     return rows
 
 
@@ -359,17 +359,6 @@ class TestCampaignWork:
         assert calls == {"polydisk.factorial": 1, "polydisk.weak": 1, "polydisk.first": 1, "polydisk.mixed": 1}
         assert len(general) == len(kbound) == 1
 
-    def test_a_campaign_builds_each_layout_once(self, monkeypatch):
-        # 40 colligations are three chunks: each stack's layout is built for the first and read by the others
-        reports.layout.cache_clear()
-        bounds._report_layout.cache_clear()
-        built = count_calls(monkeypatch, reports.Layout.__init__)
-        chunks = list(harness.fuzz_records(CampaignConfig(seed=21, n_colligations=40, structure="polydisk:2,1",
-                                                          max_order=4, points_per_colligation=2)))
-        assert len(chunks) == 3
-        assert len(built) == 2  # the Wiener stack's and the report stack's
-        assert all(len({id(stacks[k].table.layout) for stacks, _ in chunks}) == 1 for k in range(2))
-
     @pytest.mark.parametrize("structure", CAMPAIGN_STRUCTURES)
     def test_norm_calls_do_not_grow_with_the_order(self, monkeypatch, structure):
         # each point takes the norms of all its multi-indices, and of all their
@@ -430,7 +419,7 @@ def assert_chunk_layout(chunks):
     chunks = list(chunks)
     assert chunks
     for stacks, segments in chunks:
-        tags = [set(stack.table.layout.tags) for stack in stacks]
+        tags = [{tag for tag, _ in stack.table.keys} for stack in stacks]
         assert sum(map(len, tags)) == len(set().union(*tags))
         assert all(a < b for _, a, b in segments)
         for s, (subjects, zs, flags, table) in enumerate(stacks):
@@ -953,6 +942,19 @@ class TestCli:
         assert main(["validate", str(path), "--tol", "0"]) != 2
         assert main(["bounds", str(path), "--z", "0.5", "--tol", "0"]) != 2
         assert "error" not in capsys.readouterr().err
+
+    def test_negative_zero_tolerances_are_written_as_zero(self, tmp_path, capsys):
+        # --tol -0 is the tolerance of --tol 0, so both campaigns write the same bytes
+        config = CampaignConfig(slack_tol=-0.0, identity_tol=-0)
+        assert [math.copysign(1.0, t) for t in (config.slack_tol, config.identity_tol)] == [1.0, 1.0]
+        written = []
+        for tol in ("0", "-0"):
+            out = tmp_path / f"tol{tol}.jsonl"
+            assert main(["fuzz", "--n", "1", "--points", "2", "--tol", tol, "--out", str(out)]) in (0, 1)
+            written.append(out.read_bytes())
+        capsys.readouterr()
+        assert written[0] == written[1]
+        assert b'"slack_tol": 0.0,' in written[0].splitlines()[0] and b'"slack_tol": 0.0,' in written[0].splitlines()[-1]
 
     def test_integer_tolerances_are_written_as_floats(self, tmp_path, capsys):
         # every record value is a float, so CampaignConfig makes an integer tolerance one

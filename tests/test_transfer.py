@@ -1,5 +1,7 @@
 """Evaluation contexts, kernel identities, and resolvent norm estimates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,13 @@ class TestColligationStack:
             evaluate(cols[0], np.zeros((2, 1, 2)))
         with pytest.raises(ValueError, match="share their structure"):
             evaluate([cols[0], random_colligation(Polydisk((1, 2)), dim_g=1, seed=3)], np.zeros((2, 1, 2)))
+
+    @pytest.mark.parametrize("n, shape", [(None, (0, 2)), (2, (2, 0, 2)), (0, (0, 1, 2))],
+                             ids=["no-point", "no-point-per-colligation", "no-colligation"])
+    def test_an_empty_stack_is_refused_by_its_shape(self, n, shape):
+        col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=6)
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            evaluate(col if n is None else [col] * n, np.zeros(shape))
 
 
 class TestIdentityResiduals:
