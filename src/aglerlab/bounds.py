@@ -252,15 +252,14 @@ def variant_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiInde
     """The table of the rows that apply at each multi-index of ``mis`` on the stack's domain, per multi-index
     in :data:`VARIANTS` order, on an evaluated or polynomial stack; each row's rhs is one call for all the
     multi-indices it applies at, written with their norms as one block."""
-    return _fill(points, mis, points.norms(mis), [], bounds=False)
+    return _fill(points, mis, [], bounds=False)
 
 
-def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], norms: Sequence[np.ndarray],
-          small: Sequence[Column], bounds: bool) -> ReportTable:
+def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], small: Sequence[Column],
+          bounds: bool) -> ReportTable:
     """The table of the columns ``small``, then per multi-index of ``mis`` (with ``bounds``) the general bound
     and at order n >= 2 the K-operator bound, then the rows of :data:`VARIANTS` that apply at it.  Each family
-    (either bound, each row) is one (m, k) lhs and rhs block from one call, written at its columns; ``norms``
-    are the partial norms of ``mis``."""
+    (either bound, each row) is one (m, k) lhs and rhs block from one call, written at its columns."""
     domain = type(points.structure)
     keys, families, at = [(c.tag, c.alpha) for c in small], {}, {}  # at: per (order, d), its families and tags
     for c, mi in enumerate(mis):
@@ -280,7 +279,7 @@ def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], norms:
     lhs, rhs = np.empty((len(points.zs), len(keys))), np.empty((len(points.zs), len(keys)))
     for p, column in enumerate(small):
         lhs[:, p], rhs[:, p] = column.lhs, column.rhs
-    norms = np.array(norms, dtype=float).reshape(len(mis), len(points.zs)).T
+    norms = np.array(points.norms(mis), dtype=float).reshape(len(mis), len(points.zs)).T
     for family, (sub, take, put) in families.items():
         if family is _KOPERATOR:  # ||K|| <= ||L||^(n-1)
             lhs[:, put], rhs[:, put] = spectral_norm(points.kops(sub)), _koperator_rhs(points, sub)
@@ -430,13 +429,12 @@ def report_columns(ev: EvalStack, mis: Sequence[MultiIndex], lead: Sequence[Colu
     (scalar polydisk) or the ball kernel subchecks, then for each multi-index of ``mis`` the general
     bound, at order n >= 2 the K-operator bound ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball),
     and the :func:`variant_columns` rows at it, each bound from one call for all of ``mis``."""
-    norms = ev.norms(mis)  # first, so that the sum rule reads its norms from this one SVD call
     small = [*lead, *resolvent_norm_estimates(ev), lnorm_bound_check(ev)]
     if isinstance(ev.structure, Ball):
         small += ball_kernel_subchecks(ev)
     elif ev.col.dim_f == ev.col.dim_g == 1:
         small.append(knese_report(ev))
-    return _fill(ev, mis, norms, small, bounds=True)
+    return _fill(ev, mis, small, bounds=True)
 
 
 def point_reports(ctx: EvalContext, mis: Sequence[MultiIndex]) -> Iterator[BoundReport]:

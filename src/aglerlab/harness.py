@@ -299,7 +299,7 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
     violations = flagged = 0
     for stacks, segments in chunks:
         prepared = []  # per stack: its lhs, ratio, rhs and slack bits, and its columns' texts
-        for s, (subjects, zs, flags, (keys, own, lhs, rhs)) in enumerate(stacks):
+        for subjects, zs, flags, (keys, own, lhs, rhs) in stacks:
             slack = rhs - lhs
             ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs != 0.0)
             if not all(np.isfinite(a).all() for a in (slack, ratio, zs)):
@@ -312,20 +312,15 @@ def summarize(header: dict, chunks: Iterable[Chunk], slack_tol: float, **extra) 
             groups: dict[str, list[int]] = {}  # per tag, its columns
             for p, (tag, _) in enumerate(keys):
                 groups.setdefault(tag, []).append(p)
-            # per tag, its columns' extremes as one grouped reduction over the columns in tag order
-            order, starts = sum(groups.values(), []), [0, *itertools.accumulate(map(len, groups.values()))][:-1]
-            lows = np.minimum.reduceat(np.stack((slack.min(axis=0), ratio.min(axis=0)))[:, order], starts, axis=1)
-            highs = np.maximum.reduceat(ratio.max(axis=0)[order], starts)
-            # the ratio sums' 2^-64 twin adds each segment's column sums, segment by segment
-            scaled = np.array([(ratio[a:b] * 2.0 ** -64).sum(axis=0) for t, a, b in segments if t == s])
-            with np.errstate(over="ignore"):  # a tag's ratio sum: one + per record in record order, as lines come
-                for (tag, ps), low_slack, low_ratio, high_ratio in zip(groups.items(), *lows.tolist(), highs.tolist()):
-                    count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
-                        tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
-                    theorems[tag] = (count + len(ps) * len(ratio), min(min_slack, low_slack), min(min_ratio, low_ratio),
-                                     max(max_ratio, high_ratio),
-                                     float(np.add.accumulate(np.concatenate(([total], ratio[:, ps].ravel())))[-1]),
-                                     functools.reduce(float.__add__, map(sum, scaled[:, ps].tolist()), small))
+            for tag, ps in groups.items():  # the chunk's records of a tag are in this stack, row by row in record order
+                ratios = ratio[:, ps].ravel()
+                count, min_slack, min_ratio, max_ratio, total, small = theorems.get(
+                    tag, (0, math.inf, math.inf, -math.inf, 0.0, 0.0))
+                with np.errstate(over="ignore"):  # both ratio sums: one + per record in record order, as lines come
+                    total = float(np.add.accumulate(np.concatenate(([total], ratios)))[-1])
+                    small = float(np.add.accumulate(np.concatenate(([small], ratios * 2.0 ** -64)))[-1])
+                theorems[tag] = (count + len(ratios), min(min_slack, float(slack[:, ps].min())),
+                                 min(min_ratio, float(ratios.min())), max(max_ratio, float(ratios.max())), total, small)
             # a record's text up to its hash once per alpha, from its tag once per tag
             opens = {a: '{"alpha": ' + ("null" if a is None else f'[{", ".join(map(int.__repr__, a))}]')
                      + ', "colligation_hash": ' for a in {a for _, a in keys}}
@@ -513,8 +508,7 @@ def _finite_tol(tol: float) -> float:
 
 def cmd_validate(args) -> int:
     report = validate(_load(args.file), tol=_finite_tol(args.tol))
-    for line in report.lines():
-        print(line)
+    print(*report.lines(), sep="\n")
     return 0 if report.passed else 1
 
 

@@ -71,13 +71,14 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 def unitarity_residual(u) -> float:
     """``max(||U*U - I||, ||UU* - I||)`` in spectral norm.
 
-    Zero exactly when U is unitary; the input must be square.
+    Zero exactly when U is unitary, infinite where U*U or UU* overflows; the input must be square.
     """
     a = as_matrix(u, "U")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"U must be square, got shape {a.shape}")
-    eye = np.eye(a.shape[0])
-    return float(spectral_norm(np.stack([a.conj().T @ a - eye, a @ a.conj().T - eye])).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.stack([a.conj().T @ a, a @ a.conj().T]) - np.eye(len(a))
+    return float(spectral_norm(defects).max()) if np.isfinite(defects).all() else np.inf
 
 
 def float_power(x, k) -> np.ndarray:

@@ -58,14 +58,21 @@ def _jet_start(d: int, n: int) -> int:
     return math.comb(n - 1 + d, d)
 
 
+def _refuse(zs: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """A domain violation naming the first point of ``zs`` where ``bad`` holds, if any."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        at = f" (point {i} of {len(zs)})" if len(zs) > 1 else ""
+        raise DomainViolationError(f"{what} at z = {zs[i].tolist()}{at}") from None
+
+
 def _inverse(mats: np.ndarray, zs: np.ndarray, name: str) -> np.ndarray:
     """Inverses of ``name``, one matrix per point of ``zs``; a singular one is a domain violation."""
     try:
         return np.linalg.solve(mats, np.eye(mats.shape[-1]))
     except np.linalg.LinAlgError:
-        i = int(np.flatnonzero(np.linalg.slogdet(mats)[1] == -np.inf)[0])
-        at = f" (point {i} of {len(zs)})" if len(zs) > 1 else ""
-        raise DomainViolationError(f"{name} is singular at z = {zs[i].tolist()}{at}") from None
+        _refuse(zs, np.linalg.slogdet(mats)[1] == -np.inf, f"{name} is singular")
+        raise
 
 
 class EvalStack:
@@ -85,15 +92,15 @@ class EvalStack:
     multi-index of that order, so they do not depend on which came first, kept as one array of
     all orders made so far and read with one take; ``partials(mis)``,
     mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call; ``norms(mis)``,
-    per multi-index the (m,) norms of its partial, those not yet known from one stacked chain
-    and one SVD call.  ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
+    per multi-index the (m,) norms of its partial, from ``partials(mis)`` and one SVD call.
+    ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
     def __init__(self, cols: list[Colligation], blocks, zs, zmat, r_ka, phi, near: tuple[str, ...]):
         self.cols, self.col, self.structure = cols, cols[0], cols[0].structure
         (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
         self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
         self._near = near  # admit's flags for the whole stack: () clears every point
-        self._jet, self._norms = [], {}
+        self._jet = []
 
     def __len__(self) -> int:
         return len(self.zs)
@@ -182,38 +189,27 @@ class EvalStack:
         return np.where(np.array([mi.order == 0 for mi in mis])[:, None, None], self.phi[:, None], chain)
 
     def norms(self, mis) -> list[np.ndarray]:
-        """Per multi-index of ``mis``, its partial's norm at every point."""
-        todo = {mi.counts: mi for mi in mis if mi.counts not in self._norms}
-        if todo:
-            self._norms.update(zip(todo, spectral_norm(self.partials([*todo.values()])).T))
-        return [self._norms[mi.counts] for mi in mis]
+        """Per multi-index of ``mis``, its partial's norm at every point, from one SVD call."""
+        return list(spectral_norm(self.partials(mis)).T)
 
 
-class _Row:
-    """The view's row of the stack attribute of the same name, read on first use."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        value = ctx.__dict__[self.name] = getattr(ctx.stack, self.name)[ctx.i]
-        return value
+_ROWS = frozenset("zmat r_ka r_ha lmat phi cond flags A B C znorm lnorm defects defect gram".split())  # a view's rows
 
 
 class EvalContext:
     """Everything checked at one evaluated point, ``z``, row ``i`` of ``stack``, of
-    colligation ``col``: its rows of the stack's attributes and of its jet (``partial(mi)``,
-    ``norms(mis)``).  Every record made at the point carries its ``flags``.
+    colligation ``col``: its rows of the stack's attributes (each read on first use and kept)
+    and of its jet (``partial(mi)``, ``norms(mis)``).  Every record made at the point carries its ``flags``.
     """
-
-    zmat, r_ka, r_ha, lmat, phi, cond, flags = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
-    A, B, C, znorm, lnorm, defects, defect, gram = _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row(), _Row()
 
     def __init__(self, stack: EvalStack, i: int):
         self.stack, self.i, self.col = stack, i, stack.cols[i]
         self.z: tuple[complex, ...] = tuple(stack.zs[i].tolist())
+
+    def __getattr__(self, name):
+        if name not in _ROWS:  # before self.stack, which a copy that is not yet filled in lacks
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, getattr(self.stack, name)[self.i])  # kept: read once
 
     def partial(self, mi) -> np.ndarray:
         """Mixed partial d^n phi / dz^mi at the point."""
@@ -228,8 +224,8 @@ def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContex
     """Evaluate the transfer function at the points of an (m, d) stack ``zs``, or at one
     point of shape (d,); or n colligations of one structure, each at its row of (n, m, d)
     ``zs``, as one stack.  An inadmissible point is rejected (see :func:`aglerlab.colligation.admit`),
-    not extrapolated, and so is a point where I - AZ(z) is singular (possible only for a
-    non-unitary colligation); a point near the boundary is flagged."""
+    not extrapolated, and so is a point where I - AZ(z) is singular or phi is not finite (each
+    possible only for a non-unitary colligation); a point near the boundary is flagged."""
     cols = [col] if isinstance(col, Colligation) else list(col)
     pts = np.asarray(zs, dtype=np.complex128)
     if (pts.ndim not in ((1, 2) if isinstance(col, Colligation) else (3,)) or pts.ndim == 3 and len(pts) != len(cols)
@@ -246,7 +242,10 @@ def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContex
                   for bs in zip(*((c.A, c.B, c.C, c.D) for c in cols)))
     zm = zmatrix(structure, stack)
     r_ka = _inverse(np.eye(structure.dim_k) - A @ zm, stack, "I - AZ(z)")
-    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), stack, zm, r_ka, D + C @ zm @ r_ka @ B, near)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = D + C @ zm @ r_ka @ B
+    _refuse(stack, ~np.isfinite(phi).all(axis=(1, 2)), "phi is not finite")
+    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), stack, zm, r_ka, phi, near)
     return ev[0] if pts.ndim == 1 else ev
 
 

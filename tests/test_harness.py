@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -531,6 +532,38 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "unitarity" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("subject, table, code", [
+        ("blaschke", [r"tolerance        1\.000e-12", r"unitarity        \d\.\d{3}e[-+]\d\d  ok",
+                      "result           pass"], 0),
+        ("scaled-identity", [r"tolerance        1\.000e-12", r"unitarity        1\.900e-01  FAIL",
+                             "result           fail"], 1),
+        # U*U overflows from finite entries: an infinite residual, not a traceback
+        ("overflow", [r"tolerance        1\.000e-12", "unitarity        inf  FAIL", "result           fail"], 1),
+    ], ids=["blaschke", "scaled-identity", "overflow"])
+    @pytest.mark.filterwarnings("error")
+    def test_validate_prints_its_table(self, tmp_path, capsys, subject, table, code):
+        path = tmp_path / "c.json"
+        if subject == "blaschke":
+            assert main(["catalog", "blaschke", "--a", "0.5", "--out", str(path)]) == 0
+            capsys.readouterr()
+        else:
+            u = 0.9 * np.eye(3) if subject == "scaled-identity" else np.diag([1e200, 0.0, 0.0])
+            save_colligation(Colligation(Polydisk((1, 1)), A=u[:2, :2], B=u[:2, 2:], C=u[2:, :2], D=u[2:, 2:]), path)
+        assert main(["validate", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == len(table) and err == ""
+        assert all(re.fullmatch(pattern, line) for pattern, line in zip(table, out.splitlines())), out
+
+    @pytest.mark.parametrize("argv", [["eval"], ["bounds", "--alpha", "1"], ["deriv", "--alpha", "1"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.filterwarnings("error")
+    def test_a_nonfinite_phi_exits_one(self, tmp_path, capsys, argv):
+        # a non-unitary colligation whose phi(0.5) = 0.5 * 10^600 overflows: one error line, no traceback
+        path = tmp_path / "big.json"
+        save_colligation(Colligation(Polydisk((1,)), A=[[0.0]], B=[[1e300]], C=[[1e300]], D=[[0.0]]), path)
+        assert main([argv[0], str(path), "--z", "0.5", *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: phi is not finite at z = [(0.5+0j)]\n")
 
     def test_validate_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1359,6 +1392,14 @@ class TestReportEncoding:
         chunks = [chunk("h", [[0j]] * 2, [()] * 2, ("x", None, [2.0 ** 1023] * 2, [1.0] * 2))]
         *_, summary = records(summarize(HEADER, chunks, slack_tol=1e-9))
         assert summary["theorems"]["x"]["mean_ratio"] == 2.0 ** 1023
+        # past the overflow, the mean comes from the ratios times 2^-64, added one record at a time in
+        # record order: 2^959 + 2^959 = 2^960 absorbs each 2^906 that follows, so the mean is 2^1019
+        # however the records split into segments (a pairwise sum per segment kept some of them)
+        ratios = [2.0 ** 1023] * 2 + [2.0 ** 970] * 30
+        for cuts in [(), tuple(range(1, 32)), (2, 17)]:
+            chunks = [chunk("h", [[0j]] * 32, [()] * 32, ("x", None, ratios, [1.0] * 32), cuts=cuts)]
+            *_, summary = records(summarize(HEADER, chunks, slack_tol=1e-9))
+            assert summary["theorems"]["x"]["mean_ratio"] == 2.0 ** 1019 == 5.617791046444737e306, cuts
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "z"])

@@ -148,6 +148,13 @@ class TestUnitarityResidual:
         with pytest.raises(ValueError, match="square"):
             unitarity_residual(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u", [[[1e200, 0.0], [0.0, 0.0]], [[1e200 + 1e200j, 1.0], [1.0, 1e200j]]],
+                             ids=["real", "complex"])
+    def test_overflow_is_an_infinite_residual(self, u):
+        # finite entries whose U*U overflows, with no warning
+        assert unitarity_residual(u) == np.inf
+
 
 class TestFloatPower:
     @pytest.mark.parametrize("k", [2, 3])

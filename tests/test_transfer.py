@@ -1,5 +1,6 @@
 """Evaluation contexts, kernel identities, and resolvent norm estimates."""
 
+import copy
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from aglerlab.transfer import (
     lnorm_bound_check,
     resolvent_norm_estimates,
 )
+from aglerlab import transfer
 from aglerlab.bounds import point_reports
 from aglerlab.colligation import admit, zmatrix
 from aglerlab.derivative import MultiIndex, partial_at
@@ -123,6 +125,18 @@ class TestEvaluate:
             evaluate(col, (0.5,))
         with pytest.raises(DomainViolationError, match=r"singular at z = \[\(0.5\+0j\)\] \(point 2 of 3\)"):
             evaluate(col, np.array([[0.1], [-0.2], [0.5]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_phi_is_a_domain_violation(self):
+        # non-unitary colligation whose phi(z) = 10^600 z overflows at every z but 0
+        col = Colligation(Polydisk((1,)), A=[[0.0]], B=[[1e300]], C=[[1e300]], D=[[0.0]])
+        with pytest.raises(DomainViolationError, match=r"^phi is not finite at z = \[\(0.5\+0j\)\]$"):
+            evaluate(col, (0.5,))
+        with pytest.raises(DomainViolationError, match=r"not finite at z = \[\(-0.5\+0j\)\] \(point 1 of 3\)"):
+            evaluate(col, np.array([[0.0], [-0.5], [0.5]]))
+        with pytest.raises(DomainViolationError, match=r"\(point 3 of 4\)"):
+            evaluate([blaschke(0.1), col], np.array([[[0.1], [0.2]], [[0.0], [0.3]]]))
+        assert evaluate(col, (0.0,)).phi.tolist() == [[0j]]
 
     def test_stack_phi_matches_pointwise(self):
         rng = np.random.default_rng(3)
@@ -233,6 +247,51 @@ class TestColligationStack:
         col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=6)
         with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
             evaluate(col if n is None else [col] * n, np.zeros(shape))
+
+
+def _same_bits(a, b) -> bool:
+    return type(a) is type(b) and _bits(a) == _bits(b)
+
+
+@pytest.mark.parametrize("dim_g", [1, 2])
+@pytest.mark.parametrize("structure", MIXED_STRUCTURES, ids=str)
+class TestStackReaders:
+    """What a stack and its views read, with nothing kept between calls but the jet and first-read rows."""
+
+    @staticmethod
+    def stack(structure, dim_g):
+        rng = np.random.default_rng(90 + structure.d)
+        col = random_colligation(structure, dim_g=dim_g, seed=91 + structure.d)
+        return evaluate(col, [admissible_point(structure, rng) for _ in range(4)])
+
+    def test_norms_of_a_concatenation_are_the_concatenated_norms(self, structure, dim_g):
+        mis = [MultiIndex(counts) for counts in [(0,) * structure.d] + multi_indices(structure.d, 4)]
+        a, b = mis[::2], mis[1::2]
+        whole, left, right = (self.stack(structure, dim_g).norms(part) for part in (a + b, a, b))
+        assert [_bits(n) for n in whole] == [_bits(n) for n in left + right]
+        twice = self.stack(structure, dim_g)
+        assert [_bits(n) for n in twice.norms(a)] == [_bits(n) for n in twice.norms(a)] == [_bits(n) for n in left]
+
+    def test_a_view_reads_its_row_of_each_attribute(self, structure, dim_g):
+        ev = self.stack(structure, dim_g)
+        for i in range(len(ev)):
+            view = ev[i]
+            for name in sorted(transfer._ROWS):
+                assert _same_bits(getattr(view, name), getattr(ev, name)[i]), (i, name)
+                assert name in vars(view) and getattr(view, name) is vars(view)[name]  # read once, then kept
+
+    def test_an_unknown_name_is_no_row_and_a_copy_reads_the_same_rows(self, structure, dim_g):
+        ev = self.stack(structure, dim_g)
+        view = ev[2]
+        with pytest.raises(AttributeError, match="'EvalContext' object has no attribute 'x'"):
+            view.x
+        assert not hasattr(view, "x")
+        read = view.phi  # a copy made after one row was read, and one made before any
+        for twin in (copy.copy(view), copy.copy(ev[2])):
+            assert twin.stack is ev and twin.i == 2 and twin.z == view.z
+            for name in sorted(transfer._ROWS):
+                assert _same_bits(getattr(twin, name), getattr(ev, name)[2]), name
+        assert view.phi is read
 
 
 class TestIdentityResiduals:
