@@ -141,8 +141,12 @@ class EvalStack:
 
     @cached_property
     def defects(self) -> np.ndarray:
-        """Input and output defect norms of phi(z); see :func:`defect_norms`."""
-        return np.stack(defect_norms(self.phi), axis=1)
+        """Input and output defect norms of phi(z); see :func:`defect_norms`.  A point where either
+        defect overflows (possible only for a non-unitary colligation) is a domain violation."""
+        gaps = _defect_gaps(self.phi)
+        bad = ~np.isfinite(gaps[0]).all(axis=(1, 2)) | ~np.isfinite(gaps[1]).all(axis=(1, 2))
+        _refuse(self.zs, bad, "the defect of phi is not finite")
+        return np.stack([np.sqrt(spectral_norm(g)) for g in gaps], axis=1)
 
     @cached_property
     def defect(self) -> np.ndarray:
@@ -183,9 +187,15 @@ class EvalStack:
         return self._flat[:, [_jet_start(d, mi.order) + _jet_order(d, mi.order)[0][mi.counts] for mi in mis]]
 
     def partials(self, mis) -> np.ndarray:
-        """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0)."""
+        """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0); one that
+        overflows is a domain violation naming its point."""
         fp = np.array([mi.factorial_product for mi in mis], dtype=float)[:, None, None]
-        chain = fp * (self._c_rha[:, None] @ self.kops(mis) @ self.r_ka[:, None] @ self.B[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = fp * (self._c_rha[:, None] @ self.kops(mis) @ self.r_ka[:, None] @ self.B[:, None])
+        bad = ~np.isfinite(chain).all(axis=(2, 3))  # possible only for a non-unitary colligation
+        if bad.any():
+            k = np.argwhere(bad)[0, 1]  # the first non-finite partial at the first point with one
+            _refuse(self.zs, bad[:, k], f"partial d^{mis[k].order} phi / dz^{list(mis[k].counts)} is not finite")
         return np.where(np.array([mi.order == 0 for mi in mis])[:, None, None], self.phi[:, None], chain)
 
     def norms(self, mis) -> list[np.ndarray]:
@@ -280,14 +290,17 @@ def resolvent_gram_factors(ev: EvalStack) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(spectral_norm(es @ inv_k @ _adjoint(es))), np.sqrt(spectral_norm(_adjoint(es) @ inv_h @ es))
 
 
+def _defect_gaps(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I - phi* phi and I - phi phi*, non-finite where a product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.eye(phi.shape[-1]) - _adjoint(phi) @ phi, np.eye(phi.shape[-2]) - phi @ _adjoint(phi)
+
+
 def defect_norms(phi: np.ndarray):
     """(||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2)), as two arrays for a
     stack of phi.  Their product is the defect D on bound right-hand sides;
     for scalar phi it equals 1 - |phi|^2."""
-    return (
-        np.sqrt(spectral_norm(np.eye(phi.shape[-1]) - _adjoint(phi) @ phi)),
-        np.sqrt(spectral_norm(np.eye(phi.shape[-2]) - phi @ _adjoint(phi))),
-    )
+    return tuple(np.sqrt(spectral_norm(g)) for g in _defect_gaps(phi))
 
 
 def resolvent_norm_estimates(ev: EvalStack) -> list[Column]:

@@ -555,15 +555,24 @@ class TestCli:
         assert len(out.splitlines()) == len(table) and err == ""
         assert all(re.fullmatch(pattern, line) for pattern, line in zip(table, out.splitlines())), out
 
-    @pytest.mark.parametrize("argv", [["eval"], ["bounds", "--alpha", "1"], ["deriv", "--alpha", "1"]],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv, entry, z, what", [
+        # phi(0.5) = 0.5 * 10^600 overflows
+        (["eval"], 1e300, "0.5", "phi"),
+        (["bounds", "--alpha", "1"], 1e300, "0.5", "phi"),
+        (["deriv", "--alpha", "1"], 1e300, "0.5", "phi"),
+        # phi = 10^320 z is finite, but phi* phi at z = 1e-13, or the partial 10^320 at either point, is not
+        (["bounds", "--alpha", "1"], 1e160, "1e-13", "the defect of phi"),
+        (["bounds", "--alpha", "1"], 1e160, "1e-200", "partial d^1 phi / dz^[1]"),
+        (["deriv", "--alpha", "1"], 1e160, "1e-13", "partial d^1 phi / dz^[1]"),
+        (["deriv", "--alpha", "1"], 1e160, "1e-200", "partial d^1 phi / dz^[1]"),
+    ], ids=["eval", "bounds", "deriv", "bounds-defect", "bounds-partial", "deriv-partial-13", "deriv-partial-200"])
     @pytest.mark.filterwarnings("error")
-    def test_a_nonfinite_phi_exits_one(self, tmp_path, capsys, argv):
-        # a non-unitary colligation whose phi(0.5) = 0.5 * 10^600 overflows: one error line, no traceback
+    def test_a_nonfinite_phi_exits_one(self, tmp_path, capsys, argv, entry, z, what):
+        # a non-unitary colligation: one error line naming the given point, no traceback and no warning
         path = tmp_path / "big.json"
-        save_colligation(Colligation(Polydisk((1,)), A=[[0.0]], B=[[1e300]], C=[[1e300]], D=[[0.0]]), path)
-        assert main([argv[0], str(path), "--z", "0.5", *argv[1:]]) == 1
-        assert capsys.readouterr() == ("", "error: phi is not finite at z = [(0.5+0j)]\n")
+        save_colligation(Colligation(Polydisk((1,)), A=[[0.0]], B=[[entry]], C=[[entry]], D=[[0.0]]), path)
+        assert main([argv[0], str(path), "--z", z, *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {what} is not finite at z = [({z}+0j)]\n")
 
     def test_validate_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1085,13 +1094,13 @@ FUZZ_SMALL = ["fuzz", "--n", "1", "--points", "1", "--max-order", "2", "--seed",
 
 
 class FailingSink:
-    """A text sink whose third write raises ``error``, as a full disk or a closed pipe does."""
+    """A text sink whose second write raises ``error``, as a full disk or a closed pipe does."""
 
     def __init__(self, error: OSError):
         self.error, self.lines = error, []
 
     def write(self, text):
-        if len(self.lines) == 2:
+        if len(self.lines) == 1:
             raise self.error
         self.lines.append(text)
 
@@ -1142,13 +1151,69 @@ class TestCampaignStream:
                            or json.loads(line)["colligation_hash"] in hashes]
         assert written == expected[:len(written)]
 
+    @staticmethod
+    def _stream(count: int, fail: BaseException | None = None):
+        """A campaign of ``count`` lines, the last its summary; with ``fail``, raised in its place."""
+        yield '{"kind": "header"}\n'
+        for i in range(count - 2):
+            yield f'{{"kind": "report", "i": {i}}}\n'
+        if fail is not None:
+            raise fail
+        yield f'{{"kind": "summary", "reports": {count - 2}, "violations": 0, "flagged": 0}}\n'
+
+    @pytest.mark.parametrize("count", [2, 201, 202, 402])
+    def test_out_file_and_stdout_hold_the_whole_stream(self, tmp_path, capsys, monkeypatch, count):
+        # one line either side of a whole number of batches after the header and first record
+        expected = "".join(self._stream(count))
+        monkeypatch.setattr(harness, "run_fuzz", lambda config: self._stream(count))
+        out = tmp_path / "r.jsonl"
+        assert main(["fuzz", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "" and out.read_text(encoding="utf-8") == expected
+        assert main(["fuzz"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("error", [RuntimeError("interrupted"), KeyboardInterrupt()],
+                             ids=["error", "ctrl-c"])
+    def test_a_campaign_that_fails_within_a_batch_leaves_every_line_made(self, tmp_path, capsys, monkeypatch,
+                                                                        error):
+        count = 2 + harness.WRITE_BATCH + 57  # fails 56 lines into the second batch
+        made = "".join(itertools.islice(self._stream(count), count - 1))
+        monkeypatch.setattr(harness, "run_fuzz", lambda config: self._stream(count, error))
+        out = tmp_path / "cut.jsonl"
+        with pytest.raises(type(error)):
+            main(["fuzz", "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == made
+        with pytest.raises(type(error)):
+            main(["fuzz"])
+        assert capsys.readouterr().out == made
+
+    def test_a_campaign_writes_in_batches(self, capsys, monkeypatch):
+        class CountingSink:
+            def __init__(self):
+                self.texts = []
+
+            def write(self, text):
+                self.texts.append(text)
+
+            def flush(self):
+                pass
+
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        argv = ["explore", "kaijser-varopoulos", "--n", "10", "--points", "20", "--max-order", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert "".join(sink.texts).count("\n") == 20_402
+        # the header with the first record, then the other 20,400 lines in whole batches
+        assert len(sink.texts) <= 1 + math.ceil(20_400 / harness.WRITE_BATCH)
+
     def test_a_full_out_file_exits_two(self, capsys, monkeypatch):
         sink = FailingSink(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
         monkeypatch.setattr(harness, "open", lambda *args, **kwargs: sink, raising=False)
         assert main([*FUZZ_SMALL, "--out", "r.jsonl"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write r.jsonl: {os.strerror(errno.ENOSPC)}\n"
-        assert len(sink.lines) == 2 and not captured.out
+        assert "".join(sink.lines).count("\n") == 2 and not captured.out  # the header and the first record
 
     def test_a_closed_stdout_exits_nonzero_without_a_traceback(self, capsys, monkeypatch):
         sink = FailingSink(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))
@@ -1156,7 +1221,7 @@ class TestCampaignStream:
         assert main(FUZZ_SMALL) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
-        assert len(sink.lines) == 2
+        assert "".join(sink.lines).count("\n") == 2  # the header and the first record
 
     @pytest.mark.parametrize("argv, draw", [
         (["fuzz", "--dim-g", "100000000"], "random_colligation"),  # a Haar unitary of about 1.6e17 bytes
