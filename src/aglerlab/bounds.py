@@ -268,7 +268,7 @@ def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], small:
             if bounds:
                 members.append((_GENERAL, "general.first_order" if mi.order == 1 else "general.higher_order"))
                 if mi.order >= 2:
-                    members.append((_KOPERATOR, "koperator.ball" if domain is Ball else "koperator.polydisk"))
+                    members.append((_KOPERATOR, f"koperator.{points.structure.kind}"))
             members += [(v, v.tag) for v in applicable_variants(domain, mi)]
         for family, tag in members:  # per family: its multi-indices, their places in mis, and its columns
             sub, take, put = families.setdefault(family, ([], [], []))

@@ -22,6 +22,13 @@ Two structures are supported:
   transfer functions are the contractive multipliers of the Arveson space
   (the Schur-Agler class on the unit ball).
 
+A structure class owns all of its domain's geometry: its ``kind`` (the
+name in a colligation file, whose other structure keys are its dataclass
+fields), its maps E_1..E_d (``maps``), its norm of the moduli |z_j|
+(``norm``), its uniform sampler (``draw``) and how far each |z_j| may grow
+before that norm reaches one (``room``).  Everything else reads these
+members instead of testing a structure's class.
+
 Block dimensions of a polydisk structure may be zero: the corresponding
 projection is the zero map, which keeps catalog entries such as pure
 monomials in fewer effective variables inside the model.
@@ -33,8 +40,8 @@ import functools
 import hashlib
 import json
 import operator
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence, Union, get_args
 
 import numpy as np
 
@@ -85,6 +92,7 @@ class Polydisk:
     """H = K = block_dims[0] (+) ... (+) block_dims[d-1]."""
 
     block_dims: tuple[int, ...]
+    kind = "polydisk"
 
     def __post_init__(self):
         dims = _dimensions(self.block_dims, "block dimensions")
@@ -113,6 +121,21 @@ class Polydisk:
         """The polydisk in d variables with one-dimensional blocks."""
         return cls((1,) * d)
 
+    def maps(self) -> np.ndarray:
+        return np.eye(self.dim_k, dtype=np.complex128) * np.repeat(np.eye(self.d), self.block_dims, axis=1)[:, None]
+
+    @staticmethod
+    def norm(moduli: np.ndarray) -> np.ndarray:
+        return moduli.max(axis=-1)
+
+    def draw(self, rng: np.random.Generator, count: int, biased: bool) -> tuple[np.ndarray, np.ndarray]:
+        d, u = self.d, rng.random((count, 2 * self.d + biased))  # per point: d radii, d angles, then the bias u
+        return 0.99 * np.sqrt(u[:, :d]) * np.exp(1j * (2.0 * np.pi * u[:, d:2 * d])), u[:, 2 * d:]
+
+    @staticmethod
+    def room(moduli: np.ndarray, norm: float) -> np.ndarray:
+        return 1.0 - moduli
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -120,6 +143,7 @@ class Ball:
 
     fiber_dim: int
     copies: int
+    kind = "ball"
 
     def __post_init__(self):
         fiber_dim, copies = _dimensions((self.fiber_dim, self.copies), "fiber_dim and copies")
@@ -147,6 +171,26 @@ class Ball:
         """The ball in d variables with a one-dimensional fiber."""
         return cls(1, d)
 
+    def maps(self) -> np.ndarray:
+        return np.eye(self.dim_k, dtype=np.complex128).reshape(self.d, self.fiber_dim, self.dim_k)
+
+    @staticmethod
+    def norm(moduli: np.ndarray) -> np.ndarray:
+        return np.sqrt((moduli * moduli).sum(axis=-1))
+
+    def draw(self, rng: np.random.Generator, count: int, biased: bool) -> tuple[np.ndarray, np.ndarray]:
+        d = self.d  # per point: 2d normals (real parts, then imaginary), the radius u, then the bias u
+        g, u = np.empty((count, 2 * d)), np.empty((count, 1 + biased))  # too many points fail here, undrawn
+        for k in range(count):
+            g[k], u[k] = rng.standard_normal(2 * d), rng.random(1 + biased)
+        v = g[:, :d] + 1j * g[:, d:]  # normed by row @ column: the BLAS dot of np.linalg.norm, in numpy 1.x too
+        v /= np.sqrt(v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None])[:, 0]
+        return 0.99 * np.array([x ** (1.0 / (2 * d)) for x in u[:, 0].tolist()])[:, None] * v, u[:, 1:]
+
+    @staticmethod
+    def room(moduli: np.ndarray, norm: float) -> np.ndarray:
+        return np.sqrt(1.0 - (norm**2 - moduli**2)) - moduli
+
 
 DomainStructure = Union[Polydisk, Ball]
 
@@ -160,16 +204,7 @@ def projection(structure: DomainStructure, j: int) -> np.ndarray:
     """
     if not 1 <= j <= structure.d:
         raise ValueError(f"coordinate index {j} out of range 1..{structure.d}")
-    if isinstance(structure, Polydisk):
-        e = np.zeros((structure.dim_h, structure.dim_k), dtype=np.complex128)
-        start = sum(structure.block_dims[: j - 1])
-        stop = start + structure.block_dims[j - 1]
-        e[start:stop, start:stop] = np.eye(stop - start)
-        return e
-    m = structure.fiber_dim
-    e = np.zeros((m, structure.dim_k), dtype=np.complex128)
-    e[:, (j - 1) * m : j * m] = np.eye(m)
-    return e
+    return structure.maps()[j - 1]
 
 
 @functools.cache
@@ -201,11 +236,7 @@ def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:
     if zs.shape[-1] != structure.d:
         raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
     # hypot rounds |z_j| exactly as abs() on a Python complex does
-    moduli = np.hypot(zs.real, zs.imag)
-    if isinstance(structure, Polydisk):
-        norm = moduli.max(axis=-1)
-    else:
-        norm = np.sqrt((moduli * moduli).sum(axis=-1))
+    norm = structure.norm(np.hypot(zs.real, zs.imag))
     return float(norm) if norm.ndim == 0 else norm
 
 
@@ -230,13 +261,11 @@ class StackGeometry:
     Python's ``**`` the squares ``sup2``, ``eucl2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
 
     def __init__(self, zs: np.ndarray):
-        d = zs.shape[-1]
-        ball = Ball.scalar(d)
-        self.sup = structure_norm(Polydisk.scalar(d), zs)
-        self.eucl = structure_norm(ball, zs)
-        self.hat = structure_norm(ball, zs[:, None, :] * (1.0 - np.eye(d)))  # [i, j]: z_i with z_ij zeroed
+        moduli = np.hypot(zs.real, zs.imag)
+        self.sup, self.eucl = Polydisk.norm(moduli), Ball.norm(moduli)
+        self.hat = Ball.norm(moduli[:, None, :] * (1.0 - np.eye(zs.shape[-1])))  # [i, j]: z_i with z_ij zeroed
         self.sup2, self.eucl2, self.hat2 = (float_power(v, 2) for v in (self.sup, self.eucl, self.hat))
-        self.zabs2 = float_power(np.hypot(zs.real, zs.imag), 2)
+        self.zabs2 = float_power(moduli, 2)
 
 
 class Colligation:
@@ -421,8 +450,9 @@ def symmetric_extremal(d: int, seed: int) -> Colligation:
 
 # --- JSON serialization -----------------------------------------------------
 #
-# Schema: {"kind": "polydisk"|"ball", "block_dims": [...] | "fiber_dim": m,
-# "copies": d, "dimF": f, "dimG": g, "A"/"B"/"C"/"D": nested arrays of
+# Schema: {"kind": "polydisk"|"ball" (the structure's ``kind``), the
+# structure's dataclass fields ("block_dims": [...] | "fiber_dim": m,
+# "copies": d), "dimF": f, "dimG": g, "A"/"B"/"C"/"D": nested arrays of
 # [re, im] pairs, row-major}.
 
 
@@ -443,31 +473,18 @@ def _decode_matrix(data, name: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def to_json_dict(col: Colligation) -> dict:
-    out: dict = {}
-    if isinstance(col.structure, Polydisk):
-        out["kind"] = "polydisk"
-        out["block_dims"] = list(col.structure.block_dims)
-    else:
-        out["kind"] = "ball"
-        out["fiber_dim"] = col.structure.fiber_dim
-        out["copies"] = col.structure.copies
-    out["dimF"] = col.dim_f
-    out["dimG"] = col.dim_g
-    for name in ("A", "B", "C", "D"):
-        out[name] = _encode_matrix(getattr(col, name))
-    return out
+    return {"kind": col.structure.kind, **asdict(col.structure), "dimF": col.dim_f, "dimG": col.dim_g,
+            **{name: _encode_matrix(getattr(col, name)) for name in "ABCD"}}
 
 
 def from_json_dict(data: dict) -> Colligation:
     if not isinstance(data, dict):
         raise ValueError(f"a colligation is a JSON object, got {type(data).__name__}")
     try:
-        if data["kind"] == "polydisk":
-            structure: DomainStructure = Polydisk(data["block_dims"])
-        elif data["kind"] == "ball":
-            structure = Ball(data["fiber_dim"], data["copies"])
-        else:
+        domain = next((c for c in get_args(DomainStructure) if c.kind == data["kind"]), None)
+        if domain is None:
             raise ValueError(f"unknown structure kind {data['kind']!r}")
+        structure: DomainStructure = domain(*(data[f.name] for f in fields(domain)))
         dim_f, dim_g = _dimensions((data["dimF"], data["dimG"]), "dimF and dimG")
         shapes = {
             "A": (structure.dim_k, structure.dim_h),

@@ -10,7 +10,8 @@ Subcommands:
 * ``fuzz``      seeded campaign over random colligations; JSONL reports
 * ``explore``   observational campaigns for the named special functions
 
-Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error.
+Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error;
+a stdout that cannot be written (its reader gone, a full disk) is a usage error.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, written in batches of 200 lines;
 the lines made before a failure are written before it propagates.  A campaign
@@ -38,6 +39,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
@@ -226,17 +228,8 @@ def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: 
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; use one of {SAMPLERS}")
-    biased, d, count = sampler == "boundary-biased", structure.d, 1 if m is None else m
-    if isinstance(structure, Polydisk):  # per point: d radii, d angles, then the bias u
-        u = rng.random((count, 2 * d + biased))
-        zs = 0.99 * np.sqrt(u[:, :d]) * np.exp(1j * (2.0 * np.pi * u[:, d:2 * d]))
-    else:  # per point: 2d normals (real parts, then imaginary), the radius u, then the bias u
-        g, u = np.empty((count, 2 * d)), np.empty((count, 1 + biased))  # too many points fail here, undrawn
-        for k in range(count):
-            g[k], u[k] = rng.standard_normal(2 * d), rng.random(1 + biased)
-        v = g[:, :d] + 1j * g[:, d:]  # normed by row @ column: the BLAS dot of np.linalg.norm, in numpy 1.x too
-        v /= np.sqrt(v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None])[:, 0]
-        zs = 0.99 * np.array([x ** (1.0 / (2 * d)) for x in u[:, 0].tolist()])[:, None] * v
+    biased = sampler == "boundary-biased"
+    zs, u = structure.draw(rng, 1 if m is None else m, biased)
     if biased:
         norm = structure_norm(structure, zs)
         target = np.array([1.0 - 10.0 ** -(1.0 + 5.0 * x) for x in u[:, -1].tolist()])  # rng.uniform(1.0, 6.0)
@@ -634,10 +627,21 @@ def _write(lines: Iterable[str], out: str | None) -> dict:
                     raise
             fh.flush()
     except OSError as exc:
-        raise _UsageError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
+        raise (_UsageError(f"cannot write {out}: {exc.strerror}") if out else _stdout_error(exc)) from None
     except MemoryError as exc:  # a campaign too large to draw, such as fuzz --dim-g 100000000
         raise _UsageError(f"campaign does not fit in memory: {exc}") from None
     return json.loads(last)
+
+
+def _stdout_error(exc: OSError) -> _UsageError:
+    """The usage error of a failed write to stdout.  Its file descriptor, if it has one, is pointed at
+    the null device, so that the interpreter's last flush of what is still buffered cannot fail again;
+    the stream object is left as it is."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor: an in-process caller's sink
+        fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+    return _UsageError(f"cannot write stdout: {exc.strerror}")
 
 
 def cmd_fuzz(args) -> int:
@@ -733,7 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            code = args.func(args)
+            sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
+        except OSError as exc:  # a printing command's stdout; every other OSError is already a usage error
+            raise _stdout_error(exc) from None
+        return code
     except (_UsageError, DomainViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1

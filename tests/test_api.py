@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, once, the README's Python runs and its commands parse;
-only ``bounds`` reads its table of variants; importing the CLI draws in no random generator."""
+only ``bounds`` reads its table of variants, and only it and the ball's Gram check test a structure's class;
+importing the CLI draws in no random generator."""
 
 import ast
 import dataclasses
@@ -19,6 +20,7 @@ from aglerlab.harness import CampaignConfig, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 VARIANT_TABLE = {"VARIANTS", "Variant", "applicable_variants"}
+DOMAIN_CLASSES = {"Polydisk", "Ball", "DomainStructure"}
 MODULES = ["aglerlab"] + [f"aglerlab.{m.name}" for m in pkgutil.iter_modules(aglerlab.__path__)]
 
 
@@ -70,6 +72,49 @@ def test_only_bounds_reads_the_variant_table():
                 names = [getattr(node, "id", None), getattr(node, "attr", None)]  # a Name or an Attribute
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in VARIANT_TABLE]
     assert found == []
+
+
+def _names(node) -> set:
+    """The names a Name, an Attribute or a tuple of them gives."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    return {getattr(node, "id", None), getattr(node, "attr", None)} - {None}
+
+
+def _class_test(node) -> bool:
+    """``isinstance(x, Polydisk)`` (or ``Ball``, or a tuple of them), ``type(<...structure>)``, or an
+    ``is``/``is not`` comparison with ``Polydisk`` or ``Ball``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "isinstance" and len(node.args) == 2:
+            return bool(_names(node.args[1]) & DOMAIN_CLASSES)
+        if node.func.id == "type" and len(node.args) == 1:
+            return ast.unparse(node.args[0]).endswith("structure")
+    if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+        return bool(set().union(*map(_names, [node.left, *node.comparators])) & DOMAIN_CLASSES)
+    return False
+
+
+def test_only_bounds_and_the_gram_check_test_a_structures_class():
+    """A domain's geometry is read from its class's members; ``bounds`` picks inequalities by domain, and
+    ``harness.explore_records`` adds the ball's Gram check.  No other code tests a structure's class."""
+    found = []
+    for path in sorted(Path(aglerlab.__file__).parent.glob("*.py")):
+        if path.name == "bounds.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {line for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and (path.name, node.name) == ("harness.py", "explore_records")
+                   for line in range(node.lineno, node.end_lineno + 1)}
+        found += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                  if _class_test(node) and node.lineno not in allowed]
+    assert found == []
+
+
+def test_the_class_test_guard_sees_each_form():
+    tests = ["isinstance(s, Polydisk)", "isinstance(col.structure, (Ball, int))", "type(ev.structure)",
+             "domain is Ball", "Polydisk is not domain"]
+    others = ["isinstance(s, int)", "type(points)", "domain is None", "s == Ball(1, 2)"]
+    assert [_class_test(ast.parse(t, mode="eval").body) for t in tests + others] == [True] * 5 + [False] * 4
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -126,6 +126,42 @@ class TestProjections:
         np.testing.assert_array_equal(projections(s)[0], projection(s, 1))
 
 
+def _hand_built_map(structure, j):
+    """E_j as built before the domain classes owned their maps: a zero matrix with one identity block."""
+    if isinstance(structure, Polydisk):
+        e = np.zeros((structure.dim_h, structure.dim_k), dtype=np.complex128)
+        start = sum(structure.block_dims[: j - 1])
+        stop = start + structure.block_dims[j - 1]
+        e[start:stop, start:stop] = np.eye(stop - start)
+        return e
+    m = structure.fiber_dim
+    e = np.zeros((m, structure.dim_k), dtype=np.complex128)
+    e[:, (j - 1) * m : j * m] = np.eye(m)
+    return e
+
+
+class TestDomainClasses:
+    @pytest.mark.parametrize("s", MIXED_STRUCTURES + [Polydisk((1, 0)), Polydisk((0, 2, 1))], ids=repr)
+    def test_members_keep_the_hand_built_maps_and_formulas(self, s):
+        es = s.maps()
+        oracle = np.stack([_hand_built_map(s, j) for j in range(1, s.d + 1)])
+        assert (es.dtype, es.shape) == (oracle.dtype, oracle.shape)
+        assert es.tobytes() == oracle.tobytes()  # bit for bit, signed zeros included
+        moduli = np.random.default_rng(s.d + s.dim_k).random((7, s.d)) * (0.99 / math.sqrt(s.d))  # in both domains
+        polydisk = isinstance(s, Polydisk)
+        norm = moduli.max(axis=-1) if polydisk else np.sqrt((moduli * moduli).sum(axis=-1))
+        assert s.norm(moduli).tobytes() == norm.tobytes()
+        for moduli_row, norm_row in zip(moduli, norm):
+            room = 1.0 - moduli_row if polydisk else np.sqrt(1.0 - (norm_row**2 - moduli_row**2)) - moduli_row
+            assert s.room(moduli_row, norm_row).tobytes() == room.tobytes()
+
+    @pytest.mark.parametrize("s", [Polydisk((2, 0, 1)), Ball(2, 3)], ids=repr)
+    def test_kind_names_the_file_form(self, s):
+        data = to_json_dict(random_colligation(s, seed=5))
+        assert data["kind"] == s.kind and from_json_dict(data).structure == s
+        assert set(data) == {"kind", *vars(s), "dimF", "dimG", "A", "B", "C", "D"}
+
+
 class TestZMatrix:
     def test_polydisk_block_diagonal(self):
         z = zmatrix(Polydisk((1, 1)), (0.3, 0.5j))

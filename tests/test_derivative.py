@@ -333,6 +333,13 @@ class TestPolynomials:
         with pytest.raises(ValueError):
             alpay_kaptanoglu(0)
 
+    def test_alpay_kaptanoglu_order_is_capped(self):
+        # m = 10^8 once built 10^8 coefficients before a campaign's first draw
+        assert len(alpay_kaptanoglu(derivative.SERIES_ORDER_LIMIT).coeffs) == derivative.SERIES_ORDER_LIMIT + 1
+        for m in (derivative.SERIES_ORDER_LIMIT + 1, 10**8):
+            with pytest.raises(ValueError, match=r"truncation order must be in 1\.\.1000, got"):
+                alpay_kaptanoglu(m)
+
 
 def scalar_poly_partial(p, z, alpha):
     """The scalar reference: one point, one Python complex per term, in the

@@ -1057,6 +1057,7 @@ class TestCli:
         ["explore", "kaijser-varopoulos", "--seed", "-1"],
         ["explore", "does-not-exist"],
         ["explore", "alpay-kaptanoglu", "--m", "0"],
+        ["explore", "alpay-kaptanoglu", "--m", "1001"],
         ["explore", "kaijser-varopoulos", "--structure", "ball:m=3,d=5"],
         ["explore", "kaijser-varopoulos", "--dim-g", "4"],
         ["explore", "alpay-kaptanoglu", "--config", "{cfg}"],
@@ -1070,7 +1071,7 @@ class TestCli:
         ["fuzz", "--structure", "ball:m=2,d=0"],
         ["fuzz", "--structure", "polydisk:2,,1"],
         ["fuzz", "--structure", "polydisk:,2"],
-    ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m",
+    ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m", "explore-m-too-large",
             "explore-structure", "explore-dim-g", "explore-config-dim-g", "fuzz-sampler",
             "explore-sampler", "explore-ignored-m", "fuzz-out-dir", "explore-out-dir",
             "ball-extra-key", "ball-repeated-key", "ball-no-copies",
@@ -1091,6 +1092,14 @@ class TestCli:
 
 
 FUZZ_SMALL = ["fuzz", "--n", "1", "--points", "1", "--max-order", "2", "--seed", "4"]
+
+
+def _child_env(unbuffered: bool) -> dict:
+    """The current environment for ``python -m aglerlab``, with the package importable and stdout buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(pathlib.Path(harness.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
 class FailingSink:
@@ -1293,6 +1302,48 @@ class TestCampaignStream:
         err = child.stderr.read().decode()
         assert child.wait() != 0
         assert err.startswith("error: cannot write stdout:") and len(err.strip().splitlines()) == 1, err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{file}"],
+        ["eval", "{file}", "--z", "0.1"],
+        ["deriv", "{file}", "--z", "0.1", "--alpha", "1"],
+        ["bounds", "{file}", "--z", "0.1"],
+        ["catalog", "blaschke", "--a", "0.5"],
+    ], ids=["validate", "eval", "deriv", "bounds", "catalog"])
+    def test_a_printing_command_whose_reader_is_gone_exits_two(self, tmp_path, argv, unbuffered):
+        # buffered, the failing write is the interpreter's last flush unless main flushes first
+        path = tmp_path / "b.json"
+        save_colligation(blaschke(0.5), path)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "aglerlab", *(a.format(file=path) for a in argv)],
+                                  stdout=write, stderr=subprocess.PIPE, env=_child_env(unbuffered), timeout=120)
+        finally:
+            os.close(write)
+        assert done.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        assert done.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_a_printing_command_on_a_full_disk_exits_two(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "aglerlab", "catalog", "blaschke", "--a", "0.5"],
+                                  stdout=full, stderr=subprocess.PIPE, env=_child_env(False), timeout=120)
+        assert done.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert done.returncode == 2
+
+    def test_an_in_process_call_leaves_the_callers_stdout_usable(self, capsys, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert main(["catalog", "blaschke", "--a", "0.5"]) == 2
+            print("more", file=sink, flush=True)  # its descriptor now discards what it is given
+            monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        print("after")
+        assert capsys.readouterr().out == "after\n"
 
     def test_campaign_holds_no_record_list(self, tmp_path, capsys):
         argv = ["explore", "kaijser-varopoulos", "--max-order", "3", "--out"]
