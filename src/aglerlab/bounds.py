@@ -30,17 +30,19 @@ zeroed):
   factorial  d^((n-1)/2) n_1! ... n_d! D / ((1-t^2)(1-t)^(n-1))
 
 :data:`VARIANTS` lists these seven, in record order, with the orders and
-dimensions where each applies; :func:`variant_columns` picks the rows that
-apply at each multi-index on a stack's domain, and no other module reads the
-table.  Also checked: the structure-free resolvent bound
-(``bound_general``), the weighted first-order sum rule on the polydisk
-(``knese_residual``), the coefficient bound |c_alpha| <= 1 - |c_0|^2
-(``wiener_check``, at a stack of subjects' origins; on the ball times a
-sphere-average factor), and positivity of the multiplier kernel Gram
-matrix on the ball (``multiplier_gram_psd``, of one set of points or of a
-stack of sets).  :func:`report_columns`
-is the table of every report at an evaluated stack in record order,
-:func:`point_reports` its row at one point.  Every power x^k is Python's
+dimensions where each applies; no other module reads the table.  Also
+checked: the structure-free resolvent bound (``bound_general``), the
+weighted first-order sum rule on the polydisk (``knese_residual``), the
+coefficient bound |c_alpha| <= 1 - |c_0|^2 (``wiener_check``, at a stack of
+subjects' origins; on the ball times a sphere-average factor), and
+positivity of the multiplier kernel Gram matrix on the ball
+(``multiplier_gram_psd``, of one set of points or of a stack of sets).
+:func:`report_columns` is the table of every report at a stack in record
+order, and the stack decides which families apply: the rows of
+:data:`VARIANTS` that apply at each multi-index on any stack, and the checks
+that need the blocks A, B, C (resolvent, L, sum rule or kernel subchecks,
+general and K-operator bounds) on an evaluated stack alone.
+:func:`point_reports` is its row at one point.  Every power x^k is Python's
 ``x ** k`` (see ``float_power``).
 """
 
@@ -67,7 +69,6 @@ __all__ = [
     "Variant",
     "VARIANTS",
     "applicable_variants",
-    "variant_columns",
     "bound_general",
     "bound_polydisk",
     "bound_ball",
@@ -248,48 +249,6 @@ def applicable_variants(domain: type, mi: MultiIndex) -> list[Variant]:
     return [v for v in VARIANTS if v.domain is domain and v.unmet(mi) is None]
 
 
-def variant_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex]) -> ReportTable:
-    """The table of the rows that apply at each multi-index of ``mis`` on the stack's domain, per multi-index
-    in :data:`VARIANTS` order, on an evaluated or polynomial stack; each row's rhs is one call for all the
-    multi-indices it applies at, written with their norms as one block."""
-    return _fill(points, mis, [], bounds=False)
-
-
-def _fill(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex], small: Sequence[Column],
-          bounds: bool) -> ReportTable:
-    """The table of the columns ``small``, then per multi-index of ``mis`` (with ``bounds``) the general bound
-    and at order n >= 2 the K-operator bound, then the rows of :data:`VARIANTS` that apply at it.  Each family
-    (either bound, each row) is one (m, k) lhs and rhs block from one call, written at its columns."""
-    domain = type(points.structure)
-    keys, families, at = [(c.tag, c.alpha) for c in small], {}, {}  # at: per (order, d), its families and tags
-    for c, mi in enumerate(mis):
-        if (members := at.get((mi.order, mi.d))) is None:  # what applies depends on the order and d alone
-            members = at[mi.order, mi.d] = []
-            if bounds:
-                members.append((_GENERAL, "general.first_order" if mi.order == 1 else "general.higher_order"))
-                if mi.order >= 2:
-                    members.append((_KOPERATOR, f"koperator.{points.structure.kind}"))
-            members += [(v, v.tag) for v in applicable_variants(domain, mi)]
-        for family, tag in members:  # per family: its multi-indices, their places in mis, and its columns
-            sub, take, put = families.setdefault(family, ([], [], []))
-            sub.append(mi)
-            take.append(c)
-            put.append(len(keys))
-            keys.append((tag, mi.counts))
-    lhs, rhs = np.empty((len(points.zs), len(keys))), np.empty((len(points.zs), len(keys)))
-    for p, column in enumerate(small):
-        lhs[:, p], rhs[:, p] = column.lhs, column.rhs
-    norms = np.array(points.norms(mis), dtype=float).reshape(len(mis), len(points.zs)).T
-    for family, (sub, take, put) in families.items():
-        if family is _KOPERATOR:  # ||K|| <= ||L||^(n-1)
-            lhs[:, put], rhs[:, put] = spectral_norm(points.kops(sub)), _koperator_rhs(points, sub)
-        else:
-            lhs[:, put] = norms[:, take]
-            rhs[:, put] = (bound_general(points, sub) if family is _GENERAL
-                           else family.rhs(points.defect, points.geometry, sub))
-    return ReportTable(tuple(keys), {p: c.flags for p, c in enumerate(small) if c.flags is not None}, lhs, rhs)
-
-
 _BY_NAME = {(v.domain, v.tag.partition(".")[2]): v for v in VARIANTS}
 
 
@@ -423,18 +382,49 @@ def knese_residual(ctx: EvalContext) -> float:
     return float(column.lhs[ctx.i]) - float(column.rhs[ctx.i])
 
 
-def report_columns(ev: EvalStack, mis: Sequence[MultiIndex], lead: Sequence[Column] = ()) -> ReportTable:
-    """The table of every report at each point of an evaluated stack, in record order: the ``lead``
-    columns (a fuzz campaign's identity pair), the resolvent estimates, the L bound, then the sum rule
-    (scalar polydisk) or the ball kernel subchecks, then for each multi-index of ``mis`` the general
-    bound, at order n >= 2 the K-operator bound ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball),
-    and the :func:`variant_columns` rows at it, each bound from one call for all of ``mis``."""
-    small = [*lead, *resolvent_norm_estimates(ev), lnorm_bound_check(ev)]
-    if isinstance(ev.structure, Ball):
-        small += ball_kernel_subchecks(ev)
-    elif ev.col.dim_f == ev.col.dim_g == 1:
-        small.append(knese_report(ev))
-    return _fill(ev, mis, small, bounds=True)
+def report_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex],
+                   lead: Sequence[Column] = ()) -> ReportTable:
+    """The table of every report at each point of an evaluated or polynomial stack, in record order: the
+    ``lead`` columns (a fuzz campaign's identity pair); on an evaluated stack the resolvent estimates, the L
+    bound, then the sum rule (scalar polydisk) or the ball kernel subchecks; then for each multi-index of
+    ``mis``, on an evaluated stack the general bound and at order n >= 2 the K-operator bound
+    ||K|| <= ||L||^(n-1) (times d^((n-1)/2) on the ball), and on either stack the rows of :data:`VARIANTS`
+    that apply at it.  Each family (either bound, each row) is one (m, k) lhs and rhs block from one call."""
+    realized, domain = isinstance(points, EvalStack), type(points.structure)
+    small = list(lead)
+    if realized:
+        small += [*resolvent_norm_estimates(points), lnorm_bound_check(points)]
+        if domain is Ball:
+            small += ball_kernel_subchecks(points)
+        elif points.col.dim_f == points.col.dim_g == 1:
+            small.append(knese_report(points))
+    keys, families, at = [(c.tag, c.alpha) for c in small], {}, {}  # at: per (order, d), its families and tags
+    for c, mi in enumerate(mis):
+        if (members := at.get((mi.order, mi.d))) is None:  # what applies depends on the order and d alone
+            members = at[mi.order, mi.d] = []
+            if realized:
+                members.append((_GENERAL, "general.first_order" if mi.order == 1 else "general.higher_order"))
+                if mi.order >= 2:
+                    members.append((_KOPERATOR, f"koperator.{points.structure.kind}"))
+            members += [(v, v.tag) for v in applicable_variants(domain, mi)]
+        for family, tag in members:  # per family: its multi-indices, their places in mis, and its columns
+            sub, take, put = families.setdefault(family, ([], [], []))
+            sub.append(mi)
+            take.append(c)
+            put.append(len(keys))
+            keys.append((tag, mi.counts))
+    lhs, rhs = np.empty((len(points.zs), len(keys))), np.empty((len(points.zs), len(keys)))
+    for p, column in enumerate(small):
+        lhs[:, p], rhs[:, p] = column.lhs, column.rhs
+    norms = np.array(points.norms(mis), dtype=float).reshape(len(mis), len(points.zs)).T
+    for family, (sub, take, put) in families.items():
+        if family is _KOPERATOR:  # ||K|| <= ||L||^(n-1)
+            lhs[:, put], rhs[:, put] = spectral_norm(points.kops(sub)), _koperator_rhs(points, sub)
+        else:
+            lhs[:, put] = norms[:, take]
+            rhs[:, put] = (bound_general(points, sub) if family is _GENERAL
+                           else family.rhs(points.defect, points.geometry, sub))
+    return ReportTable(tuple(keys), {p: c.flags for p, c in enumerate(small) if c.flags is not None}, lhs, rhs)
 
 
 def point_reports(ctx: EvalContext, mis: Sequence[MultiIndex]) -> Iterator[BoundReport]:

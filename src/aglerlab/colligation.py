@@ -271,9 +271,9 @@ class StackGeometry:
 class Colligation:
     """Immutable colligation: structure plus the four blocks of U.
 
-    Construction checks only shape conformability (so that defective data
-    can still be loaded and reported on); unitarity is the job of
-    :func:`validate`.
+    Construction checks only shape conformability and that phi has an input
+    and an output, dim_f, dim_g >= 1 (so that defective data can still be
+    loaded and reported on); unitarity is the job of :func:`validate`.
     """
 
     __slots__ = ("structure", "A", "B", "C", "D")
@@ -292,6 +292,8 @@ class Colligation:
             raise StructureError(f"block B has {B.shape[0]} rows, expected dim_k={dim_k}")
         if C.shape[1] != dim_h:
             raise StructureError(f"block C has {C.shape[1]} columns, expected dim_h={dim_h}")
+        if B.shape[1] < 1 or C.shape[0] < 1:
+            raise StructureError(f"phi needs an input and an output: dim_f={B.shape[1]}, dim_g={C.shape[0]}")
         if D.shape != (C.shape[0], B.shape[1]):
             raise StructureError(
                 f"block D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
@@ -486,6 +488,9 @@ def from_json_dict(data: dict) -> Colligation:
             raise ValueError(f"unknown structure kind {data['kind']!r}")
         structure: DomainStructure = domain(*(data[f.name] for f in fields(domain)))
         dim_f, dim_g = _dimensions((data["dimF"], data["dimG"]), "dimF and dimG")
+        for name, dim in (("dimF", dim_f), ("dimG", dim_g)):
+            if dim < 1:
+                raise ValueError(f"field {name!r} must be >= 1, got {dim}")
         shapes = {
             "A": (structure.dim_k, structure.dim_h),
             "B": (structure.dim_k, dim_f),

@@ -52,7 +52,6 @@ from .bounds import (
     multiplier_gram_psd,
     point_reports,
     report_columns,
-    variant_columns,
     wiener_check,
 )
 from .colligation import (
@@ -444,7 +443,7 @@ def explore_records(poly: Polynomial, structure: DomainStructure, config: Campai
     size, m = config.points_per_colligation, config.n_colligations * config.points_per_colligation
     points = PolynomialStack(poly, structure, sample_point(structure, rng, config.sampler, m=m))
     yield ([Stack([phash] * m, points.zs, [marks + f for f in points.flags],
-                  variant_columns(points, mis))],
+                  report_columns(points, mis))],
            [(0, start, start + size) for start in range(0, m, size)])
     if isinstance(structure, Ball):  # the Drury-Arveson kernel's Gram check: a set of 8 points per segment
         sets = sample_point(structure, rng, config.sampler, m=8 * config.n_colligations).reshape(-1, 8, structure.d)

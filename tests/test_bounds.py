@@ -606,7 +606,8 @@ class TestMultiIndexAxis:
             assert _bits(norm) == _bits(spectral_norm(ev.partials([mi])[i, 0]) for i in range(7)), mi
 
     @pytest.mark.parametrize("structure", [Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(1, 2)], ids=str)
-    def test_variant_columns_pick_the_rows_that_apply(self, structure, monkeypatch):
+    def test_report_columns_pick_the_rows_that_apply(self, structure, monkeypatch):
+        # a polynomial stack's table is its VARIANTS columns alone; an evaluated stack's has them among the rest
         calls = []
 
         def counted(row):
@@ -621,21 +622,37 @@ class TestMultiIndexAxis:
         table = bounds.VARIANTS
         for points in (ev, bounds.PolynomialStack(poly, structure, ev.zs)):
             monkeypatch.setattr(bounds, "VARIANTS", tuple(map(counted, table)))
-            got = bounds.variant_columns(points, mis)
+            got = bounds.report_columns(points, mis)
             monkeypatch.setattr(bounds, "VARIANTS", table)
-            keys = got.keys
-            per_mi = [[p for p, (_, alpha) in enumerate(keys) if alpha == mi.counts] for mi in mis]
-            assert sum(per_mi, []) == list(range(len(keys)))  # the columns of each mi in turn
+            rows = [p for p, (tag, _) in enumerate(got.keys) if tag in {v.tag for v in table}]
+            only_rows = isinstance(points, bounds.PolynomialStack)
+            assert (rows == list(range(len(got.keys)))) is only_rows
+            per_mi = [[p for p in rows if got.keys[p][1] == mi.counts] for mi in mis]
+            assert sum(per_mi, []) == rows  # the rows of each mi in turn
             for mi, columns, norm in zip(mis, per_mi, points.norms(mis)):
-                tags = [keys[p][0] for p in columns]
+                tags = [got.keys[p][0] for p in columns]
                 assert tags == [v.tag for v in bounds.applicable_variants(type(structure), mi)], mi
                 assert tags == sorted(tags, key=[v.tag for v in table].index) and tags, mi
                 for p, tag in zip(columns, tags):
                     row = next(v for v in table if v.tag == tag)
                     assert _bits(got.lhs[:, p]) == _bits(norm)
                     assert _bits(got.rhs[:, p]) == _bits(row.rhs(points.defect, points.geometry, [mi])[:, 0])
-            assert sorted(calls) == sorted({tag for tag, _ in keys})  # one call per row
+            assert sorted(calls) == sorted({got.keys[p][0] for p in rows})  # one call per row
             calls.clear()
+
+    def test_lead_columns_come_first_on_a_polynomial_stack(self, structure):
+        ev = self.stack(structure, 3, seed=95 + structure.d)
+        points = bounds.PolynomialStack(Polynomial(structure.d, {(1,) * structure.d: 0.5}), structure, ev.zs)
+        mis = [MultiIndex(a) for a in multi_indices(structure.d, 2)]
+        lead = [Column("identity.kernel_input", None, np.arange(3.0), np.ones(3), [("near-boundary",), (), ()]),
+                Column("identity.kernel_output", None, np.ones(3), np.full(3, 2.0))]
+        plain, got = bounds.report_columns(points, mis), bounds.report_columns(points, mis, lead)
+        assert got.keys == tuple((c.tag, c.alpha) for c in lead) + plain.keys
+        assert got.own == {0: lead[0].flags} and plain.own == {}
+        for p, column in enumerate(lead):
+            assert _bits(got.lhs[:, p]) == _bits(column.lhs) and _bits(got.rhs[:, p]) == _bits(column.rhs)
+        assert np.array_equal(got.lhs[:, 2:].view(np.int64), plain.lhs.view(np.int64))
+        assert np.array_equal(got.rhs[:, 2:].view(np.int64), plain.rhs.view(np.int64))
 
     def test_wiener_has_the_bits_of_one_multi_index(self, structure):
         col = random_colligation(structure, dim_g=2, seed=80 + structure.d)

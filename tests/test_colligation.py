@@ -276,6 +276,14 @@ class TestValidate:
             Colligation(Ball(1, 2), A=np.zeros((2, 1)), B=np.zeros((2, 1)),
                         C=np.zeros((1, 1)), D=np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("structure, dim_f", [(Polydisk((1,)), 0), (Ball(1, 2), 1)], ids=str)
+    def test_phi_needs_an_input_and_an_output(self, structure, dim_f):
+        # a unitary U with dim_g = 0 was accepted and validated, then evaluate failed in a numpy reshape
+        dim_h, dim_k = structure.dim_h, structure.dim_k
+        u = np.eye(dim_h + dim_f)
+        with pytest.raises(StructureError, match=f"dim_f={dim_f}, dim_g=0"):
+            Colligation(structure, A=u[:dim_k, :dim_h], B=u[:dim_k, dim_h:], C=u[dim_k:, :dim_h], D=u[dim_k:, dim_h:])
+
 
 class TestRandomColligation:
     def test_polydisk_shapes(self):

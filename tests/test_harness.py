@@ -631,6 +631,17 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize("field, value", [("dimF", 0), ("dimG", 0), ("dimG", -1)])
+    @pytest.mark.parametrize("argv", [["validate"], ["eval", "--z", "0.5"]], ids=lambda argv: argv[0])
+    def test_a_colligation_file_without_an_input_or_output_exits_two(self, tmp_path, capsys, field, value, argv):
+        # "dimF": 0 was refused as "field 'B' must be a nested array of [re, im] pairs"
+        data = to_json_dict(blaschke(0.5))
+        data[field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: field {field!r} must be >= 1, got {value}\n")
+
     def test_integer_matrix_entries_are_valid(self, tmp_path, capsys):
         data = to_json_dict(monomial((1, 1)))  # a permutation matrix: every entry 0 or 1
         for name in "ABCD":
