@@ -42,8 +42,10 @@ order, and the stack decides which families apply: the rows of
 :data:`VARIANTS` that apply at each multi-index on any stack, and the checks
 that need the blocks A, B, C (resolvent, L, sum rule or kernel subchecks,
 general and K-operator bounds) on an evaluated stack alone.
-:func:`point_reports` is its row at one point.  Every power x^k is Python's
-``x ** k`` (see ``float_power``).
+:func:`point_reports` is its row at one point.  Every power x^k is
+``np.float_power(x, k)``, numpy's loop over libm ``pow``, the call Python's
+``x ** k`` makes, so it has the bits of a one-point computation;
+``np.power`` takes a vectorized path that can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 from .colligation import Ball, Colligation, DomainStructure, Polydisk, StackGeometry, admit
 from .derivative import MultiIndex, Polynomial, _times, poly_partial
 from .errors import DegenerateGramWarning
-from .matrixcore import float_power, spectral_norm
+from .matrixcore import spectral_norm
 from .reports import BoundReport, Column, ReportTable
 from .transfer import EvalContext, EvalStack, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
@@ -100,7 +102,7 @@ class PolynomialStack:
         self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
         self.poly, self.structure = poly, structure
         self.geometry = StackGeometry(self.zs)
-        self.defect = 1.0 - float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
+        self.defect = 1.0 - np.float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
 
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
         """Per multi-index of ``mis``, |d^n p / dz^mi| at every point (rounded
@@ -129,7 +131,7 @@ def bound_general(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
     high = [c for c, mi in enumerate(mis) if mi.order > 1]
     js, his = [mis[c].counts.index(1) for c in first], [mis[c] for c in high]
     rhs = np.empty((len(ev), len(mis)))
-    rhs[:, first] = (ev.defect / np.sqrt(1.0 - float_power(ev.znorm, 2)))[:, None] * np.minimum(a[:, js], b[:, js])
+    rhs[:, first] = (ev.defect / np.sqrt(1.0 - np.float_power(ev.znorm, 2)))[:, None] * np.minimum(a[:, js], b[:, js])
     sum_a, sum_b, diag = _klist_sums(his, a, b, a * b)
     rhs[:, high] = _pair_scale(ev.defect, ev.znorm, his) * (sum_a * sum_b - diag)
     return rhs
@@ -138,7 +140,8 @@ def bound_general(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
 def _koperator_rhs(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
     """(m, k) right-hand sides of ||K|| <= ||L||^(n-1), times d^((n-1)/2) on the ball."""
     d = ev.structure.d if isinstance(ev.structure, Ball) else 1
-    return np.array([d ** ((mi.order - 1) / 2.0) for mi in mis]) * float_power(ev.lnorm, [mi.order - 1 for mi in mis])
+    powers = [mi.order - 1 for mi in mis]
+    return np.array([d ** (n / 2.0) for n in powers]) * np.float_power(ev.lnorm[:, None], powers)
 
 
 # --- the derivative-bound variants ---------------------------------------------
@@ -159,13 +162,13 @@ def _klist_sums(mis: Sequence[MultiIndex], *values: np.ndarray) -> list[np.ndarr
 
 
 def _power_base(s: np.ndarray, s2: np.ndarray, mis: Sequence[MultiIndex]) -> np.ndarray:  # (1 - s^2)(1 - s)^(n-1)
-    return (1.0 - s2)[:, None] * float_power(1.0 - s, [mi.order - 1 for mi in mis])
+    return (1.0 - s2)[:, None] * np.float_power(1.0 - s[:, None], [mi.order - 1 for mi in mis])
 
 
 def _pair_scale(defect: np.ndarray, s: np.ndarray, mis: Sequence[MultiIndex]) -> np.ndarray:
     """(n-2)! D / (1 - s)^(n-1) per point and multi-index, for a norm column s."""
     scale = np.array([math.factorial(mi.order - 2) for mi in mis], float) * defect[:, None]
-    return scale / float_power(1.0 - s, [mi.order - 1 for mi in mis])
+    return scale / np.float_power(1.0 - s[:, None], [mi.order - 1 for mi in mis])
 
 
 def _polydisk_factorial(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
@@ -184,7 +187,7 @@ def _polydisk_first(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiInd
 def _polydisk_mixed(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
     w = 1.0 / np.sqrt(1.0 - g.zabs2)
     w_sum, w2_sum = _klist_sums(mis, w, w * w)
-    return _pair_scale(defect, g.sup, mis) * (float_power(w_sum, 2) - w2_sum)
+    return _pair_scale(defect, g.sup, mis) * (np.float_power(w_sum, 2) - w2_sum)
 
 
 def _polydisk_two_var(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
@@ -312,7 +315,7 @@ def ball_kernel_subchecks(ev: EvalStack) -> list[Column]:
     if not isinstance(ev.structure, Ball):
         raise ValueError("kernel subchecks need a ball colligation")
     g = ev.geometry
-    a2, b2 = float_power(ev.gram[:, 0], 2), float_power(ev.gram[:, 1], 2)
+    a2, b2 = np.float_power(ev.gram[:, 0], 2), np.float_power(ev.gram[:, 1], 2)
     out = []
     for j in range(ev.structure.d):
         out.append(Column("ball.gram_left", (j + 1,), b2[:, j], 1.0 / (1.0 - g.eucl2)))
@@ -371,7 +374,7 @@ def knese_report(ev: EvalStack) -> Column:
     units = [MultiIndex(tuple(int(k == j) for k in range(col.d))) for j in range(col.d)]
     total = sum(((1.0 - ev.geometry.zabs2[:, j]) * norm for j, norm in enumerate(ev.norms(units))), np.zeros(len(ev)))
     phi = ev.phi[:, 0, 0]
-    rhs = 1.0 - float_power(np.hypot(phi.real, phi.imag), 2)
+    rhs = 1.0 - np.float_power(np.hypot(phi.real, phi.imag), 2)
     return Column("knese.sum_rule", None, rhs + (total - rhs), rhs)
 
 

@@ -46,7 +46,7 @@ from typing import Sequence, Union, get_args
 import numpy as np
 
 from .errors import DomainViolationError, StructureError
-from .matrixcore import as_matrix, float_power, haar_unitary, unitarity_residual
+from .matrixcore import as_matrix, haar_unitary, unitarity_residual
 from .tolerances import ADMISSIBILITY_MARGIN, BOUNDARY_FLAG_DISTANCE, CONSTRUCTION_TOL
 
 __all__ = [
@@ -185,7 +185,7 @@ class Ball:
             g[k], u[k] = rng.standard_normal(2 * d), rng.random(1 + biased)
         v = g[:, :d] + 1j * g[:, d:]  # normed by row @ column: the BLAS dot of np.linalg.norm, in numpy 1.x too
         v /= np.sqrt(v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None])[:, 0]
-        return 0.99 * np.array([x ** (1.0 / (2 * d)) for x in u[:, 0].tolist()])[:, None] * v, u[:, 1:]
+        return 0.99 * np.float_power(u[:, :1], 1.0 / (2 * d)) * v, u[:, 1:]  # radius u^(1/(2d)), libm pow
 
     @staticmethod
     def room(moduli: np.ndarray, norm: float) -> np.ndarray:
@@ -258,14 +258,14 @@ class StackGeometry:
     """Norm data of an (m, d) stack of points, a row per point, as bound
     right-hand sides read it: the domain norms ``sup`` (polydisk) and ``eucl``
     (ball), ``hat`` (m, d) the ball norms with coordinate j zeroed, and by
-    Python's ``**`` the squares ``sup2``, ``eucl2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
+    ``np.float_power(v, 2)`` the squares ``sup2``, ``eucl2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
 
     def __init__(self, zs: np.ndarray):
         moduli = np.hypot(zs.real, zs.imag)
         self.sup, self.eucl = Polydisk.norm(moduli), Ball.norm(moduli)
         self.hat = Ball.norm(moduli[:, None, :] * (1.0 - np.eye(zs.shape[-1])))  # [i, j]: z_i with z_ij zeroed
-        self.sup2, self.eucl2, self.hat2 = (float_power(v, 2) for v in (self.sup, self.eucl, self.hat))
-        self.zabs2 = float_power(moduli, 2)
+        self.sup2, self.eucl2, self.hat2 = (np.float_power(v, 2) for v in (self.sup, self.eucl, self.hat))
+        self.zabs2 = np.float_power(moduli, 2)
 
 
 class Colligation:

@@ -231,7 +231,7 @@ def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: 
     zs, u = structure.draw(rng, 1 if m is None else m, biased)
     if biased:
         norm = structure_norm(structure, zs)
-        target = np.array([1.0 - 10.0 ** -(1.0 + 5.0 * x) for x in u[:, -1].tolist()])  # rng.uniform(1.0, 6.0)
+        target = 1.0 - np.float_power(10.0, -(1.0 + 5.0 * u[:, -1]))  # exponent rng.uniform(1.0, 6.0); libm pow
         zs = zs * np.divide(target, norm, out=np.zeros_like(norm), where=norm > 0)[:, None]
     return tuple(zs[0]) if m is None else zs
 
@@ -466,11 +466,13 @@ def _load(path: str):
     except OSError as exc:  # missing, a directory, unreadable
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
-        raise _UsageError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        raise _invalid_json(path, exc) from None
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"{path}: {exc}") from None
+
+
+def _invalid_json(path: str, exc: json.JSONDecodeError) -> _UsageError:
+    return _UsageError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
 def _parse_arg(text: str, parse, d: int, what: str):
@@ -596,6 +598,8 @@ def _config_from_args(args) -> CampaignConfig:
         raise _UsageError(f"cannot read {args.config}: {exc.strerror}") from None
     except TypeError as exc:  # an unknown field, or a value of the wrong type
         raise _UsageError(f"bad campaign config: {exc}") from None
+    except json.JSONDecodeError as exc:  # a ValueError, so caught first
+        raise _invalid_json(args.config, exc) from None
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

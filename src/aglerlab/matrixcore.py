@@ -2,17 +2,15 @@
 
 Matrices are plain numpy arrays of dtype complex128.  This module supplies
 the spectral norm, unitarity diagnostics, and Haar-distributed unitary
-sampling that the realization layers build on, and Python's ``**`` on
-arrays.  Everything is pure; randomness enters only through explicit seeds.
+sampling that the realization layers build on.  Everything is pure;
+randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-__all__ = ["as_matrix", "spectral_norm", "haar_unitary", "unitarity_residual", "float_power"]
+__all__ = ["as_matrix", "spectral_norm", "haar_unitary", "unitarity_residual"]
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -80,12 +78,3 @@ def unitarity_residual(u) -> float:
         defects = np.stack([a.conj().T @ a, a @ a.conj().T]) - np.eye(len(a))
     return float(spectral_norm(defects).max()) if np.isfinite(defects).all() else np.inf
 
-
-def float_power(x, k) -> np.ndarray:
-    """``x ** k`` for each entry of the array ``x``, by Python's float power (libm ``pow``); numpy's
-    vectorized power can differ from it in the last bit.  ``k`` is an int, or one per column of the
-    (m, k) result for an (m,) ``x``, each taken as a Python int by ``operator.index``."""
-    x, ks = np.asarray(x), [operator.index(e) for e in np.atleast_1d(k)]
-    exponents = {e: i for i, e in enumerate(dict.fromkeys(ks))}  # one list of powers per distinct exponent
-    powers = np.array([[v ** e for v in x.ravel().tolist()] for e in exponents]).reshape(len(exponents), x.size)
-    return powers[[exponents[e] for e in ks]].T.reshape(x.shape + (() if np.ndim(k) == 0 else (len(ks),)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .colligation import Colligation, StackGeometry, admit, projections, zmatrix
 from .errors import DomainViolationError
-from .matrixcore import float_power, spectral_norm
+from .matrixcore import spectral_norm
 from .reports import Column
 from .tolerances import CONDITION_LIMIT
 
@@ -319,7 +319,7 @@ def resolvent_norm_estimates(ev: EvalStack) -> list[Column]:
     for j in range(ev.col.d):
         columns.append(Column("resolvent.right_block", (j + 1,), right[:, j], d_in * a[:, j]))
         columns.append(Column("resolvent.left_block", (j + 1,), left[:, j], d_out * b[:, j]))
-    scale = 1.0 / np.sqrt(1.0 - float_power(ev.znorm, 2))
+    scale = 1.0 / np.sqrt(1.0 - np.float_power(ev.znorm, 2))
     columns.append(Column("resolvent.right_full", None, spectral_norm(ev.r_ka @ ev.B), d_in * scale))
     columns.append(Column("resolvent.left_full", None, spectral_norm(ev._c_rha), d_out * scale))
     return columns

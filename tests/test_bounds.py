@@ -231,6 +231,11 @@ class TestBoundBall:
             for rep in reports_at(ev, ball_kernel_subchecks(ev)):
                 assert abs(rep.slack) <= 1e-9 * max(1.0, rep.rhs), rep
 
+    def test_kernel_subchecks_refuse_a_polydisk_stack(self):
+        ev = evaluate(random_colligation(Polydisk((1, 1)), seed=3), [(0.1, 0.2)])
+        with pytest.raises(ValueError, match="^kernel subchecks need a ball colligation$"):
+            ball_kernel_subchecks(ev)
+
     def test_rejects_polydisk_subject(self):
         with pytest.raises(ValueError, match="ball"):
             bound_ball(monomial((1, 1)), (0.1, 0.1), (1, 0), "hat")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,24 @@ class TestValidate:
             Colligation(structure, A=u[:dim_k, :dim_h], B=u[:dim_k, dim_h:], C=u[dim_k:, :dim_h], D=u[dim_k:, dim_h:])
 
 
+    def test_b_and_c_must_fit_the_state_spaces(self):
+        with pytest.raises(StructureError, match=re.escape("block B has 1 rows, expected dim_k=2")):
+            Colligation(Polydisk((1, 1)), A=np.eye(2), B=np.zeros((1, 1)), C=np.zeros((1, 2)), D=np.zeros((1, 1)))
+        with pytest.raises(StructureError, match=re.escape("block C has 3 columns, expected dim_h=2")):
+            Colligation(Polydisk((1, 1)), A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 3)), D=np.zeros((1, 1)))
+
+    def test_a_colligation_is_immutable(self):
+        col = blaschke(0.5)
+        with pytest.raises(AttributeError, match="^Colligation is immutable$"):
+            col.A = np.zeros((1, 1))
+        assert col.A[0, 0] == 0.5
+
+    def test_repr_names_the_structure_and_the_io_dimensions(self):
+        assert repr(blaschke(0.5)) == "Colligation(Polydisk(block_dims=(1,)), dim_f=1, dim_g=1)"
+        col = random_colligation(Ball(2, 2), dim_g=1, seed=0)
+        assert repr(col) == "Colligation(Ball(fiber_dim=2, copies=2), dim_f=3, dim_g=1)"
+
+
 class TestRandomColligation:
     def test_polydisk_shapes(self):
         col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=3)
@@ -302,6 +321,10 @@ class TestRandomColligation:
     def test_every_output_validates(self):
         for i, s in enumerate(MIXED_STRUCTURES):
             assert validate(random_colligation(s, dim_g=1 + i % 2, seed=i)).passed
+
+    def test_rejects_no_output(self):
+        with pytest.raises(ValueError, match="^dim_g must be >= 1, got 0$"):
+            random_colligation(Polydisk((1,)), dim_g=0)
 
     def test_transfer_is_contractive(self):
         # core soundness: ||phi(z)|| <= 1 wherever ||Z(z)|| < 1
@@ -359,6 +382,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             monomial((0, 0))
 
+    def test_monomial_rejects_a_negative_entry(self):
+        with pytest.raises(ValueError, match=re.escape("multi-index entries must be >= 0, got (2, -1)")):
+            monomial((2, -1))
+
+    def test_symmetric_extremal_rejects_zero_variables(self):
+        with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
+            symmetric_extremal(0, 0)
+
     def test_symmetric_extremal_is_symmetric_unitary(self):
         for d, seed in [(2, 0), (2, 9), (3, 4)]:
             col = symmetric_extremal(d, seed)
@@ -402,4 +433,7 @@ class TestJsonRoundTrip:
         bad = dict(good)
         bad["A"] = [[[0.0, 0.0], [0.0, 0.0]]]
         with pytest.raises(ValueError, match="'A'"):
+            from_json_dict(bad)
+        bad["A"] = [[1.0]]
+        with pytest.raises(ValueError, match=re.escape("field 'A' must be a nested array of [re, im] pairs")):
             from_json_dict(bad)

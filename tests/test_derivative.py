@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,14 @@ class TestPolynomials:
         with pytest.raises(ValueError, match=message):
             p(z)
 
+    def test_polynomial_rejects_an_exponent_tuple_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=re.escape("bad exponent tuple (1,) for dimension 2")):
+            Polynomial(2, {(1, 1): 1.0, (1,): 0.5})
+
+    def test_poly_partial_rejects_a_multi_index_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^multi-index has d=3, polynomial has d=2$"):
+            poly_partial(Polynomial(2, {(1, 1): 1.0}), (0.1, 0.2), (1, 0, 0))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.3, -math.inf), complex(math.nan, 0.0)])
     def test_polynomial_rejects_non_finite_coefficients(self, value):
         # a NaN coefficient made every report at every point NaN, lhs, rhs and slack alike
@@ -456,6 +465,17 @@ class TestCauchyOracle:
     def test_bare_callable_needs_radius(self):
         with pytest.raises(ValueError, match="radius"):
             cauchy_partial(lambda z: z[0], (0.0,), (1,))
+
+    def test_a_polynomial_takes_radius_one_half_by_default(self):
+        p = Polynomial(2, {(2, 1): 1.0, (0, 1): 0.3})
+        got = cauchy_partial(p, (0.1, 0.2), (1, 1))
+        assert got == cauchy_partial(p, (0.1, 0.2), (1, 1), radius=0.5)
+        assert abs(got - poly_partial(p, (0.1, 0.2), (1, 1))) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, (0.1, -0.1), (0.1, 0.0), (0.1,)], ids=str)
+    def test_radii_must_be_positive_and_one_per_axis(self, radius):
+        with pytest.raises(ValueError, match=f"^need 2 positive radii, got {re.escape(repr(radius))}$"):
+            cauchy_partial(Polynomial(2, {(1, 1): 1.0}), (0.0, 0.0), (1, 1), radius=radius, samples=16)
 
     def test_bare_callable_path(self):
         got = cauchy_partial(lambda z: z[0] ** 2, (0.1,), (2,), radius=0.2, samples=16)

@@ -1040,6 +1040,18 @@ class TestCli:
             assert not captured.out  # an int out once opened, wrote to and closed that descriptor
             assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["fuzz"], ["explore", "kaijser-varopoulos"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("text, column, message", [
+        ("nope", 1, "Expecting value"),
+        ('{"seed": 1,', 12, "Expecting property name enclosed in double quotes"),
+    ], ids=["word", "unclosed"])
+    def test_a_config_file_that_is_not_json_names_the_file(self, tmp_path, capsys, command, text, column, message):
+        # the line named no file: "error: Expecting value: line 1 column 1 (char 0)"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main([*command, "--config", str(cfg_path), "--n", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg_path}: invalid JSON at line 1 column {column}: {message}\n")
+
     def test_fuzz_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglerlab.matrixcore import as_matrix, float_power, haar_unitary, spectral_norm, unitarity_residual
+from aglerlab.matrixcore import as_matrix, haar_unitary, spectral_norm, unitarity_residual
 
 
 def power_iteration_norm(m, iters=2000, seed=0):
@@ -44,6 +44,10 @@ class TestSpectralNorm:
             spectral_norm([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             spectral_norm([[np.inf + 0j]])
+
+    def test_as_matrix_rejects_a_nan_entry(self):
+        with pytest.raises(ValueError, match="^B has non-finite entries$"):
+            as_matrix([[1.0, np.nan]], "B")
 
     def test_one_by_one_is_the_modulus(self):
         rng = np.random.default_rng(43)
@@ -156,47 +160,51 @@ class TestUnitarityResidual:
         assert unitarity_residual(u) == np.inf
 
 
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _bases() -> np.ndarray:
+    """240k seeded bases: uniform in [0, 2), subnormals, values near 1e12, and 0.0, 1.0 and the
+    smallest subnormal."""
+    rng = np.random.default_rng(34)
+    return np.concatenate([rng.random(200_000) * 2.0, rng.random(20_000) * 2.0 ** -1022,
+                           1e12 * (1.0 + rng.random(20_000) * 1e-3), [0.0, 1.0, 5e-324]])
+
+
 class TestFloatPower:
+    """The code takes every power by ``np.float_power``, numpy's loop over libm ``pow``, so each value
+    has the bits of Python's ``**`` (which calls the same ``pow``) in every form the code uses."""
+
     @pytest.mark.parametrize("k", [2, 3])
-    def test_a_numpy_integer_exponent_is_pythons_power(self, k):
-        # a numpy integer must not hand the power to numpy, which differs from
-        # Python's ``**`` in the last bit on some of these inputs
+    def test_numpy_power_differs_from_pythons_power(self, k):
         x = np.random.default_rng(31).random(200_000)
-        expected = np.array([v ** k for v in x.tolist()])
-        assert not np.array_equal(np.power(x, k), expected)
+        assert not np.array_equal(np.power(x, k), np.array([v ** k for v in x.tolist()]))
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_an_integer_exponent_is_pythons_power(self, k):
+        x = _bases()
+        expected = _bits([v ** k for v in x.tolist()])
         for exponent in (k, np.int64(k), np.int32(k)):
-            assert np.array_equal(float_power(x, exponent), expected)
+            got = np.float_power(x, exponent)
+            assert got.dtype == np.float64 and np.array_equal(_bits(got), expected)
 
-    def test_one_exponent_per_column(self):
-        x = np.random.default_rng(32).random(50)
-        exponents = np.array([0, 1, 2, 3, 7, 3], dtype=np.int64)
-        got = float_power(x, exponents)
-        assert got.shape == (50, 6)
-        for c, k in enumerate(exponents.tolist()):
-            assert list(map(float.__repr__, got[:, c].tolist())) == [repr(v ** k) for v in x.tolist()]
-        assert float_power(x, []).shape == (50, 0)
-        assert float_power(np.zeros(0), [1, 2]).shape == (0, 2)
+    def test_one_exponent_per_column_is_pythons_power(self):
+        x = _bases()
+        exponents = [0, 1, 2, 3, 7, 3, 8, 5, 2]
+        got = np.float_power(x[:, None], exponents)
+        assert got.shape == (len(x), len(exponents))
+        assert np.array_equal(_bits(got), _bits([[v ** k for k in exponents] for v in x.tolist()]))
+        assert np.float_power(x[:, None], []).shape == (len(x), 0)
+        assert np.float_power(np.zeros(0)[:, None], [1, 2]).shape == (0, 2)
 
-    def test_repeated_exponents_take_each_value_through_pythons_power(self):
-        # one list of powers per distinct exponent, picked per column: the bits of ``v ** k`` per value
-        x = np.random.default_rng(33).random(40) * 1.9
-        exponents = [2, 5, 2, 0, 5, 5, 2, -1, 2]
-        got = float_power(x, exponents)
-        assert got.shape == (40, 9)
-        assert [[repr(v) for v in row] for row in got.tolist()] == [[repr(v ** k) for k in exponents] for v in x.tolist()]
-        assert list(map(float.__repr__, float_power(x, 5).tolist())) == [repr(v ** 5) for v in x.tolist()]
-        grid = x.reshape(5, 8)
-        assert [repr(v) for v in float_power(grid, 3).ravel().tolist()] == [repr(v ** 3) for v in x.tolist()]
-        for k in (2, [2, 2, 3]):
-            empty = float_power(np.zeros(0), k)
-            assert empty.shape == (0,) + np.shape(k) and empty.dtype == np.float64
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_the_ball_radius_exponent_is_pythons_power(self, d):
+        u = np.concatenate([np.random.default_rng(35 + d).random((200_000, 2)), [[0.0, 0.5], [5e-324, 0.5]]])
+        got = np.float_power(u[:, :1], 1.0 / (2 * d))  # a strided column, as the ball sampler reads it
+        assert np.array_equal(_bits(got[:, 0]), _bits([x ** (1.0 / (2 * d)) for x in u[:, 0].tolist()]))
 
-    def test_keeps_the_shape_of_a_scalar_exponent(self):
-        x = np.full((2, 3), 0.5)
-        assert float_power(x, 2).shape == (2, 3)
-        assert float_power(0.5, 3) == 0.125
-
-    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), [1, 2.5]])
-    def test_rejects_a_non_integer_exponent(self, k):
-        with pytest.raises(TypeError):
-            float_power(np.ones(3), k)
+    def test_the_boundary_biased_target_is_pythons_power(self):
+        u = np.concatenate([np.random.default_rng(39).random(200_000), [0.0]])
+        got = 1.0 - np.float_power(10.0, -(1.0 + 5.0 * u))
+        assert np.array_equal(_bits(got), _bits([1.0 - 10.0 ** -(1.0 + 5.0 * x) for x in u.tolist()]))
