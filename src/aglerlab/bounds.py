@@ -101,7 +101,7 @@ class PolynomialStack:
         self.zs = pts.reshape(-1, structure.d)
         self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
         self.poly, self.structure = poly, structure
-        self.geometry = StackGeometry(self.zs)
+        self.geometry = StackGeometry(structure, self.zs)
         self.defect = 1.0 - np.float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
 
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
@@ -152,7 +152,7 @@ def _koperator_rhs(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
 
 def _klist_sums(mis: Sequence[MultiIndex], *values: np.ndarray) -> list[np.ndarray]:
     """Per (m, d) array v of ``values``, the (m, k) sums of v[:, k - 1] over each klist of ``mis``, added
-    from the left as Python's ``sum`` adds; + 0.0 pads a shorter klist, exact as every term is >= 0.
+    from the left with one rounding per term; + 0.0 pads a shorter klist, exact as every term is >= 0.
     ``index[p, c]`` is entry p of the klist of mis[c], minus 1, or d (a zero column) past its end."""
     m, d = values[0].shape
     ends = np.cumsum(np.array([mi.counts for mi in mis], dtype=int).reshape(len(mis), d), axis=1)
@@ -161,8 +161,8 @@ def _klist_sums(mis: Sequence[MultiIndex], *values: np.ndarray) -> list[np.ndarr
             for v in values]
 
 
-def _power_base(s: np.ndarray, s2: np.ndarray, mis: Sequence[MultiIndex]) -> np.ndarray:  # (1 - s^2)(1 - s)^(n-1)
-    return (1.0 - s2)[:, None] * np.float_power(1.0 - s[:, None], [mi.order - 1 for mi in mis])
+def _power_base(g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:  # (1 - s^2)(1 - s)^(n-1), s the norm
+    return (1.0 - g.norm2)[:, None] * np.float_power(1.0 - g.norm[:, None], [mi.order - 1 for mi in mis])
 
 
 def _pair_scale(defect: np.ndarray, s: np.ndarray, mis: Sequence[MultiIndex]) -> np.ndarray:
@@ -172,42 +172,42 @@ def _pair_scale(defect: np.ndarray, s: np.ndarray, mis: Sequence[MultiIndex]) ->
 
 
 def _polydisk_factorial(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
-    return np.array([mi.factorial_product for mi in mis], float) * defect[:, None] / _power_base(g.sup, g.sup2, mis)
+    return np.array([mi.factorial_product for mi in mis], float) * defect[:, None] / _power_base(g, mis)
 
 
 def _polydisk_weak(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
-    return np.array([math.factorial(mi.order) for mi in mis], float) * defect[:, None] / _power_base(g.sup, g.sup2, mis)
+    return np.array([math.factorial(mi.order) for mi in mis], float) * defect[:, None] / _power_base(g, mis)
 
 
 def _polydisk_first(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
     js = [mi.counts.index(1) for mi in mis]
-    return defect[:, None] / (np.sqrt(1.0 - g.zabs2[:, js]) * np.sqrt(1.0 - g.sup2)[:, None])
+    return defect[:, None] / (np.sqrt(1.0 - g.zabs2[:, js]) * np.sqrt(1.0 - g.norm2)[:, None])
 
 
 def _polydisk_mixed(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
     w = 1.0 / np.sqrt(1.0 - g.zabs2)
     w_sum, w2_sum = _klist_sums(mis, w, w * w)
-    return _pair_scale(defect, g.sup, mis) * (np.float_power(w_sum, 2) - w2_sum)
+    return _pair_scale(defect, g.norm, mis) * (np.float_power(w_sum, 2) - w2_sum)
 
 
 def _polydisk_two_var(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
     n1, n2 = np.array([mi.counts for mi in mis], float).reshape(len(mis), 2).T
     d1, d2 = 1.0 - g.zabs2[:, :1], 1.0 - g.zabs2[:, 1:]
     bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / np.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
-    return _pair_scale(defect, g.sup, mis) * bracket
+    return _pair_scale(defect, g.norm, mis) * bracket
 
 
 def _ball_hat(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
     roots = np.sqrt(np.maximum(1.0 - g.hat2, 0.0))
     counts = np.array([mi.counts for mi in mis], float).reshape(len(mis), roots.shape[1])
     hat_sum = sum((counts[:, j] * roots[:, j:j + 1] for j in range(roots.shape[1])), np.zeros((len(defect), len(mis))))
-    base = defect[:, None] / _power_base(g.eucl, g.eucl2, mis)
+    base = defect[:, None] / _power_base(g, mis)
     return np.array([math.factorial(mi.order - 1) for mi in mis], float) * base * hat_sum
 
 
 def _ball_factorial(defect: np.ndarray, g: StackGeometry, mis: Sequence[MultiIndex]) -> np.ndarray:
     scale = np.array([mi.d ** ((mi.order - 1) / 2.0) * mi.factorial_product for mi in mis])
-    return scale * (defect[:, None] / _power_base(g.eucl, g.eucl2, mis))
+    return scale * (defect[:, None] / _power_base(g, mis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,13 +269,13 @@ def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
 
 def polydisk_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named polydisk inequality at the point ``z`` (no evaluation)."""
-    geometry = StackGeometry(np.array([z], complex))
+    geometry = StackGeometry(Polydisk.scalar(len(z)), np.array([z], complex))
     return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
 
 
 def ball_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
     """Right-hand side of the named ball inequality at the point ``z`` (no evaluation)."""
-    geometry = StackGeometry(np.array([z], complex))
+    geometry = StackGeometry(Ball.scalar(len(z)), np.array([z], complex))
     return float(_variant(Ball, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
 
 
@@ -318,8 +318,8 @@ def ball_kernel_subchecks(ev: EvalStack) -> list[Column]:
     a2, b2 = np.float_power(ev.gram[:, 0], 2), np.float_power(ev.gram[:, 1], 2)
     out = []
     for j in range(ev.structure.d):
-        out.append(Column("ball.gram_left", (j + 1,), b2[:, j], 1.0 / (1.0 - g.eucl2)))
-        out.append(Column("ball.gram_right", (j + 1,), a2[:, j], (1.0 - g.hat2[:, j]) / (1.0 - g.eucl2)))
+        out.append(Column("ball.gram_left", (j + 1,), b2[:, j], 1.0 / (1.0 - g.norm2)))
+        out.append(Column("ball.gram_right", (j + 1,), a2[:, j], (1.0 - g.hat2[:, j]) / (1.0 - g.norm2)))
     return out
 
 

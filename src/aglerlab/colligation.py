@@ -255,17 +255,16 @@ def admit(structure: DomainStructure, z) -> tuple[str, ...]:
 
 
 class StackGeometry:
-    """Norm data of an (m, d) stack of points, a row per point, as bound
-    right-hand sides read it: the domain norms ``sup`` (polydisk) and ``eucl``
-    (ball), ``hat`` (m, d) the ball norms with coordinate j zeroed, and by
-    ``np.float_power(v, 2)`` the squares ``sup2``, ``eucl2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
+    """Norm data of an (m, d) stack of points of ``structure``'s domain, a row per point, as bound
+    right-hand sides read it: ``norm`` the domain norm (s = ||z||_inf on the polydisk, t = ||z||_2
+    on the ball), ``hat`` (m, d) the domain norms with coordinate j zeroed, and by
+    ``np.float_power(v, 2)`` the squares ``norm2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
 
-    def __init__(self, zs: np.ndarray):
+    def __init__(self, structure: DomainStructure, zs: np.ndarray):
         moduli = np.hypot(zs.real, zs.imag)
-        self.sup, self.eucl = Polydisk.norm(moduli), Ball.norm(moduli)
-        self.hat = Ball.norm(moduli[:, None, :] * (1.0 - np.eye(zs.shape[-1])))  # [i, j]: z_i with z_ij zeroed
-        self.sup2, self.eucl2, self.hat2 = (np.float_power(v, 2) for v in (self.sup, self.eucl, self.hat))
-        self.zabs2 = np.float_power(moduli, 2)
+        self.norm = structure.norm(moduli)
+        self.hat = structure.norm(moduli[:, None, :] * (1.0 - np.eye(zs.shape[-1])))  # [i, j]: z_i, z_ij zeroed
+        self.norm2, self.hat2, self.zabs2 = (np.float_power(v, 2) for v in (self.norm, self.hat, moduli))
 
 
 class Colligation:

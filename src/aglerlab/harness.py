@@ -593,6 +593,8 @@ def _config_from_args(args) -> CampaignConfig:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
+            if not isinstance(base, dict):
+                raise _UsageError(f"{args.config}: a campaign config is a JSON object, got {type(base).__name__}")
         return CampaignConfig(**{**base, **{k: v for k, v in given.items() if v is not None}})
     except OSError as exc:  # missing, a directory, unreadable
         raise _UsageError(f"cannot read {args.config}: {exc.strerror}") from None
@@ -600,6 +602,8 @@ def _config_from_args(args) -> CampaignConfig:
         raise _UsageError(f"bad campaign config: {exc}") from None
     except json.JSONDecodeError as exc:  # a ValueError, so caught first
         raise _invalid_json(args.config, exc) from None
+    except UnicodeDecodeError as exc:  # not UTF-8; a ValueError too
+        raise _UsageError(f"{args.config}: {exc}") from None
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -636,25 +640,37 @@ def _write(lines: Iterable[str], out: str | None) -> dict:
     return json.loads(last)
 
 
-def _stdout_error(exc: OSError) -> _UsageError:
-    """The usage error of a failed write to stdout.  Its file descriptor, if it has one, is pointed at
-    the null device, so that the interpreter's last flush of what is still buffered cannot fail again;
+def _to_null(stream) -> None:
+    """Point the file descriptor of a stream that failed a write, if it has one, at the null device, so
+    that the interpreter's last flush of what is still buffered cannot fail again (it would exit 120);
     the stream object is left as it is."""
     with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor: an in-process caller's sink
-        fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, fd)
         os.close(null)
+
+
+def _stdout_error(exc: OSError) -> _UsageError:
+    """The usage error of a failed write to stdout, whose descriptor goes to the null device."""
+    _to_null(sys.stdout)
     return _UsageError(f"cannot write stdout: {exc.strerror}")
+
+
+def _note(line: str) -> None:
+    """Print a diagnostic line on stderr, best effort: without a stderr (``2>&-``) or on one that
+    cannot be written, the line is lost, and no exit code or stdout changes."""
+    if sys.stderr is not None:  # None: print would fall back to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            _to_null(sys.stderr)
 
 
 def cmd_fuzz(args) -> int:
     config = _config_from_args(args)
     summary = _write(run_fuzz(config), config.out)
-    print(
-        f"fuzz: {summary['reports']} reports, {summary['violations']} violations, "
-        f"{summary['flagged']} flagged (seed {config.seed})",
-        file=sys.stderr,
-    )
+    _note(f"fuzz: {summary['reports']} reports, {summary['violations']} violations, "
+          f"{summary['flagged']} flagged (seed {config.seed})")
     return 0 if summary["violations"] == 0 else 1
 
 
@@ -665,16 +681,23 @@ def cmd_explore(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     summary = _write(records, config.out)
-    print(
-        f"explore {args.name}: {summary['reports']} observational reports (seed {config.seed})",
-        file=sys.stderr,
-    )
+    _note(f"explore {args.name}: {summary['reports']} observational reports (seed {config.seed})")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors print through :func:`_note`: argparse would print the usage line on
+    stdout without a stderr, and on an unwritable one leave it buffered for the last flush (exit 120)."""
+
+    def error(self, message):
+        _note(self.format_usage().rstrip("\n"))
+        _note(f"{self.prog}: error: {message}")
+        sys.exit(2)
 
 
 @functools.cache  # once per process: argparse does not change a parser as it parses
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aglerlab",
         description="Numerical laboratory for unitary colligations and their transfer functions.",
     )
@@ -747,7 +770,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise _stdout_error(exc) from None
         return code
     except (_UsageError, DomainViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2 if isinstance(exc, _UsageError) else 1
 
 

@@ -32,8 +32,8 @@ from .reports import Column
 from .tolerances import CONDITION_LIMIT
 
 __all__ = [
-    "EvalStack", "EvalContext", "evaluate", "defect_norms", "identity_residuals",
-    "resolvent_gram_factors", "resolvent_norm_estimates", "lnorm_bound_check",
+    "EvalStack", "EvalContext", "evaluate", "identity_residuals", "resolvent_gram_factors",
+    "resolvent_norm_estimates", "lnorm_bound_check",
 ]
 
 
@@ -84,12 +84,12 @@ class EvalStack:
     (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
     ``flags`` (``near-boundary`` by :func:`aglerlab.colligation.admit`,
     ``ill-conditioned`` past the conditioning limit), and the columns
-    ``znorm``, ``lnorm``, ``defects`` (m, 2), ``defect`` (their product),
-    ``gram`` (m, 2, d) and ``geometry`` (a
-    :class:`aglerlab.colligation.StackGeometry`).  The jet, one reader per quantity, each
-    stacking a list of multi-indices on axis 1: ``kops(mis)``, the arrangement sums K, from the
-    recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, one order at a time for every
-    multi-index of that order, so they do not depend on which came first, kept as one array of
+    ``znorm``, ``lnorm``, ``defects`` (m, 2) the input and output defect norms, ``defect`` (their
+    product, the D of every bound), ``gram`` (m, 2, d) and ``geometry`` (the
+    :class:`aglerlab.colligation.StackGeometry` of ``zs`` in the domain of ``structure``).  The
+    jet, one reader per quantity, each stacking a list of multi-indices on axis 1: ``kops(mis)``,
+    the arrangement sums K, from the recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, one order
+    at a time for every multi-index of that order, so they do not depend on which came first, kept as one array of
     all orders made so far and read with one take; ``partials(mis)``,
     mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call; ``norms(mis)``,
     per multi-index the (m,) norms of its partial, from ``partials(mis)`` and one SVD call.
@@ -141,15 +141,18 @@ class EvalStack:
 
     @cached_property
     def defects(self) -> np.ndarray:
-        """Input and output defect norms of phi(z); see :func:`defect_norms`.  A point where either
-        defect overflows (possible only for a non-unitary colligation) is a domain violation."""
-        gaps = _defect_gaps(self.phi)
+        """Input and output defect norms ||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2) of phi(z); a point
+        where either overflows (possible only for a non-unitary colligation) is a domain violation."""
+        phi, phi_h = self.phi, _adjoint(self.phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.eye(self.col.dim_f) - phi_h @ phi, np.eye(self.col.dim_g) - phi @ phi_h
         bad = ~np.isfinite(gaps[0]).all(axis=(1, 2)) | ~np.isfinite(gaps[1]).all(axis=(1, 2))
         _refuse(self.zs, bad, "the defect of phi is not finite")
         return np.stack([np.sqrt(spectral_norm(g)) for g in gaps], axis=1)
 
     @cached_property
     def defect(self) -> np.ndarray:
+        """The product of the two defect norms: the defect D on every bound; 1 - |phi|^2 for scalar phi."""
         return self.defects[:, 0] * self.defects[:, 1]
 
     @cached_property
@@ -159,7 +162,7 @@ class EvalStack:
 
     @cached_property
     def geometry(self) -> StackGeometry:
-        return StackGeometry(self.zs)
+        return StackGeometry(self.structure, self.zs)
 
     @cached_property
     def _c_rha(self) -> np.ndarray:
@@ -288,19 +291,6 @@ def resolvent_gram_factors(ev: EvalStack) -> tuple[np.ndarray, np.ndarray]:
     inv_k = _inverse(np.eye(ev.col.dim_k) - _adjoint(z) @ z, ev.zs, "I - Z*Z")[:, None]
     inv_h = _inverse(np.eye(ev.col.dim_h) - z @ _adjoint(z), ev.zs, "I - ZZ*")[:, None]
     return np.sqrt(spectral_norm(es @ inv_k @ _adjoint(es))), np.sqrt(spectral_norm(_adjoint(es) @ inv_h @ es))
-
-
-def _defect_gaps(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I - phi* phi and I - phi phi*, non-finite where a product overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.eye(phi.shape[-1]) - _adjoint(phi) @ phi, np.eye(phi.shape[-2]) - phi @ _adjoint(phi)
-
-
-def defect_norms(phi: np.ndarray):
-    """(||I - phi* phi||^(1/2), ||I - phi phi*||^(1/2)), as two arrays for a
-    stack of phi.  Their product is the defect D on bound right-hand sides;
-    for scalar phi it equals 1 - |phi|^2."""
-    return tuple(np.sqrt(spectral_norm(g)) for g in _defect_gaps(phi))
 
 
 def resolvent_norm_estimates(ev: EvalStack) -> list[Column]:

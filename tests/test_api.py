@@ -1,10 +1,11 @@
-"""The public surface: every exported name resolves, once, the README's Python runs and its commands parse;
+"""The public surface: every exported name resolves, once, the README's Python runs and its commands parse and run;
 only ``bounds`` reads its table of variants, and only it and the ball's Gram check test a structure's class;
 importing the CLI draws in no random generator."""
 
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import aglerlab
-from aglerlab.harness import CampaignConfig, build_parser
+from aglerlab.harness import CampaignConfig, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 VARIANT_TABLE = {"VARIANTS", "Variant", "applicable_variants"}
@@ -40,9 +41,10 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(README), "exec"), {})
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     """Every ``aglerlab`` line of the README's shell blocks parses, and each campaign flag it gives
-    sets a ``CampaignConfig`` field of the flag's ``dest``; no campaign runs."""
+    sets a ``CampaignConfig`` field of the flag's ``dest``; then the lines run in order in an empty
+    directory, each exits 0, and the fuzz campaign's ``reports.jsonl`` reports no violation."""
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
     commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
@@ -57,6 +59,12 @@ def test_readme_commands_parse():
         if args.command in ("fuzz", "explore"):
             given = {dest for dest, value in vars(args).items() if value is not None}
             assert given - {"command", "func", "config", "name", "m"} <= fields, command
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command, comments=True)[1:]) == 0, command
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "reports.jsonl").read_text(encoding="utf-8").splitlines()[-1])
+    assert (summary["kind"], summary["violations"]) == ("summary", 0)
 
 
 def test_only_bounds_reads_the_variant_table():

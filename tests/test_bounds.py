@@ -1,7 +1,9 @@
 """Derivative bounds, equality witnesses, sum rule, and kernel positivity."""
 
 import dataclasses
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -37,26 +39,32 @@ from aglerlab.harness import MAX_ORDER, multi_indices, sample_point
 from aglerlab.matrixcore import spectral_norm
 from aglerlab.errors import DegenerateGramWarning
 from aglerlab.reports import BoundReport, Column
-from aglerlab.transfer import defect_norms, resolvent_norm_estimates
+from aglerlab.transfer import resolvent_norm_estimates
 from conftest import MIXED_STRUCTURES, admissible_point, interior_point, reports_at
 
 
 class TestStackGeometry:
     def test_example(self):
-        g = StackGeometry(np.array([(0.3, 0.4j)]))
-        assert g.sup[0] == pytest.approx(0.4)
-        assert g.eucl[0] == pytest.approx(0.5)
-        assert g.hat[0] == pytest.approx((0.4, 0.3))
+        zs = np.array([(0.3, 0.4j)])
+        sup, eucl = StackGeometry(Polydisk.scalar(2), zs), StackGeometry(Ball.scalar(2), zs)
+        assert sup.norm[0] == pytest.approx(0.4)
+        assert sup.hat[0] == pytest.approx((0.4, 0.3))
+        assert eucl.norm[0] == pytest.approx(0.5)
+        assert eucl.hat[0] == pytest.approx((0.4, 0.3))
+        for g in (sup, eucl):
+            assert g.zabs2[0] == pytest.approx((0.09, 0.16))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 5))
     def test_invariants(self, seed, d):
         rng = np.random.default_rng(seed)
         z = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        g = StackGeometry(np.array([z]))
-        sup, eucl, hat = float(g.sup[0]), float(g.eucl[0]), g.hat[0].tolist()
+        on_polydisk, on_ball = (StackGeometry(domain.scalar(d), np.array([z])) for domain in (Polydisk, Ball))
+        sup, eucl = float(on_polydisk.norm[0]), float(on_ball.norm[0])
+        assert sup == structure_norm(Polydisk.scalar(d), z) and eucl == structure_norm(Ball.scalar(d), z)
         for j in range(d):
-            assert abs(hat[j] ** 2 - (eucl**2 - abs(z[j]) ** 2)) <= 1e-12
+            assert abs(on_ball.hat[0, j] ** 2 - (eucl**2 - abs(z[j]) ** 2)) <= 1e-12
+            assert on_polydisk.hat[0, j] == max((abs(v) for k, v in enumerate(z) if k != j), default=0.0)
         assert sup <= eucl + 1e-14
         assert eucl <= math.sqrt(d) * sup + 1e-14
 
@@ -245,6 +253,13 @@ class TestBoundBall:
             bound_ball(alpay_kaptanoglu(1), (0.8, 0.7), (1, 0), "hat")
 
 
+def _defect(phi):
+    """||I - phi* phi||^(1/2) ||I - phi phi*||^(1/2) of one matrix, from numpy's matrix 2-norm."""
+    dim_g, dim_f = phi.shape
+    return math.sqrt(np.linalg.norm(np.eye(dim_f) - phi.conj().T @ phi, 2)) * math.sqrt(
+        np.linalg.norm(np.eye(dim_g) - phi @ phi.conj().T, 2))
+
+
 class TestWiener:
     def test_blaschke_is_sharp_at_first_coefficient(self):
         a = 0.5
@@ -286,7 +301,7 @@ class TestWiener:
 
     def test_ball_uses_the_sphere_average_bound(self):
         col = random_colligation(Ball(1, 3), dim_g=1, seed=53)
-        defect = math.prod(defect_norms(col.D))
+        defect = _defect(col.D)
         origin = evaluate(col, np.zeros((1, 3)))
         reports = reports_at(origin, wiener_check(origin, [(1, 0, 0), (1, 0, 1), (2, 0, 0)]))
         by_alpha = {rep.alpha: rep for rep in reports}
@@ -298,7 +313,7 @@ class TestWiener:
         one_var = random_colligation(Ball(2, 1), dim_g=1, seed=54)
         origin = evaluate(one_var, [(0.0,)])
         for rep in reports_at(origin, wiener_check(origin, [(1,), (2,), (3,)])):
-            assert rep.rhs == pytest.approx(math.prod(defect_norms(one_var.D)), rel=1e-12)
+            assert rep.rhs == pytest.approx(_defect(one_var.D), rel=1e-12)
 
 
     @pytest.mark.parametrize("orders", [[(0, 0, 0)], []], ids=["order-zero", "none"])
@@ -478,26 +493,32 @@ def double_loop_gram(f, points):
 # --- the multi-index axis: one call per bound, every value with the bits of one multi-index ---
 
 
+def _add(values):
+    """Floats added from the left, one rounding per term, as the stacked code adds them (Python 3.12's ``sum``
+    compensates, so it is not that oracle)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def _scalar_rhs(tag, defect, g, i, mi):
     """A VARIANTS right-hand side at point i, as stated, in Python floats."""
     n, fp, zabs2 = mi.order, mi.factorial_product, g.zabs2[i].tolist()
-    sup, sup2, eucl, eucl2 = (float(v[i]) for v in (g.sup, g.sup2, g.eucl, g.eucl2))
+    s, s2 = float(g.norm[i]), float(g.norm2[i])  # the domain norm: ||z||_inf on the polydisk, ||z||_2 on the ball
     if tag == "polydisk.factorial":
-        return fp * defect / ((1.0 - sup2) * (1.0 - sup) ** (n - 1))
+        return fp * defect / ((1.0 - s2) * (1.0 - s) ** (n - 1))
     if tag == "polydisk.weak":
-        return math.factorial(n) * defect / ((1.0 - sup2) * (1.0 - sup) ** (n - 1))
+        return math.factorial(n) * defect / ((1.0 - s2) * (1.0 - s) ** (n - 1))
     if tag == "polydisk.first":
-        return defect / (math.sqrt(1.0 - zabs2[mi.counts.index(1)]) * math.sqrt(1.0 - sup2))
+        return defect / (math.sqrt(1.0 - zabs2[mi.counts.index(1)]) * math.sqrt(1.0 - s2))
     if tag == "polydisk.mixed":
         w = [1.0 / math.sqrt(1.0 - zabs2[k - 1]) for k in mi.canonical_klist()]
-        return math.factorial(n - 2) * defect / (1.0 - sup) ** (n - 1) * (sum(w) ** 2 - sum(v * v for v in w))
+        return math.factorial(n - 2) * defect / (1.0 - s) ** (n - 1) * (_add(w) ** 2 - _add(v * v for v in w))
     if tag == "polydisk.two_var":
         (n1, n2), (d1, d2) = mi.counts, (1.0 - zabs2[0], 1.0 - zabs2[1])
         bracket = (n1 * n1 - n1) / d1 + 2.0 * n1 * n2 / math.sqrt(d1 * d2) + (n2 * n2 - n2) / d2
-        return math.factorial(n - 2) * defect / (1.0 - sup) ** (n - 1) * bracket
-    base = defect / ((1.0 - eucl2) * (1.0 - eucl) ** (n - 1))
+        return math.factorial(n - 2) * defect / (1.0 - s) ** (n - 1) * bracket
+    base = defect / ((1.0 - s2) * (1.0 - s) ** (n - 1))
     if tag == "ball.hat":
-        hat_sum = sum(nj * math.sqrt(max(1.0 - float(g.hat2[i, j]), 0.0)) for j, nj in enumerate(mi.counts))
+        hat_sum = _add(nj * math.sqrt(max(1.0 - float(g.hat2[i, j]), 0.0)) for j, nj in enumerate(mi.counts))
         return math.factorial(n - 1) * base * hat_sum
     assert tag == "ball.factorial"
     return mi.d ** ((n - 1) / 2.0) * fp * base
@@ -509,8 +530,8 @@ def _scalar_general(ctx, mi):
     defect, znorm = float(ctx.defect), float(ctx.znorm)
     if mi.order == 1:
         return defect / math.sqrt(1.0 - znorm ** 2) * min(a[ks[0] - 1], b[ks[0] - 1])
-    sum_a, sum_b = sum(a[k - 1] for k in ks), sum(b[k - 1] for k in ks)
-    diag = sum(a[k - 1] * b[k - 1] for k in ks)
+    sum_a, sum_b = _add(a[k - 1] for k in ks), _add(b[k - 1] for k in ks)
+    diag = _add(a[k - 1] * b[k - 1] for k in ks)
     return math.factorial(mi.order - 2) * defect / (1.0 - znorm) ** (mi.order - 1) * (sum_a * sum_b - diag)
 
 
@@ -694,7 +715,7 @@ class TestRuscheweyhReduction:
         defect = rng.random(50)
         row = next(v for v in bounds.VARIANTS if v.tag == tag)
         mis = [MultiIndex((n,)) for n in range(lowest, MAX_ORDER + 1)]
-        got = row.rhs(defect, bounds.StackGeometry(zs[:, None]), mis)
+        got = row.rhs(defect, bounds.StackGeometry(Polydisk((1,)), zs[:, None]), mis)
         for c, mi in enumerate(mis):
             closed = [self.closed_form(mi.order, abs(z), d) for z, d in zip(zs.tolist(), defect.tolist())]
             np.testing.assert_allclose(got[:, c], closed, rtol=1e-13, atol=0)

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -1041,16 +1042,20 @@ class TestCli:
             assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["fuzz"], ["explore", "kaijser-varopoulos"]], ids=lambda c: c[0])
-    @pytest.mark.parametrize("text, column, message", [
-        ("nope", 1, "Expecting value"),
-        ('{"seed": 1,', 12, "Expecting property name enclosed in double quotes"),
-    ], ids=["word", "unclosed"])
-    def test_a_config_file_that_is_not_json_names_the_file(self, tmp_path, capsys, command, text, column, message):
-        # the line named no file: "error: Expecting value: line 1 column 1 (char 0)"
+    @pytest.mark.parametrize("data, message", [
+        (b"nope", "invalid JSON at line 1 column 1: Expecting value"),
+        (b'{"seed": 1,', "invalid JSON at line 1 column 12: Expecting property name enclosed in double quotes"),
+        (b'\xff\xfe{"seed": 1}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[]", "a campaign config is a JSON object, got list"),
+        (b"null", "a campaign config is a JSON object, got NoneType"),
+    ], ids=["word", "unclosed", "not-utf-8", "list", "null"])
+    def test_a_config_file_that_is_not_json_names_the_file(self, tmp_path, capsys, command, data, message):
+        # the lines named no file: "error: Expecting value: line 1 column 1 (char 0)", "error: 'utf-8' codec
+        # can't decode ...", "error: bad campaign config: 'list' object is not a mapping"
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(text, encoding="utf-8")
+        cfg_path.write_bytes(data)
         assert main([*command, "--config", str(cfg_path), "--n", "1"]) == 2
-        assert capsys.readouterr() == ("", f"error: {cfg_path}: invalid JSON at line 1 column {column}: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {cfg_path}: {message}\n")
 
     def test_fuzz_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -1322,7 +1327,8 @@ class TestCampaignStream:
                                  stderr=subprocess.PIPE, env=env)
         assert len(child.stdout.read(300)) == 300
         child.stdout.close()
-        err = child.stderr.read().decode()
+        with child.stderr:
+            err = child.stderr.read().decode()
         assert child.wait() != 0
         assert err.startswith("error: cannot write stdout:") and len(err.strip().splitlines()) == 1, err
 
@@ -1367,6 +1373,29 @@ class TestCampaignStream:
         assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
         print("after")
         assert capsys.readouterr().out == "after\n"
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="closes or reopens the child's stderr through sh")
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    def test_a_missing_or_unwritable_stderr_loses_only_its_lines(self, tmp_path, redirect):
+        # without a stderr, print and argparse's usage line fell back to stdout; on a read-only one, print's
+        # OSError became exit 1, and argparse's buffered lines exit 120 at the interpreter's last flush
+        def run(*argv):
+            return subprocess.run(["sh", "-c", f'exec "$0" -m aglerlab "$@" {redirect}', sys.executable, *argv],
+                                  stdout=subprocess.PIPE, env=_child_env(False), cwd=tmp_path, timeout=120)
+
+        normal = subprocess.run([sys.executable, "-m", "aglerlab", *FUZZ_SMALL], capture_output=True,
+                                env=_child_env(False), timeout=120)
+        assert normal.returncode == 0 and normal.stderr.startswith(b"fuzz: ")
+        done = run(*FUZZ_SMALL)
+        assert (done.returncode, done.stdout) == (0, normal.stdout)
+        done = run(*FUZZ_SMALL, "--out", "r.jsonl")
+        assert (done.returncode, done.stdout) == (0, b"")
+        assert (tmp_path / "r.jsonl").read_bytes() == normal.stdout
+        done = run("explore", "kaijser-varopoulos", "--n", "1", "--points", "1", "--out", "kv.jsonl")
+        assert (done.returncode, done.stdout) == (0, b"")
+        for argv in (["fuzz", "--n", "0"], ["validate", "missing.json"], ["fuzz", "--bogus"]):
+            done = run(*argv)
+            assert (done.returncode, done.stdout) == (2, b""), argv
 
     def test_campaign_holds_no_record_list(self, tmp_path, capsys):
         argv = ["explore", "kaijser-varopoulos", "--max-order", "3", "--out"]
