@@ -91,17 +91,15 @@ _GENERAL, _KOPERATOR = "general", "koperator"  # the report families besides the
 class PolynomialStack:
     """A polynomial subject at the points of an (m, d) stack (or at one point
     of shape (d,)) of ``structure``'s domain, admitted as ``evaluate`` admits
-    them, and read like an :class:`EvalStack`: ``structure``, ``zs``, per-point
-    ``flags``, the ``defect`` and ``geometry`` columns, and ``norms``.  The defect
-    takes one stacked :func:`poly_partial` call, and so does each multi-index."""
+    them, and read like an :class:`EvalStack`: ``structure``, ``zs``, the
+    ``geometry`` that admission returns and its per-point ``flags``, the ``defect``
+    column, and ``norms``.  The defect takes one stacked :func:`poly_partial`
+    call, and so does each multi-index."""
 
     def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
-        pts = np.asarray(zs, dtype=np.complex128)
-        near = admit(structure, pts)
-        self.zs = pts.reshape(-1, structure.d)
-        self.flags = [admit(structure, z) for z in self.zs] if near else [()] * len(self.zs)
-        self.poly, self.structure = poly, structure
-        self.geometry = StackGeometry(structure, self.zs)
+        self.geometry = admit(structure, zs)
+        self.zs = np.asarray(zs, dtype=np.complex128).reshape(-1, structure.d)
+        self.poly, self.structure, self.flags = poly, structure, self.geometry.flags
         self.defect = 1.0 - np.float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
 
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:

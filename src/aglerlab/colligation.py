@@ -240,29 +240,33 @@ def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:
     return float(norm) if norm.ndim == 0 else norm
 
 
-def admit(structure: DomainStructure, z) -> tuple[str, ...]:
-    """The one admission rule, for a point or an array of shape (..., d).
-    Raise DomainViolationError at a domain norm >= 1 - ADMISSIBILITY_MARGIN;
-    return ("near-boundary",) at one within BOUNDARY_FLAG_DISTANCE of 1, else ()."""
-    norms = np.atleast_1d(structure_norm(structure, z)).ravel()
-    bad = np.flatnonzero(norms >= 1.0 - ADMISSIBILITY_MARGIN)
+def admit(structure: DomainStructure, z) -> StackGeometry:
+    """The one admission rule, for a point or an array of shape (..., d): raise
+    DomainViolationError at a domain norm that is not < 1 - ADMISSIBILITY_MARGIN (NaN included),
+    else return the :class:`StackGeometry` of the points, a row per point (one row for a point)."""
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if zs.shape[-1] != structure.d:
+        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
+    geometry = StackGeometry(structure, zs.reshape(-1, structure.d))
+    bad = np.flatnonzero(~(geometry.norm < 1.0 - ADMISSIBILITY_MARGIN))  # a NaN norm fails < too
     if bad.size:
-        at = f" ({bad.size} of {norms.size} points, first at index {bad[0]})" if np.ndim(z) > 1 else ""
-        raise DomainViolationError(
-            f"domain norm of z = {norms[bad[0]]:.17g} is not < 1 - {ADMISSIBILITY_MARGIN:g}; point inadmissible{at}"
-        )
-    return ("near-boundary",) if (1.0 - norms < BOUNDARY_FLAG_DISTANCE).any() else ()
+        at = f" ({bad.size} of {len(geometry.norm)} points, first at index {bad[0]})" if zs.ndim > 1 else ""
+        raise DomainViolationError(f"domain norm of z = {geometry.norm[bad[0]]:.17g} is not < 1 - "
+                                   f"{ADMISSIBILITY_MARGIN:g}; point inadmissible{at}")
+    return geometry
 
 
 class StackGeometry:
-    """Norm data of an (m, d) stack of points of ``structure``'s domain, a row per point, as bound
-    right-hand sides read it: ``norm`` the domain norm (s = ||z||_inf on the polydisk, t = ||z||_2
-    on the ball), ``hat`` (m, d) the domain norms with coordinate j zeroed, and by
+    """Norm data of an (m, d) stack of points of ``structure``'s domain, a row per point, as admission
+    and bound right-hand sides read it: ``norm`` the domain norm (s = ||z||_inf on the polydisk, t =
+    ||z||_2 on the ball), ``flags`` per point ("near-boundary",) at a norm within BOUNDARY_FLAG_DISTANCE
+    of 1, else (), ``hat`` (m, d) the domain norms with coordinate j zeroed, and by
     ``np.float_power(v, 2)`` the squares ``norm2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
 
     def __init__(self, structure: DomainStructure, zs: np.ndarray):
         moduli = np.hypot(zs.real, zs.imag)
         self.norm = structure.norm(moduli)
+        self.flags = [("near-boundary",) * near for near in (1.0 - self.norm < BOUNDARY_FLAG_DISTANCE).tolist()]
         self.hat = structure.norm(moduli[:, None, :] * (1.0 - np.eye(zs.shape[-1])))  # [i, j]: z_i, z_ij zeroed
         self.norm2, self.hat2, self.zabs2 = (np.float_power(v, 2) for v in (self.norm, self.hat, moduli))
 

@@ -371,7 +371,9 @@ def default_radii(structure: DomainStructure, z: Sequence[complex]) -> tuple[flo
 
 def _radii(f, z: Sequence[complex], radius) -> tuple[float, ...]:
     """``radius`` (one for all axes or one per axis) if given, else the
-    default for a colligation and 0.5 for a polynomial."""
+    default for a colligation and 0.5 for a polynomial; a point with a non-finite coordinate is refused."""
+    if not all(map(cmath.isfinite, z)):
+        raise ValueError(f"point {list(z)} has a non-finite coordinate")
     if radius is None:
         if isinstance(f, Colligation):
             return default_radii(f.structure, z)
@@ -439,6 +441,8 @@ def cauchy_partial(
     Returns a complex scalar for scalar-valued f, else a complex matrix.
     """
     mi = MultiIndex.of(alpha)
+    if mi.d != len(z):
+        raise ValueError(f"multi-index has d={mi.d}, point has d={len(z)}")
     radii = _radii(f, z, radius)
     check_samples(samples, max(mi.counts), len(radii))
     grid = _sample_torus(f, z, radii, samples)

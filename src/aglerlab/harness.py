@@ -11,7 +11,8 @@ Subcommands:
 * ``explore``   observational campaigns for the named special functions
 
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error;
-a stdout that cannot be written (its reader gone, a full disk) is a usage error.
+a stdout that cannot be written (closed, its reader gone, a full disk) is a usage
+error, also for ``--help``.
 Campaign output is JSON Lines: a header record, one record per checked
 inequality, and a trailing summary record, written in batches of 200 lines;
 the lines made before a failure are written before it propagates.  A campaign
@@ -34,8 +35,10 @@ import argparse
 import cmath
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -448,7 +451,8 @@ def explore_records(poly: Polynomial, structure: DomainStructure, config: Campai
     if isinstance(structure, Ball):  # the Drury-Arveson kernel's Gram check: a set of 8 points per segment
         sets = sample_point(structure, rng, config.sampler, m=8 * config.n_colligations).reshape(-1, 8, structure.d)
         gram = Column("gram.arveson_min_eig", None, multiplier_gram_psd(poly, sets), np.zeros(len(sets)))
-        yield ([Stack([phash] * len(sets), sets[:, 0], [marks + admit(structure, pts) for pts in sets],
+        near = admit(structure, sets).flags  # a set carries the flags of its points
+        yield ([Stack([phash] * len(sets), sets[:, 0], [sum(near[k:k + 8], marks) for k in range(0, len(near), 8)],
                       ReportTable.of([gram]))], [(0, 0, len(sets))])
 
 
@@ -595,11 +599,13 @@ def _config_from_args(args) -> CampaignConfig:
                 base = json.load(fh)
             if not isinstance(base, dict):
                 raise _UsageError(f"{args.config}: a campaign config is a JSON object, got {type(base).__name__}")
+            if unknown := [key for key in base if key not in given]:  # the first in file order
+                raise _UsageError(f"{args.config}: unknown campaign field {unknown[0]!r}")
         return CampaignConfig(**{**base, **{k: v for k, v in given.items() if v is not None}})
     except OSError as exc:  # missing, a directory, unreadable
         raise _UsageError(f"cannot read {args.config}: {exc.strerror}") from None
-    except TypeError as exc:  # an unknown field, or a value of the wrong type
-        raise _UsageError(f"bad campaign config: {exc}") from None
+    except TypeError as exc:  # a value of the wrong type, which only the file can give: argparse types every flag
+        raise _UsageError(f"{args.config}: {exc}") from None
     except json.JSONDecodeError as exc:  # a ValueError, so caught first
         raise _invalid_json(args.config, exc) from None
     except UnicodeDecodeError as exc:  # not UTF-8; a ValueError too
@@ -694,6 +700,20 @@ class _Parser(argparse.ArgumentParser):
         _note(f"{self.prog}: error: {message}")
         sys.exit(2)
 
+    def print_help(self, file=None):
+        """Write and flush the help; a failed write raises to ``main``, where argparse would swallow it."""
+        stream = file or sys.stdout
+        stream.write(self.format_help())
+        stream.flush()
+
+
+class _ClosedStdout(io.TextIOBase):
+    """The stdout of a process started without one (``>&-``), where Python leaves ``sys.stdout`` None and
+    ``print`` drops its text: each write fails as one to a closed descriptor, and a flush does nothing."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
 
 @functools.cache  # once per process: argparse does not change a parser as it parses
 def build_parser() -> argparse.ArgumentParser:
@@ -761,12 +781,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
         try:
-            code = args.func(args)
-            sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
-        except OSError as exc:  # a printing command's stdout; every other OSError is already a usage error
+            with contextlib.redirect_stdout(sys.stdout or _ClosedStdout()):
+                args = build_parser().parse_args(argv)  # --help writes stdout too
+                code = args.func(args)
+                sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
+        except OSError as exc:  # stdout's; every other OSError is already a usage error
             raise _stdout_error(exc) from None
         return code
     except (_UsageError, DomainViolationError) as exc:

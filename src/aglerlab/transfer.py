@@ -80,13 +80,13 @@ class EvalStack:
 
     All share ``structure`` and the block shapes of ``col`` = cols[0].  ``A``, ``B``, ``C``
     (stride-0 views for one colligation), ``zmat``, ``r_ka`` = (I_K - A Z)^{-1}, ``phi``: a row per point.
+    ``geometry``, the :class:`aglerlab.colligation.StackGeometry` of ``zs`` that
+    :func:`aglerlab.colligation.admit` returned (a slice measures its own rows).
     The rest is computed for every point on first use and kept: ``r_ha`` =
     (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
-    ``flags`` (``near-boundary`` by :func:`aglerlab.colligation.admit`,
-    ``ill-conditioned`` past the conditioning limit), and the columns
-    ``znorm``, ``lnorm``, ``defects`` (m, 2) the input and output defect norms, ``defect`` (their
-    product, the D of every bound), ``gram`` (m, 2, d) and ``geometry`` (the
-    :class:`aglerlab.colligation.StackGeometry` of ``zs`` in the domain of ``structure``).  The
+    ``flags`` (the geometry's ``near-boundary``, then ``ill-conditioned`` past the
+    conditioning limit), and the columns ``znorm``, ``lnorm``, ``defects`` (m, 2) the input and
+    output defect norms, ``defect`` (their product, the D of every bound) and ``gram`` (m, 2, d).  The
     jet, one reader per quantity, each stacking a list of multi-indices on axis 1: ``kops(mis)``,
     the arrangement sums K, from the recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, one order
     at a time for every multi-index of that order, so they do not depend on which came first, kept as one array of
@@ -95,11 +95,10 @@ class EvalStack:
     per multi-index the (m,) norms of its partial, from ``partials(mis)`` and one SVD call.
     ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
-    def __init__(self, cols: list[Colligation], blocks, zs, zmat, r_ka, phi, near: tuple[str, ...]):
-        self.cols, self.col, self.structure = cols, cols[0], cols[0].structure
+    def __init__(self, cols: list[Colligation], blocks, zs, zmat, r_ka, phi, geometry: StackGeometry):
+        self.cols, self.col, self.structure, self.geometry = cols, cols[0], cols[0].structure, geometry
         (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
         self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
-        self._near = near  # admit's flags for the whole stack: () clears every point
         self._jet = []
 
     def __len__(self) -> int:
@@ -108,7 +107,7 @@ class EvalStack:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return EvalStack(self.cols[i], (self.A[i], self.B[i], self.C[i]), self.zs[i], self.zmat[i], self.r_ka[i],
-                             self.phi[i], self._near)
+                             self.phi[i], StackGeometry(self.structure, self.zs[i]))
         return EvalContext(self, range(len(self))[i])
 
     @cached_property
@@ -125,8 +124,8 @@ class EvalStack:
 
     @cached_property
     def flags(self) -> list[tuple[str, ...]]:
-        near = [admit(self.structure, z) for z in self.zs] if self._near else [()] * len(self)
-        return [f + (("ill-conditioned",) if c > CONDITION_LIMIT else ()) for f, c in zip(near, self.cond)]
+        ill = [("ill-conditioned",) if c > CONDITION_LIMIT else () for c in self.cond]
+        return [f + g for f, g in zip(self.geometry.flags, ill)]
 
     @cached_property
     def znorm(self) -> np.ndarray:
@@ -159,10 +158,6 @@ class EvalStack:
     def gram(self) -> np.ndarray:
         """Projected resolvent Gram factors a, b; see :func:`resolvent_gram_factors`."""
         return np.stack(resolvent_gram_factors(self), axis=1)
-
-    @cached_property
-    def geometry(self) -> StackGeometry:
-        return StackGeometry(self.structure, self.zs)
 
     @cached_property
     def _c_rha(self) -> np.ndarray:
@@ -248,7 +243,7 @@ def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContex
     structure = cols[0].structure
     if any(c.structure != structure for c in cols):
         raise ValueError("colligations evaluated together must share their structure")
-    near = admit(structure, pts)
+    geometry = admit(structure, pts)
     stack = pts.reshape(-1, structure.d)
     rows = (len(cols), len(stack) // len(cols))  # the reshape copies only for n > 1
     A, B, C, D = (np.broadcast_to(np.stack(bs)[:, None], rows + bs[0].shape).reshape((-1,) + bs[0].shape)
@@ -258,7 +253,7 @@ def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContex
     with np.errstate(over="ignore", invalid="ignore"):
         phi = D + C @ zm @ r_ka @ B
     _refuse(stack, ~np.isfinite(phi).all(axis=(1, 2)), "phi is not finite")
-    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), stack, zm, r_ka, phi, near)
+    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), stack, zm, r_ka, phi, geometry)
     return ev[0] if pts.ndim == 1 else ev
 
 

@@ -165,6 +165,13 @@ class TestBoundPolydisk:
         with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
             bound_polydisk(kaijser_varopoulos(), (1.0 - 1e-13, 0.0, 0.0), (1, 0, 0), "factorial")
 
+    def test_rejects_a_nan_point(self):
+        # a NaN norm passed admission, and the report's NaN slack was never counted as a violation
+        with pytest.raises(DomainViolationError, match="z = nan .*inadmissible$"):
+            bound_polydisk(kaijser_varopoulos(), (math.nan, 0.0, 0.0), (1, 0, 0), "factorial")
+        with pytest.raises(DomainViolationError, match="z = nan .*inadmissible$"):
+            bound_ball(alpay_kaptanoglu(2), (math.nan, 0.0), (1, 0), "hat")
+
     def test_polynomial_subject(self):
         kv = kaijser_varopoulos()
         rep = bound_polydisk(kv, (0.0, 0.0, 0.0), (2, 0, 0), "factorial")
@@ -382,6 +389,11 @@ class TestMultiplierGram:
             multiplier_gram_psd(lambda z: z[0], [(0.9, 0.9)])
         with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
             multiplier_gram_psd(lambda z: z[0], [(0.1, 0.2), (1.0 - 1e-13, 0.0)])
+
+    def test_rejects_a_nan_point(self):
+        # the NaN passed admission and gave a NaN eigenvalue with a RuntimeWarning
+        with pytest.raises(DomainViolationError, match="z = nan .*inadmissible"):
+            multiplier_gram_psd(alpay_kaptanoglu(2), [(math.nan, 0.0)])
 
     @pytest.mark.parametrize("points", [[(0.1, 0.2), (0.3,)], [(0.1, 0.2), (0.2, 0.1), (0.3, 0.0, 0.1)]],
                              ids=["short", "long"])

@@ -228,20 +228,32 @@ class TestZMatrix:
 class TestAdmit:
     def test_flags_and_rejects_by_domain_norm(self):
         s = Polydisk((1, 0))
-        assert admit(s, (0.5, 0.0)) == ()
-        assert admit(s, (0.0, 1.0 - 1e-7)) == ("near-boundary",)  # empty block still counts
+        assert admit(s, (0.5, 0.0)).flags == [()]  # one point is one row
+        assert admit(s, (0.0, 1.0 - 1e-7)).flags == [("near-boundary",)]  # empty block still counts
         with pytest.raises(DomainViolationError, match="inadmissible"):
             admit(s, (0.0, 1.0 - 1e-13))
-        assert admit(Ball(1, 2), (0.6, 0.8j - 1e-7j)) == ("near-boundary",)
+        assert admit(Ball(1, 2), (0.6, 0.8j - 1e-7j)).flags == [("near-boundary",)]
+
+    def test_refuses_a_nan_point(self):
+        # NaN fails every comparison, so a rule written as norm >= limit would let it through
+        with pytest.raises(DomainViolationError, match="z = nan is not < 1 - 1e-12; point inadmissible$"):
+            admit(Polydisk((1, 0)), (math.nan, 0.0))
+        with pytest.raises(DomainViolationError, match="z = nan .* inadmissible$"):
+            admit(Ball(1, 2), (0.1, complex(0.0, math.nan)))
 
     def test_stack(self):
         s = Ball(2, 2)
         pts = np.array([[0.1, 0.2], [0.0, 0.5j]])
-        assert admit(s, pts) == ()
+        assert admit(s, pts).flags == [(), ()]
+        np.testing.assert_array_equal(admit(s, pts).norm, structure_norm(s, pts))
         pts[0] = (0.0, 1.0 - 1e-7)
-        assert admit(s, pts) == ("near-boundary",)
+        assert admit(s, pts).flags == [("near-boundary",), ()]
+        assert admit(s, pts[None]).flags == [("near-boundary",), ()]  # (..., d): a row per point
         pts[1, 1] = 2.0
         with pytest.raises(DomainViolationError, match="1 of 2 points, first at index 1"):
+            admit(s, pts)
+        pts[1, 1] = math.nan
+        with pytest.raises(DomainViolationError, match=r"z = nan .*\(1 of 2 points, first at index 1\)"):
             admit(s, pts)
 
 

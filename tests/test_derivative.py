@@ -439,6 +439,23 @@ class TestCauchyOracle:
         exact = partial(col, (0.2,), (3,))
         assert spectral_norm(np.atleast_2d(got) - exact) <= 1e-8
 
+    def test_refuses_a_multi_index_of_another_length(self):
+        # (1, 0, 0) dropped its third entry and returned d phi/dz_1; (1,) returned unreduced grid values
+        col = random_colligation(Polydisk((2, 1)), dim_g=1, seed=3)
+        for alpha in ((1, 0, 0), (1,)):
+            with pytest.raises(ValueError, match=f"multi-index has d={len(alpha)}, point has d=2"):
+                cauchy_partial(col, (0.1, 0.2), alpha)
+
+    def test_refuses_a_point_with_a_non_finite_coordinate(self):
+        # a polynomial subject is never admitted: its NaN point gave nan+nanj
+        cases = [(kaijser_varopoulos(), (math.nan, 0.0, 0.0), None), (blaschke(0.5), (complex(0.0, math.inf),), None),
+                 (lambda z: z[0], (math.nan,), 0.1)]
+        for f, z, radius in cases:
+            with pytest.raises(ValueError, match="has a non-finite coordinate"):
+                cauchy_partial(f, z, (1,) + (0,) * (len(z) - 1), radius=radius)
+            with pytest.raises(ValueError, match="has a non-finite coordinate"):
+                cauchy_coefficient_table(f, z, 1, radius=radius)
+
     def test_default_radii(self):
         got = default_radii(Polydisk((1, 1)), (0.9, 0.0))
         assert got == pytest.approx((0.05, 0.1))

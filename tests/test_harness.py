@@ -1039,7 +1039,8 @@ class TestCli:
             assert main([*command, "--config", str(cfg_path), "--n", "1"]) == 2
             captured = capsys.readouterr()
             assert not captured.out  # an int out once opened, wrote to and closed that descriptor
-            assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+            assert captured.err.startswith(f"error: {cfg_path}: ") and len(captured.err.strip().splitlines()) == 1
+            assert "__init__" not in captured.err
 
     @pytest.mark.parametrize("command", [["fuzz"], ["explore", "kaijser-varopoulos"]], ids=lambda c: c[0])
     @pytest.mark.parametrize("data, message", [
@@ -1339,9 +1340,12 @@ class TestCampaignStream:
         ["deriv", "{file}", "--z", "0.1", "--alpha", "1"],
         ["bounds", "{file}", "--z", "0.1"],
         ["catalog", "blaschke", "--a", "0.5"],
-    ], ids=["validate", "eval", "deriv", "bounds", "catalog"])
+        ["--help"],
+        ["fuzz", "--help"],
+    ], ids=["validate", "eval", "deriv", "bounds", "catalog", "help", "fuzz-help"])
     def test_a_printing_command_whose_reader_is_gone_exits_two(self, tmp_path, argv, unbuffered):
-        # buffered, the failing write is the interpreter's last flush unless main flushes first
+        # buffered, the failing write is the interpreter's last flush unless main flushes first; argparse's
+        # help printer swallows a failed write, so unbuffered the help was lost with exit 0
         path = tmp_path / "b.json"
         save_colligation(blaschke(0.5), path)
         read, write = os.pipe()
@@ -1355,9 +1359,11 @@ class TestCampaignStream:
         assert done.returncode == 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-    def test_a_printing_command_on_a_full_disk_exits_two(self):
+    @pytest.mark.parametrize("argv", [["catalog", "blaschke", "--a", "0.5"], ["--help"], ["fuzz", "--help"]],
+                             ids=["catalog", "help", "fuzz-help"])
+    def test_a_printing_command_on_a_full_disk_exits_two(self, argv):
         with open("/dev/full", "w") as full:
-            done = subprocess.run([sys.executable, "-m", "aglerlab", "catalog", "blaschke", "--a", "0.5"],
+            done = subprocess.run([sys.executable, "-m", "aglerlab", *argv],
                                   stdout=full, stderr=subprocess.PIPE, env=_child_env(False), timeout=120)
         assert done.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
         assert done.returncode == 2
@@ -1396,6 +1402,32 @@ class TestCampaignStream:
         for argv in (["fuzz", "--n", "0"], ["validate", "missing.json"], ["fuzz", "--bogus"]):
             done = run(*argv)
             assert (done.returncode, done.stdout) == (2, b""), argv
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="closes the child's stdout through sh")
+    def test_a_closed_stdout_fails_only_the_commands_that_write_it(self, tmp_path):
+        # without a stdout Python sets sys.stdout to None: print dropped its text, main's flush and a
+        # campaign's write raised AttributeError (exit 1), and argparse printed the help on stderr (exit 0)
+        def run(*argv):
+            return subprocess.run(["sh", "-c", 'exec "$0" -m aglerlab "$@" >&-', sys.executable, *argv],
+                                  stderr=subprocess.PIPE, env=_child_env(False), cwd=tmp_path, timeout=120)
+
+        save_colligation(blaschke(0.5), tmp_path / "b.json")
+        closed = f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n".encode()
+        for argv in (["validate", "b.json"], ["eval", "b.json", "--z", "0.1"], ["catalog", "blaschke", "--a", "0.5"],
+                     FUZZ_SMALL, ["explore", "kaijser-varopoulos", "--n", "1", "--points", "1"],
+                     ["--help"], ["fuzz", "--help"]):
+            done = run(*argv)
+            assert (done.returncode, done.stderr) == (2, closed), argv
+        normal = subprocess.run([sys.executable, "-m", "aglerlab", *FUZZ_SMALL], capture_output=True,
+                                env=_child_env(False), timeout=120)
+        done = run(*FUZZ_SMALL, "--out", "r.jsonl")
+        assert (done.returncode, done.stderr) == (0, normal.stderr)
+        assert (tmp_path / "r.jsonl").read_bytes() == normal.stdout
+        done = run("explore", "kaijser-varopoulos", "--n", "1", "--points", "1", "--out", "kv.jsonl")
+        assert done.returncode == 0 and done.stderr.startswith(b"explore kaijser-varopoulos: ")
+        for argv in (["fuzz", "--n", "0"], ["validate", "missing.json"]):
+            done = run(*argv)
+            assert done.returncode == 2 and done.stderr.startswith(b"error: ") and done.stderr != closed, argv
 
     def test_campaign_holds_no_record_list(self, tmp_path, capsys):
         argv = ["explore", "kaijser-varopoulos", "--max-order", "3", "--out"]

@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglerlab import (
     Ball,
     Colligation,
     DomainViolationError,
     Polydisk,
+    Polynomial,
     blaschke,
     monomial,
     random_colligation,
@@ -23,8 +26,8 @@ from aglerlab.transfer import (
     resolvent_norm_estimates,
 )
 from aglerlab import transfer
-from aglerlab.bounds import point_reports
-from aglerlab.colligation import admit, zmatrix
+from aglerlab.bounds import PolynomialStack, point_reports
+from aglerlab.colligation import admit, structure_norm, zmatrix
 from aglerlab.derivative import MultiIndex, partial_at
 from aglerlab.harness import multi_indices
 from conftest import MIXED_STRUCTURES, admissible_point, reports_at
@@ -61,6 +64,13 @@ class TestEvaluate:
             evaluate(col, (1.0,))
         with pytest.raises(DomainViolationError):
             evaluate(col, (1.0 - 1e-14,))
+
+    def test_rejects_a_nan_point(self):
+        # a NaN norm passed admission, and the point was refused only later, as "phi is not finite"
+        with pytest.raises(DomainViolationError, match="z = nan .*inadmissible$"):
+            evaluate(blaschke(0.5), (np.nan,))
+        with pytest.raises(DomainViolationError, match=r"inadmissible \(1 of 2 points, first at index 1\)"):
+            evaluate(blaschke(0.5), [(0.1,), (complex(0.0, np.nan),)])
 
     def test_rejects_point_outside_domain_behind_empty_block(self):
         with pytest.raises(DomainViolationError, match="inadmissible"):
@@ -159,7 +169,7 @@ class TestStack:
     def test_flags_are_set_per_point(self):
         col = random_colligation(Ball(1, 2), dim_g=1, seed=4)
         pts = np.array([[0.1, 0.2j], [0.0, 1.0 - 1e-7], [0.3, 0.0]])
-        assert admit(col.structure, pts) == ("near-boundary",)  # one tuple for the whole stack
+        assert admit(col.structure, pts).flags == [(), ("near-boundary",), ()]
         ev = evaluate(col, pts)
         assert [ev[i].flags for i in range(3)] == [(), ("near-boundary",), ()]
         assert [ev[i].flags for i in range(3)] == [evaluate(col, z).flags for z in pts]
@@ -168,6 +178,28 @@ class TestStack:
         col = Colligation(Polydisk((1, 1)), A=a, B=np.zeros((2, 1)), C=np.zeros((1, 2)), D=[[1.0]])
         ev = evaluate(col, [(0.5 - 1e-16, 0.0), (0.1, 0.1)])
         assert [ev[i].flags for i in range(2)] == [("ill-conditioned",), ()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.data())
+    def test_one_admission_flags_each_point_as_its_own_would(self, case):
+        structure = case.draw(st.sampled_from(MIXED_STRUCTURES), label="structure")
+        rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+        zs = np.array([admissible_point(structure, rng) for _ in range(case.draw(st.integers(1, 6), label="m"))])
+        for i in case.draw(st.lists(st.integers(0, len(zs) - 1), max_size=len(zs)), label="pushed"):
+            k = case.draw(st.integers(5, 8), label="k")  # to norm 1 - 10^-k, either side of the flag distance
+            zs[i] *= (1.0 - 10.0**-k) / structure_norm(structure, zs[i])
+        flags = admit(structure, zs).flags
+        assert flags == [admit(structure, z).flags[0] for z in zs]
+        col = random_colligation(structure, dim_g=1, seed=int(rng.integers(1000)))
+        ev = evaluate(col, zs)
+        assert ev.flags == [evaluate(col, z).flags for z in zs]
+        assert [f[:1] for f in ev.flags] == flags  # near-boundary first, then any ill-conditioned
+        for a in range(len(zs)):
+            for b in range(a + 1, len(zs) + 1):
+                assert ev[a:b].flags == ev.flags[a:b]
+        assert ev[::2].flags == ev.flags[::2]
+        poly = Polynomial(structure.d, {(1,) + (0,) * (structure.d - 1): 0.5})
+        assert PolynomialStack(poly, structure, zs).flags == flags
 
     @pytest.mark.parametrize("structure, dim_g", [(Polydisk((2, 1)), 1), (Ball(2, 2), 1), (Polydisk((2, 1)), 2)])
     def test_stack_agrees_with_one_point_evaluations(self, structure, dim_g):
