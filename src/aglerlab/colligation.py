@@ -27,7 +27,10 @@ name in a colligation file, whose other structure keys are its dataclass
 fields), its maps E_1..E_d (``maps``), its norm of the moduli |z_j|
 (``norm``), its uniform sampler (``draw``) and how far each |z_j| may grow
 before that norm reaches one (``room``).  Everything else reads these
-members instead of testing a structure's class.
+members instead of testing a structure's class.  ``draw(rng, count, biased)``
+reads ``rng`` only through ``random`` and ``standard_normal``: campaigns pass
+an :class:`aglerlab.stream.Stream`, which imports no ``numpy.random``, and a
+numpy ``Generator`` of the same seed draws the same points.
 
 Block dimensions of a polydisk structure may be zero: the corresponding
 projection is the zero map, which keeps catalog entries such as pure
@@ -47,6 +50,7 @@ import numpy as np
 
 from .errors import DomainViolationError, StructureError
 from .matrixcore import as_matrix, haar_unitary, unitarity_residual
+from .stream import Stream
 from .tolerances import ADMISSIBILITY_MARGIN, BOUNDARY_FLAG_DISTANCE, CONSTRUCTION_TOL
 
 __all__ = [
@@ -128,7 +132,7 @@ class Polydisk:
     def norm(moduli: np.ndarray) -> np.ndarray:
         return moduli.max(axis=-1)
 
-    def draw(self, rng: np.random.Generator, count: int, biased: bool) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rng: Stream | np.random.Generator, count: int, biased: bool) -> tuple[np.ndarray, np.ndarray]:
         d, u = self.d, rng.random((count, 2 * self.d + biased))  # per point: d radii, d angles, then the bias u
         return 0.99 * np.sqrt(u[:, :d]) * np.exp(1j * (2.0 * np.pi * u[:, d:2 * d])), u[:, 2 * d:]
 
@@ -178,7 +182,7 @@ class Ball:
     def norm(moduli: np.ndarray) -> np.ndarray:
         return np.sqrt((moduli * moduli).sum(axis=-1))
 
-    def draw(self, rng: np.random.Generator, count: int, biased: bool) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rng: Stream | np.random.Generator, count: int, biased: bool) -> tuple[np.ndarray, np.ndarray]:
         d = self.d  # per point: 2d normals (real parts, then imaginary), the radius u, then the bias u
         g, u = np.empty((count, 2 * d)), np.empty((count, 1 + biased))  # too many points fail here, undrawn
         for k in range(count):
@@ -260,15 +264,23 @@ class StackGeometry:
     """Norm data of an (m, d) stack of points of ``structure``'s domain, a row per point, as admission
     and bound right-hand sides read it: ``norm`` the domain norm (s = ||z||_inf on the polydisk, t =
     ||z||_2 on the ball), ``flags`` per point ("near-boundary",) at a norm within BOUNDARY_FLAG_DISTANCE
-    of 1, else (), ``hat`` (m, d) the domain norms with coordinate j zeroed, and by
-    ``np.float_power(v, 2)`` the squares ``norm2``, ``hat2`` and ``zabs2`` = |z_j|^2."""
+    of 1, else (), ``moduli`` (m, d) the |z_j|, and by ``np.float_power(v, 2)`` the squares ``norm2``
+    and ``zabs2`` = |z_j|^2.  Only the ball's bounds read ``hat`` (m, d), the domain norms with
+    coordinate j zeroed, and its square ``hat2``, so each is computed on first use."""
 
     def __init__(self, structure: DomainStructure, zs: np.ndarray):
-        moduli = np.hypot(zs.real, zs.imag)
-        self.norm = structure.norm(moduli)
+        self.structure, self.moduli = structure, np.hypot(zs.real, zs.imag)
+        self.norm = structure.norm(self.moduli)
         self.flags = [("near-boundary",) * near for near in (1.0 - self.norm < BOUNDARY_FLAG_DISTANCE).tolist()]
-        self.hat = structure.norm(moduli[:, None, :] * (1.0 - np.eye(zs.shape[-1])))  # [i, j]: z_i, z_ij zeroed
-        self.norm2, self.hat2, self.zabs2 = (np.float_power(v, 2) for v in (self.norm, self.hat, moduli))
+        self.norm2, self.zabs2 = (np.float_power(v, 2) for v in (self.norm, self.moduli))
+
+    @functools.cached_property
+    def hat(self) -> np.ndarray:  # [i, j]: the norm of z_i with z_ij zeroed
+        return self.structure.norm(self.moduli[:, None, :] * (1.0 - np.eye(self.moduli.shape[-1])))
+
+    @functools.cached_property
+    def hat2(self) -> np.ndarray:
+        return np.float_power(self.hat, 2)
 
 
 class Colligation:

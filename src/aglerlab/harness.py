@@ -26,7 +26,9 @@ arrays, per tag as it groups the stack's keys, makes the stack's texts once
 per alpha and per tag, then per segment encodes each distinct float once and
 writes each report's line from one fixed template, the one statement of the
 record format.  Identical configuration and seed produce byte-identical
-output.
+output.  A campaign draws from :class:`aglerlab.stream.Stream` (seed), bit for
+bit ``np.random.default_rng(seed)`` for the draws it makes, and imports no
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from .derivative import (
 from .errors import DomainViolationError
 from .matrixcore import spectral_norm
 from .reports import Column, ReportTable
+from .stream import Stream
 from .tolerances import CONSTRUCTION_TOL, IDENTITY_TOL, SLACK_TOL
 from .transfer import _jet_order, evaluate, identity_residuals
 
@@ -216,11 +219,14 @@ class CampaignConfig:
         return out
 
 
-def sample_point(structure: DomainStructure, rng: np.random.Generator, sampler: str = "uniform",
+def sample_point(structure: DomainStructure, rng: Stream | np.random.Generator, sampler: str = "uniform",
                  m: int | None = None) -> tuple[complex, ...] | np.ndarray:
     """Draw one admissible point for ``structure``, or with ``m`` an (m, d)
     array of m points: the bits, and the end state of ``rng``, of m one-point
-    draws in turn.
+    draws in turn.  ``rng`` is read only through ``random`` and
+    ``standard_normal``: campaigns pass a :class:`aglerlab.stream.Stream`, which
+    draws what ``np.random.default_rng`` of its seed draws without importing
+    ``numpy.random``, and a numpy ``Generator`` gives the same bits.
 
     ``uniform`` draws from the structure's own domain: on the polydisk each
     coordinate uniformly in the disk of radius 0.99, on the ball a uniform
@@ -376,7 +382,7 @@ def fuzz_records(config: CampaignConfig) -> Iterator[Chunk]:
     drawn with their points one by one, is one stack at their origins and one at their pairs; its record
     order is per colligation the Wiener bounds at the origin, then the reports of its points."""
     structure = parse_structure(config.structure)
-    rng = np.random.default_rng(config.seed)
+    rng = Stream(config.seed)
     mis = list(map(MultiIndex, multi_indices(structure.d, config.max_order)))
     wiener_alphas = [mi for mi in mis if mi.order <= 4]
     size = config.points_per_colligation
@@ -440,7 +446,7 @@ def explore_records(poly: Polynomial, structure: DomainStructure, config: Campai
     All its points are one draw and one stack, so each column is computed once.  The Gram point sets
     are one more draw and stack, and one segment."""
     phash = polynomial_hash(poly)
-    rng = np.random.default_rng(config.seed)
+    rng = Stream(config.seed)
     mis = list(map(MultiIndex, multi_indices(structure.d, config.max_order)))
     marks = ("observational",) + config.sampler_flags
     size, m = config.points_per_colligation, config.n_colligations * config.points_per_colligation

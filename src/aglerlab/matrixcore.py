@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .stream import Stream
+
 __all__ = ["as_matrix", "spectral_norm", "haar_unitary", "unitarity_residual"]
 
 
@@ -55,11 +57,13 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 
     Draws a complex Ginibre matrix, takes its QR factorization, and
     absorbs the phases of R's diagonal into Q so the distribution is
-    exactly Haar rather than merely unitary.
+    exactly Haar rather than merely unitary.  The Ginibre entries come from
+    :class:`aglerlab.stream.Stream` (seed), bit for bit the normals of
+    ``np.random.default_rng(seed)``, so no draw imports ``numpy.random``.
     """
     if n < 1:
         raise ValueError(f"unitary size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)

@@ -1,9 +1,10 @@
 """The public surface: every exported name resolves, once, the README's Python runs and its commands parse and run;
 only ``bounds`` reads its table of variants, and only it and the ball's Gram check test a structure's class;
-importing the CLI draws in no random generator."""
+neither importing the CLI nor running a campaign loads ``numpy.random``."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import json
 import os
@@ -125,12 +126,34 @@ def test_the_class_test_guard_sees_each_form():
     assert [_class_test(ast.parse(t, mode="eval").body) for t in tests + others] == [True] * 5 + [False] * 4
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    """``numpy.random`` (several ms to import) is loaded by the first campaign that draws, not by
-    ``import aglerlab.harness``: ``validate``, ``eval`` and ``deriv`` draw nothing."""
+def _numpy_random_modules_after(code: str) -> str:
+    """The ``numpy.random*`` modules loaded in a fresh interpreter after it runs ``code``, as printed."""
     src = str(Path(aglerlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, aglerlab.harness; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    code += "; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+@functools.cache
+def _numpy_own() -> str:
+    """What ``import numpy`` loads by itself: nothing in numpy 2, which loads ``numpy.random`` on first use;
+    numpy 1.x imports it eagerly, and then these checks hold trivially."""
+    return _numpy_random_modules_after("import sys, numpy")
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """``numpy.random`` (several ms to import) is not loaded by ``import aglerlab.harness``."""
+    assert _numpy_random_modules_after("import sys, aglerlab.harness") == _numpy_own()
+
+
+def test_campaigns_leave_numpy_random_unloaded():
+    """Campaigns draw from ``aglerlab.stream.Stream``, so a fuzz and an explore campaign, and with them
+    ``random_colligation`` and ``sample_point``, load no ``numpy.random``."""
+    code = ("import os, sys; from aglerlab.harness import main; "
+            "assert main(['fuzz', '--seed', '2', '--n', '2', '--structure', 'ball:m=1,d=2', '--max-order', '2', "
+            "'--points', '2', '--sampler', 'boundary-biased', '--out', os.devnull]) == 0; "
+            "assert main(['explore', 'alpay-kaptanoglu', '--m', '2', '--seed', '2', '--n', '1', '--points', '2', "
+            "'--max-order', '2', '--out', os.devnull]) == 0")
+    assert _numpy_random_modules_after(code) == _numpy_own()

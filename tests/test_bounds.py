@@ -68,6 +68,23 @@ class TestStackGeometry:
         assert sup <= eucl + 1e-14
         assert eucl <= math.sqrt(d) * sup + 1e-14
 
+    @pytest.mark.parametrize("structure", [Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(1, 2), Ball(2, 3)], ids=str)
+    def test_only_the_balls_table_makes_hat(self, structure):
+        """``hat`` and ``hat2`` are made on first use, and only the ball's bounds use them: a polydisk's
+        report tables leave them unmade, a ball's make them with the bits of the formula (the ball
+        goldens pin the records they give)."""
+        zs = sample_point(structure, np.random.default_rng(6), m=4)
+        mis = [MultiIndex(a) for a in multi_indices(structure.d, 3)]
+        poly = Polynomial(structure.d, {(1,) * structure.d: 0.5})
+        ev = evaluate(random_colligation(structure, seed=5), zs)
+        for points in (ev, bounds.PolynomialStack(poly, structure, zs)):
+            bounds.report_columns(points, mis)
+            made = {"hat", "hat2"} & set(vars(points.geometry))
+            assert made == ({"hat", "hat2"} if structure.kind == "ball" else set()), type(points)
+            hat = structure.norm(np.hypot(zs.real, zs.imag)[:, None, :] * (1.0 - np.eye(structure.d)))
+            assert _bits(points.geometry.hat.ravel()) == _bits(hat.ravel())
+            assert _bits(points.geometry.hat2.ravel()) == _bits(np.float_power(hat, 2).ravel())
+
 
 class TestBoundReport:
     def test_ratio_zero_when_rhs_zero(self):
