@@ -32,6 +32,12 @@ reads ``rng`` only through ``random`` and ``standard_normal``: campaigns pass
 an :class:`aglerlab.stream.Stream`, which imports no ``numpy.random``, and a
 numpy ``Generator`` of the same seed draws the same points.
 
+A record's subject hash, :func:`colligation_hash`, is the first 16 hex digits
+of the SHA-256 of the canonical JSON (:func:`to_json_dict`, keys sorted, no
+spaces); :func:`subject_hash` is its one definition, which ``harness`` also
+uses for polynomials.  It takes SHA-256 from CPython's builtin module, the
+digest ``hashlib`` gives, so a campaign never loads OpenSSL's libcrypto.
+
 Block dimensions of a polydisk structure may be zero: the corresponding
 projection is the zero map, which keeps catalog entries such as pure
 monomials in fewer effective variables inside the model.
@@ -40,7 +46,6 @@ monomials in fewer effective variables inside the model.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import operator
 from dataclasses import asdict, dataclass, fields
@@ -52,6 +57,14 @@ from .errors import DomainViolationError, StructureError
 from .matrixcore import as_matrix, haar_unitary, unitarity_residual
 from .stream import Stream
 from .tolerances import ADMISSIBILITY_MARGIN, BOUNDARY_FLAG_DISTANCE, CONSTRUCTION_TOL
+
+try:  # SHA-256 (FIPS 180-4) from CPython's builtin module, so that no campaign maps OpenSSL's libcrypto
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "Polydisk",
@@ -75,6 +88,7 @@ __all__ = [
     "save_colligation",
     "load_colligation",
     "colligation_hash",
+    "subject_hash",
 ]
 
 
@@ -262,17 +276,28 @@ def admit(structure: DomainStructure, z) -> StackGeometry:
 
 class StackGeometry:
     """Norm data of an (m, d) stack of points of ``structure``'s domain, a row per point, as admission
-    and bound right-hand sides read it: ``norm`` the domain norm (s = ||z||_inf on the polydisk, t =
-    ||z||_2 on the ball), ``flags`` per point ("near-boundary",) at a norm within BOUNDARY_FLAG_DISTANCE
-    of 1, else (), ``moduli`` (m, d) the |z_j|, and by ``np.float_power(v, 2)`` the squares ``norm2``
-    and ``zabs2`` = |z_j|^2.  Only the ball's bounds read ``hat`` (m, d), the domain norms with
-    coordinate j zeroed, and its square ``hat2``, so each is computed on first use."""
+    and bound right-hand sides read it: ``moduli`` (m, d) the |z_j| and ``norm`` the domain norm (s =
+    ||z||_inf on the polydisk, t = ||z||_2 on the ball), which admission needs.  Campaigns also read
+    ``flags`` per point, ("near-boundary",) at a norm within BOUNDARY_FLAG_DISTANCE of 1, else (), and
+    by ``np.float_power(v, 2)`` the squares ``norm2`` and ``zabs2`` = |z_j|^2; only the ball's bounds
+    read ``hat`` (m, d), the domain norms with coordinate j zeroed, and its square ``hat2``.  Each of
+    these is computed on first use, so the Cauchy oracle's grid, which reads none, makes none."""
 
     def __init__(self, structure: DomainStructure, zs: np.ndarray):
         self.structure, self.moduli = structure, np.hypot(zs.real, zs.imag)
         self.norm = structure.norm(self.moduli)
-        self.flags = [("near-boundary",) * near for near in (1.0 - self.norm < BOUNDARY_FLAG_DISTANCE).tolist()]
-        self.norm2, self.zabs2 = (np.float_power(v, 2) for v in (self.norm, self.moduli))
+
+    @functools.cached_property
+    def flags(self) -> list[tuple[str, ...]]:
+        return [("near-boundary",) * near for near in (1.0 - self.norm < BOUNDARY_FLAG_DISTANCE).tolist()]
+
+    @functools.cached_property
+    def norm2(self) -> np.ndarray:
+        return np.float_power(self.norm, 2)
+
+    @functools.cached_property
+    def zabs2(self) -> np.ndarray:
+        return np.float_power(self.moduli, 2)
 
     @functools.cached_property
     def hat(self) -> np.ndarray:  # [i, j]: the norm of z_i with z_ij zeroed
@@ -529,7 +554,11 @@ def load_colligation(path) -> Colligation:
         return from_json_dict(json.load(fh))
 
 
+def subject_hash(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of ``text`` in UTF-8: a record's subject hash."""
+    return _sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def colligation_hash(col: Colligation) -> str:
     """Stable short hash of the canonical JSON form, for report provenance."""
-    canonical = json.dumps(to_json_dict(col), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return subject_hash(json.dumps(to_json_dict(col), sort_keys=True, separators=(",", ":")))

@@ -39,7 +39,6 @@ import contextlib
 import dataclasses
 import errno
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -71,6 +70,7 @@ from .colligation import (
     random_colligation,
     save_colligation,
     structure_norm,
+    subject_hash,
     symmetric_extremal,
     to_json_dict,
     validate,
@@ -254,11 +254,7 @@ def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
 
 
 def polynomial_hash(p: Polynomial) -> str:
-    blob = json.dumps(
-        {str(k): [v.real, v.imag] for k, v in sorted(p.coeffs.items())},
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return subject_hash(json.dumps({str(k): [v.real, v.imag] for k, v in sorted(p.coeffs.items())}, sort_keys=True))
 
 
 class Stack(NamedTuple):

@@ -1,11 +1,12 @@
 """The public surface: every exported name resolves, once, the README's Python runs and its commands parse and run;
 only ``bounds`` reads its table of variants, and only it and the ball's Gram check test a structure's class;
-neither importing the CLI nor running a campaign loads ``numpy.random``."""
+neither importing the CLI nor running a campaign loads ``numpy.random``, ``hashlib`` or ``_hashlib``."""
 
 import ast
 import dataclasses
 import functools
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -126,34 +127,53 @@ def test_the_class_test_guard_sees_each_form():
     assert [_class_test(ast.parse(t, mode="eval").body) for t in tests + others] == [True] * 5 + [False] * 4
 
 
-def _numpy_random_modules_after(code: str) -> str:
-    """The ``numpy.random*`` modules loaded in a fresh interpreter after it runs ``code``, as printed."""
-    src = str(Path(aglerlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += "; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip().splitlines()[-1]
+NUMPY_RANDOM, HASHLIB = ("numpy.random",), ("hashlib", "_hashlib")
+IMPORT_CLI = "import sys, aglerlab.harness"
+CAMPAIGNS = ("import os, sys; from aglerlab.harness import main; "
+             "assert main(['fuzz', '--seed', '2', '--n', '2', '--structure', 'ball:m=1,d=2', '--max-order', '2', "
+             "'--points', '2', '--sampler', 'boundary-biased', '--out', os.devnull]) == 0; "
+             "assert main(['explore', 'alpay-kaptanoglu', '--m', '2', '--seed', '2', '--n', '1', '--points', '2', "
+             "'--max-order', '2', '--out', os.devnull]) == 0")
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 @functools.cache
-def _numpy_own() -> str:
-    """What ``import numpy`` loads by itself: nothing in numpy 2, which loads ``numpy.random`` on first use;
-    numpy 1.x imports it eagerly, and then these checks hold trivially."""
-    return _numpy_random_modules_after("import sys, numpy")
+def _modules_after(code: str) -> frozenset[str]:
+    """The modules loaded in a fresh interpreter after it runs ``code``."""
+    src = str(Path(aglerlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code += "; print(sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return frozenset(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
+
+
+def _loaded(code: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The modules whose names start with one of ``prefixes`` loaded after ``code`` runs."""
+    return sorted(m for m in _modules_after(code) if m.startswith(prefixes))
+
+
+def _numpy_own(prefixes: tuple[str, ...]) -> list[str]:
+    """What ``import numpy`` loads by itself: numpy 2 loads ``numpy.random`` on first use, and with it
+    ``hashlib`` and ``_hashlib`` (by ``secrets``); numpy 1.x imports it eagerly, and then these checks
+    hold trivially."""
+    return _loaded("import sys, numpy", prefixes)
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     """``numpy.random`` (several ms to import) is not loaded by ``import aglerlab.harness``."""
-    assert _numpy_random_modules_after("import sys, aglerlab.harness") == _numpy_own()
+    assert _loaded(IMPORT_CLI, NUMPY_RANDOM) == _numpy_own(NUMPY_RANDOM)
 
 
 def test_campaigns_leave_numpy_random_unloaded():
     """Campaigns draw from ``aglerlab.stream.Stream``, so a fuzz and an explore campaign, and with them
     ``random_colligation`` and ``sample_point``, load no ``numpy.random``."""
-    code = ("import os, sys; from aglerlab.harness import main; "
-            "assert main(['fuzz', '--seed', '2', '--n', '2', '--structure', 'ball:m=1,d=2', '--max-order', '2', "
-            "'--points', '2', '--sampler', 'boundary-biased', '--out', os.devnull]) == 0; "
-            "assert main(['explore', 'alpay-kaptanoglu', '--m', '2', '--seed', '2', '--n', '1', '--points', '2', "
-            "'--max-order', '2', '--out', os.devnull]) == 0")
-    assert _numpy_random_modules_after(code) == _numpy_own()
+    assert _loaded(CAMPAIGNS, NUMPY_RANDOM) == _numpy_own(NUMPY_RANDOM)
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no builtin _sha2 or _sha256 module in this build")
+@pytest.mark.parametrize("code", [IMPORT_CLI, CAMPAIGNS], ids=["import", "campaigns"])
+def test_subject_hashes_leave_openssl_unloaded(code):
+    """Subject hashes take SHA-256 from CPython's builtin module, so neither importing the CLI nor a fuzz
+    and an explore campaign loads ``hashlib`` or ``_hashlib``, which maps OpenSSL's libcrypto."""
+    assert _loaded(code, HASHLIB) == _numpy_own(HASHLIB)

@@ -85,6 +85,18 @@ class TestStackGeometry:
             assert _bits(points.geometry.hat.ravel()) == _bits(hat.ravel())
             assert _bits(points.geometry.hat2.ravel()) == _bits(np.float_power(hat, 2).ravel())
 
+    def test_evaluate_makes_only_moduli_and_norm(self):
+        """Admission reads only ``moduli`` and ``norm``: ``evaluate`` of a polydisk grid, as the Cauchy
+        oracle makes one, leaves ``flags``, ``norm2`` and ``zabs2`` unmade, and on first use each has
+        the value of its formula."""
+        circle = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+        zs = np.stack(np.meshgrid(circle, 0.9 * circle, 0.2 + 0 * circle, indexing="ij"), axis=-1).reshape(-1, 3)
+        g = evaluate(random_colligation(Polydisk((1, 1, 1)), seed=2), zs).geometry
+        assert {"flags", "norm2", "zabs2"} & set(vars(g)) == set()
+        assert _bits(g.norm2) == _bits(np.float_power(g.norm, 2))
+        assert _bits(g.zabs2.ravel()) == _bits(np.float_power(np.hypot(zs.real, zs.imag), 2).ravel())
+        assert g.flags == [()] * len(zs)
+
 
 class TestBoundReport:
     def test_ratio_zero_when_rhs_zero(self):

@@ -1,5 +1,6 @@
 """Realization data model: structures, validation, catalog, JSON round trip."""
 
+import hashlib
 import json
 import math
 import re
@@ -426,6 +427,19 @@ class TestJsonRoundTrip:
         save_colligation(col, path)
         again = load_colligation(path)
         np.testing.assert_array_equal(col.umatrix, again.umatrix)
+
+    @pytest.mark.parametrize("dim_g", [1, 2])
+    @pytest.mark.parametrize("structure", MIXED_STRUCTURES, ids=str)
+    def test_hash_is_the_sha256_of_the_canonical_json(self, structure, dim_g):
+        """``hashlib`` is the oracle: the hash is the first 16 hex digits of the SHA-256 of the sorted,
+        compact JSON form."""
+        col = random_colligation(structure, dim_g=dim_g, seed=40 + dim_g)
+        canonical = json.dumps(to_json_dict(col), sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert colligation_hash(col) == hashlib.sha256(canonical).hexdigest()[:16]
+
+    def test_hash_is_pinned(self):
+        assert colligation_hash(monomial((1, 1))) == "c96a82ffd982fe88", \
+            "the subject hash of a catalog colligation changed: every record's colligation_hash would change"
 
     def test_hash_distinguishes(self):
         a = random_colligation(Polydisk((1, 1)), seed=1)

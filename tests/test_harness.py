@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import itertools
 import json
 import math
@@ -25,8 +26,10 @@ from aglerlab import (
     Colligation,
     MultiIndex,
     Polydisk,
+    alpay_kaptanoglu,
     blaschke,
     colligation_hash,
+    kaijser_varopoulos,
     koperator,
     monomial,
     partial_permsum,
@@ -44,6 +47,7 @@ from aglerlab.harness import (
     parse_alpha,
     parse_point,
     parse_structure,
+    polynomial_hash,
     run_explore,
     run_fuzz,
     sample_point,
@@ -448,6 +452,18 @@ class TestChunkLayout:
 
 
 class TestExploreCampaign:
+    @pytest.mark.parametrize("poly", [kaijser_varopoulos(), alpay_kaptanoglu(2), alpay_kaptanoglu(3)],
+                             ids=["kaijser-varopoulos", "alpay-kaptanoglu-2", "alpay-kaptanoglu-3"])
+    def test_polynomial_hash_is_the_sha256_of_its_coefficients(self, poly):
+        """``hashlib`` is the oracle for both targets' subject hash: the first 16 hex digits of the
+        SHA-256 of the coefficients' JSON."""
+        blob = json.dumps({str(k): [v.real, v.imag] for k, v in sorted(poly.coeffs.items())}, sort_keys=True)
+        assert polynomial_hash(poly) == hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+    def test_polynomial_hash_is_pinned(self):
+        assert polynomial_hash(kaijser_varopoulos()) == "16f6e7a475df32dc", \
+            "the subject hash of kaijser_varopoulos() changed: every explore record's colligation_hash would change"
+
     def test_kaijser_varopoulos_records(self):
         cfg = CampaignConfig(seed=7, n_colligations=1, max_order=2,
                              points_per_colligation=4)
