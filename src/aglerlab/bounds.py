@@ -62,7 +62,7 @@ from .derivative import MultiIndex, Polynomial, _times, poly_partial
 from .errors import DegenerateGramWarning
 from .matrixcore import spectral_norm
 from .reports import BoundReport, Column, ReportTable
-from .transfer import EvalContext, EvalStack, evaluate, lnorm_bound_check, resolvent_norm_estimates
+from .transfer import EvalContext, EvalStack, _refuse, evaluate, lnorm_bound_check, resolvent_norm_estimates
 
 __all__ = [
     "BoundReport",
@@ -94,18 +94,27 @@ class PolynomialStack:
     them, and read like an :class:`EvalStack`: ``structure``, ``zs``, the
     ``geometry`` that admission returns and its per-point ``flags``, the ``defect``
     column, and ``norms``.  The defect takes one stacked :func:`poly_partial`
-    call, and so does each multi-index."""
+    call, and so does each multi-index.  A defect or a norm that overflows is a
+    domain violation naming its point, as on an :class:`EvalStack`."""
 
     def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
         self.geometry = admit(structure, zs)
         self.zs = np.asarray(zs, dtype=np.complex128).reshape(-1, structure.d)
         self.poly, self.structure, self.flags = poly, structure, self.geometry.flags
-        self.defect = 1.0 - np.float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
+        with np.errstate(over="ignore"):
+            self.defect = 1.0 - np.float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
+        _refuse(self.zs, ~np.isfinite(self.defect), "the defect of p is not finite")
 
     def norms(self, mis: Sequence[MultiIndex]) -> list[np.ndarray]:
         """Per multi-index of ``mis``, |d^n p / dz^mi| at every point (rounded
         as ``abs()`` of a Python complex)."""
-        return [np.hypot(v.real, v.imag) for v in (poly_partial(self.poly, self.zs, mi) for mi in mis)]
+        out = []
+        for mi in mis:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = poly_partial(self.poly, self.zs, mi)
+                out.append(np.hypot(v.real, v.imag))
+            _refuse(self.zs, ~np.isfinite(out[-1]), f"partial d^{mi.order} p / dz^{list(mi.counts)} is not finite")
+        return out
 
 
 def bound_general(ev: EvalStack, mis: Sequence[MultiIndex]) -> np.ndarray:
@@ -472,9 +481,14 @@ def multiplier_gram_psd(f, points) -> float | np.ndarray:
     for c in range(sets.shape[-1]):
         term = _times((re[:, :, None, c], im[:, :, None, c]), (re[:, None, :, c], -im[:, None, :, c]))
         inner = (inner[0] + term[0], inner[1] + term[1])
-    ff = _times((values.real[:, :, None], values.imag[:, :, None]), (values.real[:, None], -values.imag[:, None]))
-    gram, den = np.empty((2,) + ff[0].shape, dtype=np.complex128)
-    gram.real, gram.imag, den.real, den.imag = 1.0 - ff[0], 0.0 - ff[1], 1.0 - inner[0], 0.0 - inner[1]
-    gram /= den
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below: f not finite, or too large to square
+        ff = _times((values.real[:, :, None], values.imag[:, :, None]), (values.real[:, None], -values.imag[:, None]))
+        gram, den = np.empty((2,) + ff[0].shape, dtype=np.complex128)
+        gram.real, gram.imag, den.real, den.imag = 1.0 - ff[0], 0.0 - ff[1], 1.0 - inner[0], 0.0 - inner[1]
+        gram /= den
+    bad = np.flatnonzero(~np.isfinite(gram).all(axis=(1, 2)))
+    if bad.size:
+        where = "" if single else f" of point set {bad[0]}"
+        raise ValueError(f"the Gram matrix{where} is not finite: f = {values[bad[0]].tolist()} at its points")
     low = np.linalg.eigvalsh((gram + gram.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
     return float(low[0]) if single else low

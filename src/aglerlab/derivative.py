@@ -371,7 +371,8 @@ def default_radii(structure: DomainStructure, z: Sequence[complex]) -> tuple[flo
 
 def _radii(f, z: Sequence[complex], radius) -> tuple[float, ...]:
     """``radius`` (one for all axes or one per axis) if given, else the
-    default for a colligation and 0.5 for a polynomial; a point with a non-finite coordinate is refused."""
+    default for a colligation and 0.5 for a polynomial; a point with a non-finite coordinate, and a radius
+    that is not positive and finite (NaN included), are refused."""
     if not all(map(cmath.isfinite, z)):
         raise ValueError(f"point {list(z)} has a non-finite coordinate")
     if radius is None:
@@ -383,6 +384,8 @@ def _radii(f, z: Sequence[complex], radius) -> tuple[float, ...]:
     radii = (float(radius),) * len(z) if np.isscalar(radius) else tuple(float(r) for r in radius)
     if len(radii) != len(z) or any(r <= 0 for r in radii):
         raise ValueError(f"need {len(z)} positive radii, got {radius!r}")
+    if not all(map(math.isfinite, radii)):
+        raise ValueError(f"radii must be finite, got {radius!r}")
     return radii
 
 

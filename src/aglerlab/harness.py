@@ -232,12 +232,18 @@ def sample_point(structure: DomainStructure, rng: Stream | np.random.Generator, 
     coordinate uniformly in the disk of radius 0.99, on the ball a uniform
     direction with the radius correction u^(1/(2d)), capped at 0.99.
     ``boundary-biased`` rescales a uniform draw to domain norm 1 - 10^(-u),
-    u uniform in [1, 6].
+    u uniform in [1, 6].  An ``m`` too large for numpy to allocate is a
+    ``MemoryError``, raised before anything is drawn.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; use one of {SAMPLERS}")
     biased = sampler == "boundary-biased"
-    zs, u = structure.draw(rng, 1 if m is None else m, biased)
+    try:
+        zs, u = structure.draw(rng, 1 if m is None else m, biased)
+    except ValueError as exc:  # numpy refuses the shape of m >= 0 points, undrawn, only when it is too large
+        if m < 0:
+            raise
+        raise MemoryError(f"cannot draw {m} points: {exc}") from None
     if biased:
         norm = structure_norm(structure, zs)
         target = 1.0 - np.float_power(10.0, -(1.0 + 5.0 * u[:, -1]))  # exponent rng.uniform(1.0, 6.0); libm pow

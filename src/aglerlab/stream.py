@@ -4,17 +4,20 @@ A :class:`Stream` is numpy's default generator written out: ``SeedSequence(seed)
 (XSL-RR 128/64, O'Neill 2014); ``random`` is the top 53 bits of an output times 2^-53; ``standard_normal``
 is numpy's 256-step ziggurat (Marsaglia and Tsang 2000) with its tail and wedge tests; and
 ``integers(0, 2**62)`` is an output shifted right by 2, since Lemire's method never rejects on a range of
-a power of two.  Each call returns the bits and leaves the state that the same call of numpy's
-``Generator`` does, so no campaign imports ``numpy.random``, and no record depends on numpy keeping its
-``Generator`` streams stable (NEP 19 promises that only for bit generators).  Any other call is refused.
-With numpy 2.4 on a 2-vCPU x86-64 VM, importing ``numpy.random`` costs about 10 ms and 2 MB, and a draw
-here about 1 us against numpy's 10 ns, so the stream is the cheaper below about 10^4 draws per process.
+a power of two.  All three read one generator of PCG64 outputs, the one place the step is written.
+Each call returns the bits and leaves the state that the same call of numpy's ``Generator`` does, so no
+campaign imports ``numpy.random``, and no record depends on numpy keeping its ``Generator`` streams
+stable (NEP 19 promises that only for bit generators).  Any other call is refused.  With numpy 2.4 on a
+2-vCPU x86-64 VM, importing ``numpy.random`` costs 13 to 25 ms and about 6 MB of RSS, and a value here
+0.5 to 0.7 us (numpy's: 4 ns in bulk, 0.7 us a call), so the stream is the cheaper below about 2 x 10^4
+values per process; a benchmark campaign draws 69 to 2,600.
 """
 
 from __future__ import annotations
 
 import binascii
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -149,72 +152,68 @@ def _seed_words(seed: int) -> list[int]:
     return out
 
 
+def _pcg64(state: int, inc: int) -> Iterator[int]:
+    """PCG64's outputs after ``state``: each advances the 128-bit LCG, then permutes the new state by XSL-RR."""
+    while True:
+        state = (state * _MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (x >> rot | x << 64 - rot) & _M64
+
+
+def _ziggurat(outputs: Iterator[int], uniforms: Iterator[float]) -> Iterator[float]:
+    """numpy's standard normals from ``outputs``, one try per output; a try outside the ziggurat's
+    rectangles is settled by the tail or the wedge test, which draw ``uniforms`` (from the same outputs)."""
+    for r in outputs:
+        idx, rabs = r & 0xFF, r >> 9 & _MANTISSA
+        v = -(rabs * _WI[idx]) if r & 0x100 else rabs * _WI[idx]
+        if rabs < _KI[idx]:  # 99.3% of tries
+            yield v
+        elif idx == 0:
+            while True:  # 1 - U, not U, so log never sees 0
+                xx, yy = -_INV_R * math.log1p(-next(uniforms)), -math.log1p(-next(uniforms))
+                if yy + yy > xx * xx:
+                    yield -(_R + xx) if rabs >> 8 & 1 else _R + xx
+                    break
+        elif (_FI[idx - 1] - _FI[idx]) * next(uniforms) + _FI[idx] < math.exp(-0.5 * v * v):
+            yield v
+
+
+def _fill(values: Iterator[float], size):
+    """The next value of ``values`` for a ``size`` of None, else a float64 array of shape ``size`` filled
+    in C order.  numpy refuses a bad size, or one too large for memory, before anything is drawn."""
+    if size is None:
+        return next(values)
+    out = np.empty(size)
+    fill = memoryview(out.reshape(-1))
+    for k in range(len(fill)):
+        fill[k] = next(values)
+    return out
+
+
 class Stream:
     """``np.random.default_rng(seed)`` for ``random(size)``, ``standard_normal(size)`` and
     ``integers(0, 2**62)``, for a non-negative int ``seed``.  ``size`` is None (one Python float) or an
-    array shape (a float64 array of that shape, filled in C order)."""
+    array shape (a float64 array of that shape, filled in C order).  Every draw reads one generator of
+    PCG64 outputs, so a copy of a stream shares its state."""
 
-    __slots__ = ("_state", "_inc")
+    __slots__ = ("_outputs", "_uniforms", "_normals")
 
     def __init__(self, seed: int):
         w = _seed_words(seed)
         state, seq = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2], w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-        self._inc = (seq << 1 | 1) & _M128
-        self._state = ((self._inc + state) * _MULT + self._inc) & _M128
-
-    def _next(self) -> int:
-        s = self._state = (self._state * _MULT + self._inc) & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        return (x >> rot | x << 64 - rot) & _M64
+        inc = (seq << 1 | 1) & _M128
+        self._outputs = _pcg64(inc + state, inc)
+        next(self._outputs)  # numpy's seeding ends with this step, whose output is not drawn
+        self._uniforms = ((x >> 11) * _UNIT for x in self._outputs)
+        self._normals = _ziggurat(self._outputs, self._uniforms)
 
     def random(self, size=None):
-        out = np.empty(() if size is None else size)  # numpy's refusal of a size, and its MemoryError, undrawn
-        fill, s, inc = memoryview(out.reshape(-1)), self._state, self._inc
-        for k in range(len(fill)):
-            s = (s * _MULT + inc) & _M128
-            x, rot = (s >> 64 ^ s) & _M64, s >> 122
-            fill[k] = (((x >> rot | x << 64 - rot) & _M64) >> 11) * _UNIT
-        self._state = s
-        return float(out) if size is None else out
+        return _fill(self._uniforms, size)
 
     def standard_normal(self, size=None):
-        out = np.empty(() if size is None else size)
-        fill, s, inc = memoryview(out.reshape(-1)), self._state, self._inc
-        for k in range(len(fill)):
-            while True:
-                s = (s * _MULT + inc) & _M128
-                x, rot = (s >> 64 ^ s) & _M64, s >> 122
-                r = (x >> rot | x << 64 - rot) & _M64
-                idx, rabs = r & 0xFF, r >> 9 & _MANTISSA
-                v = -(rabs * _WI[idx]) if r & 0x100 else rabs * _WI[idx]
-                if rabs < _KI[idx]:  # 99.3% of draws
-                    break
-                self._state = s  # the tail and the wedge test draw their uniforms from the state
-                if idx == 0:
-                    v = self._tail(rabs)
-                accepted = idx == 0 or self._wedge(idx, v)
-                s = self._state
-                if accepted:
-                    break
-            fill[k] = v
-        self._state = s
-        return float(out) if size is None else out
-
-    def _uniform(self) -> float:
-        return (self._next() >> 11) * _UNIT
-
-    def _tail(self, rabs: int) -> float:
-        while True:  # 1 - U, not U, so log never sees 0
-            xx = -_INV_R * math.log1p(-self._uniform())
-            yy = -math.log1p(-self._uniform())
-            if yy + yy > xx * xx:
-                return -(_R + xx) if rabs >> 8 & 1 else _R + xx
-
-    def _wedge(self, idx: int, v: float) -> bool:
-        return (_FI[idx - 1] - _FI[idx]) * self._uniform() + _FI[idx] < math.exp(-0.5 * v * v)
+        return _fill(self._normals, size)
 
     def integers(self, low: int, high: int) -> int:
         if (low, high) != (0, 2**62):
             raise ValueError(f"Stream draws integers in [0, 2**62) only, not [{low}, {high})")
-        return self._next() >> 2
-
+        return next(self._outputs) >> 2

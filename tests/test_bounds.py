@@ -201,6 +201,18 @@ class TestBoundPolydisk:
         with pytest.raises(DomainViolationError, match="z = nan .*inadmissible$"):
             bound_ball(alpay_kaptanoglu(2), (math.nan, 0.0), (1, 0), "hat")
 
+    def test_a_polynomial_subject_that_overflows_is_a_domain_violation(self):
+        # these gave lhs = inf, rhs = -inf and ratio = nan, with overflow warnings
+        with pytest.raises(DomainViolationError, match=r"^the defect of p is not finite at z = \[\(0\.9\+0j\)\]$"):
+            bound_polydisk(Polynomial(1, {(2,): 1e308}), (0.9,), (1,), "factorial")
+        with pytest.raises(DomainViolationError, match=r"^the defect of p is not finite at z = \[\(0\.9\+0j\)\]"):
+            bounds.PolynomialStack(Polynomial(1, {(1,): 1e308}), Polydisk((1,)), [[0.9]])
+        stack = bounds.PolynomialStack(Polynomial(1, {(1000,): 1e300}), Polydisk((1,)), [[0.1], [0.5]])
+        assert np.isfinite(stack.defect).all()
+        with pytest.raises(DomainViolationError, match=r"^partial d\^8 p / dz\^\[8\] is not finite at z = "
+                                                       r"\[\(0\.1\+0j\)\] \(point 0 of 2\)$"):
+            stack.norms([MultiIndex.of((8,))])
+
     def test_polynomial_subject(self):
         kv = kaijser_varopoulos()
         rep = bound_polydisk(kv, (0.0, 0.0, 0.0), (2, 0, 0), "factorial")
@@ -412,6 +424,19 @@ class TestMultiplierGram:
         z = (0.1, 0.2)
         with pytest.warns(DegenerateGramWarning):
             multiplier_gram_psd(lambda z: z[0], [z, z])
+
+    @pytest.mark.parametrize("f", [lambda z: math.inf, lambda z: complex(0.5, math.nan),
+                                   Polynomial(2, {(1, 0): 1e308})],
+                             ids=["callable-inf", "callable-nan", "polynomial-overflow"])
+    def test_refuses_a_multiplier_whose_gram_matrix_is_not_finite(self, f):
+        # these gave a NaN minimum eigenvalue, or an overflow warning, instead of an error
+        with pytest.raises(ValueError, match="^the Gram matrix is not finite"):
+            multiplier_gram_psd(f, [(0.9, 0.2), (0.3, 0.1)])
+
+    def test_names_the_point_set_whose_gram_matrix_is_not_finite(self):
+        stack = [[(0.0, 0.0), (0.0, 0.1)], [(0.9, 0.2), (0.3, 0.1)]]  # f is 0 on the first set
+        with pytest.raises(ValueError, match=r"^the Gram matrix of point set 1 is not finite: f = \[\(9e\+307"):
+            multiplier_gram_psd(Polynomial(2, {(1, 0): 1e308}), stack)
 
     def test_rejects_points_outside_ball(self):
         with pytest.raises(DomainViolationError):

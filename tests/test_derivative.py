@@ -494,6 +494,13 @@ class TestCauchyOracle:
         with pytest.raises(ValueError, match=f"^need 2 positive radii, got {re.escape(repr(radius))}$"):
             cauchy_partial(Polynomial(2, {(1, 1): 1.0}), (0.0, 0.0), (1, 1), radius=radius, samples=16)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, (0.1, math.nan), (math.inf, 0.1)], ids=str)
+    @pytest.mark.parametrize("f", [Polynomial(2, {(1, 1): 1.0}), lambda z: z[0] * z[1]], ids=["polynomial", "callable"])
+    def test_radii_must_be_finite(self, f, radius):
+        # a NaN or infinite radius passed the positivity test and gave a NaN partial
+        with pytest.raises(ValueError, match=f"^radii must be finite, got {re.escape(repr(radius))}$"):
+            cauchy_partial(f, (0.1, 0.0), (1, 1), radius=radius, samples=16)
+
     def test_bare_callable_path(self):
         got = cauchy_partial(lambda z: z[0] ** 2, (0.1,), (2,), radius=0.2, samples=16)
         assert abs(got - 2.0) <= 1e-12

@@ -1,21 +1,21 @@
 """Campaign and ``bounds`` output stays byte-identical to committed golden files.
 
 Each case runs the CLI entry point and compares its output, byte for byte,
-with ``tests/data/golden-<name>.*.gz``, or, for the full-size campaigns of the
-benchmark workloads, with the SHA-256 digest of that output in ``DIGESTS``.  The golden files were written by an
-earlier implementation of the record path, so a change to how reports are
-computed or encoded must reproduce every bit of every line.  To rewrite them
-(only when the records are meant to change), run
+with ``tests/data/golden-<name>.*.gz``, or, for the full-size campaigns of
+``DIGESTS``, with the SHA-256 digest of that output in ``tests/data/digests.json``.
+The golden files were written by an earlier implementation of the record path,
+so a change to how reports are computed or encoded must reproduce every bit of
+every line.  To rewrite them and the digests (only when the records are meant
+to change), run
 
     PYTHONPATH=src python tests/test_golden.py
-
-which also prints the digests to paste into ``DIGESTS``.
 """
 
 import contextlib
 import gzip
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from aglerlab.colligation import save_colligation
 from aglerlab.harness import main
 
 DATA = Path(__file__).resolve().parent / "data"
+DIGEST_FILE = DATA / "digests.json"
 
 CAMPAIGNS = {
     "fuzz-polydisk-2-1": ["fuzz", "--structure", "polydisk:2,1", "--max-order", "4",
@@ -48,39 +49,31 @@ CAMPAIGNS = {
                                   "--n", "1", "--points", "2", "--seed", "19"],
 }
 
-# each benchmark workload's campaign shape at full size, by the SHA-256 of its output
+# full-size campaigns, each the shape of a benchmark workload or of a path the small goldens miss,
+# checked by the SHA-256 of their output in DIGEST_FILE
 DIGESTS = {
-    "fuzz-polydisk-scalar": (["fuzz", "--structure", "polydisk:2,1", "--max-order", "4",
-                              "--n", "5", "--points", "6", "--seed", "31"],
-                             "1095945bc2ab85f65b21919eabdf67512a015b6b3bf3511a5dc0c483101c61ca"),
-    "fuzz-polydisk-highorder": (["fuzz", "--structure", "polydisk:1,1,1", "--max-order", "6",
-                                 "--n", "1", "--points", "3", "--seed", "32"],
-                                "9c9c4a5758cb4b68430dfc5ebebf24e4e23456dfc15e8e156f20bf24c6a991bc"),
-    "explore-kaijser-varopoulos-full": (["explore", "kaijser-varopoulos", "--max-order", "4",
-                                         "--n", "10", "--points", "20", "--seed", "33"],
-                                        "8595c5f8524cac19ba4f5418543ade082484b68d6f5ac3f0d73a558454dbc0ab"),
-    "explore-alpay-kaptanoglu-full": (["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4",
-                                       "--n", "10", "--points", "20", "--seed", "34"],
-                                      "26420418f4bebda9989e7666944d9fef20ca97c5c299731893eece36c1436006"),
+    "fuzz-polydisk-scalar": ["fuzz", "--structure", "polydisk:2,1", "--max-order", "4",
+                             "--n", "5", "--points", "6", "--seed", "31"],
+    "fuzz-polydisk-highorder": ["fuzz", "--structure", "polydisk:1,1,1", "--max-order", "6",
+                                "--n", "1", "--points", "3", "--seed", "32"],
+    "explore-kaijser-varopoulos-full": ["explore", "kaijser-varopoulos", "--max-order", "4",
+                                        "--n", "10", "--points", "20", "--seed", "33"],
+    "explore-alpay-kaptanoglu-full": ["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4",
+                                      "--n", "10", "--points", "20", "--seed", "34"],
     # the boundary-biased sampler on both explore targets: its extra draw per point and the Gram point sets
-    "explore-kaijser-varopoulos-boundary": (["explore", "kaijser-varopoulos", "--sampler", "boundary-biased",
-                                             "--max-order", "4", "--n", "10", "--points", "20", "--seed", "37"],
-                                            "2bd8d9f6651228f6812607f8f71be9c885265aaf77e883c7600fc45a1b19b7f5"),
-    "explore-alpay-kaptanoglu-boundary": (["explore", "alpay-kaptanoglu", "--m", "3", "--sampler", "boundary-biased",
-                                           "--max-order", "4", "--n", "10", "--points", "20", "--seed", "38"],
-                                          "b04a35137d3c32122f2544eac8b5f5d5c8bb231f5058b6e9f379280aae20b1ff"),
+    "explore-kaijser-varopoulos-boundary": ["explore", "kaijser-varopoulos", "--sampler", "boundary-biased",
+                                            "--max-order", "4", "--n", "10", "--points", "20", "--seed", "37"],
+    "explore-alpay-kaptanoglu-boundary": ["explore", "alpay-kaptanoglu", "--m", "3", "--sampler", "boundary-biased",
+                                          "--max-order", "4", "--n", "10", "--points", "20", "--seed", "38"],
     # campaigns of more than 16 colligations: the README example, a ragged last
     # chunk with matrix phi, and per-row flags
-    "fuzz-readme-example": (["fuzz", "--seed", "1", "--n", "100", "--structure", "polydisk:2,1",
-                             "--max-order", "4", "--points", "6"],
-                            "746e2d549f2ed28305f63fe1110df8c679762e8a8cbf34b754e5f9b7fa590c6b"),
-    "fuzz-ball-2-3-ragged-chunk": (["fuzz", "--structure", "ball:m=2,d=3", "--dim-g", "1", "--max-order", "4",
-                                    "--n", "17", "--points", "3", "--seed", "35"],
-                                   "d4db5e41c7477e17a8122e02f42243ba7d41f1b62704e2e1eed2d16cc5061f3b"),
-    "fuzz-polydisk-2-1-dim-g-2-boundary": (["fuzz", "--structure", "polydisk:2,1", "--dim-g", "2",
-                                            "--sampler", "boundary-biased", "--max-order", "3",
-                                            "--n", "17", "--points", "2", "--seed", "36"],
-                                           "6962a7a8a5728af3bc407ecf302ce1b17a32eb902223dff354d279359253963f"),
+    "fuzz-readme-example": ["fuzz", "--seed", "1", "--n", "100", "--structure", "polydisk:2,1",
+                            "--max-order", "4", "--points", "6"],
+    "fuzz-ball-2-3-ragged-chunk": ["fuzz", "--structure", "ball:m=2,d=3", "--dim-g", "1", "--max-order", "4",
+                                   "--n", "17", "--points", "3", "--seed", "35"],
+    "fuzz-polydisk-2-1-dim-g-2-boundary": ["fuzz", "--structure", "polydisk:2,1", "--dim-g", "2",
+                                           "--sampler", "boundary-biased", "--max-order", "3",
+                                           "--n", "17", "--points", "2", "--seed", "36"],
 }
 
 # (colligation, --z, --alpha) for the ``bounds`` command
@@ -99,7 +92,7 @@ def campaign_output(name: str, tmp_path: Path, args: list[str] | None = None) ->
 
 
 def digest(name: str, tmp_path: Path) -> str:
-    return hashlib.sha256(campaign_output(name, tmp_path, DIGESTS[name][0])).hexdigest()
+    return hashlib.sha256(campaign_output(name, tmp_path, DIGESTS[name])).hexdigest()
 
 
 def bounds_output(name: str, tmp_path: Path) -> bytes:
@@ -123,7 +116,9 @@ def test_campaign_matches_golden(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_full_size_campaign_matches_digest(name, tmp_path, capsys):
-    assert digest(name, tmp_path) == DIGESTS[name][1]
+    recorded = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(DIGESTS)  # a campaign without a digest, or a digest without a campaign
+    assert digest(name, tmp_path) == recorded[name]
     capsys.readouterr()
 
 
@@ -143,5 +138,5 @@ if __name__ == "__main__":
     for name, blob in blobs.items():
         (DATA / f"golden-{name}.gz").write_bytes(gzip.compress(blob, mtime=0))
         print(f"wrote golden-{name}.gz ({len(blob)} bytes)")
-    for name, value in digests.items():
-        print(f"digest {name}: {value}")
+    DIGEST_FILE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {DIGEST_FILE.name} ({len(digests)} digests)")

@@ -1327,6 +1327,26 @@ class TestCampaignStream:
         assert main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 2
         assert capsys.readouterr().err == f"error: campaign does not fit in memory: {message}\n"
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["fuzz", "--points", "1000000000000000000"], "2000000000000000000 points: array is too big"),
+        (["explore", "kaijser-varopoulos", "--n", "1000000000", "--points", "1000000000"],
+         "1000000000000000000 points: array is too big"),
+        (["fuzz", "--points", "100000000000000000000"], "200000000000000000000 points: Maximum allowed dimension"),
+        (["explore", "alpay-kaptanoglu", "--n", "1000000000", "--points", "1000000000"],
+         "1000000000000000000 points: array is too big"),
+    ], ids=["fuzz-too-big", "explore-polydisk-too-big", "fuzz-past-the-largest-dimension", "explore-ball-too-big"])
+    def test_a_campaign_whose_shape_numpy_refuses_exits_two(self, tmp_path, capsys, argv, shown):
+        # numpy refuses these shapes with a ValueError before it allocates or anything is drawn
+        out = tmp_path / "r.jsonl"
+        assert main([*argv, "--max-order", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: campaign does not fit in memory: cannot draw {shown}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sample_point_keeps_numpys_refusal_of_a_negative_count(self):
+        with pytest.raises(ValueError, match="negative"):
+            sample_point(Polydisk((1, 1)), np.random.default_rng(0), m=-1)
+
     def test_main_builds_the_parser_once_per_process(self, capsys):
         parser = harness.build_parser()
         misses = harness.build_parser.cache_info().misses

@@ -1,10 +1,15 @@
 """``aglerlab.stream.Stream`` draws the bits of ``np.random.default_rng(seed)``, the reference here, for the
 calls campaigns make, in any order, and leaves the same state; it refuses the seeds numpy refuses and any
-other range of integers.  ``haar_unitary`` and ``sample_point`` draw the same bits from either generator."""
+other range of integers.  ``haar_unitary`` and ``sample_point`` draw the same bits from either generator.
+The PCG64 output step is written once in the package."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aglerlab
 from aglerlab import Ball, Polydisk
 from aglerlab.harness import SAMPLERS, sample_point
 from aglerlab.matrixcore import haar_unitary
@@ -15,6 +20,7 @@ from conftest import MIXED_STRUCTURES
 # and the last two seeds more words than the pool holds
 SEEDS = [*range(100), 2**32 - 1, 2**32, 2**62 - 1, 2**64 + 5, 2**100 + 7, 2**128 + 9, 2**200 + 11]
 TAIL_START = 3.6541528853610087963519472518  # r, where the ziggurat's tail begins
+PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _bits(x) -> list[int]:
@@ -50,6 +56,54 @@ def test_a_long_normal_stream_takes_the_tail_and_the_wedges():
     assert _bits(x) == _bits(numpys.standard_normal(200_000))
     assert np.abs(x).max() > TAIL_START
     assert _bits(ours.random(3)) == _bits(numpys.random(3))  # the rejection draws left the same state
+
+
+def _outputs_drawn(before: dict, after: dict) -> int:
+    """How many PCG64 outputs numpy's bit generator drew from state ``before`` to state ``after``."""
+    bits, n = np.random.PCG64(), 0
+    bits.state = before
+    while bits.state != after:
+        bits.random_raw()
+        n += 1
+    return n
+
+
+def _between_normals(rng, k: int) -> list:
+    return [_bits(rng.random()), _bits(rng.standard_normal(1 + k % 3)), rng.integers(0, 2**62), _bits(rng.random(2))]
+
+
+@pytest.mark.parametrize("seed", [30, 77])  # in 100 rounds, a tail and a wedge test each settle a one-value call
+def test_short_normal_calls_between_uniform_and_integer_draws_match_numpy(seed):
+    ours, numpys, settled = Stream(seed), np.random.default_rng(seed), set()
+    for k in range(100):
+        before, v = numpys.bit_generator.state, numpys.standard_normal()
+        assert _bits(ours.standard_normal()) == _bits(v)
+        if _outputs_drawn(before, numpys.bit_generator.state) > 1:  # the call ended after a rejection draw
+            settled.add("tail" if abs(v) > TAIL_START else "wedge")
+        assert _between_normals(ours, k) == _between_normals(numpys, k)
+    assert settled == {"tail", "wedge"}
+
+
+def _pcg_steps(node, scope: str):
+    """(scope, part) for each part of a PCG64 output step under ``node``: the LCG advance, a product with
+    PCG's multiplier by name or value, and the XSL-RR rotation by the state's top 6 bits, ``>> 122``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult):
+            if any(getattr(side, "id", None) == "_MULT" or getattr(side, "value", None) == PCG_MULTIPLIER
+                   for side in (child.left, child.right)):
+                yield scope, "advance"
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.RShift):
+            if getattr(child.right, "value", None) == 122:
+                yield scope, "rotation"
+        yield from _pcg_steps(child, getattr(child, "name", scope))
+
+
+def test_the_pcg64_output_step_is_written_once():
+    found = [(path.name, *step) for path in sorted(Path(aglerlab.__file__).parent.glob("*.py"))
+             for step in _pcg_steps(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+    assert found == [("stream.py", "_pcg64", "advance"), ("stream.py", "_pcg64", "rotation")]
+    inline = "def f(s):\n    s = (s * _MULT + inc) & M\n    return s >> 122, 0x2360ED051FC65DA44385DF649FCCF645 * s"
+    assert list(_pcg_steps(ast.parse(inline), "<module>")) == [("f", "advance"), ("f", "rotation"), ("f", "advance")]
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, 2.0, "1", None, [1, 2]])
