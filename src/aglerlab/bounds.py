@@ -11,7 +11,8 @@ Each check is one function of a stack: an :class:`aglerlab.transfer.EvalStack`
 (``bound_general``, ``ball_kernel_subchecks``, ``knese_report``) or a stack
 at the origin (``wiener_check``); at one point, pass ``ctx.stack`` and read
 row ``ctx.i``.  ``bound_polydisk`` and ``bound_ball`` take a colligation or a
-polynomial subject and one point, and return its :class:`BoundReport`.
+polynomial subject and one point, and return its :class:`BoundReport`: the
+named variant's column of :func:`report_columns`, bit for bit a campaign's.
 
 Writing n = n_1 + ... + n_d and D(z) = 1 - |phi(z)|^2 (for matrix-valued
 phi the product of the two defect norms ||I - phi* phi||^(1/2)
@@ -305,9 +306,9 @@ def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex,
     else:
         name = domain.__name__.lower()
         raise ValueError(f"{name} bounds need a {name} colligation")
-    (norm,) = points.norms([mi])
-    column = Column(row.tag, mi.counts, norm, row.rhs(points.defect, points.geometry, [mi])[:, 0])
-    return column.report(0, tuple(points.zs[0].tolist()))
+    table = report_columns(points, [mi])
+    p = table.keys.index((row.tag, mi.counts))
+    return BoundReport(row.tag, tuple(points.zs[0].tolist()), mi.counts, float(table.lhs[0, p]), float(table.rhs[0, p]))
 
 
 def ball_kernel_subchecks(ev: EvalStack) -> list[Column]:

@@ -228,8 +228,8 @@ def projection(structure: DomainStructure, j: int) -> np.ndarray:
 @functools.cache
 def projections(structure: DomainStructure) -> np.ndarray:
     """All coefficient maps E_1, ..., E_d as one read-only (d, dim_h, dim_k)
-    stack, built once per structure (structures are frozen and hashable)."""
-    es = np.stack([projection(structure, j) for j in range(1, structure.d + 1)])
+    stack: ``structure.maps()``, built by one call per structure (structures are frozen and hashable)."""
+    es = structure.maps()
     es.flags.writeable = False
     return es
 
@@ -410,6 +410,7 @@ def random_colligation(structure: DomainStructure, dim_g: int = 1, seed: int = 0
     ``dim_f`` is forced by squareness: dim_f = dim_g on the polydisk and
     dim_f = (d - 1) * fiber_dim + dim_g on the ball.
     """
+    (dim_g,) = _dimensions((dim_g,), "dim_g")
     if dim_g < 1:
         raise ValueError(f"dim_g must be >= 1, got {dim_g}")
     dim_h, dim_k = structure.dim_h, structure.dim_k
@@ -483,6 +484,7 @@ def symmetric_extremal(d: int, seed: int) -> Colligation:
 
     at every point of the polydisk.
     """
+    (d,) = _dimensions((d,), "d")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     w = haar_unitary(d + 1, seed)

@@ -335,6 +335,7 @@ def alpay_kaptanoglu(m: int) -> Polynomial:
     Schur class on the ball for every m >= 1, but not a contractive
     multiplier of the Arveson space.
     """
+    (m,) = _dimensions((m,), "truncation order")
     if not 1 <= m <= SERIES_ORDER_LIMIT:
         raise ValueError(f"truncation order must be in 1..{SERIES_ORDER_LIMIT}, got {m}")
     coeffs: dict[tuple[int, ...], complex] = {(1, 0): 1.0}
@@ -479,6 +480,9 @@ def cauchy_coefficient_table(
     Returns {multi-index: derivative}, with values shaped like
     :func:`cauchy_partial` output.
     """
+    (max_axis_order,) = _dimensions((max_axis_order,), "max_axis_order")
+    if max_axis_order < 0:
+        raise ValueError(f"max_axis_order must be >= 0, got {max_axis_order}")
     radii = _radii(f, z, radius)
     d = len(radii)
     check_samples(samples, max_axis_order, d)

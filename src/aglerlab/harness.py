@@ -252,8 +252,8 @@ def sample_point(structure: DomainStructure, rng: Stream | np.random.Generator, 
 
 
 def multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
-    """All multi-indices over d axes with 1 <= order <= max_order, sorted."""
-    return sorted((c for n in range(1, max_order + 1) for c in _jet_order(d, n)[0]), key=lambda a: (sum(a), a))
+    """All multi-indices over d axes of orders 1..max_order, by order, then ascending: the jet's orders reversed."""
+    return [c for n in range(1, max_order + 1) for c in reversed(_jet_order(d, n)[0])]
 
 
 # --- JSONL records ------------------------------------------------------------

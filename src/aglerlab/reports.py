@@ -56,10 +56,6 @@ class Column(NamedTuple):
     rhs: np.ndarray
     flags: Sequence[tuple[str, ...]] | None = None
 
-    def report(self, i: int, z: tuple[complex, ...]) -> BoundReport:
-        """The column's report at point i, which is ``z``."""
-        return BoundReport(self.tag, z, self.alpha, float(self.lhs[i]), float(self.rhs[i]))
-
 
 class ReportTable(NamedTuple):
     """Reports at m points: per column, in record order, its (theorem tag, alpha) key in ``keys`` and any

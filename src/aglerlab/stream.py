@@ -120,7 +120,7 @@ def _seed_words(seed: int) -> list[int]:
         raise TypeError(f"seed must be an int, got {seed!r}")
     seed = int(seed)
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise ValueError(f"seed must be >= 0, got {seed}")
     entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     mult = 0x43B0D7E5  # hashmix: value ^ h, h *= MULT_A, value * h, value ^ value >> 16
 

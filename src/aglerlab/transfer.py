@@ -89,8 +89,8 @@ class EvalStack:
     output defect norms, ``defect`` (their product, the D of every bound) and ``gram`` (m, 2, d).  The
     jet, one reader per quantity, each stacking a list of multi-indices on axis 1: ``kops(mis)``,
     the arrangement sums K, from the recursion g[c] = sum_j E_j L g[c - e_j], g[e_j] = E_j, one order
-    at a time for every multi-index of that order, so they do not depend on which came first, kept as one array of
-    all orders made so far and read with one take; ``partials(mis)``,
+    at a time for every multi-index of that order, so they do not depend on which came first; one pass builds
+    orders 0..top into one kept array read with one take, and a request above them rebuilds it; ``partials(mis)``,
     mi! C (I - ZA)^{-1} K (I - AZ)^{-1} B (phi at order 0), made on each call; ``norms(mis)``,
     per multi-index the (m,) norms of its partial, from ``partials(mis)`` and one SVD call.
     ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
@@ -99,7 +99,7 @@ class EvalStack:
         self.cols, self.col, self.structure, self.geometry = cols, cols[0], cols[0].structure, geometry
         (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
         self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
-        self._jet = []
+        self._jet = np.empty((0, 0))  # the jet, its orders side by side on axis 1; none built yet
 
     def __len__(self) -> int:
         return len(self.zs)
@@ -169,20 +169,16 @@ class EvalStack:
         for mi in mis:
             if mi.d != d:
                 raise ValueError(f"multi-index has d={mi.d}, colligation has d={d}")
-        top = max((mi.order for mi in mis), default=0)
-        if top >= len(self._jet):
-            for n in range(len(self._jet), top + 1):
-                ks = np.zeros((len(self), len(_jet_order(d, n)[0])) + self.zmat.shape[1:], dtype=np.complex128)
-                if n == 1:
-                    ks[:] = self.es
-                elif n > 1:  # g[c] = sum_j E_j L g[c - e_j], over the j with c_j > 0 in turn
-                    below = self.lmat[:, None] @ self._jet[-1]
-                    for e_j, (rows, prev) in zip(self.es, _jet_order(d, n)[1]):
-                        ks[:, rows] += e_j @ below[:, prev]
-                self._jet.append(ks)
-            self._flat = np.concatenate(self._jet, axis=1)  # every order, each a view of it from here on
-            self._jet = [self._flat[:, _jet_start(d, n):_jet_start(d, n + 1)] for n in range(top + 1)]
-        return self._flat[:, [_jet_start(d, mi.order) + _jet_order(d, mi.order)[0][mi.counts] for mi in mis]]
+        top = max([1, *(mi.order for mi in mis)])  # order 1, the E_j, is always built
+        if _jet_start(d, top + 1) > self._jet.shape[1]:  # one pass: orders 0..top, each a view made from the one below
+            self._jet = np.zeros((len(self), _jet_start(d, top + 1)) + self.zmat.shape[1:], dtype=np.complex128)
+            orders = [self._jet[:, _jet_start(d, n):_jet_start(d, n + 1)] for n in range(top + 1)]
+            orders[1][:] = self.es
+            for n in range(2, top + 1):  # g[c] = sum_j E_j L g[c - e_j], over the j with c_j > 0 in turn
+                below = self.lmat[:, None] @ orders[n - 1]
+                for e_j, (rows, prev) in zip(self.es, _jet_order(d, n)[1]):
+                    orders[n][:, rows] += e_j @ below[:, prev]
+        return self._jet[:, [_jet_start(d, mi.order) + _jet_order(d, mi.order)[0][mi.counts] for mi in mis]]
 
     def partials(self, mis) -> np.ndarray:
         """The (m, k, dim_g, dim_f) partials of ``mis`` from one stacked chain (phi at order 0); one that

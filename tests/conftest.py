@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from aglerlab import Ball, Polydisk, random_colligation
+from aglerlab import Ball, BoundReport, Polydisk, random_colligation
 from aglerlab.colligation import structure_norm
 
 MIXED_STRUCTURES = [
@@ -63,4 +63,4 @@ def records(lines):
 def reports_at(points, columns, i=0):
     """The reports at row ``i`` of a stack of ``points`` of ``columns`` computed on it."""
     z = tuple(points.zs[i].tolist())
-    return [column.report(i, z) for column in columns]
+    return [BoundReport(c.tag, z, c.alpha, float(c.lhs[i]), float(c.rhs[i])) for c in columns]

@@ -640,6 +640,23 @@ class TestReportLayout:
                 checked.add(p)
         assert checked == set(range(len(expected)))
 
+    @pytest.mark.parametrize("structure", MIXED_STRUCTURES, ids=str)
+    def test_a_one_point_bound_is_its_campaign_column(self, structure):
+        domain, d = type(structure), structure.d
+        rng = np.random.default_rng(60 + d)
+        z = admissible_point(structure, rng)
+        col = random_colligation(structure, dim_g=1, seed=70 + d)
+        poly = Polynomial(d, {a: 0.2 * complex(*rng.standard_normal(2)) for a in [(0,) * d, *multi_indices(d, 2)]})
+        bound = bound_ball if domain is Ball else bound_polydisk
+        for subject, points in ((col, evaluate(col, [z])), (poly, bounds.PolynomialStack(poly, domain.scalar(d), [z]))):
+            for mi in map(MultiIndex, multi_indices(d, 3)):
+                table = bounds.report_columns(points, [mi])
+                for v in bounds.applicable_variants(domain, mi):
+                    rep = bound(subject, z, mi.counts, v.tag.partition(".")[2])
+                    p = table.keys.index((v.tag, mi.counts))
+                    assert (rep.theorem_tag, rep.z, rep.alpha) == (v.tag, z, mi.counts)
+                    assert _bits([rep.lhs, rep.rhs]) == _bits([table.lhs[0, p], table.rhs[0, p]]), (v.tag, mi)
+
 
 BATCH_STRUCTURES = [Polydisk((1,)), Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(2, 1), Ball(1, 2), Ball(2, 3)]
 

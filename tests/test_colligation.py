@@ -339,6 +339,12 @@ class TestRandomColligation:
         with pytest.raises(ValueError, match="^dim_g must be >= 1, got 0$"):
             random_colligation(Polydisk((1,)), dim_g=0)
 
+    @pytest.mark.parametrize("dim_g", [True, 1.0, "1"])
+    def test_rejects_a_dim_g_that_is_not_an_integer(self, dim_g):
+        # True was read as 1
+        with pytest.raises(TypeError, match="^dim_g must be integers"):
+            random_colligation(Polydisk((1,)), dim_g=dim_g)
+
     def test_transfer_is_contractive(self):
         # core soundness: ||phi(z)|| <= 1 wherever ||Z(z)|| < 1
         rng = np.random.default_rng(11)
@@ -402,6 +408,12 @@ class TestCatalog:
     def test_symmetric_extremal_rejects_zero_variables(self):
         with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
             symmetric_extremal(0, 0)
+
+    @pytest.mark.parametrize("d", [True, 2.0])
+    def test_symmetric_extremal_rejects_a_d_that_is_not_an_integer(self, d):
+        # True was read as 1
+        with pytest.raises(TypeError, match="^d must be integers"):
+            symmetric_extremal(d, 1)
 
     def test_symmetric_extremal_is_symmetric_unitary(self):
         for d, seed in [(2, 0), (2, 9), (3, 4)]:

@@ -349,6 +349,12 @@ class TestPolynomials:
             with pytest.raises(ValueError, match=r"truncation order must be in 1\.\.1000, got"):
                 alpay_kaptanoglu(m)
 
+    @pytest.mark.parametrize("m", [True, 2.0])
+    def test_alpay_kaptanoglu_rejects_an_order_that_is_not_an_integer(self, m):
+        # True was read as 1
+        with pytest.raises(TypeError, match="^truncation order must be integers"):
+            alpay_kaptanoglu(m)
+
 
 def scalar_poly_partial(p, z, alpha):
     """The scalar reference: one point, one Python complex per term, in the
@@ -525,6 +531,15 @@ class TestCauchyOracle:
             cauchy_coefficient_table(col, (0.1, 0.0, 0.0, 0.2), 1, samples=64)
         check_samples(64, 1, 3)  # 2**18 points, the largest existing caller
         check_samples(1024, 1, 2)  # 2**20 points, the budget itself
+
+    def test_table_refuses_an_axis_order_that_is_negative_or_not_an_integer(self):
+        # -1 returned {} and True was read as 1
+        col = blaschke(0.5)
+        with pytest.raises(ValueError, match="^max_axis_order must be >= 0, got -1$"):
+            cauchy_coefficient_table(col, (0.2,), -1)
+        for order in (True, 1.0):
+            with pytest.raises(TypeError, match="^max_axis_order must be integers"):
+                cauchy_coefficient_table(col, (0.2,), order)
 
     def test_table_matches_single_extractions(self):
         col = random_colligation(Polydisk((1, 1)), dim_g=1, seed=28)

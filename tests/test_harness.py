@@ -917,6 +917,12 @@ class TestCli:
         assert not captured.out and not out.parent.exists()
         assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
 
+    def test_catalog_names_a_negative_seed(self, capsys):
+        # the stream's refusal read "expected non-negative integer", numpy's wording, and named no seed
+        assert main(["catalog", "symmetric-extremal", "--d", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err == "error: seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("a", ["nan", "nan+0.3j", "0.3-nanj", "1", "inf"])
     def test_catalog_blaschke_rejects_parameter_outside_the_disk(self, capsys, a):
         # a NaN parameter used to fail later, as "A has non-finite entries"

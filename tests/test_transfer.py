@@ -296,6 +296,15 @@ class TestStackReaders:
         col = random_colligation(structure, dim_g=dim_g, seed=91 + structure.d)
         return evaluate(col, [admissible_point(structure, rng) for _ in range(4)])
 
+    def test_a_jet_rebuilt_for_a_higher_order_has_the_bits_of_one_built_at_once(self, structure, dim_g):
+        mis = [MultiIndex(counts) for counts in [(0,) * structure.d] + multi_indices(structure.d, 5)]
+        ev, once = self.stack(structure, dim_g), self.stack(structure, dim_g)
+        whole = once.kops(mis)
+        for top in (1, 3, 2, 5, 4):  # grows, falls back, grows past what was built
+            wanted = [c for c, mi in enumerate(mis) if mi.order <= top]
+            assert _bits(ev.kops([mis[c] for c in wanted])) == _bits(whole[:, wanted]), top
+        assert not whole[:, 0].any()
+
     def test_norms_of_a_concatenation_are_the_concatenated_norms(self, structure, dim_g):
         mis = [MultiIndex(counts) for counts in [(0,) * structure.d] + multi_indices(structure.d, 4)]
         a, b = mis[::2], mis[1::2]
