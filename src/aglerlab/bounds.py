@@ -11,8 +11,8 @@ Each check is one function of a stack: an :class:`aglerlab.transfer.EvalStack`
 (``bound_general``, ``ball_kernel_subchecks``, ``knese_report``) or a stack
 at the origin (``wiener_check``); at one point, pass ``ctx.stack`` and read
 row ``ctx.i``.  ``bound_polydisk`` and ``bound_ball`` take a colligation or a
-polynomial subject and one point, and return its :class:`BoundReport`: the
-named variant's column of :func:`report_columns`, bit for bit a campaign's.
+polynomial subject and one point of shape (d,), and return its :class:`BoundReport`:
+the named variant's column of :func:`report_columns`, bit for bit a campaign's.
 
 Writing n = n_1 + ... + n_d and D(z) = 1 - |phi(z)|^2 (for matrix-valued
 phi the product of the two defect norms ||I - phi* phi||^(1/2)
@@ -92,16 +92,15 @@ _GENERAL, _KOPERATOR = "general", "koperator"  # the report families besides the
 class PolynomialStack:
     """A polynomial subject at the points of an (m, d) stack (or at one point
     of shape (d,)) of ``structure``'s domain, admitted as ``evaluate`` admits
-    them, and read like an :class:`EvalStack`: ``structure``, ``zs``, the
-    ``geometry`` that admission returns and its per-point ``flags``, the ``defect``
-    column, and ``norms``.  The defect takes one stacked :func:`poly_partial`
+    them, and read like an :class:`EvalStack`: ``structure``, the ``geometry``
+    that admission returns, its (m, d) points ``zs`` and per-point ``flags``, the
+    ``defect`` column, and ``norms``.  The defect takes one stacked :func:`poly_partial`
     call, and so does each multi-index.  A defect or a norm that overflows is a
     domain violation naming its point, as on an :class:`EvalStack`."""
 
     def __init__(self, poly: Polynomial, structure: DomainStructure, zs):
         self.geometry = admit(structure, zs)
-        self.zs = np.asarray(zs, dtype=np.complex128).reshape(-1, structure.d)
-        self.poly, self.structure, self.flags = poly, structure, self.geometry.flags
+        self.poly, self.structure, self.zs, self.flags = poly, structure, self.geometry.zs, self.geometry.flags
         with np.errstate(over="ignore"):
             self.defect = 1.0 - np.float_power(self.norms([MultiIndex.of((0,) * poly.dimension)])[0], 2)
         _refuse(self.zs, ~np.isfinite(self.defect), "the defect of p is not finite")
@@ -288,17 +287,19 @@ def ball_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) 
 
 
 def bound_polydisk(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:
-    """Polydisk derivative bound for a colligation or polynomial subject."""
+    """Polydisk derivative bound for a colligation or polynomial subject at one point of shape (d,)."""
     return _bound(Polydisk, subject, z, MultiIndex.of(alpha), variant)
 
 
 def bound_ball(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:
-    """Ball derivative bound for a colligation or polynomial subject."""
+    """Ball derivative bound for a colligation or polynomial subject at one point of shape (d,)."""
     return _bound(Ball, subject, z, MultiIndex.of(alpha), variant)
 
 
 def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex, variant: str) -> BoundReport:
     row = _variant(domain, variant, mi)
+    if np.ndim(z) != 1:
+        raise ValueError(f"a bound takes one point of shape (d,), got an array of shape {np.shape(z)}")
     if not isinstance(subject, Colligation):
         points = PolynomialStack(subject, domain.scalar(subject.dimension), z)
     elif isinstance(subject.structure, domain):
@@ -306,9 +307,7 @@ def _bound(domain: type, subject: Subject, z: Sequence[complex], mi: MultiIndex,
     else:
         name = domain.__name__.lower()
         raise ValueError(f"{name} bounds need a {name} colligation")
-    table = report_columns(points, [mi])
-    p = table.keys.index((row.tag, mi.counts))
-    return BoundReport(row.tag, tuple(points.zs[0].tolist()), mi.counts, float(table.lhs[0, p]), float(table.rhs[0, p]))
+    return next(_row(points, 0, [mi], row.tag))
 
 
 def ball_kernel_subchecks(ev: EvalStack) -> list[Column]:
@@ -438,11 +437,18 @@ def report_columns(points: EvalStack | PolynomialStack, mis: Sequence[MultiIndex
     return ReportTable(tuple(keys), {p: c.flags for p, c in enumerate(small) if c.flags is not None}, lhs, rhs)
 
 
+def _row(points: EvalStack | PolynomialStack, i: int, mis: Sequence[MultiIndex], tag=None) -> Iterator[BoundReport]:
+    """Row ``i`` of the :func:`report_columns` table at ``points`` as reports in record order, or those of
+    ``tag``: the one reader of a point's reports, behind ``point_reports``, ``bound_polydisk`` and ``bound_ball``."""
+    table, z = report_columns(points, mis), tuple(points.zs[i].tolist())
+    for (key, alpha), lhs, rhs in zip(table.keys, table.lhs[i].tolist(), table.rhs[i].tolist()):
+        if tag in (None, key):
+            yield BoundReport(key, z, alpha, lhs, rhs)
+
+
 def point_reports(ctx: EvalContext, mis: Sequence[MultiIndex]) -> Iterator[BoundReport]:
     """The :func:`report_columns` reports at an evaluated point, in record order: its row of the table."""
-    table = report_columns(ctx.stack, mis)
-    for (tag, alpha), lhs, rhs in zip(table.keys, table.lhs[ctx.i].tolist(), table.rhs[ctx.i].tolist()):
-        yield BoundReport(tag, ctx.z, alpha, lhs, rhs)
+    return _row(ctx.stack, ctx.i, mis)
 
 
 def multiplier_gram_psd(f, points) -> float | np.ndarray:

@@ -234,38 +234,39 @@ def projections(structure: DomainStructure) -> np.ndarray:
     return es
 
 
+def _points(structure: DomainStructure, z) -> np.ndarray:
+    """``z``, one point or an array of shape (..., d), as a complex array of at least one axis: the one
+    conversion of points, and the one check that each has the structure's d coordinates."""
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if zs.shape[-1] != structure.d:
+        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
+    return zs
+
+
 def zmatrix(structure: DomainStructure, z) -> np.ndarray:
     """Pencil Z(z) = z_1 E_1 + ... + z_d E_d as a (dim_h x dim_k) matrix; ``z``
     may be one point or an array of shape (..., d), giving (..., dim_h, dim_k)."""
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if zs.shape[-1] != structure.d:
-        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
-    return np.tensordot(zs, projections(structure), axes=(-1, 0))
+    return np.tensordot(_points(structure, z), projections(structure), axes=(-1, 0))
 
 
 def structure_norm(structure: DomainStructure, z) -> Union[float, np.ndarray]:
-    """Domain norm of ``z``: the point lies in the domain iff it is < 1.
+    """Domain norm of ``z``, admitted or not: the point lies in the domain iff it is < 1.
 
-    Polydisk: max_j |z_j| over every coordinate, those of zero-dimension
-    blocks included.  Ball: the Euclidean norm of z.  ``z`` may be one point
-    or an array of shape (..., d); an array gives one norm per point.
+    Polydisk: max_j |z_j| over every coordinate, those of zero-dimension blocks included.  Ball: the
+    Euclidean norm of z.  One point gives a float, an array of shape (..., d) one norm per point: the
+    ``norm`` of the points' :class:`StackGeometry`.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if zs.shape[-1] != structure.d:
-        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
-    # hypot rounds |z_j| exactly as abs() on a Python complex does
-    norm = structure.norm(np.hypot(zs.real, zs.imag))
+    zs = _points(structure, z)
+    norm = StackGeometry(structure, zs).norm.reshape(zs.shape[:-1])
     return float(norm) if norm.ndim == 0 else norm
 
 
 def admit(structure: DomainStructure, z) -> StackGeometry:
-    """The one admission rule, for a point or an array of shape (..., d): raise
-    DomainViolationError at a domain norm that is not < 1 - ADMISSIBILITY_MARGIN (NaN included),
-    else return the :class:`StackGeometry` of the points, a row per point (one row for a point)."""
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if zs.shape[-1] != structure.d:
-        raise ValueError(f"point has {zs.shape[-1]} coordinates, structure has d={structure.d}")
-    geometry = StackGeometry(structure, zs.reshape(-1, structure.d))
+    """The one admission rule, for one point of shape (d,) or an array of shape (..., d): raise DomainViolationError
+    at a domain norm that is not < 1 - ADMISSIBILITY_MARGIN (NaN included), else return the :class:`StackGeometry`
+    of the points, an (m, d) stack (one row for one point) that ``evaluate`` and ``PolynomialStack`` read."""
+    zs = _points(structure, z)
+    geometry = StackGeometry(structure, zs)
     bad = np.flatnonzero(~(geometry.norm < 1.0 - ADMISSIBILITY_MARGIN))  # a NaN norm fails < too
     if bad.size:
         at = f" ({bad.size} of {len(geometry.norm)} points, first at index {bad[0]})" if zs.ndim > 1 else ""
@@ -275,16 +276,19 @@ def admit(structure: DomainStructure, z) -> StackGeometry:
 
 
 class StackGeometry:
-    """Norm data of an (m, d) stack of points of ``structure``'s domain, a row per point, as admission
-    and bound right-hand sides read it: ``moduli`` (m, d) the |z_j| and ``norm`` the domain norm (s =
-    ||z||_inf on the polydisk, t = ||z||_2 on the ball), which admission needs.  Campaigns also read
-    ``flags`` per point, ("near-boundary",) at a norm within BOUNDARY_FLAG_DISTANCE of 1, else (), and
-    by ``np.float_power(v, 2)`` the squares ``norm2`` and ``zabs2`` = |z_j|^2; only the ball's bounds
-    read ``hat`` (m, d), the domain norms with coordinate j zeroed, and its square ``hat2``.  Each of
-    these is computed on first use, so the Cauchy oracle's grid, which reads none, makes none."""
+    """Norm data of points of ``structure``'s domain, given as an array of shape (..., d) and kept as the
+    (m, d) stack ``zs``, a row per point, as admission and bound right-hand sides read it: ``moduli``
+    (m, d) the |z_j|, rounded as ``abs()`` of a Python complex rounds them, and ``norm`` the domain norm
+    (s = ||z||_inf on the polydisk, t = ||z||_2 on the ball), which admission and :func:`structure_norm`
+    read.  Campaigns also read ``flags`` per point, ("near-boundary",) at a norm within
+    BOUNDARY_FLAG_DISTANCE of 1, else (), and by ``np.float_power(v, 2)`` the squares ``norm2`` and
+    ``zabs2`` = |z_j|^2; only the ball's bounds read ``hat`` (m, d), the domain norms with coordinate j
+    zeroed, and its square ``hat2``.  Each of these is computed on first use, so the Cauchy oracle's
+    grid, which reads none, makes none."""
 
     def __init__(self, structure: DomainStructure, zs: np.ndarray):
-        self.structure, self.moduli = structure, np.hypot(zs.real, zs.imag)
+        self.structure, self.zs = structure, zs.reshape(-1, structure.d)
+        self.moduli = np.hypot(self.zs.real, self.zs.imag)
         self.norm = structure.norm(self.moduli)
 
     @functools.cached_property

@@ -89,7 +89,7 @@ from .matrixcore import spectral_norm
 from .reports import Column, ReportTable
 from .stream import Stream
 from .tolerances import CONSTRUCTION_TOL, IDENTITY_TOL, SLACK_TOL
-from .transfer import _jet_order, evaluate, identity_residuals
+from .transfer import EvalContext, _jet_order, evaluate, identity_residuals
 
 __all__ = [
     "CampaignConfig",
@@ -498,14 +498,6 @@ def _parse_arg(text: str, parse, d: int, what: str):
     return value
 
 
-def _parse_order(text: str, d: int, min_order: int) -> MultiIndex:
-    """Parse --alpha, of order min_order..MAX_ORDER."""
-    mi = MultiIndex(_parse_arg(text, parse_alpha, d, "multi-index"))
-    if not min_order <= mi.order <= MAX_ORDER:
-        raise _UsageError(f"multi-index order must be in {min_order}..{MAX_ORDER}, got {mi.order}")
-    return mi
-
-
 def _finite_tol(tol: float) -> float:
     """The --tol of validate and bounds; a non-finite one decides nothing, a negative one fails exact inputs."""
     if not 0 <= tol < math.inf:
@@ -519,55 +511,53 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_eval(args) -> int:
+def _evaluated(args, min_order: int = 0) -> tuple[EvalContext, list[MultiIndex], list[str]]:
+    """The one load, parse and evaluate step of ``eval``, ``deriv`` and ``bounds``, in this order: load ``args.file``,
+    parse ``--z`` and any ``--alpha`` (of order min_order..MAX_ORDER) for it, check ``deriv``'s ``--samples``, then
+    evaluate.  Returns the point's view, the multi-indices and the point's ``flags`` line, none without flags."""
     col = _load(args.file)
-    ctx = evaluate(col, _parse_arg(args.z, parse_point, col.d, "point"))
-    print(f"z         = {list(ctx.z)}")
-    print(f"phi(z)    = {np.array2string(ctx.phi, precision=12)}")
-    print(f"||phi||   = {spectral_norm(ctx.phi):.12f}")
-    print(f"||Z(z)||  = {ctx.znorm:.12f}")
-    print(f"cond(I-AZ)= {ctx.cond:.3e}")
-    if ctx.flags:
-        print(f"flags     = {list(ctx.flags)}")
+    z = _parse_arg(args.z, parse_point, col.d, "point")
+    given = getattr(args, "alpha", None)  # eval has no --alpha, and bounds may go without
+    mis = [] if given is None else [MultiIndex(_parse_arg(given, parse_alpha, col.d, "multi-index"))]
+    if mis and not min_order <= mis[0].order <= MAX_ORDER:
+        raise _UsageError(f"multi-index order must be in {min_order}..{MAX_ORDER}, got {mis[0].order}")
+    if hasattr(args, "samples"):
+        try:
+            check_samples(args.samples, max(mis[0].counts), col.d if mis[0].order else 0)  # order 0 samples no grid
+        except ValueError as exc:
+            raise _UsageError(f"--samples: {exc}") from None
+    ctx = evaluate(col, z)
+    return ctx, mis, [f"flags     = {list(ctx.flags)}"] * bool(ctx.flags)
+
+
+def cmd_eval(args) -> int:
+    ctx, _, flags = _evaluated(args)
+    print(f"z         = {list(ctx.z)}", f"phi(z)    = {np.array2string(ctx.phi, precision=12)}",
+          f"||phi||   = {spectral_norm(ctx.phi):.12f}", f"||Z(z)||  = {ctx.znorm:.12f}",
+          f"cond(I-AZ)= {ctx.cond:.3e}", *flags, sep="\n")
     return 0
 
 
 def cmd_deriv(args) -> int:
-    col = _load(args.file)
-    z = _parse_arg(args.z, parse_point, col.d, "point")
-    mi = _parse_order(args.alpha, col.d, min_order=0)
-    try:
-        check_samples(args.samples, max(mi.counts), col.d if mi.order else 0)  # order 0 samples no grid
-    except ValueError as exc:
-        raise _UsageError(f"--samples: {exc}") from None
-    ctx = evaluate(col, z)
-    exact = ctx.partial(mi)
+    ctx, (mi,), flags = _evaluated(args)
+    col, z, exact = ctx.col, ctx.z, ctx.partial(mi)
     radii = default_radii(col.structure, z) if mi.order else None
     oracle = cauchy_partial(col, z, mi, radius=radii, samples=args.samples) if mi.order else None
-    print(f"partial d^{mi.order} phi / dz^{list(mi.counts)} at {list(z)}:")
-    print(np.array2string(exact, precision=12))
-    if ctx.flags:
-        print(f"flags     = {list(ctx.flags)}")
+    print(f"partial d^{mi.order} phi / dz^{list(mi.counts)} at {list(z)}:", np.array2string(exact, precision=12),
+          *flags, sep="\n")
     if oracle is not None:
         # the oracle's error grows like roundoff / r^order as its radii shrink near the boundary
-        print(f"oracle radii = [{', '.join(f'{r:.3e}' for r in radii)}]")
-        print(f"oracle deviation = {spectral_norm(exact - np.atleast_2d(oracle)):.3e}")
+        print(f"oracle radii = [{', '.join(f'{r:.3e}' for r in radii)}]",
+              f"oracle deviation = {spectral_norm(exact - np.atleast_2d(oracle)):.3e}", sep="\n")
     return 0
 
 
 def cmd_bounds(args) -> int:
     tol = _finite_tol(args.tol)
-    col = _load(args.file)
-    z = _parse_arg(args.z, parse_point, col.d, "point")
-    mis = [] if args.alpha is None else [_parse_order(args.alpha, col.d, min_order=1)]
-    ctx = evaluate(col, z)
+    ctx, mis, flags = _evaluated(args, min_order=1)
     reports = list(point_reports(ctx, mis))
-    for rep in reports:
-        print(rep)
-    if ctx.flags:
-        print(f"flags     = {list(ctx.flags)}")
     worst = min(r.slack for r in reports)
-    print(f"min slack = {worst:+.3e}")
+    print(*reports, *flags, f"min slack = {worst:+.3e}", sep="\n")
     return 0 if ctx.flags or worst >= -tol else 1
 
 

@@ -80,8 +80,8 @@ class EvalStack:
 
     All share ``structure`` and the block shapes of ``col`` = cols[0].  ``A``, ``B``, ``C``
     (stride-0 views for one colligation), ``zmat``, ``r_ka`` = (I_K - A Z)^{-1}, ``phi``: a row per point.
-    ``geometry``, the :class:`aglerlab.colligation.StackGeometry` of ``zs`` that
-    :func:`aglerlab.colligation.admit` returned (a slice measures its own rows).
+    ``geometry``, the :class:`aglerlab.colligation.StackGeometry` that :func:`aglerlab.colligation.admit`
+    returned, whose (m, d) points are ``zs`` (a slice measures its own rows).
     The rest is computed for every point on first use and kept: ``r_ha`` =
     (I_H - Z A)^{-1}, ``lmat`` = A r_ha, the lists ``cond`` (of I - AZ) and
     ``flags`` (the geometry's ``near-boundary``, then ``ill-conditioned`` past the
@@ -95,9 +95,9 @@ class EvalStack:
     per multi-index the (m,) norms of its partial, from ``partials(mis)`` and one SVD call.
     ``stack[i]`` is the view of point i, ``stack[a:b]`` a new stack."""
 
-    def __init__(self, cols: list[Colligation], blocks, zs, zmat, r_ka, phi, geometry: StackGeometry):
+    def __init__(self, cols: list[Colligation], blocks, zmat, r_ka, phi, geometry: StackGeometry):
         self.cols, self.col, self.structure, self.geometry = cols, cols[0], cols[0].structure, geometry
-        (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, zs, zmat, r_ka, phi
+        (self.A, self.B, self.C), self.zs, self.zmat, self.r_ka, self.phi = blocks, geometry.zs, zmat, r_ka, phi
         self.es = projections(self.structure)  # the read-only (d, dim_h, dim_k) stack of the E_j
         self._jet = np.empty((0, 0))  # the jet, its orders side by side on axis 1; none built yet
 
@@ -106,8 +106,8 @@ class EvalStack:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return EvalStack(self.cols[i], (self.A[i], self.B[i], self.C[i]), self.zs[i], self.zmat[i], self.r_ka[i],
-                             self.phi[i], StackGeometry(self.structure, self.zs[i]))
+            return EvalStack(self.cols[i], (self.A[i], self.B[i], self.C[i]), self.zmat[i], self.r_ka[i], self.phi[i],
+                             StackGeometry(self.structure, self.zs[i]))
         return EvalContext(self, range(len(self))[i])
 
     @cached_property
@@ -239,17 +239,16 @@ def evaluate(col: Colligation | list[Colligation], zs) -> EvalStack | EvalContex
     structure = cols[0].structure
     if any(c.structure != structure for c in cols):
         raise ValueError("colligations evaluated together must share their structure")
-    geometry = admit(structure, pts)
-    stack = pts.reshape(-1, structure.d)
-    rows = (len(cols), len(stack) // len(cols))  # the reshape copies only for n > 1
+    geometry = admit(structure, pts)  # its zs: the (m, d) stack of every point
+    rows = (len(cols), len(geometry.zs) // len(cols))  # the reshape copies only for n > 1
     A, B, C, D = (np.broadcast_to(np.stack(bs)[:, None], rows + bs[0].shape).reshape((-1,) + bs[0].shape)
                   for bs in zip(*((c.A, c.B, c.C, c.D) for c in cols)))
-    zm = zmatrix(structure, stack)
-    r_ka = _inverse(np.eye(structure.dim_k) - A @ zm, stack, "I - AZ(z)")
+    zm = zmatrix(structure, geometry.zs)
+    r_ka = _inverse(np.eye(structure.dim_k) - A @ zm, geometry.zs, "I - AZ(z)")
     with np.errstate(over="ignore", invalid="ignore"):
         phi = D + C @ zm @ r_ka @ B
-    _refuse(stack, ~np.isfinite(phi).all(axis=(1, 2)), "phi is not finite")
-    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), stack, zm, r_ka, phi, geometry)
+    _refuse(geometry.zs, ~np.isfinite(phi).all(axis=(1, 2)), "phi is not finite")
+    ev = EvalStack([c for c in cols for _ in range(rows[1])], (A, B, C), zm, r_ka, phi, geometry)
     return ev[0] if pts.ndim == 1 else ev
 
 

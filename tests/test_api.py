@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, once, the README's Python runs and its commands parse and run;
 only ``bounds`` reads its table of variants, and only it and the ball's Gram check test a structure's class;
-neither importing the CLI nor running a campaign loads ``numpy.random``, ``hashlib`` or ``_hashlib``."""
+neither importing the CLI nor running a campaign loads ``numpy.random``, ``hashlib`` or ``_hashlib``, and the
+benchmark's campaigns load nothing past ``aglerlab`` and a baseline of numpy, json, argparse and a short allowlist."""
 
 import ast
 import dataclasses
@@ -135,6 +136,16 @@ CAMPAIGNS = ("import os, sys; from aglerlab.harness import main; "
              "assert main(['explore', 'alpay-kaptanoglu', '--m', '2', '--seed', '2', '--n', '1', '--points', '2', "
              "'--max-order', '2', '--out', os.devnull]) == 0")
 BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+# The campaigns of the benchmark's three workloads, at small sizes: two fuzz shapes and both explore targets.
+BENCHMARK_SHAPES = "import os, sys; from aglerlab.harness import main; " + "; ".join(
+    f"assert main({argv!r} + ['--seed', '1', '--out', os.devnull]) == 0" for argv in (
+        ["fuzz", "--structure", "polydisk:2,1", "--max-order", "4", "--n", "1", "--points", "2"],
+        ["fuzz", "--structure", "polydisk:1,1,1", "--max-order", "6", "--n", "1", "--points", "1"],
+        ["explore", "kaijser-varopoulos", "--max-order", "4", "--n", "1", "--points", "2"],
+        ["explore", "alpay-kaptanoglu", "--m", "3", "--max-order", "4", "--n", "1", "--points", "2"]))
+# What a campaign may load besides aglerlab and what ``import numpy, json, argparse`` loads; importing these in
+# the baseline admits each Python version's own dependencies of them.
+STDLIB_ALLOWED = ("dataclasses", "copy", "cmath", "gettext", "locale", "__future__", "_sha2", "_sha256")
 
 
 @functools.cache
@@ -177,3 +188,12 @@ def test_subject_hashes_leave_openssl_unloaded(code):
     """Subject hashes take SHA-256 from CPython's builtin module, so neither importing the CLI nor a fuzz
     and an explore campaign loads ``hashlib`` or ``_hashlib``, which maps OpenSSL's libcrypto."""
     assert _loaded(code, HASHLIB) == _numpy_own(HASHLIB)
+
+
+def test_campaigns_load_only_aglerlab_past_the_baseline():
+    """The benchmark-shaped campaigns load no module besides ``aglerlab.*`` that a process running ``import numpy,
+    json, argparse`` and the short stdlib allowlist does not load too: each new import on the campaign path costs
+    set-up time and resident memory, so it fails here by name until the allowlist takes it in."""
+    allowed = [name for name in STDLIB_ALLOWED if importlib.util.find_spec(name)]
+    baseline = _modules_after(f"import sys, numpy, json, argparse, {', '.join(allowed)}")
+    assert sorted(m for m in _modules_after(BENCHMARK_SHAPES) - baseline if m.partition(".")[0] != "aglerlab") == []

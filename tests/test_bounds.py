@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -656,6 +657,19 @@ class TestReportLayout:
                     p = table.keys.index((v.tag, mi.counts))
                     assert (rep.theorem_tag, rep.z, rep.alpha) == (v.tag, z, mi.counts)
                     assert _bits([rep.lhs, rep.rhs]) == _bits([table.lhs[0, p], table.rhs[0, p]]), (v.tag, mi)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("subject", ["colligation", "polynomial"])
+    @pytest.mark.parametrize("domain", [Polydisk, Ball], ids=lambda domain: domain.__name__)
+    def test_a_one_point_bound_refuses_an_array_of_points_by_its_shape(self, domain, subject, m):
+        # a polynomial subject used to report at the first point and drop the rest, a colligation to end
+        # in an AttributeError; one point of shape (d,) is still the one accepted
+        poly = Polynomial(2, {(1, 0): 0.5})
+        target = random_colligation(domain.scalar(2), seed=3) if subject == "colligation" else poly
+        bound, zs = bound_ball if domain is Ball else bound_polydisk, [[0.1, 0.2], [0.3, 0.4]][:m]
+        with pytest.raises(ValueError, match=re.escape(f"one point of shape (d,), got an array of shape ({m}, 2)")):
+            bound(target, zs, (1, 0), "factorial")
+        assert bound(target, zs[0], (1, 0), "factorial").z == (0.1, 0.2)
 
 
 BATCH_STRUCTURES = [Polydisk((1,)), Polydisk((2, 1)), Polydisk((1, 1, 1)), Ball(2, 1), Ball(1, 2), Ball(2, 3)]
