@@ -274,16 +274,23 @@ def _variant(domain: type, name: str, mi: MultiIndex) -> Variant:
     return row
 
 
+def _rhs(domain: type, defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
+    """The named row's rhs at one point, which ``admit`` measures; refuses a multi-index of another length."""
+    if mi.d != len(z):
+        raise ValueError(f"multi-index has d={mi.d}, point has d={len(z)}")
+    if not math.isfinite(defect):
+        raise ValueError(f"defect must be finite, got {defect!r}")
+    return float(_variant(domain, variant, mi).rhs(np.array([defect]), admit(domain.scalar(len(z)), z), [mi])[0, 0])
+
+
 def polydisk_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
-    """Right-hand side of the named polydisk inequality at the point ``z`` (no evaluation)."""
-    geometry = StackGeometry(Polydisk.scalar(len(z)), np.array([z], complex))
-    return float(_variant(Polydisk, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
+    """Right-hand side of the named polydisk inequality at the admitted point ``z``, a finite defect given."""
+    return _rhs(Polydisk, defect, z, mi, variant)
 
 
 def ball_rhs(defect: float, z: Sequence[complex], mi: MultiIndex, variant: str) -> float:
-    """Right-hand side of the named ball inequality at the point ``z`` (no evaluation)."""
-    geometry = StackGeometry(Ball.scalar(len(z)), np.array([z], complex))
-    return float(_variant(Ball, variant, mi).rhs(np.array([defect]), geometry, [mi])[0, 0])
+    """Right-hand side of the named ball inequality at the admitted point ``z``, a finite defect given."""
+    return _rhs(Ball, defect, z, mi, variant)
 
 
 def bound_polydisk(subject: Subject, z: Sequence[complex], alpha: Alpha, variant: str) -> BoundReport:
@@ -474,13 +481,12 @@ def multiplier_gram_psd(f, points) -> float | np.ndarray:
     sets = sets[None] if (single := sets.ndim == 2) else sets
     if sets.ndim != 3 or not sets.size:
         raise ValueError(f"need an (m, d) set or an (n, m, d) stack of points, m >= 1; got shape {sets.shape}")
-    admit(Ball.scalar(sets.shape[-1]), sets)
+    flat = admit(Ball.scalar(sets.shape[-1]), sets).zs
     diff = sets[:, :, None] - sets[:, None]
     for s, i, k in zip(*np.nonzero(np.triu(np.hypot(diff.real, diff.imag).max(axis=-1) < 1e-12, 1))):
         where = "" if single else f"point set {s}: "
         warnings.warn(f"{where}points {i} and {k} coincide to 1e-12; Gram matrix is degenerate",
                       DegenerateGramWarning, stacklevel=2)
-    flat = sets.reshape(-1, sets.shape[-1])
     values = (poly_partial(f, flat, (0,) * f.dimension) if isinstance(f, Polynomial)
               else np.array([complex(f(tuple(p))) for p in flat.tolist()])).reshape(sets.shape[:2])
     re, im = sets.real, sets.imag  # products by parts, as Python's complex *; numpy's array * can round apart

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .colligation import Colligation, DomainStructure, _dimensions, admit, projections, structure_norm
+from .colligation import Colligation, DomainStructure, _dimensions, admit, projections
 from .errors import ComplexityError
 from .tolerances import ADMISSIBILITY_MARGIN
 from .transfer import EvalContext, evaluate
@@ -217,15 +217,17 @@ def partial_permsum(col: Colligation, z: Sequence[complex], klist: Sequence[int]
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial in d complex variables, stored as multi-index -> coefficient.
-    Every coefficient must be finite; a call evaluates it at a point or at
-    each point of an (m, d) stack (see :func:`poly_partial`)."""
+    """Polynomial in d >= 1 complex variables, stored as multi-index ->
+    coefficient.  Every coefficient must be finite; a call evaluates it at a
+    point or at each point of an (m, d) stack (see :func:`poly_partial`)."""
 
     dimension: int
     coeffs: Mapping[tuple[int, ...], complex]
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _dimensions((self.dimension,), "dimension")[0])
+        if self.dimension < 1:
+            raise ValueError(f"a polynomial needs dimension >= 1, got {self.dimension}")
         clean = {}
         for key, val in self.coeffs.items():
             k = _dimensions(key, "exponents")
@@ -350,19 +352,19 @@ def alpay_kaptanoglu(m: int) -> Polynomial:
 
 
 def default_radii(structure: DomainStructure, z: Sequence[complex]) -> tuple[float, ...]:
-    """Circle radii for the Cauchy oracle at the admissible point ``z`` (see
-    :func:`aglerlab.colligation.admit`): per axis, min(0.1, half of how far
-    |z_j| may grow before the domain norm reaches one).
+    """Circle radii for the Cauchy oracle at the admissible point ``z``: per
+    axis, min(0.1, half of how far |z_j| may grow before the domain norm
+    reaches one), read from the moduli and norm of the geometry that
+    :func:`aglerlab.colligation.admit` returns, as every bound reads them.
 
     On the ball that torus can still leave the ball for d >= 3; then the
     radii shrink by one common factor until its outermost point
     (|z_j| + r_j)_j lies halfway between z and the sphere in norm.
     """
-    admit(structure, z)
-    moduli = np.abs(np.asarray(z, dtype=np.complex128))
-    norm = structure_norm(structure, moduli)
+    geometry = admit(structure, z)
+    (moduli,), (norm,) = geometry.moduli, geometry.norm.tolist()  # one point: a stack fails to unpack
     radii = np.minimum(0.1, structure.room(moduli, norm) / 2.0)
-    if structure_norm(structure, moduli + radii) >= 1.0 - ADMISSIBILITY_MARGIN:
+    if structure.norm(moduli + radii) >= 1.0 - ADMISSIBILITY_MARGIN:
         # solve ||moduli + t radii||_2 = target for the positive root t < 1
         target = (1.0 + norm) / 2.0
         a, b, c = radii @ radii, moduli @ radii, norm**2 - target**2

@@ -202,6 +202,33 @@ class TestBoundPolydisk:
         with pytest.raises(DomainViolationError, match="z = nan .*inadmissible$"):
             bound_ball(alpay_kaptanoglu(2), (math.nan, 0.0), (1, 0), "hat")
 
+    @pytest.mark.parametrize("rhs, z", [
+        (bounds.polydisk_rhs, (1.5, 0.2)),
+        (bounds.ball_rhs, (0.9, 0.9)),
+        (bounds.polydisk_rhs, (math.nan, 0.2)),
+        (bounds.ball_rhs, (0.1, complex(math.nan, 0.0))),
+        (bounds.polydisk_rhs, (0.1, complex(0.0, math.inf))),
+        (bounds.ball_rhs, (-math.inf, 0.2)),
+    ], ids=["polydisk-outside", "ball-outside", "polydisk-nan", "ball-nan", "polydisk-inf", "ball-inf"])
+    def test_the_rhs_helpers_admit_their_point(self, rhs, z):
+        # built their geometry unadmitted: (1.5, 0.2) gave 1.6 on the polydisk, (0.9, 0.9) 4.18 on the ball, NaN nan
+        variant = "weak" if rhs is bounds.polydisk_rhs else "factorial"
+        with pytest.raises(DomainViolationError, match="inadmissible$"):
+            rhs(0.5, z, MultiIndex((1, 1)), variant)
+
+    @pytest.mark.parametrize("rhs, variant", [(bounds.polydisk_rhs, "weak"), (bounds.ball_rhs, "factorial")],
+                             ids=["polydisk", "ball"])
+    @pytest.mark.parametrize("defect, counts, message", [
+        (0.5, (1, 1, 0), "^multi-index has d=3, point has d=2$"),
+        (0.5, (1,), "^multi-index has d=1, point has d=2$"),
+        (math.nan, (1, 1), "^defect must be finite, got nan$"),
+        (math.inf, (1, 1), "^defect must be finite, got inf$"),
+    ], ids=["long-multi-index", "short-multi-index", "nan-defect", "inf-defect"])
+    def test_the_rhs_helpers_refuse_a_wrong_multi_index_or_defect(self, rhs, variant, defect, counts, message):
+        # each computed a value: a multi-index of length 3 at a point of length 2 gave 1.302 (weak), NaN gave nan
+        with pytest.raises(ValueError, match=message):
+            rhs(defect, (0.1, 0.2), MultiIndex(counts), variant)
+
     def test_a_polynomial_subject_that_overflows_is_a_domain_violation(self):
         # these gave lhs = inf, rhs = -inf and ratio = nan, with overflow warnings
         with pytest.raises(DomainViolationError, match=r"^the defect of p is not finite at z = \[\(0\.9\+0j\)\]$"):

@@ -29,7 +29,7 @@ from aglerlab import (
     spectral_norm,
 )
 from aglerlab import derivative
-from aglerlab.colligation import projections
+from aglerlab.colligation import admit, projections
 from aglerlab.derivative import (
     cauchy_coefficient_table,
     cauchy_partial,
@@ -90,6 +90,12 @@ class TestMultiIndex:
             Polynomial(dimension, {(1,): 1})
         poly = Polynomial(np.int64(1), {(1,): 1})
         assert type(poly.dimension) is int and poly((0.5,)) == 0.5
+
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_a_polynomial_has_a_variable(self, dimension):
+        # Polynomial(0, {(): 1.0}) was made, and its partials then failed inside numpy's reshape
+        with pytest.raises(ValueError, match=f"^a polynomial needs dimension >= 1, got {dimension}$"):
+            Polynomial(dimension, {(): 1.0} if dimension == 0 else {})
 
     def test_numpy_integers_are_indices(self):
         mi = MultiIndex(np.array([2, 1]))
@@ -473,6 +479,20 @@ class TestCauchyOracle:
         for structure, z in ((Polydisk((1,)), (1.0 - 1e-13,)), (Ball(1, 2), (0.0, 1.0 - 1e-13))):
             with pytest.raises(DomainViolationError, match="inadmissible"):  # the rule of evaluate
                 default_radii(structure, z)
+
+    @pytest.mark.parametrize("structure, z", [(Polydisk((1, 1)), (0.01 + 0.9j, 0.2)),
+                                              (Ball(1, 2), (0.1, 0.02 + 0.88j))], ids=["polydisk", "ball"])
+    def test_default_radii_read_the_moduli_of_admission(self, structure, z):
+        # the radii measured the point again by np.abs, which rounds |z_j| apart from admission's np.hypot
+        # at these points (numpy 2.4.6; where a numpy's complex abs is hypot, the two agree)
+        geometry = admit(structure, z)
+        (moduli,), (norm,) = geometry.moduli.tolist(), geometry.norm.tolist()
+        if isinstance(structure, Polydisk):
+            room = [1.0 - m for m in moduli]
+        else:
+            room = [math.sqrt(1.0 - (norm**2 - m * m)) - m for m in moduli]
+        expected = [min(0.1, r / 2.0) for r in room]
+        assert [r.hex() for r in default_radii(structure, z)] == [r.hex() for r in expected]
 
     def test_default_radii_keep_the_torus_inside_the_ball(self):
         col = random_colligation(Ball(1, 3), dim_g=1, seed=1)

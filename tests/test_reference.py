@@ -5,31 +5,16 @@ and compared with ``perfbench/reference/`` by the benchmark's own check
 (``perfbench/run.py``), so the comparison rule is not written twice.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from aglerlab.harness import main
+from conftest import perfbench_run
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_run():
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = run  # its dataclass looks its module up by name
-    saved_path = list(sys.path)
-    try:
-        spec.loader.exec_module(run)
-    finally:
-        sys.path[:] = saved_path  # run.py puts perfbench/ on the path to import spans
-    return run
-
-
-run = _load_run()
+run = perfbench_run()
 BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
