@@ -532,7 +532,10 @@ def from_json_dict(data: dict) -> Colligation:
         domain = next((c for c in get_args(DomainStructure) if c.kind == data["kind"]), None)
         if domain is None:
             raise ValueError(f"unknown structure kind {data['kind']!r}")
-        structure: DomainStructure = domain(*(data[f.name] for f in fields(domain)))
+        names = [f.name for f in fields(domain)]
+        if unknown := [key for key in data if key not in {"kind", *names, "dimF", "dimG", *"ABCD"}]:
+            raise ValueError(f"unknown colligation field {unknown[0]!r}")  # the first in file order
+        structure: DomainStructure = domain(*(data[name] for name in names))
         dim_f, dim_g = _dimensions((data["dimF"], data["dimG"]), "dimF and dimG")
         for name, dim in (("dimF", dim_f), ("dimG", dim_g)):
             if dim < 1:

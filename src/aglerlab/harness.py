@@ -6,10 +6,12 @@ Subcommands:
 * ``eval``      evaluate the transfer function at a point
 * ``deriv``     exact mixed partial plus quadrature-oracle deviation
 * ``bounds``    every report a campaign makes at one point, for one alpha
-* ``catalog``   write a named exact colligation to JSON
+* ``catalog``   write a named exact colligation to JSON, one subcommand per entry
 * ``fuzz``      seeded campaign over random colligations; JSONL reports
 * ``explore``   observational campaigns for the named special functions
 
+Each subcommand and ``catalog`` entry takes only the flags it reads, and argparse refuses any other: ``explore``
+fixes its own domain, so it has no ``--structure`` or ``--dim-g``.
 Exit codes: 0 clean, 1 assertion/domain violation, 2 usage or parse error;
 a stdout that cannot be written (closed, its reader gone, a full disk) is a usage
 error, also for ``--help``.
@@ -471,20 +473,17 @@ class _UsageError(Exception):
     """An input the command cannot use; ``main`` prints it and exits 2."""
 
 
-def _load(path: str):
-    """Load and decode a colligation file."""
+def _load(path: str, read=load_colligation):
+    """``read(path)``: by default the colligation file at ``path``.  A file that cannot be read or decoded, and
+    one whose content ``read`` refuses (a ``ValueError`` or ``TypeError``), is a usage error that names it."""
     try:
-        return load_colligation(path)
+        return read(path)
     except OSError as exc:  # missing, a directory, unreadable
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise _invalid_json(path, exc) from None
-    except (ValueError, TypeError) as exc:
+    except json.JSONDecodeError as exc:  # a ValueError, so caught first
+        raise _UsageError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, TypeError) as exc:  # not UTF-8, or content that read refuses
         raise _UsageError(f"{path}: {exc}") from None
-
-
-def _invalid_json(path: str, exc: json.JSONDecodeError) -> _UsageError:
-    return _UsageError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
 def _parse_arg(text: str, parse, d: int, what: str):
@@ -590,23 +589,20 @@ def cmd_catalog(args) -> int:
 def _config_from_args(args) -> CampaignConfig:
     """The fields of --config, overridden by the flags given, each flag's ``dest`` its field's name."""
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(CampaignConfig)}
+
+    def read(path: str) -> dict:
+        with open(path, "r", encoding="utf-8") as fh:
+            base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"a campaign config is a JSON object, got {type(base).__name__}")
+        if unknown := [key for key in base if key not in given]:  # the first in file order
+            raise ValueError(f"unknown campaign field {unknown[0]!r}")
+        return base
+
+    base = _load(args.config, read) if args.config else {}
     try:
-        base = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                base = json.load(fh)
-            if not isinstance(base, dict):
-                raise _UsageError(f"{args.config}: a campaign config is a JSON object, got {type(base).__name__}")
-            if unknown := [key for key in base if key not in given]:  # the first in file order
-                raise _UsageError(f"{args.config}: unknown campaign field {unknown[0]!r}")
         return CampaignConfig(**{**base, **{k: v for k, v in given.items() if v is not None}})
-    except OSError as exc:  # missing, a directory, unreadable
-        raise _UsageError(f"cannot read {args.config}: {exc.strerror}") from None
     except TypeError as exc:  # a value of the wrong type, which only the file can give: argparse types every flag
-        raise _UsageError(f"{args.config}: {exc}") from None
-    except json.JSONDecodeError as exc:  # a ValueError, so caught first
-        raise _invalid_json(args.config, exc) from None
-    except UnicodeDecodeError as exc:  # not UTF-8; a ValueError too
         raise _UsageError(f"{args.config}: {exc}") from None
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -670,23 +666,20 @@ def _note(line: str) -> None:
             _to_null(sys.stderr)
 
 
-def cmd_fuzz(args) -> int:
+def cmd_campaign(args) -> int:
+    """``fuzz`` and ``explore``: write the campaign, note its summary on stderr, and exit 1 iff an unflagged
+    record fails its tolerance; explore flags every record ``observational``, so it exits 0."""
     config = _config_from_args(args)
-    summary = _write(run_fuzz(config), config.out)
-    _note(f"fuzz: {summary['reports']} reports, {summary['violations']} violations, "
-          f"{summary['flagged']} flagged (seed {config.seed})")
-    return 0 if summary["violations"] == 0 else 1
-
-
-def cmd_explore(args) -> int:
-    config = _config_from_args(args)
+    explore = args.command == "explore"
     try:
-        records = run_explore(args.name, config, m=args.m)
+        records = run_explore(args.name, config, m=args.m) if explore else run_fuzz(config)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     summary = _write(records, config.out)
-    _note(f"explore {args.name}: {summary['reports']} observational reports (seed {config.seed})")
-    return 0
+    _note(f"explore {args.name}: {summary['reports']} observational reports (seed {config.seed})" if explore
+          else f"fuzz: {summary['reports']} reports, {summary['violations']} violations, {summary['flagged']} "
+               f"flagged (seed {config.seed})")
+    return 0 if summary["violations"] == 0 else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -746,13 +739,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("catalog", help="write a named exact colligation")
-    p.add_argument("name", choices=["blaschke", "monomial", "symmetric-extremal"])
-    p.add_argument("--a", default=None, help="Blaschke parameter (complex, |a| < 1)")
-    p.add_argument("--alpha", default=None, help="monomial multi-index")
+    entries = p.add_subparsers(dest="name", required=True)
+    entries.add_parser("blaschke").add_argument("--a", default=None, help="Blaschke parameter (complex, |a| < 1)")
+    entries.add_parser("monomial").add_argument("--alpha", default=None, help="monomial multi-index")
+    p = entries.add_parser("symmetric-extremal")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_catalog)
+    for p in entries.choices.values():
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_catalog)
 
     for name, helptext in (
         ("fuzz", "seeded campaign over random colligations"),
@@ -767,13 +762,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", dest="n_colligations", metavar="N", type=int, default=None, help="number of colligations")
         p.add_argument("--points", dest="points_per_colligation", metavar="POINTS", type=int, default=None,
                        help="points per colligation")
-        p.add_argument("--structure", default=None, help='fuzz only; e.g. "polydisk:2,1" or "ball:m=2,d=3"')
-        p.add_argument("--dim-g", dest="dim_g", type=int, default=None)
+        if name == "fuzz":  # explore fixes its own domain
+            p.add_argument("--structure", default=None, help='e.g. "polydisk:2,1" or "ball:m=2,d=3"')
+            p.add_argument("--dim-g", dest="dim_g", type=int, default=None)
         p.add_argument("--max-order", dest="max_order", type=int, default=None)
         p.add_argument("--sampler", default=None, help=f"one of {SAMPLERS}")
         p.add_argument("--tol", dest="slack_tol", metavar="TOL", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_fuzz if name == "fuzz" else cmd_explore)
+        p.set_defaults(func=cmd_campaign)
 
     return parser
 

@@ -458,6 +458,18 @@ class TestJsonRoundTrip:
         b = random_colligation(Polydisk((1, 1)), seed=2)
         assert colligation_hash(a) != colligation_hash(b)
 
+    @pytest.mark.parametrize("structure, before, after, first", [
+        (Polydisk((1,)), {"note": "x"}, {"dim_f": 5}, "note"),
+        (Polydisk((1,)), {}, {"dim_f": 5, "note": "x"}, "dim_f"),
+        (Polydisk((1,)), {}, {"copies": 2}, "copies"),
+        (Ball(1, 2), {"block_dims": [1]}, {}, "block_dims"),
+    ], ids=["note-first", "dim-f-first", "ball-field", "polydisk-field"])
+    def test_an_unknown_field_is_refused_first_in_file_order(self, structure, before, after, first):
+        # extra keys were dropped: the file was read as the colligation without them
+        data = {**before, **to_json_dict(random_colligation(structure, seed=1)), **after}
+        with pytest.raises(ValueError, match=f"^unknown colligation field {first!r}$"):
+            from_json_dict(json.loads(json.dumps(data)))
+
     def test_schema_errors(self):
         good = to_json_dict(blaschke(0.2))
         for missing in ("kind", "dimF", "A"):

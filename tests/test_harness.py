@@ -1,5 +1,6 @@
 """CLI surface, point samplers, campaign records, and exit-code contract."""
 
+import argparse
 import dataclasses
 import errno
 import hashlib
@@ -486,6 +487,12 @@ class TestExploreCampaign:
         with pytest.raises(ValueError):
             run_explore("lemniscate", CampaignConfig())
 
+    @pytest.mark.parametrize("field", [{"structure": "ball:m=1,d=2"}, {"dim_g": 2}], ids=["structure", "dim-g"])
+    def test_a_library_caller_cannot_move_the_explore_domain(self, field):
+        # the explore command has no --structure or --dim-g; a config file or a library caller is refused here
+        with pytest.raises(ValueError, match="fixes its domain"):
+            run_explore("kaijser-varopoulos", CampaignConfig(**field))
+
     def test_records_do_not_depend_on_the_chunk_size(self, tmp_path, capsys):
         # the same 20 points, drawn in the same order, as 2 chunks of 10 or 4 of 5;
         # alpay-kaptanoglu is left out, as it writes one Gram record per chunk
@@ -629,11 +636,12 @@ class TestCli:
         ("dimG", True, "dimF and dimG must be integers, got (1, True)"),
         ("block_dims", None, "missing field 'block_dims'"),
         (None, [], "a colligation is a JSON object, got list"),
+        ("dim_f", 5, "unknown colligation field 'dim_f'"),
         ("D", [[["0.5", True]]], "field 'D' entries must be numbers, got '0.5'"),
         ("D", [[[0.5, True]]], "field 'D' entries must be numbers, got True"),
         ("D", [[[0.5, "0"]]], "field 'D' entries must be numbers, got '0'"),
     ], ids=["string-dims", "float-dims", "bool-dim", "float-dim-f", "bool-dim-g", "no-dims", "top-level-list",
-            "string-entry", "bool-entry", "string-imaginary-part"])
+            "unknown-key", "string-entry", "bool-entry", "string-imaginary-part"])
     def test_a_malformed_colligation_file_exits_two(self, tmp_path, capsys, field, value, message):
         # each but the last two was read as another colligation, and validated as "pass"
         data = to_json_dict(random_colligation(Polydisk((1, 1)), dim_g=1, seed=3))
@@ -1109,8 +1117,6 @@ class TestCli:
         ["explore", "does-not-exist"],
         ["explore", "alpay-kaptanoglu", "--m", "0"],
         ["explore", "alpay-kaptanoglu", "--m", "1001"],
-        ["explore", "kaijser-varopoulos", "--structure", "ball:m=3,d=5"],
-        ["explore", "kaijser-varopoulos", "--dim-g", "4"],
         ["explore", "alpay-kaptanoglu", "--config", "{cfg}"],
         ["fuzz", "--structure", "ball:m=1,d=2", "--sampler", "uniform-polydisk"],
         ["explore", "kaijser-varopoulos", "--sampler", "uniform-ball"],
@@ -1123,7 +1129,7 @@ class TestCli:
         ["fuzz", "--structure", "polydisk:2,,1"],
         ["fuzz", "--structure", "polydisk:,2"],
     ], ids=["fuzz-dim-g", "fuzz-seed", "explore-seed", "explore-target", "explore-m", "explore-m-too-large",
-            "explore-structure", "explore-dim-g", "explore-config-dim-g", "fuzz-sampler",
+            "explore-config-dim-g", "fuzz-sampler",
             "explore-sampler", "explore-ignored-m", "fuzz-out-dir", "explore-out-dir",
             "ball-extra-key", "ball-repeated-key", "ball-no-copies",
             "polydisk-empty-entry", "polydisk-empty-first-entry"])
@@ -1140,6 +1146,56 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "kaijser-varopoulos", "--structure", "ball:m=3,d=5"],
+        ["explore", "kaijser-varopoulos", "--dim-g", "4"],
+        ["catalog", "blaschke", "--a", "0.5", "--alpha", "1"],
+        ["catalog", "monomial", "--alpha", "1,1", "--seed", "7"],
+        ["catalog", "monomial", "--alpha", "1,1", "--d", "9"],
+        ["catalog", "symmetric-extremal", "--d", "2", "--a", "0.3"],
+    ], ids=["explore-structure", "explore-dim-g", "blaschke-alpha", "monomial-seed", "monomial-d",
+            "symmetric-extremal-a"])
+    def test_a_flag_its_command_does_not_read_exits_two(self, tmp_path, capsys, argv):
+        # each was accepted and ignored: explore fixes its own domain, and a catalog entry reads only its own
+        # parameters; argparse now refuses them, as it refuses an unknown catalog entry
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--out", str(out), *argv[1:]] if argv[0] == "explore" else [*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+    def test_each_subcommand_offers_only_the_flags_it_reads(self):
+        def options(parser):
+            return [action.option_strings for action in parser._actions if action.option_strings]
+
+        def commands(parser):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices
+
+        top = commands(harness.build_parser())
+        found = {name: options(p) for name, p in top.items() if name != "catalog"}
+        found.update({f"catalog {entry}": options(p) for entry, p in commands(top["catalog"]).items()})
+        campaign = [["--config"], ["--seed"], ["--n"], ["--points"]]
+        common = [["--max-order"], ["--sampler"], ["--tol"], ["--out"]]
+        assert found == {name: [["-h", "--help"], *flags] for name, flags in {
+            "validate": [["--tol"]],
+            "eval": [["--z"]],
+            "deriv": [["--z"], ["--alpha"], ["--samples"]],
+            "bounds": [["--z"], ["--alpha"], ["--tol"]],
+            "catalog blaschke": [["--a"], ["--out"]],
+            "catalog monomial": [["--alpha"], ["--out"]],
+            "catalog symmetric-extremal": [["--d"], ["--seed"], ["--out"]],
+            "fuzz": [*campaign, ["--structure"], ["--dim-g"], *common],
+            "explore": [["--m"], *campaign, *common],
+        }.items()}
+        assert len(found["explore"]) == 10  # --help included
+        assert sum(len(flags) - 1 for name, flags in found.items() if name.startswith("catalog ")) == 7
+        assert [f.name for f in dataclasses.fields(CampaignConfig)] == [
+            "seed", "n_colligations", "structure", "dim_g", "max_order", "points_per_colligation", "sampler",
+            "slack_tol", "identity_tol", "out"]
 
 
 FUZZ_SMALL = ["fuzz", "--n", "1", "--points", "1", "--max-order", "2", "--seed", "4"]

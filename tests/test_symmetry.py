@@ -1,6 +1,6 @@
 """Symmetry oracles: a report table depends on a colligation and its points only as the mathematics allows.
 
-Three exact symmetries of the model map a colligation and its points to another pair whose reports are
+Four exact symmetries of the model map a colligation and its points to another pair whose reports are
 the same up to rounding:
 
 * state similarity: A -> V_K A V_H*, B -> V_K B, C -> C V_H*, with V unitary and E_j V_K = V_H E_j for
@@ -10,7 +10,10 @@ the same up to rounding:
 * coordinate permutation: new coordinate j is old coordinate p[j], by a permutation S of the state space
   that carries old block (ball copy) p[j] to new block j: A -> S A S*, B -> S B, C -> C S* on the polydisk,
   whose blocks are permuted too, and A -> S A, B -> S B on the ball.  Then phi'(z[p]) = phi(z), so each
-  report that depends on phi alone (a ``VARIANTS`` tag) at (z, alpha) is the one at (z[p], alpha[p]).
+  report that depends on phi alone (a ``VARIANTS`` tag) at (z, alpha) is the one at (z[p], alpha[p]);
+* torus rotation: A -> Y A, B -> Y B with Y = sum_j zeta_j E_j* E_j, unitary for zeta on the unit torus.
+  Then Z(z / zeta) Y = Z(z), so phi'(z / zeta) = phi(z), and its partials at z / zeta are those at z times
+  zeta^alpha, of modulus one: each ``VARIANTS`` report at (z, alpha) is the one at (z / zeta, alpha).
 
 The two computations round apart.  The defect D (1 - |phi|^2 for scalar phi, else the product of the two
 defect norms) is a difference of values of size up to one, so it carries an absolute error of a few eps and a
@@ -25,6 +28,7 @@ import pytest
 
 from aglerlab import Colligation, MultiIndex, Polydisk, evaluate, random_colligation
 from aglerlab.bounds import VARIANTS, report_columns
+from aglerlab.colligation import projections
 from aglerlab.harness import multi_indices
 from aglerlab.matrixcore import haar_unitary
 from conftest import MIXED_STRUCTURES, admissible_point
@@ -68,6 +72,12 @@ def permuted(col: Colligation, p) -> Colligation:
     return Colligation(s, shift @ col.A, shift @ col.B, col.C, col.D)
 
 
+def torus_rotated(col: Colligation, zeta: np.ndarray) -> Colligation:
+    es = projections(col.structure)
+    y = np.einsum("j,jhk,jhl->kl", zeta, es.conj(), es)  # sum_j zeta_j E_j* E_j
+    return Colligation(col.structure, y @ col.A, y @ col.B, col.C, col.D)
+
+
 def deviation(moved, table, defect: np.ndarray, old=slice(None), new=slice(None)) -> float:
     """The largest difference between a lhs or rhs of ``table`` (its columns ``old``) and of ``moved`` (its
     columns ``new``), over the larger side of its report and times its point's defect, in units of TOLERANCE."""
@@ -104,3 +114,11 @@ class TestSymmetries:
         new = [at[tag, tuple(alpha[j] for j in p)] for tag, alpha in (table.keys[q] for q in old)]
         assert old and sorted(new) == [q for q, (tag, _) in enumerate(moved.keys) if tag in FUNCTION_TAGS]
         assert deviation(moved, table, defect, old, new) <= 1.0
+
+    def test_a_torus_rotation_keeps_the_function_reports(self, structure, dim_g):
+        col, zs, mis, table, defect = self.base(structure, dim_g)
+        zeta = np.exp(2j * np.pi * np.random.default_rng(400 + structure.d).random(structure.d))
+        moved = report_columns(evaluate(torus_rotated(col, zeta), zs / zeta), mis)
+        tags = [q for q, (tag, _) in enumerate(table.keys) if tag in FUNCTION_TAGS]
+        assert moved.keys == table.keys and tags
+        assert deviation(moved, table, defect, tags, tags) <= 1.0
